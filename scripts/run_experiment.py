@@ -17,8 +17,6 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-import numpy as np
-
 from catbert.attacks import AttackSpec, accuracy_under_attack
 from catbert.baseline import make_lr_scorer, predict_tfidf_lr, train_tfidf_lr
 from catbert.explain import explain_record

@@ -32,28 +32,24 @@ def save_checkpoint(model: CatBertModel, out_dir) -> None:
     os.makedirs(out_dir, exist_ok=True)
     entries = []
     offset = 0
-    chunks = []
-    for name, p in model.params.items():
-        arr = np.ascontiguousarray(p.data, dtype=_DTYPE)
-        raw = arr.tobytes()
-        entries.append({
-            "name": name,
-            "shape": list(arr.shape),
-            "dtype": "f32",
-            "offset": offset,
-            "nbytes": len(raw),
-        })
-        chunks.append(raw)
-        offset += len(raw)
+    with open(os.path.join(out_dir, BLOB), "wb") as f:
+        for name, p in model.params.items():
+            arr = np.ascontiguousarray(p.data, dtype=_DTYPE)
+            entries.append({
+                "name": name,
+                "shape": list(arr.shape),
+                "dtype": "f32",
+                "offset": offset,
+                "nbytes": arr.nbytes,
+            })
+            f.write(memoryview(arr))
+            offset += arr.nbytes
     manifest = {
         "format_version": FORMAT_VERSION,
         "config": model.config.to_dict(),
         "tensors": entries,
         "provenance": model.provenance,
     }
-    with open(os.path.join(out_dir, BLOB), "wb") as f:
-        for raw in chunks:
-            f.write(raw)
     with open(os.path.join(out_dir, MANIFEST), "w", encoding="utf-8") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
@@ -106,13 +102,11 @@ def load_checkpoint(ckpt_dir) -> CatBertModel:
                 f"outside blob of {blob_size} bytes"
             )
 
-    with open(blob_path, "rb") as f:
-        blob = f.read()
     params: dict[str, Parameter] = {}
-    for name, shape in expected.items():
-        e = entries[name]
-        arr = np.frombuffer(blob, dtype=_DTYPE, count=int(np.prod(shape, dtype=np.int64)),
-                            offset=e["offset"]).reshape(shape)
-        params[name] = Parameter(name, arr.astype(np.float32))
+    with open(blob_path, "rb") as f:
+        for name, shape in expected.items():
+            f.seek(entries[name]["offset"])
+            arr = np.fromfile(f, dtype=_DTYPE, count=int(np.prod(shape, dtype=np.int64)))
+            params[name] = Parameter(name, arr.reshape(shape).astype(np.float32, copy=False))
     provenance = manifest.get("provenance") or {name: "fresh" for name in params}
     return CatBertModel(config, params, provenance)

@@ -19,8 +19,7 @@ import logging
 import os
 import sys
 import time
-
-import numpy as np
+from dataclasses import asdict
 
 from . import __version__
 from .attacks import KINDS, AttackSpec, accuracy_under_attack
@@ -249,8 +248,8 @@ def _cmd_train(args) -> int:
     history = train(model, train_set, train_cfg, val_set=val_set, out_dir=args.out_dir)
 
     history_path = os.path.join(args.out_dir, "history.json")
-    _write_json(history.to_dict(), history_path)
-    resolved = {"model": model_cfg.to_dict(), "train": train_cfg.to_dict(),
+    _write_json(asdict(history), history_path)
+    resolved = {"model": model_cfg.to_dict(), "train": asdict(train_cfg),
                 "max_len": max_len, "truncate": truncate}
     _write_manifest(args.out_dir, "train", resolved, train_cfg.seed,
                     {"train": args.train, "val": args.val, "vocab": args.vocab},
@@ -293,14 +292,7 @@ def _cmd_params(args) -> int:
     report = count_params(cfg)
     payload = {
         "config": cfg.to_dict(),
-        "exact": {
-            "embedding": report.embedding,
-            "non_embedding": report.non_embedding,
-            "per_transformer": report.per_transformer,
-            "per_adapter": report.per_adapter,
-            "classifier": report.classifier,
-            "total": report.total,
-        },
+        "exact": {**asdict(report), "non_embedding": report.non_embedding},
         "millions": {
             "embedding": millions(report.embedding),
             "non_embedding": millions(report.non_embedding),
@@ -411,7 +403,7 @@ def _cmd_explain(args) -> int:
                                  n_samples=args.n_samples, seed=args.seed,
                                  max_len=args.max_len,
                                  use_context=not args.no_context)
-    _write_json(attribution.to_dict(), args.out)
+    _write_json(asdict(attribution), args.out)
     if args.out:
         _write_manifest(args.out, "explain",
                         {"index": args.index, "n_samples": args.n_samples,
@@ -467,8 +459,6 @@ def build_parser() -> _Parser:
                      description="Train, compress, evaluate, attack, and explain "
                                  "a transformer+adapter phishing email detector.")
     parser.add_argument("--version", action="version", version=f"catbert {__version__}")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="cap worker threads (recorded; compute here is single-threaded)")
     sub = parser.add_subparsers(dest="subcommand", parser_class=_Parser)
 
     p = sub.add_parser("ingest", help="validate and normalize a JSONL dataset")
@@ -559,7 +549,7 @@ def build_parser() -> _Parser:
     p.add_argument("--heads", type=int, default=12)
     p.add_argument("--seq-len", type=int, default=128)
     p.add_argument("--batch", type=int, default=1)
-    p.add_argument("--vocab-size", type=int, default=4096)
+    p.add_argument("--vocab-size", type=int, default=30522)
     p.add_argument("--donor-blocks", type=int, default=6)
     p.add_argument("--repetitions", type=int, default=30)
     p.add_argument("--seed", type=int, default=0)
@@ -584,9 +574,6 @@ def main(argv=None) -> int:
     if getattr(args, "func", None) is None:
         print(parser.format_help(), file=sys.stderr)
         return 1
-    if args.threads is not None:
-        log.info("thread cap %d recorded; compute in this build is single-threaded",
-                 args.threads)
     try:
         return args.func(args)
     except UsageError as e:

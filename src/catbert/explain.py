@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .mail import build_content
+from .pipeline import make_model_scorer
 from .tokenizer import UNK, pre_tokenize
 
 RIDGE_LAMBDA = 1e-3
@@ -27,14 +29,6 @@ class Attribution:
     n_samples: int
     top_positive: list[tuple[str, float]]
     top_negative: list[tuple[str, float]]
-
-    def to_dict(self) -> dict:
-        return {
-            "weights": self.weights, "intercept": self.intercept, "r2": self.r2,
-            "sigma": self.sigma, "n_samples": self.n_samples,
-            "top_positive": [[t, w] for t, w in self.top_positive],
-            "top_negative": [[t, w] for t, w in self.top_negative],
-        }
 
 
 def lime_explain(score_fn, text: str, n_samples: int = 1000, seed: int = 0,
@@ -94,11 +88,6 @@ def explain_record(model, vocab, record, n_samples: int = 1000, seed: int = 0,
                    max_len: int = 128, use_context: bool = True) -> Attribution:
     """Explain one email's score. The record's context features are held
     fixed across the whole neighborhood."""
-    from .mail import build_content
-    from .pipeline import encode_texts, score_dataset
-
-    def score_fn(texts):
-        ds = encode_texts(texts, [record] * len(texts), vocab, max_len=max_len)
-        return score_dataset(model, ds, use_context=use_context)
-
-    return lime_explain(score_fn, build_content(record), n_samples=n_samples, seed=seed)
+    scorer = make_model_scorer(model, vocab, max_len=max_len, use_context=use_context)
+    return lime_explain(lambda texts: scorer(texts, [record] * len(texts)),
+                        build_content(record), n_samples=n_samples, seed=seed)

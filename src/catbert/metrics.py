@@ -122,11 +122,6 @@ def group_metrics(scores, labels, groups, fprs=DEFAULT_FPRS) -> dict:
     return out
 
 
-def mean_std(values) -> tuple[float, float]:
-    arr = np.asarray(values, dtype=np.float64)
-    return float(arr.mean()), float(arr.std())
-
-
 def spearman(a, b) -> float:
     """Rank correlation (ties averaged). Degenerate constant inputs give 0."""
     a = np.asarray(a, dtype=np.float64)

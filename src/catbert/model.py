@@ -13,7 +13,7 @@ fine-tuning.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -65,13 +65,7 @@ class ModelConfig:
             raise ConfigError("vocab_size/max_positions must be >= 1, context_dim >= 0")
 
     def to_dict(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size, "hidden": self.hidden,
-            "ffn_dim": self.ffn_dim, "heads": self.heads,
-            "max_positions": self.max_positions, "block_plan": list(self.block_plan),
-            "context_dim": self.context_dim, "classifier_hidden": self.classifier_hidden,
-            "cls_from": self.cls_from, "seed": self.seed,
-        }
+        return {**asdict(self), "block_plan": list(self.block_plan)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
@@ -298,29 +292,6 @@ def forward_probs(model: CatBertModel, ids: np.ndarray, mask: np.ndarray,
     if return_hidden:
         return probs, hiddens
     return probs
-
-
-def forward(model: CatBertModel, tokens, context=None, return_hidden: bool = False):
-    """Single-record convenience wrapper over :func:`forward_probs`.
-
-    ``tokens`` is a TokenSequence, ``context`` a ContextFeatures (ignored
-    when the model has no context inputs). Returns the probability as a
-    float, plus per-block hidden-state arrays when requested.
-    """
-    from .mail import context_vector
-
-    ids = np.asarray([tokens.ids])
-    mask = np.asarray([tokens.attention_mask])
-    ctx = None
-    if model.config.context_dim:
-        if context is None:
-            raise ValueError("model takes context features but none were given")
-        ctx = context_vector(context).reshape(1, -1)
-    out = forward_probs(model, ids, mask, ctx, return_hidden=return_hidden)
-    if return_hidden:
-        probs, hiddens = out
-        return float(probs.data[0]), [hh.data[0] for hh in hiddens]
-    return float(out.data[0])
 
 
 PARTIAL_FINETUNE = "partial-finetune"

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mail import EmailRecord, body_text_of, context_vector, extract_context
+from .mail import EmailRecord, build_content, context_vector, extract_context
 from .model import CatBertModel, forward_probs
 from .tokenizer import Vocabulary, encode
 
@@ -34,28 +34,17 @@ class EncodedDataset:
 
 def encode_records(records: list[EmailRecord], vocab: Vocabulary, max_len: int = 128,
                    truncate: str = "head") -> EncodedDataset:
-    n = len(records)
-    ids = np.zeros((n, max_len), dtype=np.int64)
-    mask = np.zeros((n, max_len), dtype=np.int64)
-    ctx = np.zeros((n, 4), dtype=np.float32)
-    labels = np.zeros(n, dtype=np.int64)
-    weights = np.ones(n, dtype=np.float32)
-    groups = []
-    for i, rec in enumerate(records):
-        seq = encode(rec.subject, body_text_of(rec), vocab, max_len=max_len, truncate=truncate)
-        ids[i] = seq.ids
-        mask[i] = seq.attention_mask
-        ctx[i] = context_vector(extract_context(rec))
-        labels[i] = rec.label
-        weights[i] = rec.weight
-        groups.append(rec.group)
-    return EncodedDataset(ids, mask, ctx, labels, weights, groups)
+    return encode_texts([build_content(r) for r in records], records, vocab,
+                        max_len=max_len, truncate=truncate)
 
 
 def encode_texts(texts: list[str], records: list[EmailRecord], vocab: Vocabulary,
                  max_len: int = 128, truncate: str = "head") -> EncodedDataset:
-    """Encode replacement content texts while keeping each record's context
-    features (used by attacks, which must not touch the headers)."""
+    """Encode one content text per record next to that record's context
+    features, label, weight and group. Attacks and explanations pass
+    perturbed texts here, which must not touch the headers. Context is
+    extracted once per distinct record object, so a record repeated for
+    every variant logs a header warning once."""
     if len(texts) != len(records):
         raise ValueError(f"{len(texts)} texts for {len(records)} records")
     n = len(records)
@@ -65,11 +54,14 @@ def encode_texts(texts: list[str], records: list[EmailRecord], vocab: Vocabulary
     labels = np.zeros(n, dtype=np.int64)
     weights = np.ones(n, dtype=np.float32)
     groups = []
+    contexts: dict[int, np.ndarray] = {}
     for i, (text, rec) in enumerate(zip(texts, records)):
         seq = encode(text, "", vocab, max_len=max_len, truncate=truncate)
         ids[i] = seq.ids
         mask[i] = seq.attention_mask
-        ctx[i] = context_vector(extract_context(rec))
+        if id(rec) not in contexts:
+            contexts[id(rec)] = context_vector(extract_context(rec))
+        ctx[i] = contexts[id(rec)]
         labels[i] = rec.label
         weights[i] = rec.weight
         groups.append(rec.group)

@@ -50,9 +50,6 @@ class TrainConfig:
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
 
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
-
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
         known = set(cls.__dataclass_fields__)
@@ -146,10 +143,6 @@ class TrainingHistory:
     epochs: list[dict] = field(default_factory=list)
     best_epoch: int | None = None
     best_val_auc: float | None = None
-
-    def to_dict(self) -> dict:
-        return {"epochs": self.epochs, "best_epoch": self.best_epoch,
-                "best_val_auc": self.best_val_auc}
 
 
 def train(model: CatBertModel, train_set: EncodedDataset, config: TrainConfig,

@@ -1,4 +1,6 @@
+import logging
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -117,6 +119,18 @@ def test_explain_record_runs_end_to_end():
     assert attribution.n_samples == 64
     assert set(attribution.weights) == {"invoice", "please", "send",
                                         "wiretransfer", "today"}
-    d = attribution.to_dict()
+    d = asdict(attribution)
     assert set(d) == {"weights", "intercept", "r2", "sigma", "n_samples",
                       "top_positive", "top_negative"}
+
+
+def test_explain_logs_a_bad_header_once(caplog):
+    vocab = Vocabulary(synthetic_vocab())
+    model = init_random(ModelConfig(vocab_size=100, hidden=16, ffn_dim=32, heads=2,
+                                    max_positions=32, block_plan=("T", "A")), seed=0)
+    record = EmailRecord(subject="invoice", body_text="please send wiretransfer today",
+                         from_addr="not-an-address", to_addrs=["b@acme.com"], label=1)
+    with caplog.at_level(logging.WARNING, logger="catbert.mail"):
+        explain_record(model, vocab, record, n_samples=64, seed=0, max_len=32)
+    warnings = [r for r in caplog.records if "unparseable addresses" in r.getMessage()]
+    assert len(warnings) == 1

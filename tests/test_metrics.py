@@ -7,7 +7,6 @@ from catbert.metrics import (
     DEFAULT_FPRS,
     MetricError,
     group_metrics,
-    mean_std,
     roc_auc,
     roc_curve,
     spearman,
@@ -182,14 +181,6 @@ class TestGroupMetrics:
         out = group_metrics(scores, labels, ["bec", "english", "bec", "english"])
         assert out["bec"]["n_neg"] == 2
         assert out["english"]["n_neg"] == 2
-
-
-class TestMeanStd:
-    def test_matches_direct_formulas(self):
-        vals = [0.91, 0.94, 0.89, 0.95, 0.92]
-        m, s = mean_std(vals)
-        assert m == sum(vals) / 5
-        assert abs(s - (sum((v - m) ** 2 for v in vals) / 5) ** 0.5) < 1e-15
 
 
 def bench_model(n_blocks):

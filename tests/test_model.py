@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catbert.mail import ContextFeatures
 from catbert.model import (
     ADAPTER,
     TRANSFORMER,
@@ -12,7 +11,6 @@ from catbert.model import (
     ModelConfig,
     ParamReport,
     count_params,
-    forward,
     forward_probs,
     freeze_preset,
     init_random,
@@ -22,7 +20,6 @@ from catbert.model import (
     surgery_from_donor,
 )
 from catbert.tensor import Parameter
-from catbert.tokenizer import TokenSequence
 
 TINY = dict(vocab_size=100, hidden=8, ffn_dim=16, heads=2, max_positions=16,
             block_plan=("T", "A"))
@@ -165,16 +162,6 @@ class TestForward:
         ids = np.full((1, 4), 100, dtype=np.int64)
         with pytest.raises(IndexError):
             forward_probs(m, ids, np.ones((1, 4)), np.zeros((1, 4), dtype=np.float32))
-
-    def test_single_record_wrapper(self):
-        m = tiny_model()
-        seq = TokenSequence(ids=[2, 5, 9, 3, 0, 0], attention_mask=[1, 1, 1, 1, 0, 0], n_tokens=2)
-        feats = ContextFeatures(1, 0, 2, 0)
-        p = forward(m, seq, feats)
-        assert 0.0 < p < 1.0
-        p2, hiddens = forward(m, seq, feats, return_hidden=True)
-        assert p2 == p
-        assert len(hiddens) == 2 and hiddens[0].shape == (6, 8)
 
     def test_cls_from_last_transformer(self):
         base = tiny_model(5)

@@ -1,9 +1,10 @@
 import numpy as np
+import pytest
 
-from catbert.mail import EmailRecord
+from catbert.mail import EmailRecord, body_text_of, build_content
 from catbert.model import ModelConfig, forward_probs, init_random
 from catbert.pipeline import encode_records, encode_texts, score_dataset, score_records
-from catbert.tokenizer import Vocabulary
+from catbert.tokenizer import Vocabulary, encode
 
 
 def small_vocab():
@@ -62,6 +63,30 @@ class TestEncodeTexts:
         assert not np.array_equal(swapped.ids[0], base.ids[0])
         assert np.array_equal(swapped.ctx, base.ctx)
         assert swapped.labels.tolist() == base.labels.tolist()
+
+    @pytest.mark.parametrize("truncate", ["head", "tail"])
+    def test_records_are_their_built_content(self, truncate):
+        v = small_vocab()
+        recs = records() + [
+            EmailRecord(subject="pay", body_html="<p>money</p><b>now</b> hello", label=1,
+                        from_addr="x@y.co", to_addrs=["z@w.co"], group="english"),
+            EmailRecord(subject="", body_html="<div>hello</div>", weight=0.5),
+            EmailRecord(subject="now"),
+            EmailRecord(),
+            EmailRecord(subject="pay  ", body_text="  money\tnow\n", from_addr="broken"),
+            EmailRecord(subject="hello", body_text="pay money now " * 5, label=1),
+        ]
+        ds = encode_records(recs, v, max_len=8, truncate=truncate)
+        folded = encode_texts([build_content(r) for r in recs], recs, v, max_len=8,
+                              truncate=truncate)
+        for field in ("ids", "mask", "ctx", "labels", "weights"):
+            assert np.array_equal(getattr(ds, field), getattr(folded, field)), field
+        assert ds.groups == folded.groups
+        # the same rows the subject/body form of encode gives
+        for i, r in enumerate(recs):
+            seq = encode(r.subject, body_text_of(r), v, max_len=8, truncate=truncate)
+            assert ds.ids[i].tolist() == seq.ids
+            assert ds.mask[i].tolist() == seq.attention_mask
 
 
 class TestScoring:

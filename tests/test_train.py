@@ -1,5 +1,6 @@
 import math
 import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -224,7 +225,7 @@ def test_train_config_validation():
 
 def test_train_config_round_trip():
     cfg = TrainConfig(epochs=2, batch_size=16, learning_rate=1e-3, seed=5)
-    assert TrainConfig.from_dict(cfg.to_dict()) == cfg
+    assert TrainConfig.from_dict(asdict(cfg)) == cfg
 
 
 # ------------------------------------------------------------------ train
@@ -287,7 +288,7 @@ def test_training_is_deterministic(tmp_path):
         hist = train(model, ds, TrainConfig(epochs=2, batch_size=32,
                                             learning_rate=1e-3, seed=2),
                      out_dir=str(out))
-        return hist.to_dict(), out / "best"
+        return asdict(hist), out / "best"
 
     h1, d1 = run(tmp_path / "a")
     h2, d2 = run(tmp_path / "b")
