@@ -31,7 +31,6 @@ class AttackSpec:
     rate: float
     seed: int = 0
     synonyms: dict = field(default_factory=dict)
-    homoglyphs: dict = field(default_factory=lambda: dict(DEFAULT_HOMOGLYPHS))
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -60,7 +59,7 @@ def _eligible(word: str, spec: AttackSpec) -> bool:
         return word.lower() in spec.synonyms
     if spec.kind == "typo":
         return len(word) >= 2
-    return any(ch in spec.homoglyphs for ch in word.lower())
+    return any(ch in DEFAULT_HOMOGLYPHS for ch in word.lower())
 
 
 def _perturb(word: str, spec: AttackSpec, rng: np.random.Generator) -> str:
@@ -71,7 +70,7 @@ def _perturb(word: str, spec: AttackSpec, rng: np.random.Generator) -> str:
         return choices[int(rng.integers(0, len(choices)))]
     if spec.kind == "typo":
         return _typo(word, rng)
-    return "".join(spec.homoglyphs.get(ch.lower(), ch) for ch in word)
+    return "".join(DEFAULT_HOMOGLYPHS.get(ch.lower(), ch) for ch in word)
 
 
 def attack(text: str, spec: AttackSpec) -> str:

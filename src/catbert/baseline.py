@@ -15,13 +15,14 @@ import numpy as np
 from .tokenizer import pre_tokenize
 
 
-def ngrams(text: str, ngram_range: tuple[int, int] = (1, 2)) -> list[str]:
+EPOCHS = 1500
+LEARNING_RATE = 5.0
+
+
+def ngrams(text: str) -> list[str]:
+    """Word unigrams, then bigrams, in text order."""
     words = pre_tokenize(text)
-    lo, hi = ngram_range
-    out: list[str] = []
-    for n in range(lo, hi + 1):
-        out.extend(" ".join(words[i:i + n]) for i in range(len(words) - n + 1))
-    return out
+    return words + [f"{a} {b}" for a, b in zip(words, words[1:])]
 
 
 @dataclass
@@ -30,17 +31,16 @@ class TfidfLrModel:
     idf: np.ndarray              # (F,)
     w: np.ndarray                # (F,)
     b: float
-    ngram_range: tuple[int, int]
 
 
-def _sparse_rows(texts, vocab, ngram_range):
+def _sparse_rows(texts, vocab):
     """(doc_idx, col_idx, value) triplets of L2-normalized tf-idf rows."""
     doc_idx: list[int] = []
     col_idx: list[int] = []
     vals: list[float] = []
     for i, text in enumerate(texts):
         counts: dict[int, float] = {}
-        for g in ngrams(text, ngram_range):
+        for g in ngrams(text):
             j = vocab.get(g)
             if j is not None:
                 counts[j] = counts.get(j, 0.0) + 1.0
@@ -74,9 +74,7 @@ def _sigmoid(z):
     return out
 
 
-def train_tfidf_lr(texts: list[str], labels, weights=None,
-                   ngram_range: tuple[int, int] = (1, 2),
-                   epochs: int = 1500, learning_rate: float = 5.0) -> TfidfLrModel:
+def train_tfidf_lr(texts: list[str], labels, weights=None) -> TfidfLrModel:
     """Fit the baseline. Deterministic: term weights start at zero, the
     intercept at the class-prior log odds, and the data order fixes
     everything else."""
@@ -89,7 +87,7 @@ def train_tfidf_lr(texts: list[str], labels, weights=None,
 
     df: dict[str, int] = {}
     for text in texts:
-        for g in set(ngrams(text, ngram_range)):
+        for g in set(ngrams(text)):
             df[g] = df.get(g, 0) + 1
     vocab = {g: j for j, g in enumerate(sorted(df))}
     n, F = len(texts), len(vocab)
@@ -97,21 +95,21 @@ def train_tfidf_lr(texts: list[str], labels, weights=None,
     for g, j in vocab.items():
         idf[j] = np.log((1.0 + n) / (1.0 + df[g])) + 1.0
 
-    doc_idx, col_idx, vals = _sparse_rows(texts, vocab, ngram_range)
+    doc_idx, col_idx, vals = _sparse_rows(texts, vocab)
     vals = _tfidf(doc_idx, col_idx, vals, idf, n)
     w = np.zeros(F, dtype=np.float64)
     prior = min(max(float((sw * labels).sum() / sw.sum()), 1e-7), 1.0 - 1e-7)
     b = float(np.log(prior / (1.0 - prior)))
-    for _ in range(epochs):
+    for _ in range(EPOCHS):
         p = _sigmoid(_scores(doc_idx, col_idx, vals, w, b, n))
         err = sw * (p - labels) / n  # d(mean w_i * bce_i)/d logit_i
-        w -= learning_rate * np.bincount(col_idx, weights=err[doc_idx] * vals, minlength=F)
-        b -= learning_rate * float(err.sum())
-    return TfidfLrModel(vocab=vocab, idf=idf, w=w, b=b, ngram_range=ngram_range)
+        w -= LEARNING_RATE * np.bincount(col_idx, weights=err[doc_idx] * vals, minlength=F)
+        b -= LEARNING_RATE * float(err.sum())
+    return TfidfLrModel(vocab=vocab, idf=idf, w=w, b=b)
 
 
 def predict_tfidf_lr(model: TfidfLrModel, texts: list[str]) -> np.ndarray:
-    doc_idx, col_idx, vals = _sparse_rows(texts, model.vocab, model.ngram_range)
+    doc_idx, col_idx, vals = _sparse_rows(texts, model.vocab)
     vals = _tfidf(doc_idx, col_idx, vals, model.idf, len(texts))
     return _sigmoid(_scores(doc_idx, col_idx, vals, model.w, model.b, len(texts)))
 

@@ -25,7 +25,7 @@ from . import __version__
 from .attacks import KINDS, AttackSpec, accuracy_under_attack
 from .checkpoint import load_checkpoint, save_checkpoint
 from .explain import explain_record
-from .mail import load_dataset_with_report, save_dataset
+from .mail import load_dataset, load_dataset_with_report, save_dataset
 from .metrics import DEFAULT_FPRS, group_metrics, roc_auc, roc_curve, time_inference, tpr_at_fpr
 from .model import ModelConfig, count_params, init_random, millions, surgery_from_donor
 from .pipeline import encode_records, make_model_scorer, score_dataset
@@ -148,27 +148,17 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
         raise UsageError(f"{flag} wants comma-separated integers, got {text!r}")
 
 
-def _load_records(path: str, strict: bool = True):
-    records, errors = load_dataset_with_report(path, strict=strict)
-    if not strict:
-        for msg in errors:
-            log.warning("%s: skipped %s", path, msg)
-    return records, errors
-
-
-def _encode_args(parser: _Parser) -> None:
-    parser.add_argument("--vocab", required=True, help="vocabulary file, one token per line")
-    parser.add_argument("--max-len", type=int, default=128)
-    parser.add_argument("--truncate", choices=("head", "tail"), default="head")
-
-
 def _model_io_args(parser: _Parser) -> None:
     parser.add_argument("--model", required=True, help="checkpoint directory")
     parser.add_argument("--in", dest="inp", required=True, help="JSONL dataset")
-    _encode_args(parser)
-    parser.add_argument("--batch-size", type=int, default=64)
+    parser.add_argument("--vocab", required=True, help="vocabulary file, one token per line")
+    parser.add_argument("--max-len", type=int, default=128)
     parser.add_argument("--no-context", action="store_true",
                         help="zero the header context features")
+
+
+def _truncate_arg(parser: _Parser) -> None:
+    parser.add_argument("--truncate", choices=("head", "tail"), default="head")
 
 
 # ------------------------------------------------------------ subcommands
@@ -176,7 +166,9 @@ def _model_io_args(parser: _Parser) -> None:
 
 def _cmd_ingest(args) -> int:
     started = time.time()
-    records, errors = _load_records(args.inp, strict=args.strict)
+    records, errors = load_dataset_with_report(args.inp, strict=args.strict)
+    for msg in errors:
+        log.warning("%s: skipped %s", args.inp, msg)
     save_dataset(records, args.out)
     print(f"ingested {len(records)} records, skipped {len(errors)}", file=sys.stderr)
     _write_manifest(args.out, "ingest",
@@ -188,7 +180,7 @@ def _cmd_ingest(args) -> int:
 def _cmd_split(args) -> int:
     started = time.time()
     fractions = tuple(float(p) for p in args.fractions.split(","))
-    records, _ = _load_records(args.inp)
+    records = load_dataset(args.inp, strict=True)
     parts = split_by_time(records, fractions=fractions)
     os.makedirs(args.out_dir, exist_ok=True)
     outputs = {}
@@ -236,11 +228,11 @@ def _cmd_train(args) -> int:
     except (TypeError, ValueError) as e:
         raise UsageError(f"bad config: {e}")
 
-    train_records, _ = _load_records(args.train)
+    train_records = load_dataset(args.train, strict=True)
     train_set = encode_records(train_records, vocab, max_len=max_len, truncate=truncate)
     val_set = None
     if args.val:
-        val_records, _ = _load_records(args.val)
+        val_records = load_dataset(args.val, strict=True)
         val_set = encode_records(val_records, vocab, max_len=max_len, truncate=truncate)
 
     model = init_random(model_cfg, seed=train_cfg.seed)
@@ -306,20 +298,28 @@ def _cmd_params(args) -> int:
     return 0
 
 
-def _load_scoring_inputs(args):
-    vocab = load_vocab(args.vocab)
-    model = load_checkpoint(args.model)
-    records, _ = _load_records(args.inp)
+def _load_model_inputs(args):
+    return load_vocab(args.vocab), load_checkpoint(args.model), load_dataset(args.inp, strict=True)
+
+
+def _score_input(args):
+    vocab, model, records = _load_model_inputs(args)
     ds = encode_records(records, vocab, max_len=args.max_len, truncate=args.truncate)
-    return vocab, model, records, ds
+    return ds, score_dataset(model, ds, batch_size=args.batch_size,
+                             use_context=not args.no_context)
+
+
+def _scoring_config(args) -> dict:
+    """Every scoring flag the subcommand accepts, for its manifest."""
+    config = {"max_len": args.max_len, "use_context": not args.no_context}
+    config.update({k: getattr(args, k) for k in ("truncate", "batch_size") if hasattr(args, k)})
+    return config
 
 
 def _cmd_eval(args) -> int:
     started = time.time()
     fprs = [float(p) for p in args.fprs.split(",")] if args.fprs else list(DEFAULT_FPRS)
-    vocab, model, records, ds = _load_scoring_inputs(args)
-    scores = score_dataset(model, ds, batch_size=args.batch_size,
-                           use_context=not args.no_context)
+    ds, scores = _score_input(args)
     labels = ds.labels
     payload = {
         "n": len(ds),
@@ -341,9 +341,7 @@ def _cmd_eval(args) -> int:
         outputs["roc"] = args.roc
     if args.out:
         _write_manifest(args.out, "eval",
-                        {"fprs": fprs, "batch_size": args.batch_size,
-                         "max_len": args.max_len, "use_context": not args.no_context},
-                        None,
+                        {"fprs": fprs, **_scoring_config(args)}, None,
                         {"dataset": args.inp, "model": args.model, "vocab": args.vocab},
                         outputs, started)
     return 0
@@ -351,18 +349,13 @@ def _cmd_eval(args) -> int:
 
 def _cmd_predict(args) -> int:
     started = time.time()
-    vocab, model, records, ds = _load_scoring_inputs(args)
-    scores = score_dataset(model, ds, batch_size=args.batch_size,
-                           use_context=not args.no_context)
+    ds, scores = _score_input(args)
     lines = [json.dumps({"index": i, "prob": float(p), "label": int(l)})
              for i, (p, l) in enumerate(zip(scores, ds.labels))]
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:
             f.write("\n".join(lines) + "\n")
-        _write_manifest(args.out, "predict",
-                        {"batch_size": args.batch_size, "max_len": args.max_len,
-                         "use_context": not args.no_context},
-                        None,
+        _write_manifest(args.out, "predict", _scoring_config(args), None,
                         {"dataset": args.inp, "model": args.model, "vocab": args.vocab},
                         {"predictions": args.out}, started)
     else:
@@ -372,7 +365,7 @@ def _cmd_predict(args) -> int:
 
 def _cmd_attack(args) -> int:
     started = time.time()
-    vocab, model, records, _ = _load_scoring_inputs(args)
+    vocab, model, records = _load_model_inputs(args)
     synonyms = _load_json(args.synonyms) if args.synonyms else {}
     spec = AttackSpec(kind=args.kind, rate=args.rate, seed=args.seed, synonyms=synonyms)
     scorer = make_model_scorer(model, vocab, max_len=args.max_len,
@@ -382,9 +375,8 @@ def _cmd_attack(args) -> int:
     _write_json(report, args.out)
     if args.out:
         _write_manifest(args.out, "attack",
-                        {"kind": args.kind, "rate": args.rate,
-                         "threshold": args.threshold, "max_len": args.max_len,
-                         "use_context": not args.no_context},
+                        {"kind": args.kind, "rate": args.rate, "threshold": args.threshold,
+                         **_scoring_config(args)},
                         args.seed,
                         {"dataset": args.inp, "model": args.model,
                          "vocab": args.vocab, "synonyms": args.synonyms},
@@ -394,9 +386,7 @@ def _cmd_attack(args) -> int:
 
 def _cmd_explain(args) -> int:
     started = time.time()
-    vocab = load_vocab(args.vocab)
-    model = load_checkpoint(args.model)
-    records, _ = _load_records(args.inp)
+    vocab, model, records = _load_model_inputs(args)
     if not 0 <= args.index < len(records):
         raise UsageError(f"--index {args.index} out of range for {len(records)} records")
     attribution = explain_record(model, vocab, records[args.index],
@@ -407,7 +397,7 @@ def _cmd_explain(args) -> int:
     if args.out:
         _write_manifest(args.out, "explain",
                         {"index": args.index, "n_samples": args.n_samples,
-                         "max_len": args.max_len, "use_context": not args.no_context},
+                         **_scoring_config(args)},
                         args.seed,
                         {"dataset": args.inp, "model": args.model, "vocab": args.vocab},
                         {"attribution": args.out}, started)
@@ -514,6 +504,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("eval", help="AUC / TPR-at-FPR metrics on a dataset")
     _model_io_args(p)
+    _truncate_arg(p)
+    p.add_argument("--batch-size", type=int, default=64)
     p.add_argument("--out", help="metrics JSON (stdout if omitted)")
     p.add_argument("--roc", help="also write the full ROC curve as CSV")
     p.add_argument("--fprs", help="comma-separated FPR targets")
@@ -522,11 +514,14 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("predict", help="score records, one JSON line each")
     _model_io_args(p)
+    _truncate_arg(p)
+    p.add_argument("--batch-size", type=int, default=64)
     p.add_argument("--out", help="predictions JSONL (stdout if omitted)")
     p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("attack", help="accuracy drop under text perturbation")
     _model_io_args(p)
+    _truncate_arg(p)
     p.add_argument("--kind", required=True, choices=tuple(KINDS))
     p.add_argument("--rate", type=float, required=True)
     p.add_argument("--seed", type=int, default=0)

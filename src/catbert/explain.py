@@ -1,9 +1,11 @@
 """Local linear explanations of single predictions, LIME style.
 
-Neighborhood samples mask each content word independently with probability
-1/2 (masked words become [UNK]), the model scores every masked variant, and
-a proximity-weighted ridge regression over the presence vectors yields
-per-word weights. Weights for repeated words are summed per word string.
+Neighborhood samples drop each content word independently with probability
+1/2 (LIME's text perturbation, arXiv 1602.04938) and the model scores every
+variant. A ridge regression over the word-presence vectors, each sample
+weighted by exp(-d²/sigma²) for d dropped words and sigma = 0.75·sqrt(words),
+yields per-word weights. Weights for repeated words are summed per word
+string.
 """
 
 from __future__ import annotations
@@ -15,9 +17,10 @@ import numpy as np
 
 from .mail import build_content
 from .pipeline import make_model_scorer
-from .tokenizer import UNK, pre_tokenize
+from .tokenizer import pre_tokenize
 
 RIDGE_LAMBDA = 1e-3
+TOP_K = 10  # words listed in top_positive and in top_negative
 
 
 @dataclass
@@ -31,13 +34,12 @@ class Attribution:
     top_negative: list[tuple[str, float]]
 
 
-def lime_explain(score_fn, text: str, n_samples: int = 1000, seed: int = 0,
-                 sigma: float | None = None, top_k: int = 10) -> Attribution:
+def lime_explain(score_fn, text: str, n_samples: int = 1000, seed: int = 0) -> Attribution:
     """Fit the local surrogate around ``text``.
 
-    ``score_fn(texts) -> probs`` scores a batch of masked variants; context
-    features, if the caller has any, must be closed over (masking never
-    touches them).
+    ``score_fn(texts) -> probs`` scores a batch of variants with words
+    dropped; context features, if the caller has any, must be closed over
+    (dropping words never touches them).
     """
     if n_samples < 50:
         raise ValueError(f"need n_samples >= 50, got {n_samples}")
@@ -45,13 +47,11 @@ def lime_explain(score_fn, text: str, n_samples: int = 1000, seed: int = 0,
     n = len(words)
     if n == 0:
         raise ValueError("cannot explain empty content")
-    if sigma is None:
-        sigma = 0.75 * math.sqrt(n)
+    sigma = 0.75 * math.sqrt(n)
     rng = np.random.default_rng(seed)
 
     Z = (rng.random((n_samples, n)) < 0.5).astype(np.float64)  # 1 = word kept
-    texts = [" ".join(w if keep else UNK for w, keep in zip(words, row))
-             for row in Z.astype(bool)]
+    texts = [" ".join(w for w, keep in zip(words, row) if keep) for row in Z.astype(bool)]
     y = np.asarray(score_fn(texts), dtype=np.float64)
     if y.shape != (n_samples,):
         raise ValueError(f"score_fn returned shape {y.shape}, expected ({n_samples},)")
@@ -77,8 +77,8 @@ def lime_explain(score_fn, text: str, n_samples: int = 1000, seed: int = 0,
     for word, c in zip(words, coef):
         weights[word] = weights.get(word, 0.0) + float(c)
     ordered = sorted(weights.items(), key=lambda kv: kv[1], reverse=True)
-    top_positive = [(t, w) for t, w in ordered[:top_k] if w > 0]
-    top_negative = [(t, w) for t, w in ordered[::-1][:top_k] if w < 0]
+    top_positive = [(t, w) for t, w in ordered[:TOP_K] if w > 0]
+    top_negative = [(t, w) for t, w in ordered[::-1][:TOP_K] if w < 0]
     return Attribution(weights=weights, intercept=intercept, r2=r2, sigma=sigma,
                        n_samples=n_samples, top_positive=top_positive,
                        top_negative=top_negative)

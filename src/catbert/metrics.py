@@ -139,14 +139,14 @@ def spearman(a, b) -> float:
     return float((ra * rb).sum() / denom)
 
 
-def time_inference(model, batch_sizes=(1,), repetitions=30, warmup=3,
-                   seq_len=128, seed=0) -> dict:
+WARMUP = 3  # discarded forward passes before timing each batch size
+
+
+def time_inference(model, batch_sizes=(1,), repetitions=30, seq_len=128, seed=0) -> dict:
     """Wall-clock forward latency per batch size (mean/p50/p95 ms over
-    ``repetitions``, after ``warmup`` discarded runs)."""
+    ``repetitions``, after ``WARMUP`` discarded runs)."""
     from .model import count_params, forward_probs
 
-    if warmup < 3:
-        raise ValueError(f"need >= 3 warmup iterations, got {warmup}")
     rng = np.random.default_rng(seed)
     cfg = model.config
     report: dict = {"params": count_params(cfg).__dict__, "seq_len": seq_len,
@@ -155,7 +155,7 @@ def time_inference(model, batch_sizes=(1,), repetitions=30, warmup=3,
         ids = rng.integers(0, cfg.vocab_size, size=(bs, seq_len))
         mask = np.ones((bs, seq_len), dtype=np.int64)
         ctx = rng.random((bs, cfg.context_dim)).astype(np.float32) if cfg.context_dim else None
-        for _ in range(warmup):
+        for _ in range(WARMUP):
             forward_probs(model, ids, mask, ctx)
         samples = []
         for _ in range(repetitions):

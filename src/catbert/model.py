@@ -25,7 +25,6 @@ ADAPTER = "adapter"
 _PLAN_ALIASES = {"t": TRANSFORMER, "transformer": TRANSFORMER,
                  "a": ADAPTER, "adapter": ADAPTER}
 
-LN_EPS = 1e-12
 MASK_OFF = -1e9  # additive attention penalty for padded key positions
 
 
@@ -163,8 +162,9 @@ def _init_tensor(name: str, shape, rng: np.random.Generator) -> np.ndarray:
 
 
 class CatBertModel:
-    """Parameter container plus forward pass. Immutable for inference;
-    training mutates Parameter.data in place."""
+    """Parameter container plus forward pass. Inference leaves it unchanged;
+    each training step rebinds every trainable ``Parameter.data`` to a new
+    array (``adam_step``), so an array read before the step keeps its values."""
 
     def __init__(self, config: ModelConfig, params: dict[str, Parameter],
                  provenance: dict[str, str] | None = None):
@@ -223,12 +223,10 @@ def _transformer_block(x: Tensor, p: dict, prefix: str, heads: int,
                        add_mask: np.ndarray) -> Tensor:
     # post-norm residual wiring: LayerNorm(x + sublayer(x))
     attn = _attention(x, p, prefix, heads, add_mask)
-    x = T.layer_norm(T.add(x, attn), p[f"{prefix}.attn.ln.gain"],
-                     p[f"{prefix}.attn.ln.bias"], eps=LN_EPS)
+    x = T.layer_norm(T.add(x, attn), p[f"{prefix}.attn.ln.gain"], p[f"{prefix}.attn.ln.bias"])
     h = T.gelu(_linear(x, p[f"{prefix}.ffn.w1"], p[f"{prefix}.ffn.b1"]))
     ffn = _linear(h, p[f"{prefix}.ffn.w2"], p[f"{prefix}.ffn.b2"])
-    return T.layer_norm(T.add(x, ffn), p[f"{prefix}.ffn.ln.gain"],
-                        p[f"{prefix}.ffn.ln.bias"], eps=LN_EPS)
+    return T.layer_norm(T.add(x, ffn), p[f"{prefix}.ffn.ln.gain"], p[f"{prefix}.ffn.ln.bias"])
 
 
 def _adapter_block(x: Tensor, p: dict, prefix: str) -> Tensor:
@@ -259,8 +257,7 @@ def forward_probs(model: CatBertModel, ids: np.ndarray, mask: np.ndarray,
 
     tok = T.embedding_lookup(p["embeddings.token"], ids)
     pos = T.embedding_lookup(p["embeddings.position"], np.arange(L))
-    h = T.layer_norm(T.add(tok, pos), p["embeddings.ln.gain"],
-                     p["embeddings.ln.bias"], eps=LN_EPS)
+    h = T.layer_norm(T.add(tok, pos), p["embeddings.ln.gain"], p["embeddings.ln.bias"])
 
     add_mask = np.where(mask.astype(bool), 0.0, MASK_OFF).astype(dtype)
     add_mask = add_mask.reshape(B, 1, 1, L)
@@ -297,18 +294,14 @@ def forward_probs(model: CatBertModel, ids: np.ndarray, mask: np.ndarray,
 PARTIAL_FINETUNE = "partial-finetune"
 
 
-def freeze_preset(config: ModelConfig, name: str = PARTIAL_FINETUNE,
-                  include_embeddings: bool = True) -> list[str]:
+def freeze_preset(config: ModelConfig, name: str = PARTIAL_FINETUNE) -> list[str]:
     """Named freeze masks. ``partial-finetune`` freezes the embeddings and
     every transformer except the last one, leaving adapters, the top
     transformer, and the classifier trainable."""
     if name != PARTIAL_FINETUNE:
         raise ValueError(f"unknown preset {name!r}; known: {PARTIAL_FINETUNE}")
     t_positions = [i for i, b in enumerate(config.block_plan) if b == TRANSFORMER]
-    prefixes = [f"blocks.{i}" for i in t_positions[:-1]]
-    if include_embeddings:
-        prefixes = ["embeddings"] + prefixes
-    return prefixes
+    return ["embeddings"] + [f"blocks.{i}" for i in t_positions[:-1]]
 
 
 def set_trainable(model: CatBertModel, freeze_prefixes: list[str]) -> None:

@@ -60,38 +60,8 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def item(self) -> float:
-        return float(self.data)
-
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 class Parameter(Tensor):
@@ -303,10 +273,11 @@ def softmax_rows(x: Tensor) -> Tensor:
     return _emit(out.astype(v.dtype, copy=False), (x,), grad_fn)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Tensor:
+LN_EPS = 1e-12
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Zero-mean/unit-variance normalization over the last axis, then affine."""
-    if eps <= 0:
-        raise ValueError(f"layer_norm eps must be > 0, got {eps}")
     v = x.data
     d = v.shape[-1]
     gv, bv = gain.data, bias.data
@@ -317,7 +288,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Ten
     mu = v.mean(axis=-1, keepdims=True)
     centered = v - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + LN_EPS)
     xhat = centered * inv_std
     out = xhat * gv + bv
 
@@ -456,15 +427,16 @@ def backward(tape: Tape, loss: Tensor) -> None:
         p.grad = Tensor._wrap(np.ascontiguousarray(grads[pid], dtype=p.data.dtype))
 
 
-class AdamState:
-    """Adam moments and hyperparameters, keyed by parameter name."""
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
-    def __init__(self, lr: float = 5e-5, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+
+class AdamState:
+    """Adam learning rate, step count and moments keyed by parameter name."""
+
+    def __init__(self, lr: float = 5e-5):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step = 0
         self.moments: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -478,18 +450,18 @@ def adam_step(params: Sequence[Parameter], state: AdamState) -> None:
             raise GradientError(f"parameter {p.name!r} is trainable but has no grad")
     state.step += 1
     t = state.step
-    c1 = 1.0 - state.beta1 ** t
-    c2 = 1.0 - state.beta2 ** t
+    c1 = 1.0 - ADAM_BETA1 ** t
+    c2 = 1.0 - ADAM_BETA2 ** t
     for p in trainable:
         g = p.grad.data
         m, v = state.moments.get(p.name, (None, None))
         if m is None:
             m = np.zeros_like(p.data)
             v = np.zeros_like(p.data)
-        m = state.beta1 * m + (1.0 - state.beta1) * g
-        v = state.beta2 * v + (1.0 - state.beta2) * (g * g)
+        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * (g * g)
         state.moments[p.name] = (m, v)
-        update = (state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)).astype(p.data.dtype)
+        update = (state.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)).astype(p.data.dtype)
         p.data = p.data - update
         p.grad = None
 

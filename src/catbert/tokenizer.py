@@ -40,6 +40,8 @@ class Vocabulary:
         self.unk_id = self.token_to_id[UNK]
         self.cls_id = self.token_to_id[CLS]
         self.sep_id = self.token_to_id[SEP]
+        # longest token without its ## prefix: no longer WordPiece candidate can match
+        self.longest = max(len(t[len(CONT):] if t.startswith(CONT) else t) for t in self.tokens)
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -99,7 +101,7 @@ def _split_word(word: str, vocab: Vocabulary) -> list[str]:
     pieces: list[str] = []
     start = 0
     while start < len(word):
-        end = len(word)
+        end = min(len(word), start + vocab.longest)
         piece = None
         while end > start:
             cand = word[start:end]

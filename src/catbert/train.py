@@ -40,7 +40,6 @@ class TrainConfig:
     seed: int = 0
     bec_weight: float = 100.0
     freeze: str | None = None  # preset name, e.g. "partial-finetune"
-    freeze_include_embeddings: bool = True
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -108,8 +107,7 @@ def _cycled_shuffled(indices: np.ndarray, total: int, rng: np.random.Generator) 
     return stream[:total]
 
 
-def balanced_batches(labels, batch_size: int, seed: int = 0,
-                     rng: np.random.Generator | None = None) -> list[np.ndarray]:
+def balanced_batches(labels, batch_size: int, rng: np.random.Generator) -> list[np.ndarray]:
     """One epoch of balanced batch index arrays: benign half first, then the
     malicious half. Epoch length = 2 * majority / batch_size, floored, min 1."""
     if batch_size % 2:
@@ -119,8 +117,6 @@ def balanced_batches(labels, batch_size: int, seed: int = 0,
     idx1 = np.flatnonzero(labels == 1)
     if len(idx0) == 0 or len(idx1) == 0:
         raise ValueError(f"both classes required, got {len(idx0)} benign / {len(idx1)} malicious")
-    if rng is None:
-        rng = np.random.default_rng(seed)
     half = batch_size // 2
     majority = max(len(idx0), len(idx1))
     n_batches = max(1, (2 * majority) // batch_size)
@@ -154,9 +150,7 @@ def train(model: CatBertModel, train_set: EncodedDataset, config: TrainConfig,
     from .checkpoint import save_checkpoint
 
     if config.freeze:
-        set_trainable(model, freeze_preset(
-            model.config, config.freeze,
-            include_embeddings=config.freeze_include_embeddings))
+        set_trainable(model, freeze_preset(model.config, config.freeze))
     else:
         set_trainable(model, [])
     rng = np.random.default_rng(config.seed)

@@ -261,6 +261,38 @@ class TestAttackExplain:
         assert "out of range" in capsys.readouterr().err
 
 
+class TestScoringFlags:
+    def _argv(self, workdir, sub):
+        argv = [sub, "--model", str(workdir["ckpt"]), "--in", str(workdir["corpus"]),
+                "--vocab", str(workdir["vocab"]), "--max-len", "12"]
+        return argv + {"attack": ["--kind", "typo", "--rate", "0.5"],
+                       "explain": ["--n-samples", "50"]}.get(sub, [])
+
+    @pytest.mark.parametrize("sub, flags", [
+        ("eval", ["--truncate", "tail", "--batch-size", "5"]),
+        ("predict", ["--truncate", "tail", "--batch-size", "5"]),
+        ("attack", ["--truncate", "tail"]),
+        ("explain", []),
+    ])
+    def test_manifest_records_every_scoring_flag(self, workdir, tmp_path, sub, flags):
+        out = tmp_path / "out.json"
+        argv = self._argv(workdir, sub) + ["--no-context", *flags, "--out", str(out)]
+        assert main(argv) == 0
+        config = json.loads((tmp_path / "out.json.manifest.json").read_text())["config"]
+        assert config["max_len"] == 12 and config["use_context"] is False
+        assert ("--truncate" in flags) == (config.get("truncate") == "tail")
+        assert ("--batch-size" in flags) == (config.get("batch_size") == 5)
+
+    @pytest.mark.parametrize("sub, flag", [
+        ("explain", ["--truncate", "tail"]),
+        ("explain", ["--batch-size", "1"]),
+        ("attack", ["--batch-size", "1"]),
+    ])
+    def test_flags_the_subcommand_ignores_are_rejected(self, workdir, capsys, sub, flag):
+        assert main(self._argv(workdir, sub) + flag) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestSurgeryBench:
     def test_surgery_copies_donor_blocks(self, workdir, tmp_path):
         from catbert.checkpoint import load_checkpoint, save_checkpoint

@@ -10,7 +10,7 @@ from catbert.mail import EmailRecord
 from catbert.metrics import spearman
 from catbert.model import ModelConfig, init_random
 from catbert.synthetic import synthetic_vocab
-from catbert.tokenizer import Vocabulary
+from catbert.tokenizer import Vocabulary, pre_tokenize
 
 
 def _sigmoid(z):
@@ -73,6 +73,22 @@ def test_default_sigma_tracks_word_count():
     attribution = lime_explain(_count_scorer("pay"), "pay one two three",
                                n_samples=100, seed=0)
     assert attribution.sigma == pytest.approx(0.75 * math.sqrt(4))
+
+
+def test_variants_only_drop_words():
+    text = "Pay the invoice, then pay again"
+    words = pre_tokenize(text)
+    variants = []
+
+    def score_fn(texts):
+        variants.extend(texts)
+        return np.full(len(texts), 0.5)
+
+    lime_explain(score_fn, text, n_samples=200, seed=0)
+    assert len(variants) == 200
+    for variant in variants:
+        remaining = iter(words)  # each variant is the original with words left out
+        assert all(w in remaining for w in pre_tokenize(variant)), variant
 
 
 def test_input_validation():

@@ -209,10 +209,6 @@ class TestTimeInference:
         pb = b["timings"]["1"]["p50_ms"]
         assert abs(pa - pb) / max(pa, pb) < 0.2
 
-    def test_warmup_floor(self):
-        with pytest.raises(ValueError, match="warmup"):
-            time_inference(bench_model(1), warmup=1)
-
 
 class TestSpearman:
     def test_perfect_monotone(self):

@@ -311,7 +311,6 @@ class TestFreeze:
         cfg = ModelConfig(vocab_size=50, hidden=8, ffn_dim=16, heads=2,
                           max_positions=16, block_plan=("T", "A") * 3)
         assert freeze_preset(cfg) == ["embeddings", "blocks.0", "blocks.2"]
-        assert freeze_preset(cfg, include_embeddings=False) == ["blocks.0", "blocks.2"]
 
     def test_preset_applied_exact_name_set(self):
         cfg = ModelConfig(vocab_size=50, hidden=8, ffn_dim=16, heads=2,

@@ -75,6 +75,20 @@ class TestWordpiece:
     def test_multiword(self, toy):
         assert wordpiece("money payment", toy) == ["money", "pay", "##ment"]
 
+    def test_long_word_costs_at_most_longest_lookups_per_letter(self, monkeypatch):
+        v = Vocabulary(TOY + ["a", "##a"])
+        lookups = []
+        contains = Vocabulary.__contains__
+        monkeypatch.setattr(Vocabulary, "__contains__",
+                            lambda self, tok: lookups.append(tok) or contains(self, tok))
+        for n in (1, 10, 500):
+            lookups.clear()
+            assert wordpiece("a" * n, v) == ["a"] + ["##a"] * (n - 1)
+            assert len(lookups) <= n * v.longest
+        lookups.clear()
+        assert wordpiece("z" * 500, v) == ["[UNK]"]
+        assert len(lookups) <= v.longest
+
 
 class TestPreTokenize:
     def test_whitespace_and_punct(self):

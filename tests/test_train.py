@@ -161,7 +161,7 @@ def test_split_is_a_partition(days):
 
 def test_balanced_batches_majority_once_minority_cycles():
     labels = np.array([0] * 1000 + [1] * 10)
-    batches = balanced_batches(labels, batch_size=8, seed=0)
+    batches = balanced_batches(labels, batch_size=8, rng=np.random.default_rng(0))
     assert len(batches) == 250
     for b in batches:
         assert labels[b[:4]].sum() == 0 and labels[b[4:]].sum() == 4
@@ -174,30 +174,30 @@ def test_balanced_batches_majority_once_minority_cycles():
 
 def test_equal_classes_one_batch_holds_everyone():
     labels = np.array([0] * 64 + [1] * 64)
-    batches = balanced_batches(labels, batch_size=128, seed=3)
+    batches = balanced_batches(labels, batch_size=128, rng=np.random.default_rng(3))
     assert len(batches) == 1
     assert sorted(batches[0]) == list(range(128))
 
 
 def test_tiny_pools_cycle_to_fill_one_batch():
     labels = np.array([0, 0, 0, 1, 1, 1])
-    (batch,) = balanced_batches(labels, batch_size=8, seed=1)
+    (batch,) = balanced_batches(labels, batch_size=8, rng=np.random.default_rng(1))
     assert len(batch) == 8
     assert set(batch[:4]) <= {0, 1, 2} and set(batch[4:]) <= {3, 4, 5}
 
 
 def test_balanced_batches_same_seed_identical():
     labels = np.array([0] * 30 + [1] * 6)
-    a = balanced_batches(labels, batch_size=4, seed=9)
-    b = balanced_batches(labels, batch_size=4, seed=9)
+    a = balanced_batches(labels, batch_size=4, rng=np.random.default_rng(9))
+    b = balanced_batches(labels, batch_size=4, rng=np.random.default_rng(9))
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 def test_balanced_batches_rejects_odd_and_single_class():
     with pytest.raises(ValueError, match="even"):
-        balanced_batches(np.array([0, 1]), batch_size=3)
+        balanced_batches(np.array([0, 1]), batch_size=3, rng=np.random.default_rng(0))
     with pytest.raises(ValueError, match="both classes"):
-        balanced_batches(np.array([1, 1, 1]), batch_size=2)
+        balanced_batches(np.array([1, 1, 1]), batch_size=2, rng=np.random.default_rng(0))
 
 
 def test_effective_weights_multiply_bec_records():
