@@ -5,8 +5,10 @@ The compressed model keeps a subset of a donor's transformer blocks and fills
 the removed positions with full-width residual adapters (dense d→d, ReLU,
 dense d→d, plus the skip connection). The classifier reads the CLS hidden
 state, concatenates the 4 header-context features, and applies dense → ReLU →
-dense → sigmoid. ``surgery_from_donor`` builds the compressed model from a
-donor checkpoint; ``set_trainable`` applies freeze masks for partial
+dense → sigmoid. Since nothing reads any other row, the last transformer
+computes only the CLS row (attending over all rows) and the blocks after it
+run on that row alone. ``surgery_from_donor`` builds the compressed model
+from a donor checkpoint; ``set_trainable`` applies freeze masks for partial
 fine-tuning.
 """
 
@@ -201,29 +203,36 @@ def _linear(x: Tensor, w: Parameter, b: Parameter) -> Tensor:
     return T.add(T.matmul(x, w), b)
 
 
-def _attention(x: Tensor, p: dict, prefix: str, heads: int, add_mask: np.ndarray) -> Tensor:
+def _attention(xq: Tensor, x: Tensor, p: dict, prefix: str, heads: int,
+               add_mask: np.ndarray) -> Tensor:
+    """Self-attention of the query rows ``xq`` (B, Lq, d) over every row of
+    ``x`` (B, L, d); keys and values come from ``x``."""
     B, L, d = x.data.shape
+    Lq = xq.data.shape[1]
     dh = d // heads
     scale = 1.0 / math.sqrt(dh)
 
-    def heads_first(t: Tensor) -> Tensor:
-        return T.transpose(T.reshape(t, (B, L, heads, dh)), (0, 2, 1, 3))
+    def heads_first(t: Tensor, rows: int) -> Tensor:
+        return T.transpose(T.reshape(t, (B, rows, heads, dh)), (0, 2, 1, 3))
 
-    q = heads_first(_linear(x, p[f"{prefix}.attn.q.w"], p[f"{prefix}.attn.q.b"]))
-    k = heads_first(_linear(x, p[f"{prefix}.attn.k.w"], p[f"{prefix}.attn.k.b"]))
-    v = heads_first(_linear(x, p[f"{prefix}.attn.v.w"], p[f"{prefix}.attn.v.b"]))
+    q = heads_first(_linear(xq, p[f"{prefix}.attn.q.w"], p[f"{prefix}.attn.q.b"]), Lq)
+    k = heads_first(_linear(x, p[f"{prefix}.attn.k.w"], p[f"{prefix}.attn.k.b"]), L)
+    v = heads_first(_linear(x, p[f"{prefix}.attn.v.w"], p[f"{prefix}.attn.v.b"]), L)
     scores = T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), scale)
-    scores = T.add(scores, add_mask)  # (B,h,L,L) + (B,1,1,L)
+    scores = T.add(scores, add_mask)  # (B,h,Lq,L) + (B,1,1,L)
     weights = T.softmax_rows(scores)
-    mixed = T.reshape(T.transpose(T.matmul(weights, v), (0, 2, 1, 3)), (B, L, d))
+    mixed = T.reshape(T.transpose(T.matmul(weights, v), (0, 2, 1, 3)), (B, Lq, d))
     return _linear(mixed, p[f"{prefix}.attn.o.w"], p[f"{prefix}.attn.o.b"])
 
 
-def _transformer_block(x: Tensor, p: dict, prefix: str, heads: int,
+def _transformer_block(xq: Tensor, x: Tensor, p: dict, prefix: str, heads: int,
                        add_mask: np.ndarray) -> Tensor:
+    """Transformer output at the query rows ``xq``, attending over ``x``.
+    Every sublayer but attention is row-wise, so passing a subset of the
+    rows of ``x`` as ``xq`` gives exactly those rows of the full output."""
     # post-norm residual wiring: LayerNorm(x + sublayer(x))
-    attn = _attention(x, p, prefix, heads, add_mask)
-    x = T.layer_norm(T.add(x, attn), p[f"{prefix}.attn.ln.gain"], p[f"{prefix}.attn.ln.bias"])
+    attn = _attention(xq, x, p, prefix, heads, add_mask)
+    x = T.layer_norm(T.add(xq, attn), p[f"{prefix}.attn.ln.gain"], p[f"{prefix}.attn.ln.bias"])
     h = T.gelu(_linear(x, p[f"{prefix}.ffn.w1"], p[f"{prefix}.ffn.b1"]))
     ffn = _linear(h, p[f"{prefix}.ffn.w2"], p[f"{prefix}.ffn.b2"])
     return T.layer_norm(T.add(x, ffn), p[f"{prefix}.ffn.ln.gain"], p[f"{prefix}.ffn.ln.bias"])
@@ -239,6 +248,13 @@ def forward_probs(model: CatBertModel, ids: np.ndarray, mask: np.ndarray,
     """Batched forward pass. ``ids``/``mask`` are (B, L) arrays, ``ctx`` is
     (B, context_dim) or None when context_dim = 0. Returns a (B,) Tensor of
     probabilities; with ``return_hidden`` also the per-block hidden states.
+
+    The classifier reads only the [CLS] row, so the last transformer takes
+    keys and values from all L rows but queries from row 0 alone, and every
+    block after it runs on that row. The hidden states are therefore
+    (B, L, d) before the last transformer and (B, 1, d) from it on;
+    ``hiddens[-1][:, 0]`` is the state the classifier reads (with
+    ``cls_from="last_transformer"``, the last transformer's).
 
     Ops record onto the active tape, so this same path serves training.
     """
@@ -262,12 +278,14 @@ def forward_probs(model: CatBertModel, ids: np.ndarray, mask: np.ndarray,
     add_mask = np.where(mask.astype(bool), 0.0, MASK_OFF).astype(dtype)
     add_mask = add_mask.reshape(B, 1, 1, L)
 
+    last_t = max((i for i, k in enumerate(cfg.block_plan) if k == TRANSFORMER), default=-1)
     hiddens = []
     cls_hidden = None
     for i, kind in enumerate(cfg.block_plan):
         prefix = f"blocks.{i}"
         if kind == TRANSFORMER:
-            h = _transformer_block(h, p, prefix, cfg.heads, add_mask)
+            xq = T.slice_axis(h, 1, 0, 1) if i == last_t else h
+            h = _transformer_block(xq, h, p, prefix, cfg.heads, add_mask)
             cls_hidden = h
         else:
             h = _adapter_block(h, p, prefix)

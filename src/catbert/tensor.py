@@ -212,18 +212,38 @@ _GELU_A = 0.044715
 
 
 def gelu(x: Tensor) -> Tensor:
-    """GELU via the tanh approximation (transformer FFN activation)."""
+    """GELU via the tanh approximation (transformer FFN activation):
+    0.5 v (1 + tanh(c (v + a v^3))). Computed in place on one buffer per
+    result, in the same operation order as the formula."""
     v = x.data
-    inner = _GELU_C * (v + _GELU_A * v * v * v)
-    t = np.tanh(inner)
-    out = 0.5 * v * (1.0 + t)
+    t = v * _GELU_A
+    t *= v
+    t *= v
+    t += v
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    out = t + 1.0
+    out *= v
+    out *= 0.5
 
     def grad_fn(g):
-        d_inner = _GELU_C * (1.0 + 3.0 * _GELU_A * v * v)
-        d = 0.5 * (1.0 + t) + 0.5 * v * (1.0 - t * t) * d_inner
-        return (g * d,)
+        # d/dv = 0.5 (1 + t) + 0.5 v (1 - t^2) c (1 + 3 a v^2)
+        d_inner = v * (3.0 * _GELU_A)
+        d_inner *= v
+        d_inner += 1.0
+        d_inner *= _GELU_C
+        d = t * t
+        np.subtract(1.0, d, out=d)
+        d *= v
+        d *= 0.5
+        d *= d_inner
+        np.add(t, 1.0, out=d_inner)
+        d_inner *= 0.5
+        d += d_inner
+        d *= g
+        return (d,)
 
-    return _emit(out.astype(v.dtype, copy=False), (x,), grad_fn)
+    return _emit(out, (x,), grad_fn)
 
 
 def sigmoid(x: Tensor) -> Tensor:

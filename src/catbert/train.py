@@ -21,7 +21,7 @@ from . import tensor as T
 from .mail import EmailRecord
 from .metrics import roc_auc
 from .model import CatBertModel, forward_probs, freeze_preset, set_trainable
-from .pipeline import EncodedDataset, score_dataset
+from .pipeline import EncodedDataset, score_dataset, trim_padding
 from .tensor import AdamState, Tape, Tensor, adam_step, backward
 
 log = logging.getLogger(__name__)
@@ -146,7 +146,9 @@ def train(model: CatBertModel, train_set: EncodedDataset, config: TrainConfig,
           out_dir: str | None = None) -> TrainingHistory:
     """Adam on weighted BCE over balanced batches. Tracks per-epoch loss and
     validation AUC and keeps the best-validation-AUC checkpoint in
-    ``out_dir/best``. Aborts on non-finite loss."""
+    ``out_dir/best``. Aborts on non-finite loss. Each batch is trimmed to
+    its longest row (``trim_padding``), which leaves loss and gradients
+    unchanged up to float summation order."""
     from .checkpoint import save_checkpoint
 
     if config.freeze:
@@ -171,8 +173,9 @@ def train(model: CatBertModel, train_set: EncodedDataset, config: TrainConfig,
         losses = []
         for bi, idx in enumerate(batches):
             ctx = train_set.ctx[idx] if use_ctx else None
+            ids, mask = trim_padding(train_set.ids[idx], train_set.mask[idx])
             with Tape() as tape:
-                probs = forward_probs(model, train_set.ids[idx], train_set.mask[idx], ctx)
+                probs = forward_probs(model, ids, mask, ctx)
                 loss = bce_loss(probs, train_set.labels[idx], weights[idx])
             lv = float(loss.data)
             if not math.isfinite(lv):

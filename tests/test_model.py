@@ -3,13 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from catbert import tensor as T
 from catbert.model import (
     ADAPTER,
+    MASK_OFF,
     TRANSFORMER,
     CatBertModel,
     ConfigError,
     ModelConfig,
     ParamReport,
+    _adapter_block,
+    _linear,
+    _transformer_block,
     count_params,
     forward_probs,
     freeze_preset,
@@ -19,7 +24,8 @@ from catbert.model import (
     set_trainable,
     surgery_from_donor,
 )
-from catbert.tensor import Parameter
+from catbert.tensor import Parameter, Tape, Tensor, backward, grad_check
+from catbert.train import bce_loss
 
 TINY = dict(vocab_size=100, hidden=8, ffn_dim=16, heads=2, max_positions=16,
             block_plan=("T", "A"))
@@ -176,6 +182,97 @@ class TestForward:
         a = forward_probs(base, ids, mask, ctx).data
         b = forward_probs(alt, ids, mask, ctx).data
         assert not np.allclose(a, b)
+
+
+def full_width_forward(model, ids, mask, ctx):
+    """The forward with every row as a query in every transformer: the
+    oracle for ``forward_probs``, whose last transformer queries the [CLS]
+    row alone. Returns (probabilities, per-block hidden states)."""
+    cfg, p = model.config, model.params
+    B, L = ids.shape
+    tok = T.embedding_lookup(p["embeddings.token"], ids)
+    pos = T.embedding_lookup(p["embeddings.position"], np.arange(L))
+    h = T.layer_norm(T.add(tok, pos), p["embeddings.ln.gain"], p["embeddings.ln.bias"])
+    add_mask = np.where(mask.astype(bool), 0.0, MASK_OFF).astype(h.data.dtype)
+    add_mask = add_mask.reshape(B, 1, 1, L)
+    hiddens = []
+    for i, kind in enumerate(cfg.block_plan):
+        if kind == TRANSFORMER:
+            h = _transformer_block(h, h, p, f"blocks.{i}", cfg.heads, add_mask)
+        else:
+            h = _adapter_block(h, p, f"blocks.{i}")
+        hiddens.append(h)
+    cls = T.reshape(T.slice_axis(h, 1, 0, 1), (B, cfg.hidden))
+    cls = T.concat([cls, Tensor._wrap(np.asarray(ctx, dtype=h.data.dtype))], axis=1)
+    fused = T.relu(_linear(cls, p["classifier.fusion.w"], p["classifier.fusion.b"]))
+    logit = _linear(fused, p["classifier.out.w"], p["classifier.out.b"])
+    return T.sigmoid(T.reshape(logit, (B,))), hiddens
+
+
+class TestClsTail:
+    """The last transformer and the adapter after it run on the [CLS] row."""
+
+    CFG = dict(TINY, max_positions=12, block_plan=("T", "A", "T", "A"))
+
+    def padded_batch(self, B=5, L=12, seed=4):
+        rng = np.random.default_rng(seed)
+        ids = rng.integers(0, 100, size=(B, L))
+        lengths = np.array([L, 2, 7, 3, L - 1][:B])
+        mask = (np.arange(L)[None, :] < lengths[:, None]).astype(np.int64)
+        ids = ids * mask
+        ctx = rng.random((B, 4)).astype(np.float32)
+        return ids, mask, ctx
+
+    @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+    def test_matches_full_width_oracle(self, dtype, tol):
+        m = init_random(ModelConfig(**self.CFG), 3).astype(dtype)
+        for i in (1, 3):  # make the adapters matter
+            m.params[f"blocks.{i}.dense2.w"].data = m.params[f"blocks.{i}.dense2.w"].data * 20
+        ids, mask, ctx = self.padded_batch()
+        ctx = ctx.astype(dtype)
+        probs, hiddens = forward_probs(m, ids, mask, ctx, return_hidden=True)
+        want, full = full_width_forward(m, ids, mask, ctx)
+        assert probs.data.dtype == dtype
+        assert np.max(np.abs(probs.data - want.data)) < tol
+        for h, f in zip(hiddens, full):
+            assert np.max(np.abs(h.data[:, 0] - f.data[:, 0])) < 100 * tol
+
+    def test_hidden_shapes(self):
+        m = init_random(ModelConfig(**self.CFG), 3)
+        ids, mask, ctx = self.padded_batch()
+        _, hiddens = forward_probs(m, ids, mask, ctx, return_hidden=True)
+        B, L = ids.shape
+        d = m.config.hidden
+        assert [h.shape for h in hiddens] == [(B, L, d), (B, L, d), (B, 1, d), (B, 1, d)]
+
+    def test_gradients_match_oracle_and_finite_differences(self):
+        # probe model chosen so no sampled coordinate sits within eps of a
+        # relu kink, where central differences straddle the corner
+        m32 = init_random(ModelConfig(**self.CFG), 3)
+        m64 = m32.astype(np.float64)
+        ids, mask, ctx32 = self.padded_batch()
+        y = np.array([1, 0, 1, 0, 1], dtype=np.float64)
+        w = np.ones(5)
+
+        def loss_fn(model, ctx):
+            return lambda: bce_loss(forward_probs(model, ids, mask, ctx), y, w)
+
+        grads = []
+        for fwd in (forward_probs, lambda *a: full_width_forward(*a)[0]):
+            with Tape() as tape:
+                loss = bce_loss(fwd(m64, ids, mask, ctx32.astype(np.float64)), y, w)
+            backward(tape, loss)
+            grads.append({n: p.grad.data for n, p in m64.params.items()})
+        for name in grads[0]:
+            assert np.max(np.abs(grads[0][name] - grads[1][name])) < 1e-12, name
+
+        # the check-03 bounds
+        err32 = grad_check(loss_fn(m32, ctx32), m32.parameters(),
+                           eps=1e-3, samples_per_param=8, seed=0)
+        err64 = grad_check(loss_fn(m64, ctx32.astype(np.float64)), m64.parameters(),
+                           eps=3e-4, samples_per_param=8, seed=0)
+        assert err32 < 1e-2
+        assert err64 < 1e-4
 
 
 FULL_SCALE = dict(vocab_size=119547, hidden=768, ffn_dim=3072, heads=12,

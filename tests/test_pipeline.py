@@ -3,8 +3,11 @@ import pytest
 
 from catbert.mail import EmailRecord, body_text_of, build_content
 from catbert.model import ModelConfig, forward_probs, init_random
-from catbert.pipeline import encode_records, encode_texts, score_dataset, score_records
+from catbert.pipeline import (encode_records, encode_texts, score_dataset, score_records,
+                              trim_padding)
+from catbert.tensor import Tape, backward
 from catbert.tokenizer import Vocabulary, encode
+from catbert.train import TrainConfig, bce_loss, effective_weights, train
 
 
 def small_vocab():
@@ -124,3 +127,69 @@ class TestScoring:
         ds = encode_records(records(), small_vocab(), max_len=12)
         probs = score_dataset(m, ds)
         assert probs.shape == (2,)
+
+
+def mixed_length_records(n=23, seed=0):
+    """Mostly short mail, and every fifth record long enough to fill or
+    overflow a 16-token row."""
+    rng = np.random.default_rng(seed)
+    words = ["pay", "money", "hello", "now"]
+    recs = []
+    for i in range(n):
+        n_words = int(rng.integers(20, 40)) if i % 5 == 3 else int(rng.integers(0, 6))
+        recs.append(EmailRecord(subject=str(rng.choice(words)),
+                                body_text=" ".join(rng.choice(words, n_words)),
+                                label=i % 2, from_addr="a@x.co", to_addrs=["b@y.co"],
+                                group="bec" if i % 7 == 0 else None))
+    return recs
+
+
+class TestTrimPadding:
+    def test_cuts_after_the_longest_row(self):
+        ids = np.arange(12).reshape(2, 6)
+        mask = np.array([[1, 1, 0, 0, 0, 0], [1, 1, 1, 1, 0, 0]])
+        t_ids, t_mask = trim_padding(ids, mask)
+        assert np.array_equal(t_ids, ids[:, :4])
+        assert np.array_equal(t_mask, mask[:, :4])
+
+    def test_keeps_one_column(self):
+        ids, mask = trim_padding(np.zeros((3, 5), np.int64), np.zeros((3, 5), np.int64))
+        assert ids.shape == mask.shape == (3, 1)
+
+    @pytest.mark.parametrize("truncate", ["head", "tail"])
+    @pytest.mark.parametrize("batch_size", [1, 4, 7, 64])
+    def test_scores_equal_the_full_width_forward(self, truncate, batch_size):
+        m = tiny_model()
+        ds = encode_records(mixed_length_records(), small_vocab(), max_len=16,
+                            truncate=truncate)
+        lengths = ds.mask.sum(axis=1)
+        assert lengths.max() == 16 and np.median(lengths) < 8
+        zeros = np.zeros_like(ds.ctx)
+        for use_context, ctx in ((True, ds.ctx), (False, zeros)):
+            want = forward_probs(m, ds.ids, ds.mask, ctx).data
+            got = score_dataset(m, ds, batch_size=batch_size, use_context=use_context)
+            assert np.max(np.abs(got - want)) < 1e-6
+        assert ds.ids.shape == ds.mask.shape == (len(ds), 16)
+
+    def test_train_step_loss_and_gradients_match_untrimmed(self):
+        recs = [r for r in mixed_length_records(40) if len(r.body_text.split()) < 6]
+        ds = encode_records(recs, small_vocab(), max_len=16)
+        assert ds.mask.sum(axis=1).max() < 12
+        cfg = TrainConfig(epochs=1, batch_size=len(ds), balanced=False, learning_rate=1e-3)
+        weights = effective_weights(ds, cfg.bec_weight)
+
+        losses, grads = [], []
+        for ids, mask in ((ds.ids, ds.mask), trim_padding(ds.ids, ds.mask)):
+            m = tiny_model()
+            with Tape() as tape:
+                loss = bce_loss(forward_probs(m, ids, mask, ds.ctx), ds.labels, weights)
+            backward(tape, loss)
+            losses.append(float(loss.data))
+            grads.append({n: p.grad.data for n, p in m.params.items()})
+        assert abs(losses[0] - losses[1]) < 1e-6
+        for name in grads[0]:
+            assert np.max(np.abs(grads[0][name] - grads[1][name])) < 1e-6, name
+
+        # one epoch of one batch: its loss is taken before the step
+        history = train(tiny_model(), ds, cfg)
+        assert abs(history.epochs[0]["train_loss"] - losses[0]) < 1e-6
