@@ -25,9 +25,10 @@ from . import __version__
 from .attacks import KINDS, AttackSpec, accuracy_under_attack
 from .checkpoint import load_checkpoint, save_checkpoint
 from .explain import explain_record
-from .mail import load_dataset, load_dataset_with_report, save_dataset
+from .mail import CONTEXT_DIM, load_dataset, load_dataset_with_report, save_dataset
 from .metrics import DEFAULT_FPRS, group_metrics, roc_auc, roc_curve, time_inference, tpr_at_fpr
-from .model import ModelConfig, count_params, init_random, millions, surgery_from_donor
+from .model import (PARTIAL_FINETUNE, ModelConfig, count_params, init_random, millions,
+                    surgery_from_donor)
 from .pipeline import encode_records, make_model_scorer, score_dataset
 from .tokenizer import load_vocab
 from .train import TrainConfig, split_by_time, train
@@ -194,14 +195,18 @@ def _cmd_split(args) -> int:
     return 0
 
 
-def _resolved_model_config(args, file_cfg: dict, vocab_size: int) -> ModelConfig:
+def _resolved_model_config(args, file_cfg: dict, vocab_size: int, seed: int) -> ModelConfig:
+    """The config file's model section with flag overrides, seeded by the run ``seed``."""
     cfg = _override(
         file_cfg.get("model", {}),
         hidden=args.hidden, ffn_dim=args.ffn_dim, heads=args.heads,
         max_positions=args.max_positions, context_dim=args.context_dim,
-        cls_from=args.cls_from, seed=args.seed,
         block_plan=args.plan.split(",") if args.plan else None,
     )
+    if args.seed is None and cfg.get("seed", seed) != seed:
+        raise UsageError(f"model.seed {cfg['seed']} disagrees with the run seed {seed} "
+                         "(train.seed, default 0); set one seed or pass --seed")
+    cfg["seed"] = seed
     if cfg.get("vocab_size", vocab_size) != vocab_size:
         log.warning("config vocab_size %s overridden by vocabulary file (%d tokens)",
                     cfg["vocab_size"], vocab_size)
@@ -217,7 +222,6 @@ def _cmd_train(args) -> int:
     truncate = args.truncate or file_cfg.get("truncate", "head")
 
     try:
-        model_cfg = _resolved_model_config(args, file_cfg, len(vocab))
         train_cfg = TrainConfig.from_dict(_override(
             file_cfg.get("train", {}),
             epochs=args.epochs, batch_size=args.batch_size,
@@ -225,6 +229,7 @@ def _cmd_train(args) -> int:
             bec_weight=args.bec_weight, freeze=args.freeze,
             balanced=False if args.unbalanced else None,
         ))
+        model_cfg = _resolved_model_config(args, file_cfg, len(vocab), train_cfg.seed)
     except (TypeError, ValueError) as e:
         raise UsageError(f"bad config: {e}")
 
@@ -235,7 +240,7 @@ def _cmd_train(args) -> int:
         val_records = load_dataset(args.val, strict=True)
         val_set = encode_records(val_records, vocab, max_len=max_len, truncate=truncate)
 
-    model = init_random(model_cfg, seed=train_cfg.seed)
+    model = init_random(model_cfg)
     os.makedirs(args.out_dir, exist_ok=True)
     history = train(model, train_set, train_cfg, val_set=val_set, out_dir=args.out_dir)
 
@@ -258,8 +263,7 @@ def _cmd_surgery(args) -> int:
     started = time.time()
     donor = load_checkpoint(args.donor)
     keep = _parse_int_list(args.keep, "--keep") if args.keep else None
-    model = surgery_from_donor(donor, keep=keep, context_dim=args.context_dim,
-                               seed=args.seed, cls_from=args.cls_from)
+    model = surgery_from_donor(donor, keep=keep, context_dim=args.context_dim, seed=args.seed)
     os.makedirs(args.out_dir, exist_ok=True)
     save_checkpoint(model, args.out_dir)
     copied = sum(1 for v in model.provenance.values() if v.startswith("copied"))
@@ -267,7 +271,6 @@ def _cmd_surgery(args) -> int:
           f"{len(model.provenance) - copied} fresh", file=sys.stderr)
     _write_manifest(args.out_dir, "surgery",
                     {"keep": keep, "context_dim": args.context_dim,
-                     "cls_from": args.cls_from,
                      "model": model.config.to_dict()},
                     args.seed, {"donor": args.donor}, {"checkpoint": args.out_dir},
                     started)
@@ -411,7 +414,7 @@ def _cmd_bench(args) -> int:
         raise UsageError(f"--donor-blocks must be even, got {args.donor_blocks}")
     common = dict(vocab_size=args.vocab_size, hidden=args.hidden,
                   ffn_dim=args.ffn_dim, heads=args.heads,
-                  max_positions=max(args.seq_len, 512), context_dim=4)
+                  max_positions=max(args.seq_len, 512))
     donor = init_random(ModelConfig(block_plan=("T",) * args.donor_blocks, **common),
                         seed=args.seed)
     compressed = init_random(
@@ -476,14 +479,13 @@ def build_parser() -> _Parser:
     p.add_argument("--learning-rate", type=float)
     p.add_argument("--seed", type=int)
     p.add_argument("--bec-weight", type=float)
-    p.add_argument("--freeze", help="freeze preset name, e.g. partial-finetune")
+    p.add_argument("--freeze", help=f"freeze preset; the one preset is {PARTIAL_FINETUNE}")
     p.add_argument("--unbalanced", action="store_true", help="plain shuffled batches")
     p.add_argument("--hidden", type=int)
     p.add_argument("--ffn-dim", type=int)
     p.add_argument("--heads", type=int)
     p.add_argument("--max-positions", type=int)
-    p.add_argument("--context-dim", type=int)
-    p.add_argument("--cls-from", choices=("last_block", "last_transformer"))
+    p.add_argument("--context-dim", type=int, choices=(0, CONTEXT_DIM))
     p.add_argument("--plan", help="block plan, e.g. T,A,T,A")
     p.set_defaults(func=_cmd_train)
 
@@ -491,9 +493,7 @@ def build_parser() -> _Parser:
     p.add_argument("--donor", required=True, help="donor checkpoint directory")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--keep", help="donor transformer indices to keep, e.g. 0,2,4")
-    p.add_argument("--context-dim", type=int, default=4)
-    p.add_argument("--cls-from", choices=("last_block", "last_transformer"),
-                   default="last_block")
+    p.add_argument("--context-dim", type=int, choices=(0, CONTEXT_DIM), default=CONTEXT_DIM)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_surgery)
 

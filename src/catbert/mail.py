@@ -73,8 +73,11 @@ def extract_context(record: EmailRecord) -> ContextFeatures:
                            n_recipients=n_to, n_cc=n_cc)
 
 
+CONTEXT_DIM = 4  # width of context_vector, the model's header input
+
+
 def context_vector(features: ContextFeatures) -> np.ndarray:
-    """4-vector fed to the model; counts are log(1+n) scaled."""
+    """CONTEXT_DIM-vector fed to the model; counts are log(1+n) scaled."""
     return np.array(
         [features.internal, features.external,
          math.log1p(features.n_recipients), math.log1p(features.n_cc)],

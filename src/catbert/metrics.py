@@ -154,7 +154,7 @@ def time_inference(model, batch_sizes=(1,), repetitions=30, seq_len=128, seed=0)
     for bs in batch_sizes:
         ids = rng.integers(0, cfg.vocab_size, size=(bs, seq_len))
         mask = np.ones((bs, seq_len), dtype=np.int64)
-        ctx = rng.random((bs, cfg.context_dim)).astype(np.float32) if cfg.context_dim else None
+        ctx = rng.random((bs, cfg.context_dim)).astype(np.float32)
         for _ in range(WARMUP):
             forward_probs(model, ids, mask, ctx)
         samples = []

@@ -3,11 +3,12 @@ blocks, and a context-fusing sigmoid classifier.
 
 The compressed model keeps a subset of a donor's transformer blocks and fills
 the removed positions with full-width residual adapters (dense d→d, ReLU,
-dense d→d, plus the skip connection). The classifier reads the CLS hidden
-state, concatenates the 4 header-context features, and applies dense → ReLU →
-dense → sigmoid. Since nothing reads any other row, the last transformer
-computes only the CLS row (attending over all rows) and the blocks after it
-run on that row alone. ``surgery_from_donor`` builds the compressed model
+dense d→d, plus the skip connection). The classifier reads the last block's
+[CLS] hidden state, concatenates the ``CONTEXT_DIM`` header-context features
+(none when ``context_dim`` is 0), and applies dense (width d) → ReLU →
+dense → sigmoid. Since nothing reads any other row, the last transformer computes
+only the CLS row (attending over all rows) and the blocks after it run on
+that row alone. ``surgery_from_donor`` builds the compressed model
 from a donor checkpoint; ``set_trainable`` applies freeze masks for partial
 fine-tuning.
 """
@@ -20,6 +21,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import tensor as T
+from .mail import CONTEXT_DIM
 from .tensor import Parameter, Tensor
 
 TRANSFORMER = "transformer"
@@ -42,9 +44,7 @@ class ModelConfig:
     heads: int = 12
     max_positions: int = 512
     block_plan: tuple[str, ...] = (TRANSFORMER, ADAPTER) * 3
-    context_dim: int = 4
-    classifier_hidden: int | None = None
-    cls_from: str = "last_block"  # or "last_transformer"
+    context_dim: int = CONTEXT_DIM  # or 0: no header context
     seed: int = 0
 
     def __post_init__(self):
@@ -56,22 +56,27 @@ class ModelConfig:
             raise ConfigError("block plan must be non-empty")
         if self.hidden % self.heads != 0:
             raise ConfigError(f"hidden={self.hidden} not divisible by heads={self.heads}")
-        if self.classifier_hidden is None:
-            self.classifier_hidden = self.hidden
-        if self.cls_from not in ("last_block", "last_transformer"):
-            raise ConfigError(f"cls_from must be last_block|last_transformer, got {self.cls_from!r}")
-        if self.cls_from == "last_transformer" and TRANSFORMER not in self.block_plan:
-            raise ConfigError("cls_from=last_transformer needs a transformer in the plan")
-        if self.vocab_size < 1 or self.max_positions < 1 or self.context_dim < 0:
-            raise ConfigError("vocab_size/max_positions must be >= 1, context_dim >= 0")
+        if self.vocab_size < 1 or self.max_positions < 1:
+            raise ConfigError("vocab_size/max_positions must be >= 1")
+        if self.context_dim not in (0, CONTEXT_DIM):
+            raise ConfigError(f"context_dim must be 0 or {CONTEXT_DIM}, got {self.context_dim}")
 
     def to_dict(self) -> dict:
         return {**asdict(self), "block_plan": list(self.block_plan)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
+        """Build from a config or checkpoint dict. Dicts written before
+        ``cls_from`` and ``classifier_hidden`` were retired still load when
+        they hold the one value the model now has."""
+        d = dict(d)
+        retired = {"cls_from": "last_block",
+                   "classifier_hidden": d.get("hidden", cls.__dataclass_fields__["hidden"].default)}
+        for key, only in retired.items():
+            value = d.pop(key, only)
+            if value != only:
+                raise ConfigError(f"{key}={value!r} is retired; the model supports only {only!r}")
+        unknown = set(d) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         return cls(**d)
@@ -106,10 +111,9 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
             shapes[f"{p}.dense1.b"] = (d,)
             shapes[f"{p}.dense2.w"] = (d, d)
             shapes[f"{p}.dense2.b"] = (d,)
-    dh = config.classifier_hidden
-    shapes["classifier.fusion.w"] = (d + config.context_dim, dh)
-    shapes["classifier.fusion.b"] = (dh,)
-    shapes["classifier.out.w"] = (dh, 1)
+    shapes["classifier.fusion.w"] = (d + config.context_dim, d)
+    shapes["classifier.fusion.b"] = (d,)
+    shapes["classifier.out.w"] = (d, 1)
     shapes["classifier.out.b"] = (1,)
     return shapes
 
@@ -129,11 +133,11 @@ class ParamReport:
 
 def count_params(config: ModelConfig) -> ParamReport:
     """Closed-form parameter counts per section of the network."""
-    d, f, dh = config.hidden, config.ffn_dim, config.classifier_hidden
+    d, f = config.hidden, config.ffn_dim
     embedding = config.vocab_size * d + config.max_positions * d + 2 * d
     transformer = 4 * (d * d + d) + (d * f + f) + (f * d + d) + 4 * d
     adapter = 2 * (d * d + d)
-    classifier = (d + config.context_dim) * dh + dh + dh + 1
+    classifier = (d + config.context_dim) * d + d + d + 1
     n_t = sum(1 for b in config.block_plan if b == TRANSFORMER)
     n_a = len(config.block_plan) - n_t
     total = embedding + n_t * transformer + n_a * adapter + classifier
@@ -246,15 +250,15 @@ def _adapter_block(x: Tensor, p: dict, prefix: str) -> Tensor:
 def forward_probs(model: CatBertModel, ids: np.ndarray, mask: np.ndarray,
                   ctx: np.ndarray | None, return_hidden: bool = False):
     """Batched forward pass. ``ids``/``mask`` are (B, L) arrays, ``ctx`` is
-    (B, context_dim) or None when context_dim = 0. Returns a (B,) Tensor of
-    probabilities; with ``return_hidden`` also the per-block hidden states.
+    (B, context_dim) and ignored (may be None) when context_dim is 0.
+    Returns a (B,) Tensor of probabilities; with ``return_hidden`` also the
+    per-block hidden states.
 
     The classifier reads only the [CLS] row, so the last transformer takes
     keys and values from all L rows but queries from row 0 alone, and every
     block after it runs on that row. The hidden states are therefore
     (B, L, d) before the last transformer and (B, 1, d) from it on;
-    ``hiddens[-1][:, 0]`` is the state the classifier reads (with
-    ``cls_from="last_transformer"``, the last transformer's).
+    ``hiddens[-1][:, 0]`` is the state the classifier reads.
 
     Ops record onto the active tape, so this same path serves training.
     """
@@ -280,20 +284,17 @@ def forward_probs(model: CatBertModel, ids: np.ndarray, mask: np.ndarray,
 
     last_t = max((i for i, k in enumerate(cfg.block_plan) if k == TRANSFORMER), default=-1)
     hiddens = []
-    cls_hidden = None
     for i, kind in enumerate(cfg.block_plan):
         prefix = f"blocks.{i}"
         if kind == TRANSFORMER:
             xq = T.slice_axis(h, 1, 0, 1) if i == last_t else h
             h = _transformer_block(xq, h, p, prefix, cfg.heads, add_mask)
-            cls_hidden = h
         else:
             h = _adapter_block(h, p, prefix)
         if return_hidden:
             hiddens.append(h)
-    read = cls_hidden if cfg.cls_from == "last_transformer" else h
 
-    cls = T.reshape(T.slice_axis(read, 1, 0, 1), (B, cfg.hidden))
+    cls = T.reshape(T.slice_axis(h, 1, 0, 1), (B, cfg.hidden))
     if cfg.context_dim:
         if ctx is None:
             raise ValueError("model takes context features but ctx is None")
@@ -312,12 +313,10 @@ def forward_probs(model: CatBertModel, ids: np.ndarray, mask: np.ndarray,
 PARTIAL_FINETUNE = "partial-finetune"
 
 
-def freeze_preset(config: ModelConfig, name: str = PARTIAL_FINETUNE) -> list[str]:
-    """Named freeze masks. ``partial-finetune`` freezes the embeddings and
-    every transformer except the last one, leaving adapters, the top
-    transformer, and the classifier trainable."""
-    if name != PARTIAL_FINETUNE:
-        raise ValueError(f"unknown preset {name!r}; known: {PARTIAL_FINETUNE}")
+def freeze_preset(config: ModelConfig) -> list[str]:
+    """The ``partial-finetune`` freeze mask: the embeddings and every
+    transformer except the last one, leaving adapters, the top transformer,
+    and the classifier trainable."""
     t_positions = [i for i, b in enumerate(config.block_plan) if b == TRANSFORMER]
     return ["embeddings"] + [f"blocks.{i}" for i in t_positions[:-1]]
 
@@ -338,8 +337,7 @@ def set_trainable(model: CatBertModel, freeze_prefixes: list[str]) -> None:
 
 
 def surgery_from_donor(donor: CatBertModel, keep: list[int] | None = None,
-                       context_dim: int = 4, seed: int = 0,
-                       cls_from: str = "last_block") -> CatBertModel:
+                       context_dim: int = CONTEXT_DIM, seed: int = 0) -> CatBertModel:
     """Compress a donor into a transformer+adapter model.
 
     The donor's embeddings and the transformer blocks at ``keep`` indices are
@@ -361,8 +359,7 @@ def surgery_from_donor(donor: CatBertModel, keep: list[int] | None = None,
         raise ValueError("keep must name at least one donor block")
 
     cfg = replace(dcfg, block_plan=(TRANSFORMER, ADAPTER) * len(keep),
-                  context_dim=context_dim, classifier_hidden=None,
-                  cls_from=cls_from, seed=seed)
+                  context_dim=context_dim, seed=seed)
     fresh = init_random(cfg, seed)
     params: dict[str, Parameter] = {}
     provenance: dict[str, str] = {}

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mail import EmailRecord, build_content, context_vector, extract_context
+from .mail import CONTEXT_DIM, EmailRecord, build_content, context_vector, extract_context
 from .model import CatBertModel, forward_probs
 from .tokenizer import Vocabulary, encode
 
@@ -17,19 +17,13 @@ class EncodedDataset:
 
     ids: np.ndarray       # (N, L) int64
     mask: np.ndarray      # (N, L) int64
-    ctx: np.ndarray       # (N, 4) f32
+    ctx: np.ndarray       # (N, CONTEXT_DIM) f32
     labels: np.ndarray    # (N,) int64
     weights: np.ndarray   # (N,) f32, from the record weight field
     groups: list          # group tag or None per record
 
     def __len__(self) -> int:
         return self.ids.shape[0]
-
-    def subset(self, idx) -> "EncodedDataset":
-        idx = np.asarray(idx)
-        return EncodedDataset(self.ids[idx], self.mask[idx], self.ctx[idx],
-                              self.labels[idx], self.weights[idx],
-                              [self.groups[i] for i in idx])
 
 
 def encode_records(records: list[EmailRecord], vocab: Vocabulary, max_len: int = 128,
@@ -50,7 +44,7 @@ def encode_texts(texts: list[str], records: list[EmailRecord], vocab: Vocabulary
     n = len(records)
     ids = np.zeros((n, max_len), dtype=np.int64)
     mask = np.zeros((n, max_len), dtype=np.int64)
-    ctx = np.zeros((n, 4), dtype=np.float32)
+    ctx = np.zeros((n, CONTEXT_DIM), dtype=np.float32)
     labels = np.zeros(n, dtype=np.int64)
     weights = np.ones(n, dtype=np.float32)
     groups = []
@@ -89,9 +83,8 @@ def score_dataset(model: CatBertModel, ds: EncodedDataset, batch_size: int = 64,
     ctx = ds.ctx if use_context else np.zeros_like(ds.ctx)
     for lo in range(0, len(ds), batch_size):
         hi = min(lo + batch_size, len(ds))
-        c = ctx[lo:hi] if model.config.context_dim else None
         ids, mask = trim_padding(ds.ids[lo:hi], ds.mask[lo:hi])
-        out[lo:hi] = forward_probs(model, ids, mask, c).data
+        out[lo:hi] = forward_probs(model, ids, mask, ctx[lo:hi]).data
     return out
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from . import tensor as T
 from .mail import EmailRecord
 from .metrics import roc_auc
-from .model import CatBertModel, forward_probs, freeze_preset, set_trainable
+from .model import PARTIAL_FINETUNE, CatBertModel, forward_probs, freeze_preset, set_trainable
 from .pipeline import EncodedDataset, score_dataset, trim_padding
 from .tensor import AdamState, Tape, Tensor, adam_step, backward
 
@@ -39,7 +39,7 @@ class TrainConfig:
     learning_rate: float = 5e-5
     seed: int = 0
     bec_weight: float = 100.0
-    freeze: str | None = None  # preset name, e.g. "partial-finetune"
+    freeze: str | None = None  # None or PARTIAL_FINETUNE
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -48,6 +48,8 @@ class TrainConfig:
             raise ValueError(f"balanced batches need an even batch size, got {self.batch_size}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.freeze not in (None, PARTIAL_FINETUNE):
+            raise ValueError(f"freeze must be {PARTIAL_FINETUNE!r} or absent, got {self.freeze!r}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
@@ -151,14 +153,10 @@ def train(model: CatBertModel, train_set: EncodedDataset, config: TrainConfig,
     unchanged up to float summation order."""
     from .checkpoint import save_checkpoint
 
-    if config.freeze:
-        set_trainable(model, freeze_preset(model.config, config.freeze))
-    else:
-        set_trainable(model, [])
+    set_trainable(model, freeze_preset(model.config) if config.freeze else [])
     rng = np.random.default_rng(config.seed)
     state = AdamState(lr=config.learning_rate)
     weights = effective_weights(train_set, config.bec_weight)
-    use_ctx = model.config.context_dim > 0
     params = model.parameters()
     history = TrainingHistory()
     best_auc = -1.0
@@ -172,10 +170,9 @@ def train(model: CatBertModel, train_set: EncodedDataset, config: TrainConfig,
                        for lo in range(0, len(perm), config.batch_size)]
         losses = []
         for bi, idx in enumerate(batches):
-            ctx = train_set.ctx[idx] if use_ctx else None
             ids, mask = trim_padding(train_set.ids[idx], train_set.mask[idx])
             with Tape() as tape:
-                probs = forward_probs(model, ids, mask, ctx)
+                probs = forward_probs(model, ids, mask, train_set.ctx[idx])
                 loss = bce_loss(probs, train_set.labels[idx], weights[idx])
             lv = float(loss.data)
             if not math.isfinite(lv):

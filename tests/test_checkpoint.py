@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from catbert.checkpoint import BLOB, MANIFEST, CheckpointError, load_checkpoint, save_checkpoint
-from catbert.model import ModelConfig, init_random, surgery_from_donor
+from catbert.model import ModelConfig, forward_probs, init_random, surgery_from_donor
 
 
 @pytest.fixture
@@ -43,6 +43,22 @@ class TestRoundTrip:
         loaded = load_checkpoint(tmp_path)
         loaded.params["classifier.out.b"].data[:] = 5.0  # must not raise
 
+
+class TestRetiredOptions:
+    def test_old_manifest_loads_and_scores_identically(self, tiny, tmp_path):
+        # written while cls_from and classifier_hidden were config fields
+        save_checkpoint(tiny, tmp_path)
+        manifest = json.loads((tmp_path / MANIFEST).read_text())
+        manifest["config"].update(cls_from="last_block", classifier_hidden=8)
+        (tmp_path / MANIFEST).write_text(json.dumps(manifest, indent=2, sort_keys=True))
+        loaded = load_checkpoint(tmp_path)
+        assert loaded.config == tiny.config
+        rng = np.random.default_rng(0)
+        ids = rng.integers(0, 40, size=(3, 10))
+        mask = np.ones((3, 10), dtype=np.int64)
+        ctx = rng.random((3, 4)).astype(np.float32)
+        assert np.array_equal(forward_probs(loaded, ids, mask, ctx).data,
+                              forward_probs(tiny, ids, mask, ctx).data)
 
 class TestValidation:
     def test_truncated_blob_names_tensor(self, tiny, tmp_path):

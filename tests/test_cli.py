@@ -154,6 +154,59 @@ class TestTrain:
         assert rc == 1
         assert "momentum" in capsys.readouterr().err
 
+    def _seeded_run(self, workdir, tmp_path, model_seed, train_seed, *flags):
+        cfg = json.loads(workdir["config"].read_text())
+        if model_seed is not None:
+            cfg["model"]["seed"] = model_seed
+        cfg["train"]["seed"] = train_seed
+        path = tmp_path / "seeded.json"
+        path.write_text(json.dumps(cfg))
+        run = tmp_path / "seeded"
+        rc = main(["train", "--train", str(workdir["corpus"]),
+                   "--vocab", str(workdir["vocab"]), "--config", str(path),
+                   "--out-dir", str(run), "--learning-rate", "0", *flags])
+        return rc, run
+
+    @pytest.mark.parametrize("model_seed,train_seed,flags", [
+        (None, 5, []), (5, 5, []), (5, 0, ["--seed", "5"])])
+    def test_checkpoint_records_the_seed_that_initialised_it(
+            self, workdir, tmp_path, model_seed, train_seed, flags):
+        from catbert.checkpoint import load_checkpoint, save_checkpoint
+        from catbert.model import init_random
+        rc, run = self._seeded_run(workdir, tmp_path, model_seed, train_seed, *flags)
+        assert rc == 0
+        config = load_checkpoint(run / "best").config
+        assert config.seed == 5
+        assert json.loads((run / "run_manifest.json").read_text())["seed"] == 5
+        save_checkpoint(init_random(config), tmp_path / "fresh")
+        assert ((run / "best" / "tensors.bin").read_bytes()
+                == (tmp_path / "fresh" / "tensors.bin").read_bytes())
+
+    def test_model_seed_disagreeing_with_run_seed_is_usage_error(self, workdir, tmp_path,
+                                                                 capsys):
+        rc, run = self._seeded_run(workdir, tmp_path, 5, 0)
+        assert rc == 1
+        assert "model.seed 5" in capsys.readouterr().err
+        assert not run.exists()
+
+    def test_bad_freeze_fails_before_reading_data(self, workdir, tmp_path, capsys):
+        rc = main(["train", "--train", str(tmp_path / "missing.jsonl"),
+                   "--vocab", str(workdir["vocab"]), "--out-dir", str(tmp_path / "r"),
+                   "--freeze", "bogus"])
+        assert rc == 1
+        assert "freeze must be 'partial-finetune'" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    def test_context_width_other_than_0_or_4_is_usage_error(self, workdir, tmp_path, capsys):
+        out = tmp_path / "r"
+        assert main(["train", "--train", str(workdir["corpus"]),
+                     "--vocab", str(workdir["vocab"]), "--config", str(workdir["config"]),
+                     "--out-dir", str(out), "--context-dim", "2"]) == 1
+        assert main(["surgery", "--donor", str(workdir["ckpt"]), "--out-dir", str(out),
+                     "--context-dim", "3"]) == 1
+        assert capsys.readouterr().err.count("--context-dim: invalid choice") == 2
+        assert not out.exists()
+
 
 class TestParams:
     def test_report_matches_count_params(self, workdir, capsys):

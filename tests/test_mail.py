@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -204,3 +206,15 @@ class TestDatasetIO:
         p.write_text('{"label": 0, "weight": 0}\n')
         recs, errors = load_dataset_with_report(p)
         assert recs == [] and "weight" in errors[0]
+
+
+def test_readme_dataset_example_parses_with_its_headers(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("## Dataset format"):]
+    block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+    path = tmp_path / "example.jsonl"
+    path.write_text(json.dumps(json.loads(block)) + "\n", encoding="utf-8")
+    (rec,) = load_dataset(path, strict=True)
+    assert (rec.from_addr, rec.to_addrs) == ("ceo@partner.io", ["ap@acme.com"])
+    assert extract_context(rec) == ContextFeatures(internal=0, external=1,
+                                                   n_recipients=1, n_cc=0)

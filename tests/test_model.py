@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catbert import tensor as T
+from catbert.mail import CONTEXT_DIM
 from catbert.model import (
     ADAPTER,
     MASK_OFF,
@@ -61,10 +62,6 @@ class TestConfig:
         cfg = ModelConfig(vocab_size=10, hidden=8, heads=2, block_plan=("T", "a", "Transformer"))
         assert cfg.block_plan == (TRANSFORMER, ADAPTER, TRANSFORMER)
 
-    def test_classifier_hidden_defaults_to_hidden(self):
-        cfg = ModelConfig(vocab_size=10, hidden=8, heads=2)
-        assert cfg.classifier_hidden == 8
-
     def test_roundtrip_dict(self):
         cfg = ModelConfig(**TINY)
         assert ModelConfig.from_dict(cfg.to_dict()) == cfg
@@ -73,12 +70,19 @@ class TestConfig:
         with pytest.raises(ConfigError, match="bogus"):
             ModelConfig.from_dict({"vocab_size": 10, "bogus": 1})
 
-    def test_cls_from_validated(self):
-        with pytest.raises(ConfigError):
-            ModelConfig(vocab_size=10, hidden=8, heads=2, cls_from="middle")
-        with pytest.raises(ConfigError):
-            ModelConfig(vocab_size=10, hidden=8, heads=2, block_plan=("A",),
-                        cls_from="last_transformer")
+    def test_context_dim_is_zero_or_context_width(self):
+        assert ModelConfig(**{**TINY, "context_dim": 0}).context_dim == 0
+        assert ModelConfig(**TINY).context_dim == CONTEXT_DIM
+        for bad in (3, 5, -1):
+            with pytest.raises(ConfigError, match="context_dim"):
+                ModelConfig(**{**TINY, "context_dim": bad})
+
+    @pytest.mark.parametrize("key,value", [("cls_from", "last_transformer"),
+                                           ("cls_from", "middle"),
+                                           ("classifier_hidden", 16)])
+    def test_retired_keys_reject_other_values(self, key, value):
+        with pytest.raises(ConfigError, match=f"{key}.*retired"):
+            ModelConfig.from_dict({**ModelConfig(**TINY).to_dict(), key: value})
 
 
 class TestInit:
@@ -168,20 +172,6 @@ class TestForward:
         ids = np.full((1, 4), 100, dtype=np.int64)
         with pytest.raises(IndexError):
             forward_probs(m, ids, np.ones((1, 4)), np.zeros((1, 4), dtype=np.float32))
-
-    def test_cls_from_last_transformer(self):
-        base = tiny_model(5)
-        alt = CatBertModel(
-            ModelConfig(**TINY, cls_from="last_transformer"),
-            {n: Parameter(n, p.data.copy()) for n, p in base.params.items()},
-        )
-        # make the trailing adapter matter
-        for m in (base, alt):
-            m.params["blocks.1.dense2.w"].data[:] = 0.5
-        ids, mask, ctx = rand_batch(base.config)
-        a = forward_probs(base, ids, mask, ctx).data
-        b = forward_probs(alt, ids, mask, ctx).data
-        assert not np.allclose(a, b)
 
 
 def full_width_forward(model, ids, mask, ctx):
@@ -312,7 +302,7 @@ class TestCountParams:
 
     @given(st.integers(1, 50), st.integers(1, 4), st.integers(1, 20), st.integers(1, 8),
            st.lists(st.sampled_from(["T", "A"]), min_size=1, max_size=6),
-           st.integers(0, 6))
+           st.sampled_from([0, CONTEXT_DIM]))
     @settings(max_examples=60, deadline=None)
     def test_structural_oracle_property(self, V, h, f, P, plan, c):
         d = h * 4

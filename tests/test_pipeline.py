@@ -50,12 +50,6 @@ class TestEncodeRecords:
         assert ds.ids[0, 0] == v.cls_id
         assert ds.ids[0][ds.mask[0] == 1][-1] == v.sep_id
 
-    def test_subset(self):
-        ds = encode_records(records(), small_vocab(), max_len=12)
-        sub = ds.subset([1])
-        assert len(sub) == 1 and sub.labels.tolist() == [0]
-        assert sub.groups == [None]
-
 
 class TestEncodeTexts:
     def test_replaces_text_keeps_context(self):
