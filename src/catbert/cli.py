@@ -36,6 +36,7 @@ from .train import TrainConfig, split_by_time, train
 log = logging.getLogger(__name__)
 
 MANIFEST_NAME = "run_manifest.json"
+DEFAULT_MAX_LEN = 128
 
 
 class UsageError(Exception):
@@ -153,7 +154,9 @@ def _model_io_args(parser: _Parser) -> None:
     parser.add_argument("--model", required=True, help="checkpoint directory")
     parser.add_argument("--in", dest="inp", required=True, help="JSONL dataset")
     parser.add_argument("--vocab", required=True, help="vocabulary file, one token per line")
-    parser.add_argument("--max-len", type=int, default=128)
+    parser.add_argument("--max-len", type=int,
+                        help=f"row width in tokens (default {DEFAULT_MAX_LEN}, "
+                             "at most the model's max positions)")
     parser.add_argument("--no-context", action="store_true",
                         help="zero the header context features")
 
@@ -214,11 +217,22 @@ def _resolved_model_config(args, file_cfg: dict, vocab_size: int, seed: int) -> 
     return ModelConfig.from_dict(cfg)
 
 
+def _resolve_max_len(max_len: int | None, max_positions: int) -> int:
+    """``max_len`` as given, else 128 capped at the model's positions. Rows
+    are ``max_len`` wide, so a ``max_len`` past the model's positions would
+    fail on the first batch that holds a row that long: a usage error."""
+    if max_len is None:
+        return min(DEFAULT_MAX_LEN, max_positions)
+    if max_len > max_positions:
+        raise UsageError(f"max_len {max_len} exceeds the model's max_positions {max_positions}")
+    return max_len
+
+
 def _cmd_train(args) -> int:
     started = time.time()
     file_cfg = _load_json(args.config)
     vocab = load_vocab(args.vocab)
-    max_len = args.max_len if args.max_len is not None else file_cfg.get("max_len", 128)
+    max_len = args.max_len if args.max_len is not None else file_cfg.get("max_len")
     truncate = args.truncate or file_cfg.get("truncate", "head")
 
     try:
@@ -232,6 +246,7 @@ def _cmd_train(args) -> int:
         model_cfg = _resolved_model_config(args, file_cfg, len(vocab), train_cfg.seed)
     except (TypeError, ValueError) as e:
         raise UsageError(f"bad config: {e}")
+    max_len = _resolve_max_len(max_len, model_cfg.max_positions)
 
     train_records = load_dataset(args.train, strict=True)
     train_set = encode_records(train_records, vocab, max_len=max_len, truncate=truncate)
@@ -302,7 +317,9 @@ def _cmd_params(args) -> int:
 
 
 def _load_model_inputs(args):
-    return load_vocab(args.vocab), load_checkpoint(args.model), load_dataset(args.inp, strict=True)
+    vocab, model = load_vocab(args.vocab), load_checkpoint(args.model)
+    args.max_len = _resolve_max_len(args.max_len, model.config.max_positions)
+    return vocab, model, load_dataset(args.inp, strict=True)
 
 
 def _score_input(args):
@@ -472,7 +489,9 @@ def build_parser() -> _Parser:
     p.add_argument("--out-dir", required=True)
     p.add_argument("--config", help="JSON config: {model: {...}, train: {...}, max_len, truncate}")
     p.add_argument("--vocab", required=True)
-    p.add_argument("--max-len", type=int, default=None)
+    p.add_argument("--max-len", type=int, default=None,
+                   help=f"row width in tokens (default: config, else {DEFAULT_MAX_LEN}; "
+                        "at most --max-positions)")
     p.add_argument("--truncate", choices=("head", "tail"), default=None)
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", type=int)

@@ -2,8 +2,9 @@
 
 Everything the model computes runs through the ops in this module. Arrays are
 float32; float64 appears only inside the finite-difference oracle used by
-``grad_check``. Ops record onto the active :class:`Tape` (if any), and
-``backward`` replays the tape in reverse to populate ``Parameter.grad``.
+``grad_check``. Ops record onto the active :class:`Tape` (if any) when an
+input leads to a trainable parameter, and ``backward`` replays the tape in
+reverse to populate ``Parameter.grad``.
 """
 
 from __future__ import annotations
@@ -82,15 +83,20 @@ class Parameter(Tensor):
 
 
 class Tape:
-    """Ordered record of executed ops.
+    """Ordered record of the executed ops that lead to a trainable parameter.
 
-    Ops append in execution order, which is already a topological order, so
-    the backward walk simply visits entries in reverse. Used as a context
+    An op records only if one of its inputs is a trainable ``Parameter`` or
+    the output of an op already on the tape, so work that touches only
+    frozen parameters and constants (a frozen lower stack, the frozen
+    embedding table) leaves no entry and costs nothing in ``backward``. Ops
+    append in execution order, which is already a topological order, so the
+    backward walk simply visits entries in reverse. Used as a context
     manager; the active tape is thread-local.
     """
 
     def __init__(self):
         self._entries: list[tuple[Tensor, tuple, Callable]] = []
+        self._outputs: set[int] = set()  # ids of recorded outputs, kept alive by _entries
 
     def __enter__(self) -> "Tape":
         self._prev = _active_tape()
@@ -101,17 +107,34 @@ class Tape:
         _TRACING.tape = self._prev
         return False
 
+    def needs_grad(self, t) -> bool:
+        """Whether a gradient with respect to ``t`` can reach a trainable parameter."""
+        if isinstance(t, Parameter):
+            return t.trainable
+        return isinstance(t, Tensor) and id(t) in self._outputs
+
     def record(self, out: Tensor, inputs: tuple, grad_fn: Callable) -> None:
         self._entries.append((out, inputs, grad_fn))
+        self._outputs.add(id(out))
 
     def __len__(self) -> int:
         return len(self._entries)
 
 
-def _emit(arr: np.ndarray, inputs: tuple, grad_fn: Callable) -> Tensor:
+def _needs(*inputs) -> tuple[bool, ...]:
+    """Per input, whether the active tape needs its gradient. A ``grad_fn``
+    returns None for the inputs marked False."""
+    tape = _active_tape()
+    return tuple(tape is not None and tape.needs_grad(t) for t in inputs)
+
+
+def _emit(arr: np.ndarray, inputs: tuple, grad_fn: Callable,
+          needs: tuple[bool, ...] | None = None) -> Tensor:
+    """Wrap ``arr`` and record it on the active tape if any input needs a
+    gradient (``needs``, as computed by ``_needs``, when the op has it)."""
     out = Tensor._wrap(arr)
     tape = _active_tape()
-    if tape is not None:
+    if tape is not None and any(_needs(*inputs) if needs is None else needs):
         tape.record(out, inputs, grad_fn)
     return out
 
@@ -144,58 +167,78 @@ def _as_operands(a, b):
 
 def add(a, b) -> Tensor:
     av, bv = _as_operands(a, b)
+    needs = _needs(a, b)
 
     def grad_fn(g):
-        ga = _unbroadcast(g, av.shape) if isinstance(a, Tensor) else None
-        gb = _unbroadcast(g, bv.shape) if isinstance(b, Tensor) else None
+        ga = _unbroadcast(g, av.shape) if needs[0] else None
+        gb = _unbroadcast(g, bv.shape) if needs[1] else None
         return ga, gb
 
-    return _emit(av + bv, (a, b), grad_fn)
+    return _emit(av + bv, (a, b), grad_fn, needs)
 
 
 def sub(a, b) -> Tensor:
     av, bv = _as_operands(a, b)
+    needs = _needs(a, b)
 
     def grad_fn(g):
-        ga = _unbroadcast(g, av.shape) if isinstance(a, Tensor) else None
-        gb = _unbroadcast(-g, bv.shape) if isinstance(b, Tensor) else None
+        ga = _unbroadcast(g, av.shape) if needs[0] else None
+        gb = _unbroadcast(-g, bv.shape) if needs[1] else None
         return ga, gb
 
-    return _emit(av - bv, (a, b), grad_fn)
+    return _emit(av - bv, (a, b), grad_fn, needs)
 
 
 def mul(a, b) -> Tensor:
     av, bv = _as_operands(a, b)
+    needs = _needs(a, b)
 
     def grad_fn(g):
-        ga = _unbroadcast(g * bv, av.shape) if isinstance(a, Tensor) else None
-        gb = _unbroadcast(g * av, bv.shape) if isinstance(b, Tensor) else None
+        ga = _unbroadcast(g * bv, av.shape) if needs[0] else None
+        gb = _unbroadcast(g * av, bv.shape) if needs[1] else None
         return ga, gb
 
-    return _emit(av * bv, (a, b), grad_fn)
+    return _emit(av * bv, (a, b), grad_fn, needs)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product with numpy batch broadcasting over leading axes."""
+    """Matrix product with numpy batch broadcasting over leading axes.
+
+    A 2-D ``b`` (every dense layer's weight) folds the leading axes of ``a``
+    into one (rows, k) @ (k, n) GEMM, and both gradients are single GEMMs
+    too: ``g2 @ bᵀ`` and ``a2ᵀ @ g2``, with no batched temporary to sum over
+    the batch. The fold reshapes ``a``, a view when ``a`` is contiguous.
+    Other shapes (attention's 4-D products) take numpy's batched matmul.
+    """
     av, bv = _as_operands(a, b)
     if av.ndim < 2 or bv.ndim < 2:
         raise ShapeError(f"matmul needs >=2-D operands, got {av.shape} and {bv.shape}")
     if av.shape[-1] != bv.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {av.shape} x {bv.shape}")
+    needs = _needs(a, b)
+    if bv.ndim == 2:
+        a2 = av.reshape(-1, av.shape[-1])
+        out = (a2 @ bv).reshape(av.shape[:-1] + bv.shape[-1:])
+
+        def grad_fn(g):
+            g2 = g.reshape(-1, g.shape[-1])
+            ga = (g2 @ bv.T).reshape(av.shape) if needs[0] else None
+            gb = a2.T @ g2 if needs[1] else None
+            return ga, gb
+
+        return _emit(out, (a, b), grad_fn, needs)
+
     try:
         out = np.matmul(av, bv)
     except ValueError as e:
         raise ShapeError(f"matmul shapes not broadcastable: {av.shape} x {bv.shape}") from e
 
     def grad_fn(g):
-        ga = gb = None
-        if isinstance(a, Tensor):
-            ga = _unbroadcast(np.matmul(g, np.swapaxes(bv, -1, -2)), av.shape)
-        if isinstance(b, Tensor):
-            gb = _unbroadcast(np.matmul(np.swapaxes(av, -1, -2), g), bv.shape)
+        ga = _unbroadcast(np.matmul(g, np.swapaxes(bv, -1, -2)), av.shape) if needs[0] else None
+        gb = _unbroadcast(np.matmul(np.swapaxes(av, -1, -2), g), bv.shape) if needs[1] else None
         return ga, gb
 
-    return _emit(out, (a, b), grad_fn)
+    return _emit(out, (a, b), grad_fn, needs)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -311,21 +354,22 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     inv_std = 1.0 / np.sqrt(var + LN_EPS)
     xhat = centered * inv_std
     out = xhat * gv + bv
+    needs = _needs(x, gain, bias)
 
     def grad_fn(g):
         gx = gg = gb = None
-        gxh = g * gv
-        if isinstance(x, Tensor):
+        if needs[0]:
+            gxh = g * gv
             m1 = gxh.mean(axis=-1, keepdims=True)
             m2 = (gxh * xhat).mean(axis=-1, keepdims=True)
             gx = inv_std * (gxh - m1 - xhat * m2)
-        if isinstance(gain, Tensor):
+        if needs[1]:
             gg = (g * xhat).reshape(-1, d).sum(axis=0)
-        if isinstance(bias, Tensor):
+        if needs[2]:
             gb = g.reshape(-1, d).sum(axis=0)
         return gx, gg, gb
 
-    return _emit(out.astype(v.dtype, copy=False), (x, gain, bias), grad_fn)
+    return _emit(out.astype(v.dtype, copy=False), (x, gain, bias), grad_fn, needs)
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:
@@ -391,11 +435,12 @@ def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
     sizes = [a.shape[axis] for a in arrays]
     out = np.concatenate(arrays, axis=axis)
     offsets = np.cumsum([0] + sizes)
+    needs = _needs(*parts)
 
     def grad_fn(g):
         grads = []
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if isinstance(p, Tensor):
+        for need, lo, hi in zip(needs, offsets[:-1], offsets[1:]):
+            if need:
                 index = [slice(None)] * g.ndim
                 index[axis] = slice(int(lo), int(hi))
                 grads.append(g[tuple(index)])
@@ -403,7 +448,7 @@ def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
                 grads.append(None)
         return tuple(grads)
 
-    return _emit(out, tuple(parts), grad_fn)
+    return _emit(out, tuple(parts), grad_fn, needs)
 
 
 def sum_all(x: Tensor) -> Tensor:
@@ -425,7 +470,11 @@ def mean_all(x: Tensor) -> Tensor:
 def backward(tape: Tape, loss: Tensor) -> None:
     """Replay ``tape`` in reverse and populate ``grad`` on every trainable
     Parameter that feeds ``loss``. Fan-out gradients accumulate additively;
-    frozen parameters receive no grad."""
+    frozen parameters receive no grad. The tape records only ops that lead
+    to a trainable parameter, and each op computes only the input gradients
+    the tape needs, so frozen work is neither replayed nor differentiated;
+    the entries that remain, and their order, are those of a tape with every
+    parameter trainable, so the gradients are bit-identical to its."""
     if loss.data.shape != ():
         raise GradientError(f"loss must be scalar, got shape {loss.data.shape}")
     grads: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=loss.data.dtype)}
@@ -463,7 +512,17 @@ class AdamState:
 
 def adam_step(params: Sequence[Parameter], state: AdamState) -> None:
     """One Adam update with bias correction. Consumes grads (sets them to
-    None); frozen parameters are untouched."""
+    None); frozen parameters are untouched.
+
+    The moments update in place and the step is built in one new buffer
+    (with one temporary for its numerator), which then becomes ``p.data``
+    (``p - step`` written over the step), so an array read from ``p.data``
+    before the step keeps its values. The float
+    operations and their order are the textbook formula's,
+    ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g²``,
+    ``p -= lr (m / c1) / (sqrt(v / c2) + eps)``, so the result is
+    bit-identical to evaluating it out of place.
+    """
     trainable = [p for p in params if p.trainable]
     for p in trainable:
         if p.grad is None:
@@ -474,15 +533,23 @@ def adam_step(params: Sequence[Parameter], state: AdamState) -> None:
     c2 = 1.0 - ADAM_BETA2 ** t
     for p in trainable:
         g = p.grad.data
-        m, v = state.moments.get(p.name, (None, None))
-        if m is None:
-            m = np.zeros_like(p.data)
-            v = np.zeros_like(p.data)
-        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
-        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * (g * g)
-        state.moments[p.name] = (m, v)
-        update = (state.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)).astype(p.data.dtype)
-        p.data = p.data - update
+        if p.name not in state.moments:
+            state.moments[p.name] = (np.zeros_like(p.data), np.zeros_like(p.data))
+        m, v = state.moments[p.name]
+        step = np.multiply(g, 1.0 - ADAM_BETA1, dtype=p.data.dtype)
+        m *= ADAM_BETA1
+        m += step
+        np.multiply(g, g, out=step)
+        step *= 1.0 - ADAM_BETA2
+        v *= ADAM_BETA2
+        v += step
+        np.divide(v, c2, out=step)
+        np.sqrt(step, out=step)
+        step += ADAM_EPS
+        numer = m / c1
+        numer *= state.lr
+        np.divide(numer, step, out=step)
+        p.data = np.subtract(p.data, step, out=step)
         p.grad = None
 
 

@@ -197,6 +197,20 @@ class TestTrain:
         assert "freeze must be 'partial-finetune'" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
+    def test_max_len_past_max_positions_fails_before_reading_data(self, workdir, tmp_path,
+                                                                 capsys):
+        out = tmp_path / "r"
+        assert main(["train", "--train", str(tmp_path / "missing.jsonl"),
+                     "--vocab", str(workdir["vocab"]), "--config", str(workdir["config"]),
+                     "--out-dir", str(out), "--max-len", "64"]) == 1
+        assert main(["train", "--train", str(tmp_path / "missing.jsonl"),
+                     "--vocab", str(workdir["vocab"]), "--config", str(workdir["config"]),
+                     "--out-dir", str(out), "--max-positions", "8"]) == 1
+        err = capsys.readouterr().err
+        assert "max_len 64 exceeds the model's max_positions 16" in err
+        assert "max_len 16 exceeds the model's max_positions 8" in err
+        assert not out.exists()
+
     def test_context_width_other_than_0_or_4_is_usage_error(self, workdir, tmp_path, capsys):
         out = tmp_path / "r"
         assert main(["train", "--train", str(workdir["corpus"]),
@@ -312,6 +326,25 @@ class TestAttackExplain:
                    "--index", "9999"])
         assert rc == 1
         assert "out of range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sub", ["eval", "predict", "attack", "explain"])
+def test_max_len_past_checkpoint_positions_is_usage_error(workdir, tmp_path, capsys, sub):
+    out = tmp_path / "out" / "result.json"
+    argv = [sub, "--model", str(workdir["ckpt"]), "--in", str(tmp_path / "missing.jsonl"),
+            "--vocab", str(workdir["vocab"]), "--max-len", "17", "--out", str(out)]
+    argv += {"attack": ["--kind", "typo", "--rate", "0.5"]}.get(sub, [])
+    assert main(argv) == 1
+    assert "max_len 17 exceeds the model's max_positions 16" in capsys.readouterr().err
+    assert not out.parent.exists()
+
+
+def test_default_max_len_is_capped_at_checkpoint_positions(workdir, tmp_path):
+    out = tmp_path / "metrics.json"
+    assert main(["eval", "--model", str(workdir["ckpt"]), "--in", str(workdir["corpus"]),
+                 "--vocab", str(workdir["vocab"]), "--out", str(out)]) == 0
+    assert json.loads((tmp_path / "metrics.json.manifest.json").read_text())[
+        "config"]["max_len"] == 16
 
 
 class TestScoringFlags:

@@ -412,6 +412,32 @@ class TestFreeze:
         assert m.params["blocks.1.dense1.w"].trainable
         assert m.params["classifier.out.w"].trainable
 
+    def test_pruned_tape_gives_the_full_tape_gradients(self):
+        cfg = ModelConfig(**{**TINY, "block_plan": ("T", "A", "T", "A")})
+        ids, mask, ctx = rand_batch(cfg, B=3, L=10, seed=1)
+        mask[1, 6:] = 0
+        y, w = np.array([1.0, 0.0, 1.0]), np.ones(3)
+        runs = []
+        for freeze in ([], freeze_preset(cfg)):
+            m = init_random(cfg, 0)
+            set_trainable(m, freeze)
+            with Tape() as tape:
+                loss = bce_loss(forward_probs(m, ids, mask, ctx), y, w)
+            backward(tape, loss)
+            runs.append((m, tape))
+        (full, full_tape), (pruned, pruned_tape) = runs
+        assert len(pruned_tape) < len(full_tape)
+        on_tape = set()
+        for out, inputs, _ in pruned_tape._entries:
+            assert any(id(t) in on_tape or (isinstance(t, Parameter) and t.trainable)
+                       for t in inputs)
+            on_tape.add(id(out))
+        frozen = [n for n, p in pruned.params.items() if not p.trainable]
+        assert frozen and all(pruned.params[n].grad is None for n in frozen)
+        for name, p in pruned.params.items():
+            if p.trainable:
+                assert np.array_equal(p.grad.data, full.params[name].grad.data), name
+
     def test_empty_mask_all_trainable(self):
         m = tiny_model()
         set_trainable(m, ["embeddings"])

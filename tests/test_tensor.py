@@ -64,6 +64,45 @@ class TestMatmul:
             T.matmul(Tensor(np.zeros(3)), Tensor(np.zeros((3, 2))))
 
 
+class TestFlatMatmul:
+    """A 2-D right operand folds the batch into one GEMM; the oracle is
+    numpy's batched matmul and ``_unbroadcast``, the path it replaced."""
+
+    @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+    @pytest.mark.parametrize("shape", [(4, 7, 6), (4, 1, 6), (2, 3, 5, 6)])
+    def test_forward_and_gradients_match_batched_oracle(self, shape, dtype, tol):
+        rng = np.random.default_rng(len(shape) + shape[1])
+        a = Parameter("a", 0.5 * rng.standard_normal(shape), dtype=dtype)
+        b = Parameter("b", 0.5 * rng.standard_normal((shape[-1], 3)), dtype=dtype)
+        g = rng.standard_normal(shape[:-1] + (3,)).astype(dtype)
+        with Tape() as tape:
+            out = T.matmul(a, b)
+            loss = T.sum_all(T.mul(out, g))
+        backward(tape, loss)
+        want = np.matmul(a.data, b.data)
+        want_ga = T._unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
+        want_gb = T._unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
+        assert out.shape == want.shape and out.data.dtype == dtype
+        assert np.max(np.abs(out.data - want)) < tol
+        assert a.grad.shape == a.shape and b.grad.shape == b.shape
+        assert np.max(np.abs(a.grad.data - want_ga)) < tol
+        assert np.max(np.abs(b.grad.data - want_gb)) < tol
+
+    @pytest.mark.parametrize("dtype,bound", [(np.float32, 1e-2), (np.float64, 1e-5)])
+    def test_grad_check_three_d_by_two_d(self, dtype, bound):
+        rng = np.random.default_rng(8)
+        w1 = Parameter("w1", 0.5 * rng.standard_normal((5, 6)), dtype=dtype)
+        b1 = Parameter("b1", 0.1 * rng.standard_normal(6), dtype=dtype)
+        w2 = Parameter("w2", 0.5 * rng.standard_normal((6, 2)), dtype=dtype)
+        x = rng.standard_normal((3, 4, 5))
+
+        def run():
+            h = T.gelu(T.add(T.matmul(Tensor(x, dtype=w1.data.dtype), w1), b1))
+            return T.mean_all(T.sigmoid(T.matmul(h, w2)))
+
+        assert grad_check(run, [w1, b1, w2], eps=1e-3, seed=0) < bound
+
+
 class TestLayerNorm:
     def test_constant_row_maps_to_bias(self):
         gain = Parameter("g", np.ones(3))
@@ -299,6 +338,33 @@ class TestAdam:
         with pytest.raises(GradientError, match="'w'"):
             adam_step([w], AdamState())
 
+    def test_bit_identical_to_out_of_place_formula(self):
+        def oracle(p, g, m, v, t, lr):
+            m = T.ADAM_BETA1 * m + (1.0 - T.ADAM_BETA1) * g
+            v = T.ADAM_BETA2 * v + (1.0 - T.ADAM_BETA2) * (g * g)
+            c1 = 1.0 - T.ADAM_BETA1 ** t
+            c2 = 1.0 - T.ADAM_BETA2 ** t
+            update = (lr * (m / c1) / (np.sqrt(v / c2) + T.ADAM_EPS)).astype(p.dtype)
+            return p - update, m, v
+
+        rng = np.random.default_rng(9)
+        for dtype in (np.float32, np.float64):
+            w = Parameter("w", rng.normal(0, 0.02, (7, 5)), dtype=dtype)
+            state = AdamState(lr=1e-3)
+            want, m, v = w.data.copy(), np.zeros_like(w.data), np.zeros_like(w.data)
+            for t in (1, 2, 3):
+                g = rng.normal(0, 0.01, w.shape).astype(dtype)
+                before = w.data
+                kept = before.copy()
+                w.grad = Tensor(g, dtype=dtype)
+                adam_step([w], state)
+                want, m, v = oracle(want, g, m, v, t, 1e-3)
+                assert np.array_equal(w.data, want)
+                assert np.array_equal(state.moments["w"][0], m)
+                assert np.array_equal(state.moments["w"][1], v)
+                assert np.array_equal(before, kept)  # read before the step: unchanged
+                assert w.data.dtype == dtype
+
     def test_first_step_size_is_lr(self):
         # bias correction makes the first step exactly lr in magnitude
         w = Parameter("w", np.array([5.0], dtype=np.float32))
@@ -390,6 +456,47 @@ def test_grad_check_flags_a_wrong_sigmoid_gradient():
         if any(np.any(p.grad.data) for p in params):  # a zero gradient hides any factor
             missed.append(seed)
     assert missed == []
+
+
+class TestPruning:
+    """Ops that cannot reach a trainable parameter leave no tape entry."""
+
+    def graph(self, trainable_w0):
+        rng = np.random.default_rng(10)
+        w0 = Parameter("w0", rng.standard_normal((4, 5)), trainable=trainable_w0)
+        b0 = Parameter("b0", rng.standard_normal(5), trainable=trainable_w0)
+        w1 = Parameter("w1", rng.standard_normal((5, 3)))
+        x = rng.standard_normal((2, 6, 4)).astype(np.float32)
+        with Tape() as tape:
+            h = T.relu(T.add(T.matmul(Tensor(x), w0), b0))
+            h = T.layer_norm(T.add(h, h), Tensor(np.ones(5)), Tensor(np.zeros(5)))
+            loss = T.mean_all(T.sigmoid(T.matmul(h, w1)))
+        backward(tape, loss)
+        return tape, (w0, b0, w1)
+
+    def test_frozen_inputs_leave_no_entry_and_same_gradients(self):
+        full, (w0, b0, w1) = self.graph(True)
+        pruned, (f0, fb0, p1) = self.graph(False)
+        assert (len(pruned), len(full)) == (3, 8)  # the second matmul, sigmoid, mean
+        assert f0.grad is None and fb0.grad is None
+        assert np.array_equal(p1.grad.data, w1.grad.data)
+
+    def test_no_entry_has_only_frozen_or_constant_inputs(self):
+        tape, _ = self.graph(False)
+        seen = set()
+        for out, inputs, _ in tape._entries:
+            assert any(id(t) in seen or (isinstance(t, Parameter) and t.trainable)
+                       for t in inputs)
+            seen.add(id(out))
+
+    def test_grad_fn_skips_unneeded_inputs(self):
+        w = Parameter("w", np.ones((3, 2), dtype=np.float32))
+        x = Tensor(np.ones((4, 3), dtype=np.float32))
+        with Tape() as tape:
+            T.matmul(x, w)
+        (_, _, grad_fn), = tape._entries
+        ga, gb = grad_fn(np.ones((4, 2), dtype=np.float32))
+        assert ga is None and gb.shape == (3, 2)
 
 
 def test_tape_is_thread_local_reentrant():
