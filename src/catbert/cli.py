@@ -30,7 +30,7 @@ from .metrics import DEFAULT_FPRS, group_metrics, roc_auc, roc_curve, time_infer
 from .model import (PARTIAL_FINETUNE, ModelConfig, count_params, init_random, millions,
                     surgery_from_donor)
 from .pipeline import encode_records, make_model_scorer, score_dataset
-from .tokenizer import load_vocab
+from .tokenizer import MIN_MAX_LEN, load_vocab
 from .train import TrainConfig, split_by_time, train
 
 log = logging.getLogger(__name__)
@@ -220,9 +220,13 @@ def _resolved_model_config(args, file_cfg: dict, vocab_size: int, seed: int) -> 
 def _resolve_max_len(max_len: int | None, max_positions: int) -> int:
     """``max_len`` as given, else 128 capped at the model's positions. Rows
     are ``max_len`` wide, so a ``max_len`` past the model's positions would
-    fail on the first batch that holds a row that long: a usage error."""
+    fail on the first batch that holds a row that long, and one below the
+    tokenizer's floor on the first record: both are usage errors."""
     if max_len is None:
         return min(DEFAULT_MAX_LEN, max_positions)
+    if max_len < MIN_MAX_LEN:
+        raise UsageError(f"max_len {max_len} is below the minimum {MIN_MAX_LEN} "
+                         "([CLS], one token, [SEP])")
     if max_len > max_positions:
         raise UsageError(f"max_len {max_len} exceeds the model's max_positions {max_positions}")
     return max_len

@@ -8,7 +8,13 @@ dense d→d, plus the skip connection). The classifier reads the last block's
 (none when ``context_dim`` is 0), and applies dense (width d) → ReLU →
 dense → sigmoid. Since nothing reads any other row, the last transformer computes
 only the CLS row (attending over all rows) and the blocks after it run on
-that row alone. ``surgery_from_donor`` builds the compressed model
+that row alone.
+
+The forward is padding-free: every row-wise op (embeddings, layer norms,
+dense layers, GELU, adapters) runs on the packed (N, d) array of the batch's
+real tokens, and only attention scatters them into the padded (B, L) grid,
+so a batch's dense-layer cost follows its token count, not B·L.
+``surgery_from_donor`` builds the compressed model
 from a donor checkpoint; ``set_trainable`` applies freeze masks for partial
 fine-tuning.
 """
@@ -207,35 +213,67 @@ def _linear(x: Tensor, w: Parameter, b: Parameter) -> Tensor:
     return T.add(T.matmul(x, w), b)
 
 
+class _Packing:
+    """Where the real tokens of a (B, L) batch sit. Every row-wise layer runs
+    on the (N, d) array of its N attended positions, in row-major order;
+    attention scatters them into a zero-filled (B, L) grid under the
+    additive mask and gathers its output back."""
+
+    def __init__(self, mask: np.ndarray, dtype):
+        attend = mask.astype(bool)
+        no_cls = np.flatnonzero(~attend[:, 0])
+        if no_cls.size:
+            raise ValueError(f"mask row {int(no_cls[0])} does not attend to column 0, "
+                             "where its [CLS] token must be")
+        self.B, self.L = mask.shape
+        self.rows = np.flatnonzero(attend)  # index into the flattened (B*L) grid
+        lengths = attend.sum(axis=1)
+        self.cls = np.cumsum(lengths) - lengths  # packed index of each row's [CLS]
+        self.add_mask = np.where(attend, 0.0, MASK_OFF).astype(dtype).reshape(self.B, 1, 1, self.L)
+
+    def pad(self, x: Tensor) -> Tensor:
+        """Packed rows (N, w) as a (B*L, w) grid, zeros at masked positions."""
+        return T.scatter_rows(x, self.rows, self.B * self.L)
+
+
 def _attention(xq: Tensor, x: Tensor, p: dict, prefix: str, heads: int,
-               add_mask: np.ndarray) -> Tensor:
-    """Self-attention of the query rows ``xq`` (B, Lq, d) over every row of
-    ``x`` (B, L, d); keys and values come from ``x``."""
-    B, L, d = x.data.shape
-    Lq = xq.data.shape[1]
+               pack: _Packing, cls_only: bool) -> Tensor:
+    """Self-attention of the query rows ``xq`` over the packed rows ``x``
+    (N, d); keys and values come from ``x``. The queries are ``x`` itself,
+    or with ``cls_only`` the B [CLS] rows (B, d). Q, K and V meet in the
+    padded (B, L) grid, where masked keys get zero weight, and each query's
+    mixed row is gathered back before the O projection."""
+    B, L = pack.B, pack.L
+    d = x.data.shape[-1]
     dh = d // heads
     scale = 1.0 / math.sqrt(dh)
+    Lq = 1 if cls_only else L
 
     def heads_first(t: Tensor, rows: int) -> Tensor:
         return T.transpose(T.reshape(t, (B, rows, heads, dh)), (0, 2, 1, 3))
 
-    q = heads_first(_linear(xq, p[f"{prefix}.attn.q.w"], p[f"{prefix}.attn.q.b"]), Lq)
-    k = heads_first(_linear(x, p[f"{prefix}.attn.k.w"], p[f"{prefix}.attn.k.b"]), L)
-    v = heads_first(_linear(x, p[f"{prefix}.attn.v.w"], p[f"{prefix}.attn.v.b"]), L)
+    q = _linear(xq, p[f"{prefix}.attn.q.w"], p[f"{prefix}.attn.q.b"])
+    q = heads_first(q if cls_only else pack.pad(q), Lq)
+    k = heads_first(pack.pad(_linear(x, p[f"{prefix}.attn.k.w"], p[f"{prefix}.attn.k.b"])), L)
+    v = heads_first(pack.pad(_linear(x, p[f"{prefix}.attn.v.w"], p[f"{prefix}.attn.v.b"])), L)
     scores = T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), scale)
-    scores = T.add(scores, add_mask)  # (B,h,Lq,L) + (B,1,1,L)
+    scores = T.add(scores, pack.add_mask)  # (B,h,Lq,L) + (B,1,1,L)
     weights = T.softmax_rows(scores)
-    mixed = T.reshape(T.transpose(T.matmul(weights, v), (0, 2, 1, 3)), (B, Lq, d))
+    mixed = T.reshape(T.transpose(T.matmul(weights, v), (0, 2, 1, 3)), (B * Lq, d))
+    if not cls_only:
+        mixed = T.take_rows(mixed, pack.rows)
     return _linear(mixed, p[f"{prefix}.attn.o.w"], p[f"{prefix}.attn.o.b"])
 
 
-def _transformer_block(xq: Tensor, x: Tensor, p: dict, prefix: str, heads: int,
-                       add_mask: np.ndarray) -> Tensor:
-    """Transformer output at the query rows ``xq``, attending over ``x``.
-    Every sublayer but attention is row-wise, so passing a subset of the
-    rows of ``x`` as ``xq`` gives exactly those rows of the full output."""
+def _transformer_block(x: Tensor, p: dict, prefix: str, heads: int,
+                       pack: _Packing, cls_only: bool) -> Tensor:
+    """Transformer output on the packed rows ``x`` (N, d), or with
+    ``cls_only`` on the B [CLS] rows alone (B, d), which still attend over
+    every row of ``x``. Every sublayer but attention is row-wise, so the
+    [CLS] rows come out exactly as in the full output."""
+    xq = T.take_rows(x, pack.cls) if cls_only else x
     # post-norm residual wiring: LayerNorm(x + sublayer(x))
-    attn = _attention(xq, x, p, prefix, heads, add_mask)
+    attn = _attention(xq, x, p, prefix, heads, pack, cls_only)
     x = T.layer_norm(T.add(xq, attn), p[f"{prefix}.attn.ln.gain"], p[f"{prefix}.attn.ln.bias"])
     h = T.gelu(_linear(x, p[f"{prefix}.ffn.w1"], p[f"{prefix}.ffn.b1"]))
     ffn = _linear(h, p[f"{prefix}.ffn.w2"], p[f"{prefix}.ffn.b2"])
@@ -254,11 +292,20 @@ def forward_probs(model: CatBertModel, ids: np.ndarray, mask: np.ndarray,
     Returns a (B,) Tensor of probabilities; with ``return_hidden`` also the
     per-block hidden states.
 
-    The classifier reads only the [CLS] row, so the last transformer takes
-    keys and values from all L rows but queries from row 0 alone, and every
-    block after it runs on that row. The hidden states are therefore
-    (B, L, d) before the last transformer and (B, 1, d) from it on;
-    ``hiddens[-1][:, 0]`` is the state the classifier reads.
+    Every mask row must attend to column 0, its [CLS] token (ValueError
+    otherwise). Only the N attended positions are computed: the embeddings,
+    layer norms, dense layers, GELU and adapters run on an (N, d) array,
+    and each transformer pads just for attention (``_Packing``). Ids at
+    masked positions are never read. The answer matches a forward over
+    every (B, L) position up to float summation order, since masked keys
+    get zero attention weight.
+
+    The classifier reads only the [CLS] row, so the last transformer
+    queries the [CLS] rows alone, over keys and values from every real row,
+    and every block after it runs on those rows. The hidden states are
+    therefore (B, L, d) before the last transformer, zero at masked
+    positions, and (B, 1, d) from it on; ``hiddens[-1][:, 0]`` is the state
+    the classifier reads.
 
     Ops record onto the active tape, so this same path serves training.
     """
@@ -274,27 +321,27 @@ def forward_probs(model: CatBertModel, ids: np.ndarray, mask: np.ndarray,
     if mask.shape != (B, L):
         raise ValueError(f"mask shape {mask.shape} does not match ids {(B, L)}")
     dtype = p["embeddings.token"].data.dtype
+    pack = _Packing(mask, dtype)
 
-    tok = T.embedding_lookup(p["embeddings.token"], ids)
-    pos = T.embedding_lookup(p["embeddings.position"], np.arange(L))
+    tok = T.embedding_lookup(p["embeddings.token"], ids.reshape(-1)[pack.rows])
+    pos = T.embedding_lookup(p["embeddings.position"], pack.rows % L)
     h = T.layer_norm(T.add(tok, pos), p["embeddings.ln.gain"], p["embeddings.ln.bias"])
-
-    add_mask = np.where(mask.astype(bool), 0.0, MASK_OFF).astype(dtype)
-    add_mask = add_mask.reshape(B, 1, 1, L)
 
     last_t = max((i for i, k in enumerate(cfg.block_plan) if k == TRANSFORMER), default=-1)
     hiddens = []
     for i, kind in enumerate(cfg.block_plan):
         prefix = f"blocks.{i}"
         if kind == TRANSFORMER:
-            xq = T.slice_axis(h, 1, 0, 1) if i == last_t else h
-            h = _transformer_block(xq, h, p, prefix, cfg.heads, add_mask)
+            h = _transformer_block(h, p, prefix, cfg.heads, pack, cls_only=i == last_t)
         else:
             h = _adapter_block(h, p, prefix)
         if return_hidden:
-            hiddens.append(h)
+            if 0 <= last_t <= i:  # h holds the [CLS] rows alone
+                hiddens.append(T.reshape(h, (B, 1, cfg.hidden)))
+            else:
+                hiddens.append(T.reshape(pack.pad(h), (B, L, cfg.hidden)))
 
-    cls = T.reshape(T.slice_axis(h, 1, 0, 1), (B, cfg.hidden))
+    cls = h if last_t >= 0 else T.take_rows(h, pack.cls)
     if cfg.context_dim:
         if ctx is None:
             raise ValueError("model takes context features but ctx is None")

@@ -416,18 +416,29 @@ def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
     return _emit(np.transpose(x.data, axes), (x,), grad_fn)
 
 
-def slice_axis(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
-    """Contiguous slice along one axis; the gradient zero-pads back."""
-    index = [slice(None)] * x.data.ndim
-    index[axis] = slice(start, stop)
-    index = tuple(index)
+def take_rows(x: Tensor, rows: np.ndarray) -> Tensor:
+    """Rows ``rows`` of ``x`` along axis 0, which must be distinct; the
+    gradient zero-pads back (``scatter_rows``' forward)."""
 
     def grad_fn(g):
         gx = np.zeros_like(x.data)
-        gx[index] = g
+        gx[rows] = g
         return (gx,)
 
-    return _emit(np.ascontiguousarray(x.data[index]), (x,), grad_fn)
+    return _emit(x.data[rows], (x,), grad_fn)
+
+
+def scatter_rows(x: Tensor, rows: np.ndarray, n: int) -> Tensor:
+    """An ``n``-row zero array holding row ``i`` of ``x`` at row ``rows[i]``;
+    ``rows`` must be distinct. The gradient gathers those rows back
+    (``take_rows``' forward)."""
+    out = np.zeros((n,) + x.data.shape[1:], dtype=x.data.dtype)
+    out[rows] = x.data
+
+    def grad_fn(g):
+        return (g[rows],)
+
+    return _emit(out, (x,), grad_fn)
 
 
 def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:

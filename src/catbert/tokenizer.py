@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 PAD, UNK, CLS, SEP = "[PAD]", "[UNK]", "[CLS]", "[SEP]"
 _SPECIALS = (PAD, UNK, CLS, SEP)
 CONT = "##"
+MAX_WORD_CHARS = 100  # longer words become one [UNK], as BERT's max_input_chars_per_word
+MIN_MAX_LEN = 3  # the shortest row: [CLS], one content token, [SEP]
 
 
 class VocabularyError(ValueError):
@@ -98,6 +100,8 @@ def pre_tokenize(text: str) -> list[str]:
 
 
 def _split_word(word: str, vocab: Vocabulary) -> list[str]:
+    if len(word) > MAX_WORD_CHARS:
+        return [UNK]
     pieces: list[str] = []
     start = 0
     while start < len(word):
@@ -119,7 +123,8 @@ def _split_word(word: str, vocab: Vocabulary) -> list[str]:
 
 
 def wordpiece(text: str, vocab: Vocabulary) -> list[str]:
-    """Tokenize ``text`` into vocab pieces; unmatchable words become [UNK]."""
+    """Tokenize ``text`` into vocab pieces; unmatchable words, and words over
+    ``MAX_WORD_CHARS`` characters, become [UNK]."""
     out: list[str] = []
     for word in pre_tokenize(text):
         out.extend(_split_word(word, vocab))
@@ -140,8 +145,8 @@ def encode(subject: str, body: str, vocab: Vocabulary, max_len: int = 128,
     ``truncate="head"`` keeps the first max_len-2 content tokens, ``"tail"``
     the last ones.
     """
-    if max_len < 3:
-        raise ValueError(f"max_len must be >= 3, got {max_len}")
+    if max_len < MIN_MAX_LEN:
+        raise ValueError(f"max_len must be >= {MIN_MAX_LEN}, got {max_len}")
     if truncate not in ("head", "tail"):
         raise ValueError(f"truncate must be 'head' or 'tail', got {truncate!r}")
     content = wordpiece(subject + " " + body, vocab)

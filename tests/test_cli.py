@@ -339,6 +339,18 @@ def test_max_len_past_checkpoint_positions_is_usage_error(workdir, tmp_path, cap
     assert not out.parent.exists()
 
 
+@pytest.mark.parametrize("sub", ["train", "eval"])
+def test_max_len_below_tokenizer_floor_is_usage_error(workdir, tmp_path, capsys, sub):
+    out = tmp_path / "out"
+    data = str(tmp_path / "missing.jsonl")
+    argv = {"train": ["train", "--train", data, "--out-dir", str(out)],
+            "eval": ["eval", "--model", str(workdir["ckpt"]), "--in", data,
+                     "--out", str(out / "metrics.json")]}[sub]
+    assert main(argv + ["--vocab", str(workdir["vocab"]), "--max-len", "2"]) == 1
+    assert "max_len 2 is below the minimum 3" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_default_max_len_is_capped_at_checkpoint_positions(workdir, tmp_path):
     out = tmp_path / "metrics.json"
     assert main(["eval", "--model", str(workdir["ckpt"]), "--in", str(workdir["corpus"]),

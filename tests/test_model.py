@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,6 @@ from catbert.model import (
     ParamReport,
     _adapter_block,
     _linear,
-    _transformer_block,
     count_params,
     forward_probs,
     freeze_preset,
@@ -174,10 +175,33 @@ class TestForward:
             forward_probs(m, ids, np.ones((1, 4)), np.zeros((1, 4), dtype=np.float32))
 
 
+def _padded_transformer_block(x, p, prefix, heads, add_mask):
+    """One transformer over every (B, L) position, padded ones included,
+    every row a query: the layout ``forward_probs`` no longer computes."""
+    B, L, d = x.data.shape
+    dh = d // heads
+
+    def heads_first(t):
+        return T.transpose(T.reshape(t, (B, L, heads, dh)), (0, 2, 1, 3))
+
+    def proj(t, name):
+        return _linear(t, p[f"{prefix}.{name}.w"], p[f"{prefix}.{name}.b"])
+
+    q, k, v = (heads_first(proj(x, f"attn.{n}")) for n in "qkv")
+    scores = T.add(T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh)), add_mask)
+    mixed = T.matmul(T.softmax_rows(scores), v)
+    attn = proj(T.reshape(T.transpose(mixed, (0, 2, 1, 3)), (B, L, d)), "attn.o")
+    x = T.layer_norm(T.add(x, attn), p[f"{prefix}.attn.ln.gain"], p[f"{prefix}.attn.ln.bias"])
+    h = T.gelu(_linear(x, p[f"{prefix}.ffn.w1"], p[f"{prefix}.ffn.b1"]))
+    ffn = _linear(h, p[f"{prefix}.ffn.w2"], p[f"{prefix}.ffn.b2"])
+    return T.layer_norm(T.add(x, ffn), p[f"{prefix}.ffn.ln.gain"], p[f"{prefix}.ffn.ln.bias"])
+
+
 def full_width_forward(model, ids, mask, ctx):
-    """The forward with every row as a query in every transformer: the
-    oracle for ``forward_probs``, whose last transformer queries the [CLS]
-    row alone. Returns (probabilities, per-block hidden states)."""
+    """The forward over the padded (B, L) grid with every row as a query in
+    every transformer: the oracle for ``forward_probs``, which computes the
+    real rows alone and whose last transformer queries the [CLS] row alone.
+    Returns (probabilities, per-block hidden states)."""
     cfg, p = model.config, model.params
     B, L = ids.shape
     tok = T.embedding_lookup(p["embeddings.token"], ids)
@@ -188,11 +212,11 @@ def full_width_forward(model, ids, mask, ctx):
     hiddens = []
     for i, kind in enumerate(cfg.block_plan):
         if kind == TRANSFORMER:
-            h = _transformer_block(h, h, p, f"blocks.{i}", cfg.heads, add_mask)
+            h = _padded_transformer_block(h, p, f"blocks.{i}", cfg.heads, add_mask)
         else:
             h = _adapter_block(h, p, f"blocks.{i}")
         hiddens.append(h)
-    cls = T.reshape(T.slice_axis(h, 1, 0, 1), (B, cfg.hidden))
+    cls = T.take_rows(T.reshape(h, (B * L, cfg.hidden)), np.arange(B) * L)
     cls = T.concat([cls, Tensor._wrap(np.asarray(ctx, dtype=h.data.dtype))], axis=1)
     fused = T.relu(_linear(cls, p["classifier.fusion.w"], p["classifier.fusion.b"]))
     logit = _linear(fused, p["classifier.out.w"], p["classifier.out.b"])
@@ -263,6 +287,85 @@ class TestClsTail:
                            eps=3e-4, samples_per_param=8, seed=0)
         assert err32 < 1e-2
         assert err64 < 1e-4
+
+
+class TestPacking:
+    """The dense layers run on the real tokens alone and pad only for
+    attention; the padded full-width forward is the oracle."""
+
+    CFG = TestClsTail.CFG
+
+    def batch(self, dtype=np.float32):
+        """Mixed lengths, a full row, a [CLS][SEP]-only row, a [CLS]-only
+        row, and a row whose mask has a hole."""
+        rng = np.random.default_rng(8)
+        B, L = 6, 12
+        ids = rng.integers(1, 100, size=(B, L))
+        lengths = np.array([L, 2, 7, 1, 9, 5])
+        mask = (np.arange(L)[None, :] < lengths[:, None]).astype(np.int64)
+        mask[4, 3:5] = 0
+        return ids * mask, mask, rng.random((B, 4)).astype(dtype)
+
+    def model(self, dtype):
+        m = init_random(ModelConfig(**self.CFG), 5).astype(dtype)
+        for i in (1, 3):  # make the adapters matter
+            m.params[f"blocks.{i}.dense2.w"].data = m.params[f"blocks.{i}.dense2.w"].data * 20
+        return m
+
+    @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+    def test_matches_padded_oracle(self, dtype, tol):
+        m = self.model(dtype)
+        ids, mask, ctx = self.batch(dtype)
+        probs, hiddens = forward_probs(m, ids, mask, ctx, return_hidden=True)
+        want, full = full_width_forward(m, ids, mask, ctx)
+        assert np.max(np.abs(probs.data - want.data)) < tol
+        real = mask.astype(bool)
+        for h, f in zip(hiddens[:2], full[:2]):  # before the last transformer
+            assert np.max(np.abs(h.data[real] - f.data[real])) < 100 * tol
+            assert not h.data[~real].any()  # masked positions come back as zeros
+
+    @pytest.mark.parametrize("freeze", [False, True], ids=["full", "partial-finetune"])
+    def test_f64_gradients_match_padded_oracle(self, freeze):
+        ids, mask, ctx = self.batch(np.float64)
+        y, w = np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0]), np.ones(6)
+        grads = []
+        for fwd in (forward_probs, lambda *a: full_width_forward(*a)[0]):
+            m = self.model(np.float64)
+            set_trainable(m, freeze_preset(m.config) if freeze else [])
+            with Tape() as tape:
+                loss = bce_loss(fwd(m, ids, mask, ctx), y, w)
+            backward(tape, loss)
+            grads.append({n: p.grad for n, p in m.params.items()})
+        packed, padded = grads
+        assert (packed["embeddings.token"] is None) == freeze
+        for name, g in packed.items():
+            if g is None:
+                assert padded[name] is None, name
+            else:
+                assert np.max(np.abs(g.data - padded[name].data)) < 1e-12, name
+
+    def test_grad_check_within_check_03_bounds(self):
+        m32 = init_random(ModelConfig(**self.CFG), 3)
+        m64 = m32.astype(np.float64)
+        ids, mask, ctx32 = self.batch()
+        y, w = np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0]), np.ones(6)
+
+        def loss_fn(model, ctx):
+            return lambda: bce_loss(forward_probs(model, ids, mask, ctx), y, w)
+
+        err32 = grad_check(loss_fn(m32, ctx32), m32.parameters(),
+                           eps=1e-3, samples_per_param=8, seed=0)
+        err64 = grad_check(loss_fn(m64, ctx32.astype(np.float64)), m64.parameters(),
+                           eps=3e-4, samples_per_param=8, seed=0)
+        assert err32 < 1e-2
+        assert err64 < 1e-4
+
+    def test_row_without_cls_rejected(self):
+        m = self.model(np.float32)
+        ids, mask, ctx = self.batch()
+        mask[2, 0] = 0
+        with pytest.raises(ValueError, match="mask row 2 .*column 0"):
+            forward_probs(m, ids, mask, ctx)
 
 
 FULL_SCALE = dict(vocab_size=119547, hidden=768, ffn_dim=3072, heads=12,

@@ -290,14 +290,26 @@ class TestShapeOps:
         backward(tape, loss)
         assert np.allclose(p.grad.data, 2.0 * p.data, atol=1e-6)
 
-    def test_slice_grad_zero_pads(self):
-        p = Parameter("p", np.ones((2, 5), dtype=np.float32))
+    def test_take_rows_grad_zero_pads(self):
+        p = Parameter("p", np.arange(10, dtype=np.float32).reshape(5, 2))
         with Tape() as tape:
-            loss = T.sum_all(T.slice_axis(p, 1, 1, 3))
+            out = T.take_rows(p, np.array([3, 0]))
+            loss = T.sum_all(out)
         backward(tape, loss)
-        expect = np.zeros((2, 5), dtype=np.float32)
-        expect[:, 1:3] = 1.0
+        assert np.array_equal(out.data, [[6, 7], [0, 1]])
+        expect = np.zeros((5, 2), dtype=np.float32)
+        expect[[0, 3]] = 1.0
         assert np.array_equal(p.grad.data, expect)
+
+    def test_scatter_rows_zero_fills_and_grad_gathers(self):
+        p = Parameter("p", np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.float32))
+        weights = T.Tensor(np.arange(8, dtype=np.float32).reshape(4, 2))
+        with Tape() as tape:
+            out = T.scatter_rows(p, np.array([2, 0]), 4)
+            loss = T.sum_all(T.mul(out, weights))
+        backward(tape, loss)
+        assert np.array_equal(out.data, [[3, 4], [0, 0], [1, 2], [0, 0]])
+        assert np.array_equal(p.grad.data, [[4, 5], [0, 1]])
 
     def test_concat_splits_grad(self):
         a = Parameter("a", np.ones((2, 2), dtype=np.float32))
