@@ -217,7 +217,9 @@ class _Packing:
     """Where the real tokens of a (B, L) batch sit. Every row-wise layer runs
     on the (N, d) array of its N attended positions, in row-major order;
     attention scatters them into a zero-filled (B, L) grid under the
-    additive mask and gathers its output back."""
+    additive mask and gathers its output back. When every position is
+    attended (``full``), the packed array already is the grid and neither
+    step copies."""
 
     def __init__(self, mask: np.ndarray, dtype):
         attend = mask.astype(bool)
@@ -227,13 +229,18 @@ class _Packing:
                              "where its [CLS] token must be")
         self.B, self.L = mask.shape
         self.rows = np.flatnonzero(attend)  # index into the flattened (B*L) grid
+        self.full = self.rows.size == self.B * self.L
         lengths = attend.sum(axis=1)
         self.cls = np.cumsum(lengths) - lengths  # packed index of each row's [CLS]
         self.add_mask = np.where(attend, 0.0, MASK_OFF).astype(dtype).reshape(self.B, 1, 1, self.L)
 
     def pad(self, x: Tensor) -> Tensor:
         """Packed rows (N, w) as a (B*L, w) grid, zeros at masked positions."""
-        return T.scatter_rows(x, self.rows, self.B * self.L)
+        return x if self.full else T.scatter_rows(x, self.rows, self.B * self.L)
+
+    def unpad(self, x: Tensor) -> Tensor:
+        """The attended rows (N, w) of a (B*L, w) grid."""
+        return x if self.full else T.take_rows(x, self.rows)
 
 
 def _attention(xq: Tensor, x: Tensor, p: dict, prefix: str, heads: int,
@@ -261,7 +268,7 @@ def _attention(xq: Tensor, x: Tensor, p: dict, prefix: str, heads: int,
     weights = T.softmax_rows(scores)
     mixed = T.reshape(T.transpose(T.matmul(weights, v), (0, 2, 1, 3)), (B * Lq, d))
     if not cls_only:
-        mixed = T.take_rows(mixed, pack.rows)
+        mixed = pack.unpad(mixed)
     return _linear(mixed, p[f"{prefix}.attn.o.w"], p[f"{prefix}.attn.o.b"])
 
 

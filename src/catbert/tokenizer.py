@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 PAD, UNK, CLS, SEP = "[PAD]", "[UNK]", "[CLS]", "[SEP]"
 _SPECIALS = (PAD, UNK, CLS, SEP)
 CONT = "##"
-MAX_WORD_CHARS = 100  # longer words become one [UNK], as BERT's max_input_chars_per_word
 MIN_MAX_LEN = 3  # the shortest row: [CLS], one content token, [SEP]
 
 
@@ -100,8 +99,6 @@ def pre_tokenize(text: str) -> list[str]:
 
 
 def _split_word(word: str, vocab: Vocabulary) -> list[str]:
-    if len(word) > MAX_WORD_CHARS:
-        return [UNK]
     pieces: list[str] = []
     start = 0
     while start < len(word):
@@ -123,8 +120,7 @@ def _split_word(word: str, vocab: Vocabulary) -> list[str]:
 
 
 def wordpiece(text: str, vocab: Vocabulary) -> list[str]:
-    """Tokenize ``text`` into vocab pieces; unmatchable words, and words over
-    ``MAX_WORD_CHARS`` characters, become [UNK]."""
+    """Tokenize ``text`` into vocab pieces; unmatchable words become [UNK]."""
     out: list[str] = []
     for word in pre_tokenize(text):
         out.extend(_split_word(word, vocab))

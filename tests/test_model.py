@@ -16,6 +16,7 @@ from catbert.model import (
     ModelConfig,
     ParamReport,
     _adapter_block,
+    _Packing,
     _linear,
     count_params,
     forward_probs,
@@ -295,15 +296,16 @@ class TestPacking:
 
     CFG = TestClsTail.CFG
 
-    def batch(self, dtype=np.float32):
+    def batch(self, dtype=np.float32, full=False):
         """Mixed lengths, a full row, a [CLS][SEP]-only row, a [CLS]-only
-        row, and a row whose mask has a hole."""
+        row, and a row whose mask has a hole; with ``full``, every row full."""
         rng = np.random.default_rng(8)
         B, L = 6, 12
         ids = rng.integers(1, 100, size=(B, L))
-        lengths = np.array([L, 2, 7, 1, 9, 5])
+        lengths = np.full(B, L) if full else np.array([L, 2, 7, 1, 9, 5])
         mask = (np.arange(L)[None, :] < lengths[:, None]).astype(np.int64)
-        mask[4, 3:5] = 0
+        if not full:
+            mask[4, 3:5] = 0
         return ids * mask, mask, rng.random((B, 4)).astype(dtype)
 
     def model(self, dtype):
@@ -312,10 +314,11 @@ class TestPacking:
             m.params[f"blocks.{i}.dense2.w"].data = m.params[f"blocks.{i}.dense2.w"].data * 20
         return m
 
+    @pytest.mark.parametrize("full", [False, True], ids=["mixed", "all-full"])
     @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
-    def test_matches_padded_oracle(self, dtype, tol):
+    def test_matches_padded_oracle(self, dtype, tol, full):
         m = self.model(dtype)
-        ids, mask, ctx = self.batch(dtype)
+        ids, mask, ctx = self.batch(dtype, full)
         probs, hiddens = forward_probs(m, ids, mask, ctx, return_hidden=True)
         want, full = full_width_forward(m, ids, mask, ctx)
         assert np.max(np.abs(probs.data - want.data)) < tol
@@ -324,9 +327,10 @@ class TestPacking:
             assert np.max(np.abs(h.data[real] - f.data[real])) < 100 * tol
             assert not h.data[~real].any()  # masked positions come back as zeros
 
+    @pytest.mark.parametrize("full", [False, True], ids=["mixed", "all-full"])
     @pytest.mark.parametrize("freeze", [False, True], ids=["full", "partial-finetune"])
-    def test_f64_gradients_match_padded_oracle(self, freeze):
-        ids, mask, ctx = self.batch(np.float64)
+    def test_f64_gradients_match_padded_oracle(self, freeze, full):
+        ids, mask, ctx = self.batch(np.float64, full)
         y, w = np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0]), np.ones(6)
         grads = []
         for fwd in (forward_probs, lambda *a: full_width_forward(*a)[0]):
@@ -359,6 +363,15 @@ class TestPacking:
                            eps=3e-4, samples_per_param=8, seed=0)
         assert err32 < 1e-2
         assert err64 < 1e-4
+
+    def test_full_batch_is_its_own_grid(self):
+        """When every position is attended, padding and unpadding return
+        their input: the tape gets no scatter or gather to copy."""
+        x = Tensor(np.ones((6 * 12, 4), dtype=np.float32))
+        full = _Packing(self.batch(full=True)[1], np.float32)
+        assert full.pad(x) is x and full.unpad(x) is x
+        mixed = _Packing(self.batch()[1], np.float32)
+        assert mixed.unpad(x).data.shape == (mixed.rows.size, 4) != x.data.shape
 
     def test_row_without_cls_rejected(self):
         m = self.model(np.float32)

@@ -3,7 +3,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catbert.tokenizer import (
-    MAX_WORD_CHARS,
     TokenSequence,
     Vocabulary,
     VocabularyError,
@@ -82,23 +81,13 @@ class TestWordpiece:
         contains = Vocabulary.__contains__
         monkeypatch.setattr(Vocabulary, "__contains__",
                             lambda self, tok: lookups.append(tok) or contains(self, tok))
-        for n in (1, 10, MAX_WORD_CHARS):
+        for n in (1, 10, 500):
             lookups.clear()
             assert wordpiece("a" * n, v) == ["a"] + ["##a"] * (n - 1)
             assert len(lookups) <= n * v.longest
         lookups.clear()
-        assert wordpiece("z" * MAX_WORD_CHARS, v) == ["[UNK]"]
+        assert wordpiece("z" * 500, v) == ["[UNK]"]
         assert len(lookups) <= v.longest
-
-    def test_word_over_the_cap_is_one_unk_without_lookups(self, monkeypatch):
-        v = Vocabulary(TOY + ["a", "##a"])
-        lookups = []
-        contains = Vocabulary.__contains__
-        monkeypatch.setattr(Vocabulary, "__contains__",
-                            lambda self, tok: lookups.append(tok) or contains(self, tok))
-        for n in (MAX_WORD_CHARS + 1, 20_000):
-            assert wordpiece("pay " + "a" * n + " money", v) == ["pay", "[UNK]", "money"]
-        assert lookups == ["pay", "money"] * 2
 
 
 class TestPreTokenize:
