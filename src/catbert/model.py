@@ -176,7 +176,10 @@ def _init_tensor(name: str, shape, rng: np.random.Generator) -> np.ndarray:
 class CatBertModel:
     """Parameter container plus forward pass. Inference leaves it unchanged;
     each training step rebinds every trainable ``Parameter.data`` to a new
-    array (``adam_step``), so an array read before the step keeps its values."""
+    array (``adam_step``), so an array read before the step keeps its values.
+    That holds for the token table too, whose update covers only its live
+    rows (those ever looked up in training): the new array copies the
+    others, which Adam would leave unchanged."""
 
     def __init__(self, config: ModelConfig, params: dict[str, Parameter],
                  provenance: dict[str, str] | None = None):
@@ -229,6 +232,7 @@ class _Packing:
                              "where its [CLS] token must be")
         self.B, self.L = mask.shape
         self.rows = np.flatnonzero(attend)  # index into the flattened (B*L) grid
+        self.coords = np.divmod(self.rows, self.L)  # (row, position) of each attended token
         self.full = self.rows.size == self.B * self.L
         lengths = attend.sum(axis=1)
         self.cls = np.cumsum(lengths) - lengths  # packed index of each row's [CLS]
@@ -239,8 +243,10 @@ class _Packing:
         return x if self.full else T.scatter_rows(x, self.rows, self.B * self.L)
 
     def unpad(self, x: Tensor) -> Tensor:
-        """The attended rows (N, w) of a (B*L, w) grid."""
-        return x if self.full else T.take_rows(x, self.rows)
+        """The attended rows (N, ...) of a (B, L, ...) grid, gathered in one
+        copy even from a transposed view; when ``full``, the grid itself,
+        whose rows already are the packed rows."""
+        return x if self.full else T.take_rows(x, self.coords)
 
 
 def _attention(xq: Tensor, x: Tensor, p: dict, prefix: str, heads: int,
@@ -266,9 +272,10 @@ def _attention(xq: Tensor, x: Tensor, p: dict, prefix: str, heads: int,
     scores = T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), scale)
     scores = T.add(scores, pack.add_mask)  # (B,h,Lq,L) + (B,1,1,L)
     weights = T.softmax_rows(scores)
-    mixed = T.reshape(T.transpose(T.matmul(weights, v), (0, 2, 1, 3)), (B * Lq, d))
+    mixed = T.transpose(T.matmul(weights, v), (0, 2, 1, 3))  # (B, Lq, heads, dh)
     if not cls_only:
         mixed = pack.unpad(mixed)
+    mixed = T.reshape(mixed, (-1, d))
     return _linear(mixed, p[f"{prefix}.attn.o.w"], p[f"{prefix}.attn.o.b"])
 
 

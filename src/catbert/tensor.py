@@ -10,6 +10,7 @@ reverse to populate ``Parameter.grad``.
 from __future__ import annotations
 
 import math
+import mmap
 import threading
 from typing import Callable, Sequence
 
@@ -66,8 +67,10 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """Named, optionally trainable tensor. ``grad`` matches ``data``'s shape
-    once ``backward`` has run."""
+    """Named, optionally trainable tensor. Once ``backward`` has run, ``grad``
+    is a dense ``Tensor`` of ``data``'s shape, or a ``RowGrad`` for a table
+    reached only through ``embedding_lookup``; ``dense_grad`` gives either
+    as a dense array."""
 
     __slots__ = ("name", "trainable", "grad")
 
@@ -75,11 +78,48 @@ class Parameter(Tensor):
         super().__init__(data, dtype=dtype)
         self.name = name
         self.trainable = trainable
-        self.grad: Tensor | None = None
+        self.grad: Tensor | RowGrad | None = None
 
     def __repr__(self) -> str:
         flag = "" if self.trainable else ", frozen"
         return f"Parameter({self.name!r}, shape={self.data.shape}{flag})"
+
+
+class RowGrad:
+    """Row-sparse gradient of a 2-D table: ``values[i]`` is the gradient of
+    row ``rows[i]`` (sorted, distinct) and every other row's is zero. A
+    batch's embedding gradient costs its U distinct ids, (U, d), not the
+    whole table."""
+
+    __slots__ = ("rows", "values", "shape")
+
+    def __init__(self, rows: np.ndarray, values: np.ndarray, shape: tuple[int, ...]):
+        self.rows = rows
+        self.values = values
+        self.shape = shape
+
+
+def dense_grad(grad) -> np.ndarray:
+    """A gradient as a dense array: a ``RowGrad`` scattered into zeros of its
+    table's shape, a ``Tensor``'s data, or an array as it is."""
+    if isinstance(grad, RowGrad):
+        out = np.zeros(grad.shape, dtype=grad.values.dtype)
+        out[grad.rows] = grad.values
+        return out
+    return grad.data if isinstance(grad, Tensor) else grad
+
+
+def _accumulate(prev, g):
+    """``prev + g`` for gradients that may be ``RowGrad``s. Two of them give
+    the union of their rows; with a dense one the sum is dense. Each row
+    gets the same additions, in the same order, as the dense sum."""
+    if not (isinstance(prev, RowGrad) and isinstance(g, RowGrad)):
+        return dense_grad(prev) + dense_grad(g)
+    rows = np.union1d(prev.rows, g.rows)
+    values = np.zeros((rows.size,) + prev.values.shape[1:], dtype=prev.values.dtype)
+    values[np.searchsorted(rows, prev.rows)] = prev.values
+    values[np.searchsorted(rows, g.rows)] += g.values
+    return RowGrad(rows, values, prev.shape)
 
 
 class Tape:
@@ -375,8 +415,10 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 def embedding_lookup(table: Tensor, ids) -> Tensor:
     """Gather rows of ``table``; output shape is ``ids.shape + (d,)``.
 
-    The gradient scatter-adds into the table, accumulating +1 per occurrence
-    of a repeated id.
+    The gradient is a ``RowGrad`` over the distinct ids: each id's row sums
+    the output rows that read it, in their order, so a repeated id counts
+    once per occurrence and every row is bit-identical to a dense
+    ``np.add.at`` scatter into zeros of the table's shape.
     """
     idx = np.asarray(ids, dtype=np.int64)
     n_rows = table.data.shape[0]
@@ -388,10 +430,10 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     out = table.data[idx]
 
     def grad_fn(g):
-        gt = np.zeros_like(table.data)
-        if idx.size:
-            np.add.at(gt, idx.reshape(-1), g.reshape(-1, table.data.shape[1]))
-        return (gt,)
+        rows, inverse = np.unique(idx.reshape(-1), return_inverse=True)
+        values = np.zeros((rows.size, table.data.shape[1]), dtype=table.data.dtype)
+        np.add.at(values, inverse, g.reshape(-1, table.data.shape[1]))
+        return (RowGrad(rows, values, table.data.shape),)
 
     return _emit(out, (table,), grad_fn)
 
@@ -417,8 +459,9 @@ def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
 
 
 def take_rows(x: Tensor, rows: np.ndarray) -> Tensor:
-    """Rows ``rows`` of ``x`` along axis 0, which must be distinct; the
-    gradient zero-pads back (``scatter_rows``' forward)."""
+    """Rows ``rows`` of ``x``, which must be distinct: an index array into
+    axis 0, or a tuple of index arrays into the leading axes. The gradient
+    zero-pads back (``scatter_rows``' forward)."""
 
     def grad_fn(g):
         gx = np.zeros_like(x.data)
@@ -480,21 +523,27 @@ def mean_all(x: Tensor) -> Tensor:
 
 def backward(tape: Tape, loss: Tensor) -> None:
     """Replay ``tape`` in reverse and populate ``grad`` on every trainable
-    Parameter that feeds ``loss``. Fan-out gradients accumulate additively;
-    frozen parameters receive no grad. The tape records only ops that lead
-    to a trainable parameter, and each op computes only the input gradients
-    the tape needs, so frozen work is neither replayed nor differentiated;
-    the entries that remain, and their order, are those of a tape with every
-    parameter trainable, so the gradients are bit-identical to its."""
+    Parameter that feeds ``loss``. Fan-out gradients accumulate additively,
+    in the tape's order; frozen parameters receive no grad. The tape records
+    only ops that lead to a trainable parameter, and each op computes only
+    the input gradients the tape needs, so frozen work is neither replayed
+    nor differentiated; the entries that remain, and their order, are those
+    of a tape with every parameter trainable, so the gradients are
+    bit-identical to its.
+
+    A table reached only through ``embedding_lookup`` gets a ``RowGrad``
+    (two lookups of it give the union of their rows); one that also feeds a
+    dense op gets a dense gradient. Either way every row is bit-identical
+    to the dense sum."""
     if loss.data.shape != ():
         raise GradientError(f"loss must be scalar, got shape {loss.data.shape}")
-    grads: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=loss.data.dtype)}
+    grads: dict[int, np.ndarray | RowGrad] = {id(loss): np.ones((), dtype=loss.data.dtype)}
     touched: dict[int, Parameter] = {}
     for out, inputs, grad_fn in reversed(tape._entries):
         g = grads.pop(id(out), None)
         if g is None:
             continue
-        for t, tg in zip(inputs, grad_fn(g)):
+        for t, tg in zip(inputs, grad_fn(dense_grad(g))):
             if tg is None or not isinstance(t, Tensor):
                 continue
             if isinstance(t, Parameter):
@@ -502,37 +551,73 @@ def backward(tape: Tape, loss: Tensor) -> None:
                     continue
                 touched[id(t)] = t
             prev = grads.get(id(t))
-            grads[id(t)] = tg if prev is None else prev + tg
+            grads[id(t)] = tg if prev is None else _accumulate(prev, tg)
     for pid, p in touched.items():
-        p.grad = Tensor._wrap(np.ascontiguousarray(grads[pid], dtype=p.data.dtype))
+        g = grads[pid]
+        p.grad = g if isinstance(g, RowGrad) else Tensor._wrap(
+            np.ascontiguousarray(g, dtype=p.data.dtype))
 
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+ADAM_BLOCK = 1 << 16  # elements per kernel call; its scratch stays in cache
 
 
 class AdamState:
-    """Adam learning rate, step count and moments keyed by parameter name."""
+    """Adam learning rate, step count and moments keyed by parameter name.
+
+    ``live_rows`` holds, for each parameter whose every gradient so far was
+    a ``RowGrad``, the sorted rows that have ever had a gradient row. Every
+    other row still has m = v = 0, so dense Adam would leave it
+    byte-identical, and ``adam_step`` skips it."""
 
     def __init__(self, lr: float = 5e-5):
         self.lr = lr
         self.step = 0
         self.moments: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        self.live_rows: dict[str, np.ndarray] = {}
+
+
+def _adam_kernel(p, g, m, v, out, s1, s2, lr: float, c1: float, c2: float) -> None:
+    """Adam on equal-length 1-D blocks: ``m`` and ``v`` update in place and
+    the new parameter values go to ``out``; ``s1`` and ``s2`` are scratch.
+    The float operations and their order are the textbook formula's,
+    ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g²``,
+    ``p - lr (m / c1) / (sqrt(v / c2) + eps)``."""
+    np.multiply(g, 1.0 - ADAM_BETA1, out=s1, dtype=out.dtype)
+    m *= ADAM_BETA1
+    m += s1
+    np.multiply(g, g, out=s1)
+    s1 *= 1.0 - ADAM_BETA2
+    v *= ADAM_BETA2
+    v += s1
+    np.divide(v, c2, out=s1)
+    np.sqrt(s1, out=s1)
+    s1 += ADAM_EPS
+    np.divide(m, c1, out=s2)
+    s2 *= lr
+    np.divide(s2, s1, out=s1)
+    np.subtract(p, s1, out=out)
 
 
 def adam_step(params: Sequence[Parameter], state: AdamState) -> None:
     """One Adam update with bias correction. Consumes grads (sets them to
     None); frozen parameters are untouched.
 
-    The moments update in place and the step is built in one new buffer
-    (with one temporary for its numerator), which then becomes ``p.data``
-    (``p - step`` written over the step), so an array read from ``p.data``
-    before the step keeps its values. The float
-    operations and their order are the textbook formula's,
-    ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g²``,
-    ``p -= lr (m / c1) / (sqrt(v / c2) + eps)``, so the result is
-    bit-identical to evaluating it out of place.
+    Every update runs ``_adam_kernel`` over blocks of at most
+    ``ADAM_BLOCK`` elements with two scratch buffers, so the result is
+    bit-identical to evaluating the formula out of place over the whole
+    array. A dense gradient walks the flat arrays block by block. A
+    ``RowGrad`` adds its rows to the parameter's ``live_rows`` and updates
+    exactly those rows, a block of rows at a time: a live row with no
+    gradient this step still decays its moments and moves, as in dense
+    Adam, while a row that never had a gradient would not change, so
+    skipping it is exact (this is not lazy Adam). Such a table's moments
+    are mapped zero pages until written, so rows never live cost no memory.
+
+    The moments update in place; ``p.data`` is rebound to a new array, so
+    an array read from ``p.data`` before the step keeps its values.
     """
     trainable = [p for p in params if p.trainable]
     for p in trainable:
@@ -543,25 +628,68 @@ def adam_step(params: Sequence[Parameter], state: AdamState) -> None:
     c1 = 1.0 - ADAM_BETA1 ** t
     c2 = 1.0 - ADAM_BETA2 ** t
     for p in trainable:
-        g = p.grad.data
-        if p.name not in state.moments:
-            state.moments[p.name] = (np.zeros_like(p.data), np.zeros_like(p.data))
+        first = p.name not in state.moments
+        if first:
+            zeros = _lazy_zeros if isinstance(p.grad, RowGrad) else np.zeros
+            state.moments[p.name] = (zeros(p.data.shape, p.data.dtype),
+                                     zeros(p.data.shape, p.data.dtype))
         m, v = state.moments[p.name]
-        step = np.multiply(g, 1.0 - ADAM_BETA1, dtype=p.data.dtype)
-        m *= ADAM_BETA1
-        m += step
-        np.multiply(g, g, out=step)
-        step *= 1.0 - ADAM_BETA2
-        v *= ADAM_BETA2
-        v += step
-        np.divide(v, c2, out=step)
-        np.sqrt(step, out=step)
-        step += ADAM_EPS
-        numer = m / c1
-        numer *= state.lr
-        np.divide(numer, step, out=step)
-        p.data = np.subtract(p.data, step, out=step)
+        grad = p.grad
+        if isinstance(grad, RowGrad) and (first or p.name in state.live_rows):
+            live = np.union1d(state.live_rows.get(p.name, grad.rows), grad.rows)
+            state.live_rows[p.name] = live
+            p.data = _adam_rows(p.data, grad, live, m, v, state.lr, c1, c2)
+        else:  # dense from the first dense gradient on
+            state.live_rows.pop(p.name, None)
+            p.data = _adam_flat(p.data, dense_grad(grad), m, v, state.lr, c1, c2)
         p.grad = None
+
+
+def _lazy_zeros(shape: tuple[int, ...], dtype) -> np.ndarray:
+    """Zeros in an anonymous memory map, which the OS backs with a page
+    only when it is first written, 4 KiB at a time; a table's moments then
+    hold only its live rows. (numpy asks for 2 MiB huge pages on large
+    arrays, so a few hundred scattered rows would make all of it resident.)"""
+    n = math.prod(shape)
+    buf = mmap.mmap(-1, max(1, n * np.dtype(dtype).itemsize))
+    return np.frombuffer(buf, dtype, count=n).reshape(shape)
+
+
+def _adam_flat(data: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray,
+               lr: float, c1: float, c2: float) -> np.ndarray:
+    """A new array holding ``data`` after Adam with the dense gradient ``g``,
+    walking the flat arrays in contiguous blocks; ``m`` and ``v`` update in
+    place."""
+    new = np.empty(data.shape, data.dtype)
+    flat = [a.reshape(-1) for a in (data, g, m, v, new)]
+    s1, s2 = np.empty((2, min(data.size, ADAM_BLOCK)), data.dtype)
+    for lo in range(0, data.size, ADAM_BLOCK):
+        k = min(ADAM_BLOCK, data.size - lo)
+        _adam_kernel(*(a[lo:lo + k] for a in flat), s1[:k], s2[:k], lr, c1, c2)
+    return new
+
+
+def _adam_rows(data: np.ndarray, grad: RowGrad, live: np.ndarray, m: np.ndarray,
+               v: np.ndarray, lr: float, c1: float, c2: float) -> np.ndarray:
+    """A new array holding the table ``data`` after Adam on its ``live``
+    rows (sorted, a superset of ``grad.rows``), a block of rows at a time;
+    the other rows are copied. ``m`` and ``v`` update in place."""
+    d = data.shape[1]
+    per = max(1, ADAM_BLOCK // d)
+    at = np.searchsorted(live, grad.rows)  # each gradient row's place among the live rows
+    s1, s2 = np.empty((2, min(live.size, per) * d), data.dtype)
+    new = data.copy()
+    for lo in range(0, live.size, per):
+        rows = live[lo:lo + per]
+        k = rows.size * d
+        g = np.zeros((rows.size, d), data.dtype)
+        k0, k1 = np.searchsorted(at, (lo, lo + per))
+        g[at[k0:k1] - lo] = grad.values[k0:k1]
+        p_blk, m_blk, v_blk = data[rows], m[rows], v[rows]
+        _adam_kernel(p_blk.reshape(-1), g.reshape(-1), m_blk.reshape(-1), v_blk.reshape(-1),
+                     p_blk.reshape(-1), s1[:k], s2[:k], lr, c1, c2)
+        m[rows], v[rows], new[rows] = m_blk, v_blk, p_blk
+    return new
 
 
 def grad_check(model_fn: Callable[[], Tensor], params: Sequence[Parameter],
@@ -591,7 +719,7 @@ def grad_check(model_fn: Callable[[], Tensor], params: Sequence[Parameter],
     for p in trainable:
         if p.grad is None:
             raise GradientError(f"parameter {p.name!r} received no gradient")
-        analytic[p.name] = np.asarray(p.grad.data, dtype=np.float64).copy()
+        analytic[p.name] = np.asarray(dense_grad(p.grad), dtype=np.float64).copy()
 
     def score(flat: np.ndarray, c: int, a: float, h: float, name: str) -> float:
         orig = flat[c]

@@ -10,11 +10,13 @@ from catbert.tensor import (
     AdamState,
     GradientError,
     Parameter,
+    RowGrad,
     ShapeError,
     Tape,
     Tensor,
     adam_step,
     backward,
+    dense_grad,
     grad_check,
 )
 
@@ -170,13 +172,84 @@ class TestEmbedding:
             out = T.embedding_lookup(table, np.array([1, 1, 1]))
             loss = T.sum_all(out)
         backward(tape, loss)
-        assert np.array_equal(table.grad.data[1], np.array([3.0, 3.0], dtype=np.float32))
-        assert np.array_equal(table.grad.data[0], np.zeros(2, dtype=np.float32))
+        assert np.array_equal(dense_grad(table.grad)[1], np.array([3.0, 3.0], dtype=np.float32))
+        assert np.array_equal(dense_grad(table.grad)[0], np.zeros(2, dtype=np.float32))
 
     def test_empty_ids(self):
         table = Parameter("emb", np.zeros((3, 2)))
         out = T.embedding_lookup(table, np.zeros((0,), dtype=np.int64))
         assert out.shape == (0, 2)
+
+
+def scatter_oracle(shape, dtype, *lookups):
+    """The dense embedding gradient: each lookup's output gradient rows
+    scatter-added into zeros of the table's shape, in order."""
+    out = np.zeros(shape, dtype=dtype)
+    for ids, g in lookups:
+        np.add.at(out, np.asarray(ids).reshape(-1), g.reshape(-1, shape[1]))
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+class TestRowSparseGrad:
+    """``embedding_lookup``'s row-sparse gradient against the dense
+    ``np.add.at`` scatter, bit for bit."""
+
+    def lookups(self, table, ids_list, rng):
+        weights = [rng.normal(0, 1, np.shape(ids) + (table.shape[1],)).astype(table.dtype)
+                   for ids in ids_list]
+        with Tape() as tape:
+            terms = [T.sum_all(T.mul(T.embedding_lookup(table, ids), w))
+                     for ids, w in zip(ids_list, weights)]
+            loss = terms[0]
+            for term in terms[1:]:
+                loss = T.add(loss, term)
+        backward(tape, loss)
+        return list(zip(ids_list, weights))
+
+    @pytest.mark.parametrize("ids", [[[4, 1, 4], [4, 0, 1]], [], [[2]]],
+                             ids=["repeated", "empty", "single"])
+    def test_one_lookup(self, dtype, ids):
+        rng = np.random.default_rng(0)
+        table = Parameter("emb", rng.normal(0, 1, (6, 3)), dtype=dtype)
+        ids = np.array(ids, dtype=np.int64)
+        done = self.lookups(table, [ids], rng)
+        assert isinstance(table.grad, RowGrad)
+        assert np.array_equal(table.grad.rows, np.unique(ids))
+        assert table.grad.values.dtype == dtype
+        assert np.array_equal(dense_grad(table.grad), scatter_oracle(table.shape, dtype, *done))
+
+    def test_two_lookups_give_the_union_of_rows(self, dtype):
+        rng = np.random.default_rng(1)
+        table = Parameter("emb", rng.normal(0, 1, (8, 3)), dtype=dtype)
+        done = self.lookups(table, [np.array([5, 1, 5]), np.array([[1, 7], [2, 2]])], rng)
+        assert isinstance(table.grad, RowGrad)
+        assert np.array_equal(table.grad.rows, [1, 2, 5, 7])
+        assert np.array_equal(dense_grad(table.grad), scatter_oracle(table.shape, dtype, *done))
+
+    def test_lookup_and_matmul_give_a_dense_sum(self, dtype):
+        rng = np.random.default_rng(2)
+        table = Parameter("emb", rng.normal(0, 1, (5, 3)), dtype=dtype)
+        ids, x = np.array([3, 0, 3]), rng.normal(0, 1, (2, 5)).astype(dtype)
+        w = rng.normal(0, 1, (3, 3)).astype(dtype)
+        with Tape() as tape:
+            loss = T.add(T.sum_all(T.matmul(x, table)),
+                         T.sum_all(T.mul(T.embedding_lookup(table, ids), w)))
+        backward(tape, loss)
+        assert isinstance(table.grad, Tensor)
+        # the tape runs backward: the lookup's gradient arrives first
+        assert np.array_equal(table.grad.data,
+                              scatter_oracle(table.shape, dtype, (ids, w)) + x.sum(axis=0)[:, None])
+
+    def test_table_fed_through_another_op(self, dtype):
+        # a RowGrad reaching an op's output is densified for that op's grad_fn
+        table = Parameter("emb", np.ones((4, 2)), dtype=dtype)
+        with Tape() as tape:
+            loss = T.sum_all(T.embedding_lookup(T.mul(table, 3.0), np.array([2, 2])))
+        backward(tape, loss)
+        want = np.zeros((4, 2), dtype)
+        want[2] = 6.0
+        assert np.array_equal(table.grad.data, want)
 
 
 class TestBackward:
@@ -350,32 +423,100 @@ class TestAdam:
         with pytest.raises(GradientError, match="'w'"):
             adam_step([w], AdamState())
 
-    def test_bit_identical_to_out_of_place_formula(self):
-        def oracle(p, g, m, v, t, lr):
-            m = T.ADAM_BETA1 * m + (1.0 - T.ADAM_BETA1) * g
-            v = T.ADAM_BETA2 * v + (1.0 - T.ADAM_BETA2) * (g * g)
-            c1 = 1.0 - T.ADAM_BETA1 ** t
-            c2 = 1.0 - T.ADAM_BETA2 ** t
-            update = (lr * (m / c1) / (np.sqrt(v / c2) + T.ADAM_EPS)).astype(p.dtype)
-            return p - update, m, v
+    @staticmethod
+    def oracle(p, g, m, v, t, lr):
+        """Dense Adam, out of place, over every element."""
+        m = T.ADAM_BETA1 * m + (1.0 - T.ADAM_BETA1) * g
+        v = T.ADAM_BETA2 * v + (1.0 - T.ADAM_BETA2) * (g * g)
+        c1 = 1.0 - T.ADAM_BETA1 ** t
+        c2 = 1.0 - T.ADAM_BETA2 ** t
+        update = (lr * (m / c1) / (np.sqrt(v / c2) + T.ADAM_EPS)).astype(p.dtype)
+        return p - update, m, v
 
-        rng = np.random.default_rng(9)
+    # Ids looked up in the table at steps 1-3: row 1 has a gradient at step 1
+    # only. With "dense", the table also feeds a matmul that step, so its
+    # gradient is dense and reaches every row.
+    SCHEDULES = {
+        "row-sparse": ([1, 3, 3, 0], [3, 7, 0, 3], [8, 8, 0]),
+        "dense-between": ([1, 3, 3, 0], "dense", [8, 8, 0]),
+    }
+
+    def test_bit_identical_to_out_of_place_formula(self):
+        """A dense weight and a (V, d) table over 3 steps against the dense
+        formula. A row whose only gradient was at step 1 keeps moving (this is
+        exact Adam, not lazy Adam), rows never looked up stay byte-identical,
+        and an array read before a step keeps its values."""
         for dtype in (np.float32, np.float64):
-            w = Parameter("w", rng.normal(0, 0.02, (7, 5)), dtype=dtype)
-            state = AdamState(lr=1e-3)
-            want, m, v = w.data.copy(), np.zeros_like(w.data), np.zeros_like(w.data)
-            for t in (1, 2, 3):
-                g = rng.normal(0, 0.01, w.shape).astype(dtype)
-                before = w.data
-                kept = before.copy()
-                w.grad = Tensor(g, dtype=dtype)
-                adam_step([w], state)
-                want, m, v = oracle(want, g, m, v, t, 1e-3)
-                assert np.array_equal(w.data, want)
-                assert np.array_equal(state.moments["w"][0], m)
-                assert np.array_equal(state.moments["w"][1], v)
-                assert np.array_equal(before, kept)  # read before the step: unchanged
-                assert w.data.dtype == dtype
+            for schedule in self.SCHEDULES:
+                self.check_schedule(dtype, schedule)
+
+    def check_schedule(self, dtype, schedule):
+        rng = np.random.default_rng(9)
+        w = Parameter("w", rng.normal(0, 0.02, (7, 5)), dtype=dtype)
+        table = Parameter("table", rng.normal(0, 0.02, (9, 4)), dtype=dtype)
+        start = table.data.copy()
+        state = AdamState(lr=1e-3)
+        want = {p.name: (p.data.copy(), np.zeros_like(p.data), np.zeros_like(p.data))
+                for p in (w, table)}
+        row1 = [start[1]]
+        for t, ids in enumerate(self.SCHEDULES[schedule], start=1):
+            gw = rng.normal(0, 0.01, w.shape).astype(dtype)
+            w.grad = Tensor(gw, dtype=dtype)
+            dense = ids == "dense"
+            ids = np.array([5, 2] if dense else ids)
+            out_g = rng.normal(0, 0.01, (ids.size, 4)).astype(dtype)
+            x = rng.normal(0, 0.01, (2, 9)).astype(dtype)
+            with Tape() as tape:
+                loss = T.sum_all(T.mul(T.embedding_lookup(table, ids), out_g))
+                if dense:
+                    loss = T.add(T.sum_all(T.matmul(x, table)), loss)
+            backward(tape, loss)
+            assert isinstance(table.grad, Tensor if dense else RowGrad)
+            g_table = dense_grad(table.grad).copy()
+            assert np.array_equal(g_table, scatter_oracle(table.shape, dtype, (ids, out_g))
+                                  + (x.sum(axis=0)[:, None] if dense else 0))
+            read = {p.name: p.data for p in (w, table)}
+            kept = {name: a.copy() for name, a in read.items()}
+            adam_step([w, table], state)
+            for p, g in ((w, gw), (table, g_table)):
+                wp, wm, wv = want[p.name]
+                want[p.name] = wp, wm, wv = self.oracle(wp, g, wm, wv, t, 1e-3)
+                assert np.array_equal(p.data, wp), (dtype, schedule, p.name, t)
+                assert np.array_equal(state.moments[p.name][0], wm)
+                assert np.array_equal(state.moments[p.name][1], wv)
+                assert np.array_equal(read[p.name], kept[p.name])  # read before the step
+                assert p.data.dtype == dtype
+            row1.append(table.data[1].copy())
+        assert all(not np.array_equal(a, b) for a, b in zip(row1, row1[1:]))
+        if schedule == "row-sparse":
+            assert np.array_equal(state.live_rows["table"], [0, 1, 3, 7, 8])
+            untouched = [2, 4, 5, 6]
+            assert table.data[untouched].tobytes() == start[untouched].tobytes()
+        else:  # the matmul reached every row; dense from then on
+            assert "table" not in state.live_rows
+
+    def test_blocks_cover_the_whole_array(self, monkeypatch):
+        """Arrays longer than one block, and tables with more live rows than
+        fit in one, match the formula across every block boundary."""
+        monkeypatch.setattr(T, "ADAM_BLOCK", 8)
+        rng = np.random.default_rng(4)
+        w = Parameter("w", rng.normal(0, 0.02, (5, 7)))
+        table = Parameter("table", rng.normal(0, 0.02, (30, 3)))
+        want = [(p.data.copy(), 0.0, 0.0) for p in (w, table)]
+        state = AdamState(lr=1e-2)
+        for t in (1, 2):
+            ids = rng.integers(0, 30, 12)
+            gw = rng.normal(0, 0.01, w.shape).astype(np.float32)
+            out_g = rng.normal(0, 0.01, (12, 3)).astype(np.float32)
+            w.grad = Tensor(gw)
+            with Tape() as tape:
+                loss = T.sum_all(T.mul(T.embedding_lookup(table, ids), out_g))
+            backward(tape, loss)
+            g_table = dense_grad(table.grad)
+            adam_step([w, table], state)
+            want = [self.oracle(p, g, m, v, t, 1e-2) for (p, m, v), g in zip(want, (gw, g_table))]
+            assert np.array_equal(w.data, want[0][0])
+            assert np.array_equal(table.data, want[1][0])
 
     def test_first_step_size_is_lr(self):
         # bias correction makes the first step exactly lr in magnitude
@@ -401,6 +542,18 @@ class TestGradCheck:
 
         err = grad_check(run, [w1, b1, w2], eps=1e-3, seed=0)
         assert err < 1e-2
+
+    def test_row_sparse_table_f64(self):
+        rng = np.random.default_rng(7)
+        table = Parameter("emb", rng.standard_normal((6, 3)), dtype=np.float64)
+        w = Parameter("w", rng.standard_normal((3, 1)), dtype=np.float64)
+        ids = np.array([[4, 1, 4], [0, 4, 1]])
+
+        def run():
+            return T.mean_all(T.sigmoid(T.matmul(T.embedding_lookup(table, ids), w)))
+
+        # every coordinate of the table, looked-up rows and untouched ones
+        assert grad_check(run, [table, w], eps=1e-4, samples_per_param=table.size) < 1e-6
 
     def test_eps_validated(self):
         w = Parameter("w", np.ones(1))

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from catbert import tensor as T
 from catbert.mail import EmailRecord
-from catbert.model import ModelConfig, init_random
-from catbert.pipeline import EncodedDataset, encode_records, score_dataset
+from catbert.model import ModelConfig, forward_probs, freeze_preset, init_random, set_trainable
+from catbert.pipeline import EncodedDataset, encode_records, score_dataset, trim_padding
 from catbert.synthetic import make_corpus, synthetic_vocab
 from catbert.tensor import Parameter, Tape, backward
 from catbert.tokenizer import Vocabulary
@@ -279,6 +279,50 @@ def test_freeze_preset_keeps_frozen_tensors_bit_identical():
     moved = [k for k, p in model.params.items()
              if not k.startswith(frozen_prefixes) and not np.array_equal(p.data, before[k])]
     assert moved, "no trainable tensor changed"
+
+
+@pytest.mark.parametrize("freeze", [None, "partial-finetune"])
+def test_train_matches_dense_gradients_and_dense_adam(freeze):
+    """train() leaves every parameter bit-identical to a hand loop that
+    densifies each gradient and runs the out-of-place Adam formula over
+    every element; frozen tensors stay byte-identical."""
+    ds = _tiny_dataset()
+    cfg = ModelConfig(**{**TINY, "block_plan": ("T", "A", "T", "A")})
+    config = TrainConfig(epochs=2, batch_size=16, learning_rate=1e-3, seed=3, freeze=freeze)
+    trained = init_random(cfg, seed=3)
+    start = {n: p.data.copy() for n, p in trained.params.items()}
+    train(trained, ds, config)
+
+    model = init_random(cfg, seed=3)
+    set_trainable(model, freeze_preset(cfg) if freeze else [])
+    rng = np.random.default_rng(config.seed)
+    weights = effective_weights(ds, config.bec_weight)
+    moments = {n: (0.0, 0.0) for n, p in model.params.items() if p.trainable}
+    t = 0
+    for _ in range(config.epochs):
+        for idx in balanced_batches(ds.labels, config.batch_size, rng):
+            ids, mask = trim_padding(ds.ids[idx], ds.mask[idx])
+            with Tape() as tape:
+                probs = forward_probs(model, ids, mask, ds.ctx[idx])
+                loss = bce_loss(probs, ds.labels[idx], weights[idx])
+            backward(tape, loss)
+            t += 1
+            c1, c2 = 1.0 - T.ADAM_BETA1 ** t, 1.0 - T.ADAM_BETA2 ** t
+            for name, (m, v) in moments.items():
+                p = model.params[name]
+                g = T.dense_grad(p.grad)
+                m = T.ADAM_BETA1 * m + (1.0 - T.ADAM_BETA1) * g
+                v = T.ADAM_BETA2 * v + (1.0 - T.ADAM_BETA2) * (g * g)
+                update = (config.learning_rate * (m / c1) / (np.sqrt(v / c2) + T.ADAM_EPS))
+                p.data = p.data - update.astype(p.data.dtype)
+                moments[name] = (m, v)
+                p.grad = None
+    assert t == 8
+    for name, p in trained.params.items():
+        assert np.array_equal(p.data, model.params[name].data), name
+        if name not in moments:
+            assert p.data.tobytes() == start[name].tobytes(), name
+    assert (freeze is None) == ("embeddings.token" in moments)
 
 
 def test_training_is_deterministic(tmp_path):
