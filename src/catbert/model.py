@@ -175,11 +175,12 @@ def _init_tensor(name: str, shape, rng: np.random.Generator) -> np.ndarray:
 
 class CatBertModel:
     """Parameter container plus forward pass. Inference leaves it unchanged;
-    each training step rebinds every trainable ``Parameter.data`` to a new
-    array (``adam_step``), so an array read before the step keeps its values.
-    That holds for the token table too, whose update covers only its live
-    rows (those ever looked up in training): the new array copies the
-    others, which Adam would leave unchanged."""
+    each training step overwrites every trainable ``Parameter.data`` in
+    place (``adam_step``), so an array read from it before the step sees
+    the new values: snapshot a parameter with ``.copy()``. No two
+    parameters, and no two models built by ``init_random``,
+    ``surgery_from_donor``, ``astype`` or ``load_checkpoint``, share
+    memory, so a step never writes through to another holder."""
 
     def __init__(self, config: ModelConfig, params: dict[str, Parameter],
                  provenance: dict[str, str] | None = None):

@@ -182,7 +182,7 @@ def train(model: CatBertModel, train_set: EncodedDataset, config: TrainConfig,
                     f"({len(idx)} samples, {n1} malicious, max weight {weights[idx].max()})"
                 )
             backward(tape, loss)
-            del tape, probs, loss  # free activations and old weights before Adam allocates
+            del tape, probs, loss  # backward freed the activations: only the spent list and scalars
             adam_step(params, state)
             losses.append(lv)
         row = {"epoch": epoch, "train_loss": float(np.mean(losses))}

@@ -44,6 +44,23 @@ class TestRoundTrip:
         loaded.params["classifier.out.b"].data[:] = 5.0  # must not raise
 
 
+def test_no_two_parameters_share_memory(tmp_path):
+    """Adam writes parameters in place, so no parameter built by
+    ``init_random``, ``surgery_from_donor``, ``astype`` or
+    ``load_checkpoint`` may share memory with another one, in its own model
+    or in the model it came from."""
+    cfg = ModelConfig(vocab_size=40, hidden=8, ffn_dim=16, heads=2,
+                      max_positions=16, block_plan=("T",) * 4)
+    donor = init_random(cfg, 2)
+    compressed = surgery_from_donor(donor)
+    save_checkpoint(compressed, tmp_path)
+    models = [donor, init_random(cfg, 2), compressed, compressed.astype(np.float32),
+              compressed.astype(np.float64), load_checkpoint(tmp_path)]
+    arrays = [p.data for m in models for p in m.parameters()]
+    for i, a in enumerate(arrays):
+        assert not any(np.shares_memory(a, b) for b in arrays[i + 1:]), i
+
+
 class TestRetiredOptions:
     def test_old_manifest_loads_and_scores_identically(self, tiny, tmp_path):
         # written while cls_from and classifier_hidden were config fields

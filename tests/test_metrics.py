@@ -203,11 +203,18 @@ class TestTimeInference:
         assert slow["timings"]["1"]["p50_ms"] > fast["timings"]["1"]["p50_ms"]
 
     def test_p50_stable_across_runs(self):
-        a = time_inference(bench_model(2), batch_sizes=(1,), repetitions=60, seq_len=16)
-        b = time_inference(bench_model(2), batch_sizes=(1,), repetitions=60, seq_len=16)
-        pa = a["timings"]["1"]["p50_ms"]
-        pb = b["timings"]["1"]["p50_ms"]
-        assert abs(pa - pb) / max(pa, pb) < 0.2
+        """Two runs of one model agree on p50 within 20%. The runs take
+        turns, one short report each (a b, b a, ...), so phases of machine
+        speed hit both alike, and they are compared by the median ratio of
+        their back-to-back reports."""
+        model = bench_model(2)
+        runs = ([], [])
+        for i in range(20):
+            for run in runs[::-1] if i % 2 else runs:
+                rep = time_inference(model, batch_sizes=(1,), repetitions=3, seq_len=16)
+                run.append(rep["timings"]["1"]["p50_ms"])
+        ratio = float(np.median(np.divide(*runs)))  # of a report to the one beside it
+        assert abs(ratio - 1.0) / max(ratio, 1.0) < 0.2
 
 
 class TestSpearman:

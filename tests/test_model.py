@@ -540,12 +540,13 @@ class TestFreeze:
             set_trainable(m, freeze)
             with Tape() as tape:
                 loss = bce_loss(forward_probs(m, ids, mask, ctx), y, w)
+            entries = list(tape._entries)  # backward consumes them
             backward(tape, loss)
-            runs.append((m, tape))
-        (full, full_tape), (pruned, pruned_tape) = runs
+            runs.append((m, tape, entries))
+        (full, full_tape, _), (pruned, pruned_tape, pruned_entries) = runs
         assert len(pruned_tape) < len(full_tape)
         on_tape = set()
-        for out, inputs, _ in pruned_tape._entries:
+        for out, inputs, _ in pruned_entries:
             assert any(id(t) in on_tape or (isinstance(t, Parameter) and t.trainable)
                        for t in inputs)
             on_tape.add(id(out))

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -445,7 +446,7 @@ class TestAdam:
         """A dense weight and a (V, d) table over 3 steps against the dense
         formula. A row whose only gradient was at step 1 keeps moving (this is
         exact Adam, not lazy Adam), rows never looked up stay byte-identical,
-        and an array read before a step keeps its values."""
+        and each step writes into the parameter's own array."""
         for dtype in (np.float32, np.float64):
             for schedule in self.SCHEDULES:
                 self.check_schedule(dtype, schedule)
@@ -475,8 +476,7 @@ class TestAdam:
             g_table = dense_grad(table.grad).copy()
             assert np.array_equal(g_table, scatter_oracle(table.shape, dtype, (ids, out_g))
                                   + (x.sum(axis=0)[:, None] if dense else 0))
-            read = {p.name: p.data for p in (w, table)}
-            kept = {name: a.copy() for name, a in read.items()}
+            arrays = {p.name: p.data for p in (w, table)}
             adam_step([w, table], state)
             for p, g in ((w, gw), (table, g_table)):
                 wp, wm, wv = want[p.name]
@@ -484,7 +484,7 @@ class TestAdam:
                 assert np.array_equal(p.data, wp), (dtype, schedule, p.name, t)
                 assert np.array_equal(state.moments[p.name][0], wm)
                 assert np.array_equal(state.moments[p.name][1], wv)
-                assert np.array_equal(read[p.name], kept[p.name])  # read before the step
+                assert p.data is arrays[p.name]  # updated in place
                 assert p.data.dtype == dtype
             row1.append(table.data[1].copy())
         assert all(not np.array_equal(a, b) for a, b in zip(row1, row1[1:]))
@@ -517,6 +517,46 @@ class TestAdam:
             want = [self.oracle(p, g, m, v, t, 1e-2) for (p, m, v), g in zip(want, (gw, g_table))]
             assert np.array_equal(w.data, want[0][0])
             assert np.array_equal(table.data, want[1][0])
+
+    @pytest.mark.parametrize("n_live", [40, 19])
+    @pytest.mark.parametrize("flat_share", [0.0, T.ADAM_FLAT_SHARE, math.inf])
+    def test_table_walks_match_the_formula(self, monkeypatch, n_live, flat_share):
+        """A (40, 3) table with every row live, or with about half, over 3
+        steps: p, m and v equal the dense formula whether Adam gathers the
+        live rows (share inf), walks all rows flat (share 0) or picks by the
+        live share (the default), and the update lands in ``p.data``."""
+        monkeypatch.setattr(T, "ADAM_BLOCK", 12)
+        monkeypatch.setattr(T, "ADAM_FLAT_SHARE", flat_share)
+        rng = np.random.default_rng(11)
+        table = Parameter("table", rng.normal(0, 0.02, (40, 3)))
+        start = table.data.copy()
+        live = rng.permutation(40)[:n_live]
+        want = table.data.copy(), 0.0, 0.0
+        state = AdamState(lr=1e-2)
+        for t, ids in enumerate((live, live[::3], live[1::2]), start=1):
+            out_g = rng.normal(0, 0.01, (ids.size, 3)).astype(np.float32)
+            with Tape() as tape:
+                loss = T.sum_all(T.mul(T.embedding_lookup(table, ids), out_g))
+            backward(tape, loss)
+            p, m, v = want
+            want = self.oracle(p, dense_grad(table.grad), m, v, t, 1e-2)
+            data = table.data
+            adam_step([table], state)
+            assert table.data is data
+            assert np.array_equal(table.data, want[0]), (n_live, flat_share, t)
+            assert np.array_equal(state.moments["table"][0], want[1])
+            assert np.array_equal(state.moments["table"][1], want[2])
+        dead = np.setdiff1d(np.arange(40), live)
+        assert table.data[dead].tobytes() == start[dead].tobytes()
+
+    def test_raises_inside_an_active_tape(self):
+        w = Parameter("w", np.ones(2, dtype=np.float32))
+        w.grad = Tensor(np.ones(2, dtype=np.float32))
+        with Tape():
+            with pytest.raises(GradientError, match="Tape"):
+                adam_step([w], AdamState())
+        adam_step([w], AdamState())
+        assert w.grad is None
 
     def test_first_step_size_is_lr(self):
         # bias correction makes the first step exactly lr in magnitude
@@ -636,20 +676,21 @@ class TestPruning:
             h = T.relu(T.add(T.matmul(Tensor(x), w0), b0))
             h = T.layer_norm(T.add(h, h), Tensor(np.ones(5)), Tensor(np.zeros(5)))
             loss = T.mean_all(T.sigmoid(T.matmul(h, w1)))
+        entries = list(tape._entries)  # backward consumes them
         backward(tape, loss)
-        return tape, (w0, b0, w1)
+        return tape, entries, (w0, b0, w1)
 
     def test_frozen_inputs_leave_no_entry_and_same_gradients(self):
-        full, (w0, b0, w1) = self.graph(True)
-        pruned, (f0, fb0, p1) = self.graph(False)
+        full, _, (w0, b0, w1) = self.graph(True)
+        pruned, _, (f0, fb0, p1) = self.graph(False)
         assert (len(pruned), len(full)) == (3, 8)  # the second matmul, sigmoid, mean
         assert f0.grad is None and fb0.grad is None
         assert np.array_equal(p1.grad.data, w1.grad.data)
 
     def test_no_entry_has_only_frozen_or_constant_inputs(self):
-        tape, _ = self.graph(False)
+        _, entries, _ = self.graph(False)
         seen = set()
-        for out, inputs, _ in tape._entries:
+        for out, inputs, _ in entries:
             assert any(id(t) in seen or (isinstance(t, Parameter) and t.trainable)
                        for t in inputs)
             seen.add(id(out))
@@ -662,6 +703,24 @@ class TestPruning:
         (_, _, grad_fn), = tape._entries
         ga, gb = grad_fn(np.ones((4, 2), dtype=np.float32))
         assert ga is None and gb.shape == (3, 2)
+
+
+def test_backward_consumes_the_tape():
+    """Each entry is dropped once differentiated, so an activation nothing
+    else holds is freed by the time ``backward`` returns; the tape still
+    counts its entries and cannot be walked again."""
+    w = Parameter("w", np.ones(3, dtype=np.float32))
+    with Tape() as tape:
+        hidden = T.mul(w, 2.0)
+        loss = T.sum_all(T.mul(hidden, hidden))
+    freed = weakref.ref(hidden.data)
+    del hidden
+    backward(tape, loss)
+    assert freed() is None
+    assert len(tape) == 3 and tape._entries == [None] * 3
+    assert np.array_equal(w.grad.data, np.full(3, 8.0))
+    with pytest.raises(GradientError, match="consumed"):
+        backward(tape, loss)
 
 
 def test_tape_is_thread_local_reentrant():
