@@ -140,7 +140,9 @@ class Tape:
 
     def __init__(self):
         self._entries: list[tuple[Tensor, tuple, Callable] | None] = []
-        self._outputs: set[int] = set()  # ids of recorded outputs, kept alive by _entries
+        # ids of recorded outputs, kept alive by _entries until backward clears both
+        self._outputs: set[int] = set()
+        self._spent = False
 
     def __enter__(self) -> "Tape":
         self._prev = _active_tape()
@@ -546,9 +548,11 @@ def backward(tape: Tape, loss: Tensor) -> None:
     A second ``backward`` on the same tape raises ``GradientError``."""
     if loss.data.shape != ():
         raise GradientError(f"loss must be scalar, got shape {loss.data.shape}")
-    entries = tape._entries
-    if entries and entries[-1] is None:
+    if tape._spent:
         raise GradientError("backward already consumed this tape; record a new one")
+    tape._spent = True
+    tape._outputs.clear()  # the ids die with the entries and may be reused
+    entries = tape._entries
     grads: dict[int, np.ndarray | RowGrad] = {id(loss): np.ones((), dtype=loss.data.dtype)}
     touched: dict[int, Parameter] = {}
     for i in range(len(entries) - 1, -1, -1):
@@ -576,9 +580,6 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 ADAM_BLOCK = 1 << 16  # elements per kernel call; its scratch stays in cache
-# Share of a table's rows live from which Adam walks all of them: on a
-# 30522x768 f32 table both walks took ~110 ms a step at 0.6 live (one core).
-ADAM_FLAT_SHARE = 0.6
 
 
 class AdamState:
@@ -587,7 +588,7 @@ class AdamState:
     ``live_rows`` holds, for each parameter whose every gradient so far was
     a ``RowGrad``, the sorted rows that have ever had a gradient row. Every
     other row still has m = v = 0, so dense Adam would leave it
-    byte-identical, and ``adam_step`` may skip it."""
+    byte-identical, and ``adam_step`` skips it."""
 
     def __init__(self, lr: float = 5e-5):
         self.lr = lr
@@ -628,17 +629,18 @@ def adam_step(params: Sequence[Parameter], state: AdamState) -> None:
     bit-identical to evaluating the formula out of place over the whole
     array. A dense gradient walks the flat arrays block by block. A
     ``RowGrad`` adds its rows to the parameter's ``live_rows`` and updates
-    exactly those rows: a live row with no gradient this step still decays
-    its moments and moves, as in dense Adam, while a row that never had a
-    gradient would not change, so skipping it is exact (this is not lazy
-    Adam). Such a table's moments are mapped zero pages until written, so
-    rows never live cost no memory.
+    exactly those rows, a block of rows at a time: a live row with no
+    gradient this step still decays its moments and moves, as in dense
+    Adam, while a row that never had a gradient would not change, so
+    skipping it is exact (this is not lazy Adam). Such a table's moments
+    are mapped zero pages until written, so rows never live cost no memory.
 
     ``p.data`` keeps its array and the step overwrites it: an array read
     from ``p.data`` before the step, or a view of it, sees the new values,
     so copy what must keep the old ones. For the same reason the step
     raises ``GradientError`` while a ``Tape`` is active, since an op
-    recorded on it may still read the weights for its gradient.
+    recorded on it may still read the weights for its gradient, and for a
+    trainable ``p.data`` that is not a writable C-contiguous array.
     """
     if _active_tape() is not None:
         raise GradientError("adam_step inside an active Tape, whose ops may still read the weights")
@@ -646,6 +648,8 @@ def adam_step(params: Sequence[Parameter], state: AdamState) -> None:
     for p in trainable:
         if p.grad is None:
             raise GradientError(f"parameter {p.name!r} is trainable but has no grad")
+        if not (p.data.flags.c_contiguous and p.data.flags.writeable):
+            raise GradientError(f"parameter {p.name!r} is not a writable C-contiguous array")
     state.step += 1
     t = state.step
     c1 = 1.0 - ADAM_BETA1 ** t
@@ -681,11 +685,9 @@ def _lazy_zeros(shape: tuple[int, ...], dtype) -> np.ndarray:
 def _adam_flat(data: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray,
                lr: float, c1: float, c2: float) -> None:
     """Adam with the dense gradient ``g`` on ``data``, ``m`` and ``v`` in
-    place, walking the flat arrays in contiguous blocks."""
-    # copy=False: an array that cannot be flattened as a view raises here
-    # instead of having its update land in a copy
-    p, m, v = (a.reshape(-1, copy=False) for a in (data, m, v))
-    g = g.reshape(-1)
+    place, walking the flat arrays in contiguous blocks. ``data``, ``m`` and
+    ``v`` are C-contiguous, so flattening them gives views."""
+    p, g, m, v = (a.reshape(-1) for a in (data, g, m, v))
     s1, s2 = np.empty((2, min(p.size, ADAM_BLOCK)), p.dtype)
     for lo in range(0, p.size, ADAM_BLOCK):
         k = min(ADAM_BLOCK, p.size - lo)
@@ -696,33 +698,22 @@ def _adam_flat(data: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray,
 def _adam_rows(data: np.ndarray, grad: RowGrad, live: np.ndarray, m: np.ndarray,
                v: np.ndarray, lr: float, c1: float, c2: float) -> None:
     """Adam on the table ``data``, ``m`` and ``v`` in place for its ``live``
-    rows (sorted, a superset of ``grad.rows``), a block of rows at a time.
-
-    While the live rows are few, each block gathers them and scatters the
-    result back. Once they are at least ``ADAM_FLAT_SHARE`` of the table,
-    the walk takes every row in contiguous slices of the arrays instead,
-    which is cheaper than the gather and scatter; it is still exact, since
-    a row outside ``live`` has m = v = g = 0 and the kernel leaves it as it
-    was."""
-    n, d = data.shape
-    flat = live.size >= ADAM_FLAT_SHARE * n
-    total = n if flat else live.size
-    # where each gradient row falls in the walk: its row, or its place among the live rows
-    at = grad.rows if flat else np.searchsorted(live, grad.rows)
+    rows (sorted, a superset of ``grad.rows``), a block of rows at a time:
+    each block gathers its rows, updates them and scatters them back."""
+    d = data.shape[1]
     per = max(1, ADAM_BLOCK // d)
-    s1, s2 = np.empty((2, min(total, per) * d), data.dtype)
-    for lo in range(0, total, per):
-        hi = min(lo + per, total)
-        rows = slice(lo, hi) if flat else live[lo:hi]
-        g = np.zeros((hi - lo, d), data.dtype)
-        k0, k1 = np.searchsorted(at, (lo, hi))
+    at = np.searchsorted(live, grad.rows)  # each gradient row's place among the live rows
+    s1, s2 = np.empty((2, min(live.size, per) * d), data.dtype)
+    for lo in range(0, live.size, per):
+        rows = live[lo:lo + per]
+        k = rows.size * d
+        g = np.zeros((rows.size, d), data.dtype)
+        k0, k1 = np.searchsorted(at, (lo, lo + per))
         g[at[k0:k1] - lo] = grad.values[k0:k1]
-        blocks = data[rows], m[rows], v[rows]  # views in the flat walk, copies otherwise
-        p_blk, m_blk, v_blk = (b.reshape(-1, copy=False) for b in blocks)
-        k = p_blk.size
-        _adam_kernel(p_blk, g.reshape(-1), m_blk, v_blk, p_blk, s1[:k], s2[:k], lr, c1, c2)
-        if not flat:
-            data[rows], m[rows], v[rows] = blocks
+        p_blk, m_blk, v_blk = data[rows], m[rows], v[rows]
+        _adam_kernel(p_blk.reshape(-1), g.reshape(-1), m_blk.reshape(-1), v_blk.reshape(-1),
+                     p_blk.reshape(-1), s1[:k], s2[:k], lr, c1, c2)
+        data[rows], m[rows], v[rows] = p_blk, m_blk, v_blk
 
 
 def grad_check(model_fn: Callable[[], Tensor], params: Sequence[Parameter],

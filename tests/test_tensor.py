@@ -519,14 +519,11 @@ class TestAdam:
             assert np.array_equal(table.data, want[1][0])
 
     @pytest.mark.parametrize("n_live", [40, 19])
-    @pytest.mark.parametrize("flat_share", [0.0, T.ADAM_FLAT_SHARE, math.inf])
-    def test_table_walks_match_the_formula(self, monkeypatch, n_live, flat_share):
+    def test_table_walk_matches_the_formula(self, monkeypatch, n_live):
         """A (40, 3) table with every row live, or with about half, over 3
-        steps: p, m and v equal the dense formula whether Adam gathers the
-        live rows (share inf), walks all rows flat (share 0) or picks by the
-        live share (the default), and the update lands in ``p.data``."""
+        steps: p, m and v equal the dense formula, the rows never live keep
+        their bytes, and the update lands in ``p.data``."""
         monkeypatch.setattr(T, "ADAM_BLOCK", 12)
-        monkeypatch.setattr(T, "ADAM_FLAT_SHARE", flat_share)
         rng = np.random.default_rng(11)
         table = Parameter("table", rng.normal(0, 0.02, (40, 3)))
         start = table.data.copy()
@@ -543,7 +540,7 @@ class TestAdam:
             data = table.data
             adam_step([table], state)
             assert table.data is data
-            assert np.array_equal(table.data, want[0]), (n_live, flat_share, t)
+            assert np.array_equal(table.data, want[0]), (n_live, t)
             assert np.array_equal(state.moments["table"][0], want[1])
             assert np.array_equal(state.moments["table"][1], want[2])
         dead = np.setdiff1d(np.arange(40), live)
@@ -557,6 +554,18 @@ class TestAdam:
                 adam_step([w], AdamState())
         adam_step([w], AdamState())
         assert w.grad is None
+
+    @pytest.mark.parametrize("view", [lambda a: a[:, ::2], lambda a: a.T])
+    def test_raises_on_a_strided_parameter(self, view):
+        """A step cannot write a flat walk through a strided view in place,
+        so it refuses one before changing any state."""
+        w = Parameter("w", np.ones((3, 4), dtype=np.float32))
+        w.data = view(w.data)
+        w.grad = Tensor(np.ones(w.shape, dtype=np.float32))
+        state = AdamState()
+        with pytest.raises(GradientError, match="C-contiguous"):
+            adam_step([w], state)
+        assert state.step == 0 and state.moments == {}
 
     def test_first_step_size_is_lr(self):
         # bias correction makes the first step exactly lr in magnitude
@@ -719,6 +728,37 @@ def test_backward_consumes_the_tape():
     assert freed() is None
     assert len(tape) == 3 and tape._entries == [None] * 3
     assert np.array_equal(w.grad.data, np.full(3, 8.0))
+    with pytest.raises(GradientError, match="consumed"):
+        backward(tape, loss)
+
+
+def test_a_tape_walked_while_active_records_no_dead_ids():
+    """``backward`` inside the ``with`` forgets the recorded outputs, whose
+    ids a new tensor may reuse, and a second walk still raises."""
+    w = Parameter("w", np.ones(3, dtype=np.float32))
+    with Tape() as tape:
+        hidden = T.mul(w, 2.0)
+        loss = T.sum_all(hidden)
+        backward(tape, loss)
+        assert not tape.needs_grad(hidden)
+        T.mul(Tensor(np.ones(3)), 2.0)
+        assert len(tape) == 2
+        with pytest.raises(GradientError, match="consumed"):
+            backward(tape, loss)
+
+
+def test_a_walk_that_raised_leaves_the_tape_spent():
+    """A ``backward`` that fails partway has already dropped entries, so the
+    next one raises ``GradientError``, not a ``TypeError`` on a dropped one."""
+    def broken(g):
+        raise ValueError("broken grad_fn")
+
+    w = Parameter("w", np.ones(3, dtype=np.float32))
+    with Tape() as tape:
+        loss = T.sum_all(T.mul(w, 2.0))
+    tape._entries[-1] = (loss, (w,), broken)
+    with pytest.raises(ValueError, match="broken"):
+        backward(tape, loss)
     with pytest.raises(GradientError, match="consumed"):
         backward(tape, loss)
 
