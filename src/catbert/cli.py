@@ -1,11 +1,16 @@
 """Command-line front end: the full pipeline as subcommands.
 
 Logs go to stderr (set the level with the CATBERT_LOG environment variable);
-data goes to files or stdout. Every run that writes files drops a
-``run_manifest.json`` next to them recording the resolved config, the seed,
-input/output checksums, and timing. Re-running with the same inputs and seed
-reproduces every artifact byte for byte; only the manifest's ``timing`` block
-differs.
+data goes to files or stdout. A run that writes files also writes a manifest
+of the resolved config, the seed, input/output checksums and timing: in
+``--out-dir`` as ``run_manifest.json`` when the subcommand takes one, else
+beside the first file written as ``<file>.manifest.json``. A run that writes
+only to stdout writes none. Manifests and the JSON, CSV and JSONL reports go
+through a temporary file that replaces the target once it is on disk, so a
+crash leaves the old file or the new one (checkpoints and the ingest/split
+datasets are still written in place). Re-running with the same inputs and
+seed reproduces every artifact byte for byte; only the manifest's ``timing``
+block differs.
 
 Exit codes: 0 success, 1 usage error, 2 runtime error.
 """
@@ -13,6 +18,7 @@ Exit codes: 0 success, 1 usage error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import logging
@@ -37,6 +43,7 @@ log = logging.getLogger(__name__)
 
 MANIFEST_NAME = "run_manifest.json"
 DEFAULT_MAX_LEN = 128
+TRUNCATE_MODES = ("head", "tail")
 
 
 class UsageError(Exception):
@@ -58,7 +65,7 @@ def _setup_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-# ------------------------------------------------------------- manifests
+# ------------------------------------------------------------- artifacts
 
 
 def _sha256(path: str) -> str:
@@ -81,40 +88,52 @@ def _file_entry(path: str) -> dict:
     return {"path": path, "sha256": _sha256(path), "bytes": os.path.getsize(path)}
 
 
-def _write_manifest(where: str, subcommand: str, config: dict, seed,
-                    inputs: dict, outputs: dict, started: float) -> str:
-    """Write the run manifest next to the outputs and return its path.
+def _json_text(obj: dict) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
-    ``where`` is the output directory, or an output file whose sibling the
-    manifest becomes. All fields except ``timing`` are reproducible.
-    """
-    if os.path.isdir(where):
-        path = os.path.join(where, MANIFEST_NAME)
+
+def _write_text(text: str, path: str | None) -> None:
+    """Write ``text`` to ``path`` (stdout when None) through a temporary file
+    that replaces ``path`` only once the text is on disk."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as f:
+            f.write(text)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def _write_manifest(args, started: float, config: dict, seed, inputs: dict,
+                    outputs: dict) -> None:
+    """Write the run manifest in ``--out-dir`` if the subcommand has one, else
+    beside the first file written (``outputs`` is in the order written); a run
+    that wrote only to stdout gets none. Only ``timing`` is not reproducible."""
+    if getattr(args, "out_dir", None):
+        path = os.path.join(args.out_dir, MANIFEST_NAME)
     else:
-        path = where + ".manifest.json"
+        first = next((p for p in outputs.values() if p), None)
+        if first is None:
+            return
+        path = first + ".manifest.json"
     manifest = {
         "tool": "catbert",
         "version": __version__,
-        "subcommand": subcommand,
+        "subcommand": args.subcommand,
         "seed": seed,
         "config": config,
         "inputs": {k: _file_entry(v) for k, v in inputs.items() if v},
         "outputs": {k: _file_entry(v) for k, v in outputs.items() if v},
         "timing": {"started_unix": started, "duration_s": time.time() - started},
     }
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
-    return path
-
-
-def _write_json(obj: dict, path: str | None) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    if path:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_text(_json_text(manifest), path)
 
 
 # ------------------------------------------------------- config plumbing
@@ -162,27 +181,23 @@ def _model_io_args(parser: _Parser) -> None:
 
 
 def _truncate_arg(parser: _Parser) -> None:
-    parser.add_argument("--truncate", choices=("head", "tail"), default="head")
+    parser.add_argument("--truncate", choices=TRUNCATE_MODES, default="head")
 
 
 # ------------------------------------------------------------ subcommands
 
 
-def _cmd_ingest(args) -> int:
-    started = time.time()
+def _cmd_ingest(args) -> dict:
     records, errors = load_dataset_with_report(args.inp, strict=args.strict)
     for msg in errors:
         log.warning("%s: skipped %s", args.inp, msg)
     save_dataset(records, args.out)
     print(f"ingested {len(records)} records, skipped {len(errors)}", file=sys.stderr)
-    _write_manifest(args.out, "ingest",
-                    {"strict": args.strict, "skipped": errors},
-                    None, {"dataset": args.inp}, {"dataset": args.out}, started)
-    return 0
+    return dict(config={"strict": args.strict, "skipped": errors}, seed=None,
+                inputs={"dataset": args.inp}, outputs={"dataset": args.out})
 
 
-def _cmd_split(args) -> int:
-    started = time.time()
+def _cmd_split(args) -> dict:
     fractions = tuple(float(p) for p in args.fractions.split(","))
     records = load_dataset(args.inp, strict=True)
     parts = split_by_time(records, fractions=fractions)
@@ -193,9 +208,8 @@ def _cmd_split(args) -> int:
         save_dataset(part, path)
         outputs[name] = path
         print(f"{name}: {len(part)} records", file=sys.stderr)
-    _write_manifest(args.out_dir, "split", {"fractions": list(fractions)},
-                    None, {"dataset": args.inp}, outputs, started)
-    return 0
+    return dict(config={"fractions": list(fractions)}, seed=None,
+                inputs={"dataset": args.inp}, outputs=outputs)
 
 
 def _resolved_model_config(args, file_cfg: dict, vocab_size: int, seed: int) -> ModelConfig:
@@ -224,6 +238,8 @@ def _resolve_max_len(max_len: int | None, max_positions: int) -> int:
     tokenizer's floor on the first record: both are usage errors."""
     if max_len is None:
         return min(DEFAULT_MAX_LEN, max_positions)
+    if isinstance(max_len, bool) or not isinstance(max_len, int):
+        raise UsageError(f"max_len must be an integer, got {max_len!r}")
     if max_len < MIN_MAX_LEN:
         raise UsageError(f"max_len {max_len} is below the minimum {MIN_MAX_LEN} "
                          "([CLS], one token, [SEP])")
@@ -232,12 +248,16 @@ def _resolve_max_len(max_len: int | None, max_positions: int) -> int:
     return max_len
 
 
-def _cmd_train(args) -> int:
-    started = time.time()
+def _cmd_train(args) -> dict:
     file_cfg = _load_json(args.config)
+    unknown = set(file_cfg) - {"model", "train", "max_len", "truncate"}
+    if unknown:
+        raise UsageError(f"unknown config fields: {sorted(unknown)}")
+    truncate = args.truncate or file_cfg.get("truncate", "head")
+    if truncate not in TRUNCATE_MODES:
+        raise UsageError(f"truncate must be 'head' or 'tail', got {truncate!r}")
     vocab = load_vocab(args.vocab)
     max_len = args.max_len if args.max_len is not None else file_cfg.get("max_len")
-    truncate = args.truncate or file_cfg.get("truncate", "head")
 
     try:
         train_cfg = TrainConfig.from_dict(_override(
@@ -264,22 +284,19 @@ def _cmd_train(args) -> int:
     history = train(model, train_set, train_cfg, val_set=val_set, out_dir=args.out_dir)
 
     history_path = os.path.join(args.out_dir, "history.json")
-    _write_json(asdict(history), history_path)
-    resolved = {"model": model_cfg.to_dict(), "train": asdict(train_cfg),
-                "max_len": max_len, "truncate": truncate}
-    _write_manifest(args.out_dir, "train", resolved, train_cfg.seed,
-                    {"train": args.train, "val": args.val, "vocab": args.vocab},
-                    {"checkpoint": os.path.join(args.out_dir, "best"),
-                     "history": history_path},
-                    started)
+    _write_text(_json_text(asdict(history)), history_path)
     last = history.epochs[-1]
     print(json.dumps({"final": last, "best_epoch": history.best_epoch,
                       "best_val_auc": history.best_val_auc}), file=sys.stderr)
-    return 0
+    resolved = {"model": model_cfg.to_dict(), "train": asdict(train_cfg),
+                "max_len": max_len, "truncate": truncate}
+    return dict(config=resolved, seed=train_cfg.seed,
+                inputs={"train": args.train, "val": args.val, "vocab": args.vocab},
+                outputs={"checkpoint": os.path.join(args.out_dir, "best"),
+                         "history": history_path})
 
 
-def _cmd_surgery(args) -> int:
-    started = time.time()
+def _cmd_surgery(args) -> dict:
     donor = load_checkpoint(args.donor)
     keep = _parse_int_list(args.keep, "--keep") if args.keep else None
     model = surgery_from_donor(donor, keep=keep, context_dim=args.context_dim, seed=args.seed)
@@ -288,16 +305,13 @@ def _cmd_surgery(args) -> int:
     copied = sum(1 for v in model.provenance.values() if v.startswith("copied"))
     print(f"kept blocks {keep or 'every other'}: {copied} tensors copied, "
           f"{len(model.provenance) - copied} fresh", file=sys.stderr)
-    _write_manifest(args.out_dir, "surgery",
-                    {"keep": keep, "context_dim": args.context_dim,
-                     "model": model.config.to_dict()},
-                    args.seed, {"donor": args.donor}, {"checkpoint": args.out_dir},
-                    started)
-    return 0
+    return dict(config={"keep": keep, "context_dim": args.context_dim,
+                        "model": model.config.to_dict()},
+                seed=args.seed, inputs={"donor": args.donor},
+                outputs={"checkpoint": args.out_dir})
 
 
-def _cmd_params(args) -> int:
-    started = time.time()
+def _cmd_params(args) -> dict:
     file_cfg = _load_json(args.config)
     try:
         cfg = ModelConfig.from_dict(file_cfg.get("model", file_cfg))
@@ -313,37 +327,40 @@ def _cmd_params(args) -> int:
             "total": millions(report.total),
         },
     }
-    _write_json(payload, args.out)
-    if args.out:
-        _write_manifest(args.out, "params", cfg.to_dict(), None,
-                        {"config": args.config}, {"report": args.out}, started)
-    return 0
+    _write_text(_json_text(payload), args.out)
+    return dict(config=cfg.to_dict(), seed=None, inputs={"config": args.config},
+                outputs={"report": args.out})
 
 
 def _load_model_inputs(args):
+    """The vocab, checkpoint and records a scoring subcommand reads, and its
+    ``--max-len`` resolved against the checkpoint before the records are."""
     vocab, model = load_vocab(args.vocab), load_checkpoint(args.model)
-    args.max_len = _resolve_max_len(args.max_len, model.config.max_positions)
-    return vocab, model, load_dataset(args.inp, strict=True)
+    max_len = _resolve_max_len(args.max_len, model.config.max_positions)
+    return vocab, model, load_dataset(args.inp, strict=True), max_len
 
 
 def _score_input(args):
-    vocab, model, records = _load_model_inputs(args)
-    ds = encode_records(records, vocab, max_len=args.max_len, truncate=args.truncate)
-    return ds, score_dataset(model, ds, batch_size=args.batch_size,
-                             use_context=not args.no_context)
+    vocab, model, records, max_len = _load_model_inputs(args)
+    ds = encode_records(records, vocab, max_len=max_len, truncate=args.truncate)
+    scores = score_dataset(model, ds, batch_size=args.batch_size,
+                           use_context=not args.no_context)
+    return ds, scores, max_len
 
 
-def _scoring_config(args) -> dict:
-    """Every scoring flag the subcommand accepts, for its manifest."""
-    config = {"max_len": args.max_len, "use_context": not args.no_context}
+def _scoring_run(args, max_len: int, outputs: dict, seed=None, **config) -> dict:
+    """The manifest fields of a scoring subcommand: its own ``config`` plus
+    every scoring flag it accepts, and the files it read."""
+    config.update(max_len=max_len, use_context=not args.no_context)
     config.update({k: getattr(args, k) for k in ("truncate", "batch_size") if hasattr(args, k)})
-    return config
+    inputs = {"dataset": args.inp, "model": args.model, "vocab": args.vocab,
+              "synonyms": getattr(args, "synonyms", None)}
+    return dict(config=config, seed=seed, inputs=inputs, outputs=outputs)
 
 
-def _cmd_eval(args) -> int:
-    started = time.time()
+def _cmd_eval(args) -> dict:
     fprs = [float(p) for p in args.fprs.split(",")] if args.fprs else list(DEFAULT_FPRS)
-    ds, scores = _score_input(args)
+    ds, scores, max_len = _score_input(args)
     labels = ds.labels
     payload = {
         "n": len(ds),
@@ -355,82 +372,48 @@ def _cmd_eval(args) -> int:
     }
     if args.groups:
         payload["groups"] = group_metrics(scores, labels, ds.groups, fprs=fprs)
-    outputs = {"metrics": args.out}
-    _write_json(payload, args.out)
+    _write_text(_json_text(payload), args.out)
     if args.roc:
-        with open(args.roc, "w", encoding="utf-8") as f:
-            f.write("fpr,tpr,threshold\n")
-            for fpr, tpr, thr in roc_curve(scores, labels):
-                f.write(f"{fpr!r},{tpr!r},{thr!r}\n")
-        outputs["roc"] = args.roc
-    if args.out:
-        _write_manifest(args.out, "eval",
-                        {"fprs": fprs, **_scoring_config(args)}, None,
-                        {"dataset": args.inp, "model": args.model, "vocab": args.vocab},
-                        outputs, started)
-    return 0
+        _write_text("fpr,tpr,threshold\n" + "".join(
+            f"{fpr!r},{tpr!r},{thr!r}\n" for fpr, tpr, thr in roc_curve(scores, labels)),
+            args.roc)
+    return _scoring_run(args, max_len, {"metrics": args.out, "roc": args.roc}, fprs=fprs)
 
 
-def _cmd_predict(args) -> int:
-    started = time.time()
-    ds, scores = _score_input(args)
+def _cmd_predict(args) -> dict:
+    ds, scores, max_len = _score_input(args)
     lines = [json.dumps({"index": i, "prob": float(p), "label": int(l)})
              for i, (p, l) in enumerate(zip(scores, ds.labels))]
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write("\n".join(lines) + "\n")
-        _write_manifest(args.out, "predict", _scoring_config(args), None,
-                        {"dataset": args.inp, "model": args.model, "vocab": args.vocab},
-                        {"predictions": args.out}, started)
-    else:
-        sys.stdout.write("\n".join(lines) + "\n")
-    return 0
+    _write_text("\n".join(lines) + "\n", args.out)
+    return _scoring_run(args, max_len, {"predictions": args.out})
 
 
-def _cmd_attack(args) -> int:
-    started = time.time()
-    vocab, model, records = _load_model_inputs(args)
+def _cmd_attack(args) -> dict:
+    vocab, model, records, max_len = _load_model_inputs(args)
     synonyms = _load_json(args.synonyms) if args.synonyms else {}
     spec = AttackSpec(kind=args.kind, rate=args.rate, seed=args.seed, synonyms=synonyms)
-    scorer = make_model_scorer(model, vocab, max_len=args.max_len,
-                               truncate=args.truncate,
+    scorer = make_model_scorer(model, vocab, max_len=max_len, truncate=args.truncate,
                                use_context=not args.no_context)
     report = accuracy_under_attack(scorer, records, spec, threshold=args.threshold)
-    _write_json(report, args.out)
-    if args.out:
-        _write_manifest(args.out, "attack",
-                        {"kind": args.kind, "rate": args.rate, "threshold": args.threshold,
-                         **_scoring_config(args)},
-                        args.seed,
-                        {"dataset": args.inp, "model": args.model,
-                         "vocab": args.vocab, "synonyms": args.synonyms},
-                        {"report": args.out}, started)
-    return 0
+    _write_text(_json_text(report), args.out)
+    return _scoring_run(args, max_len, {"report": args.out}, seed=args.seed,
+                        kind=args.kind, rate=args.rate, threshold=args.threshold)
 
 
-def _cmd_explain(args) -> int:
-    started = time.time()
-    vocab, model, records = _load_model_inputs(args)
+def _cmd_explain(args) -> dict:
+    vocab, model, records, max_len = _load_model_inputs(args)
     if not 0 <= args.index < len(records):
         raise UsageError(f"--index {args.index} out of range for {len(records)} records")
     attribution = explain_record(model, vocab, records[args.index],
                                  n_samples=args.n_samples, seed=args.seed,
-                                 max_len=args.max_len,
-                                 use_context=not args.no_context)
-    _write_json(asdict(attribution), args.out)
-    if args.out:
-        _write_manifest(args.out, "explain",
-                        {"index": args.index, "n_samples": args.n_samples,
-                         **_scoring_config(args)},
-                        args.seed,
-                        {"dataset": args.inp, "model": args.model, "vocab": args.vocab},
-                        {"attribution": args.out}, started)
-    return 0
+                                 max_len=max_len, use_context=not args.no_context)
+    _write_text(_json_text(asdict(attribution)), args.out)
+    return _scoring_run(args, max_len, {"attribution": args.out}, seed=args.seed,
+                        index=args.index, n_samples=args.n_samples)
 
 
-def _cmd_bench(args) -> int:
+def _cmd_bench(args) -> dict:
     """Time the full-depth donor against the compressed half-depth model."""
-    started = time.time()
     if args.donor_blocks % 2:
         raise UsageError(f"--donor-blocks must be even, got {args.donor_blocks}")
     common = dict(vocab_size=args.vocab_size, hidden=args.hidden,
@@ -443,26 +426,15 @@ def _cmd_bench(args) -> int:
         seed=args.seed)
     kwargs = dict(batch_sizes=(args.batch,), repetitions=args.repetitions,
                   seq_len=args.seq_len, seed=args.seed)
-    donor_report = time_inference(donor, **kwargs)
-    compressed_report = time_inference(compressed, **kwargs)
-    key = str(args.batch)
-    payload = {
-        "dims": {"hidden": args.hidden, "ffn_dim": args.ffn_dim,
-                 "heads": args.heads, "seq_len": args.seq_len,
-                 "batch": args.batch, "vocab_size": args.vocab_size,
-                 "donor_blocks": args.donor_blocks},
-        "donor": donor_report["timings"][key],
-        "compressed": compressed_report["timings"][key],
-        "speedup_p50": donor_report["timings"][key]["p50_ms"]
-        / compressed_report["timings"][key]["p50_ms"],
-        "speedup_mean": donor_report["timings"][key]["mean_ms"]
-        / compressed_report["timings"][key]["mean_ms"],
-    }
-    _write_json(payload, args.out)
-    if args.out:
-        _write_manifest(args.out, "bench", payload["dims"], args.seed,
-                        {}, {"report": args.out}, started)
-    return 0
+    donor_t, compressed_t = (time_inference(m, **kwargs)["timings"][str(args.batch)]
+                             for m in (donor, compressed))
+    dims = {k: getattr(args, k) for k in ("hidden", "ffn_dim", "heads", "seq_len", "batch",
+                                          "vocab_size", "donor_blocks")}
+    payload = {"dims": dims, "donor": donor_t, "compressed": compressed_t,
+               "speedup_p50": donor_t["p50_ms"] / compressed_t["p50_ms"],
+               "speedup_mean": donor_t["mean_ms"] / compressed_t["mean_ms"]}
+    _write_text(_json_text(payload), args.out)
+    return dict(config=dims, seed=args.seed, inputs={}, outputs={"report": args.out})
 
 
 # --------------------------------------------------------------- parsing
@@ -496,7 +468,7 @@ def build_parser() -> _Parser:
     p.add_argument("--max-len", type=int, default=None,
                    help=f"row width in tokens (default: config, else {DEFAULT_MAX_LEN}; "
                         "at most --max-positions)")
-    p.add_argument("--truncate", choices=("head", "tail"), default=None)
+    p.add_argument("--truncate", choices=TRUNCATE_MODES, default=None)
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", type=int)
     p.add_argument("--learning-rate", type=float)
@@ -581,19 +553,14 @@ def main(argv=None) -> int:
     _setup_logging()
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    if not argv:
-        print(parser.format_help(), file=sys.stderr)
-        return 1
     try:
         args = parser.parse_args(argv)
-    except UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return 1
-    if getattr(args, "func", None) is None:
-        print(parser.format_help(), file=sys.stderr)
-        return 1
-    try:
-        return args.func(args)
+        if getattr(args, "func", None) is None:
+            print(parser.format_help(), file=sys.stderr)
+            return 1
+        started = time.time()
+        _write_manifest(args, started, **args.func(args))
+        return 0
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
@@ -601,7 +568,6 @@ def main(argv=None) -> int:
         log.debug("unhandled error", exc_info=True)
         print(f"error: {e}", file=sys.stderr)
         return 2
-
 
 if __name__ == "__main__":
     sys.exit(main())

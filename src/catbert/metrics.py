@@ -24,18 +24,19 @@ def _check_two_class(labels: np.ndarray) -> tuple[int, int]:
     return n_pos, n_neg
 
 
+def _tie_run_ends(s: np.ndarray) -> np.ndarray:
+    """Index of the last element of each run of equal values in sorted ``s``
+    (a NaN equals nothing, so each NaN is a run of its own)."""
+    return np.flatnonzero(np.append(s[1:] != s[:-1], True))
+
+
 def _average_ranks(scores: np.ndarray) -> np.ndarray:
     """1-based ranks, ties averaged."""
     order = np.argsort(scores, kind="mergesort")
+    last = _tie_run_ends(scores[order])
+    first = np.append(0, last[:-1] + 1)
     ranks = np.empty(len(scores), dtype=np.float64)
-    s = scores[order]
-    i = 0
-    while i < len(s):
-        j = i
-        while j + 1 < len(s) and s[j + 1] == s[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    ranks[order] = np.repeat((first + last) / 2.0 + 1.0, last - first + 1)
     return ranks
 
 
@@ -60,15 +61,12 @@ def roc_curve(scores, labels) -> list[tuple[float, float, float]]:
     order = np.argsort(-scores, kind="mergesort")
     s = scores[order]
     y = labels[order]
-    points = [(0.0, 0.0, float("inf"))]
-    tp = fp = 0
-    for i in range(len(s)):
-        tp += int(y[i] == 1)
-        fp += int(y[i] == 0)
-        if i + 1 < len(s) and s[i + 1] == s[i]:
-            continue  # emit one point per distinct threshold
-        points.append((fp / n_neg, tp / n_pos, float(s[i])))
-    return points
+    ends = _tie_run_ends(s)  # one point per distinct threshold
+    fpr = np.cumsum(y == 0)[ends] / n_neg
+    tpr = np.cumsum(y == 1)[ends] / n_pos
+    # .tolist() gives Python floats, whose repr the ROC CSV prints
+    return [(0.0, 0.0, float("inf"))] + list(zip(fpr.tolist(), tpr.tolist(),
+                                                 s[ends].tolist()))
 
 
 def tpr_at_fpr(scores, labels, fprs) -> list[float]:

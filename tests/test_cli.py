@@ -154,6 +154,23 @@ class TestTrain:
         assert rc == 1
         assert "momentum" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override, message", [
+        ({"trian": {"epochs": 2}}, "unknown config fields: ['trian']"),
+        ({"truncate": "middle"}, "truncate must be 'head' or 'tail', got 'middle'"),
+        ({"max_len": "16"}, "max_len must be an integer, got '16'"),
+    ], ids=["unknown-top-level-key", "truncate-middle", "max-len-string"])
+    def test_bad_config_fails_before_reading_data(self, workdir, tmp_path, capsys,
+                                                  override, message):
+        cfg = {**json.loads(workdir["config"].read_text()), **override}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg))
+        out = tmp_path / "r"
+        assert main(["train", "--train", str(tmp_path / "missing.jsonl"),
+                     "--vocab", str(workdir["vocab"]), "--config", str(bad),
+                     "--out-dir", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def _seeded_run(self, workdir, tmp_path, model_seed, train_seed, *flags):
         cfg = json.loads(workdir["config"].read_text())
         if model_seed is not None:
@@ -423,3 +440,99 @@ class TestSurgeryBench:
 
     def test_bench_odd_donor_blocks_rejected(self, capsys):
         assert main(["bench", "--donor-blocks", "3"]) == 1
+
+
+@pytest.fixture(scope="module")
+def donor(tmp_path_factory):
+    from catbert.checkpoint import save_checkpoint
+    from catbert.model import init_random
+    path = tmp_path_factory.mktemp("donor")
+    save_checkpoint(init_random(ModelConfig(vocab_size=100, hidden=16, ffn_dim=32, heads=2,
+                                            max_positions=16, block_plan=("T",) * 2,
+                                            context_dim=0)), path)
+    return path
+
+
+class TestManifests:
+    """Every subcommand that writes files, with the manifest the run should
+    leave in the fresh directory ``{out}``."""
+
+    SCORING = ["--model", "{ckpt}", "--in", "{corpus}", "--vocab", "{vocab}", "--max-len", "16"]
+    BENCH = ["bench", "--hidden", "16", "--ffn-dim", "32", "--heads", "2", "--seq-len", "8",
+             "--vocab-size", "64", "--donor-blocks", "2", "--repetitions", "2"]
+    CASES = {
+        "ingest": (["ingest", "--in", "{corpus}", "--out", "{out}/clean.jsonl"],
+                   "clean.jsonl.manifest.json"),
+        "split": (["split", "--in", "{corpus}", "--out-dir", "{out}"], "run_manifest.json"),
+        "train": (["train", "--train", "{corpus}", "--vocab", "{vocab}",
+                   "--config", "{config}", "--out-dir", "{out}"], "run_manifest.json"),
+        "surgery": (["surgery", "--donor", "{donor}", "--out-dir", "{out}"],
+                    "run_manifest.json"),
+        "params": (["params", "--config", "{config}", "--out", "{out}/params.json"],
+                   "params.json.manifest.json"),
+        "eval": (["eval", *SCORING, "--out", "{out}/m.json", "--roc", "{out}/roc.csv"],
+                 "m.json.manifest.json"),
+        "eval-roc-only": (["eval", *SCORING, "--roc", "{out}/roc.csv"],
+                          "roc.csv.manifest.json"),
+        "predict": (["predict", *SCORING, "--out", "{out}/p.jsonl"], "p.jsonl.manifest.json"),
+        "attack": (["attack", *SCORING, "--kind", "typo", "--rate", "0.5",
+                    "--out", "{out}/a.json"], "a.json.manifest.json"),
+        "explain": (["explain", *SCORING, "--n-samples", "50", "--out", "{out}/e.json"],
+                    "e.json.manifest.json"),
+        "bench": ([*BENCH, "--out", "{out}/b.json"], "b.json.manifest.json"),
+    }
+
+    def _argv(self, workdir, donor, out, argv):
+        paths = {**{k: str(v) for k, v in workdir.items()}, "donor": str(donor), "out": str(out)}
+        return [arg.format(**paths) for arg in argv]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_manifest_names_exactly_the_files_written(self, workdir, donor, tmp_path, case):
+        argv, manifest_name = self.CASES[case]
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(self._argv(workdir, donor, out, argv)) == 0
+        manifest = json.loads((out / manifest_name).read_text())
+        assert manifest["subcommand"] == argv[0]
+        named = set()
+        for entry in manifest["outputs"].values():
+            files = entry.get("files", {"": None})
+            named |= {os.path.normpath(os.path.join(entry["path"], rel)) for rel in files}
+        written = {os.path.join(root, name) for root, _, names in os.walk(out)
+                   for name in names}
+        assert written == named | {str(out / manifest_name)}
+
+    @pytest.mark.parametrize("case", ["params", "eval", "predict", "attack", "explain",
+                                      "bench"])
+    def test_stdout_only_run_writes_no_manifest(self, workdir, donor, tmp_path, monkeypatch,
+                                                capsys, case):
+        argv, _ = self.CASES[case]
+        monkeypatch.chdir(tmp_path)
+        assert main(self._argv(workdir, donor, tmp_path, argv[:argv.index("--out")])) == 0
+        assert capsys.readouterr().out
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("failing", ["report", "manifest"])
+    def test_failed_write_keeps_the_old_file(self, workdir, tmp_path, monkeypatch, capsys,
+                                             failing):
+        report = tmp_path / "params.json"
+        manifest = tmp_path / "params.json.manifest.json"
+        report.write_text("old report\n")
+        manifest.write_text("old manifest\n")
+        fsync, synced = os.fsync, []
+
+        def failing_fsync(fd):
+            synced.append(fd)
+            if len(synced) == ("report", "manifest").index(failing) + 1:
+                raise OSError("disk full")
+            fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", failing_fsync)
+        assert main(["params", "--config", str(workdir["config"]), "--out", str(report)]) == 2
+        assert "disk full" in capsys.readouterr().err
+        assert manifest.read_text() == "old manifest\n"
+        if failing == "report":
+            assert report.read_text() == "old report\n"
+        else:
+            assert json.loads(report.read_text())["exact"]["total"] > 0
+        assert sorted(os.listdir(tmp_path)) == ["params.json", "params.json.manifest.json"]

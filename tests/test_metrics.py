@@ -13,6 +13,7 @@ from catbert.metrics import (
     time_inference,
     tpr_at_fpr,
 )
+from catbert.metrics import _average_ranks
 from catbert.model import ModelConfig, init_random
 
 
@@ -45,6 +46,39 @@ def sweep_tpr_at_fpr(scores, labels, target):
         if fpr <= target and (fpr, tpr) > best:
             best = (fpr, tpr)
     return best[1]
+
+
+def loop_roc_curve(scores, labels):
+    # reference: walk the descending scores, one point per distinct threshold
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    n_pos, n_neg = int((labels == 1).sum()), int((labels == 0).sum())
+    order = np.argsort(-scores, kind="mergesort")
+    s, y = scores[order], labels[order]
+    points = [(0.0, 0.0, float("inf"))]
+    tp = fp = 0
+    for i in range(len(s)):
+        tp += int(y[i] == 1)
+        fp += int(y[i] == 0)
+        if i + 1 < len(s) and s[i + 1] == s[i]:
+            continue
+        points.append((fp / n_neg, tp / n_pos, float(s[i])))
+    return points
+
+
+def loop_average_ranks(scores):
+    # reference: 1-based ranks, each run of equal sorted scores averaged
+    order = np.argsort(scores, kind="mergesort")
+    s = scores[order]
+    ranks = np.empty(len(s))
+    i = 0
+    while i < len(s):
+        j = i
+        while j + 1 < len(s) and s[j + 1] == s[i]:
+            j += 1
+        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
 
 
 def random_scoreset(rng, n=60):
@@ -100,6 +134,20 @@ class TestRocCurve:
         assert all(a <= b for a, b in zip(tprs, tprs[1:]))
         ths = [p[2] for p in pts]
         assert all(a >= b for a, b in zip(ths, ths[1:]))
+
+
+    def test_matches_loop_reference_bit_for_bit(self):
+        # the ROC CSV prints repr() of each value, so equal is not enough
+        rng = np.random.default_rng(3)
+        for trial in range(200):
+            scores, labels = random_scoreset(rng, n=int(rng.integers(2, 120)))
+            if trial % 3 == 0:
+                scores[rng.random(len(scores)) < 0.2] = np.nan
+            if trial % 5 == 0:
+                scores[rng.random(len(scores)) < 0.3] = -0.0
+            assert repr(roc_curve(scores, labels)) == repr(loop_roc_curve(scores, labels))
+            assert repr(_average_ranks(scores).tolist()) == repr(
+                loop_average_ranks(scores).tolist())
 
 
 class TestTprAtFpr:
