@@ -36,14 +36,12 @@ from .metrics import DEFAULT_FPRS, group_metrics, roc_auc, roc_curve, time_infer
 from .model import (PARTIAL_FINETUNE, ModelConfig, count_params, init_random, millions,
                     surgery_from_donor)
 from .pipeline import encode_records, make_model_scorer, score_dataset
-from .tokenizer import MIN_MAX_LEN, load_vocab
+from .tokenizer import DEFAULT_MAX_LEN, MIN_MAX_LEN, load_vocab
 from .train import TrainConfig, split_by_time, train
 
 log = logging.getLogger(__name__)
 
 MANIFEST_NAME = "run_manifest.json"
-DEFAULT_MAX_LEN = 128
-TRUNCATE_MODES = ("head", "tail")
 
 
 class UsageError(Exception):
@@ -80,7 +78,8 @@ def _file_entry(path: str) -> dict:
     if os.path.isdir(path):
         files = {}
         for root, _, names in os.walk(path):
-            for name in sorted(names):
+            # a run manifest's timing would make the entry differ between reruns
+            for name in sorted(set(names) - {MANIFEST_NAME}):
                 full = os.path.join(root, name)
                 rel = os.path.relpath(full, path)
                 files[rel] = {"sha256": _sha256(full), "bytes": os.path.getsize(full)}
@@ -162,11 +161,19 @@ def _override(base: dict, **flags) -> dict:
     return out
 
 
-def _parse_int_list(text: str, flag: str) -> list[int]:
-    try:
-        return [int(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError:
-        raise UsageError(f"{flag} wants comma-separated integers, got {text!r}")
+def _list_arg(kind, n: int | None = None, lo=float("-inf"), hi=float("inf")):
+    """An argparse ``type`` for ``n`` (any number when None) comma-separated
+    ``kind`` values, each in [lo, hi]; any other value is a usage error."""
+    want = f"{n or 'any number of'} comma-separated {kind.__name__} values in [{lo}, {hi}]"
+    def parse(text: str) -> list:
+        try:
+            values = [kind(part) for part in text.split(",")]
+        except ValueError:
+            values = []
+        if not values or n not in (None, len(values)) or not all(lo <= v <= hi for v in values):
+            raise argparse.ArgumentTypeError(f"wants {want}, got {text!r}")
+        return values
+    return parse
 
 
 def _model_io_args(parser: _Parser) -> None:
@@ -178,10 +185,6 @@ def _model_io_args(parser: _Parser) -> None:
                              "at most the model's max positions)")
     parser.add_argument("--no-context", action="store_true",
                         help="zero the header context features")
-
-
-def _truncate_arg(parser: _Parser) -> None:
-    parser.add_argument("--truncate", choices=TRUNCATE_MODES, default="head")
 
 
 # ------------------------------------------------------------ subcommands
@@ -198,9 +201,8 @@ def _cmd_ingest(args) -> dict:
 
 
 def _cmd_split(args) -> dict:
-    fractions = tuple(float(p) for p in args.fractions.split(","))
     records = load_dataset(args.inp, strict=True)
-    parts = split_by_time(records, fractions=fractions)
+    parts = split_by_time(records, fractions=args.fractions)
     os.makedirs(args.out_dir, exist_ok=True)
     outputs = {}
     for name, part in zip(("train", "val", "test"), parts):
@@ -208,7 +210,7 @@ def _cmd_split(args) -> dict:
         save_dataset(part, path)
         outputs[name] = path
         print(f"{name}: {len(part)} records", file=sys.stderr)
-    return dict(config={"fractions": list(fractions)}, seed=None,
+    return dict(config={"fractions": args.fractions}, seed=None,
                 inputs={"dataset": args.inp}, outputs=outputs)
 
 
@@ -232,10 +234,10 @@ def _resolved_model_config(args, file_cfg: dict, vocab_size: int, seed: int) -> 
 
 
 def _resolve_max_len(max_len: int | None, max_positions: int) -> int:
-    """``max_len`` as given, else 128 capped at the model's positions. Rows
-    are ``max_len`` wide, so a ``max_len`` past the model's positions would
-    fail on the first batch that holds a row that long, and one below the
-    tokenizer's floor on the first record: both are usage errors."""
+    """``max_len`` as given, else ``DEFAULT_MAX_LEN`` capped at the model's
+    positions. Rows are ``max_len`` wide, so a ``max_len`` past the model's
+    positions would fail on the first batch that holds a row that long, and
+    one below the tokenizer's floor on the first record: both are usage errors."""
     if max_len is None:
         return min(DEFAULT_MAX_LEN, max_positions)
     if isinstance(max_len, bool) or not isinstance(max_len, int):
@@ -253,9 +255,10 @@ def _cmd_train(args) -> dict:
     unknown = set(file_cfg) - {"model", "train", "max_len", "truncate"}
     if unknown:
         raise UsageError(f"unknown config fields: {sorted(unknown)}")
-    truncate = args.truncate or file_cfg.get("truncate", "head")
-    if truncate not in TRUNCATE_MODES:
-        raise UsageError(f"truncate must be 'head' or 'tail', got {truncate!r}")
+    # run manifests written while rows could keep the tail still record "head"
+    if file_cfg.get("truncate", "head") != "head":
+        raise UsageError(f"truncate={file_cfg['truncate']!r} is retired; "
+                         "every row keeps the head of its email")
     vocab = load_vocab(args.vocab)
     max_len = args.max_len if args.max_len is not None else file_cfg.get("max_len")
 
@@ -273,11 +276,11 @@ def _cmd_train(args) -> dict:
     max_len = _resolve_max_len(max_len, model_cfg.max_positions)
 
     train_records = load_dataset(args.train, strict=True)
-    train_set = encode_records(train_records, vocab, max_len=max_len, truncate=truncate)
+    train_set = encode_records(train_records, vocab, max_len=max_len)
     val_set = None
     if args.val:
         val_records = load_dataset(args.val, strict=True)
-        val_set = encode_records(val_records, vocab, max_len=max_len, truncate=truncate)
+        val_set = encode_records(val_records, vocab, max_len=max_len)
 
     model = init_random(model_cfg)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -288,8 +291,7 @@ def _cmd_train(args) -> dict:
     last = history.epochs[-1]
     print(json.dumps({"final": last, "best_epoch": history.best_epoch,
                       "best_val_auc": history.best_val_auc}), file=sys.stderr)
-    resolved = {"model": model_cfg.to_dict(), "train": asdict(train_cfg),
-                "max_len": max_len, "truncate": truncate}
+    resolved = {"model": model_cfg.to_dict(), "train": asdict(train_cfg), "max_len": max_len}
     return dict(config=resolved, seed=train_cfg.seed,
                 inputs={"train": args.train, "val": args.val, "vocab": args.vocab},
                 outputs={"checkpoint": os.path.join(args.out_dir, "best"),
@@ -298,14 +300,14 @@ def _cmd_train(args) -> dict:
 
 def _cmd_surgery(args) -> dict:
     donor = load_checkpoint(args.donor)
-    keep = _parse_int_list(args.keep, "--keep") if args.keep else None
-    model = surgery_from_donor(donor, keep=keep, context_dim=args.context_dim, seed=args.seed)
+    model = surgery_from_donor(donor, keep=args.keep, context_dim=args.context_dim,
+                               seed=args.seed)
     os.makedirs(args.out_dir, exist_ok=True)
     save_checkpoint(model, args.out_dir)
     copied = sum(1 for v in model.provenance.values() if v.startswith("copied"))
-    print(f"kept blocks {keep or 'every other'}: {copied} tensors copied, "
+    print(f"kept blocks {args.keep or 'every other'}: {copied} tensors copied, "
           f"{len(model.provenance) - copied} fresh", file=sys.stderr)
-    return dict(config={"keep": keep, "context_dim": args.context_dim,
+    return dict(config={"keep": args.keep, "context_dim": args.context_dim,
                         "model": model.config.to_dict()},
                 seed=args.seed, inputs={"donor": args.donor},
                 outputs={"checkpoint": args.out_dir})
@@ -342,7 +344,7 @@ def _load_model_inputs(args):
 
 def _score_input(args):
     vocab, model, records, max_len = _load_model_inputs(args)
-    ds = encode_records(records, vocab, max_len=max_len, truncate=args.truncate)
+    ds = encode_records(records, vocab, max_len=max_len)
     scores = score_dataset(model, ds, batch_size=args.batch_size,
                            use_context=not args.no_context)
     return ds, scores, max_len
@@ -352,14 +354,15 @@ def _scoring_run(args, max_len: int, outputs: dict, seed=None, **config) -> dict
     """The manifest fields of a scoring subcommand: its own ``config`` plus
     every scoring flag it accepts, and the files it read."""
     config.update(max_len=max_len, use_context=not args.no_context)
-    config.update({k: getattr(args, k) for k in ("truncate", "batch_size") if hasattr(args, k)})
+    if hasattr(args, "batch_size"):
+        config["batch_size"] = args.batch_size
     inputs = {"dataset": args.inp, "model": args.model, "vocab": args.vocab,
               "synonyms": getattr(args, "synonyms", None)}
     return dict(config=config, seed=seed, inputs=inputs, outputs=outputs)
 
 
 def _cmd_eval(args) -> dict:
-    fprs = [float(p) for p in args.fprs.split(",")] if args.fprs else list(DEFAULT_FPRS)
+    fprs = args.fprs or list(DEFAULT_FPRS)
     ds, scores, max_len = _score_input(args)
     labels = ds.labels
     payload = {
@@ -392,8 +395,7 @@ def _cmd_attack(args) -> dict:
     vocab, model, records, max_len = _load_model_inputs(args)
     synonyms = _load_json(args.synonyms) if args.synonyms else {}
     spec = AttackSpec(kind=args.kind, rate=args.rate, seed=args.seed, synonyms=synonyms)
-    scorer = make_model_scorer(model, vocab, max_len=max_len, truncate=args.truncate,
-                               use_context=not args.no_context)
+    scorer = make_model_scorer(model, vocab, max_len=max_len, use_context=not args.no_context)
     report = accuracy_under_attack(scorer, records, spec, threshold=args.threshold)
     _write_text(_json_text(report), args.out)
     return _scoring_run(args, max_len, {"report": args.out}, seed=args.seed,
@@ -456,19 +458,19 @@ def build_parser() -> _Parser:
     p = sub.add_parser("split", help="time-ordered train/val/test split")
     p.add_argument("--in", dest="inp", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--fractions", default="0.7,0.15,0.15")
+    p.add_argument("--fractions", type=_list_arg(float, n=3, lo=0.0, hi=1.0),
+                   default="0.7,0.15,0.15")
     p.set_defaults(func=_cmd_split)
 
     p = sub.add_parser("train", help="train a model on a JSONL dataset")
     p.add_argument("--train", required=True, help="training JSONL")
     p.add_argument("--val", help="validation JSONL (best-epoch tracking)")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--config", help="JSON config: {model: {...}, train: {...}, max_len, truncate}")
+    p.add_argument("--config", help="JSON config: {model: {...}, train: {...}, max_len}")
     p.add_argument("--vocab", required=True)
     p.add_argument("--max-len", type=int, default=None,
                    help=f"row width in tokens (default: config, else {DEFAULT_MAX_LEN}; "
                         "at most --max-positions)")
-    p.add_argument("--truncate", choices=TRUNCATE_MODES, default=None)
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", type=int)
     p.add_argument("--learning-rate", type=float)
@@ -487,7 +489,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("surgery", help="compress a donor checkpoint into T+A form")
     p.add_argument("--donor", required=True, help="donor checkpoint directory")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--keep", help="donor transformer indices to keep, e.g. 0,2,4")
+    p.add_argument("--keep", type=_list_arg(int, lo=0),
+                   help="donor transformer indices to keep, e.g. 0,2,4")
     p.add_argument("--context-dim", type=int, choices=(0, CONTEXT_DIM), default=CONTEXT_DIM)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_surgery)
@@ -499,24 +502,22 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("eval", help="AUC / TPR-at-FPR metrics on a dataset")
     _model_io_args(p)
-    _truncate_arg(p)
     p.add_argument("--batch-size", type=int, default=64)
     p.add_argument("--out", help="metrics JSON (stdout if omitted)")
     p.add_argument("--roc", help="also write the full ROC curve as CSV")
-    p.add_argument("--fprs", help="comma-separated FPR targets")
+    p.add_argument("--fprs", type=_list_arg(float, lo=0.0, hi=1.0),
+                   help="comma-separated FPR targets")
     p.add_argument("--groups", action="store_true", help="per-group breakdown")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("predict", help="score records, one JSON line each")
     _model_io_args(p)
-    _truncate_arg(p)
     p.add_argument("--batch-size", type=int, default=64)
     p.add_argument("--out", help="predictions JSONL (stdout if omitted)")
     p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("attack", help="accuracy drop under text perturbation")
     _model_io_args(p)
-    _truncate_arg(p)
     p.add_argument("--kind", required=True, choices=tuple(KINDS))
     p.add_argument("--rate", type=float, required=True)
     p.add_argument("--seed", type=int, default=0)
@@ -537,7 +538,7 @@ def build_parser() -> _Parser:
     p.add_argument("--hidden", type=int, default=768)
     p.add_argument("--ffn-dim", type=int, default=3072)
     p.add_argument("--heads", type=int, default=12)
-    p.add_argument("--seq-len", type=int, default=128)
+    p.add_argument("--seq-len", type=int, default=DEFAULT_MAX_LEN)
     p.add_argument("--batch", type=int, default=1)
     p.add_argument("--vocab-size", type=int, default=30522)
     p.add_argument("--donor-blocks", type=int, default=6)
@@ -558,6 +559,9 @@ def main(argv=None) -> int:
         if getattr(args, "func", None) is None:
             print(parser.format_help(), file=sys.stderr)
             return 1
+        for folder in (os.path.dirname(getattr(args, k, None) or "") for k in ("out", "roc")):
+            if folder and not os.path.isdir(folder):
+                raise UsageError(f"output directory {folder} does not exist")
         started = time.time()
         _write_manifest(args, started, **args.func(args))
         return 0

@@ -150,7 +150,7 @@ _JSON_KEYS = {
     "from": "from_addr", "to": "to_addrs", "cc": "cc_addrs", "label": "label",
     "group": "group", "weight": "weight", "first_seen": "first_seen",
 }
-_GROUPS = (None, "bec", "english", "non_english")
+GROUPS = (None, "bec", "english", "non_english")
 
 
 def _parse_record(obj: dict) -> EmailRecord:
@@ -170,7 +170,7 @@ def _parse_record(obj: dict) -> EmailRecord:
     rec.weight = float(rec.weight)
     if not rec.weight > 0:
         raise DatasetError(f"weight must be > 0, got {rec.weight}")
-    if rec.group not in _GROUPS:
+    if rec.group not in GROUPS:
         raise DatasetError(f"unknown group {rec.group!r}")
     return rec
 

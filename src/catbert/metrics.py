@@ -9,6 +9,9 @@ import time
 
 import numpy as np
 
+from .mail import GROUPS
+from .tokenizer import DEFAULT_MAX_LEN
+
 log = logging.getLogger(__name__)
 
 
@@ -88,7 +91,6 @@ def tpr_at_fpr(scores, labels, fprs) -> list[float]:
 
 
 DEFAULT_FPRS = (1e-4, 1e-3, 1e-2, 1e-1)
-_KNOWN_GROUPS = ("bec", "english", "non_english")
 
 
 def group_metrics(scores, labels, groups, fprs=DEFAULT_FPRS) -> dict:
@@ -99,7 +101,7 @@ def group_metrics(scores, labels, groups, fprs=DEFAULT_FPRS) -> dict:
     labels = np.asarray(labels)
     _check_two_class(labels)
     neg = labels == 0
-    tags = [g if (g in _KNOWN_GROUPS or g is None) else "other" for g in groups]
+    tags = [g if g in GROUPS else "other" for g in groups]
     out: dict[str, dict] = {}
     for tag in sorted({t for t in tags if t is not None} | {"all"}):
         if tag == "all":
@@ -140,7 +142,8 @@ def spearman(a, b) -> float:
 WARMUP = 3  # discarded forward passes before timing each batch size
 
 
-def time_inference(model, batch_sizes=(1,), repetitions=30, seq_len=128, seed=0) -> dict:
+def time_inference(model, batch_sizes=(1,), repetitions=30, seq_len=DEFAULT_MAX_LEN,
+                   seed=0) -> dict:
     """Wall-clock forward latency per batch size (mean/p50/p95 ms over
     ``repetitions``, after ``WARMUP`` discarded runs)."""
     from .model import count_params, forward_probs

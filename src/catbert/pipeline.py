@@ -8,7 +8,7 @@ import numpy as np
 
 from .mail import CONTEXT_DIM, EmailRecord, build_content, context_vector, extract_context
 from .model import CatBertModel, forward_probs
-from .tokenizer import Vocabulary, encode
+from .tokenizer import DEFAULT_MAX_LEN, Vocabulary, encode
 
 
 @dataclass
@@ -26,14 +26,13 @@ class EncodedDataset:
         return self.ids.shape[0]
 
 
-def encode_records(records: list[EmailRecord], vocab: Vocabulary, max_len: int = 128,
-                   truncate: str = "head") -> EncodedDataset:
-    return encode_texts([build_content(r) for r in records], records, vocab,
-                        max_len=max_len, truncate=truncate)
+def encode_records(records: list[EmailRecord], vocab: Vocabulary,
+                   max_len: int = DEFAULT_MAX_LEN) -> EncodedDataset:
+    return encode_texts([build_content(r) for r in records], records, vocab, max_len=max_len)
 
 
 def encode_texts(texts: list[str], records: list[EmailRecord], vocab: Vocabulary,
-                 max_len: int = 128, truncate: str = "head") -> EncodedDataset:
+                 max_len: int = DEFAULT_MAX_LEN) -> EncodedDataset:
     """Encode one content text per record next to that record's context
     features, label, weight and group. Attacks and explanations pass
     perturbed texts here, which must not touch the headers. Context is
@@ -50,7 +49,7 @@ def encode_texts(texts: list[str], records: list[EmailRecord], vocab: Vocabulary
     groups = []
     contexts: dict[int, np.ndarray] = {}
     for i, (text, rec) in enumerate(zip(texts, records)):
-        seq = encode(text, "", vocab, max_len=max_len, truncate=truncate)
+        seq = encode(text, "", vocab, max_len=max_len)
         ids[i] = seq.ids
         mask[i] = seq.attention_mask
         if id(rec) not in contexts:
@@ -89,18 +88,18 @@ def score_dataset(model: CatBertModel, ds: EncodedDataset, batch_size: int = 64,
 
 
 def score_records(model: CatBertModel, records: list[EmailRecord], vocab: Vocabulary,
-                  max_len: int = 128, truncate: str = "head", batch_size: int = 64,
+                  max_len: int = DEFAULT_MAX_LEN, batch_size: int = 64,
                   use_context: bool = True) -> np.ndarray:
-    ds = encode_records(records, vocab, max_len=max_len, truncate=truncate)
+    ds = encode_records(records, vocab, max_len=max_len)
     return score_dataset(model, ds, batch_size=batch_size, use_context=use_context)
 
 
-def make_model_scorer(model: CatBertModel, vocab: Vocabulary, max_len: int = 128,
-                      truncate: str = "head", use_context: bool = True):
+def make_model_scorer(model: CatBertModel, vocab: Vocabulary,
+                      max_len: int = DEFAULT_MAX_LEN, use_context: bool = True):
     """Scorer closure over (texts, records) for attack evaluation."""
 
     def scorer(texts, records):
-        ds = encode_texts(texts, records, vocab, max_len=max_len, truncate=truncate)
+        ds = encode_texts(texts, records, vocab, max_len=max_len)
         return score_dataset(model, ds, use_context=use_context)
 
     return scorer

@@ -15,6 +15,7 @@ PAD, UNK, CLS, SEP = "[PAD]", "[UNK]", "[CLS]", "[SEP]"
 _SPECIALS = (PAD, UNK, CLS, SEP)
 CONT = "##"
 MIN_MAX_LEN = 3  # the shortest row: [CLS], one content token, [SEP]
+DEFAULT_MAX_LEN = 128  # row width when the caller names none
 
 
 class VocabularyError(ValueError):
@@ -134,28 +135,19 @@ class TokenSequence:
     n_tokens: int  # content token count before truncation
 
 
-def encode(subject: str, body: str, vocab: Vocabulary, max_len: int = 128,
-           truncate: str = "head") -> TokenSequence:
-    """Tokenize subject+body, frame with [CLS]/[SEP], truncate, pad to max_len.
-
-    ``truncate="head"`` keeps the first max_len-2 content tokens, ``"tail"``
-    the last ones.
-    """
+def encode(subject: str, body: str, vocab: Vocabulary,
+           max_len: int = DEFAULT_MAX_LEN) -> TokenSequence:
+    """Tokenize subject+body, keep the first max_len-2 content tokens, frame
+    them with [CLS]/[SEP] and pad to max_len."""
     if max_len < MIN_MAX_LEN:
         raise ValueError(f"max_len must be >= {MIN_MAX_LEN}, got {max_len}")
-    if truncate not in ("head", "tail"):
-        raise ValueError(f"truncate must be 'head' or 'tail', got {truncate!r}")
     content = wordpiece(subject + " " + body, vocab)
-    n_tokens = len(content)
-    budget = max_len - 2
-    if n_tokens > budget:
-        content = content[:budget] if truncate == "head" else content[-budget:]
-    ids = [vocab.cls_id] + [vocab.id_of(t) for t in content] + [vocab.sep_id]
+    ids = [vocab.cls_id] + [vocab.id_of(t) for t in content[:max_len - 2]] + [vocab.sep_id]
     mask = [1] * len(ids)
     pad = max_len - len(ids)
     ids.extend([vocab.pad_id] * pad)
     mask.extend([0] * pad)
-    return TokenSequence(ids=ids, attention_mask=mask, n_tokens=n_tokens)
+    return TokenSequence(ids=ids, attention_mask=mask, n_tokens=len(content))
 
 
 def decode(ids: list[int], vocab: Vocabulary) -> str:

@@ -64,6 +64,37 @@ class TestExitCodes:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sub, flag", [
+        ("ingest", "--out"), ("eval", "--out"), ("eval", "--roc"), ("explain", "--out")])
+    def test_missing_output_directory_fails_before_any_work(self, tmp_path, capsys, sub,
+                                                             flag):
+        missing = str(tmp_path / "missing")
+        argv = [sub, "--in", f"{missing}.jsonl", flag, os.path.join(missing, "result")]
+        if sub != "ingest":
+            argv += ["--model", missing, "--vocab", missing]
+        assert main(argv) == 1
+        assert f"output directory {missing} does not exist" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["split", "--fractions", "a,b,c"], "--fractions"),
+        (["split", "--fractions", "0.5,0.5"], "--fractions"),
+        (["split", "--fractions", "1.5,-0.25,-0.25"], "--fractions"),
+        (["eval", "--fprs", "0.01,x"], "--fprs"),
+        (["eval", "--fprs", "0.01,2"], "--fprs"),
+        (["surgery", "--keep", "0,two"], "--keep"),
+        (["surgery", "--keep", "0,-1"], "--keep"),
+    ], ids=["fractions-not-numbers", "fractions-two-values", "fractions-out-of-range",
+            "fprs-not-a-number", "fprs-above-one", "keep-not-an-integer", "keep-negative"])
+    def test_bad_list_flag_fails_before_reading_data(self, tmp_path, capsys, argv, flag):
+        missing = str(tmp_path / "missing")
+        inputs = {"split": ["--in", missing, "--out-dir", str(tmp_path / "out")],
+                  "eval": ["--in", missing, "--model", missing, "--vocab", missing],
+                  "surgery": ["--donor", missing, "--out-dir", str(tmp_path / "out")]}
+        assert main(argv + inputs[argv[0]]) == 1
+        assert f"argument {flag}: wants " in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
@@ -156,9 +187,10 @@ class TestTrain:
 
     @pytest.mark.parametrize("override, message", [
         ({"trian": {"epochs": 2}}, "unknown config fields: ['trian']"),
-        ({"truncate": "middle"}, "truncate must be 'head' or 'tail', got 'middle'"),
+        ({"truncate": "middle"}, "truncate='middle' is retired"),
+        ({"truncate": "tail"}, "truncate='tail' is retired; every row keeps the head of its email"),
         ({"max_len": "16"}, "max_len must be an integer, got '16'"),
-    ], ids=["unknown-top-level-key", "truncate-middle", "max-len-string"])
+    ], ids=["unknown-top-level-key", "truncate-middle", "truncate-tail", "max-len-string"])
     def test_bad_config_fails_before_reading_data(self, workdir, tmp_path, capsys,
                                                   override, message):
         cfg = {**json.loads(workdir["config"].read_text()), **override}
@@ -170,6 +202,23 @@ class TestTrain:
                      "--out-dir", str(out)]) == 1
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_config_from_an_older_manifest_with_truncate_head_trains(self, workdir, tmp_path):
+        cfg = {**json.loads(workdir["config"].read_text()), "truncate": "head"}
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(cfg))
+        run = tmp_path / "old"
+        assert main(["train", "--train", str(workdir["corpus"]), "--vocab", str(workdir["vocab"]),
+                     "--config", str(path), "--out-dir", str(run), "--seed", "0"]) == 0
+        assert ((run / "best" / "tensors.bin").read_bytes()
+                == (workdir["ckpt"] / "tensors.bin").read_bytes())
+        assert "truncate" not in json.loads((run / "run_manifest.json").read_text())["config"]
+
+    def test_truncate_flag_is_unrecognized(self, workdir, tmp_path, capsys):
+        assert main(["train", "--train", str(workdir["corpus"]), "--vocab", str(workdir["vocab"]),
+                     "--out-dir", str(tmp_path / "r"), "--truncate", "head"]) == 1
+        assert "unrecognized arguments: --truncate head" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
 
     def _seeded_run(self, workdir, tmp_path, model_seed, train_seed, *flags):
         cfg = json.loads(workdir["config"].read_text())
@@ -347,25 +396,24 @@ class TestAttackExplain:
 
 @pytest.mark.parametrize("sub", ["eval", "predict", "attack", "explain"])
 def test_max_len_past_checkpoint_positions_is_usage_error(workdir, tmp_path, capsys, sub):
-    out = tmp_path / "out" / "result.json"
     argv = [sub, "--model", str(workdir["ckpt"]), "--in", str(tmp_path / "missing.jsonl"),
-            "--vocab", str(workdir["vocab"]), "--max-len", "17", "--out", str(out)]
+            "--vocab", str(workdir["vocab"]), "--max-len", "17",
+            "--out", str(tmp_path / "result.json")]
     argv += {"attack": ["--kind", "typo", "--rate", "0.5"]}.get(sub, [])
     assert main(argv) == 1
     assert "max_len 17 exceeds the model's max_positions 16" in capsys.readouterr().err
-    assert not out.parent.exists()
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("sub", ["train", "eval"])
 def test_max_len_below_tokenizer_floor_is_usage_error(workdir, tmp_path, capsys, sub):
-    out = tmp_path / "out"
     data = str(tmp_path / "missing.jsonl")
-    argv = {"train": ["train", "--train", data, "--out-dir", str(out)],
+    argv = {"train": ["train", "--train", data, "--out-dir", str(tmp_path / "out")],
             "eval": ["eval", "--model", str(workdir["ckpt"]), "--in", data,
-                     "--out", str(out / "metrics.json")]}[sub]
+                     "--out", str(tmp_path / "metrics.json")]}[sub]
     assert main(argv + ["--vocab", str(workdir["vocab"]), "--max-len", "2"]) == 1
     assert "max_len 2 is below the minimum 3" in capsys.readouterr().err
-    assert not out.exists()
+    assert os.listdir(tmp_path) == []
 
 
 def test_default_max_len_is_capped_at_checkpoint_positions(workdir, tmp_path):
@@ -384,9 +432,9 @@ class TestScoringFlags:
                        "explain": ["--n-samples", "50"]}.get(sub, [])
 
     @pytest.mark.parametrize("sub, flags", [
-        ("eval", ["--truncate", "tail", "--batch-size", "5"]),
-        ("predict", ["--truncate", "tail", "--batch-size", "5"]),
-        ("attack", ["--truncate", "tail"]),
+        ("eval", ["--batch-size", "5"]),
+        ("predict", ["--batch-size", "5"]),
+        ("attack", []),
         ("explain", []),
     ])
     def test_manifest_records_every_scoring_flag(self, workdir, tmp_path, sub, flags):
@@ -395,13 +443,16 @@ class TestScoringFlags:
         assert main(argv) == 0
         config = json.loads((tmp_path / "out.json.manifest.json").read_text())["config"]
         assert config["max_len"] == 12 and config["use_context"] is False
-        assert ("--truncate" in flags) == (config.get("truncate") == "tail")
+        assert "truncate" not in config
         assert ("--batch-size" in flags) == (config.get("batch_size") == 5)
 
     @pytest.mark.parametrize("sub, flag", [
         ("explain", ["--truncate", "tail"]),
         ("explain", ["--batch-size", "1"]),
         ("attack", ["--batch-size", "1"]),
+        ("eval", ["--truncate", "head"]),
+        ("predict", ["--truncate", "head"]),
+        ("attack", ["--truncate", "head"]),
     ])
     def test_flags_the_subcommand_ignores_are_rejected(self, workdir, capsys, sub, flag):
         assert main(self._argv(workdir, sub) + flag) == 1
@@ -511,6 +562,18 @@ class TestManifests:
         assert main(self._argv(workdir, donor, tmp_path, argv[:argv.index("--out")])) == 0
         assert capsys.readouterr().out
         assert os.listdir(tmp_path) == []
+
+    def test_a_checkpoint_directory_is_hashed_without_its_run_manifest(self, workdir, donor,
+                                                                        tmp_path):
+        comp = tmp_path / "comp"
+        for _ in range(2):
+            assert main(["surgery", "--donor", str(donor), "--out-dir", str(comp)]) == 0
+        manifest = json.loads((comp / "run_manifest.json").read_text())
+        assert set(manifest["outputs"]["checkpoint"]["files"]) == {"manifest.json", "tensors.bin"}
+        assert main(["eval", "--model", str(comp), "--in", str(workdir["corpus"]),
+                     "--vocab", str(workdir["vocab"]), "--out", str(tmp_path / "m.json")]) == 0
+        inputs = json.loads((tmp_path / "m.json.manifest.json").read_text())["inputs"]
+        assert set(inputs["model"]["files"]) == {"manifest.json", "tensors.bin"}
 
     @pytest.mark.parametrize("failing", ["report", "manifest"])
     def test_failed_write_keeps_the_old_file(self, workdir, tmp_path, monkeypatch, capsys,

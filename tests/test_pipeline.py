@@ -1,8 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from catbert.mail import EmailRecord, body_text_of, build_content
 from catbert.model import ModelConfig, forward_probs, init_random
+from catbert.synthetic import make_corpus, synthetic_vocab
 from catbert.pipeline import (encode_records, encode_texts, score_dataset, score_records,
                               trim_padding)
 from catbert.tensor import Tape, backward, dense_grad
@@ -50,6 +53,19 @@ class TestEncodeRecords:
         assert ds.ids[0, 0] == v.cls_id
         assert ds.ids[0][ds.mask[0] == 1][-1] == v.sep_id
 
+    @pytest.mark.parametrize("max_len, digest", [
+        (3, "eccc4f021b5146bfcca6221dd4a365069bbd6f5e951d959669116254cb2f0ed2"),
+        (16, "63202894b7d20f369e164746cfaffb3580b0d3d89b9c48d1c685437de9a08a82"),
+        (None, "ddbf5cdff8ce1408e1fb7f662c0bf477ecd3178c37ace7bbf06bd1e02cd67380"),
+    ], ids=["3", "16", "default"])
+    def test_rows_keep_the_head_of_each_email(self, max_len, digest):
+        # pinned from the head rows of the encoder that could also keep the
+        # tail, at widths that cut every row (3), most rows (16) and none
+        recs = make_corpus(n=64, malicious_frac=0.3, seed=0)
+        kwargs = {} if max_len is None else {"max_len": max_len}
+        ds = encode_records(recs, Vocabulary(synthetic_vocab()), **kwargs)
+        assert hashlib.sha256(ds.ids.tobytes() + ds.mask.tobytes()).hexdigest() == digest
+
 
 class TestEncodeTexts:
     def test_replaces_text_keeps_context(self):
@@ -61,8 +77,7 @@ class TestEncodeTexts:
         assert np.array_equal(swapped.ctx, base.ctx)
         assert swapped.labels.tolist() == base.labels.tolist()
 
-    @pytest.mark.parametrize("truncate", ["head", "tail"])
-    def test_records_are_their_built_content(self, truncate):
+    def test_records_are_their_built_content(self):
         v = small_vocab()
         recs = records() + [
             EmailRecord(subject="pay", body_html="<p>money</p><b>now</b> hello", label=1,
@@ -73,15 +88,14 @@ class TestEncodeTexts:
             EmailRecord(subject="pay  ", body_text="  money\tnow\n", from_addr="broken"),
             EmailRecord(subject="hello", body_text="pay money now " * 5, label=1),
         ]
-        ds = encode_records(recs, v, max_len=8, truncate=truncate)
-        folded = encode_texts([build_content(r) for r in recs], recs, v, max_len=8,
-                              truncate=truncate)
+        ds = encode_records(recs, v, max_len=8)
+        folded = encode_texts([build_content(r) for r in recs], recs, v, max_len=8)
         for field in ("ids", "mask", "ctx", "labels", "weights"):
             assert np.array_equal(getattr(ds, field), getattr(folded, field)), field
         assert ds.groups == folded.groups
         # the same rows the subject/body form of encode gives
         for i, r in enumerate(recs):
-            seq = encode(r.subject, body_text_of(r), v, max_len=8, truncate=truncate)
+            seq = encode(r.subject, body_text_of(r), v, max_len=8)
             assert ds.ids[i].tolist() == seq.ids
             assert ds.mask[i].tolist() == seq.attention_mask
 
@@ -150,12 +164,10 @@ class TestTrimPadding:
         ids, mask = trim_padding(np.zeros((3, 5), np.int64), np.zeros((3, 5), np.int64))
         assert ids.shape == mask.shape == (3, 1)
 
-    @pytest.mark.parametrize("truncate", ["head", "tail"])
-    @pytest.mark.parametrize("batch_size", [1, 4, 7, 64])
-    def test_scores_equal_the_full_width_forward(self, truncate, batch_size):
+    @pytest.mark.parametrize("batch_size", [1, 4, 7, 64], ids=lambda b: f"{b}-head")
+    def test_scores_equal_the_full_width_forward(self, batch_size):
         m = tiny_model()
-        ds = encode_records(mixed_length_records(), small_vocab(), max_len=16,
-                            truncate=truncate)
+        ds = encode_records(mixed_length_records(), small_vocab(), max_len=16)
         lengths = ds.mask.sum(axis=1)
         assert lengths.max() == 16 and np.median(lengths) < 8
         zeros = np.zeros_like(ds.ctx)

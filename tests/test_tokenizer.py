@@ -126,18 +126,6 @@ class TestEncode:
         with pytest.raises(ValueError):
             encode("x", "y", toy, max_len=2)
 
-    def test_truncate_sides_differ(self, toy):
-        v = Vocabulary(TOY + ["a", "b"])
-        body = "a " * 5 + "b " * 5
-        head = encode("", body, v, max_len=5, truncate="head")
-        tail = encode("", body, v, max_len=5, truncate="tail")
-        assert head.ids[1:4] == [v.id_of("a")] * 3
-        assert tail.ids[1:4] == [v.id_of("b")] * 3
-
-    def test_bad_truncate_flag(self, toy):
-        with pytest.raises(ValueError):
-            encode("", "", toy, max_len=8, truncate="middle")
-
     def test_mask_matches_nonpad(self, toy):
         seq = encode("money", "pay money", toy, max_len=16)
         for i, m in zip(seq.ids, seq.attention_mask):
