@@ -55,9 +55,9 @@ def save_checkpoint(model: CatBertModel, out_dir) -> None:
         f.write("\n")
 
 
-def load_checkpoint(ckpt_dir) -> CatBertModel:
-    """Rebuild a model from a checkpoint directory, validating the manifest
-    (version, tensor set, shapes, blob bounds) before any blob read."""
+def read_manifest(ckpt_dir) -> tuple[dict, ModelConfig]:
+    """A checkpoint's manifest and model config, read without touching the
+    blob: what a caller needs to check its flags against the model."""
     manifest_path = os.path.join(ckpt_dir, MANIFEST)
     try:
         with open(manifest_path, encoding="utf-8") as f:
@@ -70,7 +70,13 @@ def load_checkpoint(ckpt_dir) -> CatBertModel:
     version = manifest.get("format_version")
     if version != FORMAT_VERSION:
         raise CheckpointError(f"unsupported format_version {version!r}, expected {FORMAT_VERSION}")
-    config = ModelConfig.from_dict(manifest["config"])
+    return manifest, ModelConfig.from_dict(manifest["config"])
+
+
+def load_checkpoint(ckpt_dir) -> CatBertModel:
+    """Rebuild a model from a checkpoint directory, validating the manifest
+    (version, tensor set, shapes, blob bounds) before any blob read."""
+    manifest, config = read_manifest(ckpt_dir)
     expected = param_shapes(config)
 
     entries = {e["name"]: e for e in manifest.get("tensors", [])}

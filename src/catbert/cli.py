@@ -29,15 +29,15 @@ from dataclasses import asdict
 
 from . import __version__
 from .attacks import KINDS, AttackSpec, accuracy_under_attack
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, read_manifest, save_checkpoint
 from .explain import explain_record
 from .mail import CONTEXT_DIM, load_dataset, load_dataset_with_report, save_dataset
 from .metrics import DEFAULT_FPRS, group_metrics, roc_auc, roc_curve, time_inference, tpr_at_fpr
-from .model import (PARTIAL_FINETUNE, ModelConfig, count_params, init_random, millions,
-                    surgery_from_donor)
+from .model import (PARTIAL_FINETUNE, ModelConfig, check_keep, count_params, init_random,
+                    millions, surgery_from_donor)
 from .pipeline import encode_records, make_model_scorer, score_dataset
 from .tokenizer import DEFAULT_MAX_LEN, MIN_MAX_LEN, load_vocab
-from .train import TrainConfig, split_by_time, train
+from .train import TrainConfig, check_fractions, split_by_time, train
 
 log = logging.getLogger(__name__)
 
@@ -176,6 +176,16 @@ def _list_arg(kind, n: int | None = None, lo=float("-inf"), hi=float("inf")):
     return parse
 
 
+def _fractions_arg(text: str) -> list[float]:
+    """``--fractions``: three values in [0, 1] that sum to 1."""
+    values = _list_arg(float, n=3, lo=0.0, hi=1.0)(text)
+    try:
+        check_fractions(values)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+    return values
+
+
 def _model_io_args(parser: _Parser) -> None:
     parser.add_argument("--model", required=True, help="checkpoint directory")
     parser.add_argument("--in", dest="inp", required=True, help="JSONL dataset")
@@ -299,6 +309,11 @@ def _cmd_train(args) -> dict:
 
 
 def _cmd_surgery(args) -> dict:
+    _, donor_config = read_manifest(args.donor)  # the donor's depth, before its blob is read
+    try:
+        check_keep(donor_config, args.keep)
+    except ValueError as e:
+        raise UsageError(f"--keep: {e}") from None
     donor = load_checkpoint(args.donor)
     model = surgery_from_donor(donor, keep=args.keep, context_dim=args.context_dim,
                                seed=args.seed)
@@ -458,7 +473,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("split", help="time-ordered train/val/test split")
     p.add_argument("--in", dest="inp", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--fractions", type=_list_arg(float, n=3, lo=0.0, hi=1.0),
+    p.add_argument("--fractions", type=_fractions_arg,
                    default="0.7,0.15,0.15")
     p.set_defaults(func=_cmd_split)
 

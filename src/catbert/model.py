@@ -8,7 +8,9 @@ dense d→d, plus the skip connection). The classifier reads the last block's
 (none when ``context_dim`` is 0), and applies dense (width d) → ReLU →
 dense → sigmoid. Since nothing reads any other row, the last transformer computes
 only the CLS row (attending over all rows) and the blocks after it run on
-that row alone.
+that row alone. Its attention projects no keys or values: the key weights
+fold into the [CLS] query and the value weights apply after the weighted
+sum of the rows (``_cls_attention``), which is exact up to float rounding.
 
 The forward is padding-free: every row-wise op (embeddings, layer norms,
 dense layers, GELU, adapters) runs on the packed (N, d) array of the batch's
@@ -250,33 +252,57 @@ class _Packing:
         return x if self.full else T.take_rows(x, self.coords)
 
 
-def _attention(xq: Tensor, x: Tensor, p: dict, prefix: str, heads: int,
-               pack: _Packing, cls_only: bool) -> Tensor:
-    """Self-attention of the query rows ``xq`` over the packed rows ``x``
-    (N, d); keys and values come from ``x``. The queries are ``x`` itself,
-    or with ``cls_only`` the B [CLS] rows (B, d). Q, K and V meet in the
-    padded (B, L) grid, where masked keys get zero weight, and each query's
-    mixed row is gathered back before the O projection."""
+def _attention(x: Tensor, p: dict, prefix: str, heads: int, pack: _Packing) -> Tensor:
+    """Self-attention of the packed rows ``x`` (N, d). Q, K and V meet in
+    the padded (B, L) grid, where masked keys get zero weight, and each
+    real row's mixed output is gathered back before the O projection."""
     B, L = pack.B, pack.L
     d = x.data.shape[-1]
     dh = d // heads
-    scale = 1.0 / math.sqrt(dh)
-    Lq = 1 if cls_only else L
 
-    def heads_first(t: Tensor, rows: int) -> Tensor:
-        return T.transpose(T.reshape(t, (B, rows, heads, dh)), (0, 2, 1, 3))
+    def project(n: str) -> Tensor:  # (B, heads, L, dh)
+        t = pack.pad(_linear(x, p[f"{prefix}.attn.{n}.w"], p[f"{prefix}.attn.{n}.b"]))
+        return T.transpose(T.reshape(t, (B, L, heads, dh)), (0, 2, 1, 3))
 
-    q = _linear(xq, p[f"{prefix}.attn.q.w"], p[f"{prefix}.attn.q.b"])
-    q = heads_first(q if cls_only else pack.pad(q), Lq)
-    k = heads_first(pack.pad(_linear(x, p[f"{prefix}.attn.k.w"], p[f"{prefix}.attn.k.b"])), L)
-    v = heads_first(pack.pad(_linear(x, p[f"{prefix}.attn.v.w"], p[f"{prefix}.attn.v.b"])), L)
-    scores = T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), scale)
-    scores = T.add(scores, pack.add_mask)  # (B,h,Lq,L) + (B,1,1,L)
-    weights = T.softmax_rows(scores)
-    mixed = T.transpose(T.matmul(weights, v), (0, 2, 1, 3))  # (B, Lq, heads, dh)
-    if not cls_only:
-        mixed = pack.unpad(mixed)
+    q, k, v = project("q"), project("k"), project("v")
+    scores = T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
+    weights = T.softmax_rows(T.add(scores, pack.add_mask))  # (B,h,L,L) + (B,1,1,L)
+    mixed = pack.unpad(T.transpose(T.matmul(weights, v), (0, 2, 1, 3)))  # (N, heads, dh)
     mixed = T.reshape(mixed, (-1, d))
+    return _linear(mixed, p[f"{prefix}.attn.o.w"], p[f"{prefix}.attn.o.b"])
+
+
+def _cls_attention(xq: Tensor, x: Tensor, p: dict, prefix: str, heads: int,
+                   pack: _Packing) -> Tensor:
+    """Attention of the B [CLS] rows ``xq`` (B, d) over the packed rows
+    ``x`` (N, d), with no key or value projection of ``x``. Per head, with
+    row-vector weights ``k_j = x_j W_k + b_k`` and ``v_j = x_j W_v + b_v``:
+
+        q·k_j = x_j·(W_k q) + q·b_k
+        Σ_j w_j v_j = (Σ_j w_j x_j) W_v + b_v      (the weights sum to 1)
+
+    so the scores need ``u = W_k q`` (B·d² work) and the output one
+    weighted sum of ``x`` per head, against 2·N·d² for projecting every
+    key and value. The ``q·b_k`` shift leaves the softmax unchanged but
+    is kept, so ``attn.k.b`` gets its (zero up to rounding) gradient as in
+    the full layer. The scores and the weighted sums are one GEMM per
+    batch row over (B, heads, ·) operands; folding ``W_k`` into the queries
+    and applying ``W_v`` are one GEMM per head over the batch."""
+    B, L = pack.B, pack.L
+    d = x.data.shape[-1]
+    dh = d // heads
+    q = _linear(xq, p[f"{prefix}.attn.q.w"], p[f"{prefix}.attn.q.b"])
+    q = T.transpose(T.reshape(T.mul(q, 1.0 / math.sqrt(dh)), (B, heads, dh)), (1, 0, 2))  # (h, B, dh)
+    wk = T.transpose(T.reshape(p[f"{prefix}.attn.k.w"], (d, heads, dh)), (1, 2, 0))  # (h, dh, d)
+    u = T.matmul(q, wk)  # (h, B, d)
+    shift = T.matmul(q, T.reshape(p[f"{prefix}.attn.k.b"], (heads, dh, 1)))  # (h, B, 1)
+    grid = T.reshape(pack.pad(x), (B, L, d))
+    scores = T.matmul(T.transpose(u, (1, 0, 2)), T.transpose(grid, (0, 2, 1)))  # (B, h, L)
+    scores = T.add(T.add(scores, T.transpose(shift, (1, 0, 2))), pack.add_mask[:, 0])
+    z = T.matmul(T.softmax_rows(scores), grid)  # (B, h, d): Σ_j w_j x_j per head
+    wv = T.transpose(T.reshape(p[f"{prefix}.attn.v.w"], (d, heads, dh)), (1, 0, 2))  # (h, d, dh)
+    mixed = T.matmul(T.transpose(z, (1, 0, 2)), wv)  # (h, B, dh)
+    mixed = T.add(T.reshape(T.transpose(mixed, (1, 0, 2)), (B, d)), p[f"{prefix}.attn.v.b"])
     return _linear(mixed, p[f"{prefix}.attn.o.w"], p[f"{prefix}.attn.o.b"])
 
 
@@ -286,9 +312,13 @@ def _transformer_block(x: Tensor, p: dict, prefix: str, heads: int,
     ``cls_only`` on the B [CLS] rows alone (B, d), which still attend over
     every row of ``x``. Every sublayer but attention is row-wise, so the
     [CLS] rows come out exactly as in the full output."""
-    xq = T.take_rows(x, pack.cls) if cls_only else x
+    if cls_only:
+        xq = T.take_rows(x, pack.cls)
+        attn = _cls_attention(xq, x, p, prefix, heads, pack)
+    else:
+        xq = x
+        attn = _attention(x, p, prefix, heads, pack)
     # post-norm residual wiring: LayerNorm(x + sublayer(x))
-    attn = _attention(xq, x, p, prefix, heads, pack, cls_only)
     x = T.layer_norm(T.add(xq, attn), p[f"{prefix}.attn.ln.gain"], p[f"{prefix}.attn.ln.bias"])
     h = T.gelu(_linear(x, p[f"{prefix}.ffn.w1"], p[f"{prefix}.ffn.b1"]))
     ffn = _linear(h, p[f"{prefix}.ffn.w2"], p[f"{prefix}.ffn.b2"])
@@ -316,8 +346,12 @@ def forward_probs(model: CatBertModel, ids: np.ndarray, mask: np.ndarray,
     get zero attention weight.
 
     The classifier reads only the [CLS] row, so the last transformer
-    queries the [CLS] rows alone, over keys and values from every real row,
-    and every block after it runs on those rows. The hidden states are
+    queries the [CLS] rows alone, attending over every real row, and every
+    block after it runs on those rows. Its keys and values are never
+    formed: the scores are the rows dotted with the query folded through
+    the key weights, and the output is the weighted sum of the rows taken
+    through the value weights (``_cls_attention``), so the layer costs
+    O(B·d² + N·d·heads) rather than O(N·d²). The hidden states are
     therefore (B, L, d) before the last transformer, zero at masked
     positions, and (B, 1, d) from it on; ``hiddens[-1][:, 0]`` is the state
     the classifier reads.
@@ -398,6 +432,22 @@ def set_trainable(model: CatBertModel, freeze_prefixes: list[str]) -> None:
                               for pre in freeze_prefixes)
 
 
+def check_keep(donor: ModelConfig, keep: list[int] | None) -> list[int]:
+    """The donor blocks surgery keeps: ``keep``, or every other block from 0
+    when None. ValueError unless each index names a donor transformer."""
+    n_donor = len(donor.block_plan)
+    if keep is None:
+        keep = list(range(0, n_donor, 2))
+    for j in keep:
+        if not (0 <= j < n_donor):
+            raise ValueError(f"keep index {j} out of range for {n_donor}-block donor")
+        if donor.block_plan[j] != TRANSFORMER:
+            raise ValueError(f"donor block {j} is not a transformer")
+    if not keep:
+        raise ValueError("keep must name at least one donor block")
+    return keep
+
+
 def surgery_from_donor(donor: CatBertModel, keep: list[int] | None = None,
                        context_dim: int = CONTEXT_DIM, seed: int = 0) -> CatBertModel:
     """Compress a donor into a transformer+adapter model.
@@ -409,17 +459,7 @@ def surgery_from_donor(donor: CatBertModel, keep: list[int] | None = None,
     Provenance of every tensor (copied vs fresh) is recorded.
     """
     dcfg = donor.config
-    n_donor = len(dcfg.block_plan)
-    if keep is None:
-        keep = list(range(0, n_donor, 2))
-    for j in keep:
-        if not (0 <= j < n_donor):
-            raise ValueError(f"keep index {j} out of range for {n_donor}-block donor")
-        if dcfg.block_plan[j] != TRANSFORMER:
-            raise ValueError(f"donor block {j} is not a transformer")
-    if not keep:
-        raise ValueError("keep must name at least one donor block")
-
+    keep = check_keep(dcfg, keep)
     cfg = replace(dcfg, block_plan=(TRANSFORMER, ADAPTER) * len(keep),
                   context_dim=context_dim, seed=seed)
     fresh = init_random(cfg, seed)

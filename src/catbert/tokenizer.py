@@ -8,14 +8,18 @@ single-char tokens), then greedy longest-match-first within each word.
 
 from __future__ import annotations
 
+import itertools
+import re
 import unicodedata
 from dataclasses import dataclass, field
+from typing import Iterator
 
 PAD, UNK, CLS, SEP = "[PAD]", "[UNK]", "[CLS]", "[SEP]"
 _SPECIALS = (PAD, UNK, CLS, SEP)
 CONT = "##"
 MIN_MAX_LEN = 3  # the shortest row: [CLS], one content token, [SEP]
 DEFAULT_MAX_LEN = 128  # row width when the caller names none
+_CHUNK = re.compile(r"\S+")  # re's \s is exactly str.isspace
 
 
 class VocabularyError(ValueError):
@@ -78,25 +82,28 @@ def _is_punct(ch: str) -> bool:
     return unicodedata.category(ch).startswith("P")
 
 
+def iter_words(text: str) -> Iterator[str]:
+    """Lowercase and split into words, punctuation as single-char tokens,
+    one whitespace-separated chunk at a time: a caller that stops early
+    leaves the rest of ``text`` unread. Lowercasing a chunk alone gives
+    what lowercasing ``text`` would, since no whitespace character is
+    cased or case-ignorable (so even a final Σ sees the same context)."""
+    for match in _CHUNK.finditer(text):
+        chunk = match.group().lower()
+        start = 0
+        for i, ch in enumerate(chunk):
+            if _is_punct(ch):
+                if i > start:
+                    yield chunk[start:i]
+                yield ch
+                start = i + 1
+        if start < len(chunk):
+            yield chunk[start:]
+
+
 def pre_tokenize(text: str) -> list[str]:
     """Lowercase and split into words, punctuation as single-char tokens."""
-    out: list[str] = []
-    buf: list[str] = []
-    for ch in text.lower():
-        if ch.isspace():
-            if buf:
-                out.append("".join(buf))
-                buf = []
-        elif _is_punct(ch):
-            if buf:
-                out.append("".join(buf))
-                buf = []
-            out.append(ch)
-        else:
-            buf.append(ch)
-    if buf:
-        out.append("".join(buf))
-    return out
+    return list(iter_words(text))
 
 
 def _split_word(word: str, vocab: Vocabulary) -> list[str]:
@@ -123,7 +130,7 @@ def _split_word(word: str, vocab: Vocabulary) -> list[str]:
 def wordpiece(text: str, vocab: Vocabulary) -> list[str]:
     """Tokenize ``text`` into vocab pieces; unmatchable words become [UNK]."""
     out: list[str] = []
-    for word in pre_tokenize(text):
+    for word in iter_words(text):
         out.extend(_split_word(word, vocab))
     return out
 
@@ -132,22 +139,30 @@ def wordpiece(text: str, vocab: Vocabulary) -> list[str]:
 class TokenSequence:
     ids: list[int]
     attention_mask: list[int]
-    n_tokens: int  # content token count before truncation
+    n_tokens: int  # content tokens, counted up to max_len - 1: above max_len - 2 means cut
 
 
 def encode(subject: str, body: str, vocab: Vocabulary,
            max_len: int = DEFAULT_MAX_LEN) -> TokenSequence:
     """Tokenize subject+body, keep the first max_len-2 content tokens, frame
-    them with [CLS]/[SEP] and pad to max_len."""
+    them with [CLS]/[SEP] and pad to max_len. Tokenizing stops after the
+    word that takes the count past max_len-2, so the cost of a row does
+    not grow with the text it leaves out."""
     if max_len < MIN_MAX_LEN:
         raise ValueError(f"max_len must be >= {MIN_MAX_LEN}, got {max_len}")
-    content = wordpiece(subject + " " + body, vocab)
-    ids = [vocab.cls_id] + [vocab.id_of(t) for t in content[:max_len - 2]] + [vocab.sep_id]
+    budget = max_len - 2
+    content: list[str] = []
+    # subject and body are separate whitespace chunks, as in subject + " " + body
+    for word in itertools.chain(iter_words(subject), iter_words(body)):
+        content.extend(_split_word(word, vocab))
+        if len(content) > budget:
+            break
+    ids = [vocab.cls_id] + [vocab.id_of(t) for t in content[:budget]] + [vocab.sep_id]
     mask = [1] * len(ids)
     pad = max_len - len(ids)
     ids.extend([vocab.pad_id] * pad)
     mask.extend([0] * pad)
-    return TokenSequence(ids=ids, attention_mask=mask, n_tokens=len(content))
+    return TokenSequence(ids=ids, attention_mask=mask, n_tokens=min(len(content), budget + 1))
 
 
 def decode(ids: list[int], vocab: Vocabulary) -> str:

@@ -85,14 +85,19 @@ def _parse_ts(value: str | None):
         return None
 
 
-def split_by_time(records: list[EmailRecord], fractions=(0.7, 0.15, 0.15)):
-    """Sort by first_seen (missing timestamps last, original order preserved
-    among ties) and cut at the cumulative fractions; sizes are floored and
-    the remainder goes to test."""
+def check_fractions(fractions) -> None:
+    """ValueError unless ``fractions`` are three non-negative numbers summing to 1."""
     if len(fractions) != 3 or any(f < 0 for f in fractions):
         raise ValueError(f"need three non-negative fractions, got {fractions}")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ValueError(f"fractions must sum to 1, got {sum(fractions)}")
+
+
+def split_by_time(records: list[EmailRecord], fractions=(0.7, 0.15, 0.15)):
+    """Sort by first_seen (missing timestamps last, original order preserved
+    among ties) and cut at the cumulative fractions; sizes are floored and
+    the remainder goes to test."""
+    check_fractions(fractions)
     keyed = sorted(records, key=lambda r: ((ts := _parse_ts(r.first_seen)) is None,
                                            ts or datetime.min))
     n = len(records)

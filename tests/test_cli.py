@@ -141,6 +141,12 @@ class TestIngestSplit:
                      "--out-dir", str(tmp_path / "s"),
                      "--fractions", "0.9,0.9,0.9"]) != 0
 
+    def test_fractions_not_summing_to_one_fail_before_reading_data(self, tmp_path, capsys):
+        assert main(["split", "--in", str(tmp_path / "missing.jsonl"),
+                     "--out-dir", str(tmp_path / "s"), "--fractions", "0.9,0.9,0.9"]) == 1
+        assert "argument --fractions: fractions must sum to 1, got 2.7" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
 
 class TestTrain:
     def test_train_artifacts(self, workdir):
@@ -478,6 +484,24 @@ class TestSurgeryBench:
         np.testing.assert_array_equal(
             model.params["blocks.2.attn.q.w"].data,
             donor.params["blocks.2.attn.q.w"].data)
+
+    @pytest.mark.parametrize("keep, message", [
+        ("0,9", "keep index 9 out of range for 4-block donor"),
+        ("1", "donor block 1 is not a transformer")])
+    def test_bad_keep_fails_before_the_donor_blob_is_read(self, tmp_path, capsys, keep,
+                                                         message):
+        from catbert.checkpoint import BLOB, save_checkpoint
+        from catbert.model import init_random
+        donor_cfg = ModelConfig(vocab_size=100, hidden=16, ffn_dim=32, heads=2,
+                                max_positions=16, block_plan=("T", "A", "T", "T"))
+        donor_dir = tmp_path / "donor"
+        save_checkpoint(init_random(donor_cfg, seed=3), donor_dir)
+        (donor_dir / BLOB).unlink()  # reading the blob would fail with exit 2
+        out = tmp_path / "compressed"
+        assert main(["surgery", "--donor", str(donor_dir), "--out-dir", str(out),
+                     "--keep", keep]) == 1
+        assert f"usage error: --keep: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bench_reports_speedup(self, tmp_path):
         out = tmp_path / "bench.json"

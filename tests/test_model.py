@@ -290,6 +290,30 @@ class TestClsTail:
         assert err64 < 1e-4
 
 
+    @pytest.mark.parametrize("full", [False, True], ids=["padded", "all-full"])
+    def test_last_transformer_gradients_match_full_width_in_f64(self, full):
+        """The [CLS] attention projects no key or value, yet every parameter
+        of the last transformer, the key bias included, gets the gradient of
+        the full-width layer, which projects them for every row."""
+        ids, mask, ctx = self.padded_batch()
+        if full:
+            rng = np.random.default_rng(5)
+            ids, mask = rng.integers(1, 100, size=ids.shape), np.ones_like(mask)
+        y, w = np.array([1.0, 0.0, 1.0, 0.0, 1.0]), np.ones(5)
+        grads = []
+        for fwd in (forward_probs, lambda *a: full_width_forward(*a)[0]):
+            m = init_random(ModelConfig(**self.CFG), 3).astype(np.float64)
+            with Tape() as tape:
+                loss = bce_loss(fwd(m, ids, mask, ctx.astype(np.float64)), y, w)
+            backward(tape, loss)
+            grads.append({n: p.grad for n, p in m.params.items() if n.startswith("blocks.2.")})
+        cls_path, full_width = grads
+        assert "blocks.2.attn.k.b" in cls_path and len(cls_path) == 16
+        for name, g in cls_path.items():
+            assert g is not None and full_width[name] is not None, name
+            assert np.max(np.abs(dense_grad(g) - dense_grad(full_width[name]))) < 1e-12, name
+
+
 class TestPacking:
     """The dense layers run on the real tokens alone and pad only for
     attention; the padded full-width forward is the oracle."""

@@ -1,11 +1,13 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from catbert.tokenizer import (
     TokenSequence,
     Vocabulary,
     VocabularyError,
+    _is_punct,
+    _split_word,
     decode,
     encode,
     load_vocab,
@@ -115,7 +117,7 @@ class TestEncode:
         assert seq.ids[0] == toy.cls_id
         assert seq.ids[-1] == toy.sep_id
         assert sum(seq.attention_mask) == 128
-        assert seq.n_tokens == 300
+        assert seq.n_tokens == 127  # counted up to the budget + 1
 
     def test_empty_input(self, toy):
         seq = encode("", "", toy, max_len=5)
@@ -130,6 +132,69 @@ class TestEncode:
         seq = encode("money", "pay money", toy, max_len=16)
         for i, m in zip(seq.ids, seq.attention_mask):
             assert (m == 1) == (i != toy.pad_id)
+
+
+def _eager_ids(subject, body, vocab, max_len):
+    """The uncapped oracle: lowercase the whole text at once, split it and
+    WordPiece every word, then keep the first max_len - 2 pieces. Returns
+    (ids without padding, content piece count)."""
+    words, buf = [], []
+    for ch in (subject + " " + body).lower():
+        if ch.isspace() or _is_punct(ch):
+            if buf:
+                words.append("".join(buf))
+                buf = []
+            if not ch.isspace():
+                words.append(ch)
+        else:
+            buf.append(ch)
+    if buf:
+        words.append("".join(buf))
+    pieces = [piece for w in words for piece in _split_word(w, vocab)]
+    ids = [vocab.cls_id] + [vocab.id_of(t) for t in pieces[:max_len - 2]] + [vocab.sep_id]
+    return ids, len(pieces)
+
+
+SIGMA_VOCAB = TOY + ["ας", "ασ", "##ς", "##σ", "α", "σ", "ς", "##α", "i", "##\u0307"]
+SIGMA_TEXT = st.text(st.sampled_from(list("ΑΣσςαİIpay.'’-, \t\n\u00a0\u2003\u3000\x1c\u0301")),
+                     max_size=40)
+
+
+class TestEarlyStop:
+    """``encode`` stops tokenizing once a row is full; every row's ids stay
+    those of tokenizing the whole text."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(SIGMA_TEXT, SIGMA_TEXT, st.integers(3, 12))
+    @example("ΑΣ", "ΑΣ.Α ΑΣΑ ΑΣ' Α", 5)
+    @example("", "İ ΑΣ\u3000ΑΣ", 3)
+    def test_ids_match_the_uncapped_path(self, subject, body, max_len):
+        v = Vocabulary(list(SIGMA_VOCAB))
+        seq = encode(subject, body, v, max_len=max_len)
+        want, n_pieces = _eager_ids(subject, body, v, max_len)
+        assert seq.ids[:len(want)] == want
+        assert set(seq.ids[len(want):]) <= {v.pad_id}
+        assert seq.n_tokens == min(n_pieces, max_len - 1)
+
+    def test_final_sigma_keeps_its_form_at_the_cut(self):
+        v = Vocabulary(list(SIGMA_VOCAB))
+        seq = encode("", "ΑΣ ΑΣΑ ΑΣ ΑΣΑ", v, max_len=5)  # budget 3; the fourth piece cuts
+        assert seq.ids[1:4] == [v.id_of("ας"), v.id_of("ασ"), v.id_of("##α")]
+        assert seq.n_tokens == 4
+
+    def test_lookups_do_not_grow_with_the_body(self, toy, monkeypatch):
+        lookups = []
+        contains = Vocabulary.__contains__
+        monkeypatch.setattr(Vocabulary, "__contains__",
+                            lambda self, tok: lookups.append(tok) or contains(self, tok))
+        counts, rows = [], []
+        for size in (16 << 10, 4 << 20):
+            body = ("payment money xyzzy, " * (size // 21 + 1))[:size]
+            lookups.clear()
+            rows.append(encode("Subject", body, toy).ids)
+            counts.append(len(lookups))
+        assert counts[0] == counts[1] > 0
+        assert rows[0] == rows[1]
 
 
 WORDS = st.lists(

@@ -323,6 +323,8 @@ def test_train_matches_dense_gradients_and_dense_adam(freeze):
         if name not in moments:
             assert p.data.tobytes() == start[name].tobytes(), name
     assert (freeze is None) == ("embeddings.token" in moments)
+    # the last transformer, whose attention projects no key, trains its key bias too
+    assert {"blocks.2.attn.k.w", "blocks.2.attn.k.b", "blocks.2.attn.v.b"} <= moments.keys()
 
 
 def test_training_is_deterministic(tmp_path):
