@@ -1,3 +1,6 @@
+import re
+import sys
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -181,6 +184,19 @@ class TestEarlyStop:
         seq = encode("", "ΑΣ ΑΣΑ ΑΣ ΑΣΑ", v, max_len=5)  # budget 3; the fourth piece cuts
         assert seq.ids[1:4] == [v.id_of("ας"), v.id_of("ασ"), v.id_of("##α")]
         assert seq.n_tokens == 4
+
+    def test_whitespace_ends_every_case_context(self):
+        """Chunks split at whitespace lowercase alone as in the whole text:
+        re's \\s is exactly str.isspace, lowercasing makes and changes no
+        whitespace, and no whitespace character is cased or case-ignorable,
+        so a final-sigma context stops at it."""
+        everything = "".join(map(chr, range(sys.maxunicode + 1)))
+        spaces = "".join(c for c in everything if c.isspace())
+        assert "".join(re.findall(r"\s", everything)) == spaces
+        assert "".join(re.findall(r"\s", everything.lower())) == spaces  # none made or changed
+        for c in spaces:
+            assert ("ΑΣ" + c + "Α").lower() == "ας" + c + "α", hex(ord(c))
+            assert (c + "ΣΑ").lower() == c + "σα", hex(ord(c))
 
     def test_lookups_do_not_grow_with_the_body(self, toy, monkeypatch):
         lookups = []
