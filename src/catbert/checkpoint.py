@@ -113,6 +113,6 @@ def load_checkpoint(ckpt_dir) -> CatBertModel:
         for name, shape in expected.items():
             f.seek(entries[name]["offset"])
             arr = np.fromfile(f, dtype=_DTYPE, count=int(np.prod(shape, dtype=np.int64)))
-            params[name] = Parameter(name, arr.reshape(shape).astype(np.float32, copy=False))
+            params[name] = Parameter._adopt(name, arr.reshape(shape).astype(np.float32, copy=False))
     provenance = manifest.get("provenance") or {name: "fresh" for name in params}
     return CatBertModel(config, params, provenance)

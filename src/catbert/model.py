@@ -196,7 +196,7 @@ class CatBertModel:
     def astype(self, dtype) -> "CatBertModel":
         """Copy with every parameter cast (float64 for gradient oracles)."""
         fresh = {
-            name: Parameter(name, p.data.astype(dtype), trainable=p.trainable, dtype=dtype)
+            name: Parameter._adopt(name, p.data.astype(dtype), trainable=p.trainable)
             for name, p in self.params.items()
         }
         return CatBertModel(self.config, fresh, dict(self.provenance))
@@ -209,14 +209,15 @@ def init_random(config: ModelConfig, seed: int | None = None) -> CatBertModel:
         seed = config.seed
     rng = np.random.default_rng(seed)
     params = {
-        name: Parameter(name, _init_tensor(name, shape, rng))
+        name: Parameter._adopt(name, _init_tensor(name, shape, rng))
         for name, shape in param_shapes(config).items()
     }
     return CatBertModel(config, params)
 
 
-def _linear(x: Tensor, w: Parameter, b: Parameter) -> Tensor:
-    return T.add(T.matmul(x, w), b)
+def _linear(x: Tensor, w: Parameter, b: Parameter, act: str | None = None) -> Tensor:
+    """A dense layer as one op: ``act(x @ w + b)``."""
+    return T.matmul(x, w, bias=b, act=act)
 
 
 class _Packing:
@@ -265,8 +266,9 @@ def _attention(x: Tensor, p: dict, prefix: str, heads: int, pack: _Packing) -> T
         return T.transpose(T.reshape(t, (B, L, heads, dh)), (0, 2, 1, 3))
 
     q, k, v = project("q"), project("k"), project("v")
-    scores = T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
-    weights = T.softmax_rows(T.add(scores, pack.add_mask))  # (B,h,L,L) + (B,1,1,L)
+    # the (B, h, L, L) scores live only inside softmax_rows, which writes a new buffer
+    weights = T.softmax_rows(T.matmul(q, T.transpose(k, (0, 1, 3, 2))),
+                             scale=1.0 / math.sqrt(dh), mask=pack.add_mask)
     mixed = pack.unpad(T.transpose(T.matmul(weights, v), (0, 2, 1, 3)))  # (N, heads, dh)
     mixed = T.reshape(mixed, (-1, d))
     return _linear(mixed, p[f"{prefix}.attn.o.w"], p[f"{prefix}.attn.o.b"])
@@ -298,8 +300,8 @@ def _cls_attention(xq: Tensor, x: Tensor, p: dict, prefix: str, heads: int,
     shift = T.matmul(q, T.reshape(p[f"{prefix}.attn.k.b"], (heads, dh, 1)))  # (h, B, 1)
     grid = T.reshape(pack.pad(x), (B, L, d))
     scores = T.matmul(T.transpose(u, (1, 0, 2)), T.transpose(grid, (0, 2, 1)))  # (B, h, L)
-    scores = T.add(T.add(scores, T.transpose(shift, (1, 0, 2))), pack.add_mask[:, 0])
-    z = T.matmul(T.softmax_rows(scores), grid)  # (B, h, d): Σ_j w_j x_j per head
+    weights = T.softmax_rows(T.add(scores, T.transpose(shift, (1, 0, 2))), mask=pack.add_mask[:, 0])
+    z = T.matmul(weights, grid)  # (B, h, d): Σ_j w_j x_j per head
     wv = T.transpose(T.reshape(p[f"{prefix}.attn.v.w"], (d, heads, dh)), (1, 0, 2))  # (h, d, dh)
     mixed = T.matmul(T.transpose(z, (1, 0, 2)), wv)  # (h, B, dh)
     mixed = T.add(T.reshape(T.transpose(mixed, (1, 0, 2)), (B, d)), p[f"{prefix}.attn.v.b"])
@@ -318,15 +320,18 @@ def _transformer_block(x: Tensor, p: dict, prefix: str, heads: int,
     else:
         xq = x
         attn = _attention(x, p, prefix, heads, pack)
-    # post-norm residual wiring: LayerNorm(x + sublayer(x))
+    # post-norm residual wiring: LayerNorm(x + sublayer(x)). Without a tape,
+    # each sublayer's output is freed once read, before the next allocates.
     x = T.layer_norm(T.add(xq, attn), p[f"{prefix}.attn.ln.gain"], p[f"{prefix}.attn.ln.bias"])
-    h = T.gelu(_linear(x, p[f"{prefix}.ffn.w1"], p[f"{prefix}.ffn.b1"]))
+    del xq, attn
+    h = _linear(x, p[f"{prefix}.ffn.w1"], p[f"{prefix}.ffn.b1"], act="gelu")  # (N, ffn_dim)
     ffn = _linear(h, p[f"{prefix}.ffn.w2"], p[f"{prefix}.ffn.b2"])
+    del h
     return T.layer_norm(T.add(x, ffn), p[f"{prefix}.ffn.ln.gain"], p[f"{prefix}.ffn.ln.bias"])
 
 
 def _adapter_block(x: Tensor, p: dict, prefix: str) -> Tensor:
-    h = T.relu(_linear(x, p[f"{prefix}.dense1.w"], p[f"{prefix}.dense1.b"]))
+    h = _linear(x, p[f"{prefix}.dense1.w"], p[f"{prefix}.dense1.b"], act="relu")
     return T.add(x, _linear(h, p[f"{prefix}.dense2.w"], p[f"{prefix}.dense2.b"]))
 
 
@@ -356,7 +361,14 @@ def forward_probs(model: CatBertModel, ids: np.ndarray, mask: np.ndarray,
     positions, and (B, 1, d) from it on; ``hiddens[-1][:, 0]`` is the state
     the classifier reads.
 
-    Ops record onto the active tape, so this same path serves training.
+    Each dense layer is one ``matmul`` that adds its bias and applies its
+    ReLU or GELU, and attention's scale and mask go into ``softmax_rows``,
+    with the float operations of the unfused ops, so probabilities and
+    gradients are bit-identical to theirs. Ops record onto the active tape,
+    so this same path serves training. Without a tape each op writes over
+    the buffer it allocated and a sublayer's output is freed once read, so
+    the forward holds each activation once: the peak is one (N, ffn_dim)
+    FFN buffer, or the (B, heads, L, L) scores and their softmax.
     """
     cfg = model.config
     p = model.params
@@ -372,9 +384,9 @@ def forward_probs(model: CatBertModel, ids: np.ndarray, mask: np.ndarray,
     dtype = p["embeddings.token"].data.dtype
     pack = _Packing(mask, dtype)
 
-    tok = T.embedding_lookup(p["embeddings.token"], ids.reshape(-1)[pack.rows])
-    pos = T.embedding_lookup(p["embeddings.position"], pack.rows % L)
-    h = T.layer_norm(T.add(tok, pos), p["embeddings.ln.gain"], p["embeddings.ln.bias"])
+    h = T.layer_norm(T.add(T.embedding_lookup(p["embeddings.token"], ids.reshape(-1)[pack.rows]),
+                           T.embedding_lookup(p["embeddings.position"], pack.rows % L)),
+                     p["embeddings.ln.gain"], p["embeddings.ln.bias"])
 
     last_t = max((i for i, k in enumerate(cfg.block_plan) if k == TRANSFORMER), default=-1)
     hiddens = []
@@ -398,7 +410,7 @@ def forward_probs(model: CatBertModel, ids: np.ndarray, mask: np.ndarray,
         if ctx.shape != (B, cfg.context_dim):
             raise ValueError(f"ctx shape {ctx.shape} != {(B, cfg.context_dim)}")
         cls = T.concat([cls, Tensor._wrap(ctx)], axis=1)
-    fused = T.relu(_linear(cls, p["classifier.fusion.w"], p["classifier.fusion.b"]))
+    fused = _linear(cls, p["classifier.fusion.w"], p["classifier.fusion.b"], act="relu")
     logit = _linear(fused, p["classifier.out.w"], p["classifier.out.b"])
     probs = T.sigmoid(T.reshape(logit, (B,)))
     if return_hidden:
@@ -478,7 +490,7 @@ def surgery_from_donor(donor: CatBertModel, keep: list[int] | None = None,
             dsrc = donor.params[src].data
             if dsrc.shape != shape:
                 raise ValueError(f"donor tensor {src} has shape {dsrc.shape}, need {shape}")
-            params[name] = Parameter(name, dsrc.copy())
+            params[name] = Parameter._adopt(name, dsrc.copy())
             provenance[name] = f"copied:{src}"
         else:
             params[name] = fresh.params[name]

@@ -5,6 +5,14 @@ float32; float64 appears only inside the finite-difference oracle used by
 ``grad_check``. Ops record onto the active :class:`Tape` (if any) when an
 input leads to a trainable parameter, and ``backward`` replays the tape in
 reverse to populate ``Parameter.grad``.
+
+A forward op allocates only its output and what its gradient keeps. The
+fused ops (``matmul`` with a bias and an activation, ``softmax_rows`` with a
+scale and a mask, ``layer_norm``) write each step over the buffer the
+previous step allocated when the tape does not record them, and keep the
+arrays their gradient reads when it does. Their float operations, and the
+order of them, are those of the unfused op sequence, so results and
+gradients are bit-identical to it.
 """
 
 from __future__ import annotations
@@ -70,15 +78,27 @@ class Parameter(Tensor):
     """Named, optionally trainable tensor. Once ``backward`` has run, ``grad``
     is a dense ``Tensor`` of ``data``'s shape, or a ``RowGrad`` for a table
     reached only through ``embedding_lookup``; ``dense_grad`` gives either
-    as a dense array."""
+    as a dense array.
+
+    The constructor copies ``data`` into a C-contiguous array of its own,
+    since ``adam_step`` writes it in place and must not write through to an
+    array the caller still holds."""
 
     __slots__ = ("name", "trainable", "grad")
 
     def __init__(self, name: str, data, trainable: bool = True, dtype=np.float32):
-        super().__init__(data, dtype=dtype)
+        self.data = np.array(data, dtype=dtype, order="C")
         self.name = name
         self.trainable = trainable
         self.grad: Tensor | RowGrad | None = None
+
+    @classmethod
+    def _adopt(cls, name: str, arr: np.ndarray, trainable: bool = True) -> "Parameter":
+        """A parameter that takes ``arr`` as its array, uncopied: for a
+        builder handing over a fresh C-contiguous array nothing else holds."""
+        p = cls._wrap(arr)
+        p.name, p.trainable, p.grad = name, trainable, None
+        return p
 
     def __repr__(self) -> str:
         flag = "" if self.trainable else ", frozen"
@@ -247,7 +267,7 @@ def mul(a, b) -> Tensor:
     return _emit(av * bv, (a, b), grad_fn, needs)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None, act: str | None = None) -> Tensor:
     """Matrix product with numpy batch broadcasting over leading axes.
 
     A 2-D ``b`` (every dense layer's weight) folds the leading axes of ``a``
@@ -255,24 +275,44 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     too: ``g2 @ bᵀ`` and ``a2ᵀ @ g2``, with no batched temporary to sum over
     the batch. The fold reshapes ``a``, a view when ``a`` is contiguous.
     Other shapes (attention's 4-D products) take numpy's batched matmul.
+
+    On the 2-D path a dense layer is one op: ``bias`` (shape (n,)) is added
+    into the fresh GEMM output and ``act`` (``"relu"`` or ``"gelu"``)
+    applied there, with the float operations of ``add`` and of ``relu`` or
+    ``gelu`` after an unfused product. When the tape records the op it
+    keeps what the activation's gradient reads (relu's mask, gelu's
+    pre-activation and tanh term); otherwise both run in place, a
+    cache-sized block of rows at a time, and the op allocates only its
+    output.
     """
     av, bv = _as_operands(a, b)
     if av.ndim < 2 or bv.ndim < 2:
         raise ShapeError(f"matmul needs >=2-D operands, got {av.shape} and {bv.shape}")
     if av.shape[-1] != bv.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {av.shape} x {bv.shape}")
-    needs = _needs(a, b)
+    if act not in _ACT_GRAD:
+        raise ValueError(f"unknown activation {act!r}; expected None, 'relu' or 'gelu'")
+    if (bias is not None or act is not None) and bv.ndim != 2:
+        raise ShapeError(f"bias and act need a 2-D weight, got {bv.shape}")
+    if bias is not None and bias.data.shape != bv.shape[-1:]:
+        raise ShapeError(f"matmul bias must have shape {bv.shape[-1:]}, got {bias.data.shape}")
+    inputs = (a, b) if bias is None else (a, b, bias)
+    needs = _needs(*inputs)
     if bv.ndim == 2:
         a2 = av.reshape(-1, av.shape[-1])
         out = (a2 @ bv).reshape(av.shape[:-1] + bv.shape[-1:])
+        out, kept = _epilogue(out, bias, act, any(needs))
 
         def grad_fn(g):
+            g = _ACT_GRAD[act](g, kept)
             g2 = g.reshape(-1, g.shape[-1])
             ga = (g2 @ bv.T).reshape(av.shape) if needs[0] else None
             gb = a2.T @ g2 if needs[1] else None
-            return ga, gb
+            if bias is None:
+                return ga, gb
+            return ga, gb, _unbroadcast(g, bias.data.shape) if needs[2] else None
 
-        return _emit(out, (a, b), grad_fn, needs)
+        return _emit(out, inputs, grad_fn, needs)
 
     try:
         out = np.matmul(av, bv)
@@ -285,6 +325,48 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return ga, gb
 
     return _emit(out, (a, b), grad_fn, needs)
+
+
+ROW_BLOCK = 1 << 16  # elements per block of an in-place epilogue; block and scratch stay in cache
+
+
+def _epilogue(out: np.ndarray, bias: Tensor | None, act: str | None,
+              recorded: bool) -> tuple[np.ndarray, object]:
+    """Add ``bias`` into the fresh GEMM output ``out`` and apply ``act``.
+    Returns the result and what the activation's gradient reads. Unrecorded,
+    both run in place a block of rows at a time, and nothing is kept."""
+    bv = None if bias is None else bias.data
+    if not recorded:
+        o2 = out.reshape(-1, out.shape[-1])
+        per = max(1, ROW_BLOCK // o2.shape[1])
+        t = np.empty((min(per, o2.shape[0]), o2.shape[1]), o2.dtype) if act == "gelu" else None
+        for lo in range(0, o2.shape[0], per):
+            blk = o2[lo:lo + per]
+            if bv is not None:
+                blk += bv
+            if act == "relu":
+                blk[~(blk > 0)] = 0
+            elif act == "gelu":
+                _gelu(blk, t[:blk.shape[0]])
+        return out, None
+    if bv is not None:
+        out += bv
+    if act == "relu":
+        mask = out > 0
+        out[~mask] = 0  # as np.where(mask, x, 0): -0.0 and NaN give +0.0
+        return out, mask
+    if act == "gelu":
+        t, res = np.empty_like(out), np.empty_like(out)
+        _gelu(out, t, res)
+        return res, (out, t)
+    return out, None
+
+
+_ACT_GRAD = {
+    None: lambda g, kept: g,
+    "relu": lambda g, mask: g * mask,
+    "gelu": lambda g, kept: _gelu_grad(*kept, g),
+}
 
 
 def relu(x: Tensor) -> Tensor:
@@ -300,39 +382,61 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 
 
-def gelu(x: Tensor) -> Tensor:
-    """GELU via the tanh approximation (transformer FFN activation):
-    0.5 v (1 + tanh(c (v + a v^3))). Computed in place on one buffer per
-    result, in the same operation order as the formula."""
-    v = x.data
-    t = v * _GELU_A
+def _gelu(v: np.ndarray, t: np.ndarray, out: np.ndarray | None = None) -> None:
+    """GELU's tanh approximation on equal-shape arrays: ``t`` gets
+    tanh(c (v + a v^3)) and ``out`` gets 0.5 v (1 + t), in the formula's
+    order of operations. ``out`` may be ``t``; when it is None the result
+    overwrites ``v`` and ``t`` is scratch."""
+    np.multiply(v, _GELU_A, out=t)
     t *= v
     t *= v
     t += v
     t *= _GELU_C
     np.tanh(t, out=t)
-    out = t + 1.0
-    out *= v
-    out *= 0.5
+    if out is None:
+        t += 1.0
+        v *= t
+        v *= 0.5
+    else:
+        np.add(t, 1.0, out=out)
+        out *= v
+        out *= 0.5
+
+
+def _gelu_grad(v: np.ndarray, t: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """GELU's input gradient from its input ``v`` and tanh term ``t``:
+    g (0.5 (1 + t) + 0.5 v (1 - t^2) c (1 + 3 a v^2))."""
+    d_inner = v * (3.0 * _GELU_A)
+    d_inner *= v
+    d_inner += 1.0
+    d_inner *= _GELU_C
+    d = t * t
+    np.subtract(1.0, d, out=d)
+    d *= v
+    d *= 0.5
+    d *= d_inner
+    np.add(t, 1.0, out=d_inner)
+    d_inner *= 0.5
+    d += d_inner
+    d *= g
+    return d
+
+
+def gelu(x: Tensor) -> Tensor:
+    """GELU via the tanh approximation (transformer FFN activation):
+    0.5 v (1 + tanh(c (v + a v^3))). It shares its kernel, ``_gelu``, with
+    ``matmul``'s ``"gelu"`` epilogue. Recorded, it keeps its tanh term for
+    the gradient; otherwise the result overwrites that buffer, its only one."""
+    v = x.data
+    needs = _needs(x)
+    t = np.empty_like(v)
+    out = np.empty_like(v) if needs[0] else t
+    _gelu(v, t, out)
 
     def grad_fn(g):
-        # d/dv = 0.5 (1 + t) + 0.5 v (1 - t^2) c (1 + 3 a v^2)
-        d_inner = v * (3.0 * _GELU_A)
-        d_inner *= v
-        d_inner += 1.0
-        d_inner *= _GELU_C
-        d = t * t
-        np.subtract(1.0, d, out=d)
-        d *= v
-        d *= 0.5
-        d *= d_inner
-        np.add(t, 1.0, out=d_inner)
-        d_inner *= 0.5
-        d += d_inner
-        d *= g
-        return (d,)
+        return (_gelu_grad(v, t, g),)
 
-    return _emit(out, (x,), grad_fn)
+    return _emit(out, (x,), grad_fn, needs)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -368,25 +472,54 @@ def clip(x: Tensor, lo: float, hi: float) -> Tensor:
     return _emit(np.clip(v, lo, hi), (x,), grad_fn)
 
 
-def softmax_rows(x: Tensor) -> Tensor:
-    """Softmax over the last axis, computed with max-subtraction."""
+def softmax_rows(x: Tensor, scale: float | None = None, mask=None) -> Tensor:
+    """Softmax over the last axis of ``x·scale + mask``, with
+    max-subtraction. ``scale`` is rounded to ``x``'s dtype, as ``mul``
+    rounds a Python number; ``mask`` is a constant (no gradient), such as
+    attention's additive penalty, that broadcasts to ``x``'s shape. Either
+    may be None.
+
+    The scaled and masked scores are written into one new buffer, which is
+    then shifted, exponentiated and normalised in place: ``x`` is left
+    unchanged and the op allocates only its output. The float operations
+    are those of ``mul``, ``add`` and an unfused softmax, in their order,
+    so the result and its gradient are bit-identical to theirs."""
     v = x.data
-    shifted = v - v.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True)
+    out = np.empty_like(v)
+    if scale is None:
+        np.copyto(out, v)
+    else:
+        scale = np.asarray(scale, dtype=v.dtype)
+        np.multiply(v, scale, out=out)
+    if mask is not None:
+        try:
+            np.broadcast_to(mask, v.shape)
+        except ValueError:
+            raise ShapeError(f"softmax mask {np.shape(mask)} does not broadcast to {v.shape}") from None
+        out += mask
+    out -= out.max(axis=-1, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
 
     def grad_fn(g):
         dot = (g * out).sum(axis=-1, keepdims=True)
-        return (out * (g - dot),)
+        gx = out * (g - dot)
+        if scale is not None:
+            gx *= scale
+        return (gx,)
 
-    return _emit(out.astype(v.dtype, copy=False), (x,), grad_fn)
+    return _emit(out, (x,), grad_fn)
 
 
 LN_EPS = 1e-12
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Zero-mean/unit-variance normalization over the last axis, then affine."""
+    """Zero-mean/unit-variance normalization over the last axis, then affine.
+
+    The centred input is normalised in place into x̂. When the tape records
+    the op, x̂ is kept for the gradient and the output takes the buffer the
+    variance's squares used; otherwise the affine step writes over x̂."""
     v = x.data
     d = v.shape[-1]
     gv, bv = gain.data, bias.data
@@ -395,12 +528,15 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
             f"layer_norm gain/bias must have shape ({d},), got {gv.shape} and {bv.shape}"
         )
     mu = v.mean(axis=-1, keepdims=True)
-    centered = v - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    xhat = v - mu  # centred here, normalised in place below
+    sq = xhat * xhat
+    var = sq.mean(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = centered * inv_std
-    out = xhat * gv + bv
+    xhat *= inv_std
     needs = _needs(x, gain, bias)
+    out = sq if any(needs) else xhat
+    np.multiply(xhat, gv, out=out)
+    out += bv
 
     def grad_fn(g):
         gx = gg = gb = None
@@ -415,7 +551,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
             gb = g.reshape(-1, d).sum(axis=0)
         return gx, gg, gb
 
-    return _emit(out.astype(v.dtype, copy=False), (x, gain, bias), grad_fn, needs)
+    return _emit(out, (x, gain, bias), grad_fn, needs)
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:

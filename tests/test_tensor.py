@@ -555,6 +555,20 @@ class TestAdam:
         adam_step([w], AdamState())
         assert w.grad is None
 
+    def test_step_does_not_write_through_to_the_callers_array(self):
+        """``Parameter`` copies its input, so the in-place update leaves the
+        array a caller passed in as it was; the builders' no-copy path
+        keeps the array it is handed."""
+        arr = np.ones(3, dtype=np.float32)
+        p = Parameter("w", arr)
+        p.grad = Tensor(np.ones(3, dtype=np.float32))
+        adam_step([p], AdamState(lr=0.1))
+        assert np.array_equal(arr, np.ones(3, dtype=np.float32))
+        assert np.allclose(p.data, 0.9)
+        strided = np.ones((3, 4), dtype=np.float32).T
+        assert Parameter("s", strided).data.flags.c_contiguous
+        assert Parameter._adopt("w", arr).data is arr
+
     @pytest.mark.parametrize("view", [lambda a: a[:, ::2], lambda a: a.T])
     def test_raises_on_a_strided_parameter(self, view):
         """A step cannot write a flat walk through a strided view in place,
