@@ -167,11 +167,17 @@ def _parse_record(obj: dict) -> EmailRecord:
         raise DatasetError(f"label must be 0 or 1, got {rec.label!r}")
     if not isinstance(rec.to_addrs, list) or not isinstance(rec.cc_addrs, list):
         raise DatasetError("to/cc must be lists")
-    rec.weight = float(rec.weight)
-    if not rec.weight > 0:
-        raise DatasetError(f"weight must be > 0, got {rec.weight}")
+    try:
+        weight = float(rec.weight)
+    except (TypeError, ValueError, OverflowError):
+        weight = math.nan
+    if not (math.isfinite(weight) and weight > 0):
+        raise DatasetError(f"weight must be a finite number > 0, got {rec.weight!r}")
+    rec.weight = weight
     if rec.group not in GROUPS:
         raise DatasetError(f"unknown group {rec.group!r}")
+    if not isinstance(rec.first_seen, (str, type(None))):
+        raise DatasetError(f"first_seen must be an ISO timestamp string, got {rec.first_seen!r}")
     return rec
 
 
@@ -186,7 +192,7 @@ def load_dataset_with_report(path, strict: bool = False):
                 continue
             try:
                 records.append(_parse_record(json.loads(line)))
-            except (json.JSONDecodeError, DatasetError, TypeError) as e:
+            except (json.JSONDecodeError, RecursionError, DatasetError, TypeError) as e:
                 msg = f"line {lineno}: {e}"
                 if strict:
                     raise DatasetError(msg) from e

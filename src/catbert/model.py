@@ -14,8 +14,8 @@ sum of the rows (``_cls_attention``), which is exact up to float rounding.
 
 The forward is padding-free: every row-wise op (embeddings, layer norms,
 dense layers, GELU, adapters) runs on the packed (N, d) array of the batch's
-real tokens, and only attention scatters them into the padded (B, L) grid,
-so a batch's dense-layer cost follows its token count, not B·L.
+real tokens, and only attention scatters them into a (B, L) grid that ends
+at the batch's longest row, so no layer's cost follows the padded width.
 ``surgery_from_donor`` builds the compressed model
 from a donor checkpoint; ``set_trainable`` applies freeze masks for partial
 fine-tuning.
@@ -221,12 +221,13 @@ def _linear(x: Tensor, w: Parameter, b: Parameter, act: str | None = None) -> Te
 
 
 class _Packing:
-    """Where the real tokens of a (B, L) batch sit. Every row-wise layer runs
-    on the (N, d) array of its N attended positions, in row-major order;
-    attention scatters them into a zero-filled (B, L) grid under the
-    additive mask and gathers its output back. When every position is
-    attended (``full``), the packed array already is the grid and neither
-    step copies."""
+    """Where the real tokens of a batch sit. Its (B, L) attention grid ends at
+    the last column any row attends to, whatever width the mask has. Every
+    row-wise layer runs on the (N, d) array of the N attended positions, in
+    row-major order; attention scatters them into the zero-filled grid
+    under the additive mask and gathers its output back. When every grid
+    position is attended (``full``), the packed array already is the grid
+    and neither step copies."""
 
     def __init__(self, mask: np.ndarray, dtype):
         attend = mask.astype(bool)
@@ -234,7 +235,9 @@ class _Packing:
         if no_cls.size:
             raise ValueError(f"mask row {int(no_cls[0])} does not attend to column 0, "
                              "where its [CLS] token must be")
-        self.B, self.L = mask.shape
+        cols = np.flatnonzero(attend.any(axis=0))  # empty only when B == 0
+        self.B, self.L = mask.shape[0], int(cols[-1]) + 1 if cols.size else 1
+        attend = attend[:, :self.L]
         self.rows = np.flatnonzero(attend)  # index into the flattened (B*L) grid
         self.coords = np.divmod(self.rows, self.L)  # (row, position) of each attended token
         self.full = self.rows.size == self.B * self.L
@@ -337,7 +340,7 @@ def _adapter_block(x: Tensor, p: dict, prefix: str) -> Tensor:
 
 def forward_probs(model: CatBertModel, ids: np.ndarray, mask: np.ndarray,
                   ctx: np.ndarray | None, return_hidden: bool = False):
-    """Batched forward pass. ``ids``/``mask`` are (B, L) arrays, ``ctx`` is
+    """Batched forward pass. ``ids``/``mask`` are (B, W) arrays, ``ctx`` is
     (B, context_dim) and ignored (may be None) when context_dim is 0.
     Returns a (B,) Tensor of probabilities; with ``return_hidden`` also the
     per-block hidden states.
@@ -345,10 +348,11 @@ def forward_probs(model: CatBertModel, ids: np.ndarray, mask: np.ndarray,
     Every mask row must attend to column 0, its [CLS] token (ValueError
     otherwise). Only the N attended positions are computed: the embeddings,
     layer norms, dense layers, GELU and adapters run on an (N, d) array,
-    and each transformer pads just for attention (``_Packing``). Ids at
-    masked positions are never read. The answer matches a forward over
-    every (B, L) position up to float summation order, since masked keys
-    get zero attention weight.
+    and each transformer pads just for attention, on a (B, L) grid that
+    ends at the last column any row attends to (``_Packing``); it is L, not
+    W, that may not exceed ``max_positions``. Ids at masked positions are
+    never read. The answer matches a forward over every (B, W) position up
+    to float summation order, since masked keys get zero attention weight.
 
     The classifier reads only the [CLS] row, so the last transformer
     queries the [CLS] rows alone, attending over every real row, and every
@@ -374,18 +378,18 @@ def forward_probs(model: CatBertModel, ids: np.ndarray, mask: np.ndarray,
     p = model.params
     ids = np.asarray(ids, dtype=np.int64)
     if ids.ndim != 2:
-        raise ValueError(f"ids must be (B, L), got shape {ids.shape}")
-    B, L = ids.shape
-    if L > cfg.max_positions:
-        raise ValueError(f"sequence length {L} exceeds max positions {cfg.max_positions}")
+        raise ValueError(f"ids must be (B, W), got shape {ids.shape}")
     mask = np.asarray(mask)
-    if mask.shape != (B, L):
-        raise ValueError(f"mask shape {mask.shape} does not match ids {(B, L)}")
+    if mask.shape != ids.shape:
+        raise ValueError(f"mask shape {mask.shape} does not match ids {ids.shape}")
     dtype = p["embeddings.token"].data.dtype
     pack = _Packing(mask, dtype)
+    B, L = pack.B, pack.L
+    if L > cfg.max_positions:
+        raise ValueError(f"sequence length {L} exceeds max positions {cfg.max_positions}")
 
-    h = T.layer_norm(T.add(T.embedding_lookup(p["embeddings.token"], ids.reshape(-1)[pack.rows]),
-                           T.embedding_lookup(p["embeddings.position"], pack.rows % L)),
+    h = T.layer_norm(T.add(T.embedding_lookup(p["embeddings.token"], ids[pack.coords]),
+                           T.embedding_lookup(p["embeddings.position"], pack.coords[1])),
                      p["embeddings.ln.gain"], p["embeddings.ln.bias"])
 
     last_t = max((i for i, k in enumerate(cfg.block_plan) if k == TRANSFORMER), default=-1)

@@ -61,29 +61,15 @@ def encode_texts(texts: list[str], records: list[EmailRecord], vocab: Vocabulary
     return EncodedDataset(ids, mask, ctx, labels, weights, groups)
 
 
-def trim_padding(ids: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A batch's (B, L) ids and mask cut after the last column that any row
-    attends to, keeping at least one column. The forward gives the same
-    answer up to float summation order: padded keys get zero attention
-    weight, positions count from [CLS] at column 0, and padded positions get
-    zero gradient."""
-    cols = np.flatnonzero(mask.any(axis=0))
-    width = int(cols[-1]) + 1 if cols.size else 1
-    return ids[:, :width], mask[:, :width]
-
-
 def score_dataset(model: CatBertModel, ds: EncodedDataset, batch_size: int = 64,
                   use_context: bool = True) -> np.ndarray:
     """Probabilities for every row, in row order; ``use_context=False``
-    zeroes the context features (the ablation switch). Each batch is
-    trimmed to its longest row (``trim_padding``); ``ds`` keeps its
-    (N, max_len) arrays."""
+    zeroes the context features (the ablation switch)."""
     out = np.empty(len(ds), dtype=np.float32)
     ctx = ds.ctx if use_context else np.zeros_like(ds.ctx)
     for lo in range(0, len(ds), batch_size):
         hi = min(lo + batch_size, len(ds))
-        ids, mask = trim_padding(ds.ids[lo:hi], ds.mask[lo:hi])
-        out[lo:hi] = forward_probs(model, ids, mask, ctx[lo:hi]).data
+        out[lo:hi] = forward_probs(model, ds.ids[lo:hi], ds.mask[lo:hi], ctx[lo:hi]).data
     return out
 
 

@@ -35,6 +35,9 @@ class GradientError(RuntimeError):
 
 _TRACING = threading.local()
 
+# elements per block of the in-place matmul epilogue and of Adam; block and scratch stay in cache
+CACHE_BLOCK = 1 << 16
+
 
 def _active_tape() -> "Tape | None":
     return getattr(_TRACING, "tape", None)
@@ -327,9 +330,6 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None, act: str | None = N
     return _emit(out, (a, b), grad_fn, needs)
 
 
-ROW_BLOCK = 1 << 16  # elements per block of an in-place epilogue; block and scratch stay in cache
-
-
 def _epilogue(out: np.ndarray, bias: Tensor | None, act: str | None,
               recorded: bool) -> tuple[np.ndarray, object]:
     """Add ``bias`` into the fresh GEMM output ``out`` and apply ``act``.
@@ -338,7 +338,7 @@ def _epilogue(out: np.ndarray, bias: Tensor | None, act: str | None,
     bv = None if bias is None else bias.data
     if not recorded:
         o2 = out.reshape(-1, out.shape[-1])
-        per = max(1, ROW_BLOCK // o2.shape[1])
+        per = max(1, CACHE_BLOCK // o2.shape[1])
         t = np.empty((min(per, o2.shape[0]), o2.shape[1]), o2.dtype) if act == "gelu" else None
         for lo in range(0, o2.shape[0], per):
             blk = o2[lo:lo + per]
@@ -715,7 +715,6 @@ def backward(tape: Tape, loss: Tensor) -> None:
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-ADAM_BLOCK = 1 << 16  # elements per kernel call; its scratch stays in cache
 
 
 class AdamState:
@@ -761,7 +760,7 @@ def adam_step(params: Sequence[Parameter], state: AdamState) -> None:
     parameters are untouched.
 
     Every update runs ``_adam_kernel`` over blocks of at most
-    ``ADAM_BLOCK`` elements with two scratch buffers, so the result is
+    ``CACHE_BLOCK`` elements with two scratch buffers, so the result is
     bit-identical to evaluating the formula out of place over the whole
     array. A dense gradient walks the flat arrays block by block. A
     ``RowGrad`` adds its rows to the parameter's ``live_rows`` and updates
@@ -824,9 +823,9 @@ def _adam_flat(data: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray,
     place, walking the flat arrays in contiguous blocks. ``data``, ``m`` and
     ``v`` are C-contiguous, so flattening them gives views."""
     p, g, m, v = (a.reshape(-1) for a in (data, g, m, v))
-    s1, s2 = np.empty((2, min(p.size, ADAM_BLOCK)), p.dtype)
-    for lo in range(0, p.size, ADAM_BLOCK):
-        k = min(ADAM_BLOCK, p.size - lo)
+    s1, s2 = np.empty((2, min(p.size, CACHE_BLOCK)), p.dtype)
+    for lo in range(0, p.size, CACHE_BLOCK):
+        k = min(CACHE_BLOCK, p.size - lo)
         blk = slice(lo, lo + k)
         _adam_kernel(p[blk], g[blk], m[blk], v[blk], p[blk], s1[:k], s2[:k], lr, c1, c2)
 
@@ -837,7 +836,7 @@ def _adam_rows(data: np.ndarray, grad: RowGrad, live: np.ndarray, m: np.ndarray,
     rows (sorted, a superset of ``grad.rows``), a block of rows at a time:
     each block gathers its rows, updates them and scatters them back."""
     d = data.shape[1]
-    per = max(1, ADAM_BLOCK // d)
+    per = max(1, CACHE_BLOCK // d)
     at = np.searchsorted(live, grad.rows)  # each gradient row's place among the live rows
     s1, s2 = np.empty((2, min(live.size, per) * d), data.dtype)
     for lo in range(0, live.size, per):

@@ -13,7 +13,7 @@ import logging
 import math
 import os
 from dataclasses import dataclass, field
-from datetime import datetime
+from datetime import datetime, timezone
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from . import tensor as T
 from .mail import EmailRecord
 from .metrics import roc_auc
 from .model import PARTIAL_FINETUNE, CatBertModel, forward_probs, freeze_preset, set_trainable
-from .pipeline import EncodedDataset, score_dataset, trim_padding
+from .pipeline import EncodedDataset, score_dataset
 from .tensor import AdamState, Tape, Tensor, adam_step, backward
 
 log = logging.getLogger(__name__)
@@ -76,10 +76,12 @@ def bce_loss(probs: Tensor, labels, weights) -> Tensor:
 
 
 def _parse_ts(value: str | None):
+    """An aware datetime, a naive one read as UTC; None if missing or unparseable."""
     if value is None:
         return None
     try:
-        return datetime.fromisoformat(value)
+        ts = datetime.fromisoformat(value)
+        return ts if ts.tzinfo else ts.replace(tzinfo=timezone.utc)
     except ValueError:
         log.warning("unparseable first_seen %r treated as missing", value)
         return None
@@ -153,9 +155,7 @@ def train(model: CatBertModel, train_set: EncodedDataset, config: TrainConfig,
           out_dir: str | None = None) -> TrainingHistory:
     """Adam on weighted BCE over balanced batches. Tracks per-epoch loss and
     validation AUC and keeps the best-validation-AUC checkpoint in
-    ``out_dir/best``. Aborts on non-finite loss. Each batch is trimmed to
-    its longest row (``trim_padding``), which leaves loss and gradients
-    unchanged up to float summation order."""
+    ``out_dir/best``. Aborts on non-finite loss."""
     from .checkpoint import save_checkpoint
 
     set_trainable(model, freeze_preset(model.config) if config.freeze else [])
@@ -175,9 +175,9 @@ def train(model: CatBertModel, train_set: EncodedDataset, config: TrainConfig,
                        for lo in range(0, len(perm), config.batch_size)]
         losses = []
         for bi, idx in enumerate(batches):
-            ids, mask = trim_padding(train_set.ids[idx], train_set.mask[idx])
             with Tape() as tape:
-                probs = forward_probs(model, ids, mask, train_set.ctx[idx])
+                probs = forward_probs(model, train_set.ids[idx], train_set.mask[idx],
+                                      train_set.ctx[idx])
                 loss = bce_loss(probs, train_set.labels[idx], weights[idx])
             lv = float(loss.data)
             if not math.isfinite(lv):

@@ -126,6 +126,41 @@ class TestIngestSplit:
         assert main(["ingest", "--in", str(src), "--out", str(tmp_path / "o"),
                      "--strict"]) == 2
 
+    @pytest.mark.parametrize("bad, reason", [
+        ('{"label": 0, "weight": "abc"}', "weight must be a finite number > 0"),
+        ('{"label": 0, "weight": 1e400}', "weight must be a finite number > 0"),
+        ('{"label": 0, "first_seen": 5}', "first_seen must be an ISO timestamp string"),
+        ("[" * 100_000, "recursion"),
+    ], ids=["weight-text", "weight-inf", "first-seen-number", "deep-nesting"])
+    def test_ingest_skips_a_hostile_line(self, workdir, tmp_path, capsys, bad, reason):
+        good = workdir["corpus"].read_text().splitlines()[0]
+        src = tmp_path / "dirty.jsonl"
+        src.write_text(f"{good}\n{bad}\n{good}\n")
+        out = tmp_path / "clean.jsonl"
+        assert main(["ingest", "--in", str(src), "--out", str(out)]) == 0
+        (skipped,) = json.loads((tmp_path / "clean.jsonl.manifest.json").read_text())[
+            "config"]["skipped"]
+        assert skipped.startswith("line 2: ") and reason in skipped
+        assert sum(1 for _ in open(out)) == 2
+        capsys.readouterr()
+        assert main(["ingest", "--in", str(src), "--out", str(tmp_path / "o"), "--strict"]) == 2
+        assert f"error: {skipped}" in capsys.readouterr().err
+
+    def test_split_orders_naive_and_aware_timestamps(self, tmp_path):
+        """A naive first_seen is read as UTC, so a file that mixes both
+        kinds splits in time order."""
+        stamps = ["2020-01-03", "2020-01-02T12:00:00+05:00", "2020-01-01",
+                  "2020-01-02T00:00:00+00:00"]
+        src = tmp_path / "mixed.jsonl"
+        src.write_text("".join(json.dumps({"label": i % 2, "first_seen": ts}) + "\n"
+                               for i, ts in enumerate(stamps)))
+        out = tmp_path / "splits"
+        assert main(["split", "--in", str(src), "--out-dir", str(out),
+                     "--fractions", "0.5,0.25,0.25"]) == 0
+        seen = [json.loads(line)["first_seen"] for name in ("train", "val", "test")
+                for line in open(out / f"{name}.jsonl")]
+        assert seen == [stamps[2], stamps[3], stamps[1], stamps[0]]
+
     def test_split_writes_three_files(self, workdir, tmp_path):
         out = tmp_path / "splits"
         assert main(["split", "--in", str(workdir["corpus"]),

@@ -148,10 +148,10 @@ def _cls_attention(xq, x, p, prefix, heads, pack):
 def unfused_forward_probs(model, ids, mask, ctx):
     """``forward_probs`` with one op per step: the oracle for the fused ops."""
     cfg, p = model.config, model.params
-    B, L = ids.shape
     pack = _Packing(np.asarray(mask), p["embeddings.token"].data.dtype)
-    tok = T.embedding_lookup(p["embeddings.token"], ids.reshape(-1)[pack.rows])
-    pos = T.embedding_lookup(p["embeddings.position"], pack.rows % L)
+    B = pack.B
+    tok = T.embedding_lookup(p["embeddings.token"], ids[pack.coords])
+    pos = T.embedding_lookup(p["embeddings.position"], pack.coords[1])
     h = ref_layer_norm(T.add(tok, pos), p["embeddings.ln.gain"], p["embeddings.ln.bias"])
     last_t = max(i for i, k in enumerate(cfg.block_plan) if k == TRANSFORMER)
     for i, kind in enumerate(cfg.block_plan):
@@ -238,7 +238,7 @@ def test_gradients_bit_identical(dtype, full, freeze):
 @pytest.mark.parametrize("act", [None, "relu", "gelu"])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_dense_layer_matches_unfused_ops(dtype, act, tape, monkeypatch):
-    monkeypatch.setattr(T, "ROW_BLOCK", 1000)  # several blocks of 3 rows
+    monkeypatch.setattr(T, "CACHE_BLOCK", 1000)  # several blocks of 3 rows
     ops = {None: lambda t: t, "relu": T.relu, "gelu": ref_gelu}[act]
     rng = np.random.default_rng(0)
     x = Parameter("x", rng.standard_normal((3, 5, 7)), dtype=dtype)

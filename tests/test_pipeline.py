@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from catbert.mail import EmailRecord, body_text_of, build_content
-from catbert.model import ModelConfig, forward_probs, init_random
+from catbert.model import ModelConfig, _Packing, forward_probs, init_random
 from catbert.synthetic import make_corpus, synthetic_vocab
-from catbert.pipeline import (encode_records, encode_texts, score_dataset, score_records,
-                              trim_padding)
+from catbert.pipeline import encode_records, encode_texts, score_dataset, score_records
 from catbert.tensor import Tape, backward, dense_grad
 from catbert.tokenizer import Vocabulary, encode
 from catbert.train import TrainConfig, bce_loss, effective_weights, train
@@ -153,16 +152,21 @@ def mixed_length_records(n=23, seed=0):
 
 
 class TestTrimPadding:
-    def test_cuts_after_the_longest_row(self):
-        ids = np.arange(12).reshape(2, 6)
-        mask = np.array([[1, 1, 0, 0, 0, 0], [1, 1, 1, 1, 0, 0]])
-        t_ids, t_mask = trim_padding(ids, mask)
-        assert np.array_equal(t_ids, ids[:, :4])
-        assert np.array_equal(t_mask, mask[:, :4])
+    """``score_dataset`` and ``train`` hand the forward rows padded to
+    ``max_len``; the forward cuts its attention grid after the batch's
+    longest row and reads nothing past it."""
 
-    def test_keeps_one_column(self):
-        ids, mask = trim_padding(np.zeros((3, 5), np.int64), np.zeros((3, 5), np.int64))
-        assert ids.shape == mask.shape == (3, 1)
+    def test_cuts_after_the_longest_row(self):
+        for width in (1, 5, 16):
+            lengths = np.array([1, width, max(1, width - 2)])
+            mask = (np.arange(16)[None, :] < lengths[:, None]).astype(np.int64)
+            pack = _Packing(mask, np.float32)
+            assert (pack.B, pack.L) == (3, width)
+            assert np.array_equal(pack.coords[0] * 16 + pack.coords[1], np.flatnonzero(mask))
+
+    def test_empty_batch(self):
+        empty = np.zeros((0, 16), np.int64)
+        assert forward_probs(tiny_model(), empty, empty, np.zeros((0, 4))).data.shape == (0,)
 
     @pytest.mark.parametrize("batch_size", [1, 4, 7, 64], ids=lambda b: f"{b}-head")
     def test_scores_equal_the_full_width_forward(self, batch_size):
@@ -174,28 +178,36 @@ class TestTrimPadding:
         for use_context, ctx in ((True, ds.ctx), (False, zeros)):
             want = forward_probs(m, ds.ids, ds.mask, ctx).data
             got = score_dataset(m, ds, batch_size=batch_size, use_context=use_context)
-            assert np.max(np.abs(got - want)) < 1e-6
+            assert np.array_equal(got, want)
         assert ds.ids.shape == ds.mask.shape == (len(ds), 16)
 
     def test_train_step_loss_and_gradients_match_untrimmed(self):
+        """The forward of the (B, 16) arrays, with and without a tape, in f32
+        and f64, gives the bytes of the forward of the batch cut by hand at
+        its longest row, and so does every parameter gradient."""
         recs = [r for r in mixed_length_records(40) if len(r.body_text.split()) < 6]
         ds = encode_records(recs, small_vocab(), max_len=16)
-        assert ds.mask.sum(axis=1).max() < 12
+        width = ds.mask.sum(axis=1).max()
+        assert width < 12
+        ds.ids[ds.mask == 0] = 8  # out of the vocabulary, so reading one would raise
         cfg = TrainConfig(epochs=1, batch_size=len(ds), balanced=False, learning_rate=1e-3)
         weights = effective_weights(ds, cfg.bec_weight)
 
-        losses, grads = [], []
-        for ids, mask in ((ds.ids, ds.mask), trim_padding(ds.ids, ds.mask)):
-            m = tiny_model()
-            with Tape() as tape:
-                loss = bce_loss(forward_probs(m, ids, mask, ds.ctx), ds.labels, weights)
-            backward(tape, loss)
-            losses.append(float(loss.data))
-            grads.append({n: dense_grad(p.grad) for n, p in m.params.items()})
-        assert abs(losses[0] - losses[1]) < 1e-6
-        for name in grads[0]:
-            assert np.max(np.abs(grads[0][name] - grads[1][name])) < 1e-6, name
+        for dtype in (np.float32, np.float64):
+            ctx = ds.ctx.astype(dtype)
+            runs = []
+            for ids, mask in ((ds.ids, ds.mask), (ds.ids[:, :width], ds.mask[:, :width])):
+                m = tiny_model().astype(dtype)
+                probs = forward_probs(m, ids, mask, ctx).data
+                with Tape() as tape:
+                    loss = bce_loss(forward_probs(m, ids, mask, ctx), ds.labels, weights)
+                backward(tape, loss)
+                runs.append([probs, loss.data] + [dense_grad(p.grad) for p in m.parameters()])
+            for padded, cut in zip(*runs):
+                assert padded.dtype == dtype and padded.tobytes() == cut.tobytes()
+            if dtype == np.float32:
+                loss32 = float(runs[0][1])
 
         # one epoch of one batch: its loss is taken before the step
         history = train(tiny_model(), ds, cfg)
-        assert abs(history.epochs[0]["train_loss"] - losses[0]) < 1e-6
+        assert abs(history.epochs[0]["train_loss"] - loss32) < 1e-6

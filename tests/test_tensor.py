@@ -498,7 +498,7 @@ class TestAdam:
     def test_blocks_cover_the_whole_array(self, monkeypatch):
         """Arrays longer than one block, and tables with more live rows than
         fit in one, match the formula across every block boundary."""
-        monkeypatch.setattr(T, "ADAM_BLOCK", 8)
+        monkeypatch.setattr(T, "CACHE_BLOCK", 8)
         rng = np.random.default_rng(4)
         w = Parameter("w", rng.normal(0, 0.02, (5, 7)))
         table = Parameter("table", rng.normal(0, 0.02, (30, 3)))
@@ -523,7 +523,7 @@ class TestAdam:
         """A (40, 3) table with every row live, or with about half, over 3
         steps: p, m and v equal the dense formula, the rows never live keep
         their bytes, and the update lands in ``p.data``."""
-        monkeypatch.setattr(T, "ADAM_BLOCK", 12)
+        monkeypatch.setattr(T, "CACHE_BLOCK", 12)
         rng = np.random.default_rng(11)
         table = Parameter("table", rng.normal(0, 0.02, (40, 3)))
         start = table.data.copy()

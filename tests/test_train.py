@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from catbert import tensor as T
 from catbert.mail import EmailRecord
 from catbert.model import ModelConfig, forward_probs, freeze_preset, init_random, set_trainable
-from catbert.pipeline import EncodedDataset, encode_records, score_dataset, trim_padding
+from catbert.pipeline import EncodedDataset, encode_records, score_dataset
 from catbert.synthetic import make_corpus, synthetic_vocab
 from catbert.tensor import Parameter, Tape, backward
 from catbert.tokenizer import Vocabulary
@@ -301,9 +301,8 @@ def test_train_matches_dense_gradients_and_dense_adam(freeze):
     t = 0
     for _ in range(config.epochs):
         for idx in balanced_batches(ds.labels, config.batch_size, rng):
-            ids, mask = trim_padding(ds.ids[idx], ds.mask[idx])
             with Tape() as tape:
-                probs = forward_probs(model, ids, mask, ds.ctx[idx])
+                probs = forward_probs(model, ds.ids[idx], ds.mask[idx], ds.ctx[idx])
                 loss = bce_loss(probs, ds.labels[idx], weights[idx])
             backward(tape, loss)
             t += 1
