@@ -92,6 +92,12 @@ def attack(text: str, spec: AttackSpec) -> str:
     return "".join(out)
 
 
+def check_threshold(threshold: float) -> None:
+    """ValueError unless ``threshold`` is strictly between 0 and 1."""
+    if not 0.0 < threshold < 1.0:
+        raise ValueError(f"threshold must be in (0,1), got {threshold}")
+
+
 def accuracy_under_attack(scorer, records: list[EmailRecord], spec: AttackSpec,
                           threshold: float = 0.5) -> dict:
     """Detection accuracy on the malicious subset, clean vs attacked.
@@ -99,8 +105,7 @@ def accuracy_under_attack(scorer, records: list[EmailRecord], spec: AttackSpec,
     ``scorer(texts, records) -> probs`` sees perturbed content text while the
     records keep their original headers.
     """
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold must be in (0,1), got {threshold}")
+    check_threshold(threshold)
     malicious = [r for r in records if r.label == 1]
     if not malicious:
         raise ValueError("no malicious records to attack")

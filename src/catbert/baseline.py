@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .tensor import stable_sigmoid
 from .tokenizer import pre_tokenize
 
 
@@ -65,15 +66,6 @@ def _scores(doc_idx, col_idx, vals, w, b, n_docs):
     return np.bincount(doc_idx, weights=vals * w[col_idx], minlength=n_docs) + b
 
 
-def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    e = np.exp(z[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
-
-
 def train_tfidf_lr(texts: list[str], labels, weights=None) -> TfidfLrModel:
     """Fit the baseline. Deterministic: term weights start at zero, the
     intercept at the class-prior log odds, and the data order fixes
@@ -101,7 +93,7 @@ def train_tfidf_lr(texts: list[str], labels, weights=None) -> TfidfLrModel:
     prior = min(max(float((sw * labels).sum() / sw.sum()), 1e-7), 1.0 - 1e-7)
     b = float(np.log(prior / (1.0 - prior)))
     for _ in range(EPOCHS):
-        p = _sigmoid(_scores(doc_idx, col_idx, vals, w, b, n))
+        p = stable_sigmoid(_scores(doc_idx, col_idx, vals, w, b, n))
         err = sw * (p - labels) / n  # d(mean w_i * bce_i)/d logit_i
         w -= LEARNING_RATE * np.bincount(col_idx, weights=err[doc_idx] * vals, minlength=F)
         b -= LEARNING_RATE * float(err.sum())
@@ -111,7 +103,7 @@ def train_tfidf_lr(texts: list[str], labels, weights=None) -> TfidfLrModel:
 def predict_tfidf_lr(model: TfidfLrModel, texts: list[str]) -> np.ndarray:
     doc_idx, col_idx, vals = _sparse_rows(texts, model.vocab)
     vals = _tfidf(doc_idx, col_idx, vals, model.idf, len(texts))
-    return _sigmoid(_scores(doc_idx, col_idx, vals, model.w, model.b, len(texts)))
+    return stable_sigmoid(_scores(doc_idx, col_idx, vals, model.w, model.b, len(texts)))
 
 
 def make_lr_scorer(model: TfidfLrModel):

@@ -28,13 +28,13 @@ import time
 from dataclasses import asdict
 
 from . import __version__
-from .attacks import KINDS, AttackSpec, accuracy_under_attack
+from .attacks import KINDS, AttackSpec, accuracy_under_attack, check_threshold
 from .checkpoint import load_checkpoint, read_manifest, save_checkpoint
-from .explain import explain_record
+from .explain import MIN_SAMPLES, explain_record
 from .mail import CONTEXT_DIM, load_dataset, load_dataset_with_report, save_dataset
 from .metrics import DEFAULT_FPRS, group_metrics, roc_auc, roc_curve, time_inference, tpr_at_fpr
-from .model import (PARTIAL_FINETUNE, ModelConfig, check_keep, count_params, init_random,
-                    millions, surgery_from_donor)
+from .model import (PARTIAL_FINETUNE, ConfigError, ModelConfig, check_keep, config_keys,
+                    count_params, init_random, millions, surgery_from_donor)
 from .pipeline import encode_records, make_model_scorer, score_dataset
 from .tokenizer import DEFAULT_MAX_LEN, MIN_MAX_LEN, load_vocab
 from .train import TrainConfig, check_fractions, split_by_time, train
@@ -164,7 +164,8 @@ def _override(base: dict, **flags) -> dict:
 def _list_arg(kind, n: int | None = None, lo=float("-inf"), hi=float("inf")):
     """An argparse ``type`` for ``n`` (any number when None) comma-separated
     ``kind`` values, each in [lo, hi]; any other value is a usage error."""
-    want = f"{n or 'any number of'} comma-separated {kind.__name__} values in [{lo}, {hi}]"
+    want = (f"one {kind.__name__}" if n == 1 else
+            f"{n or 'any number of'} comma-separated {kind.__name__} values") + f" in [{lo}, {hi}]"
     def parse(text: str) -> list:
         try:
             values = [kind(part) for part in text.split(",")]
@@ -174,6 +175,13 @@ def _list_arg(kind, n: int | None = None, lo=float("-inf"), hi=float("inf")):
             raise argparse.ArgumentTypeError(f"wants {want}, got {text!r}")
         return values
     return parse
+
+
+def _number_arg(kind, lo=float("-inf"), hi=float("inf")):
+    """An argparse ``type`` for one ``kind`` value in [lo, hi]: the bound the
+    library enforces, checked before any work."""
+    parse = _list_arg(kind, n=1, lo=lo, hi=hi)
+    return lambda text: parse(text)[0]
 
 
 def _fractions_arg(text: str) -> list[float]:
@@ -261,14 +269,12 @@ def _resolve_max_len(max_len: int | None, max_positions: int) -> int:
 
 
 def _cmd_train(args) -> dict:
-    file_cfg = _load_json(args.config)
-    unknown = set(file_cfg) - {"model", "train", "max_len", "truncate"}
-    if unknown:
-        raise UsageError(f"unknown config fields: {sorted(unknown)}")
     # run manifests written while rows could keep the tail still record "head"
-    if file_cfg.get("truncate", "head") != "head":
-        raise UsageError(f"truncate={file_cfg['truncate']!r} is retired; "
-                         "every row keeps the head of its email")
+    retired = {"truncate": ("head", "every row keeps the head of its email")}
+    try:
+        file_cfg = config_keys(_load_json(args.config), ("model", "train", "max_len"), retired)
+    except ConfigError as e:
+        raise UsageError(str(e)) from None
     vocab = load_vocab(args.vocab)
     max_len = args.max_len if args.max_len is not None else file_cfg.get("max_len")
 
@@ -277,9 +283,7 @@ def _cmd_train(args) -> dict:
             file_cfg.get("train", {}),
             epochs=args.epochs, batch_size=args.batch_size,
             learning_rate=args.learning_rate, seed=args.seed,
-            bec_weight=args.bec_weight, freeze=args.freeze,
-            balanced=False if args.unbalanced else None,
-        ))
+            bec_weight=args.bec_weight, freeze=args.freeze))
         model_cfg = _resolved_model_config(args, file_cfg, len(vocab), train_cfg.seed)
     except (TypeError, ValueError) as e:
         raise UsageError(f"bad config: {e}")
@@ -407,9 +411,13 @@ def _cmd_predict(args) -> dict:
 
 
 def _cmd_attack(args) -> dict:
-    vocab, model, records, max_len = _load_model_inputs(args)
     synonyms = _load_json(args.synonyms) if args.synonyms else {}
-    spec = AttackSpec(kind=args.kind, rate=args.rate, seed=args.seed, synonyms=synonyms)
+    try:  # the attack's own checks, before the checkpoint and records are read
+        spec = AttackSpec(kind=args.kind, rate=args.rate, seed=args.seed, synonyms=synonyms)
+        check_threshold(args.threshold)
+    except ValueError as e:
+        raise UsageError(str(e)) from None
+    vocab, model, records, max_len = _load_model_inputs(args)
     scorer = make_model_scorer(model, vocab, max_len=max_len, use_context=not args.no_context)
     report = accuracy_under_attack(scorer, records, spec, threshold=args.threshold)
     _write_text(_json_text(report), args.out)
@@ -492,7 +500,6 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int)
     p.add_argument("--bec-weight", type=float)
     p.add_argument("--freeze", help=f"freeze preset; the one preset is {PARTIAL_FINETUNE}")
-    p.add_argument("--unbalanced", action="store_true", help="plain shuffled batches")
     p.add_argument("--hidden", type=int)
     p.add_argument("--ffn-dim", type=int)
     p.add_argument("--heads", type=int)
@@ -517,7 +524,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("eval", help="AUC / TPR-at-FPR metrics on a dataset")
     _model_io_args(p)
-    p.add_argument("--batch-size", type=int, default=64)
+    p.add_argument("--batch-size", type=_number_arg(int, lo=1), default=64)
     p.add_argument("--out", help="metrics JSON (stdout if omitted)")
     p.add_argument("--roc", help="also write the full ROC curve as CSV")
     p.add_argument("--fprs", type=_list_arg(float, lo=0.0, hi=1.0),
@@ -527,7 +534,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("predict", help="score records, one JSON line each")
     _model_io_args(p)
-    p.add_argument("--batch-size", type=int, default=64)
+    p.add_argument("--batch-size", type=_number_arg(int, lo=1), default=64)
     p.add_argument("--out", help="predictions JSONL (stdout if omitted)")
     p.set_defaults(func=_cmd_predict)
 
@@ -544,7 +551,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("explain", help="per-word attribution for one record")
     _model_io_args(p)
     p.add_argument("--index", type=int, default=0, help="record index to explain")
-    p.add_argument("--n-samples", type=int, default=1000)
+    p.add_argument("--n-samples", type=_number_arg(int, lo=MIN_SAMPLES), default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="attribution JSON (stdout if omitted)")
     p.set_defaults(func=_cmd_explain)

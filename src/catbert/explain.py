@@ -21,6 +21,7 @@ from .tokenizer import DEFAULT_MAX_LEN, pre_tokenize
 
 RIDGE_LAMBDA = 1e-3
 TOP_K = 10  # words listed in top_positive and in top_negative
+MIN_SAMPLES = 50  # fewest neighbourhood samples the surrogate is fit on
 
 
 @dataclass
@@ -41,8 +42,8 @@ def lime_explain(score_fn, text: str, n_samples: int = 1000, seed: int = 0) -> A
     dropped; context features, if the caller has any, must be closed over
     (dropping words never touches them).
     """
-    if n_samples < 50:
-        raise ValueError(f"need n_samples >= 50, got {n_samples}")
+    if n_samples < MIN_SAMPLES:
+        raise ValueError(f"need n_samples >= {MIN_SAMPLES}, got {n_samples}")
     words = pre_tokenize(text)
     n = len(words)
     if n == 0:

@@ -153,20 +153,46 @@ _JSON_KEYS = {
 GROUPS = (None, "bec", "english", "non_english")
 
 
+_TEXT_KEYS = {"subject": "a string", "body_text": "a string", "body_html": "a string",
+              "from": "a string", "first_seen": "an ISO timestamp string"}
+
+
+def _check_text(name: str, value, what: str) -> None:
+    """DatasetError unless ``value`` is a str that UTF-8 can write back (a
+    JSON escape can smuggle in a lone surrogate, which it cannot)."""
+    if not isinstance(value, str):
+        raise DatasetError(f"{name} must be {what}, got {type(value).__name__}")
+    if not value.isascii():
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            raise DatasetError(f"{name} holds a lone surrogate, not UTF-8 text") from None
+
+
 def _parse_record(obj: dict) -> EmailRecord:
+    """One JSON object as a record, or a DatasetError that names the first
+    field a later stage could not read. A null field counts as absent."""
     if not isinstance(obj, dict):
         raise DatasetError("record is not a JSON object")
     if "label" not in obj:
         raise DatasetError("missing label")
     kwargs = {}
     for key, attr in _JSON_KEYS.items():
-        if key in obj and obj[key] is not None:
-            kwargs[attr] = obj[key]
+        value = obj.get(key)
+        if value is None:
+            continue
+        if key in _TEXT_KEYS:
+            _check_text(key, value, _TEXT_KEYS[key])
+        elif key in ("to", "cc"):
+            if not isinstance(value, list):
+                raise DatasetError(f"{key} must be a list of strings, got {type(value).__name__}")
+            for i, addr in enumerate(value):
+                _check_text(f"{key}[{i}]", addr, "a string")
+        kwargs[attr] = value
     rec = EmailRecord(**kwargs)
     if rec.label not in (0, 1):
         raise DatasetError(f"label must be 0 or 1, got {rec.label!r}")
-    if not isinstance(rec.to_addrs, list) or not isinstance(rec.cc_addrs, list):
-        raise DatasetError("to/cc must be lists")
+    rec.label = int(rec.label)  # so true and 1.0 are written back as 1
     try:
         weight = float(rec.weight)
     except (TypeError, ValueError, OverflowError):
@@ -176,8 +202,6 @@ def _parse_record(obj: dict) -> EmailRecord:
     rec.weight = weight
     if rec.group not in GROUPS:
         raise DatasetError(f"unknown group {rec.group!r}")
-    if not isinstance(rec.first_seen, (str, type(None))):
-        raise DatasetError(f"first_seen must be an ISO timestamp string, got {rec.first_seen!r}")
     return rec
 
 

@@ -74,19 +74,15 @@ def roc_curve(scores, labels) -> list[tuple[float, float, float]]:
 
 def tpr_at_fpr(scores, labels, fprs) -> list[float]:
     """For each target, the TPR at the threshold whose achievable FPR is the
-    largest one still <= target (no interpolation)."""
-    curve = roc_curve(scores, labels)
-    best_tpr: dict[float, float] = {}
-    for fpr, tpr, _ in curve:
-        if tpr > best_tpr.get(fpr, -1.0):
-            best_tpr[fpr] = tpr
-    achievable = sorted(best_tpr)
+    largest one still <= target (no interpolation). FPR and TPR never fall
+    along the curve, which starts at (0, 0), so that is the TPR of the last
+    point with FPR <= target."""
+    fpr, tpr, _ = np.array(roc_curve(scores, labels)).T
     out = []
     for target in fprs:
         if not 0.0 <= target <= 1.0:
             raise MetricError(f"FPR target must be in [0,1], got {target}")
-        feasible = [f for f in achievable if f <= target]
-        out.append(best_tpr[max(feasible)] if feasible else 0.0)
+        out.append(float(tpr[np.searchsorted(fpr, target, side="right") - 1]))
     return out
 
 

@@ -77,17 +77,24 @@ class ModelConfig:
         """Build from a config or checkpoint dict. Dicts written before
         ``cls_from`` and ``classifier_hidden`` were retired still load when
         they hold the one value the model now has."""
-        d = dict(d)
-        retired = {"cls_from": "last_block",
-                   "classifier_hidden": d.get("hidden", cls.__dataclass_fields__["hidden"].default)}
-        for key, only in retired.items():
-            value = d.pop(key, only)
-            if value != only:
-                raise ConfigError(f"{key}={value!r} is retired; the model supports only {only!r}")
-        unknown = set(d) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        return cls(**d)
+        hidden = d.get("hidden", cls.__dataclass_fields__["hidden"].default)
+        retired = {key: (only, f"the model supports only {only!r}")
+                   for key, only in (("cls_from", "last_block"), ("classifier_hidden", hidden))}
+        return cls(**config_keys(d, cls.__dataclass_fields__, retired))
+
+
+def config_keys(d: dict, known, retired: dict) -> dict:
+    """``d`` without its retired keys: the one rule for reading config dicts.
+    ``retired`` maps each key that older configs may hold to (the one value
+    it may still have, the reason shown for any other). ConfigError on a
+    key that is neither known nor retired, or a retired key set otherwise."""
+    unknown = set(d) - set(known) - set(retired)
+    if unknown:
+        raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+    for key, (only, reason) in retired.items():
+        if d.get(key, only) != only:
+            raise ConfigError(f"{key}={d[key]!r} is retired; {reason}")
+    return {k: v for k, v in d.items() if k not in retired}
 
 
 def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -215,11 +222,6 @@ def init_random(config: ModelConfig, seed: int | None = None) -> CatBertModel:
     return CatBertModel(config, params)
 
 
-def _linear(x: Tensor, w: Parameter, b: Parameter, act: str | None = None) -> Tensor:
-    """A dense layer as one op: ``act(x @ w + b)``."""
-    return T.matmul(x, w, bias=b, act=act)
-
-
 class _Packing:
     """Where the real tokens of a batch sit. Its (B, L) attention grid ends at
     the last column any row attends to, whatever width the mask has. Every
@@ -265,7 +267,7 @@ def _attention(x: Tensor, p: dict, prefix: str, heads: int, pack: _Packing) -> T
     dh = d // heads
 
     def project(n: str) -> Tensor:  # (B, heads, L, dh)
-        t = pack.pad(_linear(x, p[f"{prefix}.attn.{n}.w"], p[f"{prefix}.attn.{n}.b"]))
+        t = pack.pad(T.matmul(x, p[f"{prefix}.attn.{n}.w"], bias=p[f"{prefix}.attn.{n}.b"]))
         return T.transpose(T.reshape(t, (B, L, heads, dh)), (0, 2, 1, 3))
 
     q, k, v = project("q"), project("k"), project("v")
@@ -274,7 +276,7 @@ def _attention(x: Tensor, p: dict, prefix: str, heads: int, pack: _Packing) -> T
                              scale=1.0 / math.sqrt(dh), mask=pack.add_mask)
     mixed = pack.unpad(T.transpose(T.matmul(weights, v), (0, 2, 1, 3)))  # (N, heads, dh)
     mixed = T.reshape(mixed, (-1, d))
-    return _linear(mixed, p[f"{prefix}.attn.o.w"], p[f"{prefix}.attn.o.b"])
+    return T.matmul(mixed, p[f"{prefix}.attn.o.w"], bias=p[f"{prefix}.attn.o.b"])
 
 
 def _cls_attention(xq: Tensor, x: Tensor, p: dict, prefix: str, heads: int,
@@ -296,7 +298,7 @@ def _cls_attention(xq: Tensor, x: Tensor, p: dict, prefix: str, heads: int,
     B, L = pack.B, pack.L
     d = x.data.shape[-1]
     dh = d // heads
-    q = _linear(xq, p[f"{prefix}.attn.q.w"], p[f"{prefix}.attn.q.b"])
+    q = T.matmul(xq, p[f"{prefix}.attn.q.w"], bias=p[f"{prefix}.attn.q.b"])
     q = T.transpose(T.reshape(T.mul(q, 1.0 / math.sqrt(dh)), (B, heads, dh)), (1, 0, 2))  # (h, B, dh)
     wk = T.transpose(T.reshape(p[f"{prefix}.attn.k.w"], (d, heads, dh)), (1, 2, 0))  # (h, dh, d)
     u = T.matmul(q, wk)  # (h, B, d)
@@ -308,7 +310,7 @@ def _cls_attention(xq: Tensor, x: Tensor, p: dict, prefix: str, heads: int,
     wv = T.transpose(T.reshape(p[f"{prefix}.attn.v.w"], (d, heads, dh)), (1, 0, 2))  # (h, d, dh)
     mixed = T.matmul(T.transpose(z, (1, 0, 2)), wv)  # (h, B, dh)
     mixed = T.add(T.reshape(T.transpose(mixed, (1, 0, 2)), (B, d)), p[f"{prefix}.attn.v.b"])
-    return _linear(mixed, p[f"{prefix}.attn.o.w"], p[f"{prefix}.attn.o.b"])
+    return T.matmul(mixed, p[f"{prefix}.attn.o.w"], bias=p[f"{prefix}.attn.o.b"])
 
 
 def _transformer_block(x: Tensor, p: dict, prefix: str, heads: int,
@@ -327,15 +329,15 @@ def _transformer_block(x: Tensor, p: dict, prefix: str, heads: int,
     # each sublayer's output is freed once read, before the next allocates.
     x = T.layer_norm(T.add(xq, attn), p[f"{prefix}.attn.ln.gain"], p[f"{prefix}.attn.ln.bias"])
     del xq, attn
-    h = _linear(x, p[f"{prefix}.ffn.w1"], p[f"{prefix}.ffn.b1"], act="gelu")  # (N, ffn_dim)
-    ffn = _linear(h, p[f"{prefix}.ffn.w2"], p[f"{prefix}.ffn.b2"])
+    h = T.matmul(x, p[f"{prefix}.ffn.w1"], bias=p[f"{prefix}.ffn.b1"], act="gelu")  # (N, ffn_dim)
+    ffn = T.matmul(h, p[f"{prefix}.ffn.w2"], bias=p[f"{prefix}.ffn.b2"])
     del h
     return T.layer_norm(T.add(x, ffn), p[f"{prefix}.ffn.ln.gain"], p[f"{prefix}.ffn.ln.bias"])
 
 
 def _adapter_block(x: Tensor, p: dict, prefix: str) -> Tensor:
-    h = _linear(x, p[f"{prefix}.dense1.w"], p[f"{prefix}.dense1.b"], act="relu")
-    return T.add(x, _linear(h, p[f"{prefix}.dense2.w"], p[f"{prefix}.dense2.b"]))
+    h = T.matmul(x, p[f"{prefix}.dense1.w"], bias=p[f"{prefix}.dense1.b"], act="relu")
+    return T.add(x, T.matmul(h, p[f"{prefix}.dense2.w"], bias=p[f"{prefix}.dense2.b"]))
 
 
 def forward_probs(model: CatBertModel, ids: np.ndarray, mask: np.ndarray,
@@ -414,8 +416,8 @@ def forward_probs(model: CatBertModel, ids: np.ndarray, mask: np.ndarray,
         if ctx.shape != (B, cfg.context_dim):
             raise ValueError(f"ctx shape {ctx.shape} != {(B, cfg.context_dim)}")
         cls = T.concat([cls, Tensor._wrap(ctx)], axis=1)
-    fused = _linear(cls, p["classifier.fusion.w"], p["classifier.fusion.b"], act="relu")
-    logit = _linear(fused, p["classifier.out.w"], p["classifier.out.b"])
+    fused = T.matmul(cls, p["classifier.fusion.w"], bias=p["classifier.fusion.b"], act="relu")
+    logit = T.matmul(fused, p["classifier.out.w"], bias=p["classifier.out.b"])
     probs = T.sigmoid(T.reshape(logit, (B,)))
     if return_hidden:
         return probs, hiddens

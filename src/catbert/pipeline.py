@@ -65,6 +65,8 @@ def score_dataset(model: CatBertModel, ds: EncodedDataset, batch_size: int = 64,
                   use_context: bool = True) -> np.ndarray:
     """Probabilities for every row, in row order; ``use_context=False``
     zeroes the context features (the ablation switch)."""
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     out = np.empty(len(ds), dtype=np.float32)
     ctx = ds.ctx if use_context else np.zeros_like(ds.ctx)
     for lo in range(0, len(ds), batch_size):

@@ -439,13 +439,19 @@ def gelu(x: Tensor) -> Tensor:
     return _emit(out, (x,), grad_fn, needs)
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    v = x.data
+def stable_sigmoid(v: np.ndarray) -> np.ndarray:
+    """1 / (1 + e^-v) on an array, in the form that cannot overflow: e^v
+    is taken only where v < 0. Shared with the TF-IDF baseline."""
     out = np.empty_like(v)
     pos = v >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
     ev = np.exp(v[~pos])
     out[~pos] = ev / (1.0 + ev)
+    return out
+
+
+def sigmoid(x: Tensor) -> Tensor:
+    out = stable_sigmoid(x.data)
 
     def grad_fn(g):
         return (g * out * (1.0 - out),)

@@ -20,7 +20,8 @@ import numpy as np
 from . import tensor as T
 from .mail import EmailRecord
 from .metrics import roc_auc
-from .model import PARTIAL_FINETUNE, CatBertModel, forward_probs, freeze_preset, set_trainable
+from .model import (PARTIAL_FINETUNE, CatBertModel, config_keys, forward_probs, freeze_preset,
+                    set_trainable)
 from .pipeline import EncodedDataset, score_dataset
 from .tensor import AdamState, Tape, Tensor, adam_step, backward
 
@@ -35,7 +36,6 @@ class TrainingError(RuntimeError):
 class TrainConfig:
     epochs: int = 5
     batch_size: int = 128
-    balanced: bool = True
     learning_rate: float = 5e-5
     seed: int = 0
     bec_weight: float = 100.0
@@ -44,20 +44,18 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.balanced and self.batch_size % 2:
-            raise ValueError(f"balanced batches need an even batch size, got {self.batch_size}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.batch_size < 1 or self.batch_size % 2:
+            raise ValueError(f"batches are class-balanced, so batch_size must be even "
+                             f"and >= 2, got {self.batch_size}")
         if self.freeze not in (None, PARTIAL_FINETUNE):
             raise ValueError(f"freeze must be {PARTIAL_FINETUNE!r} or absent, got {self.freeze!r}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown train config fields: {sorted(unknown)}")
-        return cls(**d)
+        """Build from a config dict. Run manifests written while batches
+        could be unbalanced hold ``balanced: true``, which still loads."""
+        retired = {"balanced": (True, "every batch is class-balanced")}
+        return cls(**config_keys(d, cls.__dataclass_fields__, retired))
 
 
 def bce_loss(probs: Tensor, labels, weights) -> Tensor:
@@ -167,14 +165,8 @@ def train(model: CatBertModel, train_set: EncodedDataset, config: TrainConfig,
     best_auc = -1.0
 
     for epoch in range(config.epochs):
-        if config.balanced:
-            batches = balanced_batches(train_set.labels, config.batch_size, rng=rng)
-        else:
-            perm = rng.permutation(len(train_set))
-            batches = [perm[lo:lo + config.batch_size]
-                       for lo in range(0, len(perm), config.batch_size)]
         losses = []
-        for bi, idx in enumerate(batches):
+        for bi, idx in enumerate(balanced_batches(train_set.labels, config.batch_size, rng=rng)):
             with Tape() as tape:
                 probs = forward_probs(model, train_set.ids[idx], train_set.mask[idx],
                                       train_set.ctx[idx])

@@ -76,23 +76,38 @@ class TestExitCodes:
         assert f"output directory {missing} does not exist" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
 
-    @pytest.mark.parametrize("argv, flag", [
-        (["split", "--fractions", "a,b,c"], "--fractions"),
-        (["split", "--fractions", "0.5,0.5"], "--fractions"),
-        (["split", "--fractions", "1.5,-0.25,-0.25"], "--fractions"),
-        (["eval", "--fprs", "0.01,x"], "--fprs"),
-        (["eval", "--fprs", "0.01,2"], "--fprs"),
-        (["surgery", "--keep", "0,two"], "--keep"),
-        (["surgery", "--keep", "0,-1"], "--keep"),
+    @pytest.mark.parametrize("argv, message", [
+        (["split", "--fractions", "a,b,c"], "argument --fractions: wants "),
+        (["split", "--fractions", "0.5,0.5"], "argument --fractions: wants "),
+        (["split", "--fractions", "1.5,-0.25,-0.25"], "argument --fractions: wants "),
+        (["eval", "--fprs", "0.01,x"], "argument --fprs: wants "),
+        (["eval", "--fprs", "0.01,2"], "argument --fprs: wants "),
+        (["surgery", "--keep", "0,two"], "argument --keep: wants "),
+        (["surgery", "--keep", "0,-1"], "argument --keep: wants "),
+        (["eval", "--batch-size", "-1"],
+         "argument --batch-size: wants one int in [1, inf], got '-1'"),
+        (["eval", "--batch-size", "0"], "argument --batch-size: wants one int in [1, inf]"),
+        (["predict", "--batch-size", "-1"], "argument --batch-size: wants one int in [1, inf]"),
+        (["explain", "--n-samples", "10"], "argument --n-samples: wants one int in [50, inf]"),
+        (["attack", "--kind", "typo", "--rate", "2"], "rate must be in [0,1], got 2.0"),
+        (["attack", "--kind", "typo", "--rate", "0.5", "--threshold", "1.5"],
+         "threshold must be in (0,1), got 1.5"),
+        (["attack", "--kind", "synonym", "--rate", "0.5"],
+         "synonym attack needs a non-empty synonym table"),
     ], ids=["fractions-not-numbers", "fractions-two-values", "fractions-out-of-range",
-            "fprs-not-a-number", "fprs-above-one", "keep-not-an-integer", "keep-negative"])
-    def test_bad_list_flag_fails_before_reading_data(self, tmp_path, capsys, argv, flag):
+            "fprs-not-a-number", "fprs-above-one", "keep-not-an-integer", "keep-negative",
+            "eval-batch-size-negative", "eval-batch-size-zero", "predict-batch-size-negative",
+            "explain-n-samples-below-50", "attack-rate-above-one", "attack-threshold-above-one",
+            "attack-synonym-without-table"])
+    def test_bad_list_flag_fails_before_reading_data(self, tmp_path, capsys, argv, message):
+        """A flag value outside the bound the library enforces is a usage
+        error before any input is read (every input here is missing)."""
         missing = str(tmp_path / "missing")
+        scoring = ["--in", missing, "--model", missing, "--vocab", missing]
         inputs = {"split": ["--in", missing, "--out-dir", str(tmp_path / "out")],
-                  "eval": ["--in", missing, "--model", missing, "--vocab", missing],
                   "surgery": ["--donor", missing, "--out-dir", str(tmp_path / "out")]}
-        assert main(argv + inputs[argv[0]]) == 1
-        assert f"argument {flag}: wants " in capsys.readouterr().err
+        assert main(argv + inputs.get(argv[0], scoring)) == 1
+        assert message in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
 
     def test_version_flag(self, capsys):
@@ -131,7 +146,17 @@ class TestIngestSplit:
         ('{"label": 0, "weight": 1e400}', "weight must be a finite number > 0"),
         ('{"label": 0, "first_seen": 5}', "first_seen must be an ISO timestamp string"),
         ("[" * 100_000, "recursion"),
-    ], ids=["weight-text", "weight-inf", "first-seen-number", "deep-nesting"])
+        ('{"label": 0, "subject": 7}', "subject must be a string, got int"),
+        ('{"label": 0, "subject": ["x"]}', "subject must be a string, got list"),
+        ('{"label": 1, "body_text": {"a": 1}}', "body_text must be a string, got dict"),
+        ('{"label": 0, "body_html": 3}', "body_html must be a string, got int"),
+        ('{"label": 0, "from": 5}', "from must be a string, got int"),
+        ('{"label": 0, "to": [1, 2]}', "to[0] must be a string, got int"),
+        ('{"label": 0, "cc": "a@x.co"}', "cc must be a list of strings, got str"),
+        ('{"label": 0, "subject": "\\ud800"}', "subject holds a lone surrogate"),
+    ], ids=["weight-text", "weight-inf", "first-seen-number", "deep-nesting",
+            "subject-number", "subject-list", "body-text-object", "body-html-number",
+            "from-number", "to-numbers", "cc-string", "subject-lone-surrogate"])
     def test_ingest_skips_a_hostile_line(self, workdir, tmp_path, capsys, bad, reason):
         good = workdir["corpus"].read_text().splitlines()[0]
         src = tmp_path / "dirty.jsonl"
@@ -231,7 +256,11 @@ class TestTrain:
         ({"truncate": "middle"}, "truncate='middle' is retired"),
         ({"truncate": "tail"}, "truncate='tail' is retired; every row keeps the head of its email"),
         ({"max_len": "16"}, "max_len must be an integer, got '16'"),
-    ], ids=["unknown-top-level-key", "truncate-middle", "truncate-tail", "max-len-string"])
+        ({"train": {"epochs": 1, "balanced": False}},
+         "balanced=False is retired; every batch is class-balanced"),
+        ({"train": {"epochs": 1, "batch_size": 7}}, "batch_size must be even"),
+    ], ids=["unknown-top-level-key", "truncate-middle", "truncate-tail", "max-len-string",
+            "balanced-false", "odd-batch-size"])
     def test_bad_config_fails_before_reading_data(self, workdir, tmp_path, capsys,
                                                   override, message):
         cfg = {**json.loads(workdir["config"].read_text()), **override}
@@ -245,7 +274,11 @@ class TestTrain:
         assert not out.exists()
 
     def test_config_from_an_older_manifest_with_truncate_head_trains(self, workdir, tmp_path):
-        cfg = {**json.loads(workdir["config"].read_text()), "truncate": "head"}
+        """The ``config`` block of a run manifest written while rows could
+        keep the tail and batches could be unbalanced trains the same model."""
+        cfg = json.loads((workdir["run"] / "run_manifest.json").read_text())["config"]
+        cfg["truncate"] = "head"
+        cfg["train"]["balanced"] = True
         path = tmp_path / "old.json"
         path.write_text(json.dumps(cfg))
         run = tmp_path / "old"
@@ -253,7 +286,8 @@ class TestTrain:
                      "--config", str(path), "--out-dir", str(run), "--seed", "0"]) == 0
         assert ((run / "best" / "tensors.bin").read_bytes()
                 == (workdir["ckpt"] / "tensors.bin").read_bytes())
-        assert "truncate" not in json.loads((run / "run_manifest.json").read_text())["config"]
+        config = json.loads((run / "run_manifest.json").read_text())["config"]
+        assert "truncate" not in config and "balanced" not in config["train"]
 
     def test_truncate_flag_is_unrecognized(self, workdir, tmp_path, capsys):
         assert main(["train", "--train", str(workdir["corpus"]), "--vocab", str(workdir["vocab"]),
@@ -397,10 +431,14 @@ class TestAttackExplain:
         assert report["clean_acc"] == report["attacked_acc"]
 
     def test_attack_synonym_needs_table(self, workdir, tmp_path, capsys):
-        rc = main(["attack", "--model", str(workdir["ckpt"]),
-                   "--in", str(workdir["corpus"]), "--vocab", str(workdir["vocab"]),
-                   "--kind", "synonym", "--rate", "0.5"])
-        assert rc == 2  # empty table rejected by the attack spec
+        empty = tmp_path / "empty.json"
+        empty.write_text("{}")
+        for table in ([], ["--synonyms", str(empty)]):
+            rc = main(["attack", "--model", str(workdir["ckpt"]),
+                       "--in", str(workdir["corpus"]), "--vocab", str(workdir["vocab"]),
+                       "--kind", "synonym", "--rate", "0.5", *table])
+            assert rc == 1  # the attack spec's check, made before the model is loaded
+            assert "synonym attack needs a non-empty synonym table" in capsys.readouterr().err
 
     def test_attack_with_synonym_table(self, workdir, tmp_path):
         table = tmp_path / "syn.json"

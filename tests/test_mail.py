@@ -201,6 +201,15 @@ class TestDatasetIO:
         assert "body_html" not in obj and "first_seen" not in obj
         assert obj["from"] == "" and obj["to"] == []
 
+    def test_label_is_stored_as_an_int(self, tmp_path):
+        src, out = tmp_path / "d.jsonl", tmp_path / "o.jsonl"
+        src.write_text('{"label": true}\n{"label": 1.0}\n{"label": false}\n{"label": 0.0}\n')
+        recs = load_dataset(src, strict=True)
+        assert [(type(r.label), r.label) for r in recs] == [(int, 1), (int, 1), (int, 0), (int, 0)]
+        save_dataset(recs, out)
+        labels = [json.loads(line)["label"] for line in out.read_text().splitlines()]
+        assert [(type(v), v) for v in labels] == [(int, 1), (int, 1), (int, 0), (int, 0)]
+
     def test_nonpositive_weight_rejected(self, tmp_path):
         p = tmp_path / "d.jsonl"
         p.write_text('{"label": 0, "weight": 0}\n')

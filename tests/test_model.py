@@ -17,7 +17,6 @@ from catbert.model import (
     ParamReport,
     _adapter_block,
     _Packing,
-    _linear,
     count_params,
     forward_probs,
     freeze_preset,
@@ -186,15 +185,15 @@ def _padded_transformer_block(x, p, prefix, heads, add_mask):
         return T.transpose(T.reshape(t, (B, L, heads, dh)), (0, 2, 1, 3))
 
     def proj(t, name):
-        return _linear(t, p[f"{prefix}.{name}.w"], p[f"{prefix}.{name}.b"])
+        return T.matmul(t, p[f"{prefix}.{name}.w"], bias=p[f"{prefix}.{name}.b"])
 
     q, k, v = (heads_first(proj(x, f"attn.{n}")) for n in "qkv")
     scores = T.add(T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh)), add_mask)
     mixed = T.matmul(T.softmax_rows(scores), v)
     attn = proj(T.reshape(T.transpose(mixed, (0, 2, 1, 3)), (B, L, d)), "attn.o")
     x = T.layer_norm(T.add(x, attn), p[f"{prefix}.attn.ln.gain"], p[f"{prefix}.attn.ln.bias"])
-    h = T.gelu(_linear(x, p[f"{prefix}.ffn.w1"], p[f"{prefix}.ffn.b1"]))
-    ffn = _linear(h, p[f"{prefix}.ffn.w2"], p[f"{prefix}.ffn.b2"])
+    h = T.gelu(T.matmul(x, p[f"{prefix}.ffn.w1"], bias=p[f"{prefix}.ffn.b1"]))
+    ffn = T.matmul(h, p[f"{prefix}.ffn.w2"], bias=p[f"{prefix}.ffn.b2"])
     return T.layer_norm(T.add(x, ffn), p[f"{prefix}.ffn.ln.gain"], p[f"{prefix}.ffn.ln.bias"])
 
 
@@ -219,8 +218,8 @@ def full_width_forward(model, ids, mask, ctx):
         hiddens.append(h)
     cls = T.take_rows(T.reshape(h, (B * L, cfg.hidden)), np.arange(B) * L)
     cls = T.concat([cls, Tensor._wrap(np.asarray(ctx, dtype=h.data.dtype))], axis=1)
-    fused = T.relu(_linear(cls, p["classifier.fusion.w"], p["classifier.fusion.b"]))
-    logit = _linear(fused, p["classifier.out.w"], p["classifier.out.b"])
+    fused = T.relu(T.matmul(cls, p["classifier.fusion.w"], bias=p["classifier.fusion.b"]))
+    logit = T.matmul(fused, p["classifier.out.w"], bias=p["classifier.out.b"])
     return T.sigmoid(T.reshape(logit, (B,))), hiddens
 
 

@@ -1,15 +1,23 @@
 import hashlib
+import json
+import os
+import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from catbert.mail import EmailRecord, body_text_of, build_content
+from catbert.cli import main
+from catbert.mail import (EmailRecord, body_text_of, build_content, load_dataset,
+                          load_dataset_with_report, record_to_json)
 from catbert.model import ModelConfig, _Packing, forward_probs, init_random
 from catbert.synthetic import make_corpus, synthetic_vocab
 from catbert.pipeline import encode_records, encode_texts, score_dataset, score_records
 from catbert.tensor import Tape, backward, dense_grad
 from catbert.tokenizer import Vocabulary, encode
-from catbert.train import TrainConfig, bce_loss, effective_weights, train
+from catbert.train import TrainConfig, balanced_batches, bce_loss, effective_weights, train
 
 
 def small_vocab():
@@ -135,6 +143,13 @@ class TestScoring:
         probs = score_dataset(m, ds)
         assert probs.shape == (2,)
 
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_one_is_rejected(self, batch_size):
+        """``range(0, n, -1)`` is empty: the output would be uninitialised memory."""
+        ds = encode_records(records(), small_vocab(), max_len=12)
+        with pytest.raises(ValueError, match=f"batch_size must be >= 1, got {batch_size}"):
+            score_dataset(tiny_model(), ds, batch_size=batch_size)
+
 
 def mixed_length_records(n=23, seed=0):
     """Mostly short mail, and every fifth record long enough to fill or
@@ -187,20 +202,24 @@ class TestTrimPadding:
         its longest row, and so does every parameter gradient."""
         recs = [r for r in mixed_length_records(40) if len(r.body_text.split()) < 6]
         ds = encode_records(recs, small_vocab(), max_len=16)
-        width = ds.mask.sum(axis=1).max()
-        assert width < 12
         ds.ids[ds.mask == 0] = 8  # out of the vocabulary, so reading one would raise
-        cfg = TrainConfig(epochs=1, batch_size=len(ds), balanced=False, learning_rate=1e-3)
-        weights = effective_weights(ds, cfg.bec_weight)
+        # one balanced batch holds the whole epoch; train() draws it from the same rng
+        B = 2 * int(np.bincount(ds.labels).max())
+        cfg = TrainConfig(epochs=1, batch_size=B, learning_rate=1e-3)
+        (idx,) = balanced_batches(ds.labels, B, np.random.default_rng(cfg.seed))
+        width = ds.mask[idx].sum(axis=1).max()
+        assert width < 12
+        labels, weights = ds.labels[idx], effective_weights(ds, cfg.bec_weight)[idx]
 
         for dtype in (np.float32, np.float64):
-            ctx = ds.ctx.astype(dtype)
+            ctx = ds.ctx[idx].astype(dtype)
             runs = []
-            for ids, mask in ((ds.ids, ds.mask), (ds.ids[:, :width], ds.mask[:, :width])):
+            for ids, mask in ((ds.ids[idx], ds.mask[idx]),
+                              (ds.ids[idx, :width], ds.mask[idx, :width])):
                 m = tiny_model().astype(dtype)
                 probs = forward_probs(m, ids, mask, ctx).data
                 with Tape() as tape:
-                    loss = bce_loss(forward_probs(m, ids, mask, ctx), ds.labels, weights)
+                    loss = bce_loss(forward_probs(m, ids, mask, ctx), labels, weights)
                 backward(tape, loss)
                 runs.append([probs, loss.data] + [dense_grad(p.grad) for p in m.parameters()])
             for padded, cut in zip(*runs):
@@ -211,3 +230,71 @@ class TestTrimPadding:
         # one epoch of one batch: its loss is taken before the step
         history = train(tiny_model(), ds, cfg)
         assert abs(history.epochs[0]["train_loss"] - loss32) < 1e-6
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
+    lambda kids: (st.lists(kids, max_size=3)
+                  | st.dictionaries(st.text(max_size=6), kids, max_size=3)),
+    max_leaves=6)
+WORDS = st.lists(st.sampled_from(["pay", "money", "hello", "now", "ünï", "<b>x</b>"]),
+                 max_size=6).map(" ".join)
+ADDRESSES = st.lists(st.sampled_from(["a@x.co", "b@y.co", "bad", ""]), max_size=3)
+FIELDS = {"subject": WORDS, "body_text": WORDS, "body_html": WORDS,
+          "from": st.sampled_from(["a@x.co", "MAILER-DAEMON", ""]),
+          "to": ADDRESSES, "cc": ADDRESSES,
+          "group": st.sampled_from(["bec", "english", "non_english"]),
+          "weight": st.floats(0.5, 100.0),
+          "first_seen": st.sampled_from(["2024-01-02T03:04:05", "2024-01-02T03:04:05+01:00", "x"]),
+          "x_custom": JSON_VALUES}
+RECORDS = st.fixed_dictionaries({"label": st.sampled_from([0, 1, True, False, 1.0, 0.0])},
+                                optional=FIELDS)
+# a plausible record, one with any JSON value in one of its fields, or not a record at all
+LINES = st.one_of(
+    RECORDS.map(json.dumps),
+    st.tuples(RECORDS, st.sampled_from(["label", *FIELDS]), JSON_VALUES).map(
+        lambda t: json.dumps({**t[0], t[1]: t[2]})),
+    JSON_VALUES.map(json.dumps),
+    st.text(max_size=20).filter(lambda t: "\n" not in t and "\r" not in t))
+
+
+class TestHostileRecords:
+    """A record in a JSONL file costs at most its own line."""
+
+    @given(st.lists(LINES, min_size=1, max_size=5))
+    @settings(max_examples=80, deadline=None)
+    def test_each_line_is_skipped_by_number_or_loads_round_trips_and_scores(self, lines):
+        with tempfile.TemporaryDirectory() as tmp:
+            src, out = os.path.join(tmp, "in.jsonl"), os.path.join(tmp, "out.jsonl")
+            with open(src, "w", encoding="utf-8") as f:
+                f.write("".join(line + "\n" for line in lines))
+            records, errors = load_dataset_with_report(src)
+            numbered = [i for i, line in enumerate(lines, 1) if line.strip()]
+            assert len(records) + len(errors) == len(numbered)
+            skipped = [int(re.match(r"line (\d+): ", e).group(1)) for e in errors]
+            assert set(skipped) <= set(numbered)
+            assert main(["ingest", "--in", src, "--out", out, "--strict"]) == (2 if errors else 0)
+            assert main(["ingest", "--in", src, "--out", out]) == 0
+            assert load_dataset(out, strict=True) == records
+            assert all(type(r.label) is int for r in records)
+            if records:
+                ds = encode_records(records, small_vocab(), max_len=16)
+                probs = score_dataset(tiny_model(), ds)
+                assert np.all(np.isfinite(probs)) and np.all((probs >= 0) & (probs <= 1))
+
+    def test_bad_lines_leave_the_scores_of_the_good_records_unchanged(self, tmp_path):
+        good = [record_to_json(r) for r in mixed_length_records(12)]
+        bad = ['{"label": 0, "subject": 7}', '{"label": 1, "subject": ["x"]}',
+               '{"label": 1, "body_text": {"a": 1}}', '{"label": 0, "body_html": 3}',
+               '{"label": 1, "from": 5}', '{"label": 0, "to": [1, 2]}', "not json", "[" * 5000]
+        clean, dirty = tmp_path / "clean.jsonl", tmp_path / "dirty.jsonl"
+        clean.write_text("".join(line + "\n" for line in good))
+        mixed = [line for pair in zip(good, bad) for line in pair] + good[len(bad):]
+        dirty.write_text("".join(line + "\n" for line in mixed))
+        records, errors = load_dataset_with_report(dirty)
+        assert [e.split(":")[0] for e in errors] == [f"line {2 * i + 2}" for i in range(len(bad))]
+        assert records == load_dataset(clean, strict=True)
+        m, vocab = tiny_model(), small_vocab()
+        scores = [score_dataset(m, encode_records(load_dataset(path), vocab, max_len=16))
+                  for path in (clean, dirty)]
+        assert scores[0].tobytes() == scores[1].tobytes()

@@ -216,11 +216,19 @@ def test_effective_weights_multiply_bec_records():
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(epochs=0)
-    with pytest.raises(ValueError, match="even"):
-        TrainConfig(batch_size=7)
-    TrainConfig(batch_size=7, balanced=False)  # odd is fine unbalanced
+    for odd_or_empty in (7, 1, 0):
+        with pytest.raises(ValueError, match="even"):
+            TrainConfig(batch_size=odd_or_empty)
     with pytest.raises(ValueError, match="unknown"):
         TrainConfig.from_dict({"epochs": 2, "momentum": 0.9})
+
+
+def test_retired_balanced_loads_only_as_true():
+    """Run manifests written while ``balanced`` was a field hold ``true``."""
+    assert TrainConfig.from_dict({"epochs": 2, "balanced": True}) == TrainConfig(epochs=2)
+    assert "balanced" not in asdict(TrainConfig())
+    with pytest.raises(ValueError, match="balanced=False is retired; every batch is class-bal"):
+        TrainConfig.from_dict({"balanced": False})
 
 
 def test_train_config_round_trip():
@@ -358,10 +366,10 @@ def test_tiny_separable_run_learns(tmp_path):
     assert os.path.exists(tmp_path / "best" / "manifest.json")
 
 
-def test_unbalanced_training_runs_and_saves_final(tmp_path):
+def test_training_without_validation_saves_final(tmp_path):
     ds = _tiny_dataset(n_per_class=16)
     model = init_random(ModelConfig(**TINY), seed=0)
-    history = train(model, ds, TrainConfig(epochs=1, batch_size=10, balanced=False,
+    history = train(model, ds, TrainConfig(epochs=1, batch_size=10,
                                            learning_rate=1e-3, seed=0),
                     out_dir=str(tmp_path))
     assert len(history.epochs) == 1 and "val_auc" not in history.epochs[0]
