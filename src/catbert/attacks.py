@@ -39,6 +39,13 @@ class AttackSpec:
             raise ValueError(f"rate must be in [0,1], got {self.rate}")
         if self.kind == "synonym" and not self.synonyms:
             raise ValueError("synonym attack needs a non-empty synonym table")
+        for word, choices in self.synonyms.items():
+            if isinstance(choices, str):
+                choices = [choices]
+            if not (isinstance(choices, list) and choices
+                    and all(isinstance(c, str) and c for c in choices)):
+                raise ValueError(f"synonyms[{word!r}] must be a non-empty string or a "
+                                 "non-empty list of non-empty strings")
 
 
 def _typo(word: str, rng: np.random.Generator) -> str:

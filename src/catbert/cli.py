@@ -34,9 +34,9 @@ from .explain import MIN_SAMPLES, explain_record
 from .mail import CONTEXT_DIM, load_dataset, load_dataset_with_report, save_dataset
 from .metrics import DEFAULT_FPRS, group_metrics, roc_auc, roc_curve, time_inference, tpr_at_fpr
 from .model import (PARTIAL_FINETUNE, ConfigError, ModelConfig, check_keep, config_keys,
-                    count_params, init_random, millions, surgery_from_donor)
+                    count_params, init_random, millions, row_width, surgery_from_donor)
 from .pipeline import encode_records, make_model_scorer, score_dataset
-from .tokenizer import DEFAULT_MAX_LEN, MIN_MAX_LEN, load_vocab
+from .tokenizer import DEFAULT_MAX_LEN, load_vocab
 from .train import TrainConfig, check_fractions, split_by_time, train
 
 log = logging.getLogger(__name__)
@@ -138,18 +138,18 @@ def _write_manifest(args, started: float, config: dict, seed, inputs: dict,
 # ------------------------------------------------------- config plumbing
 
 
-def _load_json(path: str | None) -> dict:
+def _load_json(path: str | None, what: str = "config file") -> dict:
     if not path:
         return {}
     try:
         with open(path, encoding="utf-8") as f:
             obj = json.load(f)
     except FileNotFoundError:
-        raise UsageError(f"config file not found: {path}")
+        raise UsageError(f"{what} not found: {path}")
     except json.JSONDecodeError as e:
-        raise UsageError(f"config file {path} is not valid JSON: {e}")
+        raise UsageError(f"{what} {path} is not valid JSON: {e}")
     if not isinstance(obj, dict):
-        raise UsageError(f"config file {path} must hold a JSON object")
+        raise UsageError(f"{what} {path} must hold a JSON object")
     return obj
 
 
@@ -198,9 +198,6 @@ def _model_io_args(parser: _Parser) -> None:
     parser.add_argument("--model", required=True, help="checkpoint directory")
     parser.add_argument("--in", dest="inp", required=True, help="JSONL dataset")
     parser.add_argument("--vocab", required=True, help="vocabulary file, one token per line")
-    parser.add_argument("--max-len", type=int,
-                        help=f"row width in tokens (default {DEFAULT_MAX_LEN}, "
-                             "at most the model's max positions)")
     parser.add_argument("--no-context", action="store_true",
                         help="zero the header context features")
 
@@ -251,33 +248,9 @@ def _resolved_model_config(args, file_cfg: dict, vocab_size: int, seed: int) -> 
     return ModelConfig.from_dict(cfg)
 
 
-def _resolve_max_len(max_len: int | None, max_positions: int) -> int:
-    """``max_len`` as given, else ``DEFAULT_MAX_LEN`` capped at the model's
-    positions. Rows are ``max_len`` wide, so a ``max_len`` past the model's
-    positions would fail on the first batch that holds a row that long, and
-    one below the tokenizer's floor on the first record: both are usage errors."""
-    if max_len is None:
-        return min(DEFAULT_MAX_LEN, max_positions)
-    if isinstance(max_len, bool) or not isinstance(max_len, int):
-        raise UsageError(f"max_len must be an integer, got {max_len!r}")
-    if max_len < MIN_MAX_LEN:
-        raise UsageError(f"max_len {max_len} is below the minimum {MIN_MAX_LEN} "
-                         "([CLS], one token, [SEP])")
-    if max_len > max_positions:
-        raise UsageError(f"max_len {max_len} exceeds the model's max_positions {max_positions}")
-    return max_len
-
-
 def _cmd_train(args) -> dict:
-    # run manifests written while rows could keep the tail still record "head"
-    retired = {"truncate": ("head", "every row keeps the head of its email")}
-    try:
-        file_cfg = config_keys(_load_json(args.config), ("model", "train", "max_len"), retired)
-    except ConfigError as e:
-        raise UsageError(str(e)) from None
+    file_cfg = _load_json(args.config)
     vocab = load_vocab(args.vocab)
-    max_len = args.max_len if args.max_len is not None else file_cfg.get("max_len")
-
     try:
         train_cfg = TrainConfig.from_dict(_override(
             file_cfg.get("train", {}),
@@ -285,9 +258,15 @@ def _cmd_train(args) -> dict:
             learning_rate=args.learning_rate, seed=args.seed,
             bec_weight=args.bec_weight, freeze=args.freeze))
         model_cfg = _resolved_model_config(args, file_cfg, len(vocab), train_cfg.seed)
+        max_len = row_width(model_cfg)
+        # older run manifests record the row width they trained at, and those
+        # written while rows could keep the tail record "head"
+        config_keys(file_cfg, ("model", "train"), {
+            "truncate": ("head", "every row keeps the head of its email"),
+            "max_len": (max_len, f"rows are {max_len} tokens wide: the model's "
+                                 f"max_positions, at most {DEFAULT_MAX_LEN}")})
     except (TypeError, ValueError) as e:
         raise UsageError(f"bad config: {e}")
-    max_len = _resolve_max_len(max_len, model_cfg.max_positions)
 
     train_records = load_dataset(args.train, strict=True)
     train_set = encode_records(train_records, vocab, max_len=max_len)
@@ -305,7 +284,7 @@ def _cmd_train(args) -> dict:
     last = history.epochs[-1]
     print(json.dumps({"final": last, "best_epoch": history.best_epoch,
                       "best_val_auc": history.best_val_auc}), file=sys.stderr)
-    resolved = {"model": model_cfg.to_dict(), "train": asdict(train_cfg), "max_len": max_len}
+    resolved = {"model": model_cfg.to_dict(), "train": asdict(train_cfg)}
     return dict(config=resolved, seed=train_cfg.seed,
                 inputs={"train": args.train, "val": args.val, "vocab": args.vocab},
                 outputs={"checkpoint": os.path.join(args.out_dir, "best"),
@@ -354,10 +333,17 @@ def _cmd_params(args) -> dict:
 
 
 def _load_model_inputs(args):
-    """The vocab, checkpoint and records a scoring subcommand reads, and its
-    ``--max-len`` resolved against the checkpoint before the records are."""
+    """The vocab, checkpoint and records a scoring subcommand reads, and the
+    model's row width; the vocab is checked against the checkpoint before
+    the records are read."""
     vocab, model = load_vocab(args.vocab), load_checkpoint(args.model)
-    max_len = _resolve_max_len(args.max_len, model.config.max_positions)
+    if len(vocab) != model.config.vocab_size:
+        raise UsageError(f"vocabulary {args.vocab} has {len(vocab)} tokens, but the "
+                         f"checkpoint's vocab_size is {model.config.vocab_size}")
+    try:
+        max_len = row_width(model.config)
+    except ConfigError as e:
+        raise UsageError(f"checkpoint {args.model}: {e}") from None
     return vocab, model, load_dataset(args.inp, strict=True), max_len
 
 
@@ -411,7 +397,7 @@ def _cmd_predict(args) -> dict:
 
 
 def _cmd_attack(args) -> dict:
-    synonyms = _load_json(args.synonyms) if args.synonyms else {}
+    synonyms = _load_json(args.synonyms, "synonyms file")
     try:  # the attack's own checks, before the checkpoint and records are read
         spec = AttackSpec(kind=args.kind, rate=args.rate, seed=args.seed, synonyms=synonyms)
         check_threshold(args.threshold)
@@ -442,19 +428,18 @@ def _cmd_bench(args) -> dict:
     if args.donor_blocks % 2:
         raise UsageError(f"--donor-blocks must be even, got {args.donor_blocks}")
     common = dict(vocab_size=args.vocab_size, hidden=args.hidden,
-                  ffn_dim=args.ffn_dim, heads=args.heads,
-                  max_positions=max(args.seq_len, 512))
+                  ffn_dim=args.ffn_dim, heads=args.heads)
     donor = init_random(ModelConfig(block_plan=("T",) * args.donor_blocks, **common),
                         seed=args.seed)
     compressed = init_random(
         ModelConfig(block_plan=("T", "A") * (args.donor_blocks // 2), **common),
         seed=args.seed)
-    kwargs = dict(batch_sizes=(args.batch,), repetitions=args.repetitions,
-                  seq_len=args.seq_len, seed=args.seed)
+    kwargs = dict(batch_sizes=(args.batch,), repetitions=args.repetitions, seed=args.seed)
     donor_t, compressed_t = (time_inference(m, **kwargs)["timings"][str(args.batch)]
                              for m in (donor, compressed))
-    dims = {k: getattr(args, k) for k in ("hidden", "ffn_dim", "heads", "seq_len", "batch",
+    dims = {k: getattr(args, k) for k in ("hidden", "ffn_dim", "heads", "batch",
                                           "vocab_size", "donor_blocks")}
+    dims["seq_len"] = row_width(donor.config)
     payload = {"dims": dims, "donor": donor_t, "compressed": compressed_t,
                "speedup_p50": donor_t["p50_ms"] / compressed_t["p50_ms"],
                "speedup_mean": donor_t["mean_ms"] / compressed_t["mean_ms"]}
@@ -489,11 +474,8 @@ def build_parser() -> _Parser:
     p.add_argument("--train", required=True, help="training JSONL")
     p.add_argument("--val", help="validation JSONL (best-epoch tracking)")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--config", help="JSON config: {model: {...}, train: {...}, max_len}")
+    p.add_argument("--config", help="JSON config: {model: {...}, train: {...}}")
     p.add_argument("--vocab", required=True)
-    p.add_argument("--max-len", type=int, default=None,
-                   help=f"row width in tokens (default: config, else {DEFAULT_MAX_LEN}; "
-                        "at most --max-positions)")
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", type=int)
     p.add_argument("--learning-rate", type=float)
@@ -560,7 +542,6 @@ def build_parser() -> _Parser:
     p.add_argument("--hidden", type=int, default=768)
     p.add_argument("--ffn-dim", type=int, default=3072)
     p.add_argument("--heads", type=int, default=12)
-    p.add_argument("--seq-len", type=int, default=DEFAULT_MAX_LEN)
     p.add_argument("--batch", type=int, default=1)
     p.add_argument("--vocab-size", type=int, default=30522)
     p.add_argument("--donor-blocks", type=int, default=6)

@@ -157,6 +157,18 @@ _TEXT_KEYS = {"subject": "a string", "body_text": "a string", "body_html": "a st
               "from": "a string", "first_seen": "an ISO timestamp string"}
 
 
+SHOWN_CHARS = 80  # the most of a bad value's repr that a skip message quotes
+
+
+def _shown(value) -> str:
+    """``value``'s type and its repr cut to ``SHOWN_CHARS``, so a message
+    about a hostile line stays short however long the value is."""
+    text = repr(value)
+    if len(text) > SHOWN_CHARS:
+        text = text[:SHOWN_CHARS - 3] + "..."
+    return f"{type(value).__name__} {text}"
+
+
 def _check_text(name: str, value, what: str) -> None:
     """DatasetError unless ``value`` is a str that UTF-8 can write back (a
     JSON escape can smuggle in a lone surrogate, which it cannot)."""
@@ -171,7 +183,8 @@ def _check_text(name: str, value, what: str) -> None:
 
 def _parse_record(obj: dict) -> EmailRecord:
     """One JSON object as a record, or a DatasetError that names the first
-    field a later stage could not read. A null field counts as absent."""
+    field a later stage could not read and the type of its value, quoting
+    at most ``SHOWN_CHARS`` of it. A null field counts as absent."""
     if not isinstance(obj, dict):
         raise DatasetError("record is not a JSON object")
     if "label" not in obj:
@@ -191,17 +204,18 @@ def _parse_record(obj: dict) -> EmailRecord:
         kwargs[attr] = value
     rec = EmailRecord(**kwargs)
     if rec.label not in (0, 1):
-        raise DatasetError(f"label must be 0 or 1, got {rec.label!r}")
+        raise DatasetError(f"label must be 0 or 1, got {_shown(rec.label)}")
     rec.label = int(rec.label)  # so true and 1.0 are written back as 1
     try:
         weight = float(rec.weight)
     except (TypeError, ValueError, OverflowError):
         weight = math.nan
     if not (math.isfinite(weight) and weight > 0):
-        raise DatasetError(f"weight must be a finite number > 0, got {rec.weight!r}")
+        raise DatasetError(f"weight must be a finite number > 0, got {_shown(rec.weight)}")
     rec.weight = weight
     if rec.group not in GROUPS:
-        raise DatasetError(f"unknown group {rec.group!r}")
+        raise DatasetError(f"group must be one of {GROUPS[1:]} or absent, "
+                           f"got {_shown(rec.group)}")
     return rec
 
 

@@ -10,7 +10,6 @@ import time
 import numpy as np
 
 from .mail import GROUPS
-from .tokenizer import DEFAULT_MAX_LEN
 
 log = logging.getLogger(__name__)
 
@@ -138,14 +137,15 @@ def spearman(a, b) -> float:
 WARMUP = 3  # discarded forward passes before timing each batch size
 
 
-def time_inference(model, batch_sizes=(1,), repetitions=30, seq_len=DEFAULT_MAX_LEN,
-                   seed=0) -> dict:
+def time_inference(model, batch_sizes=(1,), repetitions=30, seed=0) -> dict:
     """Wall-clock forward latency per batch size (mean/p50/p95 ms over
-    ``repetitions``, after ``WARMUP`` discarded runs)."""
-    from .model import count_params, forward_probs
+    ``repetitions``, after ``WARMUP`` discarded runs) on full rows of the
+    model's width (``row_width``)."""
+    from .model import count_params, forward_probs, row_width
 
     rng = np.random.default_rng(seed)
     cfg = model.config
+    seq_len = row_width(cfg)
     report: dict = {"params": count_params(cfg).__dict__, "seq_len": seq_len,
                     "timings": {}}
     for bs in batch_sizes:

@@ -31,6 +31,7 @@ import numpy as np
 from . import tensor as T
 from .mail import CONTEXT_DIM
 from .tensor import Parameter, Tensor
+from .tokenizer import DEFAULT_MAX_LEN, MIN_MAX_LEN
 
 TRANSFORMER = "transformer"
 ADAPTER = "adapter"
@@ -147,17 +148,28 @@ class ParamReport:
 
 
 def count_params(config: ModelConfig) -> ParamReport:
-    """Closed-form parameter counts per section of the network."""
-    d, f = config.hidden, config.ffn_dim
-    embedding = config.vocab_size * d + config.max_positions * d + 2 * d
-    transformer = 4 * (d * d + d) + (d * f + f) + (f * d + d) + 4 * d
-    adapter = 2 * (d * d + d)
-    classifier = (d + config.context_dim) * d + d + d + 1
-    n_t = sum(1 for b in config.block_plan if b == TRANSFORMER)
-    n_a = len(config.block_plan) - n_t
-    total = embedding + n_t * transformer + n_a * adapter + classifier
-    return ParamReport(embedding=embedding, per_transformer=transformer,
-                       per_adapter=adapter, classifier=classifier, total=total)
+    """Parameter counts per section of the network, summed over
+    ``param_shapes``; the per-block counts are those of a one-block plan."""
+    def size(cfg: ModelConfig, prefix: str = "") -> int:
+        return sum(math.prod(shape) for name, shape in param_shapes(cfg).items()
+                   if name.startswith(prefix))
+
+    per_block = {kind: size(replace(config, block_plan=(kind,)), "blocks.")
+                 for kind in (TRANSFORMER, ADAPTER)}
+    return ParamReport(embedding=size(config, "embeddings."),
+                       per_transformer=per_block[TRANSFORMER], per_adapter=per_block[ADAPTER],
+                       classifier=size(config, "classifier."), total=size(config))
+
+
+def row_width(config: ModelConfig) -> int:
+    """The width in tokens of every row the model trains on or scores: the
+    tokenizer's default, capped at the model's positions. ConfigError when
+    that leaves no room for [CLS], one token and [SEP]."""
+    width = min(DEFAULT_MAX_LEN, config.max_positions)
+    if width < MIN_MAX_LEN:
+        raise ConfigError(f"max_positions {config.max_positions} allows rows of {width} tokens; "
+                          f"max_len must be at least {MIN_MAX_LEN} ([CLS], one token, [SEP])")
+    return width
 
 
 def millions(n: int) -> int:

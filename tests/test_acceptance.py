@@ -93,7 +93,7 @@ def test_02_inference_speedup():
                   max_positions=512, context_dim=4)
     donor = init_random(ModelConfig(block_plan=("T",) * 6, **common), seed=0)
     half = init_random(ModelConfig(block_plan=("T", "A") * 3, **common), seed=0)
-    kw = dict(batch_sizes=(1,), repetitions=20, seq_len=128, seed=0)
+    kw = dict(batch_sizes=(1,), repetitions=20, seed=0)  # rows of 128 tokens
     d = time_inference(donor, **kw)["timings"]["1"]
     c = time_inference(half, **kw)["timings"]["1"]
     ratio = d["p50_ms"] / c["p50_ms"]
@@ -383,11 +383,11 @@ def test_10_artifact_determinism(tmp_path):
                          "--seed", "5"]) == 0
         metrics = tmp_path / f"metrics_{tag}.json"
         assert cli_main(["eval", "--model", str(run / "best"), "--in", str(corpus),
-                         "--vocab", str(vocab), "--max-len", "16",
+                         "--vocab", str(vocab),
                          "--out", str(metrics)]) == 0
         report = tmp_path / f"attack_{tag}.json"
         assert cli_main(["attack", "--model", str(run / "best"), "--in", str(corpus),
-                         "--vocab", str(vocab), "--max-len", "16",
+                         "--vocab", str(vocab),
                          "--kind", "typo", "--rate", "0.5", "--seed", "7",
                          "--out", str(report)]) == 0
         outs[tag] = {

@@ -29,6 +29,14 @@ def test_spec_validation():
     assert set(KINDS) == {"synonym", "typo", "homoglyph"}
 
 
+@pytest.mark.parametrize("choices", [[], "", [""], ["ok", 3], None, {"a": "b"}],
+                         ids=["empty-list", "empty-string", "list-of-empty-string",
+                              "list-with-number", "null", "object"])
+def test_every_synonym_entry_must_offer_a_replacement(choices):
+    with pytest.raises(ValueError, match=r"synonyms\['money'\] must be a non-empty string"):
+        AttackSpec(kind="synonym", rate=0.5, synonyms={"wire": "cable", "money": choices})
+
+
 def test_rate_zero_returns_text_byte_identical():
     text = "Pay  the\tinvoice\n now"
     spec = AttackSpec(kind="typo", rate=0.0, seed=3)

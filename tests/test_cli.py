@@ -5,13 +5,14 @@ observable without subprocesses. A single tiny checkpoint is trained once
 per module and shared by the read-only subcommand tests.
 """
 
+import argparse
 import json
 import os
 
 import numpy as np
 import pytest
 
-from catbert.cli import main
+from catbert.cli import build_parser, main
 from catbert.mail import save_dataset
 from catbert.model import ModelConfig, count_params
 from catbert.synthetic import SYNONYM_TABLE, make_corpus, synthetic_vocab
@@ -31,7 +32,6 @@ def workdir(tmp_path_factory):
         "model": {"vocab_size": 100, "hidden": 16, "ffn_dim": 32, "heads": 2,
                   "max_positions": 16, "block_plan": ["T", "A"]},
         "train": {"epochs": 1, "batch_size": 32, "learning_rate": 1e-3},
-        "max_len": 16,
     }))
     run = root / "run"
     rc = main(["train", "--train", str(corpus), "--vocab", str(vocab),
@@ -171,6 +171,20 @@ class TestIngestSplit:
         assert main(["ingest", "--in", str(src), "--out", str(tmp_path / "o"), "--strict"]) == 2
         assert f"error: {skipped}" in capsys.readouterr().err
 
+    def test_skip_messages_are_short_however_long_the_value(self, tmp_path):
+        src = tmp_path / "hostile.jsonl"
+        src.write_text(json.dumps({"label": [0] * 200_000}) + "\n"
+                       + json.dumps({"label": 0, "group": "x" * 300_000}) + "\n")
+        out = tmp_path / "clean.jsonl"
+        assert main(["ingest", "--in", str(src), "--out", str(out)]) == 0
+        manifest = tmp_path / "clean.jsonl.manifest.json"
+        assert manifest.stat().st_size < 4096
+        skipped = json.loads(manifest.read_text())["config"]["skipped"]
+        assert [m.split(":")[0] for m in skipped] == ["line 1", "line 2"]
+        assert "label must be 0 or 1, got list [0, 0," in skipped[0]
+        assert "group must be one of" in skipped[1] and "got str 'xxx" in skipped[1]
+        assert all(len(m) < 200 for m in skipped)
+
     def test_split_orders_naive_and_aware_timestamps(self, tmp_path):
         """A naive first_seen is read as UTC, so a file that mixes both
         kinds splits in time order."""
@@ -255,12 +269,13 @@ class TestTrain:
         ({"trian": {"epochs": 2}}, "unknown config fields: ['trian']"),
         ({"truncate": "middle"}, "truncate='middle' is retired"),
         ({"truncate": "tail"}, "truncate='tail' is retired; every row keeps the head of its email"),
-        ({"max_len": "16"}, "max_len must be an integer, got '16'"),
+        ({"max_len": 8}, "max_len=8 is retired; rows are 16 tokens wide"),
+        ({"max_len": "16"}, "max_len='16' is retired"),
         ({"train": {"epochs": 1, "balanced": False}},
          "balanced=False is retired; every batch is class-balanced"),
         ({"train": {"epochs": 1, "batch_size": 7}}, "batch_size must be even"),
-    ], ids=["unknown-top-level-key", "truncate-middle", "truncate-tail", "max-len-string",
-            "balanced-false", "odd-batch-size"])
+    ], ids=["unknown-top-level-key", "truncate-middle", "truncate-tail", "max-len-narrower",
+            "max-len-string", "balanced-false", "odd-batch-size"])
     def test_bad_config_fails_before_reading_data(self, workdir, tmp_path, capsys,
                                                   override, message):
         cfg = {**json.loads(workdir["config"].read_text()), **override}
@@ -275,10 +290,12 @@ class TestTrain:
 
     def test_config_from_an_older_manifest_with_truncate_head_trains(self, workdir, tmp_path):
         """The ``config`` block of a run manifest written while rows could
-        keep the tail and batches could be unbalanced trains the same model."""
+        keep the tail, batches could be unbalanced and the row width was a
+        flag trains the same model."""
         cfg = json.loads((workdir["run"] / "run_manifest.json").read_text())["config"]
         cfg["truncate"] = "head"
         cfg["train"]["balanced"] = True
+        cfg["max_len"] = 16
         path = tmp_path / "old.json"
         path.write_text(json.dumps(cfg))
         run = tmp_path / "old"
@@ -288,6 +305,7 @@ class TestTrain:
                 == (workdir["ckpt"] / "tensors.bin").read_bytes())
         config = json.loads((run / "run_manifest.json").read_text())["config"]
         assert "truncate" not in config and "balanced" not in config["train"]
+        assert "max_len" not in config
 
     def test_truncate_flag_is_unrecognized(self, workdir, tmp_path, capsys):
         assert main(["train", "--train", str(workdir["corpus"]), "--vocab", str(workdir["vocab"]),
@@ -340,16 +358,19 @@ class TestTrain:
 
     def test_max_len_past_max_positions_fails_before_reading_data(self, workdir, tmp_path,
                                                                  capsys):
+        """A config's retired max_len must be the width the model's
+        max_positions gives its rows."""
+        cfg = json.loads(workdir["config"].read_text())
+        path = tmp_path / "old.json"
         out = tmp_path / "r"
-        assert main(["train", "--train", str(tmp_path / "missing.jsonl"),
-                     "--vocab", str(workdir["vocab"]), "--config", str(workdir["config"]),
-                     "--out-dir", str(out), "--max-len", "64"]) == 1
-        assert main(["train", "--train", str(tmp_path / "missing.jsonl"),
-                     "--vocab", str(workdir["vocab"]), "--config", str(workdir["config"]),
-                     "--out-dir", str(out), "--max-positions", "8"]) == 1
+        for max_len, flags in ((64, []), (16, ["--max-positions", "8"])):
+            path.write_text(json.dumps({**cfg, "max_len": max_len}))
+            assert main(["train", "--train", str(tmp_path / "missing.jsonl"),
+                         "--vocab", str(workdir["vocab"]), "--config", str(path),
+                         "--out-dir", str(out), *flags]) == 1
         err = capsys.readouterr().err
-        assert "max_len 64 exceeds the model's max_positions 16" in err
-        assert "max_len 16 exceeds the model's max_positions 8" in err
+        assert "max_len=64 is retired; rows are 16 tokens wide" in err
+        assert "max_len=16 is retired; rows are 8 tokens wide" in err
         assert not out.exists()
 
     def test_context_width_other_than_0_or_4_is_usage_error(self, workdir, tmp_path, capsys):
@@ -385,7 +406,7 @@ class TestScoring:
         out = tmp_path / "metrics.json"
         rc = main(["eval", "--model", str(workdir["ckpt"]),
                    "--in", str(workdir["corpus"]), "--vocab", str(workdir["vocab"]),
-                   "--max-len", "16", "--out", str(out)])
+                   "--out", str(out)])
         assert rc == 0
         payload = json.loads(out.read_text())
         assert payload["n"] == 160
@@ -399,7 +420,7 @@ class TestScoring:
         roc = tmp_path / "roc.csv"
         rc = main(["eval", "--model", str(workdir["ckpt"]),
                    "--in", str(workdir["corpus"]), "--vocab", str(workdir["vocab"]),
-                   "--max-len", "16", "--out", str(out), "--roc", str(roc)])
+                   "--out", str(out), "--roc", str(roc)])
         assert rc == 0
         lines = roc.read_text().splitlines()
         assert lines[0] == "fpr,tpr,threshold"
@@ -407,8 +428,7 @@ class TestScoring:
 
     def test_predict_stdout_jsonl(self, workdir, capsys):
         rc = main(["predict", "--model", str(workdir["ckpt"]),
-                   "--in", str(workdir["corpus"]), "--vocab", str(workdir["vocab"]),
-                   "--max-len", "16"])
+                   "--in", str(workdir["corpus"]), "--vocab", str(workdir["vocab"])])
         assert rc == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 160
@@ -418,12 +438,23 @@ class TestScoring:
         assert all(r["label"] in (0, 1) for r in rows)
 
 
+@pytest.mark.parametrize("n_tokens", [40, 150])
+def test_vocabulary_other_than_the_checkpoints_is_usage_error(workdir, tmp_path, capsys,
+                                                               n_tokens):
+    vocab = tmp_path / "vocab.txt"
+    save_vocab((synthetic_vocab() + [f"extra{i}" for i in range(50)])[:n_tokens], vocab)
+    assert main(["eval", "--model", str(workdir["ckpt"]), "--in", str(tmp_path / "missing.jsonl"),
+                 "--vocab", str(vocab)]) == 1
+    assert (f"vocabulary {vocab} has {n_tokens} tokens, but the checkpoint's vocab_size is 100"
+            in capsys.readouterr().err)
+
+
 class TestAttackExplain:
     def test_attack_rate_zero_has_no_effect(self, workdir, tmp_path):
         out = tmp_path / "attack.json"
         rc = main(["attack", "--model", str(workdir["ckpt"]),
                    "--in", str(workdir["corpus"]), "--vocab", str(workdir["vocab"]),
-                   "--max-len", "16", "--kind", "typo", "--rate", "0",
+                   "--kind", "typo", "--rate", "0",
                    "--out", str(out)])
         assert rc == 0
         report = json.loads(out.read_text())
@@ -440,13 +471,29 @@ class TestAttackExplain:
             assert rc == 1  # the attack spec's check, made before the model is loaded
             assert "synonym attack needs a non-empty synonym table" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("table, message", [
+        ({"money": []}, "synonyms['money'] must be a non-empty string or a non-empty list"),
+        ({"money": [3]}, "synonyms['money'] must be a non-empty string or a non-empty list"),
+        ({"money": ""}, "synonyms['money'] must be a non-empty string or a non-empty list"),
+        (None, "synonyms file not found: "),
+    ], ids=["empty-list", "number", "empty-string", "missing-file"])
+    def test_bad_synonym_table_fails_before_the_checkpoint_is_read(self, workdir, tmp_path,
+                                                                   capsys, table, message):
+        path = tmp_path / "syn.json"
+        if table is not None:
+            path.write_text(json.dumps(table))
+        assert main(["attack", "--model", str(tmp_path / "missing"),
+                     "--in", str(workdir["corpus"]), "--vocab", str(workdir["vocab"]),
+                     "--kind", "synonym", "--rate", "0.5", "--synonyms", str(path)]) == 1
+        assert message in capsys.readouterr().err
+
     def test_attack_with_synonym_table(self, workdir, tmp_path):
         table = tmp_path / "syn.json"
         table.write_text(json.dumps(SYNONYM_TABLE))
         out = tmp_path / "attack.json"
         rc = main(["attack", "--model", str(workdir["ckpt"]),
                    "--in", str(workdir["corpus"]), "--vocab", str(workdir["vocab"]),
-                   "--max-len", "16", "--kind", "synonym", "--rate", "1.0",
+                   "--kind", "synonym", "--rate", "1.0",
                    "--seed", "7", "--synonyms", str(table), "--out", str(out)])
         assert rc == 0
         report = json.loads(out.read_text())
@@ -457,7 +504,7 @@ class TestAttackExplain:
         out = tmp_path / "expl.json"
         rc = main(["explain", "--model", str(workdir["ckpt"]),
                    "--in", str(workdir["corpus"]), "--vocab", str(workdir["vocab"]),
-                   "--max-len", "16", "--index", "0", "--n-samples", "60",
+                   "--index", "0", "--n-samples", "60",
                    "--out", str(out)])
         assert rc == 0
         payload = json.loads(out.read_text())
@@ -475,24 +522,35 @@ class TestAttackExplain:
 
 @pytest.mark.parametrize("sub", ["eval", "predict", "attack", "explain"])
 def test_max_len_past_checkpoint_positions_is_usage_error(workdir, tmp_path, capsys, sub):
-    argv = [sub, "--model", str(workdir["ckpt"]), "--in", str(tmp_path / "missing.jsonl"),
+    """Rows are as wide as the checkpoint allows, so the retired ``--max-len``
+    is an unrecognized flag, rejected before any input is read."""
+    argv = [sub, "--model", str(tmp_path / "missing"), "--in", str(tmp_path / "missing.jsonl"),
             "--vocab", str(workdir["vocab"]), "--max-len", "17",
             "--out", str(tmp_path / "result.json")]
     argv += {"attack": ["--kind", "typo", "--rate", "0.5"]}.get(sub, [])
     assert main(argv) == 1
-    assert "max_len 17 exceeds the model's max_positions 16" in capsys.readouterr().err
+    assert "unrecognized arguments: --max-len 17" in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("sub", ["train", "eval"])
 def test_max_len_below_tokenizer_floor_is_usage_error(workdir, tmp_path, capsys, sub):
-    data = str(tmp_path / "missing.jsonl")
-    argv = {"train": ["train", "--train", data, "--out-dir", str(tmp_path / "out")],
-            "eval": ["eval", "--model", str(workdir["ckpt"]), "--in", data,
+    """Two positions leave no room for [CLS], one token and [SEP]: a model
+    that narrow is a usage error before any data is read."""
+    from catbert.checkpoint import save_checkpoint
+    from catbert.model import init_random
+    data, ckpt = str(tmp_path / "missing.jsonl"), tmp_path / "narrow"
+    if sub == "eval":
+        save_checkpoint(init_random(ModelConfig(vocab_size=100, hidden=16, ffn_dim=32, heads=2,
+                                                max_positions=2, block_plan=("T",))), ckpt)
+    argv = {"train": ["train", "--train", data, "--out-dir", str(tmp_path / "out"),
+                      "--max-positions", "2"],
+            "eval": ["eval", "--model", str(ckpt), "--in", data,
                      "--out", str(tmp_path / "metrics.json")]}[sub]
-    assert main(argv + ["--vocab", str(workdir["vocab"]), "--max-len", "2"]) == 1
-    assert "max_len 2 is below the minimum 3" in capsys.readouterr().err
-    assert os.listdir(tmp_path) == []
+    assert main(argv + ["--vocab", str(workdir["vocab"])]) == 1
+    assert ("max_positions 2 allows rows of 2 tokens; max_len must be at least 3"
+            in capsys.readouterr().err)
+    assert sorted(os.listdir(tmp_path)) == (["narrow"] if sub == "eval" else [])
 
 
 def test_default_max_len_is_capped_at_checkpoint_positions(workdir, tmp_path):
@@ -506,7 +564,7 @@ def test_default_max_len_is_capped_at_checkpoint_positions(workdir, tmp_path):
 class TestScoringFlags:
     def _argv(self, workdir, sub):
         argv = [sub, "--model", str(workdir["ckpt"]), "--in", str(workdir["corpus"]),
-                "--vocab", str(workdir["vocab"]), "--max-len", "12"]
+                "--vocab", str(workdir["vocab"])]
         return argv + {"attack": ["--kind", "typo", "--rate", "0.5"],
                        "explain": ["--n-samples", "50"]}.get(sub, [])
 
@@ -521,7 +579,7 @@ class TestScoringFlags:
         argv = self._argv(workdir, sub) + ["--no-context", *flags, "--out", str(out)]
         assert main(argv) == 0
         config = json.loads((tmp_path / "out.json.manifest.json").read_text())["config"]
-        assert config["max_len"] == 12 and config["use_context"] is False
+        assert config["max_len"] == 16 and config["use_context"] is False
         assert "truncate" not in config
         assert ("--batch-size" in flags) == (config.get("batch_size") == 5)
 
@@ -536,6 +594,36 @@ class TestScoringFlags:
     def test_flags_the_subcommand_ignores_are_rejected(self, workdir, capsys, sub, flag):
         assert main(self._argv(workdir, sub) + flag) == 1
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# every flag of every subcommand: a flag added or removed shows in this list
+FLAGS = {
+    "ingest": ["--in", "--out", "--strict"],
+    "split": ["--in", "--out-dir", "--fractions"],
+    "train": ["--train", "--val", "--out-dir", "--config", "--vocab", "--epochs", "--batch-size",
+              "--learning-rate", "--seed", "--bec-weight", "--freeze", "--hidden", "--ffn-dim",
+              "--heads", "--max-positions", "--context-dim", "--plan"],
+    "surgery": ["--donor", "--out-dir", "--keep", "--context-dim", "--seed"],
+    "params": ["--config", "--out"],
+    "eval": ["--model", "--in", "--vocab", "--no-context", "--batch-size", "--out", "--roc",
+             "--fprs", "--groups"],
+    "predict": ["--model", "--in", "--vocab", "--no-context", "--batch-size", "--out"],
+    "attack": ["--model", "--in", "--vocab", "--no-context", "--kind", "--rate", "--seed",
+               "--threshold", "--synonyms", "--out"],
+    "explain": ["--model", "--in", "--vocab", "--no-context", "--index", "--n-samples", "--seed",
+                "--out"],
+    "bench": ["--hidden", "--ffn-dim", "--heads", "--batch", "--vocab-size", "--donor-blocks",
+              "--repetitions", "--seed", "--out"],
+}
+
+
+def test_every_subcommand_takes_exactly_the_golden_flags():
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    got = {name: [flag for action in parser._actions for flag in action.option_strings
+                  if flag not in ("-h", "--help")]
+           for name, parser in sub.choices.items()}
+    assert got == FLAGS
+    assert sum(map(len, FLAGS.values())) == 72
 
 
 class TestSurgeryBench:
@@ -579,10 +667,11 @@ class TestSurgeryBench:
     def test_bench_reports_speedup(self, tmp_path):
         out = tmp_path / "bench.json"
         rc = main(["bench", "--hidden", "16", "--ffn-dim", "32", "--heads", "2",
-                   "--seq-len", "8", "--vocab-size", "64", "--donor-blocks", "2",
+                   "--vocab-size", "64", "--donor-blocks", "2",
                    "--repetitions", "3", "--out", str(out)])
         assert rc == 0
         payload = json.loads(out.read_text())
+        assert payload["dims"]["seq_len"] == 128
         assert payload["speedup_p50"] > 0
         assert payload["donor"]["repetitions"] == 3
 
@@ -605,8 +694,8 @@ class TestManifests:
     """Every subcommand that writes files, with the manifest the run should
     leave in the fresh directory ``{out}``."""
 
-    SCORING = ["--model", "{ckpt}", "--in", "{corpus}", "--vocab", "{vocab}", "--max-len", "16"]
-    BENCH = ["bench", "--hidden", "16", "--ffn-dim", "32", "--heads", "2", "--seq-len", "8",
+    SCORING = ["--model", "{ckpt}", "--in", "{corpus}", "--vocab", "{vocab}"]
+    BENCH = ["bench", "--hidden", "16", "--ffn-dim", "32", "--heads", "2",
              "--vocab-size", "64", "--donor-blocks", "2", "--repetitions", "2"]
     CASES = {
         "ingest": (["ingest", "--in", "{corpus}", "--out", "{out}/clean.jsonl"],

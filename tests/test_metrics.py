@@ -233,21 +233,21 @@ class TestGroupMetrics:
 
 def bench_model(n_blocks):
     cfg = ModelConfig(vocab_size=64, hidden=16, ffn_dim=32, heads=2,
-                      max_positions=32, block_plan=("T",) * n_blocks, context_dim=0)
+                      max_positions=16, block_plan=("T",) * n_blocks, context_dim=0)
     return init_random(cfg, 0)
 
 
 class TestTimeInference:
     def test_report_shape(self):
-        rep = time_inference(bench_model(1), batch_sizes=(1, 2), repetitions=5, seq_len=16)
+        rep = time_inference(bench_model(1), batch_sizes=(1, 2), repetitions=5)
         assert set(rep["timings"]) == {"1", "2"}
         t = rep["timings"]["1"]
         assert t["p50_ms"] <= t["p95_ms"] + 1e-9
         assert rep["params"]["total"] > 0
 
     def test_more_blocks_slower(self):
-        fast = time_inference(bench_model(1), batch_sizes=(1,), repetitions=15, seq_len=16)
-        slow = time_inference(bench_model(4), batch_sizes=(1,), repetitions=15, seq_len=16)
+        fast = time_inference(bench_model(1), batch_sizes=(1,), repetitions=15)
+        slow = time_inference(bench_model(4), batch_sizes=(1,), repetitions=15)
         assert slow["timings"]["1"]["p50_ms"] > fast["timings"]["1"]["p50_ms"]
 
     def test_p50_stable_across_runs(self):
@@ -258,7 +258,7 @@ class TestTimeInference:
         runs = ([], [])
         for i in range(60):
             for model, run in zip(models[::-1], runs[::-1]) if i % 2 else zip(models, runs):
-                rep = time_inference(model, batch_sizes=(1,), repetitions=1, seq_len=16)
+                rep = time_inference(model, batch_sizes=(1,), repetitions=1)
                 run.append(rep["timings"]["1"]["p50_ms"])
         pa, pb = (float(np.median(run)) for run in runs)
         assert abs(pa - pb) / max(pa, pb) < 0.2
