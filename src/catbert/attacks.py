@@ -2,10 +2,12 @@
 
 Three perturbation kinds: synonym substitution from a lookup table, a single
 seeded character edit per word (adjacent swap, drop, or double), and
-homoglyph substitution from a char map. An attack is a pure function of
-(text, spec): same input and spec always give the same output, and rate 0 is
-the exact identity. Attacks touch content text only; header context features
-stay intact.
+homoglyph substitution from a char map. Words are split on whitespace; a
+synonym is looked up, case-folded, in the word without its leading and
+trailing punctuation, which the substitution keeps. An attack is a pure
+function of (text, spec): same input and spec always give the same output,
+and rate 0 is the exact identity. Attacks touch content text only; header
+context features stay intact.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mail import EmailRecord, build_content
+from .tokenizer import _is_punct
 
 KINDS = ("synonym", "typo", "homoglyph")
 
@@ -27,6 +30,10 @@ DEFAULT_HOMOGLYPHS = {
 
 @dataclass(frozen=True)
 class AttackSpec:
+    """One attack. ``synonyms`` maps a word to a replacement or a list of
+    them; it is stored with lowercased keys and list values, and two keys
+    that are the same word in lower case are an error."""
+
     kind: str
     rate: float
     seed: int = 0
@@ -39,6 +46,7 @@ class AttackSpec:
             raise ValueError(f"rate must be in [0,1], got {self.rate}")
         if self.kind == "synonym" and not self.synonyms:
             raise ValueError("synonym attack needs a non-empty synonym table")
+        folded = {}
         for word, choices in self.synonyms.items():
             if isinstance(choices, str):
                 choices = [choices]
@@ -46,6 +54,11 @@ class AttackSpec:
                     and all(isinstance(c, str) and c for c in choices)):
                 raise ValueError(f"synonyms[{word!r}] must be a non-empty string or a "
                                  "non-empty list of non-empty strings")
+            if word.lower() in folded:
+                first = next(w for w in self.synonyms if w.lower() == word.lower())
+                raise ValueError(f"synonym keys {first!r} and {word!r} are the same word")
+            folded[word.lower()] = choices
+        object.__setattr__(self, "synonyms", folded)
 
 
 def _typo(word: str, rng: np.random.Generator) -> str:
@@ -72,17 +85,26 @@ def _eligible(word: str, spec: AttackSpec) -> bool:
 def _perturb(word: str, spec: AttackSpec, rng: np.random.Generator) -> str:
     if spec.kind == "synonym":
         choices = spec.synonyms[word.lower()]
-        if isinstance(choices, str):
-            choices = [choices]
         return choices[int(rng.integers(0, len(choices)))]
     if spec.kind == "typo":
         return _typo(word, rng)
     return "".join(DEFAULT_HOMOGLYPHS.get(ch.lower(), ch) for ch in word)
 
 
+def _strip_punct(part: str) -> tuple[str, str, str]:
+    """``part`` as (leading punctuation, word, trailing punctuation)."""
+    i, j = 0, len(part)
+    while i < j and _is_punct(part[i]):
+        i += 1
+    while j > i and _is_punct(part[j - 1]):
+        j -= 1
+    return part[:i], part[i:j], part[j:]
+
+
 def attack(text: str, spec: AttackSpec) -> str:
-    """Perturb eligible words at ``spec.rate``. Whitespace is preserved;
-    rate 0 returns ``text`` unchanged, byte for byte."""
+    """Perturb eligible words at ``spec.rate``. Whitespace is preserved, and
+    so is the punctuation around a synonym; rate 0 returns ``text``
+    unchanged, byte for byte."""
     if spec.rate == 0.0:
         return text
     # seed mixes in a digest of the text so per-word draws decorrelate
@@ -92,9 +114,10 @@ def attack(text: str, spec: AttackSpec) -> str:
     parts = re.split(r"(\s+)", text)
     out = []
     for part in parts:
-        if part and not part.isspace() and _eligible(part, spec):
+        lead, word, trail = _strip_punct(part) if spec.kind == "synonym" else ("", part, "")
+        if word and not word.isspace() and _eligible(word, spec):
             if rng.random() < spec.rate:
-                part = _perturb(part, spec, rng)
+                part = lead + _perturb(word, spec, rng) + trail
         out.append(part)
     return "".join(out)
 

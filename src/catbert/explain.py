@@ -17,7 +17,7 @@ import numpy as np
 
 from .mail import build_content
 from .pipeline import make_model_scorer
-from .tokenizer import DEFAULT_MAX_LEN, pre_tokenize
+from .tokenizer import pre_tokenize
 
 RIDGE_LAMBDA = 1e-3
 TOP_K = 10  # words listed in top_positive and in top_negative
@@ -86,8 +86,9 @@ def lime_explain(score_fn, text: str, n_samples: int = 1000, seed: int = 0) -> A
 
 
 def explain_record(model, vocab, record, n_samples: int = 1000, seed: int = 0,
-                   max_len: int = DEFAULT_MAX_LEN, use_context: bool = True) -> Attribution:
-    """Explain one email's score. The record's context features are held
+                   max_len: int | None = None, use_context: bool = True) -> Attribution:
+    """Explain one email's score, on rows of ``max_len`` tokens (by default
+    the model's ``row_width``). The record's context features are held
     fixed across the whole neighborhood."""
     scorer = make_model_scorer(model, vocab, max_len=max_len, use_context=use_context)
     return lime_explain(lambda texts: scorer(texts, [record] * len(texts)),

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mail import CONTEXT_DIM, EmailRecord, build_content, context_vector, extract_context
-from .model import CatBertModel, forward_probs
+from .model import CatBertModel, forward_probs, row_width
 from .tokenizer import DEFAULT_MAX_LEN, Vocabulary, encode
 
 
@@ -76,15 +76,22 @@ def score_dataset(model: CatBertModel, ds: EncodedDataset, batch_size: int = 64,
 
 
 def score_records(model: CatBertModel, records: list[EmailRecord], vocab: Vocabulary,
-                  max_len: int = DEFAULT_MAX_LEN, batch_size: int = 64,
+                  max_len: int | None = None, batch_size: int = 64,
                   use_context: bool = True) -> np.ndarray:
+    """Probabilities for ``records``, encoded into rows of ``max_len``
+    tokens (by default the model's ``row_width``)."""
+    if max_len is None:
+        max_len = row_width(model.config)
     ds = encode_records(records, vocab, max_len=max_len)
     return score_dataset(model, ds, batch_size=batch_size, use_context=use_context)
 
 
 def make_model_scorer(model: CatBertModel, vocab: Vocabulary,
-                      max_len: int = DEFAULT_MAX_LEN, use_context: bool = True):
-    """Scorer closure over (texts, records) for attack evaluation."""
+                      max_len: int | None = None, use_context: bool = True):
+    """Scorer closure over (texts, records) for attack evaluation, on rows
+    of ``max_len`` tokens (by default the model's ``row_width``)."""
+    if max_len is None:
+        max_len = row_width(model.config)
 
     def scorer(texts, records):
         ds = encode_texts(texts, records, vocab, max_len=max_len)

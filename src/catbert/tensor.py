@@ -80,8 +80,8 @@ class Tensor:
 class Parameter(Tensor):
     """Named, optionally trainable tensor. Once ``backward`` has run, ``grad``
     is a dense ``Tensor`` of ``data``'s shape, or a ``RowGrad`` for a table
-    reached only through ``embedding_lookup``; ``dense_grad`` gives either
-    as a dense array.
+    read by one ``embedding_lookup`` and nothing else; ``dense_grad`` gives
+    either as a dense array.
 
     The constructor copies ``data`` into a C-contiguous array of its own,
     since ``adam_step`` writes it in place and must not write through to an
@@ -112,7 +112,8 @@ class RowGrad:
     """Row-sparse gradient of a 2-D table: ``values[i]`` is the gradient of
     row ``rows[i]`` (sorted, distinct) and every other row's is zero. A
     batch's embedding gradient costs its U distinct ids, (U, d), not the
-    whole table."""
+    whole table. ``embedding_lookup`` makes one; ``backward`` hands it to a
+    table that one lookup alone reads, and sums any other gradient dense."""
 
     __slots__ = ("rows", "values", "shape")
 
@@ -130,19 +131,6 @@ def dense_grad(grad) -> np.ndarray:
         out[grad.rows] = grad.values
         return out
     return grad.data if isinstance(grad, Tensor) else grad
-
-
-def _accumulate(prev, g):
-    """``prev + g`` for gradients that may be ``RowGrad``s. Two of them give
-    the union of their rows; with a dense one the sum is dense. Each row
-    gets the same additions, in the same order, as the dense sum."""
-    if not (isinstance(prev, RowGrad) and isinstance(g, RowGrad)):
-        return dense_grad(prev) + dense_grad(g)
-    rows = np.union1d(prev.rows, g.rows)
-    values = np.zeros((rows.size,) + prev.values.shape[1:], dtype=prev.values.dtype)
-    values[np.searchsorted(rows, prev.rows)] = prev.values
-    values[np.searchsorted(rows, g.rows)] += g.values
-    return RowGrad(rows, values, prev.shape)
 
 
 class Tape:
@@ -282,10 +270,10 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None, act: str | None = N
     On the 2-D path a dense layer is one op: ``bias`` (shape (n,)) is added
     into the fresh GEMM output and ``act`` (``"relu"`` or ``"gelu"``)
     applied there, with the float operations of ``add`` and of ``relu`` or
-    ``gelu`` after an unfused product. When the tape records the op it
-    keeps what the activation's gradient reads (relu's mask, gelu's
-    pre-activation and tanh term); otherwise both run in place, a
-    cache-sized block of rows at a time, and the op allocates only its
+    ``gelu`` after an unfused product. Both run in place, a cache-sized
+    block of rows at a time (``_epilogue``, which ``relu`` and ``gelu``
+    share); when the tape records the op it also keeps what the
+    activation's gradient reads, and otherwise the op allocates only its
     output.
     """
     av, bv = _as_operands(a, b)
@@ -332,34 +320,32 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None, act: str | None = N
 
 def _epilogue(out: np.ndarray, bias: Tensor | None, act: str | None,
               recorded: bool) -> tuple[np.ndarray, object]:
-    """Add ``bias`` into the fresh GEMM output ``out`` and apply ``act``.
-    Returns the result and what the activation's gradient reads. Unrecorded,
-    both run in place a block of rows at a time, and nothing is kept."""
-    bv = None if bias is None else bias.data
-    if not recorded:
-        o2 = out.reshape(-1, out.shape[-1])
-        per = max(1, CACHE_BLOCK // o2.shape[1])
-        t = np.empty((min(per, o2.shape[0]), o2.shape[1]), o2.dtype) if act == "gelu" else None
-        for lo in range(0, o2.shape[0], per):
-            blk = o2[lo:lo + per]
-            if bv is not None:
-                blk += bv
-            if act == "relu":
-                blk[~(blk > 0)] = 0
-            elif act == "gelu":
-                _gelu(blk, t[:blk.shape[0]])
+    """Add ``bias`` into the fresh array ``out`` and apply ``act`` in place,
+    a cache-sized block of rows at a time. Returns the result and, when
+    ``recorded``, what the gradient reads: relu's mask, ``out > 0`` on the
+    result, or gelu's pre-activation ``out`` and tanh term, for which a
+    recorded gelu writes the tanh term and the result into arrays of their
+    own. Unrecorded, gelu's tanh term is one block of scratch."""
+    if bias is None and act is None:
         return out, None
-    if bv is not None:
-        out += bv
-    if act == "relu":
-        mask = out > 0
-        out[~mask] = 0  # as np.where(mask, x, 0): -0.0 and NaN give +0.0
-        return out, mask
+    o2 = out.reshape(-1, out.shape[-1] if out.size > 1 else 1)  # 0-d and empty too
+    per = max(1, CACHE_BLOCK // o2.shape[1])
+    t = res = None
     if act == "gelu":
-        t, res = np.empty_like(out), np.empty_like(out)
-        _gelu(out, t, res)
-        return res, (out, t)
-    return out, None
+        t = np.empty(o2.shape if recorded else (min(per, o2.shape[0]), o2.shape[1]), o2.dtype)
+        res = np.empty_like(o2) if recorded else None
+    for lo in range(0, o2.shape[0], per):
+        blk = o2[lo:lo + per]
+        if bias is not None:
+            blk += bias.data
+        if act == "relu":
+            blk[~(blk > 0)] = 0  # as np.where(blk > 0, blk, 0): -0.0 and NaN give +0.0
+        elif act == "gelu":
+            at = slice(lo, lo + per) if recorded else slice(0, blk.shape[0])
+            _gelu(blk, t[at], None if res is None else res[at])
+    if res is not None:
+        return res.reshape(out.shape), (out, t.reshape(out.shape))
+    return out, (out > 0 if recorded and act == "relu" else None)
 
 
 _ACT_GRAD = {
@@ -369,13 +355,20 @@ _ACT_GRAD = {
 }
 
 
-def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0
+def _activation(x: Tensor, act: str) -> Tensor:
+    """``act`` as an op: ``matmul``'s epilogue, with no bias, on a copy of ``x``."""
+    needs = _needs(x)
+    out, kept = _epilogue(x.data.copy(), None, act, needs[0])
 
     def grad_fn(g):
-        return (g * mask,)
+        return (_ACT_GRAD[act](g, kept),)
 
-    return _emit(np.where(mask, x.data, 0.0).astype(x.data.dtype, copy=False), (x,), grad_fn)
+    return _emit(out, (x,), grad_fn, needs)
+
+
+def relu(x: Tensor) -> Tensor:
+    """max(v, 0), with +0.0 for -0.0 and NaN: ``matmul``'s ``"relu"`` epilogue."""
+    return _activation(x, "relu")
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -385,8 +378,8 @@ _GELU_A = 0.044715
 def _gelu(v: np.ndarray, t: np.ndarray, out: np.ndarray | None = None) -> None:
     """GELU's tanh approximation on equal-shape arrays: ``t`` gets
     tanh(c (v + a v^3)) and ``out`` gets 0.5 v (1 + t), in the formula's
-    order of operations. ``out`` may be ``t``; when it is None the result
-    overwrites ``v`` and ``t`` is scratch."""
+    order of operations. When ``out`` is None the result overwrites ``v``
+    and ``t`` is scratch."""
     np.multiply(v, _GELU_A, out=t)
     t *= v
     t *= v
@@ -423,20 +416,9 @@ def _gelu_grad(v: np.ndarray, t: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def gelu(x: Tensor) -> Tensor:
-    """GELU via the tanh approximation (transformer FFN activation):
-    0.5 v (1 + tanh(c (v + a v^3))). It shares its kernel, ``_gelu``, with
-    ``matmul``'s ``"gelu"`` epilogue. Recorded, it keeps its tanh term for
-    the gradient; otherwise the result overwrites that buffer, its only one."""
-    v = x.data
-    needs = _needs(x)
-    t = np.empty_like(v)
-    out = np.empty_like(v) if needs[0] else t
-    _gelu(v, t, out)
-
-    def grad_fn(g):
-        return (_gelu_grad(v, t, g),)
-
-    return _emit(out, (x,), grad_fn, needs)
+    """GELU via the tanh approximation (transformer FFN activation),
+    0.5 v (1 + tanh(c (v + a v^3))): ``matmul``'s ``"gelu"`` epilogue."""
+    return _activation(x, "gelu")
 
 
 def stable_sigmoid(v: np.ndarray) -> np.ndarray:
@@ -679,10 +661,10 @@ def backward(tape: Tape, loss: Tensor) -> None:
     of a tape with every parameter trainable, so the gradients are
     bit-identical to its.
 
-    A table reached only through ``embedding_lookup`` gets a ``RowGrad``
-    (two lookups of it give the union of their rows); one that also feeds a
-    dense op gets a dense gradient. Either way every row is bit-identical
-    to the dense sum.
+    A table whose only use is one ``embedding_lookup`` gets that lookup's
+    ``RowGrad``. Gradients that meet at a tensor used more than once (a
+    table looked up twice among them) sum as dense arrays, so such a table
+    gets a dense gradient.
 
     The walk consumes the tape: each entry is set to None once visited, so
     an activation is freed once the op that made it, and so every op that
@@ -711,7 +693,7 @@ def backward(tape: Tape, loss: Tensor) -> None:
                     continue
                 touched[id(t)] = t
             prev = grads.get(id(t))
-            grads[id(t)] = tg if prev is None else _accumulate(prev, tg)
+            grads[id(t)] = tg if prev is None else dense_grad(prev) + dense_grad(tg)
     for pid, p in touched.items():
         g = grads[pid]
         p.grad = g if isinstance(g, RowGrad) else Tensor._wrap(

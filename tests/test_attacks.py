@@ -59,6 +59,26 @@ def test_synonym_swaps_table_words():
     assert attack("nothing eligible here", spec) == "nothing eligible here"
 
 
+def test_synonym_keys_fold_case():
+    spec = AttackSpec(kind="synonym", rate=1.0, synonyms={"Money": ["funds"], "WIRE": "cable"})
+    assert spec.synonyms == {"money": ["funds"], "wire": ["cable"]}
+    assert attack("send money now", spec) == "send funds now"
+    assert attack("WIRE it", spec) == "cable it"
+
+
+def test_synonym_keys_that_fold_together_are_rejected():
+    with pytest.raises(ValueError, match="synonym keys 'money' and 'MONEY' are the same word"):
+        AttackSpec(kind="synonym", rate=0.5, synonyms={"money": ["funds"], "MONEY": ["cash"]})
+
+
+def test_synonym_matches_through_punctuation():
+    spec = AttackSpec(kind="synonym", rate=1.0, synonyms={"money": ["funds"]})
+    assert attack("send money, now. money", spec) == "send funds, now. funds"
+    assert attack('("Money!") ... money\'s', spec) == '("funds!") ... money\'s'
+    # a typo still edits the whole whitespace-split part: "a," is long enough
+    assert attack("a,", AttackSpec(kind="typo", rate=1.0)) != "a,"
+
+
 def test_synonym_picks_among_choices_deterministically():
     spec = AttackSpec(kind="synonym", rate=1.0, seed=5,
                       synonyms={"wire": ["cable", "line"]})

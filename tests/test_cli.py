@@ -475,8 +475,9 @@ class TestAttackExplain:
         ({"money": []}, "synonyms['money'] must be a non-empty string or a non-empty list"),
         ({"money": [3]}, "synonyms['money'] must be a non-empty string or a non-empty list"),
         ({"money": ""}, "synonyms['money'] must be a non-empty string or a non-empty list"),
+        ({"money": "cash", "MONEY": "funds"}, "synonym keys 'money' and 'MONEY' are the same word"),
         (None, "synonyms file not found: "),
-    ], ids=["empty-list", "number", "empty-string", "missing-file"])
+    ], ids=["empty-list", "number", "empty-string", "folded-duplicate", "missing-file"])
     def test_bad_synonym_table_fails_before_the_checkpoint_is_read(self, workdir, tmp_path,
                                                                    capsys, table, message):
         path = tmp_path / "syn.json"

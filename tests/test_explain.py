@@ -140,6 +140,16 @@ def test_explain_record_runs_end_to_end():
                       "top_positive", "top_negative"}
 
 
+def test_explain_record_defaults_to_the_models_row_width():
+    vocab = Vocabulary(synthetic_vocab())
+    model = init_random(ModelConfig(vocab_size=100, hidden=16, ffn_dim=32, heads=2,
+                                    max_positions=16, block_plan=("T", "A")), seed=0)
+    record = EmailRecord(subject="invoice", body_text="please send wiretransfer today " * 4,
+                         from_addr="a@partner.io", to_addrs=["b@acme.com"], label=1)
+    want = explain_record(model, vocab, record, n_samples=64, seed=0, max_len=16)
+    assert explain_record(model, vocab, record, n_samples=64, seed=0) == want
+
+
 def test_explain_logs_a_bad_header_once(caplog):
     vocab = Vocabulary(synthetic_vocab())
     model = init_random(ModelConfig(vocab_size=100, hidden=16, ffn_dim=32, heads=2,

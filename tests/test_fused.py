@@ -1,9 +1,9 @@
 """The fused forward ops against the unfused op sequence they replace.
 
 ``unfused_forward_probs`` is ``forward_probs`` written with one op per
-step: ``add(matmul(x, w), b)`` for a dense layer, then ``relu`` or
-``gelu``, and ``mul`` and ``add`` before ``softmax_rows``. Its softmax,
-GELU and layer norm are the out-of-place ops the in-place ones replace
+step: ``add(matmul(x, w), b)`` for a dense layer, then ReLU or GELU,
+and ``mul`` and ``add`` before ``softmax_rows``. Its softmax, ReLU, GELU
+and layer norm are the out-of-place ops the in-place ones replace
 (``ref_*`` below). The fused ops keep their float operations and their
 order, so probabilities and gradients must be bit-identical to the
 oracle's, and the forward must hold fewer bytes.
@@ -44,6 +44,15 @@ def ref_softmax_rows(x):
         return (out * (g - dot),)
 
     return T._emit(out.astype(v.dtype, copy=False), (x,), grad_fn)
+
+
+def ref_relu(x):
+    mask = x.data > 0
+
+    def grad_fn(g):
+        return (g * mask,)
+
+    return T._emit(np.where(mask, x.data, 0.0).astype(x.data.dtype, copy=False), (x,), grad_fn)
 
 
 def ref_gelu(x):
@@ -168,10 +177,10 @@ def unfused_forward_probs(model, ids, mask, ctx):
             f = _dense(f, p[f"{pre}.ffn.w2"], p[f"{pre}.ffn.b2"])
             h = ref_layer_norm(T.add(x, f), p[f"{pre}.ffn.ln.gain"], p[f"{pre}.ffn.ln.bias"])
         else:
-            a = T.relu(_dense(h, p[f"{pre}.dense1.w"], p[f"{pre}.dense1.b"]))
+            a = ref_relu(_dense(h, p[f"{pre}.dense1.w"], p[f"{pre}.dense1.b"]))
             h = T.add(h, _dense(a, p[f"{pre}.dense2.w"], p[f"{pre}.dense2.b"]))
     cls = T.concat([h, Tensor._wrap(np.asarray(ctx, dtype=h.data.dtype))], axis=1)
-    fused = T.relu(_dense(cls, p["classifier.fusion.w"], p["classifier.fusion.b"]))
+    fused = ref_relu(_dense(cls, p["classifier.fusion.w"], p["classifier.fusion.b"]))
     logit = _dense(fused, p["classifier.out.w"], p["classifier.out.b"])
     return T.sigmoid(T.reshape(logit, (B,)))
 
@@ -239,7 +248,7 @@ def test_gradients_bit_identical(dtype, full, freeze):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_dense_layer_matches_unfused_ops(dtype, act, tape, monkeypatch):
     monkeypatch.setattr(T, "CACHE_BLOCK", 1000)  # several blocks of 3 rows
-    ops = {None: lambda t: t, "relu": T.relu, "gelu": ref_gelu}[act]
+    ops = {None: lambda t: t, "relu": ref_relu, "gelu": ref_gelu}[act]
     rng = np.random.default_rng(0)
     x = Parameter("x", rng.standard_normal((3, 5, 7)), dtype=dtype)
     w = Parameter("w", rng.standard_normal((7, 300)), dtype=dtype)
@@ -321,16 +330,37 @@ def test_layer_norm_and_gelu_match_out_of_place_ops(dtype, tape):
 
 @pytest.mark.parametrize("recorded", [False, True])
 def test_relu_epilogue_matches_relu_on_signed_zero_and_nan(recorded):
-    """Both give +0.0 for every input that is not > 0, -0.0 and NaN
-    included (``np.maximum`` would keep NaN), and zero the same gradient
-    positions."""
+    """The epilogue gives +0.0 for every input that is not > 0, -0.0 and
+    NaN included, as ``np.where`` does (``np.maximum`` would keep NaN), and
+    its mask zeros the same gradient positions."""
     v = np.array([[-0.0, 0.0, np.nan, -np.nan, -1.0, 2.0, np.inf, -np.inf]], np.float32)
-    want = T.relu(Tensor(v)).data
+    want = np.where(v > 0, v, 0.0)
     got, kept = T._epilogue(v.copy(), None, "relu", recorded)
     assert got.tobytes() == want.tobytes()
     assert not np.signbit(got).any() and not np.isnan(got).any()
     if recorded:
         assert kept.tobytes() == (v > 0).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_activations_bit_identical_with_and_without_a_tape(dtype, monkeypatch):
+    """relu, gelu and a dense layer's epilogue run one block loop, recorded
+    or not: blocks of 2 rows of 5 and a ragged last block of 1 row."""
+    monkeypatch.setattr(T, "CACHE_BLOCK", 10)
+    rng = np.random.default_rng(3)
+    x = Parameter("x", 3 * rng.standard_normal((7, 5)), dtype=dtype)
+    w = Parameter("w", rng.standard_normal((5, 5)), dtype=dtype)
+    b = Parameter("b", rng.standard_normal(5), dtype=dtype)
+    before = x.data.copy()
+    ops = [T.relu, T.gelu] + [lambda v, act=act: T.matmul(v, w, bias=b, act=act)
+                              for act in (None, "relu", "gelu")]
+    for op in ops:
+        plain = op(x).data
+        with Tape() as tape:
+            taped = op(x).data
+        assert len(tape) == 1
+        assert plain.dtype == taped.dtype == dtype and plain.tobytes() == taped.tobytes()
+    assert x.data.tobytes() == before.tobytes()
 
 
 def test_matmul_rejects_bad_epilogue_arguments():

@@ -14,7 +14,8 @@ from catbert.mail import (EmailRecord, body_text_of, build_content, load_dataset
                           load_dataset_with_report, record_to_json)
 from catbert.model import ModelConfig, _Packing, forward_probs, init_random
 from catbert.synthetic import make_corpus, synthetic_vocab
-from catbert.pipeline import encode_records, encode_texts, score_dataset, score_records
+from catbert.pipeline import (encode_records, encode_texts, make_model_scorer, score_dataset,
+                              score_records)
 from catbert.tensor import Tape, backward, dense_grad
 from catbert.tokenizer import Vocabulary, encode
 from catbert.train import TrainConfig, balanced_batches, bce_loss, effective_weights, train
@@ -136,6 +137,15 @@ class TestScoring:
         probs = score_records(m, records(), small_vocab(), max_len=12)
         assert probs.shape == (2,)
         assert np.all((probs > 0) & (probs < 1))
+
+    def test_library_scoring_defaults_to_the_models_row_width(self):
+        # rows of 16 tokens on a 16-position model, whatever the email's length
+        m = tiny_model()
+        recs = records() + [EmailRecord(subject="pay", body_text="pay money now " * 8, label=1)]
+        want = score_records(m, recs, small_vocab(), max_len=16)
+        assert score_records(m, recs, small_vocab()).tobytes() == want.tobytes()
+        scorer = make_model_scorer(m, small_vocab())
+        assert scorer([build_content(r) for r in recs], recs).tobytes() == want.tobytes()
 
     def test_contextless_model(self):
         m = tiny_model(context_dim=0)
