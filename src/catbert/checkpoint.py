@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 
-from .model import CatBertModel, ModelConfig, param_shapes
+from .atomic import replacing
+from .model import CatBertModel, ConfigError, ModelConfig, param_shapes
 from .tensor import Parameter
 
 FORMAT_VERSION = 1
@@ -29,30 +31,32 @@ class CheckpointError(ValueError):
 
 
 def save_checkpoint(model: CatBertModel, out_dir) -> None:
+    """Write the blob, then the manifest, each replacing its file whole. A
+    re-save with one config keeps the manifest's bytes, so a crash leaves the
+    old model or the new one; a save that changes the manifest deletes the old
+    one first, so a crash leaves no manifest, never one over another blob."""
     os.makedirs(out_dir, exist_ok=True)
     entries = []
     offset = 0
-    with open(os.path.join(out_dir, BLOB), "wb") as f:
-        for name, p in model.params.items():
-            arr = np.ascontiguousarray(p.data, dtype=_DTYPE)
-            entries.append({
-                "name": name,
-                "shape": list(arr.shape),
-                "dtype": "f32",
-                "offset": offset,
-                "nbytes": arr.nbytes,
-            })
-            f.write(memoryview(arr))
-            offset += arr.nbytes
-    manifest = {
+    for name, p in model.params.items():
+        nbytes = p.data.size * _DTYPE.itemsize
+        entries.append({"name": name, "shape": list(p.data.shape), "dtype": "f32",
+                        "offset": offset, "nbytes": nbytes})
+        offset += nbytes
+    manifest = json.dumps({
         "format_version": FORMAT_VERSION,
         "config": model.config.to_dict(),
         "tensors": entries,
         "provenance": model.provenance,
-    }
-    with open(os.path.join(out_dir, MANIFEST), "w", encoding="utf-8") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
+    }, indent=2, sort_keys=True) + "\n"
+    manifest_path = Path(out_dir, MANIFEST)
+    if manifest_path.exists() and manifest_path.read_bytes() != manifest.encode():
+        manifest_path.unlink()
+    with replacing(os.path.join(out_dir, BLOB), "wb") as f:
+        for p in model.params.values():
+            f.write(memoryview(np.ascontiguousarray(p.data, dtype=_DTYPE)))
+    with replacing(manifest_path) as f:
+        f.write(manifest)
 
 
 def read_manifest(ckpt_dir) -> tuple[dict, ModelConfig]:
@@ -67,10 +71,17 @@ def read_manifest(ckpt_dir) -> tuple[dict, ModelConfig]:
     except json.JSONDecodeError as e:
         raise CheckpointError(f"unreadable manifest: {e}") from e
 
+    if not isinstance(manifest, dict):
+        raise CheckpointError(f"{MANIFEST} holds no JSON object")
     version = manifest.get("format_version")
     if version != FORMAT_VERSION:
         raise CheckpointError(f"unsupported format_version {version!r}, expected {FORMAT_VERSION}")
-    return manifest, ModelConfig.from_dict(manifest["config"])
+    if not isinstance(manifest.get("config"), dict):
+        raise CheckpointError(f"{MANIFEST} has no 'config' object")
+    try:
+        return manifest, ModelConfig.from_dict(manifest["config"])
+    except (TypeError, ConfigError) as e:  # a field missing or out of range
+        raise CheckpointError(f"bad 'config' in {MANIFEST}: {e}") from e
 
 
 def load_checkpoint(ckpt_dir) -> CatBertModel:
@@ -79,11 +90,14 @@ def load_checkpoint(ckpt_dir) -> CatBertModel:
     manifest, config = read_manifest(ckpt_dir)
     expected = param_shapes(config)
 
-    entries = {e["name"]: e for e in manifest.get("tensors", [])}
+    tensors = manifest.get("tensors", [])
+    if not isinstance(tensors, list) or not all(isinstance(e, dict) for e in tensors):
+        raise CheckpointError("'tensors' is not a list of objects")
+    entries = {e.get("name"): e for e in tensors}
     missing = sorted(set(expected) - set(entries))
     if missing:
         raise CheckpointError(f"manifest missing tensors: {missing[:5]}")
-    extra = sorted(set(entries) - set(expected))
+    extra = sorted(set(entries) - set(expected), key=str)
     if extra:
         raise CheckpointError(f"manifest has unexpected tensors: {extra[:5]}")
     blob_path = os.path.join(ckpt_dir, BLOB)
@@ -93,6 +107,11 @@ def load_checkpoint(ckpt_dir) -> CatBertModel:
         raise CheckpointError(f"no {BLOB} in {ckpt_dir}") from None
     for name, shape in expected.items():
         e = entries[name]
+        for key in ("shape", "offset", "nbytes"):  # a list of ints, an int, an int
+            v = e.get(key)
+            ints = v if key == "shape" and type(v) is list else [v]
+            if not all(type(x) is int for x in ints):
+                raise CheckpointError(f"tensor {name!r} has a bad {key!r}: {v!r}")
         if tuple(e["shape"]) != shape:
             raise CheckpointError(
                 f"tensor {name!r} has manifest shape {tuple(e['shape'])}, config requires {shape}"

@@ -5,12 +5,11 @@ data goes to files or stdout. A run that writes files also writes a manifest
 of the resolved config, the seed, input/output checksums and timing: in
 ``--out-dir`` as ``run_manifest.json`` when the subcommand takes one, else
 beside the first file written as ``<file>.manifest.json``. A run that writes
-only to stdout writes none. Manifests and the JSON, CSV and JSONL reports go
-through a temporary file that replaces the target once it is on disk, so a
-crash leaves the old file or the new one (checkpoints and the ingest/split
-datasets are still written in place). Re-running with the same inputs and
-seed reproduces every artifact byte for byte; only the manifest's ``timing``
-block differs.
+only to stdout writes none. Every file, checkpoints and datasets included,
+goes through a temporary file that replaces the target once it is on disk
+(``atomic.replacing``), so a crash leaves the old file or the new one.
+Re-running with the same inputs and seed reproduces every artifact byte for
+byte; only the manifest's ``timing`` block differs.
 
 Exit codes: 0 success, 1 usage error, 2 runtime error.
 """
@@ -18,7 +17,6 @@ Exit codes: 0 success, 1 usage error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import hashlib
 import json
 import logging
@@ -28,6 +26,7 @@ import time
 from dataclasses import asdict
 
 from . import __version__
+from .atomic import replacing
 from .attacks import KINDS, AttackSpec, accuracy_under_attack, check_threshold
 from .checkpoint import load_checkpoint, read_manifest, save_checkpoint
 from .explain import MIN_SAMPLES, explain_record
@@ -97,17 +96,8 @@ def _write_text(text: str, path: str | None) -> None:
     if not path:
         sys.stdout.write(text)
         return
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as f:
-            f.write(text)
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
+    with replacing(path) as f:
+        f.write(text)
 
 
 def _write_manifest(args, started: float, config: dict, seed, inputs: dict,
@@ -429,11 +419,12 @@ def _cmd_bench(args) -> dict:
         raise UsageError(f"--donor-blocks must be even, got {args.donor_blocks}")
     common = dict(vocab_size=args.vocab_size, hidden=args.hidden,
                   ffn_dim=args.ffn_dim, heads=args.heads)
-    donor = init_random(ModelConfig(block_plan=("T",) * args.donor_blocks, **common),
-                        seed=args.seed)
-    compressed = init_random(
-        ModelConfig(block_plan=("T", "A") * (args.donor_blocks // 2), **common),
-        seed=args.seed)
+    try:
+        configs = [ModelConfig(block_plan=plan, **common) for plan in
+                   (("T",) * args.donor_blocks, ("T", "A") * (args.donor_blocks // 2))]
+    except ConfigError as e:
+        raise UsageError(f"bad model size: {e}") from None
+    donor, compressed = (init_random(c, seed=args.seed) for c in configs)
     kwargs = dict(batch_sizes=(args.batch,), repetitions=args.repetitions, seed=args.seed)
     donor_t, compressed_t = (time_inference(m, **kwargs)["timings"][str(args.batch)]
                              for m in (donor, compressed))
@@ -539,13 +530,13 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_explain)
 
     p = sub.add_parser("bench", help="donor vs compressed inference latency")
-    p.add_argument("--hidden", type=int, default=768)
-    p.add_argument("--ffn-dim", type=int, default=3072)
-    p.add_argument("--heads", type=int, default=12)
-    p.add_argument("--batch", type=int, default=1)
-    p.add_argument("--vocab-size", type=int, default=30522)
+    p.add_argument("--hidden", type=_number_arg(int, lo=1), default=768)
+    p.add_argument("--ffn-dim", type=_number_arg(int, lo=1), default=3072)
+    p.add_argument("--heads", type=_number_arg(int, lo=1), default=12)
+    p.add_argument("--batch", type=_number_arg(int, lo=1), default=1)
+    p.add_argument("--vocab-size", type=_number_arg(int, lo=1), default=30522)
     p.add_argument("--donor-blocks", type=int, default=6)
-    p.add_argument("--repetitions", type=int, default=30)
+    p.add_argument("--repetitions", type=_number_arg(int, lo=1), default=30)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="timing JSON (stdout if omitted)")
     p.set_defaults(func=_cmd_bench)

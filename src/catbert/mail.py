@@ -15,6 +15,8 @@ from html.parser import HTMLParser
 
 import numpy as np
 
+from .atomic import replacing
+
 log = logging.getLogger(__name__)
 
 
@@ -252,6 +254,6 @@ def record_to_json(record: EmailRecord) -> str:
 
 
 def save_dataset(records, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+    with replacing(path) as f:
         for rec in records:
             f.write(record_to_json(rec) + "\n")

@@ -63,10 +63,12 @@ class ModelConfig:
             raise ConfigError(f"unknown block kind {e.args[0]!r}") from None
         if not self.block_plan:
             raise ConfigError("block plan must be non-empty")
+        for key in ("vocab_size", "hidden", "ffn_dim", "heads", "max_positions"):
+            v = getattr(self, key)
+            if type(v) is not int or v < 1:
+                raise ConfigError(f"{key} must be an int >= 1, got {v!r}")
         if self.hidden % self.heads != 0:
             raise ConfigError(f"hidden={self.hidden} not divisible by heads={self.heads}")
-        if self.vocab_size < 1 or self.max_positions < 1:
-            raise ConfigError("vocab_size/max_positions must be >= 1")
         if self.context_dim not in (0, CONTEXT_DIM):
             raise ConfigError(f"context_dim must be 0 or {CONTEXT_DIM}, got {self.context_dim}")
 

@@ -339,7 +339,8 @@ def _epilogue(out: np.ndarray, bias: Tensor | None, act: str | None,
         if bias is not None:
             blk += bias.data
         if act == "relu":
-            blk[~(blk > 0)] = 0  # as np.where(blk > 0, blk, 0): -0.0 and NaN give +0.0
+            np.fmax(blk, 0, out=blk)  # as np.where(blk > 0, blk, 0): fmax drops NaN,
+            blk += 0.0  # and -0.0 + 0.0 is +0.0
         elif act == "gelu":
             at = slice(lo, lo + per) if recorded else slice(0, blk.shape[0])
             _gelu(blk, t[at], None if res is None else res[at])

@@ -14,6 +14,8 @@ import unicodedata
 from dataclasses import dataclass, field
 from typing import Iterator
 
+from .atomic import replacing
+
 PAD, UNK, CLS, SEP = "[PAD]", "[UNK]", "[CLS]", "[SEP]"
 _SPECIALS = (PAD, UNK, CLS, SEP)
 CONT = "##"
@@ -69,7 +71,7 @@ def load_vocab(path) -> Vocabulary:
 
 
 def save_vocab(tokens: list[str], path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+    with replacing(path) as f:
         for tok in tokens:
             f.write(tok + "\n")
 

@@ -121,3 +121,45 @@ class TestValidation:
         (tmp_path / BLOB).unlink()
         with pytest.raises(CheckpointError, match="tensors.bin"):
             load_checkpoint(tmp_path)
+
+
+
+def _set_entry(m, key, value):
+    entry = m["tensors"][0]
+    if value is None:
+        del entry[key]
+    else:
+        entry[key] = value
+    return m
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda m: [m], "manifest.json holds no JSON object"),
+    (lambda m: {k: v for k, v in m.items() if k != "config"}, "no 'config' object"),
+    (lambda m: {**m, "config": {**m["config"], "hidden": "8"}},
+     "bad 'config' in manifest.json: hidden must be an int >= 1, got '8'"),
+    (lambda m: {**m, "config": {**m["config"], "heads": 0}},
+     "bad 'config' in manifest.json: heads must be an int >= 1, got 0"),
+    (lambda m: {k: v for k, v in m.items() if k != "config"} | {"config": {"hidden": 8}},
+     "bad 'config' in manifest.json: "),
+    (lambda m: {**m, "tensors": 5}, "'tensors' is not a list of objects"),
+    (lambda m: _set_entry(m, "shape", None), "tensor 'embeddings.token' has a bad 'shape': None"),
+    (lambda m: _set_entry(m, "shape", [40, "8"]), "has a bad 'shape': [40, '8']"),
+    (lambda m: _set_entry(m, "offset", "0"), "tensor 'embeddings.token' has a bad 'offset': '0'"),
+    (lambda m: _set_entry(m, "nbytes", 1280.0), "has a bad 'nbytes': 1280.0"),
+    (lambda m: _set_entry(m, "name", None), "missing tensors: ['embeddings.token']"),
+    (lambda m: {**m, "tensors": m["tensors"] + [{"shape": [1]}, {"name": "extra"}]},
+     "unexpected tensors: [None, 'extra']"),
+], ids=["json-list", "no-config", "string-hidden", "zero-heads", "no-vocab-size",
+        "tensors-not-a-list", "entry-without-shape", "string-in-shape", "string-offset",
+        "float-nbytes", "entry-without-name", "extra-entries-with-and-without-name"])
+def test_malformed_manifest_is_a_checkpoint_error_naming_the_field(tiny, tmp_path, edit,
+                                                                   message):
+    """A hand-edited manifest fails as a CheckpointError that says what is
+    wrong, never as a raw KeyError, TypeError or AttributeError."""
+    save_checkpoint(tiny, tmp_path)
+    manifest = json.loads((tmp_path / MANIFEST).read_text())
+    (tmp_path / MANIFEST).write_text(json.dumps(edit(manifest)))
+    with pytest.raises(CheckpointError) as exc:
+        load_checkpoint(tmp_path)
+    assert message in str(exc.value)

@@ -94,18 +94,30 @@ class TestExitCodes:
          "threshold must be in (0,1), got 1.5"),
         (["attack", "--kind", "synonym", "--rate", "0.5"],
          "synonym attack needs a non-empty synonym table"),
+        (["bench", "--batch", "0"], "argument --batch: wants one int in [1, inf], got '0'"),
+        (["bench", "--repetitions", "0"], "argument --repetitions: wants one int in [1, inf]"),
+        (["bench", "--hidden", "0"], "argument --hidden: wants one int in [1, inf]"),
+        (["bench", "--ffn-dim", "-1"], "argument --ffn-dim: wants one int in [1, inf]"),
+        (["bench", "--heads", "0"], "argument --heads: wants one int in [1, inf]"),
+        (["bench", "--vocab-size", "0"], "argument --vocab-size: wants one int in [1, inf]"),
+        (["bench", "--hidden", "10", "--heads", "3"],
+         "bad model size: hidden=10 not divisible by heads=3"),
+        (["bench", "--donor-blocks", "0"], "bad model size: block plan must be non-empty"),
     ], ids=["fractions-not-numbers", "fractions-two-values", "fractions-out-of-range",
             "fprs-not-a-number", "fprs-above-one", "keep-not-an-integer", "keep-negative",
             "eval-batch-size-negative", "eval-batch-size-zero", "predict-batch-size-negative",
             "explain-n-samples-below-50", "attack-rate-above-one", "attack-threshold-above-one",
-            "attack-synonym-without-table"])
+            "attack-synonym-without-table", "bench-batch-zero", "bench-repetitions-zero",
+            "bench-hidden-zero", "bench-ffn-dim-negative", "bench-heads-zero",
+            "bench-vocab-size-zero", "bench-heads-not-dividing-hidden", "bench-no-blocks"])
     def test_bad_list_flag_fails_before_reading_data(self, tmp_path, capsys, argv, message):
         """A flag value outside the bound the library enforces is a usage
         error before any input is read (every input here is missing)."""
         missing = str(tmp_path / "missing")
         scoring = ["--in", missing, "--model", missing, "--vocab", missing]
         inputs = {"split": ["--in", missing, "--out-dir", str(tmp_path / "out")],
-                  "surgery": ["--donor", missing, "--out-dir", str(tmp_path / "out")]}
+                  "surgery": ["--donor", missing, "--out-dir", str(tmp_path / "out")],
+                  "bench": ["--out", str(tmp_path / "b.json")]}
         assert main(argv + inputs.get(argv[0], scoring)) == 1
         assert message in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
@@ -286,6 +298,15 @@ class TestTrain:
                      "--vocab", str(workdir["vocab"]), "--config", str(bad),
                      "--out-dir", str(out)]) == 1
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--hidden", "--ffn-dim", "--heads"])
+    def test_model_size_below_one_fails_before_reading_data(self, workdir, tmp_path, capsys,
+                                                            flag):
+        out = tmp_path / "r"
+        assert main(["train", "--train", str(tmp_path / "missing.jsonl"),
+                     "--vocab", str(workdir["vocab"]), "--out-dir", str(out), flag, "0"]) == 1
+        assert f"{flag[2:].replace('-', '_')} must be an int >= 1, got 0" in capsys.readouterr().err
         assert not out.exists()
 
     def test_config_from_an_older_manifest_with_truncate_head_trains(self, workdir, tmp_path):

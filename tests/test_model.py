@@ -78,6 +78,13 @@ class TestConfig:
             with pytest.raises(ConfigError, match="context_dim"):
                 ModelConfig(**{**TINY, "context_dim": bad})
 
+    @pytest.mark.parametrize("key", ["vocab_size", "hidden", "ffn_dim", "heads",
+                                     "max_positions"])
+    @pytest.mark.parametrize("value", [0, True, "8"])
+    def test_sizes_are_ints_of_at_least_one(self, key, value):
+        with pytest.raises(ConfigError, match=f"{key} must be an int >= 1, got {value!r}"):
+            ModelConfig(**{**TINY, key: value})
+
     @pytest.mark.parametrize("key,value", [("cls_from", "last_transformer"),
                                            ("cls_from", "middle"),
                                            ("classifier_hidden", 16)])
