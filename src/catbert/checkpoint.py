@@ -100,6 +100,9 @@ def load_checkpoint(ckpt_dir) -> CatBertModel:
     extra = sorted(set(entries) - set(expected), key=str)
     if extra:
         raise CheckpointError(f"manifest has unexpected tensors: {extra[:5]}")
+    provenance = manifest.get("provenance", {})
+    if not isinstance(provenance, dict) or not all(isinstance(v, str) for v in provenance.values()):
+        raise CheckpointError(f"'provenance' is not an object of strings: {str(provenance)[:80]}")
     blob_path = os.path.join(ckpt_dir, BLOB)
     try:
         blob_size = os.path.getsize(blob_path)
@@ -133,5 +136,4 @@ def load_checkpoint(ckpt_dir) -> CatBertModel:
             f.seek(entries[name]["offset"])
             arr = np.fromfile(f, dtype=_DTYPE, count=int(np.prod(shape, dtype=np.int64)))
             params[name] = Parameter._adopt(name, arr.reshape(shape).astype(np.float32, copy=False))
-    provenance = manifest.get("provenance") or {name: "fresh" for name in params}
-    return CatBertModel(config, params, provenance)
+    return CatBertModel(config, params, provenance or {name: "fresh" for name in params})

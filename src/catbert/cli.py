@@ -26,7 +26,7 @@ import time
 from dataclasses import asdict
 
 from . import __version__
-from .atomic import replacing
+from .atomic import TEMPORARY_NAME, replacing
 from .attacks import KINDS, AttackSpec, accuracy_under_attack, check_threshold
 from .checkpoint import load_checkpoint, read_manifest, save_checkpoint
 from .explain import MIN_SAMPLES, explain_record
@@ -77,8 +77,10 @@ def _file_entry(path: str) -> dict:
     if os.path.isdir(path):
         files = {}
         for root, _, names in os.walk(path):
-            # a run manifest's timing would make the entry differ between reruns
-            for name in sorted(set(names) - {MANIFEST_NAME}):
+            # a run manifest's timing would make the entry differ between reruns,
+            # and a killed write's temporary file is no part of the output
+            for name in sorted(n for n in set(names) - {MANIFEST_NAME}
+                               if not TEMPORARY_NAME.fullmatch(n)):
                 full = os.path.join(root, name)
                 rel = os.path.relpath(full, path)
                 files[rel] = {"sha256": _sha256(full), "bytes": os.path.getsize(full)}

@@ -6,19 +6,12 @@ the removed positions with full-width residual adapters (dense d→d, ReLU,
 dense d→d, plus the skip connection). The classifier reads the last block's
 [CLS] hidden state, concatenates the ``CONTEXT_DIM`` header-context features
 (none when ``context_dim`` is 0), and applies dense (width d) → ReLU →
-dense → sigmoid. Since nothing reads any other row, the last transformer computes
-only the CLS row (attending over all rows) and the blocks after it run on
-that row alone. Its attention projects no keys or values: the key weights
-fold into the [CLS] query and the value weights apply after the weighted
-sum of the rows (``_cls_attention``), which is exact up to float rounding.
-
-The forward is padding-free: every row-wise op (embeddings, layer norms,
-dense layers, GELU, adapters) runs on the packed (N, d) array of the batch's
-real tokens, and only attention scatters them into a (B, L) grid that ends
-at the batch's longest row, so no layer's cost follows the padded width.
-``surgery_from_donor`` builds the compressed model
-from a donor checkpoint; ``set_trainable`` applies freeze masks for partial
-fine-tuning.
+dense → sigmoid. The forward is padding-free: every op runs on the packed
+(N, d) array of the batch's real tokens, each row attends over its own
+tokens (``tensor.attention``), and from the last transformer on only the
+[CLS] rows are computed (``forward_probs``). ``surgery_from_donor`` builds
+the compressed model from a donor checkpoint; ``set_trainable`` applies
+freeze masks for partial fine-tuning.
 """
 
 from __future__ import annotations
@@ -38,9 +31,6 @@ ADAPTER = "adapter"
 _PLAN_ALIASES = {"t": TRANSFORMER, "transformer": TRANSFORMER,
                  "a": ADAPTER, "adapter": ADAPTER}
 
-MASK_OFF = -1e9  # additive attention penalty for padded key positions
-
-
 class ConfigError(ValueError):
     pass
 
@@ -57,8 +47,11 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        plan = self.block_plan
+        if not isinstance(plan, (list, tuple)) or not all(isinstance(b, str) for b in plan):
+            raise ConfigError(f"block_plan must be a list of block kinds, got {plan!r}")
         try:
-            self.block_plan = tuple(_PLAN_ALIASES[str(b).lower()] for b in self.block_plan)
+            self.block_plan = tuple(_PLAN_ALIASES[b.lower()] for b in plan)
         except KeyError as e:
             raise ConfigError(f"unknown block kind {e.args[0]!r}") from None
         if not self.block_plan:
@@ -236,65 +229,31 @@ def init_random(config: ModelConfig, seed: int | None = None) -> CatBertModel:
     return CatBertModel(config, params)
 
 
-class _Packing:
-    """Where the real tokens of a batch sit. Its (B, L) attention grid ends at
-    the last column any row attends to, whatever width the mask has. Every
-    row-wise layer runs on the (N, d) array of the N attended positions, in
-    row-major order; attention scatters them into the zero-filled grid
-    under the additive mask and gathers its output back. When every grid
-    position is attended (``full``), the packed array already is the grid
-    and neither step copies."""
-
-    def __init__(self, mask: np.ndarray, dtype):
-        attend = mask.astype(bool)
-        no_cls = np.flatnonzero(~attend[:, 0])
-        if no_cls.size:
-            raise ValueError(f"mask row {int(no_cls[0])} does not attend to column 0, "
-                             "where its [CLS] token must be")
-        cols = np.flatnonzero(attend.any(axis=0))  # empty only when B == 0
-        self.B, self.L = mask.shape[0], int(cols[-1]) + 1 if cols.size else 1
-        attend = attend[:, :self.L]
-        self.rows = np.flatnonzero(attend)  # index into the flattened (B*L) grid
-        self.coords = np.divmod(self.rows, self.L)  # (row, position) of each attended token
-        self.full = self.rows.size == self.B * self.L
-        lengths = attend.sum(axis=1)
-        self.cls = np.cumsum(lengths) - lengths  # packed index of each row's [CLS]
-        self.add_mask = np.where(attend, 0.0, MASK_OFF).astype(dtype).reshape(self.B, 1, 1, self.L)
-
-    def pad(self, x: Tensor) -> Tensor:
-        """Packed rows (N, w) as a (B*L, w) grid, zeros at masked positions."""
-        return x if self.full else T.scatter_rows(x, self.rows, self.B * self.L)
-
-    def unpad(self, x: Tensor) -> Tensor:
-        """The attended rows (N, ...) of a (B, L, ...) grid, gathered in one
-        copy even from a transposed view; when ``full``, the grid itself,
-        whose rows already are the packed rows."""
-        return x if self.full else T.take_rows(x, self.coords)
+def _pack(mask: np.ndarray) -> tuple[tuple, tuple[np.ndarray, np.ndarray]]:
+    """Where the real tokens of a batch sit: each token's (row, column) in
+    the mask, and each row's segment (starts, lengths) of the packed (N, d)
+    array, which holds the N attended positions in row-major order, so a
+    segment starts at its row's [CLS] token."""
+    attend = mask.astype(bool)
+    no_cls = np.flatnonzero(~attend[:, 0])
+    if no_cls.size:
+        raise ValueError(f"mask row {int(no_cls[0])} does not attend to column 0, "
+                         "where its [CLS] token must be")
+    lengths = attend.sum(axis=1)
+    return np.nonzero(attend), (np.cumsum(lengths) - lengths, lengths)
 
 
-def _attention(x: Tensor, p: dict, prefix: str, heads: int, pack: _Packing) -> Tensor:
-    """Self-attention of the packed rows ``x`` (N, d). Q, K and V meet in
-    the padded (B, L) grid, where masked keys get zero weight, and each
-    real row's mixed output is gathered back before the O projection."""
-    B, L = pack.B, pack.L
-    d = x.data.shape[-1]
-    dh = d // heads
-
-    def project(n: str) -> Tensor:  # (B, heads, L, dh)
-        t = pack.pad(T.matmul(x, p[f"{prefix}.attn.{n}.w"], bias=p[f"{prefix}.attn.{n}.b"]))
-        return T.transpose(T.reshape(t, (B, L, heads, dh)), (0, 2, 1, 3))
-
-    q, k, v = project("q"), project("k"), project("v")
-    # the (B, h, L, L) scores live only inside softmax_rows, which writes a new buffer
-    weights = T.softmax_rows(T.matmul(q, T.transpose(k, (0, 1, 3, 2))),
-                             scale=1.0 / math.sqrt(dh), mask=pack.add_mask)
-    mixed = pack.unpad(T.transpose(T.matmul(weights, v), (0, 2, 1, 3)))  # (N, heads, dh)
-    mixed = T.reshape(mixed, (-1, d))
+def _attention(x: Tensor, p: dict, prefix: str, heads: int, segments: tuple) -> Tensor:
+    """Self-attention of the packed rows ``x`` (N, d), each row over its own tokens."""
+    q, k, v = (T.matmul(x, p[f"{prefix}.attn.{n}.w"], bias=p[f"{prefix}.attn.{n}.b"])
+               for n in "qkv")
+    scale = 1.0 / math.sqrt(x.data.shape[-1] // heads)
+    mixed = T.attention(q, k, v, segments, segments, heads, scale=scale)
     return T.matmul(mixed, p[f"{prefix}.attn.o.w"], bias=p[f"{prefix}.attn.o.b"])
 
 
 def _cls_attention(xq: Tensor, x: Tensor, p: dict, prefix: str, heads: int,
-                   pack: _Packing) -> Tensor:
+                   segments: tuple) -> Tensor:
     """Attention of the B [CLS] rows ``xq`` (B, d) over the packed rows
     ``x`` (N, d), with no key or value projection of ``x``. Per head, with
     row-vector weights ``k_j = x_j W_k + b_k`` and ``v_j = x_j W_v + b_v``:
@@ -306,39 +265,36 @@ def _cls_attention(xq: Tensor, x: Tensor, p: dict, prefix: str, heads: int,
     weighted sum of ``x`` per head, against 2·N·d² for projecting every
     key and value. The ``q·b_k`` shift leaves the softmax unchanged but
     is kept, so ``attn.k.b`` gets its (zero up to rounding) gradient as in
-    the full layer. The scores and the weighted sums are one GEMM per
-    batch row over (B, heads, ·) operands; folding ``W_k`` into the queries
-    and applying ``W_v`` are one GEMM per head over the batch."""
-    B, L = pack.B, pack.L
-    d = x.data.shape[-1]
+    the full layer. The scores and weighted sums are one single-head
+    ``attention`` whose queries are each row's h folded queries."""
+    B, d = xq.data.shape
     dh = d // heads
     q = T.matmul(xq, p[f"{prefix}.attn.q.w"], bias=p[f"{prefix}.attn.q.b"])
     q = T.transpose(T.reshape(T.mul(q, 1.0 / math.sqrt(dh)), (B, heads, dh)), (1, 0, 2))  # (h, B, dh)
     wk = T.transpose(T.reshape(p[f"{prefix}.attn.k.w"], (d, heads, dh)), (1, 2, 0))  # (h, dh, d)
-    u = T.matmul(q, wk)  # (h, B, d)
+    # row i's h folded queries, and their shifts, are rows i·h on of u and shift
+    u = T.reshape(T.transpose(T.matmul(q, wk), (1, 0, 2)), (B * heads, d))
     shift = T.matmul(q, T.reshape(p[f"{prefix}.attn.k.b"], (heads, dh, 1)))  # (h, B, 1)
-    grid = T.reshape(pack.pad(x), (B, L, d))
-    scores = T.matmul(T.transpose(u, (1, 0, 2)), T.transpose(grid, (0, 2, 1)))  # (B, h, L)
-    weights = T.softmax_rows(T.add(scores, T.transpose(shift, (1, 0, 2))), mask=pack.add_mask[:, 0])
-    z = T.matmul(weights, grid)  # (B, h, d): Σ_j w_j x_j per head
+    shift = T.reshape(T.transpose(shift, (1, 0, 2)), (B * heads, 1))
+    z = T.attention(u, x, x, (np.arange(B) * heads, np.full(B, heads)), segments, bias=shift)
     wv = T.transpose(T.reshape(p[f"{prefix}.attn.v.w"], (d, heads, dh)), (1, 0, 2))  # (h, d, dh)
-    mixed = T.matmul(T.transpose(z, (1, 0, 2)), wv)  # (h, B, dh)
+    mixed = T.matmul(T.transpose(T.reshape(z, (B, heads, d)), (1, 0, 2)), wv)  # (h, B, dh)
     mixed = T.add(T.reshape(T.transpose(mixed, (1, 0, 2)), (B, d)), p[f"{prefix}.attn.v.b"])
     return T.matmul(mixed, p[f"{prefix}.attn.o.w"], bias=p[f"{prefix}.attn.o.b"])
 
 
 def _transformer_block(x: Tensor, p: dict, prefix: str, heads: int,
-                       pack: _Packing, cls_only: bool) -> Tensor:
+                       segments: tuple, cls_only: bool) -> Tensor:
     """Transformer output on the packed rows ``x`` (N, d), or with
     ``cls_only`` on the B [CLS] rows alone (B, d), which still attend over
-    every row of ``x``. Every sublayer but attention is row-wise, so the
+    their rows' tokens in ``x``. Every sublayer but attention is row-wise, so the
     [CLS] rows come out exactly as in the full output."""
     if cls_only:
-        xq = T.take_rows(x, pack.cls)
-        attn = _cls_attention(xq, x, p, prefix, heads, pack)
+        xq = T.take_rows(x, segments[0])
+        attn = _cls_attention(xq, x, p, prefix, heads, segments)
     else:
         xq = x
-        attn = _attention(x, p, prefix, heads, pack)
+        attn = _attention(x, p, prefix, heads, segments)
     # post-norm residual wiring: LayerNorm(x + sublayer(x)). Without a tape,
     # each sublayer's output is freed once read, before the next allocates.
     x = T.layer_norm(T.add(xq, attn), p[f"{prefix}.attn.ln.gain"], p[f"{prefix}.attn.ln.bias"])
@@ -362,33 +318,27 @@ def forward_probs(model: CatBertModel, ids: np.ndarray, mask: np.ndarray,
     per-block hidden states.
 
     Every mask row must attend to column 0, its [CLS] token (ValueError
-    otherwise). Only the N attended positions are computed: the embeddings,
-    layer norms, dense layers, GELU and adapters run on an (N, d) array,
-    and each transformer pads just for attention, on a (B, L) grid that
-    ends at the last column any row attends to (``_Packing``); it is L, not
-    W, that may not exceed ``max_positions``. Ids at masked positions are
-    never read. The answer matches a forward over every (B, W) position up
-    to float summation order, since masked keys get zero attention weight.
+    otherwise), and no attended column may reach ``max_positions``. Only
+    the N attended positions are computed, as one packed (N, d) array, and
+    each row's tokens attend over that row's tokens alone (``_pack``,
+    ``tensor.attention``): there is no padded grid, no mask, and ids at
+    masked positions are never read.
 
     The classifier reads only the [CLS] row, so the last transformer
-    queries the [CLS] rows alone, attending over every real row, and every
-    block after it runs on those rows. Its keys and values are never
-    formed: the scores are the rows dotted with the query folded through
-    the key weights, and the output is the weighted sum of the rows taken
-    through the value weights (``_cls_attention``), so the layer costs
-    O(B·d² + N·d·heads) rather than O(N·d²). The hidden states are
-    therefore (B, L, d) before the last transformer, zero at masked
-    positions, and (B, 1, d) from it on; ``hiddens[-1][:, 0]`` is the state
-    the classifier reads.
+    queries the [CLS] rows alone and every block after it runs on those
+    rows; with no transformer, every block does. That transformer forms no
+    keys or values (``_cls_attention``), so it costs O(B·d² + N·d·heads)
+    rather than O(N·d²). The hidden states are the packed (N, d) rows
+    before the last transformer and the (B, 1, d) [CLS] rows from it on;
+    ``hiddens[-1][:, 0]`` is the state the classifier reads.
 
     Each dense layer is one ``matmul`` that adds its bias and applies its
-    ReLU or GELU, and attention's scale and mask go into ``softmax_rows``,
-    with the float operations of the unfused ops, so probabilities and
-    gradients are bit-identical to theirs. Ops record onto the active tape,
-    so this same path serves training. Without a tape each op writes over
-    the buffer it allocated and a sublayer's output is freed once read, so
-    the forward holds each activation once: the peak is one (N, ffn_dim)
-    FFN buffer, or the (B, heads, L, L) scores and their softmax.
+    ReLU or GELU, with the float operations of the unfused ops, so
+    probabilities and gradients are bit-identical to theirs. Ops record
+    onto the active tape, so this same path serves training. Without a tape
+    each op writes over the buffer it allocated, a sublayer's output is
+    freed once read, and attention holds one row's scores at a time: the
+    peak is one (N, ffn_dim) FFN buffer.
     """
     cfg = model.config
     p = model.params
@@ -398,39 +348,36 @@ def forward_probs(model: CatBertModel, ids: np.ndarray, mask: np.ndarray,
     mask = np.asarray(mask)
     if mask.shape != ids.shape:
         raise ValueError(f"mask shape {mask.shape} does not match ids {ids.shape}")
-    dtype = p["embeddings.token"].data.dtype
-    pack = _Packing(mask, dtype)
-    B, L = pack.B, pack.L
+    coords, segments = _pack(mask)
+    B, L = len(mask), coords[1].max(initial=-1) + 1
     if L > cfg.max_positions:
         raise ValueError(f"sequence length {L} exceeds max positions {cfg.max_positions}")
 
-    h = T.layer_norm(T.add(T.embedding_lookup(p["embeddings.token"], ids[pack.coords]),
-                           T.embedding_lookup(p["embeddings.position"], pack.coords[1])),
+    h = T.layer_norm(T.add(T.embedding_lookup(p["embeddings.token"], ids[coords]),
+                           T.embedding_lookup(p["embeddings.position"], coords[1])),
                      p["embeddings.ln.gain"], p["embeddings.ln.bias"])
 
     last_t = max((i for i, k in enumerate(cfg.block_plan) if k == TRANSFORMER), default=-1)
+    if last_t < 0:  # no block mixes rows
+        h = T.take_rows(h, segments[0])
     hiddens = []
     for i, kind in enumerate(cfg.block_plan):
         prefix = f"blocks.{i}"
         if kind == TRANSFORMER:
-            h = _transformer_block(h, p, prefix, cfg.heads, pack, cls_only=i == last_t)
+            h = _transformer_block(h, p, prefix, cfg.heads, segments, cls_only=i == last_t)
         else:
             h = _adapter_block(h, p, prefix)
         if return_hidden:
-            if 0 <= last_t <= i:  # h holds the [CLS] rows alone
-                hiddens.append(T.reshape(h, (B, 1, cfg.hidden)))
-            else:
-                hiddens.append(T.reshape(pack.pad(h), (B, L, cfg.hidden)))
+            hiddens.append(h if i < last_t else T.reshape(h, (B, 1, cfg.hidden)))
 
-    cls = h if last_t >= 0 else T.take_rows(h, pack.cls)
-    if cfg.context_dim:
+    if cfg.context_dim:  # h holds the [CLS] rows
         if ctx is None:
             raise ValueError("model takes context features but ctx is None")
-        ctx = np.asarray(ctx, dtype=dtype)
+        ctx = np.asarray(ctx, dtype=h.data.dtype)
         if ctx.shape != (B, cfg.context_dim):
             raise ValueError(f"ctx shape {ctx.shape} != {(B, cfg.context_dim)}")
-        cls = T.concat([cls, Tensor._wrap(ctx)], axis=1)
-    fused = T.matmul(cls, p["classifier.fusion.w"], bias=p["classifier.fusion.b"], act="relu")
+        h = T.concat([h, Tensor._wrap(ctx)], axis=1)
+    fused = T.matmul(h, p["classifier.fusion.w"], bias=p["classifier.fusion.b"], act="relu")
     logit = T.matmul(fused, p["classifier.out.w"], bias=p["classifier.out.b"])
     probs = T.sigmoid(T.reshape(logit, (B,)))
     if return_hidden:

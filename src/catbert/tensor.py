@@ -8,11 +8,11 @@ reverse to populate ``Parameter.grad``.
 
 A forward op allocates only its output and what its gradient keeps. The
 fused ops (``matmul`` with a bias and an activation, ``softmax_rows`` with a
-scale and a mask, ``layer_norm``) write each step over the buffer the
+scale, ``layer_norm``, ``attention``) write each step over the buffer the
 previous step allocated when the tape does not record them, and keep the
 arrays their gradient reads when it does. Their float operations, and the
 order of them, are those of the unfused op sequence, so results and
-gradients are bit-identical to it.
+gradients are bit-identical to it (``attention``'s on rows with no padding).
 """
 
 from __future__ import annotations
@@ -265,7 +265,7 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None, act: str | None = N
     into one (rows, k) @ (k, n) GEMM, and both gradients are single GEMMs
     too: ``g2 @ bᵀ`` and ``a2ᵀ @ g2``, with no batched temporary to sum over
     the batch. The fold reshapes ``a``, a view when ``a`` is contiguous.
-    Other shapes (attention's 4-D products) take numpy's batched matmul.
+    Other shapes (the [CLS] fold's per-head products) take batched matmul.
 
     On the 2-D path a dense layer is one op: ``bias`` (shape (n,)) is added
     into the fresh GEMM output and ``act`` (``"relu"`` or ``"gelu"``)
@@ -461,18 +461,29 @@ def clip(x: Tensor, lo: float, hi: float) -> Tensor:
     return _emit(np.clip(v, lo, hi), (x,), grad_fn)
 
 
-def softmax_rows(x: Tensor, scale: float | None = None, mask=None) -> Tensor:
-    """Softmax over the last axis of ``x·scale + mask``, with
-    max-subtraction. ``scale`` is rounded to ``x``'s dtype, as ``mul``
-    rounds a Python number; ``mask`` is a constant (no gradient), such as
-    attention's additive penalty, that broadcasts to ``x``'s shape. Either
-    may be None.
+def _softmax(s: np.ndarray) -> None:
+    """Softmax over the last axis of ``s``, in place, with max-subtraction."""
+    s -= s.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
 
-    The scaled and masked scores are written into one new buffer, which is
-    then shifted, exponentiated and normalised in place: ``x`` is left
-    unchanged and the op allocates only its output. The float operations
-    are those of ``mul``, ``add`` and an unfused softmax, in their order,
-    so the result and its gradient are bit-identical to theirs."""
+
+def _softmax_grad(out: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """A softmax's input gradient from its output ``out`` and output gradient ``g``."""
+    dot = (g * out).sum(axis=-1, keepdims=True)
+    return out * (g - dot)
+
+
+def softmax_rows(x: Tensor, scale: float | None = None) -> Tensor:
+    """Softmax over the last axis of ``x·scale``, with max-subtraction.
+    ``scale`` is rounded to ``x``'s dtype, as ``mul`` rounds a Python
+    number, and may be None.
+
+    The scaled scores are written into one new buffer, which is then
+    shifted, exponentiated and normalised in place: ``x`` is left unchanged
+    and the op allocates only its output. The float operations are those of
+    ``mul`` and an unfused softmax, in their order, so the result and its
+    gradient are bit-identical to theirs."""
     v = x.data
     out = np.empty_like(v)
     if scale is None:
@@ -480,24 +491,71 @@ def softmax_rows(x: Tensor, scale: float | None = None, mask=None) -> Tensor:
     else:
         scale = np.asarray(scale, dtype=v.dtype)
         np.multiply(v, scale, out=out)
-    if mask is not None:
-        try:
-            np.broadcast_to(mask, v.shape)
-        except ValueError:
-            raise ShapeError(f"softmax mask {np.shape(mask)} does not broadcast to {v.shape}") from None
-        out += mask
-    out -= out.max(axis=-1, keepdims=True)
-    np.exp(out, out=out)
-    out /= out.sum(axis=-1, keepdims=True)
+    _softmax(out)
 
     def grad_fn(g):
-        dot = (g * out).sum(axis=-1, keepdims=True)
-        gx = out * (g - dot)
+        gx = _softmax_grad(out, g)
         if scale is not None:
             gx *= scale
         return (gx,)
 
     return _emit(out, (x,), grad_fn)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, q_rows, kv_rows, heads: int = 1,
+              scale: float | None = None, bias: Tensor | None = None) -> Tensor:
+    """Multi-head softmax attention within segments of packed rows, with no
+    padding and no mask: FlashAttention-2's variable-length form (Dao, arXiv
+    2307.08691). ``q`` (M, heads·w), ``k`` (N, heads·w) and ``v`` (N,
+    heads·w') split each row into ``heads`` heads. ``q_rows`` and
+    ``kv_rows`` are (starts, lengths) arrays, one entry per segment, whose
+    segments do not overlap: segment i's queries attend over its keys alone.
+    Scores are scaled by ``scale`` (rounded to the dtype) and shifted by
+    ``bias`` (M, heads) when given. The layer is one tape entry that keeps
+    each segment's softmax weights; unrecorded, one segment's scores exist at
+    a time. Each segment runs the per-matrix products and float operations of
+    attention over a padded grid, so on full rows it is bit-identical to that."""
+    inputs = (q, k, v) if bias is None else (q, k, v, bias)
+    needs = _needs(*inputs)
+    qv, kv, vv = q.data, k.data, v.data
+    scale = None if scale is None else np.asarray(scale, dtype=qv.dtype)
+    segments = [tuple(map(int, seg)) for seg in zip(*q_rows, *kv_rows)]
+
+    def split(a, lo: int, n: int, axes=(1, 0, 2)):  # rows lo:lo+n as (heads, n, w); (1, 2, 0): ᵀ
+        return a[lo:lo + n].reshape(n, heads, a.shape[1] // heads).transpose(axes)
+
+    out = np.empty((qv.shape[0], vv.shape[1]), qv.dtype)
+    kept = []
+    for qs, ql, ks, kl in segments:
+        s = np.matmul(split(qv, qs, ql), split(kv, ks, kl, (1, 2, 0)))
+        if scale is not None:
+            s *= scale
+        if bias is not None:
+            s += bias.data[qs:qs + ql].T[:, :, None]
+        _softmax(s)
+        split(out, qs, ql)[...] = np.matmul(s, split(vv, ks, kl))
+        if any(needs):
+            kept.append(s)
+
+    def grad_fn(g):
+        grads = [np.zeros_like(t.data) if need else None for t, need in zip(inputs, needs)]
+        gq, gk, gv, gb = grads + [None] * (4 - len(grads))
+        for (qs, ql, ks, kl), w in zip(segments, kept):
+            go = split(g, qs, ql)
+            if gv is not None:
+                split(gv, ks, kl)[...] = np.matmul(w.transpose(0, 2, 1), go)
+            gs = _softmax_grad(w, np.matmul(go, split(vv, ks, kl, (1, 2, 0))))
+            if scale is not None:
+                gs *= scale
+            if gb is not None:
+                gb[qs:qs + ql] = gs.sum(axis=-1).T
+            if gq is not None:
+                split(gq, qs, ql)[...] = np.matmul(gs, split(kv, ks, kl))
+            if gk is not None:
+                split(gk, ks, kl, (1, 2, 0))[...] = np.matmul(split(qv, qs, ql, (1, 2, 0)), gs)
+        return tuple(grads)
+
+    return _emit(out, inputs, grad_fn, needs)
 
 
 LN_EPS = 1e-12
@@ -590,9 +648,8 @@ def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
 
 
 def take_rows(x: Tensor, rows: np.ndarray) -> Tensor:
-    """Rows ``rows`` of ``x``, which must be distinct: an index array into
-    axis 0, or a tuple of index arrays into the leading axes. The gradient
-    zero-pads back (``scatter_rows``' forward)."""
+    """Rows ``rows`` of ``x``, an array of distinct indices into axis 0. The
+    gradient zero-pads back."""
 
     def grad_fn(g):
         gx = np.zeros_like(x.data)
@@ -600,19 +657,6 @@ def take_rows(x: Tensor, rows: np.ndarray) -> Tensor:
         return (gx,)
 
     return _emit(x.data[rows], (x,), grad_fn)
-
-
-def scatter_rows(x: Tensor, rows: np.ndarray, n: int) -> Tensor:
-    """An ``n``-row zero array holding row ``i`` of ``x`` at row ``rows[i]``;
-    ``rows`` must be distinct. The gradient gathers those rows back
-    (``take_rows``' forward)."""
-    out = np.zeros((n,) + x.data.shape[1:], dtype=x.data.dtype)
-    out[rows] = x.data
-
-    def grad_fn(g):
-        return (g[rows],)
-
-    return _emit(out, (x,), grad_fn)
 
 
 def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:

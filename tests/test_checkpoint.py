@@ -150,9 +150,15 @@ def _set_entry(m, key, value):
     (lambda m: _set_entry(m, "name", None), "missing tensors: ['embeddings.token']"),
     (lambda m: {**m, "tensors": m["tensors"] + [{"shape": [1]}, {"name": "extra"}]},
      "unexpected tensors: [None, 'extra']"),
+    (lambda m: {**m, "config": {**m["config"], "block_plan": 5}},
+     "bad 'config' in manifest.json: block_plan must be a list of block kinds, got 5"),
+    (lambda m: {**m, "provenance": ["fresh"]}, "'provenance' is not an object of strings"),
+    (lambda m: {**m, "provenance": {**m["provenance"], "embeddings.token": 5}},
+     "'provenance' is not an object of strings"),
 ], ids=["json-list", "no-config", "string-hidden", "zero-heads", "no-vocab-size",
         "tensors-not-a-list", "entry-without-shape", "string-in-shape", "string-offset",
-        "float-nbytes", "entry-without-name", "extra-entries-with-and-without-name"])
+        "float-nbytes", "entry-without-name", "extra-entries-with-and-without-name",
+        "int-block-plan", "provenance-not-an-object", "provenance-with-a-number"])
 def test_malformed_manifest_is_a_checkpoint_error_naming_the_field(tiny, tmp_path, edit,
                                                                    message):
     """A hand-edited manifest fails as a CheckpointError that says what is

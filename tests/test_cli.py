@@ -8,6 +8,7 @@ per module and shared by the read-only subcommand tests.
 import argparse
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -435,6 +436,16 @@ class TestScoring:
         assert 0.0 <= payload["auc"] <= 1.0
         assert set(payload["tpr_at_fpr"]) == {"0.0001", "0.001", "0.01", "0.1"}
         assert (tmp_path / "metrics.json.manifest.json").exists()
+
+    def test_eval_manifest_skips_a_killed_writes_temporary_file(self, workdir, tmp_path):
+        ckpt = tmp_path / "best"
+        shutil.copytree(workdir["ckpt"], ckpt)
+        (ckpt / "tensors.bin.99999.tmp").write_bytes(b"half of a blob")
+        out = tmp_path / "metrics.json"
+        assert main(["eval", "--model", str(ckpt), "--in", str(workdir["corpus"]),
+                     "--vocab", str(workdir["vocab"]), "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "metrics.json.manifest.json").read_text())
+        assert sorted(manifest["inputs"]["model"]["files"]) == ["manifest.json", "tensors.bin"]
 
     def test_eval_roc_csv(self, workdir, tmp_path):
         out = tmp_path / "m.json"

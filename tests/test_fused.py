@@ -1,12 +1,15 @@
 """The fused forward ops against the unfused op sequence they replace.
 
 ``unfused_forward_probs`` is ``forward_probs`` written with one op per
-step: ``add(matmul(x, w), b)`` for a dense layer, then ReLU or GELU,
-and ``mul`` and ``add`` before ``softmax_rows``. Its softmax, ReLU, GELU
+step: ``add(matmul(x, w), b)`` for a dense layer, then ReLU or GELU, and
+attention as batched products over a padded (B, L) grid of its own, with
+``mul`` and an additive mask before the softmax. Its softmax, ReLU, GELU
 and layer norm are the out-of-place ops the in-place ones replace
 (``ref_*`` below). The fused ops keep their float operations and their
-order, so probabilities and gradients must be bit-identical to the
-oracle's, and the forward must hold fewer bytes.
+order, so on full batches probabilities and gradients must be
+bit-identical to the oracle's, and the forward must hold fewer bytes. On
+mixed lengths a row's sums no longer run over the grid's padding, so they
+agree to rounding.
 """
 
 import math
@@ -20,7 +23,6 @@ from catbert import tensor as T
 from catbert.model import (
     TRANSFORMER,
     ModelConfig,
-    _Packing,
     forward_probs,
     freeze_preset,
     init_random,
@@ -118,25 +120,48 @@ def _dense(x, w, b):
     return T.add(T.matmul(x, w), b)
 
 
-def _attention(x, p, prefix, heads, pack):
-    B, L = pack.B, pack.L
+MASK_OFF = -1e9  # additive score penalty for padded key positions
+
+
+class Grid:
+    """The padded (B, L) grid of a mask: the flat grid index of each real
+    token in row-major order, and the additive attention mask."""
+
+    def __init__(self, mask, dtype):
+        self.B, self.L = mask.shape
+        self.rows = np.flatnonzero(mask)
+        self.add_mask = np.where(mask.astype(bool), 0.0, MASK_OFF).astype(dtype)
+        self.add_mask = self.add_mask.reshape(self.B, 1, 1, self.L)
+
+    def pad(self, x):
+        """Packed rows (N, w) as the (B*L, w) grid, zeros at padded positions."""
+        out = np.zeros((self.B * self.L,) + x.data.shape[1:], x.data.dtype)
+        out[self.rows] = x.data
+        return T._emit(out, (x,), lambda g: (g[self.rows],))
+
+    def unpad(self, x):
+        """The real rows of a (B*L, w) grid."""
+        return T.take_rows(x, self.rows)
+
+
+def _attention(x, p, prefix, heads, grid):
+    B, L = grid.B, grid.L
     d = x.data.shape[-1]
     dh = d // heads
 
     def project(n):
-        t = pack.pad(_dense(x, p[f"{prefix}.attn.{n}.w"], p[f"{prefix}.attn.{n}.b"]))
+        t = grid.pad(_dense(x, p[f"{prefix}.attn.{n}.w"], p[f"{prefix}.attn.{n}.b"]))
         return T.transpose(T.reshape(t, (B, L, heads, dh)), (0, 2, 1, 3))
 
     q, k, v = project("q"), project("k"), project("v")
     scores = T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
-    weights = ref_softmax_rows(T.add(scores, pack.add_mask))
-    mixed = pack.unpad(T.transpose(T.matmul(weights, v), (0, 2, 1, 3)))
-    mixed = T.reshape(mixed, (-1, d))
-    return _dense(mixed, p[f"{prefix}.attn.o.w"], p[f"{prefix}.attn.o.b"])
+    weights = ref_softmax_rows(T.add(scores, grid.add_mask))
+    mixed = T.reshape(T.transpose(T.matmul(weights, v), (0, 2, 1, 3)), (B * L, d))
+    return _dense(grid.unpad(mixed), p[f"{prefix}.attn.o.w"], p[f"{prefix}.attn.o.b"])
 
 
-def _cls_attention(xq, x, p, prefix, heads, pack):
-    B, L = pack.B, pack.L
+def _cls_attention(xq, x, p, prefix, heads, grid):
+    B, L = grid.B, grid.L
     d = x.data.shape[-1]
     dh = d // heads
     q = _dense(xq, p[f"{prefix}.attn.q.w"], p[f"{prefix}.attn.q.b"])
@@ -144,10 +169,10 @@ def _cls_attention(xq, x, p, prefix, heads, pack):
     wk = T.transpose(T.reshape(p[f"{prefix}.attn.k.w"], (d, heads, dh)), (1, 2, 0))
     u = T.matmul(q, wk)
     shift = T.matmul(q, T.reshape(p[f"{prefix}.attn.k.b"], (heads, dh, 1)))
-    grid = T.reshape(pack.pad(x), (B, L, d))
-    scores = T.matmul(T.transpose(u, (1, 0, 2)), T.transpose(grid, (0, 2, 1)))
-    scores = T.add(T.add(scores, T.transpose(shift, (1, 0, 2))), pack.add_mask[:, 0])
-    z = T.matmul(ref_softmax_rows(scores), grid)
+    x_grid = T.reshape(grid.pad(x), (B, L, d))
+    scores = T.matmul(T.transpose(u, (1, 0, 2)), T.transpose(x_grid, (0, 2, 1)))
+    scores = T.add(T.add(scores, T.transpose(shift, (1, 0, 2))), grid.add_mask[:, 0])
+    z = T.matmul(ref_softmax_rows(scores), x_grid)
     wv = T.transpose(T.reshape(p[f"{prefix}.attn.v.w"], (d, heads, dh)), (1, 0, 2))
     mixed = T.matmul(T.transpose(z, (1, 0, 2)), wv)
     mixed = T.add(T.reshape(T.transpose(mixed, (1, 0, 2)), (B, d)), p[f"{prefix}.attn.v.b"])
@@ -157,21 +182,23 @@ def _cls_attention(xq, x, p, prefix, heads, pack):
 def unfused_forward_probs(model, ids, mask, ctx):
     """``forward_probs`` with one op per step: the oracle for the fused ops."""
     cfg, p = model.config, model.params
-    pack = _Packing(np.asarray(mask), p["embeddings.token"].data.dtype)
-    B = pack.B
-    tok = T.embedding_lookup(p["embeddings.token"], ids[pack.coords])
-    pos = T.embedding_lookup(p["embeddings.position"], pack.coords[1])
+    mask = np.asarray(mask)
+    grid = Grid(mask, p["embeddings.token"].data.dtype)
+    real = np.nonzero(mask)
+    lengths = mask.sum(axis=1)
+    tok = T.embedding_lookup(p["embeddings.token"], ids[real])
+    pos = T.embedding_lookup(p["embeddings.position"], real[1])
     h = ref_layer_norm(T.add(tok, pos), p["embeddings.ln.gain"], p["embeddings.ln.bias"])
     last_t = max(i for i, k in enumerate(cfg.block_plan) if k == TRANSFORMER)
     for i, kind in enumerate(cfg.block_plan):
         pre = f"blocks.{i}"
         if kind == TRANSFORMER:
             if i == last_t:
-                xq = T.take_rows(h, pack.cls)
-                attn = _cls_attention(xq, h, p, pre, cfg.heads, pack)
+                xq = T.take_rows(h, np.cumsum(lengths) - lengths)
+                attn = _cls_attention(xq, h, p, pre, cfg.heads, grid)
             else:
                 xq = h
-                attn = _attention(h, p, pre, cfg.heads, pack)
+                attn = _attention(h, p, pre, cfg.heads, grid)
             x = ref_layer_norm(T.add(xq, attn), p[f"{pre}.attn.ln.gain"], p[f"{pre}.attn.ln.bias"])
             f = ref_gelu(_dense(x, p[f"{pre}.ffn.w1"], p[f"{pre}.ffn.b1"]))
             f = _dense(f, p[f"{pre}.ffn.w2"], p[f"{pre}.ffn.b2"])
@@ -182,7 +209,7 @@ def unfused_forward_probs(model, ids, mask, ctx):
     cls = T.concat([h, Tensor._wrap(np.asarray(ctx, dtype=h.data.dtype))], axis=1)
     fused = ref_relu(_dense(cls, p["classifier.fusion.w"], p["classifier.fusion.b"]))
     logit = _dense(fused, p["classifier.out.w"], p["classifier.out.b"])
-    return T.sigmoid(T.reshape(logit, (B,)))
+    return T.sigmoid(T.reshape(logit, (grid.B,)))
 
 
 def batch(full, B=6, L=12, seed=8):
@@ -202,10 +229,15 @@ def model(dtype, seed=5):
     return m
 
 
+MIXED_TOL = {np.float32: 1e-6, np.float64: 1e-12}
+
+
 @pytest.mark.parametrize("full", [False, True], ids=["padded", "full"])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("tape", [False, True], ids=["no-tape", "tape"])
 def test_probabilities_bit_identical(dtype, full, tape):
+    """Bit-identical on full batches; on mixed lengths within 1e-6 (f32)
+    and 1e-12 (f64), since a row's rounding no longer depends on the grid."""
     m = model(dtype)
     ids, mask, ctx = batch(full)
     ctx = ctx.astype(dtype)
@@ -214,13 +246,17 @@ def test_probabilities_bit_identical(dtype, full, tape):
         with Tape() if tape else nullcontext():
             got.append(fwd(m, ids, mask, ctx).data)
     assert got[0].dtype == dtype
-    assert got[0].tobytes() == got[1].tobytes()
+    if full:
+        assert got[0].tobytes() == got[1].tobytes()
+    else:
+        assert np.max(np.abs(got[0] - got[1])) < MIXED_TOL[dtype]
 
 
 @pytest.mark.parametrize("freeze", [False, True], ids=["full", "partial-finetune"])
 @pytest.mark.parametrize("full", [False, True], ids=["padded", "full"])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_gradients_bit_identical(dtype, full, freeze):
+    """Bit-identical on full batches; within ``MIXED_TOL`` on mixed lengths."""
     ids, mask, ctx = batch(full)
     y, w = np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0]), np.ones(6)
     grads, entries = [], []
@@ -240,7 +276,11 @@ def test_gradients_bit_identical(dtype, full, freeze):
             assert unfused[name] is None, name
         else:
             a, b = dense_grad(g), dense_grad(unfused[name])
-            assert a.dtype == b.dtype == dtype and a.tobytes() == b.tobytes(), name
+            assert a.dtype == b.dtype == dtype, name
+            if full:
+                assert a.tobytes() == b.tobytes(), name
+            else:
+                assert np.max(np.abs(a - b)) < MIXED_TOL[dtype], name
 
 
 @pytest.mark.parametrize("tape", [False, True], ids=["no-tape", "tape"])
@@ -274,19 +314,18 @@ def test_dense_layer_matches_unfused_ops(dtype, act, tape, monkeypatch):
 
 
 @pytest.mark.parametrize("tape", [False, True], ids=["no-tape", "tape"])
-def test_softmax_scale_and_mask_match_unfused_ops(tape):
+def test_softmax_scale_matches_unfused_ops(tape):
     rng = np.random.default_rng(1)
     x = Parameter("x", rng.standard_normal((2, 3, 4, 5)), dtype=np.float32)
-    mask = np.where(rng.random((2, 1, 1, 5)) < 0.3, -1e9, 0.0).astype(np.float32)
-    before, mask_before = x.data.copy(), mask.copy()
+    before = x.data.copy()
     scale = 1.0 / math.sqrt(7)
     g = rng.standard_normal(x.data.shape).astype(np.float32)
     outs, grads = [], []
     for fused in (True, False):
         x.grad = None
         with Tape() if tape else nullcontext() as t:
-            out = (T.softmax_rows(x, scale=scale, mask=mask) if fused
-                   else ref_softmax_rows(T.add(T.mul(x, scale), mask)))
+            out = (T.softmax_rows(x, scale=scale) if fused
+                   else ref_softmax_rows(T.mul(x, scale)))
             loss = T.sum_all(T.mul(out, Tensor(g)))
         if tape:
             backward(t, loss)
@@ -295,9 +334,7 @@ def test_softmax_scale_and_mask_match_unfused_ops(tape):
     assert outs[0] == outs[1]
     if tape:
         assert grads[0] == grads[1]
-    assert x.data.tobytes() == before.tobytes() and mask.tobytes() == mask_before.tobytes()
-    with pytest.raises(T.ShapeError, match="does not broadcast"):
-        T.softmax_rows(x, mask=np.zeros((2, 3, 4, 6), np.float32))
+    assert x.data.tobytes() == before.tobytes()
 
 
 @pytest.mark.parametrize("tape", [False, True], ids=["no-tape", "tape"])
@@ -415,3 +452,20 @@ def test_forward_holds_each_activation_once():
     _, fused_held = _traced_peak(lambda: taped(forward_probs))
     _, unfused_held = _traced_peak(lambda: taped(unfused_forward_probs))
     assert fused_held < unfused_held, (fused_held, unfused_held)
+
+
+def test_skewed_batch_peak_stays_below_the_padded_grid():
+    """One 64-token row and fifteen 4-token rows: the padded grid holds 16
+    rows of 64 positions for attention, and its (B, heads, L, L) scores,
+    while the no-tape forward holds one row's scores at a time."""
+    m = init_random(ModelConfig(**MEM_CFG), 0)
+    rng = np.random.default_rng(1)
+    lengths = np.array([64] + [4] * 15)
+    mask = (np.arange(64)[None, :] < lengths[:, None]).astype(np.int64)
+    ids = rng.integers(1, 50, size=mask.shape) * mask
+    ctx = rng.random((16, 4)).astype(np.float32)
+    for fwd in (forward_probs, unfused_forward_probs):
+        fwd(m, ids, mask, ctx)
+    packed, _ = _traced_peak(lambda: forward_probs(m, ids, mask, ctx))
+    padded, _ = _traced_peak(lambda: unfused_forward_probs(m, ids, mask, ctx))
+    assert packed <= 0.25 * padded, (packed, padded)

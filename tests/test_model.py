@@ -9,14 +9,13 @@ from catbert import tensor as T
 from catbert.mail import CONTEXT_DIM
 from catbert.model import (
     ADAPTER,
-    MASK_OFF,
     TRANSFORMER,
     CatBertModel,
     ConfigError,
     ModelConfig,
     ParamReport,
     _adapter_block,
-    _Packing,
+    _pack,
     count_params,
     forward_probs,
     freeze_preset,
@@ -58,6 +57,11 @@ class TestConfig:
     def test_unknown_block_kind(self):
         with pytest.raises(ConfigError, match="x"):
             ModelConfig(vocab_size=10, block_plan=("T", "x"))
+
+    @pytest.mark.parametrize("plan", [5, "TA", ["T", 1], None], ids=["int", "str", "int-kind", "none"])
+    def test_plan_must_be_a_list_of_strings(self, plan):
+        with pytest.raises(ConfigError, match="block_plan must be a list of block kinds"):
+            ModelConfig(vocab_size=10, block_plan=plan)
 
     def test_plan_aliases_normalized(self):
         cfg = ModelConfig(vocab_size=10, hidden=8, heads=2, block_plan=("T", "a", "Transformer"))
@@ -182,6 +186,9 @@ class TestForward:
             forward_probs(m, ids, np.ones((1, 4)), np.zeros((1, 4), dtype=np.float32))
 
 
+MASK_OFF = -1e9  # additive score penalty for padded key positions
+
+
 def _padded_transformer_block(x, p, prefix, heads, add_mask):
     """One transformer over every (B, L) position, padded ones included,
     every row a query: the layout ``forward_probs`` no longer computes."""
@@ -255,16 +262,17 @@ class TestClsTail:
         want, full = full_width_forward(m, ids, mask, ctx)
         assert probs.data.dtype == dtype
         assert np.max(np.abs(probs.data - want.data)) < tol
-        for h, f in zip(hiddens, full):
-            assert np.max(np.abs(h.data[:, 0] - f.data[:, 0])) < 100 * tol
+        lengths = mask.sum(axis=1)
+        for h, f in zip(hiddens, full):  # packed (N, d) rows, then (B, 1, d) [CLS] rows
+            cls = h.data[np.cumsum(lengths) - lengths] if h.data.ndim == 2 else h.data[:, 0]
+            assert np.max(np.abs(cls - f.data[:, 0])) < 100 * tol
 
     def test_hidden_shapes(self):
         m = init_random(ModelConfig(**self.CFG), 3)
         ids, mask, ctx = self.padded_batch()
         _, hiddens = forward_probs(m, ids, mask, ctx, return_hidden=True)
-        B, L = ids.shape
-        d = m.config.hidden
-        assert [h.shape for h in hiddens] == [(B, L, d), (B, L, d), (B, 1, d), (B, 1, d)]
+        B, N, d = len(ids), mask.sum(), m.config.hidden
+        assert [h.shape for h in hiddens] == [(N, d), (N, d), (B, 1, d), (B, 1, d)]
 
     def test_gradients_match_oracle_and_finite_differences(self):
         # probe model chosen so no sampled coordinate sits within eps of a
@@ -321,8 +329,8 @@ class TestClsTail:
 
 
 class TestPacking:
-    """The dense layers run on the real tokens alone and pad only for
-    attention; the padded full-width forward is the oracle."""
+    """Every layer runs on the real tokens alone, and each row attends over
+    its own tokens; the padded full-width forward is the oracle."""
 
     CFG = TestClsTail.CFG
 
@@ -353,9 +361,8 @@ class TestPacking:
         want, full = full_width_forward(m, ids, mask, ctx)
         assert np.max(np.abs(probs.data - want.data)) < tol
         real = mask.astype(bool)
-        for h, f in zip(hiddens[:2], full[:2]):  # before the last transformer
-            assert np.max(np.abs(h.data[real] - f.data[real])) < 100 * tol
-            assert not h.data[~real].any()  # masked positions come back as zeros
+        for h, f in zip(hiddens[:2], full[:2]):  # the packed rows, before the last transformer
+            assert np.max(np.abs(h.data - f.data[real])) < 100 * tol
 
     @pytest.mark.parametrize("full", [False, True], ids=["mixed", "all-full"])
     @pytest.mark.parametrize("freeze", [False, True], ids=["full", "partial-finetune"])
@@ -394,15 +401,49 @@ class TestPacking:
         assert err32 < 1e-2
         assert err64 < 1e-4
 
-    def test_full_batch_is_its_own_grid(self):
-        """When every position is attended, padding and unpadding return
-        their input: the tape gets no scatter or gather to copy."""
-        x = Tensor(np.ones((6 * 12, 4), dtype=np.float32))
-        full = _Packing(self.batch(full=True)[1], np.float32)
-        assert full.pad(x) is x and full.unpad(x) is x
-        mixed = _Packing(self.batch()[1], np.float32)
-        grid = T.reshape(x, (6, 12, 4))
-        assert mixed.unpad(grid).data.shape == (mixed.rows.size, 4) != x.data.shape
+    def test_segments_tile_the_packed_rows(self):
+        """Each row owns one segment of the packed rows, its [CLS] first, a
+        masked hole included. Mixed or full, the tape holds the same ops:
+        no grid is scattered or gathered."""
+        coords, (starts, lengths) = _pack(self.batch()[1])
+        assert list(lengths) == [12, 2, 7, 1, 7, 5]
+        assert list(starts) == [0, 12, 14, 21, 22, 29]
+        assert not coords[1][starts].any()
+        m = self.model(np.float32)
+        entries = []
+        for full in (False, True):
+            ids, mask, ctx = self.batch(full=full)
+            with Tape() as tape:
+                forward_probs(m, ids, mask, ctx)
+            entries.append(len(tape))
+        assert entries[0] == entries[1]
+
+    @pytest.mark.parametrize("lengths", [[1], [7], [1, 12, 1], []],
+                             ids=["cls-only-alone", "one-row", "cls-only-rows", "empty"])
+    def test_edge_batches_match_padded_oracle(self, lengths):
+        """A row of [CLS] alone, a batch of one and the empty batch: f64
+        probabilities and every gradient within 1e-12 of the oracle."""
+        B, L = len(lengths), 12
+        rng = np.random.default_rng(2)
+        mask = (np.arange(L)[None, :] < np.array(lengths, dtype=int).reshape(B, 1)).astype(np.int64)
+        ids, ctx = rng.integers(1, 100, size=(B, L)) * mask, rng.random((B, 4))
+        y = (np.arange(B) % 2).astype(np.float64)
+        runs = []
+        for fwd in (forward_probs, lambda *a: full_width_forward(*a)[0]):
+            m = self.model(np.float64)
+            with Tape() as tape:
+                probs = fwd(m, ids, mask, ctx)
+                loss = bce_loss(probs, y, np.ones(B)) if B else None
+            if B:
+                backward(tape, loss)
+            runs.append((probs.data, {n: p.grad for n, p in m.params.items()}))
+        (got, grads), (want, oracle) = runs
+        assert got.shape == want.shape == (B,)
+        assert np.max(np.abs(got - want), initial=0.0) < 1e-12
+        for name, g in grads.items():
+            assert (g is None) == (oracle[name] is None) == (B == 0), name
+            if B:
+                assert np.max(np.abs(dense_grad(g) - dense_grad(oracle[name]))) < 1e-12, name
 
     def test_row_without_cls_rejected(self):
         m = self.model(np.float32)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from catbert.cli import main
 from catbert.mail import (EmailRecord, body_text_of, build_content, load_dataset,
                           load_dataset_with_report, record_to_json)
-from catbert.model import ModelConfig, _Packing, forward_probs, init_random
+from catbert.model import ModelConfig, _pack, forward_probs, init_random
 from catbert.synthetic import make_corpus, synthetic_vocab
 from catbert.pipeline import (encode_records, encode_texts, make_model_scorer, score_dataset,
                               score_records)
@@ -178,16 +178,17 @@ def mixed_length_records(n=23, seed=0):
 
 class TestTrimPadding:
     """``score_dataset`` and ``train`` hand the forward rows padded to
-    ``max_len``; the forward cuts its attention grid after the batch's
-    longest row and reads nothing past it."""
+    ``max_len``; the forward packs each row's real tokens into one segment
+    and reads nothing past them."""
 
-    def test_cuts_after_the_longest_row(self):
+    def test_each_row_is_one_segment_of_its_tokens(self):
         for width in (1, 5, 16):
             lengths = np.array([1, width, max(1, width - 2)])
             mask = (np.arange(16)[None, :] < lengths[:, None]).astype(np.int64)
-            pack = _Packing(mask, np.float32)
-            assert (pack.B, pack.L) == (3, width)
-            assert np.array_equal(pack.coords[0] * 16 + pack.coords[1], np.flatnonzero(mask))
+            coords, (starts, segment_lengths) = _pack(mask)
+            assert np.array_equal(segment_lengths, lengths)
+            assert np.array_equal(starts, [0, 1, 1 + width])
+            assert np.array_equal(coords[0] * 16 + coords[1], np.flatnonzero(mask))
 
     def test_empty_batch(self):
         empty = np.zeros((0, 16), np.int64)

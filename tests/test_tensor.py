@@ -381,16 +381,6 @@ class TestShapeOps:
         expect[[0, 3]] = 1.0
         assert np.array_equal(p.grad.data, expect)
 
-    def test_scatter_rows_zero_fills_and_grad_gathers(self):
-        p = Parameter("p", np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.float32))
-        weights = T.Tensor(np.arange(8, dtype=np.float32).reshape(4, 2))
-        with Tape() as tape:
-            out = T.scatter_rows(p, np.array([2, 0]), 4)
-            loss = T.sum_all(T.mul(out, weights))
-        backward(tape, loss)
-        assert np.array_equal(out.data, [[3, 4], [0, 0], [1, 2], [0, 0]])
-        assert np.array_equal(p.grad.data, [[4, 5], [0, 1]])
-
     def test_concat_splits_grad(self):
         a = Parameter("a", np.ones((2, 2), dtype=np.float32))
         b = Parameter("b", np.ones((2, 3), dtype=np.float32))
