@@ -22,7 +22,7 @@ from catbert.baseline import make_lr_scorer, predict_tfidf_lr, train_tfidf_lr
 from catbert.explain import explain_record
 from catbert.mail import build_content
 from catbert.metrics import roc_auc, tpr_at_fpr
-from catbert.model import ModelConfig, count_params, init_random
+from catbert.model import ModelConfig, count_params, init_random, row_width
 from catbert.pipeline import encode_records, make_model_scorer, score_dataset
 from catbert.synthetic import SYNONYM_TABLE, make_corpus, synthetic_vocab
 from catbert.tokenizer import Vocabulary
@@ -35,7 +35,8 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--epochs", type=int, default=5)
     ap.add_argument("--hidden", type=int, default=32)
-    ap.add_argument("--max-len", type=int, default=32)
+    ap.add_argument("--max-positions", type=int, default=32,
+                    help="position embeddings; rows are the model's row_width wide")
     ap.add_argument("--context-dependent", action="store_true")
     ap.add_argument("--out", help="write the report as JSON here too")
     args = ap.parse_args()
@@ -46,13 +47,13 @@ def main() -> int:
     tr, va, te = split_by_time(records)
     print(f"split: {len(tr)} train / {len(va)} val / {len(te)} test")
 
-    enc = lambda rs: encode_records(rs, vocab, max_len=args.max_len)
-    train_set, val_set, test_set = enc(tr), enc(va), enc(te)
-
     cfg = ModelConfig(vocab_size=len(vocab), hidden=args.hidden,
                       ffn_dim=2 * args.hidden, heads=2,
-                      max_positions=args.max_len, block_plan=("T", "A"))
-    print(f"model: {count_params(cfg).total} parameters")
+                      max_positions=args.max_positions, block_plan=("T", "A"))
+    width = row_width(cfg)
+    print(f"model: {count_params(cfg).total} parameters, rows of {width} tokens")
+    enc = lambda rs: encode_records(rs, vocab, max_len=width)
+    train_set, val_set, test_set = enc(tr), enc(va), enc(te)
     model = init_random(cfg, seed=args.seed)
     tcfg = TrainConfig(epochs=args.epochs, batch_size=32, learning_rate=1e-3,
                        seed=args.seed)
@@ -76,7 +77,7 @@ def main() -> int:
     report["baseline_auc"] = roc_auc(lr_scores, test_set.labels)
     print(f"tf-idf LR baseline AUC {report['baseline_auc']:.4f}")
 
-    model_scorer = make_model_scorer(model, vocab, max_len=args.max_len)
+    model_scorer = make_model_scorer(model, vocab)
     lr_scorer = make_lr_scorer(lr)
     report["attacks"] = {}
     for kind in ("synonym", "typo"):
@@ -93,8 +94,7 @@ def main() -> int:
 
     mal = [r for r in te if r.label == 1]
     if mal:
-        attr = explain_record(model, vocab, mal[0], n_samples=500,
-                              seed=args.seed, max_len=args.max_len)
+        attr = explain_record(model, vocab, mal[0], n_samples=500, seed=args.seed)
         report["explanation"] = {"top_positive": attr.top_positive[:5],
                                  "r2": attr.r2}
         print("top words for one malicious email:",

@@ -10,6 +10,7 @@ import time
 import numpy as np
 
 from .mail import GROUPS
+from .model import count_params, forward_probs, row_width
 
 log = logging.getLogger(__name__)
 
@@ -141,8 +142,6 @@ def time_inference(model, batch_sizes=(1,), repetitions=30, seed=0) -> dict:
     """Wall-clock forward latency per batch size (mean/p50/p95 ms over
     ``repetitions``, after ``WARMUP`` discarded runs) on full rows of the
     model's width (``row_width``)."""
-    from .model import count_params, forward_probs, row_width
-
     rng = np.random.default_rng(seed)
     cfg = model.config
     seq_len = row_width(cfg)

@@ -248,7 +248,7 @@ def _attention(x: Tensor, p: dict, prefix: str, heads: int, segments: tuple) -> 
     q, k, v = (T.matmul(x, p[f"{prefix}.attn.{n}.w"], bias=p[f"{prefix}.attn.{n}.b"])
                for n in "qkv")
     scale = 1.0 / math.sqrt(x.data.shape[-1] // heads)
-    mixed = T.attention(q, k, v, segments, segments, heads, scale=scale)
+    mixed = T.attention(q, k, v, segments, segments, heads, scale)
     return T.matmul(mixed, p[f"{prefix}.attn.o.w"], bias=p[f"{prefix}.attn.o.b"])
 
 
@@ -256,27 +256,31 @@ def _cls_attention(xq: Tensor, x: Tensor, p: dict, prefix: str, heads: int,
                    segments: tuple) -> Tensor:
     """Attention of the B [CLS] rows ``xq`` (B, d) over the packed rows
     ``x`` (N, d), with no key or value projection of ``x``. Per head, with
-    row-vector weights ``k_j = x_j W_k + b_k`` and ``v_j = x_j W_v + b_v``:
+    row-vector weights ``k_j = x_j W_k + b_k = [x_j, 1] [W_k; b_k]`` and
+    ``v_j = x_j W_v + b_v``:
 
-        q·k_j = x_j·(W_k q) + q·b_k
+        q·k_j = [x_j, 1]·([W_k; b_k] q)
         Σ_j w_j v_j = (Σ_j w_j x_j) W_v + b_v      (the weights sum to 1)
 
-    so the scores need ``u = W_k q`` (B·d² work) and the output one
-    weighted sum of ``x`` per head, against 2·N·d² for projecting every
-    key and value. The ``q·b_k`` shift leaves the softmax unchanged but
-    is kept, so ``attn.k.b`` gets its (zero up to rounding) gradient as in
-    the full layer. The scores and weighted sums are one single-head
-    ``attention`` whose queries are each row's h folded queries."""
+    so the scores need the folded query ``u = [W_k; b_k] q`` (B·d² work),
+    scored against the rows with a ones column appended, and the output one
+    weighted sum of ``x`` per head, against 2·N·d² for projecting every key
+    and value. The key bias rides as the last column of each head's folded
+    key weights: its score term ``q·b_k`` leaves the softmax unchanged, but
+    ``attn.k.b`` gets its (zero up to rounding) gradient from the same GEMM
+    as ``W_k``, as in the full layer. The scores and weighted sums are one
+    single-head ``attention`` whose queries are each row's h folded queries."""
     B, d = xq.data.shape
     dh = d // heads
     q = T.matmul(xq, p[f"{prefix}.attn.q.w"], bias=p[f"{prefix}.attn.q.b"])
-    q = T.transpose(T.reshape(T.mul(q, 1.0 / math.sqrt(dh)), (B, heads, dh)), (1, 0, 2))  # (h, B, dh)
-    wk = T.transpose(T.reshape(p[f"{prefix}.attn.k.w"], (d, heads, dh)), (1, 2, 0))  # (h, dh, d)
-    # row i's h folded queries, and their shifts, are rows i·h on of u and shift
-    u = T.reshape(T.transpose(T.matmul(q, wk), (1, 0, 2)), (B * heads, d))
-    shift = T.matmul(q, T.reshape(p[f"{prefix}.attn.k.b"], (heads, dh, 1)))  # (h, B, 1)
-    shift = T.reshape(T.transpose(shift, (1, 0, 2)), (B * heads, 1))
-    z = T.attention(u, x, x, (np.arange(B) * heads, np.full(B, heads)), segments, bias=shift)
+    q = T.transpose(T.reshape(q, (B, heads, dh)), (1, 0, 2))  # (h, B, dh)
+    wk = T.concat([p[f"{prefix}.attn.k.w"], T.reshape(p[f"{prefix}.attn.k.b"], (1, d))], axis=0)
+    wk = T.transpose(T.reshape(wk, (d + 1, heads, dh)), (1, 2, 0))  # (h, dh, d+1)
+    # row i's h folded queries are rows i·h on of u
+    u = T.reshape(T.transpose(T.matmul(q, wk), (1, 0, 2)), (B * heads, d + 1))
+    x1 = T.concat([x, np.ones((x.data.shape[0], 1), x.data.dtype)], axis=1)  # [x, 1]
+    z = T.attention(u, x1, x, (np.arange(B) * heads, np.full(B, heads)), segments, 1,
+                    1.0 / math.sqrt(dh))
     wv = T.transpose(T.reshape(p[f"{prefix}.attn.v.w"], (d, heads, dh)), (1, 0, 2))  # (h, d, dh)
     mixed = T.matmul(T.transpose(T.reshape(z, (B, heads, d)), (1, 0, 2)), wv)  # (h, B, dh)
     mixed = T.add(T.reshape(T.transpose(mixed, (1, 0, 2)), (B, d)), p[f"{prefix}.attn.v.b"])

@@ -502,23 +502,22 @@ def softmax_rows(x: Tensor, scale: float | None = None) -> Tensor:
     return _emit(out, (x,), grad_fn)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, q_rows, kv_rows, heads: int = 1,
-              scale: float | None = None, bias: Tensor | None = None) -> Tensor:
+def attention(q: Tensor, k: Tensor, v: Tensor, q_rows, kv_rows, heads: int,
+              scale: float) -> Tensor:
     """Multi-head softmax attention within segments of packed rows, with no
     padding and no mask: FlashAttention-2's variable-length form (Dao, arXiv
     2307.08691). ``q`` (M, heads·w), ``k`` (N, heads·w) and ``v`` (N,
     heads·w') split each row into ``heads`` heads. ``q_rows`` and
     ``kv_rows`` are (starts, lengths) arrays, one entry per segment, whose
     segments do not overlap: segment i's queries attend over its keys alone.
-    Scores are scaled by ``scale`` (rounded to the dtype) and shifted by
-    ``bias`` (M, heads) when given. The layer is one tape entry that keeps
-    each segment's softmax weights; unrecorded, one segment's scores exist at
-    a time. Each segment runs the per-matrix products and float operations of
-    attention over a padded grid, so on full rows it is bit-identical to that."""
-    inputs = (q, k, v) if bias is None else (q, k, v, bias)
-    needs = _needs(*inputs)
+    Scores are scaled by ``scale``, rounded to the dtype. The layer is one
+    tape entry that keeps each segment's softmax weights; unrecorded, one
+    segment's scores exist at a time. Each segment runs the per-matrix
+    products and float operations of attention over a padded grid, so on
+    full rows it is bit-identical to that."""
+    needs = _needs(q, k, v)
     qv, kv, vv = q.data, k.data, v.data
-    scale = None if scale is None else np.asarray(scale, dtype=qv.dtype)
+    scale = np.asarray(scale, dtype=qv.dtype)
     segments = [tuple(map(int, seg)) for seg in zip(*q_rows, *kv_rows)]
 
     def split(a, lo: int, n: int, axes=(1, 0, 2)):  # rows lo:lo+n as (heads, n, w); (1, 2, 0): ᵀ
@@ -528,34 +527,28 @@ def attention(q: Tensor, k: Tensor, v: Tensor, q_rows, kv_rows, heads: int = 1,
     kept = []
     for qs, ql, ks, kl in segments:
         s = np.matmul(split(qv, qs, ql), split(kv, ks, kl, (1, 2, 0)))
-        if scale is not None:
-            s *= scale
-        if bias is not None:
-            s += bias.data[qs:qs + ql].T[:, :, None]
+        s *= scale
         _softmax(s)
         split(out, qs, ql)[...] = np.matmul(s, split(vv, ks, kl))
         if any(needs):
             kept.append(s)
 
     def grad_fn(g):
-        grads = [np.zeros_like(t.data) if need else None for t, need in zip(inputs, needs)]
-        gq, gk, gv, gb = grads + [None] * (4 - len(grads))
+        gq, gk, gv = (np.zeros_like(t.data) if need else None
+                      for t, need in zip((q, k, v), needs))
         for (qs, ql, ks, kl), w in zip(segments, kept):
             go = split(g, qs, ql)
             if gv is not None:
                 split(gv, ks, kl)[...] = np.matmul(w.transpose(0, 2, 1), go)
             gs = _softmax_grad(w, np.matmul(go, split(vv, ks, kl, (1, 2, 0))))
-            if scale is not None:
-                gs *= scale
-            if gb is not None:
-                gb[qs:qs + ql] = gs.sum(axis=-1).T
+            gs *= scale
             if gq is not None:
                 split(gq, qs, ql)[...] = np.matmul(gs, split(kv, ks, kl))
             if gk is not None:
                 split(gk, ks, kl, (1, 2, 0))[...] = np.matmul(split(qv, qs, ql, (1, 2, 0)), gs)
-        return tuple(grads)
+        return gq, gk, gv
 
-    return _emit(out, inputs, grad_fn, needs)
+    return _emit(out, (q, k, v), grad_fn, needs)
 
 
 LN_EPS = 1e-12

@@ -18,6 +18,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import tensor as T
+from .checkpoint import save_checkpoint
 from .mail import EmailRecord
 from .metrics import roc_auc
 from .model import (PARTIAL_FINETUNE, CatBertModel, config_keys, forward_probs, freeze_preset,
@@ -154,8 +155,6 @@ def train(model: CatBertModel, train_set: EncodedDataset, config: TrainConfig,
     """Adam on weighted BCE over balanced batches. Tracks per-epoch loss and
     validation AUC and keeps the best-validation-AUC checkpoint in
     ``out_dir/best``. Aborts on non-finite loss."""
-    from .checkpoint import save_checkpoint
-
     set_trainable(model, freeze_preset(model.config) if config.freeze else [])
     rng = np.random.default_rng(config.seed)
     state = AdamState(lr=config.learning_rate)

@@ -165,13 +165,15 @@ def _cls_attention(xq, x, p, prefix, heads, grid):
     d = x.data.shape[-1]
     dh = d // heads
     q = _dense(xq, p[f"{prefix}.attn.q.w"], p[f"{prefix}.attn.q.b"])
-    q = T.transpose(T.reshape(T.mul(q, 1.0 / math.sqrt(dh)), (B, heads, dh)), (1, 0, 2))
-    wk = T.transpose(T.reshape(p[f"{prefix}.attn.k.w"], (d, heads, dh)), (1, 2, 0))
+    q = T.transpose(T.reshape(q, (B, heads, dh)), (1, 0, 2))
+    wk = T.concat([p[f"{prefix}.attn.k.w"], T.reshape(p[f"{prefix}.attn.k.b"], (1, d))], axis=0)
+    wk = T.transpose(T.reshape(wk, (d + 1, heads, dh)), (1, 2, 0))
     u = T.matmul(q, wk)
-    shift = T.matmul(q, T.reshape(p[f"{prefix}.attn.k.b"], (heads, dh, 1)))
+    x1 = T.concat([x, np.ones((x.data.shape[0], 1), x.data.dtype)], axis=1)
+    x1_grid = T.reshape(grid.pad(x1), (B, L, d + 1))
     x_grid = T.reshape(grid.pad(x), (B, L, d))
-    scores = T.matmul(T.transpose(u, (1, 0, 2)), T.transpose(x_grid, (0, 2, 1)))
-    scores = T.add(T.add(scores, T.transpose(shift, (1, 0, 2))), grid.add_mask[:, 0])
+    scores = T.matmul(T.transpose(u, (1, 0, 2)), T.transpose(x1_grid, (0, 2, 1)))
+    scores = T.add(T.mul(scores, 1.0 / math.sqrt(dh)), grid.add_mask[:, 0])
     z = T.matmul(ref_softmax_rows(scores), x_grid)
     wv = T.transpose(T.reshape(p[f"{prefix}.attn.v.w"], (d, heads, dh)), (1, 0, 2))
     mixed = T.matmul(T.transpose(z, (1, 0, 2)), wv)

@@ -24,7 +24,7 @@ def test_make_synthetic_writes_corpus_vocab_and_synonyms(tmp_path):
 def test_run_experiment_writes_its_report(tmp_path):
     out = tmp_path / "report.json"
     done = run("run_experiment.py", "--n", 300, "--epochs", 1, "--hidden", 16,
-               "--max-len", 32, "--out", out)
+               "--max-positions", 32, "--out", out)
     assert done.returncode == 0, done.stderr
     report = json.loads(out.read_text())
     assert 0.0 <= report["test_auc"] <= 1.0

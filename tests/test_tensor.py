@@ -155,6 +155,97 @@ class TestSoftmax:
         assert np.all(out >= 0)
 
 
+def attention_oracle(q, k, v, q_rows, kv_rows, heads, scale):
+    """softmax(q kᵀ · scale) v in float64, one segment and one head at a
+    time; rows no query segment covers stay NaN."""
+    q, k, v = (np.asarray(a, np.float64) for a in (q, k, v))
+    w, wv = q.shape[1] // heads, v.shape[1] // heads
+    out = np.full((q.shape[0], v.shape[1]), np.nan)
+    for qs, ql, ks, kl in zip(*q_rows, *kv_rows):
+        for h in range(heads):
+            s = q[qs:qs + ql, h * w:(h + 1) * w] @ k[ks:ks + kl, h * w:(h + 1) * w].T * scale
+            e = np.exp(s - s.max(axis=1, keepdims=True))
+            out[qs:qs + ql, h * wv:(h + 1) * wv] = (
+                e / e.sum(axis=1, keepdims=True) @ v[ks:ks + kl, h * wv:(h + 1) * wv])
+    return out
+
+
+class TestAttention:
+    """``attention`` against a per-segment numpy reference. Key segments of
+    length 1, 2 and 5 (a full row); queries either are the keys' own rows
+    ("self", as in a transformer layer) or two rows per segment over the
+    same keys ("fold", as in the [CLS] layer's folded queries)."""
+
+    KV_ROWS = (np.array([0, 1, 3]), np.array([1, 2, 5]))
+    LAYOUTS = {"self": KV_ROWS, "fold": (np.array([0, 2, 4]), np.array([2, 2, 2]))}
+    TOL = {np.float32: 1e-6, np.float64: 1e-12}
+
+    def inputs(self, layout, heads, dtype=np.float64, seed=0):
+        """q, k (·, heads·4) and v (N, heads·3) whose rows fill their segments."""
+        rng = np.random.default_rng(seed)
+        q_rows = self.LAYOUTS[layout]
+        m, n = int(q_rows[1].sum()), int(self.KV_ROWS[1].sum())
+        q, k, v = (rng.standard_normal(shape).astype(dtype) for shape in
+                   ((m, heads * 4), (n, heads * 4), (n, heads * 3)))
+        return q, k, v, q_rows
+
+    def attend(self, q, k, v, q_rows, heads):
+        return T.attention(*(Tensor(a, dtype=a.dtype) for a in (q, k, v)),
+                           q_rows, self.KV_ROWS, heads, 0.5)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("layout", ["self", "fold"])
+    @pytest.mark.parametrize("heads", [1, 3])
+    def test_matches_per_segment_reference(self, heads, layout, dtype):
+        q, k, v, q_rows = self.inputs(layout, heads, dtype)
+        out = self.attend(q, k, v, q_rows, heads)
+        want = attention_oracle(q, k, v, q_rows, self.KV_ROWS, heads, 0.5)
+        assert out.data.dtype == dtype and out.data.shape == want.shape
+        assert np.max(np.abs(out.data - want)) < self.TOL[dtype]
+
+    @pytest.mark.parametrize("layout", ["self", "fold"])
+    @pytest.mark.parametrize("heads", [1, 3])
+    def test_a_segment_reads_only_its_own_rows(self, heads, layout):
+        """Redrawing every row outside one segment leaves that segment's
+        output bit-identical."""
+        q, k, v, q_rows = self.inputs(layout, heads, np.float32)
+        base = self.attend(q, k, v, q_rows, heads).data
+        redrawn = self.inputs(layout, heads, np.float32, seed=1)
+        for i in range(3):
+            qs, ql = int(q_rows[0][i]), int(q_rows[1][i])
+            ks, kl = int(self.KV_ROWS[0][i]), int(self.KV_ROWS[1][i])
+            q2, k2, v2 = (a.copy() for a in redrawn[:3])
+            q2[qs:qs + ql], k2[ks:ks + kl], v2[ks:ks + kl] = (
+                q[qs:qs + ql], k[ks:ks + kl], v[ks:ks + kl])
+            out = self.attend(q2, k2, v2, q_rows, heads)
+            assert out.data[qs:qs + ql].tobytes() == base[qs:qs + ql].tobytes(), i
+
+    @pytest.mark.parametrize("layout", ["self", "fold"])
+    @pytest.mark.parametrize("heads", [1, 3])
+    def test_gradients_pass_grad_check_in_f64(self, heads, layout):
+        q, k, v, q_rows = self.inputs(layout, heads)
+        q, k, v = (Parameter(n, a, dtype=np.float64) for n, a in zip("qkv", (q, k, v)))
+        weights = Tensor(np.random.default_rng(2).standard_normal((q.shape[0], v.shape[1])),
+                         dtype=np.float64)
+
+        def run():
+            out = T.attention(q, k, v, q_rows, self.KV_ROWS, heads, 0.5)
+            return T.sum_all(T.mul(out, weights))
+
+        # the check-03 f64 bound
+        assert grad_check(run, [q, k, v], eps=3e-4, samples_per_param=16, seed=0) < 1e-4
+
+    def test_empty_batch(self):
+        rows = (np.zeros(0, np.int64), np.zeros(0, np.int64))
+        q, k, v = (Parameter(n, np.zeros((0, w), np.float32)) for n, w in zip("qkv", (4, 4, 3)))
+        with Tape() as tape:
+            out = T.attention(q, k, v, rows, rows, 1, 0.5)
+            loss = T.sum_all(out)
+        backward(tape, loss)
+        assert out.data.shape == (0, 3) and out.data.dtype == np.float32
+        assert [p.grad.data.shape for p in (q, k, v)] == [(0, 4), (0, 4), (0, 3)]
+
+
 class TestEmbedding:
     def test_gather_and_shape(self):
         table = Parameter("emb", np.arange(12, dtype=np.float32).reshape(4, 3))
