@@ -6,9 +6,6 @@ from __future__ import annotations
 
 import contextlib
 import os
-import re
-
-TEMPORARY_NAME = re.compile(r".+\.\d+\.tmp")  # where replacing writes; a killed write leaves it
 
 
 @contextlib.contextmanager

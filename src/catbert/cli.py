@@ -26,9 +26,9 @@ import time
 from dataclasses import asdict
 
 from . import __version__
-from .atomic import TEMPORARY_NAME, replacing
+from .atomic import replacing
 from .attacks import KINDS, AttackSpec, accuracy_under_attack, check_threshold
-from .checkpoint import load_checkpoint, read_manifest, save_checkpoint
+from .checkpoint import BLOB, MANIFEST, load_checkpoint, read_manifest, save_checkpoint
 from .explain import MIN_SAMPLES, explain_record
 from .mail import CONTEXT_DIM, load_dataset, load_dataset_with_report, save_dataset
 from .metrics import DEFAULT_FPRS, group_metrics, roc_auc, roc_curve, time_inference, tpr_at_fpr
@@ -65,27 +65,19 @@ def _setup_logging() -> None:
 # ------------------------------------------------------------- artifacts
 
 
-def _sha256(path: str) -> str:
+def _digest(path: str) -> dict:
     h = hashlib.sha256()
     with open(path, "rb") as f:
         for chunk in iter(lambda: f.read(1 << 20), b""):
             h.update(chunk)
-    return h.hexdigest()
+    return {"sha256": h.hexdigest(), "bytes": os.path.getsize(path)}
 
 
 def _file_entry(path: str) -> dict:
-    if os.path.isdir(path):
-        files = {}
-        for root, _, names in os.walk(path):
-            # a run manifest's timing would make the entry differ between reruns,
-            # and a killed write's temporary file is no part of the output
-            for name in sorted(n for n in set(names) - {MANIFEST_NAME}
-                               if not TEMPORARY_NAME.fullmatch(n)):
-                full = os.path.join(root, name)
-                rel = os.path.relpath(full, path)
-                files[rel] = {"sha256": _sha256(full), "bytes": os.path.getsize(full)}
-        return {"path": path, "files": files}
-    return {"path": path, "sha256": _sha256(path), "bytes": os.path.getsize(path)}
+    if os.path.isdir(path):  # a checkpoint: the two files its format names
+        return {"path": path,
+                "files": {name: _digest(os.path.join(path, name)) for name in (MANIFEST, BLOB)}}
+    return {"path": path, **_digest(path)}
 
 
 def _json_text(obj: dict) -> str:
@@ -427,8 +419,7 @@ def _cmd_bench(args) -> dict:
     except ConfigError as e:
         raise UsageError(f"bad model size: {e}") from None
     donor, compressed = (init_random(c, seed=args.seed) for c in configs)
-    kwargs = dict(batch_sizes=(args.batch,), repetitions=args.repetitions, seed=args.seed)
-    donor_t, compressed_t = (time_inference(m, **kwargs)["timings"][str(args.batch)]
+    donor_t, compressed_t = (time_inference(m, args.batch, args.repetitions, args.seed)
                              for m in (donor, compressed))
     dims = {k: getattr(args, k) for k in ("hidden", "ffn_dim", "heads", "batch",
                                           "vocab_size", "donor_blocks")}

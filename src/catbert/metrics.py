@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 from .mail import GROUPS
-from .model import count_params, forward_probs, row_width
+from .model import forward_probs, row_width
 
 log = logging.getLogger(__name__)
 
@@ -135,34 +135,26 @@ def spearman(a, b) -> float:
     return float((ra * rb).sum() / denom)
 
 
-WARMUP = 3  # discarded forward passes before timing each batch size
+WARMUP = 3  # discarded forward passes before timing
 
 
-def time_inference(model, batch_sizes=(1,), repetitions=30, seed=0) -> dict:
-    """Wall-clock forward latency per batch size (mean/p50/p95 ms over
-    ``repetitions``, after ``WARMUP`` discarded runs) on full rows of the
-    model's width (``row_width``)."""
+def time_inference(model, batch_size=1, repetitions=30, seed=0) -> dict:
+    """Wall-clock forward latency of one batch of ``batch_size`` full rows of
+    the model's width (``row_width``): mean/p50/p95 ms over ``repetitions``,
+    after ``WARMUP`` discarded runs."""
     rng = np.random.default_rng(seed)
     cfg = model.config
-    seq_len = row_width(cfg)
-    report: dict = {"params": count_params(cfg).__dict__, "seq_len": seq_len,
-                    "timings": {}}
-    for bs in batch_sizes:
-        ids = rng.integers(0, cfg.vocab_size, size=(bs, seq_len))
-        mask = np.ones((bs, seq_len), dtype=np.int64)
-        ctx = rng.random((bs, cfg.context_dim)).astype(np.float32)
-        for _ in range(WARMUP):
-            forward_probs(model, ids, mask, ctx)
-        samples = []
-        for _ in range(repetitions):
-            t0 = time.perf_counter()
-            forward_probs(model, ids, mask, ctx)
-            samples.append((time.perf_counter() - t0) * 1000.0)
-        arr = np.asarray(samples)
-        report["timings"][str(bs)] = {
-            "mean_ms": float(arr.mean()),
-            "p50_ms": float(np.percentile(arr, 50)),
-            "p95_ms": float(np.percentile(arr, 95)),
-            "repetitions": repetitions,
-        }
-    return report
+    shape = (batch_size, row_width(cfg))
+    ids = rng.integers(0, cfg.vocab_size, size=shape)
+    mask = np.ones(shape, dtype=np.int64)
+    ctx = rng.random((batch_size, cfg.context_dim)).astype(np.float32)
+    for _ in range(WARMUP):
+        forward_probs(model, ids, mask, ctx)
+    samples = []
+    for _ in range(repetitions):
+        t0 = time.perf_counter()
+        forward_probs(model, ids, mask, ctx)
+        samples.append((time.perf_counter() - t0) * 1000.0)
+    arr = np.asarray(samples)
+    return {"mean_ms": float(arr.mean()), "p50_ms": float(np.percentile(arr, 50)),
+            "p95_ms": float(np.percentile(arr, 95)), "repetitions": repetitions}

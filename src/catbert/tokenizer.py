@@ -36,6 +36,8 @@ class Vocabulary:
     def __post_init__(self):
         self.token_to_id = {}
         for i, tok in enumerate(self.tokens):
+            if not tok:  # a blank line would shift every later id
+                raise VocabularyError(f"empty token on line {i + 1}")
             if tok in self.token_to_id:
                 raise VocabularyError(
                     f"duplicate token {tok!r} on lines {self.token_to_id[tok] + 1} and {i + 1}"
@@ -64,10 +66,7 @@ class Vocabulary:
 def load_vocab(path) -> Vocabulary:
     """Read a UTF-8 vocab file, one token per line (line index = token id)."""
     with open(path, encoding="utf-8") as f:
-        tokens = [line.rstrip("\n") for line in f]
-    if tokens and tokens[-1] == "":
-        tokens.pop()  # trailing newline, not an empty token
-    return Vocabulary(tokens)
+        return Vocabulary([line.rstrip("\n") for line in f])
 
 
 def save_vocab(tokens: list[str], path) -> None:

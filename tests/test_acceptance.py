@@ -93,9 +93,9 @@ def test_02_inference_speedup():
                   max_positions=512, context_dim=4)
     donor = init_random(ModelConfig(block_plan=("T",) * 6, **common), seed=0)
     half = init_random(ModelConfig(block_plan=("T", "A") * 3, **common), seed=0)
-    kw = dict(batch_sizes=(1,), repetitions=20, seed=0)  # rows of 128 tokens
-    d = time_inference(donor, **kw)["timings"]["1"]
-    c = time_inference(half, **kw)["timings"]["1"]
+    kw = dict(batch_size=1, repetitions=20, seed=0)  # rows of 128 tokens
+    d = time_inference(donor, **kw)
+    c = time_inference(half, **kw)
     ratio = d["p50_ms"] / c["p50_ms"]
     _check("02 inference speedup", ratio >= 1.3,
            f"donor p50 {d['p50_ms']:.1f} ms vs compressed {c['p50_ms']:.1f} ms "

@@ -155,17 +155,24 @@ def _set_entry(m, key, value):
     (lambda m: {**m, "provenance": ["fresh"]}, "'provenance' is not an object of strings"),
     (lambda m: {**m, "provenance": {**m["provenance"], "embeddings.token": 5}},
      "'provenance' is not an object of strings"),
+    (lambda m: json.dumps(m)[:-1], "unreadable manifest: "),
+    (lambda m: _set_entry(m, "dtype", "f16"),
+     "tensor 'embeddings.token' has unsupported dtype 'f16'"),
+    (lambda m: _set_entry(m, "nbytes", m["tensors"][0]["nbytes"] - 4),
+     "tensor 'embeddings.token' nbytes 1276 != shape size 1280"),
 ], ids=["json-list", "no-config", "string-hidden", "zero-heads", "no-vocab-size",
         "tensors-not-a-list", "entry-without-shape", "string-in-shape", "string-offset",
         "float-nbytes", "entry-without-name", "extra-entries-with-and-without-name",
-        "int-block-plan", "provenance-not-an-object", "provenance-with-a-number"])
+        "int-block-plan", "provenance-not-an-object", "provenance-with-a-number",
+        "unparsable-json", "f16-dtype", "nbytes-not-the-shape-size"])
 def test_malformed_manifest_is_a_checkpoint_error_naming_the_field(tiny, tmp_path, edit,
                                                                    message):
     """A hand-edited manifest fails as a CheckpointError that says what is
-    wrong, never as a raw KeyError, TypeError or AttributeError."""
+    wrong, never as a raw KeyError, TypeError or AttributeError. An edit that
+    returns text is written as it is."""
     save_checkpoint(tiny, tmp_path)
-    manifest = json.loads((tmp_path / MANIFEST).read_text())
-    (tmp_path / MANIFEST).write_text(json.dumps(edit(manifest)))
+    edited = edit(json.loads((tmp_path / MANIFEST).read_text()))
+    (tmp_path / MANIFEST).write_text(edited if isinstance(edited, str) else json.dumps(edited))
     with pytest.raises(CheckpointError) as exc:
         load_checkpoint(tmp_path)
     assert message in str(exc.value)

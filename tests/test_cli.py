@@ -6,6 +6,7 @@ per module and shared by the read-only subcommand tests.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import shutil
@@ -249,6 +250,29 @@ class TestTrain:
         assert manifest["seed"] == 0
         assert set(manifest["outputs"]) == {"checkpoint", "history"}
 
+    def test_train_with_val_keeps_the_best_epoch(self, workdir, tmp_path):
+        from catbert.checkpoint import load_checkpoint
+        val = tmp_path / "val.jsonl"
+        save_dataset(make_corpus(n=60, malicious_frac=0.3, seed=1), val)
+        run = tmp_path / "run"
+        assert main(["train", "--train", str(workdir["corpus"]), "--val", str(val),
+                     "--vocab", str(workdir["vocab"]), "--config", str(workdir["config"]),
+                     "--out-dir", str(run), "--seed", "0", "--epochs", "3"]) == 0
+        history = json.loads((run / "history.json").read_text())
+        aucs = [row["val_auc"] for row in history["epochs"]]
+        assert len(aucs) == 3
+        assert history["best_val_auc"] == max(aucs) == aucs[history["best_epoch"]]
+        assert load_checkpoint(run / "best").config.block_plan == ("transformer", "adapter")
+        # best/ is the best epoch's model: eval at the training batch size reproduces its AUC
+        out = tmp_path / "m.json"
+        assert main(["eval", "--model", str(run / "best"), "--in", str(val),
+                     "--vocab", str(workdir["vocab"]), "--batch-size", "32",
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["auc"] == history["best_val_auc"]
+        manifest = json.loads((run / "run_manifest.json").read_text())
+        assert manifest["inputs"]["val"]["path"] == str(val)
+        assert manifest["inputs"]["val"]["bytes"] == val.stat().st_size
+
     def test_same_seed_retrain_is_byte_identical(self, workdir, tmp_path):
         again = tmp_path / "again"
         rc = main(["train", "--train", str(workdir["corpus"]),
@@ -438,14 +462,48 @@ class TestScoring:
         assert (tmp_path / "metrics.json.manifest.json").exists()
 
     def test_eval_manifest_skips_a_killed_writes_temporary_file(self, workdir, tmp_path):
+        """A checkpoint is listed as the two files the model is read from: a
+        killed write's temporary file, a stray file and a nested directory in
+        it are no part of it."""
         ckpt = tmp_path / "best"
         shutil.copytree(workdir["ckpt"], ckpt)
         (ckpt / "tensors.bin.99999.tmp").write_bytes(b"half of a blob")
+        (ckpt / "notes.txt").write_text("trained on a Tuesday\n")
+        (ckpt / "sub").mkdir()
+        (ckpt / "sub" / "y").write_bytes(b"y")
         out = tmp_path / "metrics.json"
         assert main(["eval", "--model", str(ckpt), "--in", str(workdir["corpus"]),
                      "--vocab", str(workdir["vocab"]), "--out", str(out)]) == 0
         manifest = json.loads((tmp_path / "metrics.json.manifest.json").read_text())
-        assert sorted(manifest["inputs"]["model"]["files"]) == ["manifest.json", "tensors.bin"]
+        files = manifest["inputs"]["model"]["files"]
+        assert sorted(files) == ["manifest.json", "tensors.bin"]
+        for name, entry in files.items():
+            data = (ckpt / name).read_bytes()
+            assert entry == {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
+
+    def test_eval_groups_breaks_down_each_tag_with_positives(self, workdir, tmp_path):
+        """Each tag's positives are scored against every negative; a tag
+        carried only by negatives has no entry."""
+        records = make_corpus(n=160, malicious_frac=0.3, seed=0)
+        positives = [r for r in records if r.label]
+        for r in records:
+            r.group = "non_english"
+        for i, r in enumerate(positives):
+            r.group = ("bec", "english")[i % 2]
+        data = tmp_path / "tagged.jsonl"
+        save_dataset(records, data)
+        out = tmp_path / "m.json"
+        assert main(["eval", "--model", str(workdir["ckpt"]), "--in", str(data),
+                     "--vocab", str(workdir["vocab"]), "--groups", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        groups = payload["groups"]
+        assert set(groups) == {"all", "bec", "english"}
+        assert groups["all"]["auc"] == payload["auc"]
+        assert groups["all"]["n_pos"] == payload["n_pos"] == 48
+        for tag in ("bec", "english"):
+            assert groups[tag]["n_pos"] == 24
+            assert groups[tag]["n_neg"] == payload["n_neg"] == 112
+            assert set(groups[tag]["tpr_at_fpr"]) == set(payload["tpr_at_fpr"])
 
     def test_eval_roc_csv(self, workdir, tmp_path):
         out = tmp_path / "m.json"
@@ -551,6 +609,25 @@ class TestAttackExplain:
                    "--index", "9999"])
         assert rc == 1
         assert "out of range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, problem", [("{model: 1}", "is not valid JSON: "),
+                                           ('["model"]', "must hold a JSON object")],
+                         ids=["not-json", "json-list"])
+@pytest.mark.parametrize("sub, flag, what", [("train", "--config", "config file"),
+                                             ("attack", "--synonyms", "synonyms file")])
+def test_json_file_that_is_no_object_fails_before_reading_data(workdir, tmp_path, capsys,
+                                                               sub, flag, what, text, problem):
+    """Every other input is missing, so reading one would exit 2."""
+    path = tmp_path / "file.json"
+    path.write_text(text)
+    missing = str(tmp_path / "missing")
+    argv = {"train": ["--train", missing, "--out-dir", str(tmp_path / "r")],
+            "attack": ["--model", missing, "--in", missing, "--kind", "synonym",
+                       "--rate", "0.5"]}[sub]
+    assert main([sub, *argv, "--vocab", missing, flag, str(path)]) == 1
+    assert f"usage error: {what} {path} {problem}" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["file.json"]
 
 
 @pytest.mark.parametrize("sub", ["eval", "predict", "attack", "explain"])

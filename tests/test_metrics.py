@@ -239,16 +239,15 @@ def bench_model(n_blocks):
 
 class TestTimeInference:
     def test_report_shape(self):
-        rep = time_inference(bench_model(1), batch_sizes=(1, 2), repetitions=5)
-        assert set(rep["timings"]) == {"1", "2"}
-        t = rep["timings"]["1"]
+        t = time_inference(bench_model(1), batch_size=2, repetitions=5)
+        assert set(t) == {"mean_ms", "p50_ms", "p95_ms", "repetitions"}
         assert t["p50_ms"] <= t["p95_ms"] + 1e-9
-        assert rep["params"]["total"] > 0
+        assert t["repetitions"] == 5
 
     def test_more_blocks_slower(self):
-        fast = time_inference(bench_model(1), batch_sizes=(1,), repetitions=15)
-        slow = time_inference(bench_model(4), batch_sizes=(1,), repetitions=15)
-        assert slow["timings"]["1"]["p50_ms"] > fast["timings"]["1"]["p50_ms"]
+        fast = time_inference(bench_model(1), repetitions=15)
+        slow = time_inference(bench_model(4), repetitions=15)
+        assert slow["p50_ms"] > fast["p50_ms"]
 
     def test_p50_stable_across_runs(self):
         """Two runs of 60 repetitions each agree on p50 within 20%. The runs
@@ -258,8 +257,7 @@ class TestTimeInference:
         runs = ([], [])
         for i in range(60):
             for model, run in zip(models[::-1], runs[::-1]) if i % 2 else zip(models, runs):
-                rep = time_inference(model, batch_sizes=(1,), repetitions=1)
-                run.append(rep["timings"]["1"]["p50_ms"])
+                run.append(time_inference(model, repetitions=1)["p50_ms"])
         pa, pb = (float(np.median(run)) for run in runs)
         assert abs(pa - pb) / max(pa, pb) < 0.2
 

@@ -346,10 +346,11 @@ class TestPacking:
             mask[4, 3:5] = 0
         return ids * mask, mask, rng.random((B, 4)).astype(dtype)
 
-    def model(self, dtype):
-        m = init_random(ModelConfig(**self.CFG), 5).astype(dtype)
-        for i in (1, 3):  # make the adapters matter
-            m.params[f"blocks.{i}.dense2.w"].data = m.params[f"blocks.{i}.dense2.w"].data * 20
+    def model(self, dtype, plan=CFG["block_plan"]):
+        m = init_random(ModelConfig(**{**self.CFG, "block_plan": plan}), 5).astype(dtype)
+        for i, kind in enumerate(plan):  # make the adapters matter
+            if kind == "A":
+                m.params[f"blocks.{i}.dense2.w"].data = m.params[f"blocks.{i}.dense2.w"].data * 20
         return m
 
     @pytest.mark.parametrize("full", [False, True], ids=["mixed", "all-full"])
@@ -384,6 +385,29 @@ class TestPacking:
                 assert padded[name] is None, name
             else:
                 assert np.max(np.abs(dense_grad(g) - dense_grad(padded[name]))) < 1e-12, name
+
+    @pytest.mark.parametrize("plan", [("A",), ("A", "A")], ids=["A", "A,A"])
+    def test_adapter_only_plans_match_padded_oracle(self, plan):
+        """With no transformer no block mixes rows, so every block runs on the
+        [CLS] rows alone: f64 probabilities and gradients agree with the
+        oracle within 1e-12, and each hidden state is (B, 1, d)."""
+        ids, mask, ctx = self.batch(np.float64)
+        y, w = np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0]), np.ones(6)
+        runs = []
+        for fwd in (lambda *a: forward_probs(*a, return_hidden=True), full_width_forward):
+            m = self.model(np.float64, plan)
+            with Tape() as tape:
+                probs, hiddens = fwd(m, ids, mask, ctx)
+                loss = bce_loss(probs, y, w)
+            backward(tape, loss)
+            runs.append((probs.data, hiddens, {n: p.grad for n, p in m.params.items()}))
+        (got, hiddens, grads), (want, full, oracle) = runs
+        assert np.max(np.abs(got - want)) < 1e-12
+        assert [h.shape for h in hiddens] == [(6, 1, m.config.hidden)] * len(plan)
+        for h, f in zip(hiddens, full):
+            assert np.max(np.abs(h.data[:, 0] - f.data[:, 0])) < 1e-10
+        for name, g in grads.items():
+            assert np.max(np.abs(dense_grad(g) - dense_grad(oracle[name]))) < 1e-12, name
 
     def test_grad_check_within_check_03_bounds(self):
         m32 = init_random(ModelConfig(**self.CFG), 3)
@@ -451,6 +475,18 @@ class TestPacking:
         mask[2, 0] = 0
         with pytest.raises(ValueError, match="mask row 2 .*column 0"):
             forward_probs(m, ids, mask, ctx)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda ids, mask, ctx: (ids[0], mask, ctx), r"ids must be \(B, W\), got shape \(12,\)"),
+        (lambda ids, mask, ctx: (ids, mask[:, :11], ctx),
+         r"mask shape \(6, 11\) does not match ids \(6, 12\)"),
+        (lambda ids, mask, ctx: (ids, mask, None), "model takes context features but ctx is None"),
+        (lambda ids, mask, ctx: (ids, mask, ctx[:, :3]), r"ctx shape \(6, 3\) != \(6, 4\)"),
+    ], ids=["one-dimensional-ids", "mask-of-another-shape", "no-ctx", "ctx-of-another-shape"])
+    def test_malformed_input_is_a_value_error_naming_it(self, edit, message):
+        m = self.model(np.float32)
+        with pytest.raises(ValueError, match=message):
+            forward_probs(m, *edit(*self.batch()))
 
 
 FULL_SCALE = dict(vocab_size=119547, hidden=768, ffn_dim=3072, heads=12,

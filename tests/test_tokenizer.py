@@ -53,6 +53,25 @@ class TestLoadVocab:
         with pytest.raises(VocabularyError, match=r"\[SEP\]"):
             Vocabulary(["[PAD]", "[UNK]", "[CLS]", "pay"])
 
+    @pytest.mark.parametrize("final_newline", [True, False], ids=["newline", "no-newline"])
+    def test_loads_with_or_without_a_final_newline(self, tmp_path, final_newline):
+        p = tmp_path / "vocab.txt"
+        p.write_text("\n".join(TOY) + "\n" * final_newline)
+        assert load_vocab(p).tokens == TOY
+
+    def test_blank_line_is_an_error_naming_it(self, tmp_path):
+        """A blank line would shift every later id ([CLS] to 3 here)."""
+        p = tmp_path / "vocab.txt"
+        p.write_text("[PAD]\n[UNK]\n\n[CLS]\n[SEP]\na\n")
+        with pytest.raises(VocabularyError, match="empty token on line 3"):
+            load_vocab(p)
+
+    def test_saved_empty_token_does_not_reload_one_short(self, tmp_path):
+        p = tmp_path / "vocab.txt"
+        save_vocab(TOY + [""], p)
+        with pytest.raises(VocabularyError, match="empty token on line 8"):
+            load_vocab(p)
+
 
 class TestWordpiece:
     def test_greedy_trace(self, toy):
