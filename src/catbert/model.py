@@ -314,6 +314,32 @@ def _adapter_block(x: Tensor, p: dict, prefix: str) -> Tensor:
     return T.add(x, T.matmul(h, p[f"{prefix}.dense2.w"], bias=p[f"{prefix}.dense2.b"]))
 
 
+def _block(x: Tensor, model: CatBertModel, i: int, segments: tuple, cls_only: bool) -> Tensor:
+    prefix = f"blocks.{i}"
+    if model.config.block_plan[i] == TRANSFORMER:
+        return _transformer_block(x, model.params, prefix, model.config.heads, segments, cls_only)
+    return _adapter_block(x, model.params, prefix)
+
+
+GROUP_TOKENS = 512  # packed tokens per group of rows below the [CLS] stage, without a tape
+
+
+def _row_groups(lengths: np.ndarray) -> list[tuple[int, int]]:
+    """Consecutive row ranges (lo, hi) of at most ``GROUP_TOKENS`` tokens
+    each, a longer row being a range of its own. No range is a single token
+    unless the whole batch is: its GEMMs would run on one row, as GEMVs
+    that round otherwise, so a lone one-token row joins its neighbour."""
+    bounds, total = [0], 0
+    for i, n in enumerate(lengths.tolist()):
+        if total > 1 and total + n > GROUP_TOKENS:
+            bounds.append(i)
+            total = 0
+        total += n
+    if total == 1 and len(bounds) > 1:
+        bounds.pop()
+    return list(zip(bounds, bounds[1:] + [len(lengths)]))
+
+
 def forward_probs(model: CatBertModel, ids: np.ndarray, mask: np.ndarray,
                   ctx: np.ndarray | None, return_hidden: bool = False):
     """Batched forward pass. ``ids``/``mask`` are (B, W) arrays, ``ctx`` is
@@ -341,8 +367,15 @@ def forward_probs(model: CatBertModel, ids: np.ndarray, mask: np.ndarray,
     probabilities and gradients are bit-identical to theirs. Ops record
     onto the active tape, so this same path serves training. Without a tape
     each op writes over the buffer it allocated, a sublayer's output is
-    freed once read, and attention holds one row's scores at a time: the
-    peak is one (N, ffn_dim) FFN buffer.
+    freed once read, and attention holds one row's scores at a time. The
+    embeddings and the blocks below the last transformer, all row-wise or
+    within one row, then run on consecutive groups of whole rows
+    (``_row_groups``), each written into the one (N, d) array the [CLS]
+    stage reads. Every GEMM keeps two or more rows, so the rows come out
+    as from one group. The peak is one group's buffers (at most
+    ``GROUP_TOKENS`` rows of the FFN's ffn_dim) plus the (N, d) arrays of
+    the [CLS] stage. With a tape, or ``return_hidden``, the whole batch is
+    one group.
     """
     cfg = model.config
     p = model.params
@@ -357,22 +390,38 @@ def forward_probs(model: CatBertModel, ids: np.ndarray, mask: np.ndarray,
     if L > cfg.max_positions:
         raise ValueError(f"sequence length {L} exceeds max positions {cfg.max_positions}")
 
-    h = T.layer_norm(T.add(T.embedding_lookup(p["embeddings.token"], ids[coords]),
-                           T.embedding_lookup(p["embeddings.position"], coords[1])),
-                     p["embeddings.ln.gain"], p["embeddings.ln.bias"])
-
     last_t = max((i for i, k in enumerate(cfg.block_plan) if k == TRANSFORMER), default=-1)
+    below = max(last_t, 0)  # blocks run on the packed rows
+    tokens, positions = ids[coords], coords[1]
+    offsets = np.append(segments[0], len(tokens))  # row r's tokens: offsets[r]:offsets[r + 1]
+    # a tape, like return_hidden, keeps every activation, and per-group
+    # weight gradients would sum in another order
+    keep_all = return_hidden or T._active_tape() is not None
+    groups = [(0, B)] if keep_all else _row_groups(segments[1])
+    packed = (np.empty((len(tokens), cfg.hidden), p["embeddings.token"].data.dtype)
+              if len(groups) > 1 else None)
+    hiddens = []
+    for lo, hi in groups:
+        t0, t1 = offsets[lo], offsets[hi]
+        h = T.layer_norm(T.add(T.embedding_lookup(p["embeddings.token"], tokens[t0:t1]),
+                               T.embedding_lookup(p["embeddings.position"], positions[t0:t1])),
+                         p["embeddings.ln.gain"], p["embeddings.ln.bias"])
+        rows = (segments[0][lo:hi] - t0, segments[1][lo:hi])
+        for i in range(below):
+            h = _block(h, model, i, rows, cls_only=False)
+            if return_hidden:
+                hiddens.append(h)
+        if packed is not None:
+            packed[t0:t1] = h.data
+    if packed is not None:
+        h = Tensor._wrap(packed)
+
     if last_t < 0:  # no block mixes rows
         h = T.take_rows(h, segments[0])
-    hiddens = []
-    for i, kind in enumerate(cfg.block_plan):
-        prefix = f"blocks.{i}"
-        if kind == TRANSFORMER:
-            h = _transformer_block(h, p, prefix, cfg.heads, segments, cls_only=i == last_t)
-        else:
-            h = _adapter_block(h, p, prefix)
+    for i in range(below, len(cfg.block_plan)):
+        h = _block(h, model, i, segments, cls_only=i == last_t)
         if return_hidden:
-            hiddens.append(h if i < last_t else T.reshape(h, (B, 1, cfg.hidden)))
+            hiddens.append(T.reshape(h, (B, 1, cfg.hidden)))
 
     if cfg.context_dim:  # h holds the [CLS] rows
         if ctx is None:

@@ -70,6 +70,12 @@ def load_vocab(path) -> Vocabulary:
 
 
 def save_vocab(tokens: list[str], path) -> None:
+    """Write one token per line, for ``load_vocab``. VocabularyError, before
+    anything is written, for a token that is empty or holds a line break,
+    which would load as another count of lines and shift every later id."""
+    for i, tok in enumerate(tokens):
+        if not tok or "\n" in tok or "\r" in tok:
+            raise VocabularyError(f"token {tok!r} on line {i + 1} is empty or holds a line break")
     with replacing(path) as f:
         for tok in tokens:
             f.write(tok + "\n")

@@ -471,3 +471,22 @@ def test_skewed_batch_peak_stays_below_the_padded_grid():
     packed, _ = _traced_peak(lambda: forward_probs(m, ids, mask, ctx))
     padded, _ = _traced_peak(lambda: unfused_forward_probs(m, ids, mask, ctx))
     assert packed <= 0.25 * padded, (packed, padded)
+
+
+def test_row_groups_halve_the_scoring_peak(monkeypatch):
+    """A no-tape forward of 64 rows of 2-128 tokens, run a group of rows at
+    a time below the [CLS] stage, peaks at most at half the peak of the
+    whole batch as one group."""
+    m = init_random(ModelConfig(**{**MEM_CFG, "max_positions": 128}), 0)
+    rng = np.random.default_rng(2)
+    lengths = rng.integers(2, 129, size=64)
+    mask = (np.arange(128)[None, :] < lengths[:, None]).astype(np.int64)
+    ids = rng.integers(1, 50, size=mask.shape) * mask
+    ctx = rng.random((64, 4)).astype(np.float32)
+    peaks = []
+    for budget in (10**9, 512):
+        monkeypatch.setattr("catbert.model.GROUP_TOKENS", budget)
+        forward_probs(m, ids, mask, ctx)  # warm caches and imports
+        peaks.append(_traced_peak(lambda: forward_probs(m, ids, mask, ctx))[0])
+    one_group, grouped = peaks
+    assert grouped <= 0.5 * one_group, (grouped, one_group)

@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 from catbert.cli import main
 from catbert.mail import (EmailRecord, body_text_of, build_content, load_dataset,
                           load_dataset_with_report, record_to_json)
-from catbert.model import ModelConfig, _pack, forward_probs, init_random
+from catbert.model import ModelConfig, _pack, _row_groups, forward_probs, init_random
 from catbert.synthetic import make_corpus, synthetic_vocab
-from catbert.pipeline import (encode_records, encode_texts, make_model_scorer, score_dataset,
-                              score_records)
+from catbert.pipeline import (EncodedDataset, encode_records, encode_texts, make_model_scorer,
+                              score_dataset, score_records)
 from catbert.tensor import Tape, backward, dense_grad
 from catbert.tokenizer import Vocabulary, encode
 from catbert.train import TrainConfig, balanced_batches, bce_loss, effective_weights, train
@@ -241,6 +241,98 @@ class TestTrimPadding:
         # one epoch of one batch: its loss is taken before the step
         history = train(tiny_model(), ds, cfg)
         assert abs(history.epochs[0]["train_loss"] - loss32) < 1e-6
+
+
+def ragged_dataset(lengths, seed=0):
+    """Rows of the given token counts, [CLS] first, padded to 128."""
+    rng = np.random.default_rng(seed)
+    lengths = np.asarray(lengths)
+    mask = (np.arange(128)[None, :] < lengths[:, None]).astype(np.int64)
+    ids = rng.integers(4, 50, size=mask.shape) * mask
+    ids[:, 0] = 2
+    n = len(lengths)
+    return EncodedDataset(ids=ids, mask=mask, ctx=rng.random((n, 4)).astype(np.float32),
+                          labels=np.arange(n) % 2, weights=np.ones(n, np.float32),
+                          groups=[None] * n)
+
+
+def ragged_model(seed=3):
+    cfg = ModelConfig(vocab_size=50, hidden=32, ffn_dim=128, heads=4, max_positions=128,
+                      block_plan=("T", "A", "T", "A"))
+    m = init_random(cfg, seed)
+    for name, p in m.params.items():  # biases that move every row
+        if name.endswith((".b", ".b1", ".b2", ".bias")):
+            p.data[...] = np.random.default_rng(len(name)).normal(0.0, 0.5, p.data.shape)
+    return m
+
+
+ONE_GROUP = 10**9  # a budget no batch reaches: the whole batch is one group
+
+
+class TestRowGroups:
+    """Without a tape the embeddings and the blocks below the last
+    transformer run on consecutive groups of rows, ``GROUP_TOKENS`` tokens
+    at most; the scores are those of one group, bit for bit."""
+
+    @pytest.mark.parametrize("budget, lengths, want", [
+        (10, [4, 4, 4, 4], [(0, 2), (2, 4)]),
+        (10, [3, 12, 3], [(0, 1), (1, 2), (2, 3)]),
+        (10, [10, 1], [(0, 2)]),
+        (10, [1, 12, 5], [(0, 2), (2, 3)]),
+        (10, [6, 4, 6, 1], [(0, 2), (2, 4)]),
+        (10, [1], [(0, 1)]),
+        (10, [1, 1, 1], [(0, 3)]),
+        (10, [], [(0, 0)]),
+    ], ids=["even", "long-row-alone", "lone-cls-joins-before", "lone-cls-joins-after",
+            "lone-cls-last", "one-token-batch", "cls-only-rows", "empty"])
+    def test_groups_tile_the_rows(self, monkeypatch, budget, lengths, want):
+        """A lone one-token row would make a group whose GEMMs run on one
+        row, as GEMVs that round otherwise; it joins a neighbour instead."""
+        monkeypatch.setattr("catbert.model.GROUP_TOKENS", budget)
+        assert _row_groups(np.array(lengths, dtype=np.int64)) == want
+
+    @pytest.mark.parametrize("batch_size", [1, 7, 64])
+    def test_scores_equal_the_one_group_forward(self, monkeypatch, batch_size):
+        lengths = np.random.default_rng(1).integers(2, 129, size=64)
+        lengths[:3] = (128, 2, 2)
+        ds, m = ragged_dataset(lengths), ragged_model()
+        runs = []
+        for budget in (ONE_GROUP, 100):
+            monkeypatch.setattr("catbert.model.GROUP_TOKENS", budget)
+            runs.append(score_dataset(m, ds, batch_size=batch_size))
+        assert len(_row_groups(lengths[:7])) > 1  # the budget splits batches mid-way
+        assert runs[0].tobytes() == runs[1].tobytes()
+
+    def test_a_lone_cls_row_scores_in_a_group_of_two_or_more_tokens(self, monkeypatch):
+        """A 100-token group fills the budget and a one-token row follows:
+        it joins that group rather than running its GEMMs on one row."""
+        ds, m = ragged_dataset([50, 50, 1]), ragged_model()
+        monkeypatch.setattr("catbert.model.GROUP_TOKENS", 100)
+        assert _row_groups(ds.mask.sum(axis=1)) == [(0, 3)]
+        grouped = score_dataset(m, ds, batch_size=3)
+        monkeypatch.setattr("catbert.model.GROUP_TOKENS", ONE_GROUP)
+        assert grouped.tobytes() == score_dataset(m, ds, batch_size=3).tobytes()
+
+    def test_training_is_unchanged(self, monkeypatch):
+        """A taped forward is one group, so a step's gradients, and train()'s
+        history and trained tensors with a grouped validation pass, are the
+        bytes of one group."""
+        lengths = np.random.default_rng(2).integers(2, 60, size=16)
+        ds, cfg = ragged_dataset(lengths), TrainConfig(epochs=2, batch_size=8, learning_rate=1e-3)
+        runs = []
+        for budget in (ONE_GROUP, 40):
+            monkeypatch.setattr("catbert.model.GROUP_TOKENS", budget)
+            m = ragged_model()
+            with Tape() as tape:
+                loss = bce_loss(forward_probs(m, ds.ids, ds.mask, ds.ctx), ds.labels,
+                                np.ones(len(ds)))
+            backward(tape, loss)
+            grads = [dense_grad(p.grad).tobytes() for p in m.parameters()]
+            trained = ragged_model()
+            history = train(trained, ds, cfg, val_set=ds)
+            runs.append((len(tape), grads, history.epochs, history.best_epoch,
+                         [p.data.tobytes() for p in trained.parameters()]))
+        assert runs[0] == runs[1]
 
 
 JSON_VALUES = st.recursive(

@@ -68,9 +68,27 @@ class TestLoadVocab:
 
     def test_saved_empty_token_does_not_reload_one_short(self, tmp_path):
         p = tmp_path / "vocab.txt"
-        save_vocab(TOY + [""], p)
-        with pytest.raises(VocabularyError, match="empty token on line 8"):
-            load_vocab(p)
+        with pytest.raises(VocabularyError, match="token '' on line 8 is empty"):
+            save_vocab(TOY + [""], p)
+        assert not p.exists()
+
+    @pytest.mark.parametrize("token", ["a\nb", "a\rb", "a\r\nb", "\n"])
+    def test_a_token_with_a_line_break_is_refused_before_writing(self, tmp_path, token):
+        """Saved as given, the token would reload as two lines (or an empty
+        one) and shift every later id. The old file is left as it was."""
+        p = tmp_path / "vocab.txt"
+        save_vocab(TOY, p)
+        tokens = TOY[:5] + [token] + TOY[5:]
+        with pytest.raises(VocabularyError, match=f"token {re.escape(repr(token))} on line 6"):
+            save_vocab(tokens, p)
+        assert load_vocab(p).tokens == TOY
+        assert sorted(q.name for q in tmp_path.iterdir()) == ["vocab.txt"]
+
+    def test_round_trip_keeps_every_id(self, tmp_path):
+        p = tmp_path / "vocab.txt"
+        tokens = TOY + ["a b", "##\u00e9t\u00e9", "\u2028", "\t"]
+        save_vocab(tokens, p)
+        assert load_vocab(p).tokens == tokens
 
 
 class TestWordpiece:
