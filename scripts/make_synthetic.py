@@ -14,6 +14,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from catbert.atomic import replacing
 from catbert.mail import save_dataset
 from catbert.synthetic import SYNONYM_TABLE, make_corpus, synthetic_vocab
 from catbert.tokenizer import save_vocab
@@ -34,7 +35,7 @@ def main() -> int:
                           seed=args.seed, context_dependent=args.context_dependent)
     save_dataset(records, os.path.join(args.out_dir, "corpus.jsonl"))
     save_vocab(synthetic_vocab(), os.path.join(args.out_dir, "vocab.txt"))
-    with open(os.path.join(args.out_dir, "synonyms.json"), "w", encoding="utf-8") as f:
+    with replacing(os.path.join(args.out_dir, "synonyms.json")) as f:
         json.dump(SYNONYM_TABLE, f, indent=2, sort_keys=True)
 
     n_mal = sum(r.label for r in records)

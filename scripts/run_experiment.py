@@ -17,6 +17,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from catbert.atomic import replacing
 from catbert.attacks import AttackSpec, accuracy_under_attack
 from catbert.baseline import make_lr_scorer, predict_tfidf_lr, train_tfidf_lr
 from catbert.explain import explain_record
@@ -101,7 +102,7 @@ def main() -> int:
               [w for w, _ in attr.top_positive[:5]])
 
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
+        with replacing(args.out) as f:
             json.dump(report, f, indent=2, sort_keys=True)
         print(f"report written to {args.out}")
     return 0

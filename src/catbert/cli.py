@@ -397,7 +397,7 @@ def _cmd_attack(args) -> dict:
 
 def _cmd_explain(args) -> dict:
     vocab, model, records, max_len = _load_model_inputs(args)
-    if not 0 <= args.index < len(records):
+    if args.index >= len(records):
         raise UsageError(f"--index {args.index} out of range for {len(records)} records")
     attribution = explain_record(model, vocab, records[args.index],
                                  n_samples=args.n_samples, seed=args.seed,
@@ -516,7 +516,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("explain", help="per-word attribution for one record")
     _model_io_args(p)
-    p.add_argument("--index", type=int, default=0, help="record index to explain")
+    p.add_argument("--index", type=_number_arg(int, lo=0), default=0,
+                   help="record index to explain")
     p.add_argument("--n-samples", type=_number_arg(int, lo=MIN_SAMPLES), default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="attribution JSON (stdout if omitted)")

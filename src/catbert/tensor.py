@@ -6,11 +6,11 @@ float32; float64 appears only inside the finite-difference oracle used by
 input leads to a trainable parameter, and ``backward`` replays the tape in
 reverse to populate ``Parameter.grad``.
 
-A forward op allocates only its output and what its gradient keeps. The
-fused ops (``matmul`` with a bias and an activation, ``softmax_rows`` with a
-scale, ``layer_norm``, ``attention``) write each step over the buffer the
-previous step allocated when the tape does not record them, and keep the
-arrays their gradient reads when it does. Their float operations, and the
+Each op has one forward body, recorded or not. The fused ops (``matmul``
+with a bias and an activation, ``softmax_rows`` with a scale,
+``layer_norm``, ``attention``) write each step over the buffer the previous
+step allocated, and a gradient recomputes what it reads beyond the op's
+inputs, output and per-row statistics. Their float operations, and the
 order of them, are those of the unfused op sequence, so results and
 gradients are bit-identical to it (``attention``'s on rows with no padding).
 """
@@ -144,8 +144,9 @@ class Tape:
     backward walk simply visits entries in reverse. Used as a context
     manager; the active tape is thread-local.
 
-    ``backward`` consumes the tape: it drops each entry, with the
-    activations its closure holds, once that entry is differentiated, so a
+    An entry holds its op's inputs and output, and its closure at most
+    per-row statistics and a GELU's pre-activation. ``backward`` consumes
+    the tape: it drops each entry once that entry is differentiated, so a
     tape can be walked only once. ``len`` still counts the recorded entries.
     """
 
@@ -272,9 +273,7 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None, act: str | None = N
     applied there, with the float operations of ``add`` and of ``relu`` or
     ``gelu`` after an unfused product. Both run in place, a cache-sized
     block of rows at a time (``_epilogue``, which ``relu`` and ``gelu``
-    share); when the tape records the op it also keeps what the
-    activation's gradient reads, and otherwise the op allocates only its
-    output.
+    share).
     """
     av, bv = _as_operands(a, b)
     if av.ndim < 2 or bv.ndim < 2:
@@ -291,11 +290,11 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None, act: str | None = N
     needs = _needs(*inputs)
     if bv.ndim == 2:
         a2 = av.reshape(-1, av.shape[-1])
-        out = (a2 @ bv).reshape(av.shape[:-1] + bv.shape[-1:])
-        out, kept = _epilogue(out, bias, act, any(needs))
+        pre = (a2 @ bv).reshape(av.shape[:-1] + bv.shape[-1:])
+        out = _epilogue(pre, bias, act, any(needs))
 
         def grad_fn(g):
-            g = _ACT_GRAD[act](g, kept)
+            g = _ACT_GRAD[act](g, pre, out)
             g2 = g.reshape(-1, g.shape[-1])
             ga = (g2 @ bv.T).reshape(av.shape) if needs[0] else None
             gb = a2.T @ g2 if needs[1] else None
@@ -319,21 +318,19 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None, act: str | None = N
 
 
 def _epilogue(out: np.ndarray, bias: Tensor | None, act: str | None,
-              recorded: bool) -> tuple[np.ndarray, object]:
+              recorded: bool) -> np.ndarray:
     """Add ``bias`` into the fresh array ``out`` and apply ``act`` in place,
-    a cache-sized block of rows at a time. Returns the result and, when
-    ``recorded``, what the gradient reads: relu's mask, ``out > 0`` on the
-    result, or gelu's pre-activation ``out`` and tanh term, for which a
-    recorded gelu writes the tanh term and the result into arrays of their
-    own. Unrecorded, gelu's tanh term is one block of scratch."""
+    a cache-sized block of rows at a time, with one block of scratch for
+    gelu's tanh term. Returns the result, which is ``out`` itself except
+    for a ``recorded`` gelu: its gradient reads the pre-activation ``out``,
+    so the result goes to an array of its own."""
     if bias is None and act is None:
-        return out, None
+        return out
     o2 = out.reshape(-1, out.shape[-1] if out.size > 1 else 1)  # 0-d and empty too
     per = max(1, CACHE_BLOCK // o2.shape[1])
-    t = res = None
+    res = np.empty_like(o2) if recorded and act == "gelu" else o2
     if act == "gelu":
-        t = np.empty(o2.shape if recorded else (min(per, o2.shape[0]), o2.shape[1]), o2.dtype)
-        res = np.empty_like(o2) if recorded else None
+        t = np.empty((min(per, o2.shape[0]), o2.shape[1]), o2.dtype)
     for lo in range(0, o2.shape[0], per):
         blk = o2[lo:lo + per]
         if bias is not None:
@@ -342,27 +339,24 @@ def _epilogue(out: np.ndarray, bias: Tensor | None, act: str | None,
             np.fmax(blk, 0, out=blk)  # as np.where(blk > 0, blk, 0): fmax drops NaN,
             blk += 0.0  # and -0.0 + 0.0 is +0.0
         elif act == "gelu":
-            at = slice(lo, lo + per) if recorded else slice(0, blk.shape[0])
-            _gelu(blk, t[at], None if res is None else res[at])
-    if res is not None:
-        return res.reshape(out.shape), (out, t.reshape(out.shape))
-    return out, (out > 0 if recorded and act == "relu" else None)
+            _gelu(blk, t[:blk.shape[0]], None if res is o2 else res[lo:lo + per])
+    return res.reshape(out.shape)
 
 
 _ACT_GRAD = {
-    None: lambda g, kept: g,
-    "relu": lambda g, mask: g * mask,
-    "gelu": lambda g, kept: _gelu_grad(*kept, g),
+    None: lambda g, pre, out: g,
+    "relu": lambda g, pre, out: g * (out > 0),
+    "gelu": lambda g, pre, out: _gelu_grad(pre, g),
 }
 
 
 def _activation(x: Tensor, act: str) -> Tensor:
     """``act`` as an op: ``matmul``'s epilogue, with no bias, on a copy of ``x``."""
     needs = _needs(x)
-    out, kept = _epilogue(x.data.copy(), None, act, needs[0])
+    out = _epilogue(x.data.copy(), None, act, needs[0])
 
     def grad_fn(g):
-        return (_ACT_GRAD[act](g, kept),)
+        return (_ACT_GRAD[act](g, x.data, out),)
 
     return _emit(out, (x,), grad_fn, needs)
 
@@ -397,14 +391,16 @@ def _gelu(v: np.ndarray, t: np.ndarray, out: np.ndarray | None = None) -> None:
         out *= 0.5
 
 
-def _gelu_grad(v: np.ndarray, t: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """GELU's input gradient from its input ``v`` and tanh term ``t``:
-    g (0.5 (1 + t) + 0.5 v (1 - t^2) c (1 + 3 a v^2))."""
+def _gelu_grad(v: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """GELU's input gradient from its input ``v``, with ``_gelu``
+    recomputing the tanh term ``t``: g (0.5 (1 + t) + 0.5 v (1 - t^2) c (1 + 3 a v^2))."""
+    t, d = np.empty_like(v), np.empty_like(v)
+    _gelu(v, t, d)  # d: scratch
     d_inner = v * (3.0 * _GELU_A)
     d_inner *= v
     d_inner += 1.0
     d_inner *= _GELU_C
-    d = t * t
+    np.multiply(t, t, out=d)
     np.subtract(1.0, d, out=d)
     d *= v
     d *= 0.5
@@ -510,11 +506,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, q_rows, kv_rows, heads: int,
     heads·w') split each row into ``heads`` heads. ``q_rows`` and
     ``kv_rows`` are (starts, lengths) arrays, one entry per segment, whose
     segments do not overlap: segment i's queries attend over its keys alone.
-    Scores are scaled by ``scale``, rounded to the dtype. The layer is one
-    tape entry that keeps each segment's softmax weights; unrecorded, one
-    segment's scores exist at a time. Each segment runs the per-matrix
-    products and float operations of attention over a padded grid, so on
-    full rows it is bit-identical to that."""
+    Scores are scaled by ``scale``, rounded to the dtype. One segment's
+    softmax weights exist at a time; the layer is one tape entry, whose
+    gradient recomputes them. Each segment runs the per-matrix products and
+    float operations of attention over a padded grid, so on full rows it is
+    bit-identical to that."""
     needs = _needs(q, k, v)
     qv, kv, vv = q.data, k.data, v.data
     scale = np.asarray(scale, dtype=qv.dtype)
@@ -523,20 +519,21 @@ def attention(q: Tensor, k: Tensor, v: Tensor, q_rows, kv_rows, heads: int,
     def split(a, lo: int, n: int, axes=(1, 0, 2)):  # rows lo:lo+n as (heads, n, w); (1, 2, 0): ᵀ
         return a[lo:lo + n].reshape(n, heads, a.shape[1] // heads).transpose(axes)
 
-    out = np.empty((qv.shape[0], vv.shape[1]), qv.dtype)
-    kept = []
-    for qs, ql, ks, kl in segments:
+    def weights(qs: int, ql: int, ks: int, kl: int) -> np.ndarray:  # (heads, ql, kl)
         s = np.matmul(split(qv, qs, ql), split(kv, ks, kl, (1, 2, 0)))
         s *= scale
         _softmax(s)
-        split(out, qs, ql)[...] = np.matmul(s, split(vv, ks, kl))
-        if any(needs):
-            kept.append(s)
+        return s
+
+    out = np.empty((qv.shape[0], vv.shape[1]), qv.dtype)
+    for qs, ql, ks, kl in segments:
+        split(out, qs, ql)[...] = np.matmul(weights(qs, ql, ks, kl), split(vv, ks, kl))
 
     def grad_fn(g):
         gq, gk, gv = (np.zeros_like(t.data) if need else None
                       for t, need in zip((q, k, v), needs))
-        for (qs, ql, ks, kl), w in zip(segments, kept):
+        for qs, ql, ks, kl in segments:
+            w = weights(qs, ql, ks, kl)
             go = split(g, qs, ql)
             if gv is not None:
                 split(gv, ks, kl)[...] = np.matmul(w.transpose(0, 2, 1), go)
@@ -557,9 +554,9 @@ LN_EPS = 1e-12
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Zero-mean/unit-variance normalization over the last axis, then affine.
 
-    The centred input is normalised in place into x̂. When the tape records
-    the op, x̂ is kept for the gradient and the output takes the buffer the
-    variance's squares used; otherwise the affine step writes over x̂."""
+    The centred input is normalised in place into x̂, and the affine step
+    writes over x̂. The gradient recomputes x̂ from the input with the kept
+    per-row mean and 1/std, in the forward's order of operations."""
     v = x.data
     d = v.shape[-1]
     gv, bv = gain.data, bias.data
@@ -569,17 +566,17 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         )
     mu = v.mean(axis=-1, keepdims=True)
     xhat = v - mu  # centred here, normalised in place below
-    sq = xhat * xhat
-    var = sq.mean(axis=-1, keepdims=True)
+    var = (xhat * xhat).mean(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + LN_EPS)
     xhat *= inv_std
     needs = _needs(x, gain, bias)
-    out = sq if any(needs) else xhat
-    np.multiply(xhat, gv, out=out)
+    out = np.multiply(xhat, gv, out=xhat)
     out += bv
 
     def grad_fn(g):
         gx = gg = gb = None
+        xhat = v - mu
+        xhat *= inv_std
         if needs[0]:
             gxh = g * gv
             m1 = gxh.mean(axis=-1, keepdims=True)

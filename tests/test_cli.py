@@ -91,6 +91,7 @@ class TestExitCodes:
         (["eval", "--batch-size", "0"], "argument --batch-size: wants one int in [1, inf]"),
         (["predict", "--batch-size", "-1"], "argument --batch-size: wants one int in [1, inf]"),
         (["explain", "--n-samples", "10"], "argument --n-samples: wants one int in [50, inf]"),
+        (["explain", "--index", "-1"], "argument --index: wants one int in [0, inf], got '-1'"),
         (["attack", "--kind", "typo", "--rate", "2"], "rate must be in [0,1], got 2.0"),
         (["attack", "--kind", "typo", "--rate", "0.5", "--threshold", "1.5"],
          "threshold must be in (0,1), got 1.5"),
@@ -108,7 +109,8 @@ class TestExitCodes:
     ], ids=["fractions-not-numbers", "fractions-two-values", "fractions-out-of-range",
             "fprs-not-a-number", "fprs-above-one", "keep-not-an-integer", "keep-negative",
             "eval-batch-size-negative", "eval-batch-size-zero", "predict-batch-size-negative",
-            "explain-n-samples-below-50", "attack-rate-above-one", "attack-threshold-above-one",
+            "explain-n-samples-below-50", "explain-index-negative", "attack-rate-above-one",
+            "attack-threshold-above-one",
             "attack-synonym-without-table", "bench-batch-zero", "bench-repetitions-zero",
             "bench-hidden-zero", "bench-ffn-dim-negative", "bench-heads-zero",
             "bench-vocab-size-zero", "bench-heads-not-dividing-hidden", "bench-no-blocks"])
