@@ -2,7 +2,9 @@
 
 Logs go to stderr (set the level with the CATBERT_LOG environment variable);
 data goes to files or stdout. A run that writes files also writes a manifest
-of the resolved config, the seed, input/output checksums and timing: in
+of the resolved config, the seed, input/output checksums, the environment
+(Python, numpy, BLAS and its run-time kernel, thread-count variables, CPU
+count) and timing: in
 ``--out-dir`` as ``run_manifest.json`` when the subcommand takes one, else
 beside the first file written as ``<file>.manifest.json``. A run that writes
 only to stdout writes none. Every file, checkpoints and datasets included,
@@ -17,13 +19,18 @@ Exit codes: 0 success, 1 usage error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import glob
 import hashlib
 import json
 import logging
 import os
+import platform
 import sys
 import time
 from dataclasses import asdict
+
+import numpy as np
 
 from . import __version__
 from .atomic import replacing
@@ -94,11 +101,36 @@ def _write_text(text: str, path: str | None) -> None:
         f.write(text)
 
 
+def _environment() -> dict:
+    """What scores may depend on besides inputs and seed (not the BLAS thread
+    count): the Python, numpy and BLAS builds, and the kernel OpenBLAS picks
+    at run time (None unless numpy bundles scipy-openblas), which may differ
+    from the build target its configuration names. Fixed on one machine."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 only prints its configuration
+        blas = {}
+    core, libs = None, os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*"))):
+        lib = ctypes.CDLL(path)
+        corename = getattr(lib, "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            core = corename().decode()
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas": {"name": blas.get("name"), "version": blas.get("version"),
+                     "run_time_core": core},
+            "threads": {var: os.environ.get(var) for var in
+                        ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+            "cpu_count": os.cpu_count()}
+
+
 def _write_manifest(args, started: float, config: dict, seed, inputs: dict,
                     outputs: dict) -> None:
     """Write the run manifest in ``--out-dir`` if the subcommand has one, else
     beside the first file written (``outputs`` is in the order written); a run
-    that wrote only to stdout gets none. Only ``timing`` is not reproducible."""
+    that wrote only to stdout gets none. Only ``timing`` is not reproducible;
+    ``environment`` is fixed on one machine."""
     if getattr(args, "out_dir", None):
         path = os.path.join(args.out_dir, MANIFEST_NAME)
     else:
@@ -114,6 +146,7 @@ def _write_manifest(args, started: float, config: dict, seed, inputs: dict,
         "config": config,
         "inputs": {k: _file_entry(v) for k, v in inputs.items() if v},
         "outputs": {k: _file_entry(v) for k, v in outputs.items() if v},
+        "environment": _environment(),
         "timing": {"started_unix": started, "duration_s": time.time() - started},
     }
     _write_text(_json_text(manifest), path)

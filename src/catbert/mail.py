@@ -67,8 +67,8 @@ def extract_context(record: EmailRecord) -> ContextFeatures:
     rcpt_domains = [_domain(a) for a in record.to_addrs]
     parseable = sender is not None and rcpt_domains and all(d is not None for d in rcpt_domains)
     if not parseable:
-        log.warning("unparseable addresses (from=%r, to=%r); assuming external",
-                    record.from_addr, record.to_addrs)
+        log.warning("unparseable addresses (from=%s, to=%s); assuming external",
+                    _shown(record.from_addr), _shown(record.to_addrs))
         return ContextFeatures(internal=0, external=1, n_recipients=n_to, n_cc=n_cc)
     internal = int(all(d == sender for d in rcpt_domains))
     return ContextFeatures(internal=internal, external=1 - internal,

@@ -4,8 +4,8 @@ blocks, and a context-fusing sigmoid classifier.
 The compressed model keeps a subset of a donor's transformer blocks and fills
 the removed positions with full-width residual adapters (dense d→d, ReLU,
 dense d→d, plus the skip connection). The classifier reads the last block's
-[CLS] hidden state, concatenates the ``CONTEXT_DIM`` header-context features
-(none when ``context_dim`` is 0), and applies dense (width d) → ReLU →
+[CLS] hidden state and the ``CONTEXT_DIM`` header-context features (none
+when ``context_dim`` is 0), and applies dense (width d, over both) → ReLU →
 dense → sigmoid. The forward is padding-free: every op runs on the packed
 (N, d) array of the batch's real tokens, each row attends over its own
 tokens (``tensor.attention``), and from the last transformer on only the
@@ -256,34 +256,32 @@ def _cls_attention(xq: Tensor, x: Tensor, p: dict, prefix: str, heads: int,
                    segments: tuple) -> Tensor:
     """Attention of the B [CLS] rows ``xq`` (B, d) over the packed rows
     ``x`` (N, d), with no key or value projection of ``x``. Per head, with
-    row-vector weights ``k_j = x_j W_k + b_k = [x_j, 1] [W_k; b_k]`` and
-    ``v_j = x_j W_v + b_v``:
+    row-vector weights ``k_j = x_j W_k + b_k`` and ``v_j = x_j W_v + b_v``:
 
-        q·k_j = [x_j, 1]·([W_k; b_k] q)
+        q·k_j = x_j·(W_k q) + q·b_k
         Σ_j w_j v_j = (Σ_j w_j x_j) W_v + b_v      (the weights sum to 1)
 
-    so the scores need the folded query ``u = [W_k; b_k] q`` (B·d² work),
-    scored against the rows with a ones column appended, and the output one
-    weighted sum of ``x`` per head, against 2·N·d² for projecting every key
-    and value. The key bias rides as the last column of each head's folded
-    key weights: its score term ``q·b_k`` leaves the softmax unchanged, but
-    ``attn.k.b`` gets its (zero up to rounding) gradient from the same GEMM
-    as ``W_k``, as in the full layer. The scores and weighted sums are one
-    single-head ``attention`` whose queries are each row's h folded queries."""
+    ``q·b_k`` is the same for every key of a row, so the softmax drops it,
+    and the scores need only the folded query ``u = W_k q`` (B·d² work),
+    scored against the rows themselves; the output is one weighted sum of
+    ``x`` per head, against 2·N·d² for projecting every key and value. The
+    scores and weighted sums are one single-head ``attention`` whose queries
+    are each row's h folded queries. ``attn.k.b`` gets its true gradient,
+    exactly zero, through a zero term of the value bias."""
     B, d = xq.data.shape
     dh = d // heads
     q = T.matmul(xq, p[f"{prefix}.attn.q.w"], bias=p[f"{prefix}.attn.q.b"])
     q = T.transpose(T.reshape(q, (B, heads, dh)), (1, 0, 2))  # (h, B, dh)
-    wk = T.concat([p[f"{prefix}.attn.k.w"], T.reshape(p[f"{prefix}.attn.k.b"], (1, d))], axis=0)
-    wk = T.transpose(T.reshape(wk, (d + 1, heads, dh)), (1, 2, 0))  # (h, dh, d+1)
+    wk = T.transpose(T.reshape(p[f"{prefix}.attn.k.w"], (d, heads, dh)), (1, 2, 0))  # (h, dh, d)
     # row i's h folded queries are rows i·h on of u
-    u = T.reshape(T.transpose(T.matmul(q, wk), (1, 0, 2)), (B * heads, d + 1))
-    x1 = T.concat([x, np.ones((x.data.shape[0], 1), x.data.dtype)], axis=1)  # [x, 1]
-    z = T.attention(u, x1, x, (np.arange(B) * heads, np.full(B, heads)), segments, 1,
+    u = T.reshape(T.transpose(T.matmul(q, wk), (1, 0, 2)), (B * heads, d))
+    z = T.attention(u, x, x, (np.arange(B) * heads, np.full(B, heads)), segments, 1,
                     1.0 / math.sqrt(dh))
     wv = T.transpose(T.reshape(p[f"{prefix}.attn.v.w"], (d, heads, dh)), (1, 0, 2))  # (h, d, dh)
     mixed = T.matmul(T.transpose(T.reshape(z, (B, heads, d)), (1, 0, 2)), wv)  # (h, B, dh)
-    mixed = T.add(T.reshape(T.transpose(mixed, (1, 0, 2)), (B, d)), p[f"{prefix}.attn.v.b"])
+    # b_v + 0·b_k adds a signed zero: the forward is unchanged, and Adam leaves b_k as it is
+    vb = T.add(p[f"{prefix}.attn.v.b"], T.mul(p[f"{prefix}.attn.k.b"], 0.0))
+    mixed = T.add(T.reshape(T.transpose(mixed, (1, 0, 2)), (B, d)), vb)
     return T.matmul(mixed, p[f"{prefix}.attn.o.w"], bias=p[f"{prefix}.attn.o.b"])
 
 
@@ -364,7 +362,11 @@ def forward_probs(model: CatBertModel, ids: np.ndarray, mask: np.ndarray,
 
     Each dense layer is one ``matmul`` that adds its bias and applies its
     ReLU or GELU, with the float operations of the unfused ops, so
-    probabilities and gradients are bit-identical to theirs. Ops record
+    probabilities and gradients are bit-identical to theirs. The fusion
+    layer is ``h @ W[:d]``, then each context feature times its row of
+    ``W`` added in order, then the bias and the ReLU: no product contracts
+    over d + context_dim (or d + 1), widths whose GEMMs round differently
+    with the BLAS thread count. Ops record
     onto the active tape, so this same path serves training. Without a tape
     each op writes over the buffer it allocated, a sublayer's output is
     freed once read, and attention holds one row's scores at a time. The
@@ -423,14 +425,18 @@ def forward_probs(model: CatBertModel, ids: np.ndarray, mask: np.ndarray,
         if return_hidden:
             hiddens.append(T.reshape(h, (B, 1, cfg.hidden)))
 
-    if cfg.context_dim:  # h holds the [CLS] rows
+    w = p["classifier.fusion.w"]  # h holds the [CLS] rows
+    fused = T.matmul(h, T.take_rows(w, slice(0, cfg.hidden)))
+    if cfg.context_dim:
         if ctx is None:
             raise ValueError("model takes context features but ctx is None")
         ctx = np.asarray(ctx, dtype=h.data.dtype)
         if ctx.shape != (B, cfg.context_dim):
             raise ValueError(f"ctx shape {ctx.shape} != {(B, cfg.context_dim)}")
-        h = T.concat([h, Tensor._wrap(ctx)], axis=1)
-    fused = T.matmul(h, p["classifier.fusion.w"], bias=p["classifier.fusion.b"], act="relu")
+        w_ctx = T.take_rows(w, slice(cfg.hidden, None))
+        for j in range(cfg.context_dim):  # one multiply-add per feature, in order
+            fused = T.add(fused, T.mul(ctx[:, j:j + 1], T.take_rows(w_ctx, slice(j, j + 1))))
+    fused = T.relu(T.add(fused, p["classifier.fusion.b"]))
     logit = T.matmul(fused, p["classifier.out.w"], bias=p["classifier.out.b"])
     probs = T.sigmoid(T.reshape(logit, (B,)))
     if return_hidden:

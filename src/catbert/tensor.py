@@ -393,23 +393,32 @@ def _gelu(v: np.ndarray, t: np.ndarray, out: np.ndarray | None = None) -> None:
 
 def _gelu_grad(v: np.ndarray, g: np.ndarray) -> np.ndarray:
     """GELU's input gradient from its input ``v``, with ``_gelu``
-    recomputing the tanh term ``t``: g (0.5 (1 + t) + 0.5 v (1 - t^2) c (1 + 3 a v^2))."""
-    t, d = np.empty_like(v), np.empty_like(v)
-    _gelu(v, t, d)  # d: scratch
-    d_inner = v * (3.0 * _GELU_A)
-    d_inner *= v
-    d_inner += 1.0
-    d_inner *= _GELU_C
-    np.multiply(t, t, out=d)
-    np.subtract(1.0, d, out=d)
-    d *= v
-    d *= 0.5
-    d *= d_inner
-    np.add(t, 1.0, out=d_inner)
-    d_inner *= 0.5
-    d += d_inner
-    d *= g
-    return d
+    recomputing the tanh term ``t``: g (0.5 (1 + t) + 0.5 v (1 - t^2) c (1 + 3 a v^2)),
+    a cache-sized block of rows at a time with one block of scratch each for
+    ``t`` and the inner factor."""
+    v2 = v.reshape(-1, v.shape[-1] if v.size > 1 else 1)
+    g2 = g.reshape(v2.shape)
+    out = np.empty_like(v2)
+    per = max(1, CACHE_BLOCK // v2.shape[1])
+    t_buf, inner_buf = np.empty((2, min(per, v2.shape[0]), v2.shape[1]), v2.dtype)
+    for lo in range(0, v2.shape[0], per):
+        vb, d = v2[lo:lo + per], out[lo:lo + per]
+        t, d_inner = t_buf[:len(vb)], inner_buf[:len(vb)]
+        _gelu(vb, t, d)  # d: scratch
+        np.multiply(vb, 3.0 * _GELU_A, out=d_inner)
+        d_inner *= vb
+        d_inner += 1.0
+        d_inner *= _GELU_C
+        np.multiply(t, t, out=d)
+        np.subtract(1.0, d, out=d)
+        d *= vb
+        d *= 0.5
+        d *= d_inner
+        np.add(t, 1.0, out=d_inner)
+        d_inner *= 0.5
+        d += d_inner
+        d *= g2[lo:lo + per]
+    return out.reshape(v.shape)
 
 
 def gelu(x: Tensor) -> Tensor:
@@ -638,8 +647,8 @@ def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
 
 
 def take_rows(x: Tensor, rows: np.ndarray) -> Tensor:
-    """Rows ``rows`` of ``x``, an array of distinct indices into axis 0. The
-    gradient zero-pads back."""
+    """Rows ``rows`` of ``x``: an array of distinct indices into axis 0, or
+    a slice, which gives a view. The gradient zero-pads back."""
 
     def grad_fn(g):
         gx = np.zeros_like(x.data)
@@ -647,27 +656,6 @@ def take_rows(x: Tensor, rows: np.ndarray) -> Tensor:
         return (gx,)
 
     return _emit(x.data[rows], (x,), grad_fn)
-
-
-def concat(parts: Sequence[Tensor], axis: int = -1) -> Tensor:
-    arrays = [p.data if isinstance(p, Tensor) else np.asarray(p) for p in parts]
-    sizes = [a.shape[axis] for a in arrays]
-    out = np.concatenate(arrays, axis=axis)
-    offsets = np.cumsum([0] + sizes)
-    needs = _needs(*parts)
-
-    def grad_fn(g):
-        grads = []
-        for need, lo, hi in zip(needs, offsets[:-1], offsets[1:]):
-            if need:
-                index = [slice(None)] * g.ndim
-                index[axis] = slice(int(lo), int(hi))
-                grads.append(g[tuple(index)])
-            else:
-                grads.append(None)
-        return tuple(grads)
-
-    return _emit(out, tuple(parts), grad_fn, needs)
 
 
 def sum_all(x: Tensor) -> Tensor:

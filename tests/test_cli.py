@@ -9,6 +9,7 @@ import argparse
 import hashlib
 import json
 import os
+import platform
 import shutil
 
 import numpy as np
@@ -141,6 +142,18 @@ class TestIngestSplit:
         assert manifest["subcommand"] == "ingest"
         assert manifest["inputs"]["dataset"]["sha256"]
         assert manifest["outputs"]["dataset"]["bytes"] == out.stat().st_size
+
+    def test_manifest_records_the_environment(self, workdir, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        out = tmp_path / "clean.jsonl"
+        assert main(["ingest", "--in", str(workdir["corpus"]), "--out", str(out)]) == 0
+        env = json.loads((out.parent / f"{out.name}.manifest.json").read_text())["environment"]
+        assert env["numpy"] == np.__version__ and env["python"] == platform.python_version()
+        assert set(env["blas"]) == {"name", "version", "run_time_core"}
+        assert env["threads"]["OPENBLAS_NUM_THREADS"] == "1"
+        assert env["threads"]["MKL_NUM_THREADS"] is None
+        assert env["cpu_count"] == os.cpu_count()
 
     def test_ingest_skips_bad_lines(self, workdir, tmp_path, capsys):
         src = tmp_path / "dirty.jsonl"

@@ -166,18 +166,16 @@ def _cls_attention(xq, x, p, prefix, heads, grid):
     dh = d // heads
     q = _dense(xq, p[f"{prefix}.attn.q.w"], p[f"{prefix}.attn.q.b"])
     q = T.transpose(T.reshape(q, (B, heads, dh)), (1, 0, 2))
-    wk = T.concat([p[f"{prefix}.attn.k.w"], T.reshape(p[f"{prefix}.attn.k.b"], (1, d))], axis=0)
-    wk = T.transpose(T.reshape(wk, (d + 1, heads, dh)), (1, 2, 0))
+    wk = T.transpose(T.reshape(p[f"{prefix}.attn.k.w"], (d, heads, dh)), (1, 2, 0))
     u = T.matmul(q, wk)
-    x1 = T.concat([x, np.ones((x.data.shape[0], 1), x.data.dtype)], axis=1)
-    x1_grid = T.reshape(grid.pad(x1), (B, L, d + 1))
     x_grid = T.reshape(grid.pad(x), (B, L, d))
-    scores = T.matmul(T.transpose(u, (1, 0, 2)), T.transpose(x1_grid, (0, 2, 1)))
+    scores = T.matmul(T.transpose(u, (1, 0, 2)), T.transpose(x_grid, (0, 2, 1)))
     scores = T.add(T.mul(scores, 1.0 / math.sqrt(dh)), grid.add_mask[:, 0])
     z = T.matmul(ref_softmax_rows(scores), x_grid)
     wv = T.transpose(T.reshape(p[f"{prefix}.attn.v.w"], (d, heads, dh)), (1, 0, 2))
     mixed = T.matmul(T.transpose(z, (1, 0, 2)), wv)
-    mixed = T.add(T.reshape(T.transpose(mixed, (1, 0, 2)), (B, d)), p[f"{prefix}.attn.v.b"])
+    vb = T.add(p[f"{prefix}.attn.v.b"], T.mul(p[f"{prefix}.attn.k.b"], 0.0))
+    mixed = T.add(T.reshape(T.transpose(mixed, (1, 0, 2)), (B, d)), vb)
     return _dense(mixed, p[f"{prefix}.attn.o.w"], p[f"{prefix}.attn.o.b"])
 
 
@@ -208,8 +206,12 @@ def unfused_forward_probs(model, ids, mask, ctx):
         else:
             a = ref_relu(_dense(h, p[f"{pre}.dense1.w"], p[f"{pre}.dense1.b"]))
             h = T.add(h, _dense(a, p[f"{pre}.dense2.w"], p[f"{pre}.dense2.b"]))
-    cls = T.concat([h, Tensor._wrap(np.asarray(ctx, dtype=h.data.dtype))], axis=1)
-    fused = ref_relu(_dense(cls, p["classifier.fusion.w"], p["classifier.fusion.b"]))
+    w, d = p["classifier.fusion.w"], cfg.hidden
+    fused = T.matmul(h, T.take_rows(w, slice(0, d)))
+    ctx = np.asarray(ctx, dtype=h.data.dtype)
+    for j in range(cfg.context_dim):
+        fused = T.add(fused, T.mul(ctx[:, j:j + 1], T.take_rows(w, slice(d + j, d + j + 1))))
+    fused = ref_relu(T.add(fused, p["classifier.fusion.b"]))
     logit = _dense(fused, p["classifier.out.w"], p["classifier.out.b"])
     return T.sigmoid(T.reshape(logit, (grid.B,)))
 
@@ -401,6 +403,29 @@ def test_activations_bit_identical_with_and_without_a_tape(dtype, monkeypatch):
         assert len(tape) == 1
         assert plain.dtype == taped.dtype == dtype and plain.tobytes() == taped.tobytes()
     assert x.data.tobytes() == before.tobytes()
+
+
+def test_gelu_grad_runs_in_blocks_with_the_unfused_float_operations():
+    """Bit-identical to the out-of-place gradient over rows that end in a
+    partial block, holding one block of scratch beside its result."""
+    rng = np.random.default_rng(3)
+    v = rng.standard_normal((512, 3072)).astype(np.float32)
+    g = rng.standard_normal(v.shape).astype(np.float32)
+    assert v.shape[0] % (T.CACHE_BLOCK // v.shape[1])  # the last block is partial
+    x = Parameter("x", v)
+    with Tape() as tape:
+        loss = T.sum_all(T.mul(ref_gelu(x), Tensor(g)))
+    backward(tape, loss)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        got = T._gelu_grad(v, g)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == x.grad.data.tobytes()
+    assert peak < got.nbytes + 4 * T.CACHE_BLOCK * v.itemsize
 
 
 def test_matmul_rejects_bad_epilogue_arguments():

@@ -40,6 +40,15 @@ class TestExtractContext:
         assert feats == ContextFeatures(0, 1, 0, 0)
         assert caplog.records
 
+    def test_unparseable_warning_stays_short_for_a_huge_header(self, caplog):
+        rec = EmailRecord(from_addr="x" * 1_000_000,
+                          to_addrs=[f"user{i}" for i in range(1000)])
+        with caplog.at_level("WARNING"):
+            feats = extract_context(rec)
+        assert feats == ContextFeatures(0, 1, 1000, 0)
+        (line,) = [r.getMessage() for r in caplog.records]
+        assert len(line) < 300 and "xxx..." in line and "'user0'" in line
+
     def test_case_and_trailing_dot_ignored(self):
         rec = EmailRecord(from_addr="a@ACME.com.", to_addrs=["b@acme.COM"])
         assert extract_context(rec).internal == 1

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +29,7 @@ from catbert.model import (
     set_trainable,
     surgery_from_donor,
 )
-from catbert.tensor import Parameter, Tape, Tensor, backward, dense_grad, grad_check
+from catbert.tensor import Parameter, Tape, backward, dense_grad, grad_check
 from catbert.train import bce_loss
 
 TINY = dict(vocab_size=100, hidden=8, ffn_dim=16, heads=2, max_positions=16,
@@ -211,6 +215,13 @@ def _padded_transformer_block(x, p, prefix, heads, add_mask):
     return T.layer_norm(T.add(x, ffn), p[f"{prefix}.ffn.ln.gain"], p[f"{prefix}.ffn.ln.bias"])
 
 
+def _with_context(cls, ctx):
+    """[cls, ctx] as one (B, d + context_dim) tensor, so the fusion is one
+    dense layer over both; the gradient keeps the columns of ``cls``."""
+    d = cls.data.shape[1]
+    return T._emit(np.concatenate([cls.data, ctx], axis=1), (cls,), lambda g: (g[:, :d],))
+
+
 def full_width_forward(model, ids, mask, ctx):
     """The forward over the padded (B, L) grid with every row as a query in
     every transformer: the oracle for ``forward_probs``, which computes the
@@ -231,7 +242,7 @@ def full_width_forward(model, ids, mask, ctx):
             h = _adapter_block(h, p, f"blocks.{i}")
         hiddens.append(h)
     cls = T.take_rows(T.reshape(h, (B * L, cfg.hidden)), np.arange(B) * L)
-    cls = T.concat([cls, Tensor._wrap(np.asarray(ctx, dtype=h.data.dtype))], axis=1)
+    cls = _with_context(cls, np.asarray(ctx, dtype=h.data.dtype))
     fused = T.relu(T.matmul(cls, p["classifier.fusion.w"], bias=p["classifier.fusion.b"]))
     logit = T.matmul(fused, p["classifier.out.w"], bias=p["classifier.out.b"])
     return T.sigmoid(T.reshape(logit, (B,))), hiddens
@@ -685,3 +696,43 @@ class TestAstype:
         p64 = forward_probs(m64, ids, mask, ctx).data
         assert p64.dtype == np.float64
         assert np.allclose(p32, p64, atol=1e-5)
+
+
+# Scores one fixed paper-width batch (hidden 768, ffn 3072, 12 heads, the
+# default plan, biases drawn N(0, 0.5) so every bias term shows) at batch
+# sizes 40, 7 and 1, and prints one SHA-256 of the probabilities per size.
+_SCORE_FIXED_BATCH = """
+import hashlib
+import numpy as np
+from catbert.model import ModelConfig, forward_probs, init_random
+model = init_random(ModelConfig(vocab_size=1000), seed=1)
+rng = np.random.default_rng(1)
+for name, p in model.params.items():
+    if name.rsplit(".", 1)[1] in ("b", "b1", "b2", "bias"):
+        p.data[:] = rng.normal(0.0, 0.5, p.data.shape)
+data = np.random.default_rng(5)
+lengths = data.integers(8, 129, 40)
+mask = (np.arange(128)[None, :] < lengths[:, None]).astype(np.int64)
+ids = data.integers(1, 1000, mask.shape) * mask
+ctx = data.random((40, 4)).astype(np.float32)
+for batch in (40, 7, 1):
+    probs = np.concatenate([forward_probs(model, ids[i:i + batch], mask[i:i + batch],
+                                          ctx[i:i + batch]).data for i in range(0, 40, batch)])
+    print(batch, hashlib.sha256(probs.tobytes()).hexdigest())
+"""
+
+
+def test_scores_do_not_depend_on_the_blas_thread_count():
+    """The same batch scores to the same bytes with one BLAS thread and with
+    two, each in a fresh process (the thread count is read at start-up)."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run([sys.executable, "-c", _SCORE_FIXED_BATCH], env=env,
+                             capture_output=True, text=True, timeout=600)
+        assert run.returncode == 0, run.stderr
+        outs.append(run.stdout.split())
+    assert len(outs[0]) == 6
+    assert outs[0] == outs[1]

@@ -472,15 +472,18 @@ class TestShapeOps:
         expect[[0, 3]] = 1.0
         assert np.array_equal(p.grad.data, expect)
 
-    def test_concat_splits_grad(self):
-        a = Parameter("a", np.ones((2, 2), dtype=np.float32))
-        b = Parameter("b", np.ones((2, 3), dtype=np.float32))
+
+    def test_take_rows_slice_is_a_view_with_a_zero_padded_grad(self):
+        p = Parameter("p", np.arange(10, dtype=np.float32).reshape(5, 2))
         with Tape() as tape:
-            out = T.concat([a, b], axis=1)
-            loss = T.sum_all(T.mul(out, T.Tensor(np.arange(10, dtype=np.float32).reshape(2, 5))))
+            out = T.take_rows(p, slice(1, 3))
+            loss = T.sum_all(out)
         backward(tape, loss)
-        assert np.array_equal(a.grad.data, np.array([[0, 1], [5, 6]], dtype=np.float32))
-        assert np.array_equal(b.grad.data, np.array([[2, 3, 4], [7, 8, 9]], dtype=np.float32))
+        assert np.shares_memory(out.data, p.data)
+        assert np.array_equal(out.data, [[2, 3], [4, 5]])
+        expect = np.zeros((5, 2), dtype=np.float32)
+        expect[1:3] = 1.0
+        assert np.array_equal(p.grad.data, expect)
 
 
 class TestAdam:

@@ -334,6 +334,32 @@ def test_train_matches_dense_gradients_and_dense_adam(freeze):
     assert {"blocks.2.attn.k.w", "blocks.2.attn.k.b", "blocks.2.attn.v.b"} <= moments.keys()
 
 
+@pytest.mark.parametrize("freeze", [None, "partial-finetune"])
+def test_last_key_bias_gets_a_zero_gradient_and_keeps_its_bytes(freeze):
+    """The [CLS] attention never reads the last transformer's key bias,
+    whose true gradient is zero: it gets exactly that, stays trainable,
+    and train() leaves its bytes as they were."""
+    ds = _tiny_dataset(seed=4)
+    cfg = ModelConfig(**{**TINY, "block_plan": ("T", "A", "T", "A")})
+    name = "blocks.2.attn.k.b"
+    model = init_random(cfg, seed=4)
+    key_bias = model.params[name]
+    key_bias.data[:] = np.random.default_rng(4).normal(0.0, 0.5, key_bias.data.shape)
+    before = key_bias.data.tobytes()
+    set_trainable(model, freeze_preset(cfg) if freeze else [])
+    with Tape() as tape:
+        loss = bce_loss(forward_probs(model, ds.ids, ds.mask, ds.ctx), ds.labels,
+                        np.ones(len(ds.labels)))
+    backward(tape, loss)
+    assert key_bias.trainable
+    assert not T.dense_grad(key_bias.grad).any()
+    for p in model.parameters():
+        p.grad = None
+    train(model, ds, TrainConfig(epochs=2, batch_size=16, learning_rate=1e-3, seed=4,
+                                 freeze=freeze))
+    assert key_bias.data.tobytes() == before
+
+
 def test_training_is_deterministic(tmp_path):
     def run(out):
         ds = _tiny_dataset(seed=2)
