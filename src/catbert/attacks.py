@@ -44,6 +44,8 @@ class AttackSpec:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if not 0.0 <= self.rate <= 1.0:
             raise ValueError(f"rate must be in [0,1], got {self.rate}")
+        if type(self.seed) is not int or self.seed < 0:
+            raise ValueError(f"seed must be an int >= 0, got {self.seed!r}")
         if self.kind == "synonym" and not self.synonyms:
             raise ValueError("synonym attack needs a non-empty synonym table")
         folded = {}

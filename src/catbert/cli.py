@@ -267,13 +267,16 @@ def _resolved_model_config(args, file_cfg: dict, vocab_size: int, seed: int) -> 
 
 def _cmd_train(args) -> dict:
     file_cfg = _load_json(args.config)
-    vocab = load_vocab(args.vocab)
     try:
         train_cfg = TrainConfig.from_dict(_override(
             file_cfg.get("train", {}),
             epochs=args.epochs, batch_size=args.batch_size,
             learning_rate=args.learning_rate, seed=args.seed,
             bec_weight=args.bec_weight, freeze=args.freeze))
+    except (TypeError, ValueError) as e:
+        raise UsageError(f"bad config: {e}")
+    vocab = load_vocab(args.vocab)
+    try:
         model_cfg = _resolved_model_config(args, file_cfg, len(vocab), train_cfg.seed)
         max_len = row_width(model_cfg)
         # older run manifests record the row width they trained at, and those
@@ -496,7 +499,7 @@ def build_parser() -> _Parser:
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", type=int)
     p.add_argument("--learning-rate", type=float)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_number_arg(int, lo=0))
     p.add_argument("--bec-weight", type=float)
     p.add_argument("--freeze", help=f"freeze preset; the one preset is {PARTIAL_FINETUNE}")
     p.add_argument("--hidden", type=int)
@@ -513,7 +516,7 @@ def build_parser() -> _Parser:
     p.add_argument("--keep", type=_list_arg(int, lo=0),
                    help="donor transformer indices to keep, e.g. 0,2,4")
     p.add_argument("--context-dim", type=int, choices=(0, CONTEXT_DIM), default=CONTEXT_DIM)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_number_arg(int, lo=0), default=0)
     p.set_defaults(func=_cmd_surgery)
 
     p = sub.add_parser("params", help="parameter count report for a config")
@@ -541,7 +544,7 @@ def build_parser() -> _Parser:
     _model_io_args(p)
     p.add_argument("--kind", required=True, choices=tuple(KINDS))
     p.add_argument("--rate", type=float, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_number_arg(int, lo=0), default=0)
     p.add_argument("--threshold", type=float, default=0.5)
     p.add_argument("--synonyms", help="JSON file: word -> replacement list")
     p.add_argument("--out", help="report JSON (stdout if omitted)")
@@ -552,7 +555,7 @@ def build_parser() -> _Parser:
     p.add_argument("--index", type=_number_arg(int, lo=0), default=0,
                    help="record index to explain")
     p.add_argument("--n-samples", type=_number_arg(int, lo=MIN_SAMPLES), default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_number_arg(int, lo=0), default=0)
     p.add_argument("--out", help="attribution JSON (stdout if omitted)")
     p.set_defaults(func=_cmd_explain)
 
@@ -564,7 +567,7 @@ def build_parser() -> _Parser:
     p.add_argument("--vocab-size", type=_number_arg(int, lo=1), default=30522)
     p.add_argument("--donor-blocks", type=int, default=6)
     p.add_argument("--repetitions", type=_number_arg(int, lo=1), default=30)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_number_arg(int, lo=0), default=0)
     p.add_argument("--out", help="timing JSON (stdout if omitted)")
     p.set_defaults(func=_cmd_bench)
 

@@ -56,6 +56,9 @@ class ModelConfig:
             raise ConfigError(f"unknown block kind {e.args[0]!r}") from None
         if not self.block_plan:
             raise ConfigError("block plan must be non-empty")
+        if TRANSFORMER not in self.block_plan:
+            raise ConfigError("block plan needs a transformer: without one the [CLS] row "
+                              "reads no other token")
         for key in ("vocab_size", "hidden", "ffn_dim", "heads", "max_positions"):
             v = getattr(self, key)
             if type(v) is not int or v < 1:
@@ -144,12 +147,13 @@ class ParamReport:
 
 def count_params(config: ModelConfig) -> ParamReport:
     """Parameter counts per section of the network, summed over
-    ``param_shapes``; the per-block counts are those of a one-block plan."""
+    ``param_shapes``; each per-block count is that of block 1 in the plan
+    ``(T, kind)``."""
     def size(cfg: ModelConfig, prefix: str = "") -> int:
         return sum(math.prod(shape) for name, shape in param_shapes(cfg).items()
                    if name.startswith(prefix))
 
-    per_block = {kind: size(replace(config, block_plan=(kind,)), "blocks.")
+    per_block = {kind: size(replace(config, block_plan=(TRANSFORMER, kind)), "blocks.1.")
                  for kind in (TRANSFORMER, ADAPTER)}
     return ParamReport(embedding=size(config, "embeddings."),
                        per_transformer=per_block[TRANSFORMER], per_adapter=per_block[ADAPTER],
@@ -345,7 +349,8 @@ def forward_probs(model: CatBertModel, ids: np.ndarray, mask: np.ndarray,
     Returns a (B,) Tensor of probabilities; with ``return_hidden`` also the
     per-block hidden states.
 
-    Every mask row must attend to column 0, its [CLS] token (ValueError
+    ``ctx`` is checked with ``ids`` and ``mask``, before any work. Every
+    mask row must attend to column 0, its [CLS] token (ValueError
     otherwise), and no attended column may reach ``max_positions``. Only
     the N attended positions are computed, as one packed (N, d) array, and
     each row's tokens attend over that row's tokens alone (``_pack``,
@@ -354,11 +359,11 @@ def forward_probs(model: CatBertModel, ids: np.ndarray, mask: np.ndarray,
 
     The classifier reads only the [CLS] row, so the last transformer
     queries the [CLS] rows alone and every block after it runs on those
-    rows; with no transformer, every block does. That transformer forms no
-    keys or values (``_cls_attention``), so it costs O(B·d² + N·d·heads)
-    rather than O(N·d²). The hidden states are the packed (N, d) rows
-    before the last transformer and the (B, 1, d) [CLS] rows from it on;
-    ``hiddens[-1][:, 0]`` is the state the classifier reads.
+    rows. That transformer forms no keys or values (``_cls_attention``), so
+    it costs O(B·d² + N·d·heads) rather than O(N·d²). The hidden states are
+    the packed (N, d) rows before the last transformer and the (B, 1, d)
+    [CLS] rows from it on; ``hiddens[-1][:, 0]`` is the state the
+    classifier reads.
 
     Each dense layer is one ``matmul`` that adds its bias and applies its
     ReLU or GELU, with the float operations of the unfused ops, so
@@ -387,13 +392,19 @@ def forward_probs(model: CatBertModel, ids: np.ndarray, mask: np.ndarray,
     mask = np.asarray(mask)
     if mask.shape != ids.shape:
         raise ValueError(f"mask shape {mask.shape} does not match ids {ids.shape}")
+    B = len(mask)
+    if cfg.context_dim:
+        if ctx is None:
+            raise ValueError("model takes context features but ctx is None")
+        ctx = np.asarray(ctx, dtype=p["embeddings.token"].data.dtype)
+        if ctx.shape != (B, cfg.context_dim):
+            raise ValueError(f"ctx shape {ctx.shape} != {(B, cfg.context_dim)}")
     coords, segments = _pack(mask)
-    B, L = len(mask), coords[1].max(initial=-1) + 1
+    L = coords[1].max(initial=-1) + 1
     if L > cfg.max_positions:
         raise ValueError(f"sequence length {L} exceeds max positions {cfg.max_positions}")
 
-    last_t = max((i for i, k in enumerate(cfg.block_plan) if k == TRANSFORMER), default=-1)
-    below = max(last_t, 0)  # blocks run on the packed rows
+    last_t = max(i for i, k in enumerate(cfg.block_plan) if k == TRANSFORMER)
     tokens, positions = ids[coords], coords[1]
     offsets = np.append(segments[0], len(tokens))  # row r's tokens: offsets[r]:offsets[r + 1]
     # a tape, like return_hidden, keeps every activation, and per-group
@@ -409,7 +420,7 @@ def forward_probs(model: CatBertModel, ids: np.ndarray, mask: np.ndarray,
                                T.embedding_lookup(p["embeddings.position"], positions[t0:t1])),
                          p["embeddings.ln.gain"], p["embeddings.ln.bias"])
         rows = (segments[0][lo:hi] - t0, segments[1][lo:hi])
-        for i in range(below):
+        for i in range(last_t):  # on the packed rows
             h = _block(h, model, i, rows, cls_only=False)
             if return_hidden:
                 hiddens.append(h)
@@ -418,9 +429,7 @@ def forward_probs(model: CatBertModel, ids: np.ndarray, mask: np.ndarray,
     if packed is not None:
         h = Tensor._wrap(packed)
 
-    if last_t < 0:  # no block mixes rows
-        h = T.take_rows(h, segments[0])
-    for i in range(below, len(cfg.block_plan)):
+    for i in range(last_t, len(cfg.block_plan)):
         h = _block(h, model, i, segments, cls_only=i == last_t)
         if return_hidden:
             hiddens.append(T.reshape(h, (B, 1, cfg.hidden)))
@@ -428,11 +437,6 @@ def forward_probs(model: CatBertModel, ids: np.ndarray, mask: np.ndarray,
     w = p["classifier.fusion.w"]  # h holds the [CLS] rows
     fused = T.matmul(h, T.take_rows(w, slice(0, cfg.hidden)))
     if cfg.context_dim:
-        if ctx is None:
-            raise ValueError("model takes context features but ctx is None")
-        ctx = np.asarray(ctx, dtype=h.data.dtype)
-        if ctx.shape != (B, cfg.context_dim):
-            raise ValueError(f"ctx shape {ctx.shape} != {(B, cfg.context_dim)}")
         w_ctx = T.take_rows(w, slice(cfg.hidden, None))
         for j in range(cfg.context_dim):  # one multiply-add per feature, in order
             fused = T.add(fused, T.mul(ctx[:, j:j + 1], T.take_rows(w_ctx, slice(j, j + 1))))

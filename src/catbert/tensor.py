@@ -743,13 +743,13 @@ class AdamState:
         self.live_rows: dict[str, np.ndarray] = {}
 
 
-def _adam_kernel(p, g, m, v, out, s1, s2, lr: float, c1: float, c2: float) -> None:
-    """Adam on equal-length 1-D blocks: ``m`` and ``v`` update in place and
-    the new parameter values go to ``out``; ``s1`` and ``s2`` are scratch.
-    The float operations and their order are the textbook formula's,
+def _adam_kernel(p, g, m, v, s1, s2, lr: float, c1: float, c2: float) -> None:
+    """Adam on equal-shape blocks, in place: ``p``, ``m`` and ``v`` take
+    their new values; ``s1`` and ``s2`` are scratch. The float operations
+    and their order are the textbook formula's,
     ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g²``,
     ``p - lr (m / c1) / (sqrt(v / c2) + eps)``."""
-    np.multiply(g, 1.0 - ADAM_BETA1, out=s1, dtype=out.dtype)
+    np.multiply(g, 1.0 - ADAM_BETA1, out=s1, dtype=p.dtype)
     m *= ADAM_BETA1
     m += s1
     np.multiply(g, g, out=s1)
@@ -762,7 +762,7 @@ def _adam_kernel(p, g, m, v, out, s1, s2, lr: float, c1: float, c2: float) -> No
     np.divide(m, c1, out=s2)
     s2 *= lr
     np.divide(s2, s1, out=s1)
-    np.subtract(p, s1, out=out)
+    np.subtract(p, s1, out=p)
 
 
 def adam_step(params: Sequence[Parameter], state: AdamState) -> None:
@@ -770,16 +770,17 @@ def adam_step(params: Sequence[Parameter], state: AdamState) -> None:
     ``p.data`` in place. Consumes grads (sets them to None); frozen
     parameters are untouched.
 
-    Every update runs ``_adam_kernel`` over blocks of at most
-    ``CACHE_BLOCK`` elements with two scratch buffers, so the result is
-    bit-identical to evaluating the formula out of place over the whole
-    array. A dense gradient walks the flat arrays block by block. A
-    ``RowGrad`` adds its rows to the parameter's ``live_rows`` and updates
-    exactly those rows, a block of rows at a time: a live row with no
-    gradient this step still decays its moments and moves, as in dense
-    Adam, while a row that never had a gradient would not change, so
-    skipping it is exact (this is not lazy Adam). Such a table's moments
-    are mapped zero pages until written, so rows never live cost no memory.
+    Every parameter takes the one walk, ``_adam_rows``: its rows go through
+    ``_adam_kernel`` a block at a time with two scratch buffers, so the
+    result is bit-identical to evaluating the formula out of place over the
+    whole array. A dense gradient updates every row. A ``RowGrad`` adds its
+    rows to the parameter's ``live_rows`` and updates exactly those rows: a
+    live row with no gradient this step still decays its moments and
+    moves, as in dense Adam, while a row that never had a gradient would
+    not change, so skipping it is exact (this is not lazy Adam). Such a
+    table's moments are mapped zero pages until written, so rows never
+    live cost no memory. From its first dense gradient on, a parameter
+    updates every row.
 
     ``p.data`` keeps its array and the step overwrites it: an array read
     from ``p.data`` before the step, or a view of it, sees the new values,
@@ -807,14 +808,13 @@ def adam_step(params: Sequence[Parameter], state: AdamState) -> None:
             state.moments[p.name] = (zeros(p.data.shape, p.data.dtype),
                                      zeros(p.data.shape, p.data.dtype))
         m, v = state.moments[p.name]
-        grad = p.grad
+        grad, live = p.grad, None
         if isinstance(grad, RowGrad) and (first or p.name in state.live_rows):
             live = np.union1d(state.live_rows.get(p.name, grad.rows), grad.rows)
             state.live_rows[p.name] = live
-            _adam_rows(p.data, grad, live, m, v, state.lr, c1, c2)
         else:  # dense from the first dense gradient on
             state.live_rows.pop(p.name, None)
-            _adam_flat(p.data, dense_grad(grad), m, v, state.lr, c1, c2)
+        _adam_rows(p.data, grad, live, m, v, state.lr, c1, c2)
         p.grad = None
 
 
@@ -828,38 +828,42 @@ def _lazy_zeros(shape: tuple[int, ...], dtype) -> np.ndarray:
     return np.frombuffer(buf, dtype, count=n).reshape(shape)
 
 
-def _adam_flat(data: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray,
-               lr: float, c1: float, c2: float) -> None:
-    """Adam with the dense gradient ``g`` on ``data``, ``m`` and ``v`` in
-    place, walking the flat arrays in contiguous blocks. ``data``, ``m`` and
-    ``v`` are C-contiguous, so flattening them gives views."""
-    p, g, m, v = (a.reshape(-1) for a in (data, g, m, v))
-    s1, s2 = np.empty((2, min(p.size, CACHE_BLOCK)), p.dtype)
-    for lo in range(0, p.size, CACHE_BLOCK):
-        k = min(CACHE_BLOCK, p.size - lo)
-        blk = slice(lo, lo + k)
-        _adam_kernel(p[blk], g[blk], m[blk], v[blk], p[blk], s1[:k], s2[:k], lr, c1, c2)
-
-
-def _adam_rows(data: np.ndarray, grad: RowGrad, live: np.ndarray, m: np.ndarray,
+def _adam_rows(data: np.ndarray, grad, live: np.ndarray | None, m: np.ndarray,
                v: np.ndarray, lr: float, c1: float, c2: float) -> None:
-    """Adam on the table ``data``, ``m`` and ``v`` in place for its ``live``
-    rows (sorted, a superset of ``grad.rows``), a block of rows at a time:
-    each block gathers its rows, updates them and scatters them back."""
-    d = data.shape[1]
+    """Adam on ``data``, ``m`` and ``v`` in place, viewed as rows of their
+    last axis (a 1-D array as one column), a block of rows at a time: at
+    most ``CACHE_BLOCK`` elements, or one row where a row is longer.
+
+    ``live`` is None to walk every row, or the sorted rows to walk, a
+    superset of a ``RowGrad``'s rows. ``grad`` is a ``RowGrad``, whose
+    rows outside ``grad.rows`` have a zero gradient, or a dense gradient.
+    A block of consecutive rows updates through slice views; any other
+    block gathers its rows, updates them and scatters them back."""
+    d = data.shape[-1] if data.ndim > 1 else 1
+    p, m, v = (a.reshape(-1, d) for a in (data, m, v))  # views: C-contiguous
+    n = p.shape[0] if live is None else live.size
     per = max(1, CACHE_BLOCK // d)
-    at = np.searchsorted(live, grad.rows)  # each gradient row's place among the live rows
-    s1, s2 = np.empty((2, min(live.size, per) * d), data.dtype)
-    for lo in range(0, live.size, per):
-        rows = live[lo:lo + per]
-        k = rows.size * d
-        g = np.zeros((rows.size, d), data.dtype)
-        k0, k1 = np.searchsorted(at, (lo, lo + per))
-        g[at[k0:k1] - lo] = grad.values[k0:k1]
-        p_blk, m_blk, v_blk = data[rows], m[rows], v[rows]
-        _adam_kernel(p_blk.reshape(-1), g.reshape(-1), m_blk.reshape(-1), v_blk.reshape(-1),
-                     p_blk.reshape(-1), s1[:k], s2[:k], lr, c1, c2)
-        data[rows], m[rows], v[rows] = p_blk, m_blk, v_blk
+    sparse = isinstance(grad, RowGrad)
+    if sparse:  # each gradient row's place among the rows walked
+        at = grad.rows if live is None else np.searchsorted(live, grad.rows)
+    else:
+        g_rows = dense_grad(grad).reshape(-1, d)
+    s1, s2 = np.empty((2, min(n, per), d), data.dtype)
+    for lo in range(0, n, per):
+        hi = min(lo + per, n)
+        rows = slice(lo, hi) if live is None else live[lo:hi]
+        if live is not None and rows[-1] - rows[0] == hi - lo - 1:
+            rows = slice(rows[0], rows[-1] + 1)
+        if sparse:
+            g = np.zeros((hi - lo, d), data.dtype)
+            k0, k1 = np.searchsorted(at, (lo, hi))
+            g[at[k0:k1] - lo] = grad.values[k0:k1]
+        else:
+            g = g_rows[rows]
+        p_blk, m_blk, v_blk = p[rows], m[rows], v[rows]
+        _adam_kernel(p_blk, g, m_blk, v_blk, s1[:hi - lo], s2[:hi - lo], lr, c1, c2)
+        if not isinstance(rows, slice):
+            p[rows], m[rows], v[rows] = p_blk, m_blk, v_blk
 
 
 def grad_check(model_fn: Callable[[], Tensor], params: Sequence[Parameter],

@@ -33,6 +33,11 @@ class TrainingError(RuntimeError):
     pass
 
 
+def _finite(x) -> bool:
+    """A finite int or float, not a bool or a string."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and -math.inf < x < math.inf
+
+
 @dataclass
 class TrainConfig:
     epochs: int = 5
@@ -43,11 +48,21 @@ class TrainConfig:
     freeze: str | None = None  # None or PARTIAL_FINETUNE
 
     def __post_init__(self):
+        for key in ("epochs", "batch_size", "seed"):
+            if type(getattr(self, key)) is not int:
+                raise ValueError(f"{key} must be an int, got {getattr(self, key)!r}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1 or self.batch_size % 2:
             raise ValueError(f"batches are class-balanced, so batch_size must be even "
                              f"and >= 2, got {self.batch_size}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not (_finite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValueError(f"learning_rate must be a finite number >= 0, "
+                             f"got {self.learning_rate!r}")
+        if not (_finite(self.bec_weight) and self.bec_weight > 0):
+            raise ValueError(f"bec_weight must be a finite number > 0, got {self.bec_weight!r}")
         if self.freeze not in (None, PARTIAL_FINETUNE):
             raise ValueError(f"freeze must be {PARTIAL_FINETUNE!r} or absent, got {self.freeze!r}")
 

@@ -26,6 +26,9 @@ def test_spec_validation():
         AttackSpec(kind="typo", rate=1.5, seed=0)
     with pytest.raises(ValueError, match="synonym"):
         AttackSpec(kind="synonym", rate=0.5, seed=0)  # no table
+    for seed in (-1, 1.0):
+        with pytest.raises(ValueError, match=f"seed must be an int >= 0, got {seed}"):
+            AttackSpec(kind="typo", rate=0.5, seed=seed)
     assert set(KINDS) == {"synonym", "typo", "homoglyph"}
 
 

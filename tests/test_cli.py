@@ -107,6 +107,19 @@ class TestExitCodes:
         (["bench", "--hidden", "10", "--heads", "3"],
          "bad model size: hidden=10 not divisible by heads=3"),
         (["bench", "--donor-blocks", "0"], "bad model size: block plan must be non-empty"),
+        (["train", "--seed", "-1"], "argument --seed: wants one int in [0, inf], got '-1'"),
+        (["surgery", "--seed", "-1"], "argument --seed: wants one int in [0, inf]"),
+        (["attack", "--kind", "typo", "--rate", "0.5", "--seed", "-1"],
+         "argument --seed: wants one int in [0, inf]"),
+        (["explain", "--seed", "-1"], "argument --seed: wants one int in [0, inf]"),
+        (["bench", "--seed", "-1"], "argument --seed: wants one int in [0, inf], got '-1'"),
+        (["train", "--learning-rate", "nan"],
+         "bad config: learning_rate must be a finite number >= 0, got nan"),
+        (["train", "--learning-rate", "inf"],
+         "bad config: learning_rate must be a finite number >= 0, got inf"),
+        (["train", "--learning-rate", "-1"],
+         "bad config: learning_rate must be a finite number >= 0, got -1.0"),
+        (["train", "--bec-weight", "0"], "bad config: bec_weight must be a finite number > 0"),
     ], ids=["fractions-not-numbers", "fractions-two-values", "fractions-out-of-range",
             "fprs-not-a-number", "fprs-above-one", "keep-not-an-integer", "keep-negative",
             "eval-batch-size-negative", "eval-batch-size-zero", "predict-batch-size-negative",
@@ -114,7 +127,10 @@ class TestExitCodes:
             "attack-threshold-above-one",
             "attack-synonym-without-table", "bench-batch-zero", "bench-repetitions-zero",
             "bench-hidden-zero", "bench-ffn-dim-negative", "bench-heads-zero",
-            "bench-vocab-size-zero", "bench-heads-not-dividing-hidden", "bench-no-blocks"])
+            "bench-vocab-size-zero", "bench-heads-not-dividing-hidden", "bench-no-blocks",
+            "train-seed-negative", "surgery-seed-negative", "attack-seed-negative",
+            "explain-seed-negative", "bench-seed-negative", "train-lr-nan", "train-lr-inf",
+            "train-lr-negative", "train-bec-weight-zero"])
     def test_bad_list_flag_fails_before_reading_data(self, tmp_path, capsys, argv, message):
         """A flag value outside the bound the library enforces is a usage
         error before any input is read (every input here is missing)."""
@@ -122,6 +138,8 @@ class TestExitCodes:
         scoring = ["--in", missing, "--model", missing, "--vocab", missing]
         inputs = {"split": ["--in", missing, "--out-dir", str(tmp_path / "out")],
                   "surgery": ["--donor", missing, "--out-dir", str(tmp_path / "out")],
+                  "train": ["--train", missing, "--vocab", missing,
+                            "--out-dir", str(tmp_path / "out")],
                   "bench": ["--out", str(tmp_path / "b.json")]}
         assert main(argv + inputs.get(argv[0], scoring)) == 1
         assert message in capsys.readouterr().err
@@ -326,8 +344,13 @@ class TestTrain:
         ({"train": {"epochs": 1, "balanced": False}},
          "balanced=False is retired; every batch is class-balanced"),
         ({"train": {"epochs": 1, "batch_size": 7}}, "batch_size must be even"),
+        ({"train": {"epochs": 1.5}}, "bad config: epochs must be an int, got 1.5"),
+        ({"train": {"batch_size": 8.0}}, "bad config: batch_size must be an int, got 8.0"),
+        ({"train": {"learning_rate": "0.1"}},
+         "bad config: learning_rate must be a finite number >= 0, got '0.1'"),
     ], ids=["unknown-top-level-key", "truncate-middle", "truncate-tail", "max-len-narrower",
-            "max-len-string", "balanced-false", "odd-batch-size"])
+            "max-len-string", "balanced-false", "odd-batch-size", "fractional-epochs",
+            "float-batch-size", "string-learning-rate"])
     def test_bad_config_fails_before_reading_data(self, workdir, tmp_path, capsys,
                                                   override, message):
         cfg = {**json.loads(workdir["config"].read_text()), **override}
@@ -347,6 +370,14 @@ class TestTrain:
         assert main(["train", "--train", str(tmp_path / "missing.jsonl"),
                      "--vocab", str(workdir["vocab"]), "--out-dir", str(out), flag, "0"]) == 1
         assert f"{flag[2:].replace('-', '_')} must be an int >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_plan_without_a_transformer_is_usage_error(self, workdir, tmp_path, capsys):
+        out = tmp_path / "r"
+        assert main(["train", "--train", str(tmp_path / "missing.jsonl"),
+                     "--vocab", str(workdir["vocab"]), "--out-dir", str(out),
+                     "--plan", "A,A"]) == 1
+        assert "bad config: block plan needs a transformer" in capsys.readouterr().err
         assert not out.exists()
 
     def test_config_from_an_older_manifest_with_truncate_head_trains(self, workdir, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -586,27 +587,33 @@ class TestAdam:
             assert "table" not in state.live_rows
 
     def test_blocks_cover_the_whole_array(self, monkeypatch):
-        """Arrays longer than one block, and tables with more live rows than
-        fit in one, match the formula across every block boundary."""
+        """Arrays longer than one block (a 1-D one walks as one column),
+        and tables with more live rows than fit in one, match the formula
+        across every block boundary."""
         monkeypatch.setattr(T, "CACHE_BLOCK", 8)
         rng = np.random.default_rng(4)
         w = Parameter("w", rng.normal(0, 0.02, (5, 7)))
         table = Parameter("table", rng.normal(0, 0.02, (30, 3)))
-        want = [(p.data.copy(), 0.0, 0.0) for p in (w, table)]
+        b = Parameter("b", rng.normal(0, 0.02, 20))
+        want = [(p.data.copy(), 0.0, 0.0) for p in (w, table, b)]
         state = AdamState(lr=1e-2)
         for t in (1, 2):
             ids = rng.integers(0, 30, 12)
             gw = rng.normal(0, 0.01, w.shape).astype(np.float32)
             out_g = rng.normal(0, 0.01, (12, 3)).astype(np.float32)
-            w.grad = Tensor(gw)
+            gb = rng.normal(0, 0.01, b.shape).astype(np.float32)
+            w.grad, b.grad = Tensor(gw), Tensor(gb)
             with Tape() as tape:
                 loss = T.sum_all(T.mul(T.embedding_lookup(table, ids), out_g))
             backward(tape, loss)
             g_table = dense_grad(table.grad)
-            adam_step([w, table], state)
-            want = [self.oracle(p, g, m, v, t, 1e-2) for (p, m, v), g in zip(want, (gw, g_table))]
+            adam_step([w, table, b], state)
+            want = [self.oracle(p, g, m, v, t, 1e-2)
+                    for (p, m, v), g in zip(want, (gw, g_table, gb))]
             assert np.array_equal(w.data, want[0][0])
             assert np.array_equal(table.data, want[1][0])
+            assert np.array_equal(b.data, want[2][0])
+            assert np.array_equal(state.moments["b"][1], want[2][2])
 
     @pytest.mark.parametrize("n_live", [40, 19])
     def test_table_walk_matches_the_formula(self, monkeypatch, n_live):
@@ -636,6 +643,28 @@ class TestAdam:
         dead = np.setdiff1d(np.arange(40), live)
         assert table.data[dead].tobytes() == start[dead].tobytes()
 
+    def test_every_row_live_updates_through_views(self):
+        """A table whose every row is live walks consecutive rows through
+        views: the second step on a (4096, 64) float32 table (1 MiB) holds
+        at most two blocks of scratch and one of gradient beyond its inputs,
+        where a gather and scatter of each block would also copy p, m and v."""
+        rng = np.random.default_rng(12)
+        table = Parameter("table", rng.normal(0, 0.02, (4096, 64)))
+        state = AdamState(lr=1e-3)
+        rows = np.arange(4096)
+        for _ in range(2):
+            table.grad = RowGrad(rows, rng.normal(0, 0.01, (4096, 64)).astype(np.float32),
+                                 table.shape)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                adam_step([table], state)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+        assert peak <= 1.25 * 2**20, peak / 2**20
+
     def test_raises_inside_an_active_tape(self):
         w = Parameter("w", np.ones(2, dtype=np.float32))
         w.grad = Tensor(np.ones(2, dtype=np.float32))
@@ -661,7 +690,7 @@ class TestAdam:
 
     @pytest.mark.parametrize("view", [lambda a: a[:, ::2], lambda a: a.T])
     def test_raises_on_a_strided_parameter(self, view):
-        """A step cannot write a flat walk through a strided view in place,
+        """A step cannot write its walk through a strided view in place,
         so it refuses one before changing any state."""
         w = Parameter("w", np.ones((3, 4), dtype=np.float32))
         w.data = view(w.data)

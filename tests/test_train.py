@@ -1,5 +1,6 @@
 import math
 import os
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -221,6 +222,30 @@ def test_train_config_validation():
             TrainConfig(batch_size=odd_or_empty)
     with pytest.raises(ValueError, match="unknown"):
         TrainConfig.from_dict({"epochs": 2, "momentum": 0.9})
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("epochs", 1.5, "epochs must be an int, got 1.5"),
+    ("epochs", True, "epochs must be an int, got True"),
+    ("batch_size", 8.0, "batch_size must be an int, got 8.0"),
+    ("seed", -1, "seed must be >= 0, got -1"),
+    ("seed", 2.0, "seed must be an int, got 2.0"),
+    ("learning_rate", "0.1", "learning_rate must be a finite number >= 0, got '0.1'"),
+    ("learning_rate", -1.0, "learning_rate must be a finite number >= 0, got -1.0"),
+    ("learning_rate", math.nan, "learning_rate must be a finite number >= 0, got nan"),
+    ("learning_rate", math.inf, "learning_rate must be a finite number >= 0, got inf"),
+    ("learning_rate", False, "learning_rate must be a finite number >= 0, got False"),
+    ("bec_weight", 0.0, "bec_weight must be a finite number > 0, got 0.0"),
+    ("bec_weight", math.inf, "bec_weight must be a finite number > 0, got inf"),
+])
+def test_train_config_checks_types_and_ranges(key, value, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        TrainConfig(**{key: value})
+
+
+def test_train_config_takes_zero_lr_and_int_numbers():
+    cfg = TrainConfig(learning_rate=0, bec_weight=1, seed=0)
+    assert (cfg.learning_rate, cfg.bec_weight) == (0, 1)
 
 
 def test_retired_balanced_loads_only_as_true():
