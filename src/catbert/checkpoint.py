@@ -4,13 +4,15 @@ The manifest carries the format version, the model config, and a tensor
 directory (name, shape, dtype, byte offset, byte length) plus per-tensor
 provenance. The blob is raw little-endian float32, row-major, in manifest
 order. Loading validates the whole directory against the config-derived
-shapes before reading a single blob byte, and a save/load round trip is
+shapes before mapping the blob, and a save/load round trip is
 bit-identical.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import mmap
 import os
 from pathlib import Path
 
@@ -86,7 +88,16 @@ def read_manifest(ckpt_dir) -> tuple[dict, ModelConfig]:
 
 def load_checkpoint(ckpt_dir) -> CatBertModel:
     """Rebuild a model from a checkpoint directory, validating the manifest
-    (version, tensor set, shapes, blob bounds) before any blob read."""
+    (version, tensor set, shapes, aligned and disjoint blob ranges) before
+    the blob is mapped. Each parameter is a view of one private
+    (copy-on-write) mapping of ``tensors.bin``: processes that load one
+    checkpoint share its clean pages, and the first write to a page copies
+    that page, so no write reaches the file. Until the model is freed it
+    holds the mapping and an open descriptor of the file, so a file that
+    ``save_checkpoint`` replaced keeps its disk blocks until then.
+    Rewriting the file in place while the model lives would change its
+    unwritten weights, or kill the process with SIGBUS; ``save_checkpoint``
+    replaces it whole."""
     manifest, config = read_manifest(ckpt_dir)
     expected = param_shapes(config)
 
@@ -103,11 +114,25 @@ def load_checkpoint(ckpt_dir) -> CatBertModel:
     provenance = manifest.get("provenance", {})
     if not isinstance(provenance, dict) or not all(isinstance(v, str) for v in provenance.values()):
         raise CheckpointError(f"'provenance' is not an object of strings: {str(provenance)[:80]}")
-    blob_path = os.path.join(ckpt_dir, BLOB)
     try:
-        blob_size = os.path.getsize(blob_path)
+        f = open(os.path.join(ckpt_dir, BLOB), "rb")
     except OSError:
         raise CheckpointError(f"no {BLOB} in {ckpt_dir}") from None
+    with f:
+        _check_entries(expected, entries, os.fstat(f.fileno()).st_size)
+        blob = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_COPY)
+    params: dict[str, Parameter] = {}
+    for name, shape in expected.items():
+        arr = np.frombuffer(blob, _DTYPE, count=math.prod(shape), offset=entries[name]["offset"])
+        params[name] = Parameter._adopt(name, arr.reshape(shape).astype(np.float32, copy=False))
+    return CatBertModel(config, params, provenance or {name: "fresh" for name in params})
+
+
+def _check_entries(expected: dict[str, tuple[int, ...]], entries: dict, blob_size: int) -> None:
+    """Each expected tensor's entry: int fields, its config shape, f32, and a
+    4-byte aligned range inside the blob that no other tensor's overlaps
+    (views of one mapping alias where their ranges do, so an Adam step on
+    one tensor would write the other)."""
     for name, shape in expected.items():
         e = entries[name]
         for key in ("shape", "offset", "nbytes"):  # a list of ints, an int, an int
@@ -121,7 +146,7 @@ def load_checkpoint(ckpt_dir) -> CatBertModel:
             )
         if e.get("dtype") != "f32":
             raise CheckpointError(f"tensor {name!r} has unsupported dtype {e.get('dtype')!r}")
-        want = int(np.prod(shape, dtype=np.int64)) * _DTYPE.itemsize
+        want = math.prod(shape) * _DTYPE.itemsize
         if e["nbytes"] != want:
             raise CheckpointError(f"tensor {name!r} nbytes {e['nbytes']} != shape size {want}")
         if e["offset"] < 0 or e["offset"] + e["nbytes"] > blob_size:
@@ -129,11 +154,11 @@ def load_checkpoint(ckpt_dir) -> CatBertModel:
                 f"tensor {name!r} spans [{e['offset']}, {e['offset'] + e['nbytes']}) "
                 f"outside blob of {blob_size} bytes"
             )
-
-    params: dict[str, Parameter] = {}
-    with open(blob_path, "rb") as f:
-        for name, shape in expected.items():
-            f.seek(entries[name]["offset"])
-            arr = np.fromfile(f, dtype=_DTYPE, count=int(np.prod(shape, dtype=np.int64)))
-            params[name] = Parameter._adopt(name, arr.reshape(shape).astype(np.float32, copy=False))
-    return CatBertModel(config, params, provenance or {name: "fresh" for name in params})
+        if e["offset"] % _DTYPE.itemsize:
+            raise CheckpointError(
+                f"tensor {name!r} offset {e['offset']} is not a multiple of {_DTYPE.itemsize}"
+            )
+    spans = sorted((entries[name]["offset"], name) for name in expected)
+    for (start, a), (next_start, b) in zip(spans, spans[1:]):
+        if next_start < start + entries[a]["nbytes"]:
+            raise CheckpointError(f"tensors {a!r} and {b!r} overlap in {BLOB}")

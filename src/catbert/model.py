@@ -200,7 +200,9 @@ class CatBertModel:
     the new values: snapshot a parameter with ``.copy()``. No two
     parameters, and no two models built by ``init_random``,
     ``surgery_from_donor``, ``astype`` or ``load_checkpoint``, share
-    memory, so a step never writes through to another holder."""
+    memory, so a step never writes through to another holder. A loaded
+    model's parameters are views of a private mapping of its blob: the
+    first write to a page copies that page, and the file never changes."""
 
     def __init__(self, config: ModelConfig, params: dict[str, Parameter],
                  provenance: dict[str, str] | None = None):

@@ -98,7 +98,9 @@ class Parameter(Tensor):
     @classmethod
     def _adopt(cls, name: str, arr: np.ndarray, trainable: bool = True) -> "Parameter":
         """A parameter that takes ``arr`` as its array, uncopied: for a
-        builder handing over a fresh C-contiguous array nothing else holds."""
+        builder handing over a C-contiguous array whose memory no other
+        parameter and no array its caller keeps shares. It may be a view
+        (``load_checkpoint`` hands over disjoint views of one mapping)."""
         p = cls._wrap(arr)
         p.name, p.trainable, p.grad = name, trainable, None
         return p

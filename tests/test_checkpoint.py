@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -61,6 +62,46 @@ def test_no_two_parameters_share_memory(tmp_path):
         assert not any(np.shares_memory(a, b) for b in arrays[i + 1:]), i
 
 
+class TestMappedLoad:
+    """A load maps the blob copy-on-write: it allocates no copy of it, and a
+    write to a parameter stays in the process, whatever becomes of the file."""
+
+    def test_load_allocates_no_copy_of_the_blob(self, tmp_path):
+        cfg = ModelConfig(vocab_size=32768, hidden=64, ffn_dim=128, heads=2,
+                          max_positions=16, block_plan=("T", "A"))
+        save_checkpoint(init_random(cfg, 0), tmp_path)
+        assert (tmp_path / BLOB).stat().st_size >= 8 << 20
+        tracemalloc.start()
+        try:
+            model = load_checkpoint(tmp_path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
+        assert model.params["embeddings.token"].data.shape == (32768, 64)
+
+    def test_a_write_reaches_neither_the_file_nor_the_next_load(self, tiny, tmp_path):
+        save_checkpoint(tiny, tmp_path)
+        blob = (tmp_path / BLOB).read_bytes()
+        loaded = load_checkpoint(tmp_path)
+        for p in loaded.parameters():
+            p.data[...] = 7.0
+        assert (tmp_path / BLOB).read_bytes() == blob
+        again = load_checkpoint(tmp_path)
+        for name, p in tiny.params.items():
+            assert np.array_equal(again.params[name].data, p.data), name
+
+    def test_a_resave_into_the_directory_leaves_a_loaded_model_as_it_was(self, tiny, tmp_path):
+        save_checkpoint(tiny, tmp_path)
+        loaded = load_checkpoint(tmp_path)
+        other = init_random(tiny.config, 2)
+        save_checkpoint(other, tmp_path)  # a new file renamed over the mapped one
+        for name, p in tiny.params.items():
+            assert np.array_equal(loaded.params[name].data, p.data), name
+        assert np.array_equal(load_checkpoint(tmp_path).params["embeddings.token"].data,
+                              other.params["embeddings.token"].data)
+
+
 class TestRetiredOptions:
     def test_old_manifest_loads_and_scores_identically(self, tiny, tmp_path):
         # written while cls_from and classifier_hidden were config fields
@@ -120,6 +161,31 @@ class TestValidation:
         save_checkpoint(tiny, tmp_path)
         (tmp_path / BLOB).unlink()
         with pytest.raises(CheckpointError, match="tensors.bin"):
+            load_checkpoint(tmp_path)
+
+    def test_overlapping_tensors_are_named(self, tiny, tmp_path):
+        # two views of one mapping would alias: a step on one writes the other
+        save_checkpoint(tiny, tmp_path)
+        manifest = json.loads((tmp_path / MANIFEST).read_text())
+        entries = {e["name"]: e for e in manifest["tensors"]}
+        entries["classifier.out.b"]["offset"] = entries["classifier.out.w"]["offset"] + 4
+        (tmp_path / MANIFEST).write_text(json.dumps(manifest))
+        with pytest.raises(CheckpointError,
+                           match="'classifier.out.w' and 'classifier.out.b' overlap"):
+            load_checkpoint(tmp_path)
+
+    def test_offset_not_a_multiple_of_the_item_size(self, tiny, tmp_path):
+        # the tensor's bytes moved to the end of the blob, 2 bytes past alignment
+        save_checkpoint(tiny, tmp_path)
+        manifest = json.loads((tmp_path / MANIFEST).read_text())
+        entry = next(e for e in manifest["tensors"] if e["name"] == "classifier.fusion.b")
+        blob = (tmp_path / BLOB).read_bytes()
+        moved = blob[entry["offset"]:entry["offset"] + entry["nbytes"]]
+        entry["offset"] = len(blob) + 2
+        (tmp_path / BLOB).write_bytes(blob + b"\0\0" + moved)
+        (tmp_path / MANIFEST).write_text(json.dumps(manifest))
+        message = f"'classifier.fusion.b' offset {len(blob) + 2} is not a multiple of 4"
+        with pytest.raises(CheckpointError, match=message):
             load_checkpoint(tmp_path)
 
 
