@@ -70,7 +70,7 @@ def read_manifest(ckpt_dir) -> tuple[dict, ModelConfig]:
             manifest = json.load(f)
     except FileNotFoundError:
         raise CheckpointError(f"no {MANIFEST} in {ckpt_dir}") from None
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise CheckpointError(f"unreadable manifest: {e}") from e
 
     if not isinstance(manifest, dict):

@@ -163,7 +163,7 @@ def _load_json(path: str | None, what: str = "config file") -> dict:
             obj = json.load(f)
     except FileNotFoundError:
         raise UsageError(f"{what} not found: {path}")
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise UsageError(f"{what} {path} is not valid JSON: {e}")
     if not isinstance(obj, dict):
         raise UsageError(f"{what} {path} must hold a JSON object")
@@ -565,7 +565,7 @@ def build_parser() -> _Parser:
     p.add_argument("--heads", type=_number_arg(int, lo=1), default=12)
     p.add_argument("--batch", type=_number_arg(int, lo=1), default=1)
     p.add_argument("--vocab-size", type=_number_arg(int, lo=1), default=30522)
-    p.add_argument("--donor-blocks", type=int, default=6)
+    p.add_argument("--donor-blocks", type=_number_arg(int, lo=2), default=6)
     p.add_argument("--repetitions", type=_number_arg(int, lo=1), default=30)
     p.add_argument("--seed", type=_number_arg(int, lo=0), default=0)
     p.add_argument("--out", help="timing JSON (stdout if omitted)")

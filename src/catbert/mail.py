@@ -173,14 +173,16 @@ def _shown(value) -> str:
 
 def _check_text(name: str, value, what: str) -> None:
     """DatasetError unless ``value`` is a str that UTF-8 can write back (a
-    JSON escape can smuggle in a lone surrogate, which it cannot)."""
+    JSON escape can smuggle in a lone surrogate, which it cannot, and a byte
+    that is not UTF-8 reads as one)."""
     if not isinstance(value, str):
         raise DatasetError(f"{name} must be {what}, got {type(value).__name__}")
     if not value.isascii():
         try:
             value.encode("utf-8")
         except UnicodeEncodeError:
-            raise DatasetError(f"{name} holds a lone surrogate, not UTF-8 text") from None
+            raise DatasetError(
+                f"{name} holds a lone surrogate or a byte that is not UTF-8") from None
 
 
 def _parse_record(obj: dict) -> EmailRecord:
@@ -223,10 +225,12 @@ def _parse_record(obj: dict) -> EmailRecord:
 
 def load_dataset_with_report(path, strict: bool = False):
     """Parse a JSONL file. Returns (records, errors) where each error is a
-    '<line>: <reason>' string; strict mode raises on the first bad line."""
+    '<line>: <reason>' string; strict mode raises on the first bad line. A
+    byte that is not UTF-8 reads as a lone surrogate, so the line that holds
+    it is a bad line like any other."""
     records: list[EmailRecord] = []
     errors: list[str] = []
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8", errors="surrogateescape") as f:
         for lineno, line in enumerate(f, start=1):
             if not line.strip():
                 continue

@@ -4,7 +4,6 @@ inference timing."""
 from __future__ import annotations
 
 import logging
-import math
 import time
 
 import numpy as np
@@ -116,23 +115,6 @@ def group_metrics(scores, labels, groups, fprs=DEFAULT_FPRS) -> dict:
             "n_neg": int(neg.sum()),
         }
     return out
-
-
-def spearman(a, b) -> float:
-    """Rank correlation (ties averaged). Degenerate constant inputs give 0."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise MetricError(f"need equal-length 1-D inputs, got {a.shape} and {b.shape}")
-    if len(a) < 2:
-        raise MetricError("need at least two points")
-    ra, rb = _average_ranks(a), _average_ranks(b)
-    ra -= ra.mean()
-    rb -= rb.mean()
-    denom = math.sqrt(float((ra * ra).sum()) * float((rb * rb).sum()))
-    if denom == 0.0:
-        return 0.0
-    return float((ra * rb).sum() / denom)
 
 
 WARMUP = 3  # discarded forward passes before timing

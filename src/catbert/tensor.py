@@ -1,10 +1,10 @@
 """Dense tensor math with a reverse-mode gradient tape and an Adam optimizer.
 
 Everything the model computes runs through the ops in this module. Arrays are
-float32; float64 appears only inside the finite-difference oracle used by
-``grad_check``. Ops record onto the active :class:`Tape` (if any) when an
-input leads to a trainable parameter, and ``backward`` replays the tape in
-reverse to populate ``Parameter.grad``.
+float32; an op keeps its inputs' dtype, so the tests' finite-difference
+gradient oracle runs the same ops in float64. Ops record onto the active
+:class:`Tape` (if any) when an input leads to a trainable parameter, and
+``backward`` replays the tape in reverse to populate ``Parameter.grad``.
 
 Each op has one forward body, recorded or not. The fused ops (``matmul``
 with a bias and an activation, ``softmax_rows`` with a scale,
@@ -660,13 +660,6 @@ def take_rows(x: Tensor, rows: np.ndarray) -> Tensor:
     return _emit(x.data[rows], (x,), grad_fn)
 
 
-def sum_all(x: Tensor) -> Tensor:
-    def grad_fn(g):
-        return (np.broadcast_to(g, x.data.shape).astype(x.data.dtype, copy=False),)
-
-    return _emit(np.asarray(x.data.sum(), dtype=x.data.dtype), (x,), grad_fn)
-
-
 def mean_all(x: Tensor) -> Tensor:
     n = x.data.size
 
@@ -867,66 +860,3 @@ def _adam_rows(data: np.ndarray, grad, live: np.ndarray | None, m: np.ndarray,
         if not isinstance(rows, slice):
             p[rows], m[rows], v[rows] = p_blk, m_blk, v_blk
 
-
-def grad_check(model_fn: Callable[[], Tensor], params: Sequence[Parameter],
-               eps: float = 1e-3, samples_per_param: int = 8, seed: int = 0) -> float:
-    """Compare analytic gradients against central finite differences.
-
-    The difference quotient is evaluated with parameters upcast to float64
-    (the oracle side), while the analytic gradient is computed in the
-    parameters' own dtype. Each sampled coordinate is probed at steps
-    ``h = eps`` and ``h = eps / 8`` and scores the smaller of
-    ``max(|analytic - numeric| - r, 0) / max(|analytic|, |numeric|, 1e-8)``,
-    where ``r = finfo(float64).eps * max(|L(+h)|, |L(-h)|) / h`` bounds the
-    quotient's own rounding (which dominates on gradients near zero). The
-    second step clears a kink (ReLU) that lies within ``eps`` of the
-    coordinate: a correct gradient passes at one step, a wrong one fails at
-    both. Returns the max score over the sampled coordinates.
-    """
-    if not (0.0 < eps <= 1e-1):
-        raise ValueError(f"eps must be in (0, 1e-1], got {eps}")
-    trainable = [p for p in params if p.trainable]
-    for p in trainable:
-        p.grad = None
-    with Tape() as tape:
-        loss = model_fn()
-    backward(tape, loss)
-    analytic = {}
-    for p in trainable:
-        if p.grad is None:
-            raise GradientError(f"parameter {p.name!r} received no gradient")
-        analytic[p.name] = np.asarray(dense_grad(p.grad), dtype=np.float64).copy()
-
-    def score(flat: np.ndarray, c: int, a: float, h: float, name: str) -> float:
-        orig = flat[c]
-        flat[c] = orig + h
-        lp = float(model_fn().data)
-        flat[c] = orig - h
-        lm = float(model_fn().data)
-        flat[c] = orig
-        if not (math.isfinite(lp) and math.isfinite(lm)):
-            raise GradientError(f"non-finite loss while perturbing {name!r} coordinate {c}")
-        numeric = (lp - lm) / (2.0 * h)
-        rounding = np.finfo(np.float64).eps * max(abs(lp), abs(lm)) / h
-        return max(abs(a - numeric) - rounding, 0.0) / max(abs(a), abs(numeric), 1e-8)
-
-    saved = [(p, p.data) for p in trainable]
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    try:
-        for p in trainable:
-            p.data = p.data.astype(np.float64)
-        for p in trainable:
-            n = p.data.size
-            if n <= samples_per_param:
-                coords = np.arange(n)
-            else:
-                coords = rng.choice(n, size=samples_per_param, replace=False)
-            flat = p.data.reshape(-1)
-            for c in coords:
-                a = float(analytic[p.name].reshape(-1)[c])
-                worst = max(worst, min(score(flat, int(c), a, h, p.name) for h in (eps, eps / 8)))
-    finally:
-        for p, data in saved:
-            p.data = data
-    return worst

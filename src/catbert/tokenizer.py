@@ -65,8 +65,11 @@ class Vocabulary:
 
 def load_vocab(path) -> Vocabulary:
     """Read a UTF-8 vocab file, one token per line (line index = token id)."""
-    with open(path, encoding="utf-8") as f:
-        return Vocabulary([line.rstrip("\n") for line in f])
+    try:
+        with open(path, encoding="utf-8") as f:
+            return Vocabulary([line.rstrip("\n") for line in f])
+    except UnicodeDecodeError as e:
+        raise VocabularyError(f"vocab file {path} is not UTF-8 text: {e.reason}") from None
 
 
 def save_vocab(tokens: list[str], path) -> None:
@@ -171,16 +174,3 @@ def encode(subject: str, body: str, vocab: Vocabulary,
     mask.extend([0] * pad)
     return TokenSequence(ids=ids, attention_mask=mask, n_tokens=min(len(content), budget + 1))
 
-
-def decode(ids: list[int], vocab: Vocabulary) -> str:
-    """Inverse of encode up to normalization: drop specials, merge ## pieces."""
-    words: list[str] = []
-    for i in ids:
-        tok = vocab.tokens[i]
-        if tok in _SPECIALS:
-            continue
-        if tok.startswith(CONT) and words:
-            words[-1] += tok[len(CONT):]
-        else:
-            words.append(tok)
-    return " ".join(words)

@@ -20,7 +20,7 @@ import numpy as np
 from . import tensor as T
 from .checkpoint import save_checkpoint
 from .mail import EmailRecord
-from .metrics import roc_auc
+from .metrics import _check_two_class, roc_auc
 from .model import (PARTIAL_FINETUNE, CatBertModel, config_keys, forward_probs, freeze_preset,
                     set_trainable)
 from .pipeline import EncodedDataset, score_dataset
@@ -169,7 +169,10 @@ def train(model: CatBertModel, train_set: EncodedDataset, config: TrainConfig,
           out_dir: str | None = None) -> TrainingHistory:
     """Adam on weighted BCE over balanced batches. Tracks per-epoch loss and
     validation AUC and keeps the best-validation-AUC checkpoint in
-    ``out_dir/best``. Aborts on non-finite loss."""
+    ``out_dir/best``. Aborts on non-finite loss, and on a validation set
+    without both classes before the first step."""
+    if val_set is not None:
+        _check_two_class(val_set.labels)
     set_trainable(model, freeze_preset(model.config) if config.freeze else [])
     rng = np.random.default_rng(config.seed)
     state = AdamState(lr=config.learning_rate)

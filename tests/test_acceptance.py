@@ -21,17 +21,18 @@ from catbert.baseline import make_lr_scorer, train_tfidf_lr
 from catbert.cli import main as cli_main
 from catbert.explain import explain_record, lime_explain
 from catbert.mail import build_content, save_dataset
-from catbert.metrics import (DEFAULT_FPRS, roc_auc, spearman, time_inference,
-                             tpr_at_fpr)
+from catbert.metrics import DEFAULT_FPRS, roc_auc, time_inference, tpr_at_fpr
 from catbert.model import (CatBertModel, ModelConfig, count_params,
                            forward_probs, init_random, millions,
                            surgery_from_donor)
 from catbert.pipeline import encode_records, make_model_scorer, score_dataset
 from catbert.synthetic import (PLANTED, SYNONYM_TABLE, make_corpus,
                                synthetic_vocab)
-from catbert.tensor import Parameter, grad_check
+from catbert.tensor import Parameter
 from catbert.tokenizer import Vocabulary, save_vocab
 from catbert.train import TrainConfig, bce_loss, split_by_time, train
+
+from oracles import grad_check, spearman
 
 SEEDS = (0, 1, 2, 3, 4)
 

@@ -4,7 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from catbert.checkpoint import BLOB, MANIFEST, CheckpointError, load_checkpoint, save_checkpoint
+from catbert.checkpoint import (BLOB, MANIFEST, CheckpointError, load_checkpoint, read_manifest,
+                                save_checkpoint)
 from catbert.model import ModelConfig, forward_probs, init_random, surgery_from_donor
 
 
@@ -242,3 +243,11 @@ def test_malformed_manifest_is_a_checkpoint_error_naming_the_field(tiny, tmp_pat
     with pytest.raises(CheckpointError) as exc:
         load_checkpoint(tmp_path)
     assert message in str(exc.value)
+
+
+def test_a_manifest_byte_that_is_not_utf8_is_a_checkpoint_error(tiny, tmp_path):
+    save_checkpoint(tiny, tmp_path)
+    text = (tmp_path / MANIFEST).read_bytes()
+    (tmp_path / MANIFEST).write_bytes(text.replace(b'"format_version"', b'"format\xff"', 1))
+    with pytest.raises(CheckpointError, match="unreadable manifest: 'utf-8' codec can't decode"):
+        read_manifest(tmp_path)

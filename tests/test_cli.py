@@ -106,7 +106,9 @@ class TestExitCodes:
         (["bench", "--vocab-size", "0"], "argument --vocab-size: wants one int in [1, inf]"),
         (["bench", "--hidden", "10", "--heads", "3"],
          "bad model size: hidden=10 not divisible by heads=3"),
-        (["bench", "--donor-blocks", "0"], "bad model size: block plan must be non-empty"),
+        (["bench", "--donor-blocks", "0"], "argument --donor-blocks: wants one int in [2, inf]"),
+        (["bench", "--donor-blocks", "-2"],
+         "argument --donor-blocks: wants one int in [2, inf], got '-2'"),
         (["train", "--seed", "-1"], "argument --seed: wants one int in [0, inf], got '-1'"),
         (["surgery", "--seed", "-1"], "argument --seed: wants one int in [0, inf]"),
         (["attack", "--kind", "typo", "--rate", "0.5", "--seed", "-1"],
@@ -128,6 +130,7 @@ class TestExitCodes:
             "attack-synonym-without-table", "bench-batch-zero", "bench-repetitions-zero",
             "bench-hidden-zero", "bench-ffn-dim-negative", "bench-heads-zero",
             "bench-vocab-size-zero", "bench-heads-not-dividing-hidden", "bench-no-blocks",
+            "bench-donor-blocks-negative",
             "train-seed-negative", "surgery-seed-negative", "attack-seed-negative",
             "explain-seed-negative", "bench-seed-negative", "train-lr-nan", "train-lr-inf",
             "train-lr-negative", "train-bec-weight-zero"])
@@ -201,13 +204,17 @@ class TestIngestSplit:
         ('{"label": 0, "to": [1, 2]}', "to[0] must be a string, got int"),
         ('{"label": 0, "cc": "a@x.co"}', "cc must be a list of strings, got str"),
         ('{"label": 0, "subject": "\\ud800"}', "subject holds a lone surrogate"),
+        ('{"label": 0, "subject": "\udcff"}',
+         "subject holds a lone surrogate or a byte that is not UTF-8"),
     ], ids=["weight-text", "weight-inf", "first-seen-number", "deep-nesting",
             "subject-number", "subject-list", "body-text-object", "body-html-number",
-            "from-number", "to-numbers", "cc-string", "subject-lone-surrogate"])
+            "from-number", "to-numbers", "cc-string", "subject-lone-surrogate",
+            "subject-byte-not-utf8"])
     def test_ingest_skips_a_hostile_line(self, workdir, tmp_path, capsys, bad, reason):
         good = workdir["corpus"].read_text().splitlines()[0]
         src = tmp_path / "dirty.jsonl"
-        src.write_text(f"{good}\n{bad}\n{good}\n")
+        # "\udcff" is written as the byte 0xff, which is not UTF-8
+        src.write_bytes(f"{good}\n{bad}\n{good}\n".encode("utf-8", "surrogateescape"))
         out = tmp_path / "clean.jsonl"
         assert main(["ingest", "--in", str(src), "--out", str(out)]) == 0
         (skipped,) = json.loads((tmp_path / "clean.jsonl.manifest.json").read_text())[
@@ -657,16 +664,18 @@ class TestAttackExplain:
         assert "out of range" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("text, problem", [("{model: 1}", "is not valid JSON: "),
-                                           ('["model"]', "must hold a JSON object")],
-                         ids=["not-json", "json-list"])
+@pytest.mark.parametrize("text, problem", [
+    ("{model: 1}", "is not valid JSON: "),
+    ('["model"]', "must hold a JSON object"),
+    ('{"model": "\udcff"}', "is not valid JSON: 'utf-8' codec can't decode byte 0xff"),
+], ids=["not-json", "json-list", "not-utf8"])
 @pytest.mark.parametrize("sub, flag, what", [("train", "--config", "config file"),
                                              ("attack", "--synonyms", "synonyms file")])
 def test_json_file_that_is_no_object_fails_before_reading_data(workdir, tmp_path, capsys,
                                                                sub, flag, what, text, problem):
     """Every other input is missing, so reading one would exit 2."""
     path = tmp_path / "file.json"
-    path.write_text(text)
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))  # "\udcff" is the byte 0xff
     missing = str(tmp_path / "missing")
     argv = {"train": ["--train", missing, "--out-dir", str(tmp_path / "r")],
             "attack": ["--model", missing, "--in", missing, "--kind", "synonym",

@@ -31,6 +31,8 @@ from catbert.model import (
 from catbert.tensor import Parameter, Tape, Tensor, backward, dense_grad
 from catbert.train import bce_loss
 
+from oracles import sum_all
+
 CFG = dict(vocab_size=100, hidden=8, ffn_dim=16, heads=2, max_positions=12,
            block_plan=("T", "A", "T", "A"))
 
@@ -305,7 +307,7 @@ def test_dense_layer_matches_unfused_ops(dtype, act, tape, monkeypatch):
         with Tape() if tape else nullcontext() as t:
             out = (T.matmul(x, w, bias=b, act=act) if fused
                    else ops(T.add(T.matmul(x, w), b)))
-            loss = T.sum_all(T.mul(out, out))
+            loss = sum_all(T.mul(out, out))
         if tape:
             backward(t, loss)
             grads.append([p.grad.data.tobytes() for p in (x, w, b)])
@@ -330,7 +332,7 @@ def test_softmax_scale_matches_unfused_ops(tape):
         with Tape() if tape else nullcontext() as t:
             out = (T.softmax_rows(x, scale=scale) if fused
                    else ref_softmax_rows(T.mul(x, scale)))
-            loss = T.sum_all(T.mul(out, Tensor(g)))
+            loss = sum_all(T.mul(out, Tensor(g)))
         if tape:
             backward(t, loss)
             grads.append(x.grad.data.tobytes())
@@ -356,7 +358,7 @@ def test_layer_norm_and_gelu_match_out_of_place_ops(dtype, tape):
             p.grad = None
         with Tape() if tape else nullcontext() as t:
             ln, ge = ln_op(x, gain, bias), gelu_op(x)
-            loss = T.sum_all(T.mul(T.add(ln, ge), Tensor(g)))
+            loss = sum_all(T.mul(T.add(ln, ge), Tensor(g)))
         assert not np.shares_memory(ln.data, x.data) and not np.shares_memory(ge.data, x.data)
         outs.append((ln.data.tobytes(), ge.data.tobytes()))
         if tape:
@@ -414,7 +416,7 @@ def test_gelu_grad_runs_in_blocks_with_the_unfused_float_operations():
     assert v.shape[0] % (T.CACHE_BLOCK // v.shape[1])  # the last block is partial
     x = Parameter("x", v)
     with Tape() as tape:
-        loss = T.sum_all(T.mul(ref_gelu(x), Tensor(g)))
+        loss = sum_all(T.mul(ref_gelu(x), Tensor(g)))
     backward(tape, loss)
     tracemalloc.start()
     try:

@@ -9,12 +9,13 @@ from catbert.metrics import (
     group_metrics,
     roc_auc,
     roc_curve,
-    spearman,
     time_inference,
     tpr_at_fpr,
 )
 from catbert.metrics import _average_ranks
 from catbert.model import ModelConfig, init_random
+
+from oracles import spearman
 
 
 def pairwise_auc(scores, labels):

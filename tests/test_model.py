@@ -29,8 +29,10 @@ from catbert.model import (
     set_trainable,
     surgery_from_donor,
 )
-from catbert.tensor import Parameter, Tape, backward, dense_grad, grad_check
+from catbert.tensor import Parameter, Tape, backward, dense_grad
 from catbert.train import bce_loss
+
+from oracles import grad_check
 
 TINY = dict(vocab_size=100, hidden=8, ffn_dim=16, heads=2, max_positions=16,
             block_plan=("T", "A"))

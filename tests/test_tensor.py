@@ -19,8 +19,9 @@ from catbert.tensor import (
     adam_step,
     backward,
     dense_grad,
-    grad_check,
 )
+
+from oracles import grad_check, sum_all
 
 
 def matmul_oracle(a, b):
@@ -81,7 +82,7 @@ class TestFlatMatmul:
         g = rng.standard_normal(shape[:-1] + (3,)).astype(dtype)
         with Tape() as tape:
             out = T.matmul(a, b)
-            loss = T.sum_all(T.mul(out, g))
+            loss = sum_all(T.mul(out, g))
         backward(tape, loss)
         want = np.matmul(a.data, b.data)
         want_ga = T._unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
@@ -231,7 +232,7 @@ class TestAttention:
 
         def run():
             out = T.attention(q, k, v, q_rows, self.KV_ROWS, heads, 0.5)
-            return T.sum_all(T.mul(out, weights))
+            return sum_all(T.mul(out, weights))
 
         # the check-03 f64 bound
         assert grad_check(run, [q, k, v], eps=3e-4, samples_per_param=16, seed=0) < 1e-4
@@ -241,7 +242,7 @@ class TestAttention:
         q, k, v = (Parameter(n, np.zeros((0, w), np.float32)) for n, w in zip("qkv", (4, 4, 3)))
         with Tape() as tape:
             out = T.attention(q, k, v, rows, rows, 1, 0.5)
-            loss = T.sum_all(out)
+            loss = sum_all(out)
         backward(tape, loss)
         assert out.data.shape == (0, 3) and out.data.dtype == np.float32
         assert [p.grad.data.shape for p in (q, k, v)] == [(0, 4), (0, 4), (0, 3)]
@@ -263,7 +264,7 @@ class TestEmbedding:
         table = Parameter("emb", np.zeros((3, 2), dtype=np.float32))
         with Tape() as tape:
             out = T.embedding_lookup(table, np.array([1, 1, 1]))
-            loss = T.sum_all(out)
+            loss = sum_all(out)
         backward(tape, loss)
         assert np.array_equal(dense_grad(table.grad)[1], np.array([3.0, 3.0], dtype=np.float32))
         assert np.array_equal(dense_grad(table.grad)[0], np.zeros(2, dtype=np.float32))
@@ -292,7 +293,7 @@ class TestRowSparseGrad:
         weights = [rng.normal(0, 1, np.shape(ids) + (table.shape[1],)).astype(table.dtype)
                    for ids in ids_list]
         with Tape() as tape:
-            terms = [T.sum_all(T.mul(T.embedding_lookup(table, ids), w))
+            terms = [sum_all(T.mul(T.embedding_lookup(table, ids), w))
                      for ids, w in zip(ids_list, weights)]
             loss = terms[0]
             for term in terms[1:]:
@@ -327,8 +328,8 @@ class TestRowSparseGrad:
         ids, x = np.array([3, 0, 3]), rng.normal(0, 1, (2, 5)).astype(dtype)
         w = rng.normal(0, 1, (3, 3)).astype(dtype)
         with Tape() as tape:
-            loss = T.add(T.sum_all(T.matmul(x, table)),
-                         T.sum_all(T.mul(T.embedding_lookup(table, ids), w)))
+            loss = T.add(sum_all(T.matmul(x, table)),
+                         sum_all(T.mul(T.embedding_lookup(table, ids), w)))
         backward(tape, loss)
         assert isinstance(table.grad, Tensor)
         # the tape runs backward: the lookup's gradient arrives first
@@ -339,7 +340,7 @@ class TestRowSparseGrad:
         # a RowGrad reaching an op's output is densified for that op's grad_fn
         table = Parameter("emb", np.ones((4, 2)), dtype=dtype)
         with Tape() as tape:
-            loss = T.sum_all(T.embedding_lookup(T.mul(table, 3.0), np.array([2, 2])))
+            loss = sum_all(T.embedding_lookup(T.mul(table, 3.0), np.array([2, 2])))
         backward(tape, loss)
         want = np.zeros((4, 2), dtype)
         want[2] = 6.0
@@ -350,14 +351,14 @@ class TestBackward:
     def test_sum_gives_ones(self):
         w = Parameter("w", np.random.default_rng(3).standard_normal((3, 4)).astype(np.float32))
         with Tape() as tape:
-            loss = T.sum_all(w)
+            loss = sum_all(w)
         backward(tape, loss)
         assert np.array_equal(w.grad.data, np.ones((3, 4), dtype=np.float32))
 
     def test_sum_of_square_gives_two_w(self):
         w = Parameter("w", np.random.default_rng(4).standard_normal((2, 5)).astype(np.float32))
         with Tape() as tape:
-            loss = T.sum_all(T.mul(w, w))
+            loss = sum_all(T.mul(w, w))
         backward(tape, loss)
         assert np.allclose(w.grad.data, 2.0 * w.data, atol=1e-6)
 
@@ -365,7 +366,7 @@ class TestBackward:
         # w used twice: loss = sum(w) + sum(w) must give grad 2 everywhere
         w = Parameter("w", np.ones((2, 2), dtype=np.float32))
         with Tape() as tape:
-            loss = T.add(T.sum_all(w), T.sum_all(w))
+            loss = T.add(sum_all(w), sum_all(w))
         backward(tape, loss)
         assert np.array_equal(w.grad.data, np.full((2, 2), 2.0, dtype=np.float32))
 
@@ -380,7 +381,7 @@ class TestBackward:
         w = Parameter("w", np.ones(3), trainable=False)
         u = Parameter("u", np.ones(3))
         with Tape() as tape:
-            loss = T.sum_all(T.add(w, u))
+            loss = sum_all(T.add(w, u))
         backward(tape, loss)
         assert w.grad is None
         assert u.grad is not None
@@ -388,7 +389,7 @@ class TestBackward:
     def test_constant_operand_gets_no_grad(self):
         w = Parameter("w", np.ones(3))
         with Tape() as tape:
-            loss = T.sum_all(T.add(w, np.array([1.0, 2.0, 3.0], dtype=np.float32)))
+            loss = sum_all(T.add(w, np.array([1.0, 2.0, 3.0], dtype=np.float32)))
         backward(tape, loss)
         assert np.array_equal(w.grad.data, np.ones(3, dtype=np.float32))
 
@@ -405,7 +406,7 @@ class TestElementwiseGrads:
     def check(self, fn, x, expect):
         p = Parameter("p", x)
         with Tape() as tape:
-            loss = T.sum_all(fn(p))
+            loss = sum_all(fn(p))
         backward(tape, loss)
         assert np.allclose(p.grad.data, expect, atol=1e-5)
 
@@ -431,7 +432,7 @@ class TestElementwiseGrads:
         x = np.linspace(-3, 3, 13).astype(np.float64)
         p = Parameter("p", x, dtype=np.float64)
         with Tape() as tape:
-            loss = T.sum_all(T.gelu(p))
+            loss = sum_all(T.gelu(p))
         backward(tape, loss)
         eps = 1e-6
         fd = np.empty_like(x)
@@ -447,7 +448,7 @@ class TestElementwiseGrads:
         x = np.array([-2.0, 0.5, 3.0], dtype=np.float32)
         p = Parameter("p", x)
         with Tape() as tape:
-            loss = T.sum_all(T.clip(p, 0.0, 1.0))
+            loss = sum_all(T.clip(p, 0.0, 1.0))
         backward(tape, loss)
         assert np.array_equal(p.grad.data, np.array([0.0, 1.0, 0.0], dtype=np.float32))
 
@@ -458,7 +459,7 @@ class TestShapeOps:
         p = Parameter("p", rng.standard_normal((2, 3, 4)).astype(np.float32))
         with Tape() as tape:
             out = T.transpose(T.reshape(p, (6, 4)), (1, 0))
-            loss = T.sum_all(T.mul(out, out))
+            loss = sum_all(T.mul(out, out))
         backward(tape, loss)
         assert np.allclose(p.grad.data, 2.0 * p.data, atol=1e-6)
 
@@ -466,7 +467,7 @@ class TestShapeOps:
         p = Parameter("p", np.arange(10, dtype=np.float32).reshape(5, 2))
         with Tape() as tape:
             out = T.take_rows(p, np.array([3, 0]))
-            loss = T.sum_all(out)
+            loss = sum_all(out)
         backward(tape, loss)
         assert np.array_equal(out.data, [[6, 7], [0, 1]])
         expect = np.zeros((5, 2), dtype=np.float32)
@@ -478,7 +479,7 @@ class TestShapeOps:
         p = Parameter("p", np.arange(10, dtype=np.float32).reshape(5, 2))
         with Tape() as tape:
             out = T.take_rows(p, slice(1, 3))
-            loss = T.sum_all(out)
+            loss = sum_all(out)
         backward(tape, loss)
         assert np.shares_memory(out.data, p.data)
         assert np.array_equal(out.data, [[2, 3], [4, 5]])
@@ -494,7 +495,7 @@ class TestAdam:
         for _ in range(400):
             with Tape() as tape:
                 d = T.sub(w, np.array([3.0], dtype=np.float32))
-                loss = T.sum_all(T.mul(d, d))
+                loss = sum_all(T.mul(d, d))
             backward(tape, loss)
             adam_step([w], state)
         assert abs(float(w.data[0]) - 3.0) < 1e-2
@@ -504,7 +505,7 @@ class TestAdam:
         frozen = Parameter("f", np.ones(2, dtype=np.float32), trainable=False)
         before = frozen.data.copy()
         with Tape() as tape:
-            loss = T.sum_all(T.mul(T.add(w, frozen), T.add(w, frozen)))
+            loss = sum_all(T.mul(T.add(w, frozen), T.add(w, frozen)))
         backward(tape, loss)
         adam_step([w, frozen], AdamState(lr=0.1))
         assert np.array_equal(frozen.data, before)
@@ -559,9 +560,9 @@ class TestAdam:
             out_g = rng.normal(0, 0.01, (ids.size, 4)).astype(dtype)
             x = rng.normal(0, 0.01, (2, 9)).astype(dtype)
             with Tape() as tape:
-                loss = T.sum_all(T.mul(T.embedding_lookup(table, ids), out_g))
+                loss = sum_all(T.mul(T.embedding_lookup(table, ids), out_g))
                 if dense:
-                    loss = T.add(T.sum_all(T.matmul(x, table)), loss)
+                    loss = T.add(sum_all(T.matmul(x, table)), loss)
             backward(tape, loss)
             assert isinstance(table.grad, Tensor if dense else RowGrad)
             g_table = dense_grad(table.grad).copy()
@@ -604,7 +605,7 @@ class TestAdam:
             gb = rng.normal(0, 0.01, b.shape).astype(np.float32)
             w.grad, b.grad = Tensor(gw), Tensor(gb)
             with Tape() as tape:
-                loss = T.sum_all(T.mul(T.embedding_lookup(table, ids), out_g))
+                loss = sum_all(T.mul(T.embedding_lookup(table, ids), out_g))
             backward(tape, loss)
             g_table = dense_grad(table.grad)
             adam_step([w, table, b], state)
@@ -630,7 +631,7 @@ class TestAdam:
         for t, ids in enumerate((live, live[::3], live[1::2]), start=1):
             out_g = rng.normal(0, 0.01, (ids.size, 3)).astype(np.float32)
             with Tape() as tape:
-                loss = T.sum_all(T.mul(T.embedding_lookup(table, ids), out_g))
+                loss = sum_all(T.mul(T.embedding_lookup(table, ids), out_g))
             backward(tape, loss)
             p, m, v = want
             want = self.oracle(p, dense_grad(table.grad), m, v, t, 1e-2)
@@ -704,7 +705,7 @@ class TestAdam:
         # bias correction makes the first step exactly lr in magnitude
         w = Parameter("w", np.array([5.0], dtype=np.float32))
         with Tape() as tape:
-            loss = T.sum_all(T.mul(w, 2.0))
+            loss = sum_all(T.mul(w, 2.0))
         backward(tape, loss)
         adam_step([w], AdamState(lr=0.01))
         assert abs(float(w.data[0]) - (5.0 - 0.01)) < 1e-6
@@ -740,14 +741,14 @@ class TestGradCheck:
     def test_eps_validated(self):
         w = Parameter("w", np.ones(1))
         with pytest.raises(ValueError):
-            grad_check(lambda: T.sum_all(w), [w], eps=0.0)
+            grad_check(lambda: sum_all(w), [w], eps=0.0)
         with pytest.raises(ValueError):
-            grad_check(lambda: T.sum_all(w), [w], eps=0.5)
+            grad_check(lambda: sum_all(w), [w], eps=0.5)
 
     def test_restores_params(self):
         w = Parameter("w", np.array([2.0], dtype=np.float32))
         before = w.data.copy()
-        grad_check(lambda: T.sum_all(T.mul(w, w)), [w], eps=1e-3)
+        grad_check(lambda: sum_all(T.mul(w, w)), [w], eps=1e-3)
         assert np.array_equal(w.data, before)
         assert w.data.dtype == np.float32
 
@@ -854,7 +855,7 @@ def test_backward_consumes_the_tape():
     w = Parameter("w", np.ones(3, dtype=np.float32))
     with Tape() as tape:
         hidden = T.mul(w, 2.0)
-        loss = T.sum_all(T.mul(hidden, hidden))
+        loss = sum_all(T.mul(hidden, hidden))
     freed = weakref.ref(hidden.data)
     del hidden
     backward(tape, loss)
@@ -871,7 +872,7 @@ def test_a_tape_walked_while_active_records_no_dead_ids():
     w = Parameter("w", np.ones(3, dtype=np.float32))
     with Tape() as tape:
         hidden = T.mul(w, 2.0)
-        loss = T.sum_all(hidden)
+        loss = sum_all(hidden)
         backward(tape, loss)
         assert not tape.needs_grad(hidden)
         T.mul(Tensor(np.ones(3)), 2.0)
@@ -888,7 +889,7 @@ def test_a_walk_that_raised_leaves_the_tape_spent():
 
     w = Parameter("w", np.ones(3, dtype=np.float32))
     with Tape() as tape:
-        loss = T.sum_all(T.mul(w, 2.0))
+        loss = sum_all(T.mul(w, 2.0))
     tape._entries[-1] = (loss, (w,), broken)
     with pytest.raises(ValueError, match="broken"):
         backward(tape, loss)

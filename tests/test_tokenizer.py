@@ -11,13 +11,14 @@ from catbert.tokenizer import (
     VocabularyError,
     _is_punct,
     _split_word,
-    decode,
     encode,
     load_vocab,
     pre_tokenize,
     save_vocab,
     wordpiece,
 )
+
+from oracles import decode
 
 TOY = ["[PAD]", "[UNK]", "[CLS]", "[SEP]", "pay", "##ment", "money"]
 
@@ -64,6 +65,12 @@ class TestLoadVocab:
         p = tmp_path / "vocab.txt"
         p.write_text("[PAD]\n[UNK]\n\n[CLS]\n[SEP]\na\n")
         with pytest.raises(VocabularyError, match="empty token on line 3"):
+            load_vocab(p)
+
+    def test_a_byte_that_is_not_utf8_names_the_file(self, tmp_path):
+        p = tmp_path / "vocab.txt"
+        p.write_bytes("\n".join(TOY).encode() + b"\npay\xff\n")
+        with pytest.raises(VocabularyError, match=f"vocab file {re.escape(str(p))} is not UTF-8"):
             load_vocab(p)
 
     def test_saved_empty_token_does_not_reload_one_short(self, tmp_path):

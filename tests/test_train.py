@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from catbert import tensor as T
 from catbert.mail import EmailRecord
+from catbert.metrics import MetricError
 from catbert.model import ModelConfig, forward_probs, freeze_preset, init_random, set_trainable
 from catbert.pipeline import EncodedDataset, encode_records, score_dataset
 from catbert.synthetic import make_corpus, synthetic_vocab
@@ -426,6 +427,23 @@ def test_training_without_validation_saves_final(tmp_path):
     assert len(history.epochs) == 1 and "val_auc" not in history.epochs[0]
     # no validation set: the final weights land in best/
     assert os.path.exists(tmp_path / "best" / "tensors.bin")
+
+
+def test_one_class_validation_set_fails_before_the_first_step(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return forward_probs(*args)
+
+    monkeypatch.setattr("catbert.train.forward_probs", counted)
+    vocab = Vocabulary(synthetic_vocab())
+    benign = [r for r in make_corpus(n=32, malicious_frac=0.5, seed=0) if r.label == 0]
+    model = init_random(ModelConfig(**TINY), seed=0)
+    with pytest.raises(MetricError, match="need both classes, got 0 positive"):
+        train(model, _tiny_dataset(n_per_class=16), TrainConfig(epochs=1, batch_size=16),
+              val_set=encode_records(benign, vocab, max_len=16))
+    assert calls == []
 
 
 def test_validation_auc_recorded_per_epoch():
