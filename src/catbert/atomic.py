@@ -1,10 +1,11 @@
-"""The one way catbert writes a file: into a temporary file beside the target,
+"""The one way catbert writes a file (into a temporary file beside the target,
 flushed to disk, then renamed over it, so a crash leaves the old file or the
-new one. Bit rot after the rename is not detected."""
+new one; bit rot after the rename is not detected), writes JSON, and reads it."""
 
 from __future__ import annotations
 
 import contextlib
+import json
 import os
 
 
@@ -24,3 +25,34 @@ def replacing(path, mode: str = "w"):
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+
+
+def json_text(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _unique_keys(pairs: list) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"repeated key {key[:80]!r}")  # short, however long the key
+        obj[key] = value
+    return obj
+
+
+def json_object(text: str | bytes) -> dict:
+    """``text`` (bytes as UTF-8) as a JSON object with unique keys, or a
+    ValueError whose message follows the name of what held the text."""
+    try:
+        obj = json.loads(text.decode() if isinstance(text, bytes) else text,
+                         object_pairs_hook=_unique_keys)
+    except (ValueError, RecursionError) as e:  # bad UTF-8, the int digit limit, deep nesting
+        raise ValueError(f"is not valid JSON: {e}") from None
+    if not isinstance(obj, dict):
+        raise ValueError("must hold a JSON object")
+    return obj
+
+
+def read_json_object(path) -> dict:
+    with open(path, "rb") as f:
+        return json_object(f.read())

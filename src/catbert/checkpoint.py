@@ -10,7 +10,6 @@ bit-identical.
 
 from __future__ import annotations
 
-import json
 import math
 import mmap
 import os
@@ -18,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .atomic import replacing
+from .atomic import json_text, read_json_object, replacing
 from .model import CatBertModel, ConfigError, ModelConfig, param_shapes
 from .tensor import Parameter
 
@@ -45,12 +44,12 @@ def save_checkpoint(model: CatBertModel, out_dir) -> None:
         entries.append({"name": name, "shape": list(p.data.shape), "dtype": "f32",
                         "offset": offset, "nbytes": nbytes})
         offset += nbytes
-    manifest = json.dumps({
+    manifest = json_text({
         "format_version": FORMAT_VERSION,
         "config": model.config.to_dict(),
         "tensors": entries,
         "provenance": model.provenance,
-    }, indent=2, sort_keys=True) + "\n"
+    })
     manifest_path = Path(out_dir, MANIFEST)
     if manifest_path.exists() and manifest_path.read_bytes() != manifest.encode():
         manifest_path.unlink()
@@ -66,15 +65,11 @@ def read_manifest(ckpt_dir) -> tuple[dict, ModelConfig]:
     blob: what a caller needs to check its flags against the model."""
     manifest_path = os.path.join(ckpt_dir, MANIFEST)
     try:
-        with open(manifest_path, encoding="utf-8") as f:
-            manifest = json.load(f)
+        manifest = read_json_object(manifest_path)
     except FileNotFoundError:
         raise CheckpointError(f"no {MANIFEST} in {ckpt_dir}") from None
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
-        raise CheckpointError(f"unreadable manifest: {e}") from e
-
-    if not isinstance(manifest, dict):
-        raise CheckpointError(f"{MANIFEST} holds no JSON object")
+    except ValueError as e:
+        raise CheckpointError(f"unreadable manifest: {manifest_path} {e}") from None
     version = manifest.get("format_version")
     if version != FORMAT_VERSION:
         raise CheckpointError(f"unsupported format_version {version!r}, expected {FORMAT_VERSION}")

@@ -33,7 +33,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__
-from .atomic import replacing
+from .atomic import json_text, read_json_object, replacing
 from .attacks import KINDS, AttackSpec, accuracy_under_attack, check_threshold
 from .checkpoint import BLOB, MANIFEST, load_checkpoint, read_manifest, save_checkpoint
 from .explain import MIN_SAMPLES, explain_record
@@ -85,10 +85,6 @@ def _file_entry(path: str) -> dict:
         return {"path": path,
                 "files": {name: _digest(os.path.join(path, name)) for name in (MANIFEST, BLOB)}}
     return {"path": path, **_digest(path)}
-
-
-def _json_text(obj: dict) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def _write_text(text: str, path: str | None) -> None:
@@ -149,25 +145,19 @@ def _write_manifest(args, started: float, config: dict, seed, inputs: dict,
         "environment": _environment(),
         "timing": {"started_unix": started, "duration_s": time.time() - started},
     }
-    _write_text(_json_text(manifest), path)
+    _write_text(json_text(manifest), path)
 
 
 # ------------------------------------------------------- config plumbing
 
 
 def _load_json(path: str | None, what: str = "config file") -> dict:
-    if not path:
-        return {}
     try:
-        with open(path, encoding="utf-8") as f:
-            obj = json.load(f)
+        return read_json_object(path) if path else {}
     except FileNotFoundError:
         raise UsageError(f"{what} not found: {path}")
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
-        raise UsageError(f"{what} {path} is not valid JSON: {e}")
-    if not isinstance(obj, dict):
-        raise UsageError(f"{what} {path} must hold a JSON object")
-    return obj
+    except ValueError as e:
+        raise UsageError(f"{what} {path} {e}")
 
 
 def _override(base: dict, **flags) -> dict:
@@ -300,7 +290,7 @@ def _cmd_train(args) -> dict:
     history = train(model, train_set, train_cfg, val_set=val_set, out_dir=args.out_dir)
 
     history_path = os.path.join(args.out_dir, "history.json")
-    _write_text(_json_text(asdict(history)), history_path)
+    _write_text(json_text(asdict(history)), history_path)
     last = history.epochs[-1]
     print(json.dumps({"final": last, "best_epoch": history.best_epoch,
                       "best_val_auc": history.best_val_auc}), file=sys.stderr)
@@ -347,7 +337,7 @@ def _cmd_params(args) -> dict:
             "total": millions(report.total),
         },
     }
-    _write_text(_json_text(payload), args.out)
+    _write_text(json_text(payload), args.out)
     return dict(config=cfg.to_dict(), seed=None, inputs={"config": args.config},
                 outputs={"report": args.out})
 
@@ -400,7 +390,7 @@ def _cmd_eval(args) -> dict:
     }
     if args.groups:
         payload["groups"] = group_metrics(scores, labels, ds.groups, fprs=fprs)
-    _write_text(_json_text(payload), args.out)
+    _write_text(json_text(payload), args.out)
     if args.roc:
         _write_text("fpr,tpr,threshold\n" + "".join(
             f"{fpr!r},{tpr!r},{thr!r}\n" for fpr, tpr, thr in roc_curve(scores, labels)),
@@ -426,7 +416,7 @@ def _cmd_attack(args) -> dict:
     vocab, model, records, max_len = _load_model_inputs(args)
     scorer = make_model_scorer(model, vocab, max_len=max_len, use_context=not args.no_context)
     report = accuracy_under_attack(scorer, records, spec, threshold=args.threshold)
-    _write_text(_json_text(report), args.out)
+    _write_text(json_text(report), args.out)
     return _scoring_run(args, max_len, {"report": args.out}, seed=args.seed,
                         kind=args.kind, rate=args.rate, threshold=args.threshold)
 
@@ -438,7 +428,7 @@ def _cmd_explain(args) -> dict:
     attribution = explain_record(model, vocab, records[args.index],
                                  n_samples=args.n_samples, seed=args.seed,
                                  max_len=max_len, use_context=not args.no_context)
-    _write_text(_json_text(asdict(attribution)), args.out)
+    _write_text(json_text(asdict(attribution)), args.out)
     return _scoring_run(args, max_len, {"attribution": args.out}, seed=args.seed,
                         index=args.index, n_samples=args.n_samples)
 
@@ -463,7 +453,7 @@ def _cmd_bench(args) -> dict:
     payload = {"dims": dims, "donor": donor_t, "compressed": compressed_t,
                "speedup_p50": donor_t["p50_ms"] / compressed_t["p50_ms"],
                "speedup_mean": donor_t["mean_ms"] / compressed_t["mean_ms"]}
-    _write_text(_json_text(payload), args.out)
+    _write_text(json_text(payload), args.out)
     return dict(config=dims, seed=args.seed, inputs={}, outputs={"report": args.out})
 
 

@@ -15,7 +15,7 @@ from html.parser import HTMLParser
 
 import numpy as np
 
-from .atomic import replacing
+from .atomic import json_object, replacing
 
 log = logging.getLogger(__name__)
 
@@ -189,8 +189,6 @@ def _parse_record(obj: dict) -> EmailRecord:
     """One JSON object as a record, or a DatasetError that names the first
     field a later stage could not read and the type of its value, quoting
     at most ``SHOWN_CHARS`` of it. A null field counts as absent."""
-    if not isinstance(obj, dict):
-        raise DatasetError("record is not a JSON object")
     if "label" not in obj:
         raise DatasetError("missing label")
     kwargs = {}
@@ -235,11 +233,11 @@ def load_dataset_with_report(path, strict: bool = False):
             if not line.strip():
                 continue
             try:
-                records.append(_parse_record(json.loads(line)))
-            except (json.JSONDecodeError, RecursionError, DatasetError, TypeError) as e:
+                records.append(_parse_record(json_object(line)))
+            except ValueError as e:  # DatasetError is one
                 msg = f"line {lineno}: {e}"
                 if strict:
-                    raise DatasetError(msg) from e
+                    raise DatasetError(f"{msg}, in {path}") from e
                 errors.append(msg)
     return records, errors
 

@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -201,7 +202,7 @@ def _set_entry(m, key, value):
 
 
 @pytest.mark.parametrize("edit, message", [
-    (lambda m: [m], "manifest.json holds no JSON object"),
+    (lambda m: [m], "unreadable manifest: {manifest} must hold a JSON object"),
     (lambda m: {k: v for k, v in m.items() if k != "config"}, "no 'config' object"),
     (lambda m: {**m, "config": {**m["config"], "hidden": "8"}},
      "bad 'config' in manifest.json: hidden must be an int >= 1, got '8'"),
@@ -227,27 +228,34 @@ def _set_entry(m, key, value):
      "tensor 'embeddings.token' has unsupported dtype 'f16'"),
     (lambda m: _set_entry(m, "nbytes", m["tensors"][0]["nbytes"] - 4),
      "tensor 'embeddings.token' nbytes 1276 != shape size 1280"),
+    (lambda m: json.dumps(m)[:-1] + ', "format_version": 1}',
+     "{manifest} is not valid JSON: repeated key 'format_version'"),
+    (lambda m: json.dumps(m).replace('"format_version": 1', '"format_version": ' + "1" * 5000),
+     "{manifest} is not valid JSON: Exceeds the limit (4300 digits)"),
 ], ids=["json-list", "no-config", "string-hidden", "zero-heads", "no-vocab-size",
         "tensors-not-a-list", "entry-without-shape", "string-in-shape", "string-offset",
         "float-nbytes", "entry-without-name", "extra-entries-with-and-without-name",
         "int-block-plan", "provenance-not-an-object", "provenance-with-a-number",
-        "unparsable-json", "f16-dtype", "nbytes-not-the-shape-size"])
+        "unparsable-json", "f16-dtype", "nbytes-not-the-shape-size", "repeated-key",
+        "int-past-digit-limit"])
 def test_malformed_manifest_is_a_checkpoint_error_naming_the_field(tiny, tmp_path, edit,
                                                                    message):
     """A hand-edited manifest fails as a CheckpointError that says what is
     wrong, never as a raw KeyError, TypeError or AttributeError. An edit that
-    returns text is written as it is."""
+    returns text is written as it is; ``{manifest}`` stands for its path."""
     save_checkpoint(tiny, tmp_path)
     edited = edit(json.loads((tmp_path / MANIFEST).read_text()))
     (tmp_path / MANIFEST).write_text(edited if isinstance(edited, str) else json.dumps(edited))
     with pytest.raises(CheckpointError) as exc:
         load_checkpoint(tmp_path)
-    assert message in str(exc.value)
+    assert message.format(manifest=tmp_path / MANIFEST) in str(exc.value)
 
 
 def test_a_manifest_byte_that_is_not_utf8_is_a_checkpoint_error(tiny, tmp_path):
     save_checkpoint(tiny, tmp_path)
     text = (tmp_path / MANIFEST).read_bytes()
     (tmp_path / MANIFEST).write_bytes(text.replace(b'"format_version"', b'"format\xff"', 1))
-    with pytest.raises(CheckpointError, match="unreadable manifest: 'utf-8' codec can't decode"):
+    manifest = re.escape(str(tmp_path / MANIFEST))
+    with pytest.raises(CheckpointError, match=f"unreadable manifest: {manifest} is not valid JSON: "
+                                              "'utf-8' codec can't decode"):
         read_manifest(tmp_path)

@@ -206,10 +206,13 @@ class TestIngestSplit:
         ('{"label": 0, "subject": "\\ud800"}', "subject holds a lone surrogate"),
         ('{"label": 0, "subject": "\udcff"}',
          "subject holds a lone surrogate or a byte that is not UTF-8"),
+        ('{"label": 0, "weight": ' + "1" * 5000 + "}",
+         "is not valid JSON: Exceeds the limit (4300 digits)"),
+        ('{"label": 0, "label": 1}', "is not valid JSON: repeated key 'label'"),
     ], ids=["weight-text", "weight-inf", "first-seen-number", "deep-nesting",
             "subject-number", "subject-list", "body-text-object", "body-html-number",
             "from-number", "to-numbers", "cc-string", "subject-lone-surrogate",
-            "subject-byte-not-utf8"])
+            "subject-byte-not-utf8", "int-past-digit-limit", "repeated-label"])
     def test_ingest_skips_a_hostile_line(self, workdir, tmp_path, capsys, bad, reason):
         good = workdir["corpus"].read_text().splitlines()[0]
         src = tmp_path / "dirty.jsonl"
@@ -668,7 +671,11 @@ class TestAttackExplain:
     ("{model: 1}", "is not valid JSON: "),
     ('["model"]', "must hold a JSON object"),
     ('{"model": "\udcff"}', "is not valid JSON: 'utf-8' codec can't decode byte 0xff"),
-], ids=["not-json", "json-list", "not-utf8"])
+    ("[" * 100_000, "is not valid JSON: maximum recursion depth exceeded"),
+    ('{"model": 1, "model": 2}', "is not valid JSON: repeated key 'model'"),
+    ('{"model": ' + "1" * 5000 + "}", "is not valid JSON: Exceeds the limit (4300 digits)"),
+], ids=["not-json", "json-list", "not-utf8", "deep-nesting", "repeated-key",
+        "int-past-digit-limit"])
 @pytest.mark.parametrize("sub, flag, what", [("train", "--config", "config file"),
                                              ("attack", "--synonyms", "synonyms file")])
 def test_json_file_that_is_no_object_fails_before_reading_data(workdir, tmp_path, capsys,
