@@ -8,13 +8,12 @@ a context-aware model. Output: corpus.jsonl, vocab.txt, synonyms.json.
 """
 
 import argparse
-import json
 import os
 import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from catbert.atomic import replacing
+from catbert.atomic import json_text, replacing
 from catbert.mail import save_dataset
 from catbert.synthetic import SYNONYM_TABLE, make_corpus, synthetic_vocab
 from catbert.tokenizer import save_vocab
@@ -36,7 +35,7 @@ def main() -> int:
     save_dataset(records, os.path.join(args.out_dir, "corpus.jsonl"))
     save_vocab(synthetic_vocab(), os.path.join(args.out_dir, "vocab.txt"))
     with replacing(os.path.join(args.out_dir, "synonyms.json")) as f:
-        json.dump(SYNONYM_TABLE, f, indent=2, sort_keys=True)
+        f.write(json_text(SYNONYM_TABLE))
 
     n_mal = sum(r.label for r in records)
     print(f"wrote {len(records)} records ({n_mal} malicious) to {args.out_dir}")

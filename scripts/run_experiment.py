@@ -11,13 +11,12 @@ Runs in a few minutes on one CPU at the default sizes.
 """
 
 import argparse
-import json
 import os
 import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from catbert.atomic import replacing
+from catbert.atomic import json_text, replacing
 from catbert.attacks import AttackSpec, accuracy_under_attack
 from catbert.baseline import make_lr_scorer, predict_tfidf_lr, train_tfidf_lr
 from catbert.explain import explain_record
@@ -103,7 +102,7 @@ def main() -> int:
 
     if args.out:
         with replacing(args.out) as f:
-            json.dump(report, f, indent=2, sort_keys=True)
+            f.write(json_text(report))
         print(f"report written to {args.out}")
     return 0
 

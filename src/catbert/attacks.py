@@ -48,19 +48,25 @@ class AttackSpec:
             raise ValueError(f"seed must be an int >= 0, got {self.seed!r}")
         if self.kind == "synonym" and not self.synonyms:
             raise ValueError("synonym attack needs a non-empty synonym table")
-        folded = {}
-        for word, choices in self.synonyms.items():
-            if isinstance(choices, str):
-                choices = [choices]
-            if not (isinstance(choices, list) and choices
-                    and all(isinstance(c, str) and c for c in choices)):
-                raise ValueError(f"synonyms[{word!r}] must be a non-empty string or a "
-                                 "non-empty list of non-empty strings")
-            if word.lower() in folded:
-                first = next(w for w in self.synonyms if w.lower() == word.lower())
-                raise ValueError(f"synonym keys {first!r} and {word!r} are the same word")
-            folded[word.lower()] = choices
-        object.__setattr__(self, "synonyms", folded)
+        object.__setattr__(self, "synonyms", synonym_table(self.synonyms))
+
+
+def synonym_table(synonyms: dict) -> dict:
+    """``synonyms`` with lowercased keys and list values. ValueError on an
+    entry that offers no replacement, or two keys that are one word."""
+    folded = {}
+    for word, choices in synonyms.items():
+        if isinstance(choices, str):
+            choices = [choices]
+        if not (isinstance(choices, list) and choices
+                and all(isinstance(c, str) and c for c in choices)):
+            raise ValueError(f"synonyms[{word!r}] must be a non-empty string or a "
+                             "non-empty list of non-empty strings")
+        if word.lower() in folded:
+            first = next(w for w in synonyms if w.lower() == word.lower())
+            raise ValueError(f"synonym keys {first!r} and {word!r} are the same word")
+        folded[word.lower()] = choices
+    return folded
 
 
 def _typo(word: str, rng: np.random.Generator) -> str:

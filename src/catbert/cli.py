@@ -34,7 +34,7 @@ import numpy as np
 
 from . import __version__
 from .atomic import json_text, read_json_object, replacing
-from .attacks import KINDS, AttackSpec, accuracy_under_attack, check_threshold
+from .attacks import KINDS, AttackSpec, accuracy_under_attack, check_threshold, synonym_table
 from .checkpoint import BLOB, MANIFEST, load_checkpoint, read_manifest, save_checkpoint
 from .explain import MIN_SAMPLES, explain_record
 from .mail import CONTEXT_DIM, load_dataset, load_dataset_with_report, save_dataset
@@ -160,8 +160,13 @@ def _load_json(path: str | None, what: str = "config file") -> dict:
         raise UsageError(f"{what} {path} {e}")
 
 
-def _override(base: dict, **flags) -> dict:
-    out = dict(base)
+def _bad_config(path: str | None, e: Exception) -> UsageError:
+    return UsageError(f"bad config: {e}, in {path}" if path else f"bad config: {e}")
+
+
+def _override(file_cfg: dict, section: str, **flags) -> dict:
+    """The config file's ``section`` (absent: {}) with each flag that is set."""
+    out = config_keys(file_cfg.get(section, {}), section)
     for key, value in flags.items():
         if value is not None:
             out[key] = value
@@ -239,14 +244,14 @@ def _cmd_split(args) -> dict:
 def _resolved_model_config(args, file_cfg: dict, vocab_size: int, seed: int) -> ModelConfig:
     """The config file's model section with flag overrides, seeded by the run ``seed``."""
     cfg = _override(
-        file_cfg.get("model", {}),
+        file_cfg, "model",
         hidden=args.hidden, ffn_dim=args.ffn_dim, heads=args.heads,
         max_positions=args.max_positions, context_dim=args.context_dim,
         block_plan=args.plan.split(",") if args.plan else None,
     )
     if args.seed is None and cfg.get("seed", seed) != seed:
         raise UsageError(f"model.seed {cfg['seed']} disagrees with the run seed {seed} "
-                         "(train.seed, default 0); set one seed or pass --seed")
+                         f"(train.seed, default 0); set one seed or pass --seed, in {args.config}")
     cfg["seed"] = seed
     if cfg.get("vocab_size", vocab_size) != vocab_size:
         log.warning("config vocab_size %s overridden by vocabulary file (%d tokens)",
@@ -259,24 +264,24 @@ def _cmd_train(args) -> dict:
     file_cfg = _load_json(args.config)
     try:
         train_cfg = TrainConfig.from_dict(_override(
-            file_cfg.get("train", {}),
+            file_cfg, "train",
             epochs=args.epochs, batch_size=args.batch_size,
             learning_rate=args.learning_rate, seed=args.seed,
             bec_weight=args.bec_weight, freeze=args.freeze))
     except (TypeError, ValueError) as e:
-        raise UsageError(f"bad config: {e}")
+        raise _bad_config(args.config, e)
     vocab = load_vocab(args.vocab)
     try:
         model_cfg = _resolved_model_config(args, file_cfg, len(vocab), train_cfg.seed)
         max_len = row_width(model_cfg)
         # older run manifests record the row width they trained at, and those
         # written while rows could keep the tail record "head"
-        config_keys(file_cfg, ("model", "train"), {
+        config_keys(file_cfg, "config", ("model", "train"), {
             "truncate": ("head", "every row keeps the head of its email"),
             "max_len": (max_len, f"rows are {max_len} tokens wide: the model's "
                                  f"max_positions, at most {DEFAULT_MAX_LEN}")})
     except (TypeError, ValueError) as e:
-        raise UsageError(f"bad config: {e}")
+        raise _bad_config(args.config, e)
 
     train_records = load_dataset(args.train, strict=True)
     train_set = encode_records(train_records, vocab, max_len=max_len)
@@ -407,7 +412,10 @@ def _cmd_predict(args) -> dict:
 
 
 def _cmd_attack(args) -> dict:
-    synonyms = _load_json(args.synonyms, "synonyms file")
+    try:
+        synonyms = synonym_table(_load_json(args.synonyms, "synonyms file"))
+    except ValueError as e:
+        raise UsageError(f"{e}, in {args.synonyms}") from None
     try:  # the attack's own checks, before the checkpoint and records are read
         spec = AttackSpec(kind=args.kind, rate=args.rate, seed=args.seed, synonyms=synonyms)
         check_threshold(args.threshold)

@@ -188,9 +188,12 @@ def _check_text(name: str, value, what: str) -> None:
 def _parse_record(obj: dict) -> EmailRecord:
     """One JSON object as a record, or a DatasetError that names the first
     field a later stage could not read and the type of its value, quoting
-    at most ``SHOWN_CHARS`` of it. A null field counts as absent."""
+    at most ``SHOWN_CHARS`` of it. A null field counts as absent, and a key
+    the format does not name is ignored unless UTF-8 cannot write it."""
     if "label" not in obj:
         raise DatasetError("missing label")
+    for key in obj:
+        _check_text("a key", key, "a string")
     kwargs = {}
     for key, attr in _JSON_KEYS.items():
         value = obj.get(key)

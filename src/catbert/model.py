@@ -59,13 +59,13 @@ class ModelConfig:
         if TRANSFORMER not in self.block_plan:
             raise ConfigError("block plan needs a transformer: without one the [CLS] row "
                               "reads no other token")
-        for key in ("vocab_size", "hidden", "ffn_dim", "heads", "max_positions"):
-            v = getattr(self, key)
-            if type(v) is not int or v < 1:
-                raise ConfigError(f"{key} must be an int >= 1, got {v!r}")
+        for key in ("vocab_size", "hidden", "ffn_dim", "heads", "max_positions", "seed"):
+            v, least = getattr(self, key), 0 if key == "seed" else 1
+            if type(v) is not int or v < least:
+                raise ConfigError(f"{key} must be an int >= {least}, got {v!r}")
         if self.hidden % self.heads != 0:
             raise ConfigError(f"hidden={self.hidden} not divisible by heads={self.heads}")
-        if self.context_dim not in (0, CONTEXT_DIM):
+        if type(self.context_dim) is not int or self.context_dim not in (0, CONTEXT_DIM):
             raise ConfigError(f"context_dim must be 0 or {CONTEXT_DIM}, got {self.context_dim}")
 
     def to_dict(self) -> dict:
@@ -76,18 +76,23 @@ class ModelConfig:
         """Build from a config or checkpoint dict. Dicts written before
         ``cls_from`` and ``classifier_hidden`` were retired still load when
         they hold the one value the model now has."""
-        hidden = d.get("hidden", cls.__dataclass_fields__["hidden"].default)
+        hidden = config_keys(d, "model").get("hidden", cls.__dataclass_fields__["hidden"].default)
         retired = {key: (only, f"the model supports only {only!r}")
                    for key, only in (("cls_from", "last_block"), ("classifier_hidden", hidden))}
-        return cls(**config_keys(d, cls.__dataclass_fields__, retired))
+        return cls(**config_keys(d, "model", cls.__dataclass_fields__, retired))
 
 
-def config_keys(d: dict, known, retired: dict) -> dict:
+def config_keys(d: dict, section: str, known=None, retired: dict | None = None) -> dict:
     """``d`` without its retired keys: the one rule for reading config dicts.
     ``retired`` maps each key that older configs may hold to (the one value
     it may still have, the reason shown for any other). ConfigError on a
-    key that is neither known nor retired, or a retired key set otherwise."""
-    unknown = set(d) - set(known) - set(retired)
+    ``section`` that is not a dict (a JSON object), a key that is neither
+    known nor retired (any key is known when ``known`` is None), or a
+    retired key set otherwise."""
+    if type(d) is not dict:
+        raise ConfigError(f"{section} must be a JSON object, got {type(d).__name__}")
+    retired = retired or {}
+    unknown = set(d) - set(d if known is None else known) - set(retired)
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
     for key, (only, reason) in retired.items():

@@ -67,9 +67,13 @@ def load_vocab(path) -> Vocabulary:
     """Read a UTF-8 vocab file, one token per line (line index = token id)."""
     try:
         with open(path, encoding="utf-8") as f:
-            return Vocabulary([line.rstrip("\n") for line in f])
+            tokens = [line.rstrip("\n") for line in f]
     except UnicodeDecodeError as e:
         raise VocabularyError(f"vocab file {path} is not UTF-8 text: {e.reason}") from None
+    try:
+        return Vocabulary(tokens)
+    except VocabularyError as e:
+        raise VocabularyError(f"{e}, in {path}") from None
 
 
 def save_vocab(tokens: list[str], path) -> None:

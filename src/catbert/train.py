@@ -71,7 +71,7 @@ class TrainConfig:
         """Build from a config dict. Run manifests written while batches
         could be unbalanced hold ``balanced: true``, which still loads."""
         retired = {"balanced": (True, "every batch is class-balanced")}
-        return cls(**config_keys(d, cls.__dataclass_fields__, retired))
+        return cls(**config_keys(d, "train", cls.__dataclass_fields__, retired))
 
 
 def bce_loss(probs: Tensor, labels, weights) -> Tensor:

@@ -8,6 +8,7 @@ import pytest
 from catbert.checkpoint import (BLOB, MANIFEST, CheckpointError, load_checkpoint, read_manifest,
                                 save_checkpoint)
 from catbert.model import ModelConfig, forward_probs, init_random, surgery_from_donor
+from catbert.tensor import Parameter
 
 
 @pytest.fixture
@@ -172,8 +173,10 @@ class TestValidation:
         entries = {e["name"]: e for e in manifest["tensors"]}
         entries["classifier.out.b"]["offset"] = entries["classifier.out.w"]["offset"] + 4
         (tmp_path / MANIFEST).write_text(json.dumps(manifest))
-        with pytest.raises(CheckpointError,
-                           match="'classifier.out.w' and 'classifier.out.b' overlap"):
+        message = (f"tensor 'classifier.out.b' has a bad 'offset': "
+                   f"{entries['classifier.out.w']['offset'] + 4}, "
+                   f"expected {entries['classifier.out.w']['offset'] + 32}")
+        with pytest.raises(CheckpointError, match=message):
             load_checkpoint(tmp_path)
 
     def test_offset_not_a_multiple_of_the_item_size(self, tiny, tmp_path):
@@ -182,11 +185,13 @@ class TestValidation:
         manifest = json.loads((tmp_path / MANIFEST).read_text())
         entry = next(e for e in manifest["tensors"] if e["name"] == "classifier.fusion.b")
         blob = (tmp_path / BLOB).read_bytes()
-        moved = blob[entry["offset"]:entry["offset"] + entry["nbytes"]]
+        offset = entry["offset"]
+        moved = blob[offset:offset + entry["nbytes"]]
         entry["offset"] = len(blob) + 2
         (tmp_path / BLOB).write_bytes(blob + b"\0\0" + moved)
         (tmp_path / MANIFEST).write_text(json.dumps(manifest))
-        message = f"'classifier.fusion.b' offset {len(blob) + 2} is not a multiple of 4"
+        message = (f"tensor 'classifier.fusion.b' has a bad 'offset': {len(blob) + 2}, "
+                   f"expected {offset}")
         with pytest.raises(CheckpointError, match=message):
             load_checkpoint(tmp_path)
 
@@ -205,11 +210,11 @@ def _set_entry(m, key, value):
     (lambda m: [m], "unreadable manifest: {manifest} must hold a JSON object"),
     (lambda m: {k: v for k, v in m.items() if k != "config"}, "no 'config' object"),
     (lambda m: {**m, "config": {**m["config"], "hidden": "8"}},
-     "bad 'config' in manifest.json: hidden must be an int >= 1, got '8'"),
+     "bad 'config' in {manifest}: hidden must be an int >= 1, got '8'"),
     (lambda m: {**m, "config": {**m["config"], "heads": 0}},
-     "bad 'config' in manifest.json: heads must be an int >= 1, got 0"),
+     "bad 'config' in {manifest}: heads must be an int >= 1, got 0"),
     (lambda m: {k: v for k, v in m.items() if k != "config"} | {"config": {"hidden": 8}},
-     "bad 'config' in manifest.json: "),
+     "bad 'config' in {manifest}: "),
     (lambda m: {**m, "tensors": 5}, "'tensors' is not a list of objects"),
     (lambda m: _set_entry(m, "shape", None), "tensor 'embeddings.token' has a bad 'shape': None"),
     (lambda m: _set_entry(m, "shape", [40, "8"]), "has a bad 'shape': [40, '8']"),
@@ -219,15 +224,17 @@ def _set_entry(m, key, value):
     (lambda m: {**m, "tensors": m["tensors"] + [{"shape": [1]}, {"name": "extra"}]},
      "unexpected tensors: [None, 'extra']"),
     (lambda m: {**m, "config": {**m["config"], "block_plan": 5}},
-     "bad 'config' in manifest.json: block_plan must be a list of block kinds, got 5"),
+     "bad 'config' in {manifest}: block_plan must be a list of block kinds, got 5"),
+    (lambda m: {**m, "config": {**m["config"], "seed": "x"}},
+     "bad 'config' in {manifest}: seed must be an int >= 0, got 'x'"),
     (lambda m: {**m, "provenance": ["fresh"]}, "'provenance' is not an object of strings"),
     (lambda m: {**m, "provenance": {**m["provenance"], "embeddings.token": 5}},
      "'provenance' is not an object of strings"),
     (lambda m: json.dumps(m)[:-1], "unreadable manifest: "),
     (lambda m: _set_entry(m, "dtype", "f16"),
-     "tensor 'embeddings.token' has unsupported dtype 'f16'"),
+     "tensor 'embeddings.token' has a bad 'dtype': 'f16', expected 'f32', in {manifest}"),
     (lambda m: _set_entry(m, "nbytes", m["tensors"][0]["nbytes"] - 4),
-     "tensor 'embeddings.token' nbytes 1276 != shape size 1280"),
+     "tensor 'embeddings.token' has a bad 'nbytes': 1276, expected 1280, in {manifest}"),
     (lambda m: json.dumps(m)[:-1] + ', "format_version": 1}',
      "{manifest} is not valid JSON: repeated key 'format_version'"),
     (lambda m: json.dumps(m).replace('"format_version": 1', '"format_version": ' + "1" * 5000),
@@ -235,7 +242,7 @@ def _set_entry(m, key, value):
 ], ids=["json-list", "no-config", "string-hidden", "zero-heads", "no-vocab-size",
         "tensors-not-a-list", "entry-without-shape", "string-in-shape", "string-offset",
         "float-nbytes", "entry-without-name", "extra-entries-with-and-without-name",
-        "int-block-plan", "provenance-not-an-object", "provenance-with-a-number",
+        "int-block-plan", "string-seed", "provenance-not-an-object", "provenance-with-a-number",
         "unparsable-json", "f16-dtype", "nbytes-not-the-shape-size", "repeated-key",
         "int-past-digit-limit"])
 def test_malformed_manifest_is_a_checkpoint_error_naming_the_field(tiny, tmp_path, edit,
@@ -249,6 +256,61 @@ def test_malformed_manifest_is_a_checkpoint_error_naming_the_field(tiny, tmp_pat
     with pytest.raises(CheckpointError) as exc:
         load_checkpoint(tmp_path)
     assert message.format(manifest=tmp_path / MANIFEST) in str(exc.value)
+    assert str(tmp_path / MANIFEST) in str(exc.value)
+
+
+def _swap_offsets(m, blob):
+    gain, bias = (e for e in m["tensors"] if e["name"] in ("embeddings.ln.gain",
+                                                           "embeddings.ln.bias"))
+    gain["offset"], bias["offset"] = bias["offset"], gain["offset"]
+    return m, blob
+
+
+def _gap_after_the_first_tensor(m, blob):
+    first = m["tensors"][0]["nbytes"]
+    for e in m["tensors"][1:]:
+        e["offset"] += 4
+    return m, blob[:first] + bytes(4) + blob[first:]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_swap_offsets,
+     "tensor 'embeddings.ln.gain' has a bad 'offset': 1824, expected 1792, in {manifest}"),
+    (lambda m, blob: (m, blob + bytes(64)),
+     "{blob} holds {size} bytes, but its tensors end at byte {end}, after 'classifier.out.b'"),
+    (_gap_after_the_first_tensor,
+     "tensor 'embeddings.position' has a bad 'offset': 1284, expected 1280, in {manifest}"),
+], ids=["swapped-same-size-offsets", "trailing-blob-bytes", "gap-between-tensors"])
+def test_a_layout_its_config_does_not_give_is_refused(tiny, tmp_path, edit, message):
+    """Each tensor sits where its config's layout puts it, and the blob ends
+    where the last one does; an edit of the manifest and the blob that
+    keeps every range in bounds, aligned and disjoint is still refused."""
+    save_checkpoint(tiny, tmp_path)
+    end = (tmp_path / BLOB).stat().st_size
+    manifest, blob = edit(json.loads((tmp_path / MANIFEST).read_text()),
+                          (tmp_path / BLOB).read_bytes())
+    (tmp_path / MANIFEST).write_text(json.dumps(manifest))
+    (tmp_path / BLOB).write_bytes(blob)
+    with pytest.raises(CheckpointError) as exc:
+        load_checkpoint(tmp_path)
+    assert str(exc.value) == message.format(manifest=tmp_path / MANIFEST, blob=tmp_path / BLOB,
+                                            size=len(blob), end=end)
+
+
+def test_a_save_that_does_not_fit_the_config_leaves_the_old_checkpoint(tiny, tmp_path):
+    save_checkpoint(tiny, tmp_path)
+    files = {name: (tmp_path / name).read_bytes() for name in (MANIFEST, BLOB)}
+    bad = init_random(tiny.config, 2)
+    bad.params["classifier.out.b"] = Parameter._adopt("classifier.out.b",
+                                                      np.zeros(2, np.float32))
+    with pytest.raises(CheckpointError, match=re.escape(
+            "tensor 'classifier.out.b' has a bad 'shape': [2], expected [1]")):
+        save_checkpoint(bad, tmp_path)
+    assert {name: (tmp_path / name).read_bytes() for name in (MANIFEST, BLOB)} == files
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
+    loaded = load_checkpoint(tmp_path)
+    for name, p in tiny.params.items():
+        assert np.array_equal(loaded.params[name].data, p.data), name
 
 
 def test_a_manifest_byte_that_is_not_utf8_is_a_checkpoint_error(tiny, tmp_path):

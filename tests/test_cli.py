@@ -206,13 +206,16 @@ class TestIngestSplit:
         ('{"label": 0, "subject": "\\ud800"}', "subject holds a lone surrogate"),
         ('{"label": 0, "subject": "\udcff"}',
          "subject holds a lone surrogate or a byte that is not UTF-8"),
+        ('{"label": 0, "subj\udcffect": "hi", "body_text": "x"}',
+         "a key holds a lone surrogate or a byte that is not UTF-8"),
         ('{"label": 0, "weight": ' + "1" * 5000 + "}",
          "is not valid JSON: Exceeds the limit (4300 digits)"),
         ('{"label": 0, "label": 1}', "is not valid JSON: repeated key 'label'"),
     ], ids=["weight-text", "weight-inf", "first-seen-number", "deep-nesting",
             "subject-number", "subject-list", "body-text-object", "body-html-number",
             "from-number", "to-numbers", "cc-string", "subject-lone-surrogate",
-            "subject-byte-not-utf8", "int-past-digit-limit", "repeated-label"])
+            "subject-byte-not-utf8", "key-byte-not-utf8", "int-past-digit-limit",
+            "repeated-label"])
     def test_ingest_skips_a_hostile_line(self, workdir, tmp_path, capsys, bad, reason):
         good = workdir["corpus"].read_text().splitlines()[0]
         src = tmp_path / "dirty.jsonl"
@@ -358,9 +361,12 @@ class TestTrain:
         ({"train": {"batch_size": 8.0}}, "bad config: batch_size must be an int, got 8.0"),
         ({"train": {"learning_rate": "0.1"}},
          "bad config: learning_rate must be a finite number >= 0, got '0.1'"),
+        ({"model": [["hidden", 8]]}, "bad config: model must be a JSON object, got list"),
+        ({"train": [["epochs", 1]]}, "bad config: train must be a JSON object, got list"),
     ], ids=["unknown-top-level-key", "truncate-middle", "truncate-tail", "max-len-narrower",
             "max-len-string", "balanced-false", "odd-batch-size", "fractional-epochs",
-            "float-batch-size", "string-learning-rate"])
+            "float-batch-size", "string-learning-rate", "model-not-an-object",
+            "train-not-an-object"])
     def test_bad_config_fails_before_reading_data(self, workdir, tmp_path, capsys,
                                                   override, message):
         cfg = {**json.loads(workdir["config"].read_text()), **override}
@@ -370,7 +376,8 @@ class TestTrain:
         assert main(["train", "--train", str(tmp_path / "missing.jsonl"),
                      "--vocab", str(workdir["vocab"]), "--config", str(bad),
                      "--out-dir", str(out)]) == 1
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err and err.rstrip().endswith(f", in {bad}")
         assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--hidden", "--ffn-dim", "--heads"])
@@ -447,7 +454,8 @@ class TestTrain:
                                                                  capsys):
         rc, run = self._seeded_run(workdir, tmp_path, 5, 0)
         assert rc == 1
-        assert "model.seed 5" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "model.seed 5" in err and err.rstrip().endswith(f", in {tmp_path / 'seeded.json'}")
         assert not run.exists()
 
     def test_bad_freeze_fails_before_reading_data(self, workdir, tmp_path, capsys):
@@ -501,6 +509,16 @@ class TestParams:
         cfg = tmp_path / "partial.json"
         cfg.write_text(json.dumps({"hidden": 32}))  # no vocab_size
         assert main(["params", "--config", str(cfg)]) == 1
+
+    @pytest.mark.parametrize("section", [5, [["vocab_size", 100]], "x", None])
+    def test_a_model_section_that_is_no_object_is_a_usage_error(self, tmp_path, capsys,
+                                                                section):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"model": section}))
+        assert main(["params", "--config", str(cfg), "--out", str(tmp_path / "p.json")]) == 1
+        assert (f"usage error: bad model config in {cfg}: model must be a JSON object, "
+                f"got {type(section).__name__}") in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["config.json"]
 
 
 class TestScoring:
@@ -632,7 +650,8 @@ class TestAttackExplain:
         assert main(["attack", "--model", str(tmp_path / "missing"),
                      "--in", str(workdir["corpus"]), "--vocab", str(workdir["vocab"]),
                      "--kind", "synonym", "--rate", "0.5", "--synonyms", str(path)]) == 1
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err and str(path) in err
 
     def test_attack_with_synonym_table(self, workdir, tmp_path):
         table = tmp_path / "syn.json"

@@ -1,8 +1,11 @@
-"""The installed package carries only what the program runs.
+"""The installed package carries only what the program runs, and writes
+JSON one way.
 
 Every public top-level function and class in ``src/catbert`` has a caller
 in ``src/``, ``scripts/`` or ``perfbench/``. Code that only tests call,
 such as the finite-difference gradient check, lives in ``tests/oracles.py``.
+Every indented JSON file that ``src/`` or ``scripts/`` writes goes through
+``atomic.json_text``.
 """
 
 import ast
@@ -68,3 +71,28 @@ def test_name_finder_sees_each_form():
 
 def test_every_public_name_in_the_package_has_a_caller():
     assert uncalled(ROOT) == UNCALLED
+
+
+def indented_json_calls(source: str) -> list[int]:
+    """The lines of ``json.dump`` and ``json.dumps`` calls given ``indent=``."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("dump", "dumps") and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "json" and any(k.arg == "indent" for k in node.keywords)]
+
+
+def test_json_call_finder_sees_each_form():
+    source = ("json.dump(x, f, indent=2, sort_keys=True)\n"
+              "json.dumps(x)\n"
+              "json.dumps(x, sort_keys=True,\n"
+              "           indent=None)\n"
+              "json_text(x)\n")
+    assert indented_json_calls(source) == [1, 3]
+
+
+def test_json_is_indented_only_by_json_text():
+    found = [f"{path.relative_to(ROOT)}:{line}"
+             for folder in ("src", "scripts") for path in sorted((ROOT / folder).rglob("*.py"))
+             if path != PACKAGE / "atomic.py"
+             for line in indented_json_calls(path.read_text(encoding="utf-8"))]
+    assert found == []

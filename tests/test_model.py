@@ -84,7 +84,7 @@ class TestConfig:
     def test_context_dim_is_zero_or_context_width(self):
         assert ModelConfig(**{**TINY, "context_dim": 0}).context_dim == 0
         assert ModelConfig(**TINY).context_dim == CONTEXT_DIM
-        for bad in (3, 5, -1):
+        for bad in (3, 5, -1, False, 4.0):
             with pytest.raises(ConfigError, match="context_dim"):
                 ModelConfig(**{**TINY, "context_dim": bad})
 
@@ -94,6 +94,11 @@ class TestConfig:
     def test_sizes_are_ints_of_at_least_one(self, key, value):
         with pytest.raises(ConfigError, match=f"{key} must be an int >= 1, got {value!r}"):
             ModelConfig(**{**TINY, key: value})
+
+    @pytest.mark.parametrize("value", [-5, True, "x", 1.0])
+    def test_seed_is_an_int_of_at_least_zero(self, value):
+        with pytest.raises(ConfigError, match=f"seed must be an int >= 0, got {value!r}"):
+            ModelConfig(**{**TINY, "seed": value})
 
     @pytest.mark.parametrize("key,value", [("cls_from", "last_transformer"),
                                            ("cls_from", "middle"),

@@ -8,10 +8,9 @@ spaces, replaces a value with 10^5 nested ``[`` or a 5,000-digit int, or
 repeats a key (in a vocabulary, a line).
 
 A refused mutation gives the reader's exit code or error class, no output
-file and no traceback, and its message names the file. A check of a
-decoded value (a manifest field, a synonym entry, a vocabulary line) names
-that value instead. Bytes the standard parser cannot read must be refused,
-and so must the mutations that no valid file holds.
+file and no traceback, and its message names the file. Bytes the standard
+parser cannot read must be refused, and so must the mutations that no valid
+file holds.
 
 An accepted mutation reads as the values the standard parser reads in the
 same bytes. A file that holds those values and nothing else reads the same,
@@ -46,7 +45,6 @@ KINDS = ("truncate", "flip", "non-utf8", "nul", "long-line", "nesting", "digits"
 INSERTED = {"non-utf8": b"\xff", "nul": b"\x00", "long-line": b" " * (1 << 20)}
 REPLACEMENT = {"nesting": b"[" * 100_000, "digits": b"1" * 5000}
 JSON_REFUSED = {"non-utf8", "nul", "nesting", "digits", "repeated-key"}
-JSONL_REFUSED = JSON_REFUSED - {"non-utf8"}  # a key with a stray byte is an unknown key
 VOCAB_REFUSED = {"non-utf8", "repeated-key"}
 # a JSON string (group 1 set when it is a key) or a number
 TOKEN = re.compile(rb'"(?:[^"\\]|\\.)*"(\s*:)?|-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?')
@@ -167,7 +165,7 @@ def test_dataset_lines(inputs, mutation):
             return err, None
         return None, out.read_bytes()
 
-    check(read, (inputs["root"] / "corpus.jsonl").read_bytes(), mutation, JSONL_REFUSED,
+    check(read, (inputs["root"] / "corpus.jsonl").read_bytes(), mutation, JSON_REFUSED,
           jsonl_reference, lambda values: "".join(json.dumps(v) + "\n" for v in values).encode())
 
 
@@ -202,7 +200,7 @@ def test_synonyms_file(inputs, mutation):
                            "--out", str(out)])
         if rc:
             assert rc == 1 and err.startswith("usage error: ")
-            assert str(path) in err or (value is not None and "synonym" in err)
+            assert str(path) in err
             assert os.listdir(folder) == ["synonyms.json"]
             return err, None
         return None, out.read_bytes()
@@ -224,7 +222,7 @@ def test_checkpoint_manifest(inputs, mutation):
         try:
             model = load_checkpoint(folder)
         except CheckpointError as e:
-            assert value is not None or str(folder / MANIFEST) in str(e)
+            assert str(folder / MANIFEST) in str(e)
             assert sorted(os.listdir(folder)) == before
             return str(e), None
         for name, p in inputs["model"].params.items():
@@ -244,7 +242,7 @@ def test_vocabulary(inputs, mutation):
         try:
             vocab = load_vocab(path)
         except VocabularyError as e:
-            assert str(path) in str(e) if value is None else re.search("line|missing", str(e))
+            assert str(path) in str(e)
             return str(e), None
         assert vocab.tokens == value
         return None, vocab.tokens

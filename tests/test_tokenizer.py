@@ -64,7 +64,7 @@ class TestLoadVocab:
         """A blank line would shift every later id ([CLS] to 3 here)."""
         p = tmp_path / "vocab.txt"
         p.write_text("[PAD]\n[UNK]\n\n[CLS]\n[SEP]\na\n")
-        with pytest.raises(VocabularyError, match="empty token on line 3"):
+        with pytest.raises(VocabularyError, match=f"empty token on line 3, in {re.escape(str(p))}"):
             load_vocab(p)
 
     def test_a_byte_that_is_not_utf8_names_the_file(self, tmp_path):
