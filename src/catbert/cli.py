@@ -160,17 +160,43 @@ def _load_json(path: str | None, what: str = "config file") -> dict:
         raise UsageError(f"{what} {path} {e}")
 
 
-def _bad_config(path: str | None, e: Exception) -> UsageError:
+# the flag that sets a config key, where it is not the key with dashes
+_FLAG_OF = {"block_plan": "--plan"}
+
+
+def _bad_config(path: str | None, e: Exception | str) -> UsageError:
     return UsageError(f"bad config: {e}, in {path}" if path else f"bad config: {e}")
 
 
-def _override(file_cfg: dict, section: str, **flags) -> dict:
-    """The config file's ``section`` (absent: {}) with each flag that is set."""
-    out = config_keys(file_cfg.get(section, {}), section)
-    for key, value in flags.items():
-        if value is not None:
-            out[key] = value
-    return out
+def _refusal(build, cfg: dict) -> str | None:
+    try:
+        build(cfg)
+    except (TypeError, ValueError) as e:
+        return str(e)
+    return None
+
+
+def _configured(build, file_cfg: dict, section: str, path: str | None, **flags):
+    """``build`` of the config file's ``section`` (absent: {}) with each flag
+    that is set. A refused value is named by where it came from: each flag
+    whose value the refusal depends on (set back to the default, the
+    refusal goes or changes), else the file."""
+    try:
+        cfg = config_keys(file_cfg.get(section, {}), section)
+    except ConfigError as e:
+        raise _bad_config(path, e)
+    flags = {k: v for k, v in flags.items() if v is not None}
+    merged = {**cfg, **flags}
+    try:
+        return build(merged)
+    except (TypeError, ValueError) as e:
+        refusal = str(e)
+    blamed = [k for k in flags
+              if _refusal(build, {j: v for j, v in merged.items() if j != k}) != refusal]
+    if not blamed:
+        raise _bad_config(path, refusal)
+    names = " and ".join(_FLAG_OF.get(k, "--" + k.replace("_", "-")) for k in blamed)
+    raise UsageError(f"bad config: {refusal}, from {names}")
 
 
 def _list_arg(kind, n: int | None = None, lo=float("-inf"), hi=float("inf")):
@@ -243,37 +269,38 @@ def _cmd_split(args) -> dict:
 
 def _resolved_model_config(args, file_cfg: dict, vocab_size: int, seed: int) -> ModelConfig:
     """The config file's model section with flag overrides, seeded by the run ``seed``."""
-    cfg = _override(
-        file_cfg, "model",
+    def build(cfg: dict) -> ModelConfig:
+        if args.seed is None and cfg.get("seed", seed) != seed:
+            raise UsageError(f"model.seed {cfg['seed']} disagrees with the run seed {seed} "
+                             f"(train.seed, default 0); set one seed or pass --seed, "
+                             f"in {args.config}")
+        model_cfg = ModelConfig.from_dict({**cfg, "seed": seed, "vocab_size": vocab_size})
+        row_width(model_cfg)
+        return model_cfg
+
+    model_cfg = _configured(
+        build, file_cfg, "model", args.config,
         hidden=args.hidden, ffn_dim=args.ffn_dim, heads=args.heads,
         max_positions=args.max_positions, context_dim=args.context_dim,
         block_plan=args.plan.split(",") if args.plan else None,
     )
-    if args.seed is None and cfg.get("seed", seed) != seed:
-        raise UsageError(f"model.seed {cfg['seed']} disagrees with the run seed {seed} "
-                         f"(train.seed, default 0); set one seed or pass --seed, in {args.config}")
-    cfg["seed"] = seed
-    if cfg.get("vocab_size", vocab_size) != vocab_size:
+    if file_cfg.get("model", {}).get("vocab_size", vocab_size) != vocab_size:
         log.warning("config vocab_size %s overridden by vocabulary file (%d tokens)",
-                    cfg["vocab_size"], vocab_size)
-    cfg["vocab_size"] = vocab_size
-    return ModelConfig.from_dict(cfg)
+                    file_cfg["model"]["vocab_size"], vocab_size)
+    return model_cfg
 
 
 def _cmd_train(args) -> dict:
     file_cfg = _load_json(args.config)
-    try:
-        train_cfg = TrainConfig.from_dict(_override(
-            file_cfg, "train",
-            epochs=args.epochs, batch_size=args.batch_size,
-            learning_rate=args.learning_rate, seed=args.seed,
-            bec_weight=args.bec_weight, freeze=args.freeze))
-    except (TypeError, ValueError) as e:
-        raise _bad_config(args.config, e)
+    train_cfg = _configured(
+        TrainConfig.from_dict, file_cfg, "train", args.config,
+        epochs=args.epochs, batch_size=args.batch_size,
+        learning_rate=args.learning_rate, seed=args.seed,
+        bec_weight=args.bec_weight, freeze=args.freeze)
     vocab = load_vocab(args.vocab)
+    model_cfg = _resolved_model_config(args, file_cfg, len(vocab), train_cfg.seed)
+    max_len = row_width(model_cfg)
     try:
-        model_cfg = _resolved_model_config(args, file_cfg, len(vocab), train_cfg.seed)
-        max_len = row_width(model_cfg)
         # older run manifests record the row width they trained at, and those
         # written while rows could keep the tail record "head"
         config_keys(file_cfg, "config", ("model", "train"), {

@@ -34,15 +34,11 @@ class Vocabulary:
     token_to_id: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.token_to_id = {}
-        for i, tok in enumerate(self.tokens):
-            if not tok:  # a blank line would shift every later id
-                raise VocabularyError(f"empty token on line {i + 1}")
-            if tok in self.token_to_id:
-                raise VocabularyError(
-                    f"duplicate token {tok!r} on lines {self.token_to_id[tok] + 1} and {i + 1}"
-                )
-            self.token_to_id[tok] = i
+        n = len(self.tokens)
+        self.token_to_id = dict(zip(self.tokens, range(n)))
+        # a blank line would shift every later id, a repeated one leave an id unreachable
+        if len(self.token_to_id) != n or "" in self.token_to_id:
+            raise VocabularyError(_bad_line(self.tokens))
         missing = [s for s in _SPECIALS if s not in self.token_to_id]
         if missing:
             raise VocabularyError(f"vocabulary missing special tokens: {', '.join(missing)}")
@@ -51,7 +47,7 @@ class Vocabulary:
         self.cls_id = self.token_to_id[CLS]
         self.sep_id = self.token_to_id[SEP]
         # longest token without its ## prefix: no longer WordPiece candidate can match
-        self.longest = max(len(t[len(CONT):] if t.startswith(CONT) else t) for t in self.tokens)
+        self.longest = max(map(len, map(str.removeprefix, self.tokens, itertools.repeat(CONT))))
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -63,13 +59,30 @@ class Vocabulary:
         return self.token_to_id[token]
 
 
+def _bad_line(tokens: list[str]) -> str:
+    """The refusal of the first empty or repeated token, in line order."""
+    first: dict[str, int] = {}
+    for i, tok in enumerate(tokens, 1):
+        if not tok:
+            return f"empty token on line {i}"
+        if tok in first:
+            return f"duplicate token {tok!r} on lines {first[tok]} and {i}"
+        first[tok] = i
+    raise AssertionError("no empty or repeated token")
+
+
 def load_vocab(path) -> Vocabulary:
-    """Read a UTF-8 vocab file, one token per line (line index = token id)."""
+    """Read a UTF-8 vocab file, one token per line (line index = token id).
+    A valid file is read in C-level passes (one read, one split, one dict
+    build); its lines are walked one by one only to name a refused one."""
     try:
         with open(path, encoding="utf-8") as f:
-            tokens = [line.rstrip("\n") for line in f]
+            # split on "\n" alone: splitlines() would also break at \x0b, \x85, \u2028, ...
+            tokens = f.read().split("\n")
     except UnicodeDecodeError as e:
         raise VocabularyError(f"vocab file {path} is not UTF-8 text: {e.reason}") from None
+    if tokens[-1] == "":  # the final newline ends the last line, it opens no new one
+        tokens.pop()
     try:
         return Vocabulary(tokens)
     except VocabularyError as e:

@@ -4,8 +4,9 @@ No program path runs these, so they live beside the tests rather than in
 the installed package: the finite-difference gradient check that
 acceptance check 03 reads, the sum reduction most gradient tests take as
 their loss, the rank correlation that the explainer checks compare
-weights with, and the inverse of ``encode`` that the tokenizer
-round-trips through.
+weights with, the inverse of ``encode`` that the tokenizer
+round-trips through, and the line-by-line vocabulary build that
+``Vocabulary`` replaced with whole-list passes.
 """
 
 import math
@@ -119,3 +120,20 @@ def decode(ids: list[int], vocab: Vocabulary) -> str:
         else:
             words.append(tok)
     return " ".join(words)
+
+
+def vocabulary_reference(tokens: list[str]):
+    """``(token_to_id, longest)`` of ``tokens`` built one line at a time, or
+    the message that refuses them: the first empty or repeated token in
+    line order, else the missing special tokens."""
+    token_to_id: dict[str, int] = {}
+    for i, tok in enumerate(tokens):
+        if not tok:
+            return f"empty token on line {i + 1}"
+        if tok in token_to_id:
+            return f"duplicate token {tok!r} on lines {token_to_id[tok] + 1} and {i + 1}"
+        token_to_id[tok] = i
+    missing = [s for s in _SPECIALS if s not in token_to_id]
+    if missing:
+        return f"vocabulary missing special tokens: {', '.join(missing)}"
+    return token_to_id, max(len(t[len(CONT):] if t.startswith(CONT) else t) for t in tokens)

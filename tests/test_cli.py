@@ -380,6 +380,46 @@ class TestTrain:
         assert message in err and err.rstrip().endswith(f", in {bad}")
         assert not out.exists()
 
+    @pytest.mark.parametrize("with_config", [True, False], ids=["config", "no-config"])
+    @pytest.mark.parametrize("flags, message", [
+        (["--epochs", "0"], "epochs must be >= 1, got 0"),
+        (["--batch-size", "3"], "batch_size must be even and >= 2, got 3"),
+        (["--heads", "5"], "not divisible by heads=5"),
+        (["--plan", "A"], "block plan needs a transformer"),
+    ], ids=["epochs", "batch-size", "heads", "plan"])
+    def test_a_refused_flag_is_named_as_the_flag(self, workdir, tmp_path, capsys, flags,
+                                                 message, with_config):
+        """The config file sets none of these values, so the flag is named."""
+        out = tmp_path / "r"
+        config = ["--config", str(workdir["config"])] * with_config
+        assert main(["train", "--train", str(tmp_path / "missing.jsonl"),
+                     "--vocab", str(workdir["vocab"]), "--out-dir", str(out),
+                     *config, *flags]) == 1
+        err = capsys.readouterr().err
+        assert message in err and err.rstrip().endswith(f", from {flags[0]}")
+        assert str(workdir["config"]) not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("file_train, flags, source", [
+        ({"epochs": 1, "batch_size": 7}, ["--epochs", "0"], "from --epochs"),
+        ({"epochs": 0}, ["--batch-size", "3"], "in {bad}"),
+        ({"epochs": 0}, ["--epochs", "0"], "from --epochs"),
+        ({"epochs": 0}, ["--epochs", "2"], None),
+    ], ids=["flag-refused-first", "file-refused-first", "flag-repeats-file", "flag-mends-file"])
+    def test_a_refusal_names_the_source_of_its_value(self, workdir, tmp_path, capsys,
+                                                     file_train, flags, source):
+        cfg = json.loads(workdir["config"].read_text())
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**cfg, "train": file_train}))
+        rc = main(["train", "--train", str(tmp_path / "missing.jsonl"),
+                   "--vocab", str(workdir["vocab"]), "--config", str(bad),
+                   "--out-dir", str(tmp_path / "r"), *flags])
+        err = capsys.readouterr().err
+        if source is None:  # the flag's value replaces the file's: the run gets to the data
+            assert rc == 2 and "missing.jsonl" in err
+        else:
+            assert rc == 1 and err.rstrip().endswith(", " + source.format(bad=bad))
+
     @pytest.mark.parametrize("flag", ["--hidden", "--ffn-dim", "--heads"])
     def test_model_size_below_one_fails_before_reading_data(self, workdir, tmp_path, capsys,
                                                             flag):

@@ -1,9 +1,12 @@
 """The example scripts run end to end at a small size."""
 
+import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -29,3 +32,51 @@ def test_run_experiment_writes_its_report(tmp_path):
     report = json.loads(out.read_text())
     assert 0.0 <= report["test_auc"] <= 1.0
     assert set(report["attacks"]) == {"synonym", "typo"}
+
+
+def _bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPTS / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _result(setup_s: float, correct: bool = True, failed: int = 0) -> str:
+    return json.dumps({"correct": correct, "attempted": 10, "failed": failed, "metrics": {
+        "setup_s": {"value": setup_s, "unit": "s"},
+        "peak_rss_mb": {"value": 100.0, "unit": "MB"}}})
+
+
+def test_bench_pairs_sums_up_canned_runs():
+    """Four pairs of one workload, read from the lines perfbench prints;
+    nothing is run."""
+    bench = _bench_pairs()
+    parent, change = [0.010, 0.012, 0.014, 0.020], [0.004, 0.012, 0.008, 0.006]
+    rows = []
+    for i, (p, c) in enumerate(zip(parent, change)):
+        seed = 3300 + i
+        lines = {"parent": _result(p), "change": _result(c, failed=int(i == 1))}
+        rows += [("w", seed, side, lines[side]) for side in bench.sides_in_order(seed)]
+    out = bench.summarize(rows)["w"]
+    assert out["seeds"] == [3300, 3301, 3302, 3303] and out["pairs"] == 4
+    assert out["correct"] == {"parent": True, "change": True}
+    assert out["failed_of_attempted"] == {"parent": [0, 40], "change": [1, 40]}
+    setup = out["metrics"]["setup_s"]
+    assert setup["unit"] == "s"
+    assert setup["parent"] == {"q1": 0.0115, "median": 0.013, "q3": 0.0155, "runs": parent}
+    assert setup["change"] == {"q1": 0.0055, "median": 0.007, "q3": 0.009, "runs": change}
+    assert setup["pairs_change_lower"] == 3  # a tie is not lower
+    assert setup["change_over_parent_median"] == 0.538
+    assert out["metrics"]["peak_rss_mb"]["pairs_change_lower"] == 0
+
+
+def test_bench_pairs_runs_the_parent_first_on_odd_seeds():
+    bench = _bench_pairs()
+    assert bench.sides_in_order(3301) == ("parent", "change")
+    assert bench.sides_in_order(3302) == ("change", "parent")
+
+
+def test_bench_pairs_refuses_a_pair_with_one_side():
+    bench = _bench_pairs()
+    with pytest.raises(ValueError, match=r"\(3301, 'change'\)"):
+        bench.summarize([("w", 3301, "parent", _result(0.01))])

@@ -1,11 +1,19 @@
+import itertools
 import re
+import string
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from catbert import tokenizer
+from catbert.synthetic import synthetic_vocab
 from catbert.tokenizer import (
+    _SPECIALS,
+    CONT,
     TokenSequence,
     Vocabulary,
     VocabularyError,
@@ -18,7 +26,7 @@ from catbert.tokenizer import (
     wordpiece,
 )
 
-from oracles import decode
+from oracles import decode, vocabulary_reference
 
 TOY = ["[PAD]", "[UNK]", "[CLS]", "[SEP]", "pay", "##ment", "money"]
 
@@ -26,6 +34,25 @@ TOY = ["[PAD]", "[UNK]", "[CLS]", "[SEP]", "pay", "##ment", "money"]
 @pytest.fixture
 def toy():
     return Vocabulary(list(TOY))
+
+
+def generated_tokens(n: int = 30522) -> list[str]:
+    """``n`` distinct tokens, BERT-base's count by default: the specials,
+    then each lowercase word of one, two, ... letters whole and as a
+    ``##`` piece."""
+    words = ("".join(w) for k in itertools.count(1)
+             for w in itertools.product(string.ascii_lowercase, repeat=k))
+    pieces = itertools.chain.from_iterable((w, CONT + w) for w in words)
+    return [*_SPECIALS, *itertools.islice(pieces, n - len(_SPECIALS))]
+
+
+def assert_matches_reference(vocab: Vocabulary, tokens: list[str]) -> None:
+    token_to_id, longest = vocabulary_reference(tokens)
+    assert vocab.tokens == tokens
+    assert vocab.token_to_id == token_to_id
+    assert vocab.longest == longest
+    assert ([vocab.pad_id, vocab.unk_id, vocab.cls_id, vocab.sep_id]
+            == [token_to_id[s] for s in _SPECIALS])
 
 
 class TestLoadVocab:
@@ -96,6 +123,93 @@ class TestLoadVocab:
         tokens = TOY + ["a b", "##\u00e9t\u00e9", "\u2028", "\t"]
         save_vocab(tokens, p)
         assert load_vocab(p).tokens == tokens
+
+    @pytest.mark.parametrize("line_end", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_a_bert_sized_vocabulary_loads_as_the_line_walk_builds_it(self, tmp_path, line_end):
+        tokens = generated_tokens()
+        p = tmp_path / "vocab.txt"
+        p.write_bytes("".join(t + line_end for t in tokens).encode())
+        assert_matches_reference(load_vocab(p), tokens)
+
+    @pytest.mark.parametrize("tokens", [
+        TOY[:4] + ["", "pay", "pay"],
+        TOY[:4] + ["pay", "pay", ""],
+        TOY[:4] + ["pay", "", "pay"],
+        ["pay", "", "", "pay"],
+    ], ids=["empty-first", "duplicate-first", "empty-between", "no-specials"])
+    def test_the_first_bad_line_is_named(self, tmp_path, tokens):
+        p = tmp_path / "vocab.txt"
+        p.write_text("".join(t + "\n" for t in tokens))
+        with pytest.raises(VocabularyError) as e:
+            load_vocab(p)
+        assert str(e.value) == f"{vocabulary_reference(tokens)}, in {p}"
+
+
+class TestLineWalk:
+    """The lines of a vocabulary are walked only to name a refused one."""
+
+    def test_a_valid_file_is_never_walked(self, tmp_path, monkeypatch):
+        def walk(tokens):
+            raise AssertionError("walked the lines of a valid vocabulary")
+
+        monkeypatch.setattr(tokenizer, "_bad_line", walk)
+        p = tmp_path / "vocab.txt"
+        for tokens in (synthetic_vocab(), generated_tokens()):
+            save_vocab(tokens, p)
+            assert_matches_reference(load_vocab(p), tokens)
+
+    @pytest.mark.parametrize("data, walks", [
+        ("\n".join(TOY + ["x", "pay"]) + "\n", 1),
+        ("[PAD]\n[UNK]\n\n[CLS]\n[SEP]\na\n", 1),
+        ("\n".join(TOY[:4] + ["", "pay", "pay"]) + "\n", 1),
+        ("", 0),
+        ("[PAD]\n[UNK]\n[CLS]\npay\n", 0),
+        ("\n".join(TOY) + "\npay\udcff\n", 0),
+    ], ids=["duplicate", "blank-line", "blank-and-duplicate", "empty-file", "missing-special",
+            "not-utf8"])
+    def test_a_refused_file_is_walked_once_for_a_bad_line(self, tmp_path, monkeypatch, data,
+                                                         walks):
+        calls = []
+        bad_line = tokenizer._bad_line
+        monkeypatch.setattr(tokenizer, "_bad_line",
+                            lambda tokens: calls.append(tokens) or bad_line(tokens))
+        p = tmp_path / "vocab.txt"
+        p.write_bytes(data.encode("utf-8", "surrogateescape"))
+        with pytest.raises(VocabularyError, match=re.escape(f"{p}")):
+            load_vocab(p)
+        assert len(calls) == walks
+
+
+# Line separators that str.splitlines() breaks at and a vocabulary line may hold.
+SEPARATORS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+PIECE = st.text(alphabet="ab#" + SEPARATORS, max_size=4)
+TOKEN = st.one_of(PIECE, PIECE.map(CONT.__add__), st.sampled_from(["", CONT, *_SPECIALS]))
+TOKEN_LISTS = st.tuples(st.lists(TOKEN, max_size=10), st.booleans()).flatmap(
+    lambda drawn: st.permutations(drawn[0] + list(_SPECIALS) * drawn[1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(TOKEN_LISTS)
+@example(TOY + ["pay"])
+@example(TOY[:4] + ["", "pay", "pay"])
+@example(TOY[:4] + ["##", "a\u2028b"])
+def test_vocabulary_builds_what_the_line_walk_builds(tokens):
+    """``Vocabulary`` and ``load_vocab`` of the same lines give the line
+    walk's ids and ``longest``, or its refusal."""
+    expected = vocabulary_reference(tokens)
+    with tempfile.TemporaryDirectory() as d:
+        p = Path(d) / "vocab.txt"
+        p.write_bytes("".join(t + "\n" for t in tokens).encode())
+        if isinstance(expected, str):
+            with pytest.raises(VocabularyError) as e:
+                Vocabulary(tokens)
+            assert str(e.value) == expected
+            with pytest.raises(VocabularyError) as e:
+                load_vocab(p)
+            assert str(e.value) == f"{expected}, in {p}"
+        else:
+            assert_matches_reference(Vocabulary(tokens), tokens)
+            assert_matches_reference(load_vocab(p), tokens)
 
 
 class TestWordpiece:
