@@ -80,3 +80,21 @@ def test_bench_pairs_refuses_a_pair_with_one_side():
     bench = _bench_pairs()
     with pytest.raises(ValueError, match=r"\(3301, 'change'\)"):
         bench.summarize([("w", 3301, "parent", _result(0.01))])
+
+
+def test_bench_pairs_sums_up_canned_traced_runs(tmp_path):
+    bench = _bench_pairs()
+    dump = tmp_path / "trace-w.json"
+    dump.write_text(json.dumps({"workload": "w", "metrics": {}, "spans": [
+        ["workload", 0.0, 50.0, -1], ["tokenizer.load_vocab", 1.0, 3.5, 0],
+        ["tokenizer.encode", 4.0, 5.0, 0], ["tokenizer.load_vocab", 6.0, 7.25, 0]]}))
+    assert bench.span_ms(str(dump), "tokenizer.load_vocab") == 3.75
+    rows = [("w", "parent", _result(0.01), 12.0),
+            ("w", "change", _result(0.02, correct=False), 7.5)]
+    assert bench.summarize_trace(rows) == {"w": {
+        "correct": {"parent": True, "change": False},
+        "setup_s": {"parent": 0.01, "change": 0.02},
+        "peak_rss_mb": {"parent": 100.0, "change": 100.0},
+        "tokenizer.load_vocab.ms": {"parent": 12.0, "change": 7.5}}}
+    with pytest.raises(ValueError, match=r"\['change'\]"):
+        bench.summarize_trace(rows[:1])
