@@ -28,7 +28,7 @@ import os
 import platform
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from .attacks import KINDS, AttackSpec, accuracy_under_attack, check_threshold, 
 from .checkpoint import BLOB, MANIFEST, load_checkpoint, read_manifest, save_checkpoint
 from .explain import MIN_SAMPLES, explain_record
 from .mail import CONTEXT_DIM, load_dataset, load_dataset_with_report, save_dataset
-from .metrics import DEFAULT_FPRS, group_metrics, roc_auc, roc_curve, time_inference, tpr_at_fpr
+from .metrics import DEFAULT_FPRS, group_metrics, roc_curve, summary, time_inference
 from .model import (PARTIAL_FINETUNE, ConfigError, ModelConfig, check_keep, config_keys,
                     count_params, init_random, millions, row_width, surgery_from_donor)
 from .pipeline import encode_records, make_model_scorer, score_dataset
@@ -267,27 +267,34 @@ def _cmd_split(args) -> dict:
                 inputs={"dataset": args.inp}, outputs=outputs)
 
 
-def _resolved_model_config(args, file_cfg: dict, vocab_size: int, seed: int) -> ModelConfig:
-    """The config file's model section with flag overrides, seeded by the run ``seed``."""
+def _resolved_model_config(args, file_cfg: dict, seed: int) -> ModelConfig:
+    """The config file's model section with flag overrides, seeded by the run
+    ``seed``, and a stand-in ``vocab_size`` of 1 for the vocabulary's."""
     def build(cfg: dict) -> ModelConfig:
         if args.seed is None and cfg.get("seed", seed) != seed:
             raise UsageError(f"model.seed {cfg['seed']} disagrees with the run seed {seed} "
                              f"(train.seed, default 0); set one seed or pass --seed, "
                              f"in {args.config}")
-        model_cfg = ModelConfig.from_dict({**cfg, "seed": seed, "vocab_size": vocab_size})
+        model_cfg = ModelConfig.from_dict({**cfg, "seed": seed, "vocab_size": 1})
         row_width(model_cfg)
         return model_cfg
 
-    model_cfg = _configured(
+    return _configured(
         build, file_cfg, "model", args.config,
         hidden=args.hidden, ffn_dim=args.ffn_dim, heads=args.heads,
         max_positions=args.max_positions, context_dim=args.context_dim,
         block_plan=args.plan.split(",") if args.plan else None,
     )
-    if file_cfg.get("model", {}).get("vocab_size", vocab_size) != vocab_size:
-        log.warning("config vocab_size %s overridden by vocabulary file (%d tokens)",
-                    file_cfg["model"]["vocab_size"], vocab_size)
-    return model_cfg
+
+
+def _check_top_level(file_cfg: dict, model_cfg: ModelConfig) -> None:
+    """ConfigError unless the file's top level holds only ``model``, ``train``
+    and the retired keys of older run manifests, at their one value."""
+    max_len = row_width(model_cfg)
+    config_keys(file_cfg, "config", ("model", "train"), {
+        "truncate": ("head", "every row keeps the head of its email"),
+        "max_len": (max_len, f"rows are {max_len} tokens wide: the model's "
+                             f"max_positions, at most {DEFAULT_MAX_LEN}")})
 
 
 def _cmd_train(args) -> dict:
@@ -297,18 +304,17 @@ def _cmd_train(args) -> dict:
         epochs=args.epochs, batch_size=args.batch_size,
         learning_rate=args.learning_rate, seed=args.seed,
         bec_weight=args.bec_weight, freeze=args.freeze)
-    vocab = load_vocab(args.vocab)
-    model_cfg = _resolved_model_config(args, file_cfg, len(vocab), train_cfg.seed)
-    max_len = row_width(model_cfg)
+    model_cfg = _resolved_model_config(args, file_cfg, train_cfg.seed)
     try:
-        # older run manifests record the row width they trained at, and those
-        # written while rows could keep the tail record "head"
-        config_keys(file_cfg, "config", ("model", "train"), {
-            "truncate": ("head", "every row keeps the head of its email"),
-            "max_len": (max_len, f"rows are {max_len} tokens wide: the model's "
-                                 f"max_positions, at most {DEFAULT_MAX_LEN}")})
-    except (TypeError, ValueError) as e:
+        _check_top_level(file_cfg, model_cfg)
+    except ConfigError as e:
         raise _bad_config(args.config, e)
+    vocab = load_vocab(args.vocab)
+    if file_cfg.get("model", {}).get("vocab_size", len(vocab)) != len(vocab):
+        log.warning("config vocab_size %s overridden by vocabulary file (%d tokens)",
+                    file_cfg["model"]["vocab_size"], len(vocab))
+    model_cfg = replace(model_cfg, vocab_size=len(vocab))
+    max_len = row_width(model_cfg)
 
     train_records = load_dataset(args.train, strict=True)
     train_set = encode_records(train_records, vocab, max_len=max_len)
@@ -356,7 +362,8 @@ def _cmd_surgery(args) -> dict:
 def _cmd_params(args) -> dict:
     file_cfg = _load_json(args.config)
     try:
-        cfg = ModelConfig.from_dict(file_cfg.get("model", file_cfg))
+        cfg = ModelConfig.from_dict(file_cfg.get("model", {}))
+        _check_top_level(file_cfg, cfg)
     except (TypeError, ValueError) as e:
         raise UsageError(f"bad model config in {args.config}: {e}")
     report = count_params(cfg)
@@ -411,21 +418,14 @@ def _scoring_run(args, max_len: int, outputs: dict, seed=None, **config) -> dict
 def _cmd_eval(args) -> dict:
     fprs = args.fprs or list(DEFAULT_FPRS)
     ds, scores, max_len = _score_input(args)
-    labels = ds.labels
-    payload = {
-        "n": len(ds),
-        "n_pos": int((labels == 1).sum()),
-        "n_neg": int((labels == 0).sum()),
-        "auc": roc_auc(scores, labels),
-        "tpr_at_fpr": {str(f): t for f, t in zip(fprs, tpr_at_fpr(scores, labels, fprs))},
-        "use_context": not args.no_context,
-    }
+    payload = {"n": len(ds), **summary(scores, ds.labels, fprs),
+               "use_context": not args.no_context}
     if args.groups:
-        payload["groups"] = group_metrics(scores, labels, ds.groups, fprs=fprs)
+        payload["groups"] = group_metrics(scores, ds.labels, ds.groups, fprs=fprs)
     _write_text(json_text(payload), args.out)
     if args.roc:
         _write_text("fpr,tpr,threshold\n" + "".join(
-            f"{fpr!r},{tpr!r},{thr!r}\n" for fpr, tpr, thr in roc_curve(scores, labels)),
+            f"{fpr!r},{tpr!r},{thr!r}\n" for fpr, tpr, thr in roc_curve(scores, ds.labels)),
             args.roc)
     return _scoring_run(args, max_len, {"metrics": args.out, "roc": args.roc}, fprs=fprs)
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import logging
 import time
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,49 +27,57 @@ def _check_two_class(labels: np.ndarray) -> tuple[int, int]:
     return n_pos, n_neg
 
 
-def _tie_run_ends(s: np.ndarray) -> np.ndarray:
-    """Index of the last element of each run of equal values in sorted ``s``
-    (a NaN equals nothing, so each NaN is a run of its own)."""
-    return np.flatnonzero(np.append(s[1:] != s[:-1], True))
+class _Sweep(NamedTuple):
+    """The ROC sweep every metric reads (``_sweep``): ``tp`` and ``fp`` count
+    the positives and negatives scored >= each threshold, from (0, 0) at +inf
+    down through each distinct score, sorted once, descending and stable; a
+    NaN sorts last and, equal to nothing, is a threshold of its own."""
+
+    tp: np.ndarray
+    fp: np.ndarray
+    thresholds: np.ndarray
+    n_pos: int
+    n_neg: int
+
+    def auc(self) -> float:
+        """The trapezoid area, summed in integer counts and divided once: the
+        Mann-Whitney U over n_pos * n_neg, so ties count 1/2."""
+        twice = int(np.dot(np.diff(self.fp), self.tp[1:] + self.tp[:-1]))
+        return twice / (2 * self.n_pos * self.n_neg)
+
+    def tprs(self, fprs) -> list[float]:
+        for target in fprs:
+            if not 0.0 <= target <= 1.0:
+                raise MetricError(f"FPR target must be in [0,1], got {target}")
+        last = np.searchsorted(self.fp / self.n_neg, fprs, side="right") - 1
+        return (self.tp[last] / self.n_pos).tolist()
 
 
-def _average_ranks(scores: np.ndarray) -> np.ndarray:
-    """1-based ranks, ties averaged."""
-    order = np.argsort(scores, kind="mergesort")
-    last = _tie_run_ends(scores[order])
-    first = np.append(0, last[:-1] + 1)
-    ranks = np.empty(len(scores), dtype=np.float64)
-    ranks[order] = np.repeat((first + last) / 2.0 + 1.0, last - first + 1)
-    return ranks
-
-
-def roc_auc(scores, labels) -> float:
-    """Mann-Whitney AUC: P(score_pos > score_neg), ties counted 1/2."""
+def _sweep(scores, labels) -> _Sweep:
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     if scores.shape != labels.shape:
         raise MetricError(f"scores/labels length mismatch: {scores.shape} vs {labels.shape}")
     n_pos, n_neg = _check_two_class(labels)
-    ranks = _average_ranks(scores)
-    pos_rank_sum = float(ranks[labels == 1].sum())
-    return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    order = np.argsort(-scores, kind="mergesort")
+    s, y = scores[order], labels[order]
+    ends = np.flatnonzero(np.append(s[1:] != s[:-1], True))
+    return _Sweep(np.append(0, np.cumsum(y == 1)[ends]), np.append(0, np.cumsum(y == 0)[ends]),
+                  np.append(np.inf, s[ends]), n_pos, n_neg)
+
+
+def roc_auc(scores, labels) -> float:
+    """Area under ``roc_curve``: P(score_pos > score_neg), ties counted 1/2,
+    a NaN below every number."""
+    return _sweep(scores, labels).auc()
 
 
 def roc_curve(scores, labels) -> list[tuple[float, float, float]]:
     """(fpr, tpr, threshold) points from (0,0) to (1,1), thresholds
     descending; classification rule is score >= threshold."""
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
-    n_pos, n_neg = _check_two_class(labels)
-    order = np.argsort(-scores, kind="mergesort")
-    s = scores[order]
-    y = labels[order]
-    ends = _tie_run_ends(s)  # one point per distinct threshold
-    fpr = np.cumsum(y == 0)[ends] / n_neg
-    tpr = np.cumsum(y == 1)[ends] / n_pos
+    tp, fp, thresholds, n_pos, n_neg = _sweep(scores, labels)
     # .tolist() gives Python floats, whose repr the ROC CSV prints
-    return [(0.0, 0.0, float("inf"))] + list(zip(fpr.tolist(), tpr.tolist(),
-                                                 s[ends].tolist()))
+    return list(zip((fp / n_neg).tolist(), (tp / n_pos).tolist(), thresholds.tolist()))
 
 
 def tpr_at_fpr(scores, labels, fprs) -> list[float]:
@@ -76,20 +85,23 @@ def tpr_at_fpr(scores, labels, fprs) -> list[float]:
     largest one still <= target (no interpolation). FPR and TPR never fall
     along the curve, which starts at (0, 0), so that is the TPR of the last
     point with FPR <= target."""
-    fpr, tpr, _ = np.array(roc_curve(scores, labels)).T
-    out = []
-    for target in fprs:
-        if not 0.0 <= target <= 1.0:
-            raise MetricError(f"FPR target must be in [0,1], got {target}")
-        out.append(float(tpr[np.searchsorted(fpr, target, side="right") - 1]))
-    return out
+    return _sweep(scores, labels).tprs(fprs)
+
+
+def summary(scores, labels, fprs) -> dict:
+    """``auc``, ``tpr_at_fpr`` (keyed by ``str(target)``), ``n_pos`` and
+    ``n_neg`` of one sweep: the metric block of ``eval`` and of each
+    ``group_metrics`` entry."""
+    sweep = _sweep(scores, labels)
+    return {"auc": sweep.auc(), "tpr_at_fpr": dict(zip(map(str, fprs), sweep.tprs(fprs))),
+            "n_pos": sweep.n_pos, "n_neg": sweep.n_neg}
 
 
 DEFAULT_FPRS = (1e-4, 1e-3, 1e-2, 1e-1)
 
 
 def group_metrics(scores, labels, groups, fprs=DEFAULT_FPRS) -> dict:
-    """Per-group AUC and TPR@FPR. Each group's positives are scored against
+    """Per-group ``summary``. Each group's positives are scored against
     the shared global negative pool; unknown tags fall under "other" and
     groups without positives are skipped with a warning."""
     scores = np.asarray(scores, dtype=np.float64)
@@ -107,13 +119,7 @@ def group_metrics(scores, labels, groups, fprs=DEFAULT_FPRS) -> dict:
                 log.warning("group %r has no positive samples; skipped", tag)
                 continue
             sel = pos_sel | neg
-        out[tag] = {
-            "auc": roc_auc(scores[sel], labels[sel]),
-            "tpr_at_fpr": {str(f): t for f, t in
-                           zip(fprs, tpr_at_fpr(scores[sel], labels[sel], fprs))},
-            "n_pos": int((labels[sel] == 1).sum()),
-            "n_neg": int(neg.sum()),
-        }
+        out[tag] = summary(scores[sel], labels[sel], fprs)
     return out
 
 

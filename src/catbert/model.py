@@ -204,7 +204,7 @@ class CatBertModel:
     place (``adam_step``), so an array read from it before the step sees
     the new values: snapshot a parameter with ``.copy()``. No two
     parameters, and no two models built by ``init_random``,
-    ``surgery_from_donor``, ``astype`` or ``load_checkpoint``, share
+    ``surgery_from_donor`` or ``load_checkpoint``, share
     memory, so a step never writes through to another holder. A loaded
     model's parameters are views of a private mapping of its blob: the
     first write to a page copies that page, and the file never changes."""
@@ -217,14 +217,6 @@ class CatBertModel:
 
     def parameters(self) -> list[Parameter]:
         return list(self.params.values())
-
-    def astype(self, dtype) -> "CatBertModel":
-        """Copy with every parameter cast (float64 for gradient oracles)."""
-        fresh = {
-            name: Parameter._adopt(name, p.data.astype(dtype), trainable=p.trainable)
-            for name, p in self.params.items()
-        }
-        return CatBertModel(self.config, fresh, dict(self.provenance))
 
 
 def init_random(config: ModelConfig, seed: int | None = None) -> CatBertModel:

@@ -8,7 +8,7 @@ import numpy as np
 
 from .mail import CONTEXT_DIM, EmailRecord, build_content, context_vector, extract_context
 from .model import CatBertModel, forward_probs, row_width
-from .tokenizer import DEFAULT_MAX_LEN, Vocabulary, encode
+from .tokenizer import Vocabulary, encode
 
 
 @dataclass
@@ -27,12 +27,12 @@ class EncodedDataset:
 
 
 def encode_records(records: list[EmailRecord], vocab: Vocabulary,
-                   max_len: int = DEFAULT_MAX_LEN) -> EncodedDataset:
+                   max_len: int) -> EncodedDataset:
     return encode_texts([build_content(r) for r in records], records, vocab, max_len=max_len)
 
 
 def encode_texts(texts: list[str], records: list[EmailRecord], vocab: Vocabulary,
-                 max_len: int = DEFAULT_MAX_LEN) -> EncodedDataset:
+                 max_len: int) -> EncodedDataset:
     """Encode one content text per record next to that record's context
     features, label, weight and group. Attacks and explanations pass
     perturbed texts here, which must not touch the headers. Context is

@@ -2,11 +2,13 @@
 
 No program path runs these, so they live beside the tests rather than in
 the installed package: the finite-difference gradient check that
-acceptance check 03 reads, the sum reduction most gradient tests take as
-their loss, the rank correlation that the explainer checks compare
-weights with, the inverse of ``encode`` that the tokenizer
-round-trips through, and the line-by-line vocabulary build that
-``Vocabulary`` replaced with whole-list passes.
+acceptance check 03 reads, the float64 copy of a model it runs in, the
+sum reduction most gradient tests take as their loss, the rank
+correlation that the explainer checks compare weights with, the
+rank-sum AUC that ``metrics.roc_auc`` replaced with the area of its ROC
+sweep, the inverse of ``encode`` that the tokenizer round-trips through,
+and the line-by-line vocabulary build that ``Vocabulary`` replaced with
+whole-list passes.
 """
 
 import math
@@ -15,7 +17,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from catbert import tensor as T
-from catbert.metrics import MetricError, _average_ranks
+from catbert.metrics import MetricError
+from catbert.model import CatBertModel
 from catbert.tensor import GradientError, Parameter, Tape, Tensor, backward, dense_grad
 from catbert.tokenizer import _SPECIALS, CONT, Vocabulary
 
@@ -84,11 +87,42 @@ def grad_check(model_fn: Callable[[], Tensor], params: Sequence[Parameter],
     return worst
 
 
+def astype(model: CatBertModel, dtype) -> CatBertModel:
+    """Copy of ``model`` with every parameter cast (float64 for gradient oracles)."""
+    fresh = {
+        name: Parameter._adopt(name, p.data.astype(dtype), trainable=p.trainable)
+        for name, p in model.params.items()
+    }
+    return CatBertModel(model.config, fresh, dict(model.provenance))
+
+
 def sum_all(x: Tensor) -> Tensor:
     def grad_fn(g):
         return (np.broadcast_to(g, x.data.shape).astype(x.data.dtype, copy=False),)
 
     return T._emit(np.asarray(x.data.sum(), dtype=x.data.dtype), (x,), grad_fn)
+
+
+def average_ranks(scores: np.ndarray) -> np.ndarray:
+    """1-based ranks, ties averaged (a NaN equals nothing, so each NaN is a
+    run of its own)."""
+    order = np.argsort(scores, kind="mergesort")
+    s = scores[order]
+    last = np.flatnonzero(np.append(s[1:] != s[:-1], True))
+    first = np.append(0, last[:-1] + 1)
+    ranks = np.empty(len(scores), dtype=np.float64)
+    ranks[order] = np.repeat((first + last) / 2.0 + 1.0, last - first + 1)
+    return ranks
+
+
+def rank_sum_auc(scores, labels) -> float:
+    """Mann-Whitney AUC from the positives' rank sum R:
+    (R - n_pos (n_pos + 1) / 2) / (n_pos n_neg)."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    n_pos, n_neg = int((labels == 1).sum()), int((labels == 0).sum())
+    pos_rank_sum = float(average_ranks(scores)[labels == 1].sum())
+    return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
 def spearman(a, b) -> float:
@@ -99,7 +133,7 @@ def spearman(a, b) -> float:
         raise MetricError(f"need equal-length 1-D inputs, got {a.shape} and {b.shape}")
     if len(a) < 2:
         raise MetricError("need at least two points")
-    ra, rb = _average_ranks(a), _average_ranks(b)
+    ra, rb = average_ranks(a), average_ranks(b)
     ra -= ra.mean()
     rb -= rb.mean()
     denom = math.sqrt(float((ra * ra).sum()) * float((rb * rb).sum()))

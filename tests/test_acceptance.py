@@ -32,7 +32,7 @@ from catbert.tensor import Parameter
 from catbert.tokenizer import Vocabulary, save_vocab
 from catbert.train import TrainConfig, bce_loss, split_by_time, train
 
-from oracles import grad_check, spearman
+from oracles import astype, grad_check, spearman
 
 SEEDS = (0, 1, 2, 3, 4)
 
@@ -122,7 +122,7 @@ def test_03_gradient_fidelity():
 
     err32 = grad_check(loss_fn(model32, ctx32), model32.parameters(),
                        eps=1e-3, samples_per_param=8, seed=0)
-    model64 = model32.astype(np.float64)
+    model64 = astype(model32, np.float64)
     # smaller step: the f64 bar is tight enough that truncation error from
     # layer-norm curvature dominates at eps=1e-3
     err64 = grad_check(loss_fn(model64, ctx32.astype(np.float64)),

@@ -10,6 +10,8 @@ from catbert.checkpoint import (BLOB, MANIFEST, CheckpointError, load_checkpoint
 from catbert.model import ModelConfig, forward_probs, init_random, surgery_from_donor
 from catbert.tensor import Parameter
 
+from oracles import astype
+
 
 @pytest.fixture
 def tiny():
@@ -58,8 +60,8 @@ def test_no_two_parameters_share_memory(tmp_path):
     donor = init_random(cfg, 2)
     compressed = surgery_from_donor(donor)
     save_checkpoint(compressed, tmp_path)
-    models = [donor, init_random(cfg, 2), compressed, compressed.astype(np.float32),
-              compressed.astype(np.float64), load_checkpoint(tmp_path)]
+    models = [donor, init_random(cfg, 2), compressed, astype(compressed, np.float32),
+              astype(compressed, np.float64), load_checkpoint(tmp_path)]
     arrays = [p.data for m in models for p in m.parameters()]
     for i, a in enumerate(arrays):
         assert not any(np.shares_memory(a, b) for b in arrays[i + 1:]), i

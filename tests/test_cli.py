@@ -17,6 +17,7 @@ import pytest
 
 from catbert.cli import build_parser, main
 from catbert.mail import save_dataset
+from catbert.metrics import summary
 from catbert.model import ModelConfig, count_params
 from catbert.synthetic import SYNONYM_TABLE, make_corpus, synthetic_vocab
 from catbert.tokenizer import save_vocab
@@ -374,7 +375,7 @@ class TestTrain:
         bad.write_text(json.dumps(cfg))
         out = tmp_path / "r"
         assert main(["train", "--train", str(tmp_path / "missing.jsonl"),
-                     "--vocab", str(workdir["vocab"]), "--config", str(bad),
+                     "--vocab", str(tmp_path / "missing.txt"), "--config", str(bad),
                      "--out-dir", str(out)]) == 1
         err = capsys.readouterr().err
         assert message in err and err.rstrip().endswith(f", in {bad}")
@@ -550,6 +551,27 @@ class TestParams:
         cfg.write_text(json.dumps({"hidden": 32}))  # no vocab_size
         assert main(["params", "--config", str(cfg)]) == 1
 
+    @pytest.mark.parametrize("override, message", [
+        ({"foo": 1}, "unknown config fields: ['foo']"),
+        ({"hidden": 16}, "unknown config fields: ['hidden']"),
+        ({"truncate": "tail"}, "truncate='tail' is retired"),
+        ({"max_len": 999}, "max_len=999 is retired; rows are 16 tokens wide"),
+        ({"model": {"vocab_size": 100, "max_positions": 2}}, "max_positions 2 allows rows of 2"),
+    ], ids=["unknown-key", "bare-model-field", "truncate-tail", "max-len-wider", "no-row-room"])
+    def test_refuses_what_train_refuses(self, workdir, tmp_path, capsys,
+                                        override, message):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({**json.loads(workdir["config"].read_text()), **override}))
+        assert main(["params", "--config", str(cfg)]) == 1
+        assert f"usage error: bad model config in {cfg}: {message}" in capsys.readouterr().err
+
+    def test_a_run_manifest_config_block_is_a_config(self, workdir, tmp_path, capsys):
+        cfg = json.loads((workdir["run"] / "run_manifest.json").read_text())["config"]
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({**cfg, "truncate": "head", "max_len": 16}))
+        assert main(["params", "--config", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["config"] == cfg["model"]
+
     @pytest.mark.parametrize("section", [5, [["vocab_size", 100]], "x", None])
     def test_a_model_section_that_is_no_object_is_a_usage_error(self, tmp_path, capsys,
                                                                 section):
@@ -618,6 +640,26 @@ class TestScoring:
             assert groups[tag]["n_pos"] == 24
             assert groups[tag]["n_neg"] == payload["n_neg"] == 112
             assert set(groups[tag]["tpr_at_fpr"]) == set(payload["tpr_at_fpr"])
+
+    def test_eval_blocks_are_the_summary_of_the_scores(self, workdir, tmp_path):
+        records = make_corpus(n=160, malicious_frac=0.3, seed=0)
+        for i, r in enumerate(r for r in records if r.label):
+            r.group = ("bec", "english")[i % 2]
+        data, out, pred = tmp_path / "tagged.jsonl", tmp_path / "m.json", tmp_path / "p.jsonl"
+        save_dataset(records, data)
+        io = ["--model", str(workdir["ckpt"]), "--in", str(data), "--vocab", str(workdir["vocab"])]
+        assert main(["eval", *io, "--groups", "--fprs", "0.01,0.5", "--out", str(out)]) == 0
+        assert main(["predict", *io, "--out", str(pred)]) == 0
+        payload = json.loads(out.read_text())
+        rows = [json.loads(line) for line in pred.read_text().splitlines()]
+        scores = np.array([r["prob"] for r in rows])
+        labels = np.array([r["label"] for r in rows])
+        groups = payload.pop("groups")
+        assert payload == {"n": 160, "use_context": True, **summary(scores, labels, (0.01, 0.5))}
+        assert groups["all"] == summary(scores, labels, (0.01, 0.5))
+        sel = labels == 0
+        sel[[i for i, r in enumerate(records) if r.group == "bec"]] = True
+        assert groups["bec"] == summary(scores[sel], labels[sel], (0.01, 0.5))
 
     def test_eval_roc_csv(self, workdir, tmp_path):
         out = tmp_path / "m.json"

@@ -31,7 +31,7 @@ from catbert.model import (
 from catbert.tensor import Parameter, Tape, Tensor, backward, dense_grad
 from catbert.train import bce_loss
 
-from oracles import sum_all
+from oracles import astype, sum_all
 
 CFG = dict(vocab_size=100, hidden=8, ffn_dim=16, heads=2, max_positions=12,
            block_plan=("T", "A", "T", "A"))
@@ -227,7 +227,7 @@ def batch(full, B=6, L=12, seed=8):
 
 
 def model(dtype, seed=5):
-    m = init_random(ModelConfig(**CFG), seed).astype(dtype)
+    m = astype(init_random(ModelConfig(**CFG), seed), dtype)
     for i in (1, 3):  # make the adapters matter
         m.params[f"blocks.{i}.dense2.w"].data *= 20
     for i in (0, 2):  # and GELU's cubic term, so its rounding shows in the output

@@ -9,13 +9,13 @@ from catbert.metrics import (
     group_metrics,
     roc_auc,
     roc_curve,
+    summary,
     time_inference,
     tpr_at_fpr,
 )
-from catbert.metrics import _average_ranks
 from catbert.model import ModelConfig, init_random
 
-from oracles import spearman
+from oracles import average_ranks, rank_sum_auc, spearman
 
 
 def pairwise_auc(scores, labels):
@@ -82,6 +82,12 @@ def loop_average_ranks(scores):
     return ranks
 
 
+def trapezoid_area(points):
+    # area under the (fpr, tpr) polyline, one trapezoid per step
+    return sum((x1 - x0) * (y0 + y1) / 2.0
+               for (x0, y0, _), (x1, y1, _) in zip(points, points[1:]))
+
+
 def random_scoreset(rng, n=60):
     labels = rng.integers(0, 2, size=n)
     while labels.sum() in (0, n):
@@ -110,6 +116,27 @@ class TestRocAuc:
         a = roc_auc(scores, labels)
         b = roc_auc(np.exp(3.0 * scores) + 7.0, labels)
         assert abs(a - b) <= 1e-12
+
+    @given(st.integers(2, 400), st.sampled_from([2, 5, 20, 0]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_rank_sum_and_curve_area(self, n, levels, seed):
+        # finite scores, quantised to a few levels (0: float32 probabilities);
+        # both formulas give the exact rational U / (n_pos * n_neg) rounded once
+        rng = np.random.default_rng(seed)
+        labels = np.arange(n) % 2
+        rng.shuffle(labels)
+        scores = rng.random(n).astype(np.float32)
+        if levels:
+            scores = np.floor(scores * levels) / levels
+        auc = roc_auc(scores, labels)
+        assert auc == rank_sum_auc(scores, labels)
+        assert auc == pytest.approx(trapezoid_area(roc_curve(scores, labels)), abs=1e-12)
+
+    def test_nan_ranks_below_every_number(self):
+        # the area under the curve eval --roc writes: a NaN sorts last there
+        scores, labels = [np.nan, 0.2, 0.9, 0.1], [1, 0, 1, 0]
+        assert roc_curve(scores, labels)[-2] == (1.0, 0.5, 0.1)
+        assert roc_auc(scores, labels) == trapezoid_area(roc_curve(scores, labels)) == 0.5
 
     def test_single_class_rejected(self):
         with pytest.raises(MetricError, match="both classes"):
@@ -147,7 +174,7 @@ class TestRocCurve:
             if trial % 5 == 0:
                 scores[rng.random(len(scores)) < 0.3] = -0.0
             assert repr(roc_curve(scores, labels)) == repr(loop_roc_curve(scores, labels))
-            assert repr(_average_ranks(scores).tolist()) == repr(
+            assert repr(average_ranks(scores).tolist()) == repr(
                 loop_average_ranks(scores).tolist())
 
 
@@ -187,6 +214,17 @@ class TestTprAtFpr:
     def test_bad_target(self):
         with pytest.raises(MetricError):
             tpr_at_fpr([0.9, 0.1], [1, 0], [1.5])
+
+
+class TestSummary:
+    def test_reads_the_one_sweep(self):
+        rng = np.random.default_rng(6)
+        scores, labels = random_scoreset(rng)
+        assert summary(scores, labels, DEFAULT_FPRS) == {
+            "auc": roc_auc(scores, labels),
+            "tpr_at_fpr": {str(f): t for f, t in
+                           zip(DEFAULT_FPRS, tpr_at_fpr(scores, labels, DEFAULT_FPRS))},
+            "n_pos": int(labels.sum()), "n_neg": int((labels == 0).sum())}
 
 
 class TestGroupMetrics:

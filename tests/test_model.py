@@ -32,7 +32,7 @@ from catbert.model import (
 from catbert.tensor import Parameter, Tape, backward, dense_grad
 from catbert.train import bce_loss
 
-from oracles import grad_check
+from oracles import astype, grad_check
 
 TINY = dict(vocab_size=100, hidden=8, ffn_dim=16, heads=2, max_positions=16,
             block_plan=("T", "A"))
@@ -271,7 +271,7 @@ class TestClsTail:
 
     @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
     def test_matches_full_width_oracle(self, dtype, tol):
-        m = init_random(ModelConfig(**self.CFG), 3).astype(dtype)
+        m = astype(init_random(ModelConfig(**self.CFG), 3), dtype)
         for i in (1, 3):  # make the adapters matter
             m.params[f"blocks.{i}.dense2.w"].data = m.params[f"blocks.{i}.dense2.w"].data * 20
         ids, mask, ctx = self.padded_batch()
@@ -296,7 +296,7 @@ class TestClsTail:
         # probe model chosen so no sampled coordinate sits within eps of a
         # relu kink, where central differences straddle the corner
         m32 = init_random(ModelConfig(**self.CFG), 3)
-        m64 = m32.astype(np.float64)
+        m64 = astype(m32, np.float64)
         ids, mask, ctx32 = self.padded_batch()
         y = np.array([1, 0, 1, 0, 1], dtype=np.float64)
         w = np.ones(5)
@@ -334,7 +334,7 @@ class TestClsTail:
         y, w = np.array([1.0, 0.0, 1.0, 0.0, 1.0]), np.ones(5)
         grads = []
         for fwd in (forward_probs, lambda *a: full_width_forward(*a)[0]):
-            m = init_random(ModelConfig(**self.CFG), 3).astype(np.float64)
+            m = astype(init_random(ModelConfig(**self.CFG), 3), np.float64)
             with Tape() as tape:
                 loss = bce_loss(fwd(m, ids, mask, ctx.astype(np.float64)), y, w)
             backward(tape, loss)
@@ -365,7 +365,7 @@ class TestPacking:
         return ids * mask, mask, rng.random((B, 4)).astype(dtype)
 
     def model(self, dtype, plan=CFG["block_plan"]):
-        m = init_random(ModelConfig(**{**self.CFG, "block_plan": plan}), 5).astype(dtype)
+        m = astype(init_random(ModelConfig(**{**self.CFG, "block_plan": plan}), 5), dtype)
         for i, kind in enumerate(plan):  # make the adapters matter
             if kind == "A":
                 m.params[f"blocks.{i}.dense2.w"].data = m.params[f"blocks.{i}.dense2.w"].data * 20
@@ -413,7 +413,7 @@ class TestPacking:
 
     def test_grad_check_within_check_03_bounds(self):
         m32 = init_random(ModelConfig(**self.CFG), 3)
-        m64 = m32.astype(np.float64)
+        m64 = astype(m32, np.float64)
         ids, mask, ctx32 = self.batch()
         y, w = np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0]), np.ones(6)
 
@@ -695,13 +695,17 @@ class TestFreeze:
 class TestAstype:
     def test_float64_copy_forward(self):
         m = tiny_model()
-        m64 = m.astype(np.float64)
+        m64 = astype(m, np.float64)
         assert m64.params["embeddings.token"].data.dtype == np.float64
         ids, mask, ctx = rand_batch(m.config)
         p32 = forward_probs(m, ids, mask, ctx).data
         p64 = forward_probs(m64, ids, mask, ctx).data
         assert p64.dtype == np.float64
         assert np.allclose(p32, p64, atol=1e-5)
+
+    def test_the_cast_is_test_code(self):
+        # only the gradient oracles run a model in float64
+        assert not hasattr(CatBertModel, "astype")
 
 
 # Scores one fixed paper-width batch (hidden 768, ffn 3072, 12 heads, the

@@ -17,8 +17,10 @@ from catbert.synthetic import make_corpus, synthetic_vocab
 from catbert.pipeline import (EncodedDataset, encode_records, encode_texts, make_model_scorer,
                               score_dataset, score_records)
 from catbert.tensor import Tape, backward, dense_grad
-from catbert.tokenizer import Vocabulary, encode
+from catbert.tokenizer import DEFAULT_MAX_LEN, Vocabulary, encode
 from catbert.train import TrainConfig, balanced_batches, bce_loss, effective_weights, train
+
+from oracles import astype
 
 
 def small_vocab():
@@ -41,6 +43,13 @@ def tiny_model(context_dim=4):
 
 
 class TestEncodeRecords:
+    def test_row_width_has_no_default(self):
+        # no width fits every model: rows wider than max_positions are refused
+        with pytest.raises(TypeError, match="max_len"):
+            encode_records(records(), small_vocab())
+        with pytest.raises(TypeError, match="max_len"):
+            encode_texts(["pay", "now"], records(), small_vocab())
+
     def test_shapes_and_fields(self):
         ds = encode_records(records(), small_vocab(), max_len=12)
         assert ds.ids.shape == (2, 12)
@@ -64,14 +73,13 @@ class TestEncodeRecords:
     @pytest.mark.parametrize("max_len, digest", [
         (3, "eccc4f021b5146bfcca6221dd4a365069bbd6f5e951d959669116254cb2f0ed2"),
         (16, "63202894b7d20f369e164746cfaffb3580b0d3d89b9c48d1c685437de9a08a82"),
-        (None, "ddbf5cdff8ce1408e1fb7f662c0bf477ecd3178c37ace7bbf06bd1e02cd67380"),
+        (DEFAULT_MAX_LEN, "ddbf5cdff8ce1408e1fb7f662c0bf477ecd3178c37ace7bbf06bd1e02cd67380"),
     ], ids=["3", "16", "default"])
     def test_rows_keep_the_head_of_each_email(self, max_len, digest):
         # pinned from the head rows of the encoder that could also keep the
         # tail, at widths that cut every row (3), most rows (16) and none
         recs = make_corpus(n=64, malicious_frac=0.3, seed=0)
-        kwargs = {} if max_len is None else {"max_len": max_len}
-        ds = encode_records(recs, Vocabulary(synthetic_vocab()), **kwargs)
+        ds = encode_records(recs, Vocabulary(synthetic_vocab()), max_len=max_len)
         assert hashlib.sha256(ds.ids.tobytes() + ds.mask.tobytes()).hexdigest() == digest
 
 
@@ -227,7 +235,7 @@ class TestTrimPadding:
             runs = []
             for ids, mask in ((ds.ids[idx], ds.mask[idx]),
                               (ds.ids[idx, :width], ds.mask[idx, :width])):
-                m = tiny_model().astype(dtype)
+                m = astype(tiny_model(), dtype)
                 probs = forward_probs(m, ids, mask, ctx).data
                 with Tape() as tape:
                     loss = bce_loss(forward_probs(m, ids, mask, ctx), labels, weights)
