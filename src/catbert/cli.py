@@ -39,8 +39,8 @@ from .checkpoint import BLOB, MANIFEST, load_checkpoint, read_manifest, save_che
 from .explain import MIN_SAMPLES, explain_record
 from .mail import CONTEXT_DIM, load_dataset, load_dataset_with_report, save_dataset
 from .metrics import DEFAULT_FPRS, group_metrics, roc_curve, summary, time_inference
-from .model import (PARTIAL_FINETUNE, ConfigError, ModelConfig, check_keep, config_keys,
-                    count_params, init_random, millions, row_width, surgery_from_donor)
+from .model import (ConfigError, ModelConfig, check_keep, config_keys, count_params,
+                    init_random, millions, row_width, surgery_from_donor)
 from .pipeline import encode_records, make_model_scorer, score_dataset
 from .tokenizer import DEFAULT_MAX_LEN, load_vocab
 from .train import TrainConfig, check_fractions, split_by_time, train
@@ -160,43 +160,19 @@ def _load_json(path: str | None, what: str = "config file") -> dict:
         raise UsageError(f"{what} {path} {e}")
 
 
-# the flag that sets a config key, where it is not the key with dashes
-_FLAG_OF = {"block_plan": "--plan"}
-
-
 def _bad_config(path: str | None, e: Exception | str) -> UsageError:
     return UsageError(f"bad config: {e}, in {path}" if path else f"bad config: {e}")
 
 
-def _refusal(build, cfg: dict) -> str | None:
-    try:
-        build(cfg)
-    except (TypeError, ValueError) as e:
-        return str(e)
-    return None
-
-
-def _configured(build, file_cfg: dict, section: str, path: str | None, **flags):
-    """``build`` of the config file's ``section`` (absent: {}) with each flag
-    that is set. A refused value is named by where it came from: each flag
-    whose value the refusal depends on (set back to the default, the
-    refusal goes or changes), else the file."""
+def _configured(build, file_cfg: dict, section: str, path: str | None, seed=None):
+    """``build`` of the config file's ``section`` (absent: {}), with ``seed``
+    in place of its own when given; a refused value is a usage error that
+    names the file."""
     try:
         cfg = config_keys(file_cfg.get(section, {}), section)
-    except ConfigError as e:
+        return build(cfg if seed is None else {**cfg, "seed": seed})
+    except (TypeError, ValueError) as e:  # ConfigError is one
         raise _bad_config(path, e)
-    flags = {k: v for k, v in flags.items() if v is not None}
-    merged = {**cfg, **flags}
-    try:
-        return build(merged)
-    except (TypeError, ValueError) as e:
-        refusal = str(e)
-    blamed = [k for k in flags
-              if _refusal(build, {j: v for j, v in merged.items() if j != k}) != refusal]
-    if not blamed:
-        raise _bad_config(path, refusal)
-    names = " and ".join(_FLAG_OF.get(k, "--" + k.replace("_", "-")) for k in blamed)
-    raise UsageError(f"bad config: {refusal}, from {names}")
 
 
 def _list_arg(kind, n: int | None = None, lo=float("-inf"), hi=float("inf")):
@@ -268,8 +244,8 @@ def _cmd_split(args) -> dict:
 
 
 def _resolved_model_config(args, file_cfg: dict, seed: int) -> ModelConfig:
-    """The config file's model section with flag overrides, seeded by the run
-    ``seed``, and a stand-in ``vocab_size`` of 1 for the vocabulary's."""
+    """The config file's model section, seeded by the run ``seed``, with a
+    stand-in ``vocab_size`` of 1 for the vocabulary's."""
     def build(cfg: dict) -> ModelConfig:
         if args.seed is None and cfg.get("seed", seed) != seed:
             raise UsageError(f"model.seed {cfg['seed']} disagrees with the run seed {seed} "
@@ -279,12 +255,7 @@ def _resolved_model_config(args, file_cfg: dict, seed: int) -> ModelConfig:
         row_width(model_cfg)
         return model_cfg
 
-    return _configured(
-        build, file_cfg, "model", args.config,
-        hidden=args.hidden, ffn_dim=args.ffn_dim, heads=args.heads,
-        max_positions=args.max_positions, context_dim=args.context_dim,
-        block_plan=args.plan.split(",") if args.plan else None,
-    )
+    return _configured(build, file_cfg, "model", args.config)
 
 
 def _check_top_level(file_cfg: dict, model_cfg: ModelConfig) -> None:
@@ -299,11 +270,8 @@ def _check_top_level(file_cfg: dict, model_cfg: ModelConfig) -> None:
 
 def _cmd_train(args) -> dict:
     file_cfg = _load_json(args.config)
-    train_cfg = _configured(
-        TrainConfig.from_dict, file_cfg, "train", args.config,
-        epochs=args.epochs, batch_size=args.batch_size,
-        learning_rate=args.learning_rate, seed=args.seed,
-        bec_weight=args.bec_weight, freeze=args.freeze)
+    train_cfg = _configured(TrainConfig.from_dict, file_cfg, "train", args.config,
+                            seed=args.seed)
     model_cfg = _resolved_model_config(args, file_cfg, train_cfg.seed)
     try:
         _check_top_level(file_cfg, model_cfg)
@@ -519,20 +487,10 @@ def build_parser() -> _Parser:
     p.add_argument("--train", required=True, help="training JSONL")
     p.add_argument("--val", help="validation JSONL (best-epoch tracking)")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--config", help="JSON config: {model: {...}, train: {...}}")
+    p.add_argument("--config", help="JSON config: {model: {...}, train: {...}}; "
+                                     "absent, the paper-scale defaults")
     p.add_argument("--vocab", required=True)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--learning-rate", type=float)
-    p.add_argument("--seed", type=_number_arg(int, lo=0))
-    p.add_argument("--bec-weight", type=float)
-    p.add_argument("--freeze", help=f"freeze preset; the one preset is {PARTIAL_FINETUNE}")
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--ffn-dim", type=int)
-    p.add_argument("--heads", type=int)
-    p.add_argument("--max-positions", type=int)
-    p.add_argument("--context-dim", type=int, choices=(0, CONTEXT_DIM))
-    p.add_argument("--plan", help="block plan, e.g. T,A,T,A")
+    p.add_argument("--seed", type=_number_arg(int, lo=0), help="run seed, over train.seed")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("surgery", help="compress a donor checkpoint into T+A form")
@@ -608,6 +566,10 @@ def main(argv=None) -> int:
         if getattr(args, "func", None) is None:
             print(parser.format_help(), file=sys.stderr)
             return 1
+        for dest, value in vars(args).items():  # an empty path is no path: refuse it
+            if value == "":
+                flag = "--in" if dest == "inp" else "--" + dest.replace("_", "-")
+                raise UsageError(f"argument {flag}: wants a non-empty value")
         for folder in (os.path.dirname(getattr(args, k, None) or "") for k in ("out", "roc")):
             if folder and not os.path.isdir(folder):
                 raise UsageError(f"output directory {folder} does not exist")

@@ -10,7 +10,9 @@ from __future__ import annotations
 import json
 import logging
 import math
+import sys
 from dataclasses import asdict, dataclass, field
+from datetime import datetime, timezone
 from html.parser import HTMLParser
 
 import numpy as np
@@ -171,6 +173,19 @@ def _shown(value) -> str:
     return f"{type(value).__name__} {text}"
 
 
+def parse_first_seen(value: str | None) -> datetime | None:
+    """``first_seen`` as an aware datetime, a naive one read as UTC; None if
+    absent. DatasetError unless it is an ISO 8601 string."""
+    if value is None:
+        return None
+    try:
+        ts = datetime.fromisoformat(value)
+    except (TypeError, ValueError):
+        raise DatasetError(
+            f"first_seen must be an ISO timestamp string, got {_shown(value)}") from None
+    return ts if ts.tzinfo else ts.replace(tzinfo=timezone.utc)
+
+
 def _check_text(name: str, value, what: str) -> None:
     """DatasetError unless ``value`` is a str that UTF-8 can write back (a
     JSON escape can smuggle in a lone surrogate, which it cannot, and a byte
@@ -211,16 +226,14 @@ def _parse_record(obj: dict) -> EmailRecord:
     if rec.label not in (0, 1):
         raise DatasetError(f"label must be 0 or 1, got {_shown(rec.label)}")
     rec.label = int(rec.label)  # so true and 1.0 are written back as 1
-    try:
-        weight = float(rec.weight)
-    except (TypeError, ValueError, OverflowError):
-        weight = math.nan
-    if not (math.isfinite(weight) and weight > 0):
+    if (type(rec.weight) not in (int, float)  # not a bool or a string
+            or not 0 < rec.weight <= sys.float_info.max):
         raise DatasetError(f"weight must be a finite number > 0, got {_shown(rec.weight)}")
-    rec.weight = weight
+    rec.weight = float(rec.weight)
     if rec.group not in GROUPS:
         raise DatasetError(f"group must be one of {GROUPS[1:]} or absent, "
                            f"got {_shown(rec.group)}")
+    parse_first_seen(rec.first_seen)
     return rec
 
 

@@ -7,10 +7,10 @@ gradient oracle runs the same ops in float64. Ops record onto the active
 ``backward`` replays the tape in reverse to populate ``Parameter.grad``.
 
 Each op has one forward body, recorded or not. The fused ops (``matmul``
-with a bias and an activation, ``softmax_rows`` with a scale,
-``layer_norm``, ``attention``) write each step over the buffer the previous
-step allocated, and a gradient recomputes what it reads beyond the op's
-inputs, output and per-row statistics. Their float operations, and the
+with a bias and an activation, ``softmax_rows``, ``layer_norm``,
+``attention``) write each step over the buffer the previous step
+allocated, and a gradient recomputes what it reads beyond the op's inputs,
+output and per-row statistics. Their float operations, and the
 order of them, are those of the unfused op sequence, so results and
 gradients are bit-identical to it (``attention``'s on rows with no padding).
 """
@@ -481,32 +481,17 @@ def _softmax_grad(out: np.ndarray, g: np.ndarray) -> np.ndarray:
     return out * (g - dot)
 
 
-def softmax_rows(x: Tensor, scale: float | None = None) -> Tensor:
-    """Softmax over the last axis of ``x·scale``, with max-subtraction.
-    ``scale`` is rounded to ``x``'s dtype, as ``mul`` rounds a Python
-    number, and may be None.
+def softmax_rows(x: Tensor) -> Tensor:
+    """Softmax over the last axis of ``x``, with max-subtraction.
 
-    The scaled scores are written into one new buffer, which is then
-    shifted, exponentiated and normalised in place: ``x`` is left unchanged
-    and the op allocates only its output. The float operations are those of
-    ``mul`` and an unfused softmax, in their order, so the result and its
-    gradient are bit-identical to theirs."""
-    v = x.data
-    out = np.empty_like(v)
-    if scale is None:
-        np.copyto(out, v)
-    else:
-        scale = np.asarray(scale, dtype=v.dtype)
-        np.multiply(v, scale, out=out)
+    ``x`` is copied into one new buffer, which is then shifted,
+    exponentiated and normalised in place: ``x`` is left unchanged and the
+    op allocates only its output. The float operations are those of an
+    unfused softmax, in their order, so the result and its gradient are
+    bit-identical to its."""
+    out = x.data.copy()
     _softmax(out)
-
-    def grad_fn(g):
-        gx = _softmax_grad(out, g)
-        if scale is not None:
-            gx *= scale
-        return (gx,)
-
-    return _emit(out, (x,), grad_fn)
+    return _emit(out, (x,), lambda g: (_softmax_grad(out, g),))
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, q_rows, kv_rows, heads: int,

@@ -13,13 +13,13 @@ import logging
 import math
 import os
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
+from datetime import datetime
 
 import numpy as np
 
 from . import tensor as T
 from .checkpoint import save_checkpoint
-from .mail import EmailRecord
+from .mail import EmailRecord, parse_first_seen
 from .metrics import _check_two_class, roc_auc
 from .model import (PARTIAL_FINETUNE, CatBertModel, config_keys, forward_probs, freeze_preset,
                     set_trainable)
@@ -89,18 +89,6 @@ def bce_loss(probs: Tensor, labels, weights) -> Tensor:
     return T.mean_all(T.mul(ll, -w))
 
 
-def _parse_ts(value: str | None):
-    """An aware datetime, a naive one read as UTC; None if missing or unparseable."""
-    if value is None:
-        return None
-    try:
-        ts = datetime.fromisoformat(value)
-        return ts if ts.tzinfo else ts.replace(tzinfo=timezone.utc)
-    except ValueError:
-        log.warning("unparseable first_seen %r treated as missing", value)
-        return None
-
-
 def check_fractions(fractions) -> None:
     """ValueError unless ``fractions`` are three non-negative numbers summing to 1."""
     if len(fractions) != 3 or any(f < 0 for f in fractions):
@@ -112,9 +100,10 @@ def check_fractions(fractions) -> None:
 def split_by_time(records: list[EmailRecord], fractions=(0.7, 0.15, 0.15)):
     """Sort by first_seen (missing timestamps last, original order preserved
     among ties) and cut at the cumulative fractions; sizes are floored and
-    the remainder goes to test."""
+    the remainder goes to test. A first_seen that is not an ISO timestamp
+    is a ValueError (``mail.parse_first_seen``)."""
     check_fractions(fractions)
-    keyed = sorted(records, key=lambda r: ((ts := _parse_ts(r.first_seen)) is None,
+    keyed = sorted(records, key=lambda r: ((ts := parse_first_seen(r.first_seen)) is None,
                                            ts or datetime.min))
     n = len(records)
     n_train = int(n * fractions[0])

@@ -10,7 +10,10 @@ import hashlib
 import json
 import os
 import platform
+import re
+import shlex
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,9 +21,10 @@ import pytest
 from catbert.cli import build_parser, main
 from catbert.mail import save_dataset
 from catbert.metrics import summary
-from catbert.model import ModelConfig, count_params
+from catbert.model import ModelConfig, count_params, row_width
 from catbert.synthetic import SYNONYM_TABLE, make_corpus, synthetic_vocab
 from catbert.tokenizer import save_vocab
+from catbert.train import TrainConfig
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +84,26 @@ class TestExitCodes:
         assert f"output directory {missing} does not exist" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("sub, flag", [
+        ("ingest", "--in"), ("train", "--config"), ("train", "--val"), ("params", "--out"),
+        ("eval", "--out"), ("eval", "--roc"), ("predict", "--out"), ("attack", "--out"),
+        ("attack", "--synonyms"), ("explain", "--out"), ("bench", "--out")])
+    def test_an_empty_flag_value_is_a_usage_error(self, tmp_path, capsys, sub, flag):
+        """An empty path names no file: it is refused, not read as an absent
+        flag (stdout, no config, no validation), before any input is read."""
+        missing = str(tmp_path / "missing")
+        scoring = ["--in", missing, "--model", missing, "--vocab", missing]
+        required = {
+            "ingest": ["--in", missing, "--out", missing],
+            "train": ["--train", missing, "--vocab", missing, "--out-dir", missing],
+            "params": ["--config", missing],
+            "attack": [*scoring, "--kind", "typo", "--rate", "0.5"],
+            "bench": ["--hidden", "8", "--ffn-dim", "8", "--heads", "1", "--vocab-size", "8",
+                      "--donor-blocks", "2", "--repetitions", "1"]}.get(sub, scoring)
+        assert main([sub, *required, flag, ""]) == 1  # the last value of a flag wins
+        assert f"usage error: argument {flag}: wants a non-empty value" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
     @pytest.mark.parametrize("argv, message", [
         (["split", "--fractions", "a,b,c"], "argument --fractions: wants "),
         (["split", "--fractions", "0.5,0.5"], "argument --fractions: wants "),
@@ -116,13 +140,6 @@ class TestExitCodes:
          "argument --seed: wants one int in [0, inf]"),
         (["explain", "--seed", "-1"], "argument --seed: wants one int in [0, inf]"),
         (["bench", "--seed", "-1"], "argument --seed: wants one int in [0, inf], got '-1'"),
-        (["train", "--learning-rate", "nan"],
-         "bad config: learning_rate must be a finite number >= 0, got nan"),
-        (["train", "--learning-rate", "inf"],
-         "bad config: learning_rate must be a finite number >= 0, got inf"),
-        (["train", "--learning-rate", "-1"],
-         "bad config: learning_rate must be a finite number >= 0, got -1.0"),
-        (["train", "--bec-weight", "0"], "bad config: bec_weight must be a finite number > 0"),
     ], ids=["fractions-not-numbers", "fractions-two-values", "fractions-out-of-range",
             "fprs-not-a-number", "fprs-above-one", "keep-not-an-integer", "keep-negative",
             "eval-batch-size-negative", "eval-batch-size-zero", "predict-batch-size-negative",
@@ -133,8 +150,7 @@ class TestExitCodes:
             "bench-vocab-size-zero", "bench-heads-not-dividing-hidden", "bench-no-blocks",
             "bench-donor-blocks-negative",
             "train-seed-negative", "surgery-seed-negative", "attack-seed-negative",
-            "explain-seed-negative", "bench-seed-negative", "train-lr-nan", "train-lr-inf",
-            "train-lr-negative", "train-bec-weight-zero"])
+            "explain-seed-negative", "bench-seed-negative"])
     def test_bad_list_flag_fails_before_reading_data(self, tmp_path, capsys, argv, message):
         """A flag value outside the bound the library enforces is a usage
         error before any input is read (every input here is missing)."""
@@ -195,7 +211,11 @@ class TestIngestSplit:
     @pytest.mark.parametrize("bad, reason", [
         ('{"label": 0, "weight": "abc"}', "weight must be a finite number > 0"),
         ('{"label": 0, "weight": 1e400}', "weight must be a finite number > 0"),
+        ('{"label": 0, "weight": "2"}', "weight must be a finite number > 0, got str '2'"),
+        ('{"label": 0, "weight": true}', "weight must be a finite number > 0, got bool True"),
         ('{"label": 0, "first_seen": 5}', "first_seen must be an ISO timestamp string"),
+        ('{"label": 0, "first_seen": "yesterday"}',
+         "first_seen must be an ISO timestamp string, got str 'yesterday'"),
         ("[" * 100_000, "recursion"),
         ('{"label": 0, "subject": 7}', "subject must be a string, got int"),
         ('{"label": 0, "subject": ["x"]}', "subject must be a string, got list"),
@@ -212,7 +232,8 @@ class TestIngestSplit:
         ('{"label": 0, "weight": ' + "1" * 5000 + "}",
          "is not valid JSON: Exceeds the limit (4300 digits)"),
         ('{"label": 0, "label": 1}', "is not valid JSON: repeated key 'label'"),
-    ], ids=["weight-text", "weight-inf", "first-seen-number", "deep-nesting",
+    ], ids=["weight-text", "weight-inf", "weight-numeric-string", "weight-bool",
+            "first-seen-number", "first-seen-not-iso", "deep-nesting",
             "subject-number", "subject-list", "body-text-object", "body-html-number",
             "from-number", "to-numbers", "cc-string", "subject-lone-surrogate",
             "subject-byte-not-utf8", "key-byte-not-utf8", "int-past-digit-limit",
@@ -230,7 +251,7 @@ class TestIngestSplit:
         assert sum(1 for _ in open(out)) == 2
         capsys.readouterr()
         assert main(["ingest", "--in", str(src), "--out", str(tmp_path / "o"), "--strict"]) == 2
-        assert f"error: {skipped}" in capsys.readouterr().err
+        assert f"error: {skipped}, in {src}" in capsys.readouterr().err
 
     def test_skip_messages_are_short_however_long_the_value(self, tmp_path):
         src = tmp_path / "hostile.jsonl"
@@ -301,10 +322,14 @@ class TestTrain:
         from catbert.checkpoint import load_checkpoint
         val = tmp_path / "val.jsonl"
         save_dataset(make_corpus(n=60, malicious_frac=0.3, seed=1), val)
+        cfg = json.loads(workdir["config"].read_text())
+        cfg["train"]["epochs"] = 3
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(cfg))
         run = tmp_path / "run"
         assert main(["train", "--train", str(workdir["corpus"]), "--val", str(val),
-                     "--vocab", str(workdir["vocab"]), "--config", str(workdir["config"]),
-                     "--out-dir", str(run), "--seed", "0", "--epochs", "3"]) == 0
+                     "--vocab", str(workdir["vocab"]), "--config", str(config),
+                     "--out-dir", str(run), "--seed", "0"]) == 0
         history = json.loads((run / "history.json").read_text())
         aucs = [row["val_auc"] for row in history["epochs"]]
         assert len(aucs) == 3
@@ -331,15 +356,6 @@ class TestTrain:
         assert ((again / "history.json").read_text()
                 == (workdir["run"] / "history.json").read_text())
 
-    def test_flag_overrides_config_file(self, workdir, tmp_path):
-        run = tmp_path / "lr0"
-        rc = main(["train", "--train", str(workdir["corpus"]),
-                   "--vocab", str(workdir["vocab"]), "--config", str(workdir["config"]),
-                   "--out-dir", str(run), "--seed", "0", "--learning-rate", "0"])
-        assert rc == 0
-        manifest = json.loads((run / "run_manifest.json").read_text())
-        assert manifest["config"]["train"]["learning_rate"] == 0.0
-
     def test_unknown_config_key_is_usage_error(self, workdir, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"train": {"momentum": 0.9}}))
@@ -364,13 +380,38 @@ class TestTrain:
          "bad config: learning_rate must be a finite number >= 0, got '0.1'"),
         ({"model": [["hidden", 8]]}, "bad config: model must be a JSON object, got list"),
         ({"train": [["epochs", 1]]}, "bad config: train must be a JSON object, got list"),
+        ({"model": {"hidden": 0}}, "bad config: hidden must be an int >= 1, got 0"),
+        ({"model": {"ffn_dim": 0}}, "bad config: ffn_dim must be an int >= 1, got 0"),
+        ({"model": {"heads": 0}}, "bad config: heads must be an int >= 1, got 0"),
+        ({"model": {"heads": 5}}, "not divisible by heads=5"),
+        ({"model": {"block_plan": ["A"]}}, "bad config: block plan needs a transformer"),
+        ({"model": {"block_plan": ["A", "A"]}}, "bad config: block plan needs a transformer"),
+        ({"train": {"freeze": "bogus"}}, "bad config: freeze must be 'partial-finetune'"),
+        ({"model": {"context_dim": 2}}, "bad config: context_dim must be 0 or 4, got 2"),
+        ({"train": {"learning_rate": float("nan")}},
+         "bad config: learning_rate must be a finite number >= 0, got nan"),
+        ({"train": {"learning_rate": float("inf")}},
+         "bad config: learning_rate must be a finite number >= 0, got inf"),
+        ({"train": {"learning_rate": -1}},
+         "bad config: learning_rate must be a finite number >= 0, got -1"),
+        ({"train": {"bec_weight": 0}}, "bad config: bec_weight must be a finite number > 0"),
+        ({"train": {"epochs": 0}}, "bad config: epochs must be >= 1, got 0"),
+        ({"model": {"max_positions": 2}},
+         "max_positions 2 allows rows of 2 tokens; max_len must be at least 3"),
     ], ids=["unknown-top-level-key", "truncate-middle", "truncate-tail", "max-len-narrower",
             "max-len-string", "balanced-false", "odd-batch-size", "fractional-epochs",
             "float-batch-size", "string-learning-rate", "model-not-an-object",
-            "train-not-an-object"])
+            "train-not-an-object", "hidden-zero", "ffn-dim-zero", "heads-zero",
+            "heads-not-dividing-hidden", "plan-one-adapter", "plan-adapters-only",
+            "freeze-bogus", "context-dim-2", "lr-nan", "lr-inf", "lr-negative",
+            "bec-weight-zero", "epochs-zero", "max-positions-2"])
     def test_bad_config_fails_before_reading_data(self, workdir, tmp_path, capsys,
                                                   override, message):
-        cfg = {**json.loads(workdir["config"].read_text()), **override}
+        """A section the override gives as an object is merged into the base
+        config's section; any other value replaces its key."""
+        cfg = json.loads(workdir["config"].read_text())
+        for key, value in override.items():
+            cfg[key] = {**cfg.get(key, {}), **value} if isinstance(value, dict) else value
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(cfg))
         out = tmp_path / "r"
@@ -379,63 +420,6 @@ class TestTrain:
                      "--out-dir", str(out)]) == 1
         err = capsys.readouterr().err
         assert message in err and err.rstrip().endswith(f", in {bad}")
-        assert not out.exists()
-
-    @pytest.mark.parametrize("with_config", [True, False], ids=["config", "no-config"])
-    @pytest.mark.parametrize("flags, message", [
-        (["--epochs", "0"], "epochs must be >= 1, got 0"),
-        (["--batch-size", "3"], "batch_size must be even and >= 2, got 3"),
-        (["--heads", "5"], "not divisible by heads=5"),
-        (["--plan", "A"], "block plan needs a transformer"),
-    ], ids=["epochs", "batch-size", "heads", "plan"])
-    def test_a_refused_flag_is_named_as_the_flag(self, workdir, tmp_path, capsys, flags,
-                                                 message, with_config):
-        """The config file sets none of these values, so the flag is named."""
-        out = tmp_path / "r"
-        config = ["--config", str(workdir["config"])] * with_config
-        assert main(["train", "--train", str(tmp_path / "missing.jsonl"),
-                     "--vocab", str(workdir["vocab"]), "--out-dir", str(out),
-                     *config, *flags]) == 1
-        err = capsys.readouterr().err
-        assert message in err and err.rstrip().endswith(f", from {flags[0]}")
-        assert str(workdir["config"]) not in err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("file_train, flags, source", [
-        ({"epochs": 1, "batch_size": 7}, ["--epochs", "0"], "from --epochs"),
-        ({"epochs": 0}, ["--batch-size", "3"], "in {bad}"),
-        ({"epochs": 0}, ["--epochs", "0"], "from --epochs"),
-        ({"epochs": 0}, ["--epochs", "2"], None),
-    ], ids=["flag-refused-first", "file-refused-first", "flag-repeats-file", "flag-mends-file"])
-    def test_a_refusal_names_the_source_of_its_value(self, workdir, tmp_path, capsys,
-                                                     file_train, flags, source):
-        cfg = json.loads(workdir["config"].read_text())
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({**cfg, "train": file_train}))
-        rc = main(["train", "--train", str(tmp_path / "missing.jsonl"),
-                   "--vocab", str(workdir["vocab"]), "--config", str(bad),
-                   "--out-dir", str(tmp_path / "r"), *flags])
-        err = capsys.readouterr().err
-        if source is None:  # the flag's value replaces the file's: the run gets to the data
-            assert rc == 2 and "missing.jsonl" in err
-        else:
-            assert rc == 1 and err.rstrip().endswith(", " + source.format(bad=bad))
-
-    @pytest.mark.parametrize("flag", ["--hidden", "--ffn-dim", "--heads"])
-    def test_model_size_below_one_fails_before_reading_data(self, workdir, tmp_path, capsys,
-                                                            flag):
-        out = tmp_path / "r"
-        assert main(["train", "--train", str(tmp_path / "missing.jsonl"),
-                     "--vocab", str(workdir["vocab"]), "--out-dir", str(out), flag, "0"]) == 1
-        assert f"{flag[2:].replace('-', '_')} must be an int >= 1, got 0" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_plan_without_a_transformer_is_usage_error(self, workdir, tmp_path, capsys):
-        out = tmp_path / "r"
-        assert main(["train", "--train", str(tmp_path / "missing.jsonl"),
-                     "--vocab", str(workdir["vocab"]), "--out-dir", str(out),
-                     "--plan", "A,A"]) == 1
-        assert "bad config: block plan needs a transformer" in capsys.readouterr().err
         assert not out.exists()
 
     def test_config_from_an_older_manifest_with_truncate_head_trains(self, workdir, tmp_path):
@@ -463,17 +447,32 @@ class TestTrain:
         assert "unrecognized arguments: --truncate head" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--epochs", "3"), ("--batch-size", "32"), ("--learning-rate", "0"),
+        ("--bec-weight", "1"), ("--freeze", "partial-finetune"), ("--hidden", "16"),
+        ("--ffn-dim", "32"), ("--heads", "2"), ("--max-positions", "16"),
+        ("--context-dim", "0"), ("--plan", "T,A")])
+    def test_a_retired_train_flag_is_unrecognized(self, workdir, tmp_path, capsys, flag, value):
+        """The model and schedule come from the config file alone."""
+        out = tmp_path / "r"
+        assert main(["train", "--train", str(workdir["corpus"]), "--vocab", str(workdir["vocab"]),
+                     "--config", str(workdir["config"]), "--out-dir", str(out),
+                     flag, value]) == 1
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
     def _seeded_run(self, workdir, tmp_path, model_seed, train_seed, *flags):
         cfg = json.loads(workdir["config"].read_text())
         if model_seed is not None:
             cfg["model"]["seed"] = model_seed
         cfg["train"]["seed"] = train_seed
+        cfg["train"]["learning_rate"] = 0
         path = tmp_path / "seeded.json"
         path.write_text(json.dumps(cfg))
         run = tmp_path / "seeded"
         rc = main(["train", "--train", str(workdir["corpus"]),
                    "--vocab", str(workdir["vocab"]), "--config", str(path),
-                   "--out-dir", str(run), "--learning-rate", "0", *flags])
+                   "--out-dir", str(run), *flags])
         return rc, run
 
     @pytest.mark.parametrize("model_seed,train_seed,flags", [
@@ -499,14 +498,6 @@ class TestTrain:
         assert "model.seed 5" in err and err.rstrip().endswith(f", in {tmp_path / 'seeded.json'}")
         assert not run.exists()
 
-    def test_bad_freeze_fails_before_reading_data(self, workdir, tmp_path, capsys):
-        rc = main(["train", "--train", str(tmp_path / "missing.jsonl"),
-                   "--vocab", str(workdir["vocab"]), "--out-dir", str(tmp_path / "r"),
-                   "--freeze", "bogus"])
-        assert rc == 1
-        assert "freeze must be 'partial-finetune'" in capsys.readouterr().err
-        assert not (tmp_path / "r").exists()
-
     def test_max_len_past_max_positions_fails_before_reading_data(self, workdir, tmp_path,
                                                                  capsys):
         """A config's retired max_len must be the width the model's
@@ -514,11 +505,12 @@ class TestTrain:
         cfg = json.loads(workdir["config"].read_text())
         path = tmp_path / "old.json"
         out = tmp_path / "r"
-        for max_len, flags in ((64, []), (16, ["--max-positions", "8"])):
-            path.write_text(json.dumps({**cfg, "max_len": max_len}))
+        for max_len, max_positions in ((64, 16), (16, 8)):
+            model = {**cfg["model"], "max_positions": max_positions}
+            path.write_text(json.dumps({**cfg, "model": model, "max_len": max_len}))
             assert main(["train", "--train", str(tmp_path / "missing.jsonl"),
                          "--vocab", str(workdir["vocab"]), "--config", str(path),
-                         "--out-dir", str(out), *flags]) == 1
+                         "--out-dir", str(out)]) == 1
         err = capsys.readouterr().err
         assert "max_len=64 is retired; rows are 16 tokens wide" in err
         assert "max_len=16 is retired; rows are 8 tokens wide" in err
@@ -526,12 +518,9 @@ class TestTrain:
 
     def test_context_width_other_than_0_or_4_is_usage_error(self, workdir, tmp_path, capsys):
         out = tmp_path / "r"
-        assert main(["train", "--train", str(workdir["corpus"]),
-                     "--vocab", str(workdir["vocab"]), "--config", str(workdir["config"]),
-                     "--out-dir", str(out), "--context-dim", "2"]) == 1
         assert main(["surgery", "--donor", str(workdir["ckpt"]), "--out-dir", str(out),
                      "--context-dim", "3"]) == 1
-        assert capsys.readouterr().err.count("--context-dim: invalid choice") == 2
+        assert "--context-dim: invalid choice" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -806,24 +795,21 @@ def test_max_len_past_checkpoint_positions_is_usage_error(workdir, tmp_path, cap
     assert os.listdir(tmp_path) == []
 
 
-@pytest.mark.parametrize("sub", ["train", "eval"])
-def test_max_len_below_tokenizer_floor_is_usage_error(workdir, tmp_path, capsys, sub):
-    """Two positions leave no room for [CLS], one token and [SEP]: a model
-    that narrow is a usage error before any data is read."""
+def test_max_len_below_tokenizer_floor_is_usage_error(workdir, tmp_path, capsys):
+    """Two positions leave no room for [CLS], one token and [SEP]: a
+    checkpoint that narrow is a usage error before any data is read (a
+    config that narrow is a ``train`` refusal, a row of
+    ``test_bad_config_fails_before_reading_data``)."""
     from catbert.checkpoint import save_checkpoint
     from catbert.model import init_random
-    data, ckpt = str(tmp_path / "missing.jsonl"), tmp_path / "narrow"
-    if sub == "eval":
-        save_checkpoint(init_random(ModelConfig(vocab_size=100, hidden=16, ffn_dim=32, heads=2,
-                                                max_positions=2, block_plan=("T",))), ckpt)
-    argv = {"train": ["train", "--train", data, "--out-dir", str(tmp_path / "out"),
-                      "--max-positions", "2"],
-            "eval": ["eval", "--model", str(ckpt), "--in", data,
-                     "--out", str(tmp_path / "metrics.json")]}[sub]
-    assert main(argv + ["--vocab", str(workdir["vocab"])]) == 1
+    ckpt = tmp_path / "narrow"
+    save_checkpoint(init_random(ModelConfig(vocab_size=100, hidden=16, ffn_dim=32, heads=2,
+                                            max_positions=2, block_plan=("T",))), ckpt)
+    assert main(["eval", "--model", str(ckpt), "--in", str(tmp_path / "missing.jsonl"),
+                 "--out", str(tmp_path / "metrics.json"), "--vocab", str(workdir["vocab"])]) == 1
     assert ("max_positions 2 allows rows of 2 tokens; max_len must be at least 3"
             in capsys.readouterr().err)
-    assert sorted(os.listdir(tmp_path)) == (["narrow"] if sub == "eval" else [])
+    assert os.listdir(tmp_path) == ["narrow"]
 
 
 def test_default_max_len_is_capped_at_checkpoint_positions(workdir, tmp_path):
@@ -873,9 +859,7 @@ class TestScoringFlags:
 FLAGS = {
     "ingest": ["--in", "--out", "--strict"],
     "split": ["--in", "--out-dir", "--fractions"],
-    "train": ["--train", "--val", "--out-dir", "--config", "--vocab", "--epochs", "--batch-size",
-              "--learning-rate", "--seed", "--bec-weight", "--freeze", "--hidden", "--ffn-dim",
-              "--heads", "--max-positions", "--context-dim", "--plan"],
+    "train": ["--train", "--val", "--out-dir", "--config", "--vocab", "--seed"],
     "surgery": ["--donor", "--out-dir", "--keep", "--context-dim", "--seed"],
     "params": ["--config", "--out"],
     "eval": ["--model", "--in", "--vocab", "--no-context", "--batch-size", "--out", "--roc",
@@ -896,7 +880,25 @@ def test_every_subcommand_takes_exactly_the_golden_flags():
                   if flag not in ("-h", "--help")]
            for name, parser in sub.choices.items()}
     assert got == FLAGS
-    assert sum(map(len, FLAGS.values())) == 72
+    assert sum(map(len, FLAGS.values())) == 61
+
+
+def test_readme_commands_parse_and_its_config_builds():
+    """Every ``catbert`` command in README's ``sh`` blocks parses, and the
+    quick start's config file is a valid model and schedule."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, flags=re.S | re.M)
+    commands = [shlex.split(line, comments=True)[1:] for block in blocks
+                for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("catbert ")]
+    assert {"split", "train", "eval", "bench"} <= {argv[0] for argv in commands}
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)
+    (config,) = re.findall(r"<<'EOF'\n(.*?)^EOF$", readme, flags=re.S | re.M)
+    config = json.loads(config)
+    row_width(ModelConfig.from_dict({"vocab_size": 1, **config["model"]}))
+    TrainConfig.from_dict(config["train"])
 
 
 class TestSurgeryBench:

@@ -320,18 +320,16 @@ def test_dense_layer_matches_unfused_ops(dtype, act, tape, monkeypatch):
 
 
 @pytest.mark.parametrize("tape", [False, True], ids=["no-tape", "tape"])
-def test_softmax_scale_matches_unfused_ops(tape):
+def test_softmax_matches_unfused_ops(tape):
     rng = np.random.default_rng(1)
     x = Parameter("x", rng.standard_normal((2, 3, 4, 5)), dtype=np.float32)
     before = x.data.copy()
-    scale = 1.0 / math.sqrt(7)
     g = rng.standard_normal(x.data.shape).astype(np.float32)
     outs, grads = [], []
     for fused in (True, False):
         x.grad = None
         with Tape() if tape else nullcontext() as t:
-            out = (T.softmax_rows(x, scale=scale) if fused
-                   else ref_softmax_rows(T.mul(x, scale)))
+            out = T.softmax_rows(x) if fused else ref_softmax_rows(x)
             loss = sum_all(T.mul(out, Tensor(g)))
         if tape:
             backward(t, loss)

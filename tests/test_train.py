@@ -126,10 +126,13 @@ def test_split_missing_timestamps_sort_last():
     assert [r.subject for r in ordered] == ["a", "b", "late1", "late2"]
 
 
-def test_split_unparseable_timestamp_treated_as_missing():
+def test_split_refuses_an_unparseable_timestamp():
+    """The dataset reader refuses such a record; one built in code is
+    refused by the same parser, not sorted last as if it had none."""
     records = [_rec("yesterday-ish", "junk"), _rec("2025-01-01T00:00:00", "a")]
-    tr, va, te = split_by_time(records, fractions=(0.5, 0.0, 0.5))
-    assert tr[0].subject == "a" and te[0].subject == "junk"
+    with pytest.raises(ValueError, match="first_seen must be an ISO timestamp string, "
+                                         "got str 'yesterday-ish'"):
+        split_by_time(records, fractions=(0.5, 0.0, 0.5))
 
 
 def test_split_equal_timestamps_keep_input_order():
