@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """End-to-end synthetic experiment: train, evaluate, ablate, attack, explain.
 
-Generates the corpus in memory, trains a small transformer+adapter model on
-a time-ordered split, then reports test AUC with and without header context,
-the score of a TF-IDF logistic-regression baseline, accuracy under synonym
-and typo attacks for both models, and the top attribution words for one
-malicious test email.
+Generates the corpus in memory, trains the transformer+adapter model and
+schedule of a config file on a time-ordered split, then reports test AUC
+with and without header context, the score of a TF-IDF logistic-regression
+baseline, accuracy under synonym and typo attacks for both models, and the
+top attribution words for one malicious test email. The config file is the
+``{model, train}`` file that ``catbert train`` reads; without one the script
+runs ``DEMO``, README's ``demo.json``.
 
 Runs in a few minutes on one CPU at the default sizes.
 """
@@ -13,54 +15,63 @@ Runs in a few minutes on one CPU at the default sizes.
 import argparse
 import os
 import sys
+from dataclasses import asdict
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from catbert.atomic import json_text, replacing
+from catbert.atomic import json_text, read_json_object, replacing
 from catbert.attacks import AttackSpec, accuracy_under_attack
 from catbert.baseline import make_lr_scorer, predict_tfidf_lr, train_tfidf_lr
 from catbert.explain import explain_record
 from catbert.mail import build_content
 from catbert.metrics import roc_auc, tpr_at_fpr
-from catbert.model import ModelConfig, count_params, init_random, row_width
+from catbert.model import ModelConfig, config_keys, count_params, init_random, row_width
 from catbert.pipeline import encode_records, make_model_scorer, score_dataset
 from catbert.synthetic import SYNONYM_TABLE, make_corpus, synthetic_vocab
 from catbert.tokenizer import Vocabulary
 from catbert.train import TrainConfig, split_by_time, train
 
+DEMO = {"model": {"hidden": 32, "ffn_dim": 64, "heads": 2, "max_positions": 32,
+                  "block_plan": ["T", "A"]},
+        "train": {"epochs": 5, "batch_size": 32, "learning_rate": 1e-3}}
+
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--n", type=int, default=2000)
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--epochs", type=int, default=5)
-    ap.add_argument("--hidden", type=int, default=32)
-    ap.add_argument("--max-positions", type=int, default=32,
-                    help="position embeddings; rows are the model's row_width wide")
+    ap.add_argument("--seed", type=int, default=0,
+                    help="seeds the corpus, the model and the schedule, over the config's")
+    ap.add_argument("--config", help="JSON config: {model: {...}, train: {...}}; the model's "
+                                     "vocab_size is the synthetic vocabulary's")
     ap.add_argument("--context-dependent", action="store_true")
     ap.add_argument("--out", help="write the report as JSON here too")
     args = ap.parse_args()
 
     vocab = Vocabulary(synthetic_vocab())
+    try:
+        config = config_keys(read_json_object(args.config) if args.config else DEMO,
+                             "config", ("model", "train"))
+        cfg = ModelConfig.from_dict({**config.get("model", {}), "vocab_size": len(vocab),
+                                     "seed": args.seed})
+        tcfg = TrainConfig.from_dict({**config.get("train", {}), "seed": args.seed})
+        width = row_width(cfg)
+    except (OSError, ValueError) as e:
+        ap.error(f"bad config {args.config}: {e}")
+
     records = make_corpus(n=args.n, malicious_frac=0.1, seed=args.seed,
                           context_dependent=args.context_dependent)
     tr, va, te = split_by_time(records)
     print(f"split: {len(tr)} train / {len(va)} val / {len(te)} test")
 
-    cfg = ModelConfig(vocab_size=len(vocab), hidden=args.hidden,
-                      ffn_dim=2 * args.hidden, heads=2,
-                      max_positions=args.max_positions, block_plan=("T", "A"))
-    width = row_width(cfg)
     print(f"model: {count_params(cfg).total} parameters, rows of {width} tokens")
     enc = lambda rs: encode_records(rs, vocab, max_len=width)
     train_set, val_set, test_set = enc(tr), enc(va), enc(te)
-    model = init_random(cfg, seed=args.seed)
-    tcfg = TrainConfig(epochs=args.epochs, batch_size=32, learning_rate=1e-3,
-                       seed=args.seed)
+    model = init_random(cfg)
     history = train(model, train_set, tcfg, val_set=val_set)
     print(f"best val AUC {history.best_val_auc:.4f} at epoch {history.best_epoch}")
 
-    report = {"n": args.n, "seed": args.seed,
+    report = {"n": args.n, "seed": args.seed, "config": {"model": cfg.to_dict(),
+                                                         "train": asdict(tcfg)},
               "context_dependent": args.context_dependent,
               "best_val_auc": history.best_val_auc}
 

@@ -113,7 +113,7 @@ def read_manifest(ckpt_dir) -> tuple[dict, ModelConfig]:
         raise CheckpointError(f"no 'config' object in {manifest_path}")
     try:
         return manifest, ModelConfig.from_dict(manifest["config"])
-    except (TypeError, ConfigError) as e:  # a field missing or out of range
+    except ConfigError as e:  # a field out of range; every field has a default
         raise CheckpointError(f"bad 'config' in {manifest_path}: {e}") from e
 
 

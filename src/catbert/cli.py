@@ -39,8 +39,8 @@ from .checkpoint import BLOB, MANIFEST, load_checkpoint, read_manifest, save_che
 from .explain import MIN_SAMPLES, explain_record
 from .mail import CONTEXT_DIM, load_dataset, load_dataset_with_report, save_dataset
 from .metrics import DEFAULT_FPRS, group_metrics, roc_curve, summary, time_inference
-from .model import (ConfigError, ModelConfig, check_keep, config_keys, count_params,
-                    init_random, millions, row_width, surgery_from_donor)
+from .model import (TRANSFORMER, ConfigError, ModelConfig, check_keep, config_keys,
+                    count_params, init_random, millions, row_width, surgery_from_donor)
 from .pipeline import encode_records, make_model_scorer, score_dataset
 from .tokenizer import DEFAULT_MAX_LEN, load_vocab
 from .train import TrainConfig, check_fractions, split_by_time, train
@@ -243,44 +243,37 @@ def _cmd_split(args) -> dict:
                 inputs={"dataset": args.inp}, outputs=outputs)
 
 
-def _resolved_model_config(args, file_cfg: dict, seed: int) -> ModelConfig:
-    """The config file's model section, seeded by the run ``seed``, with a
-    stand-in ``vocab_size`` of 1 for the vocabulary's."""
+def _model_config(args, file_cfg: dict, seed: int | None = None) -> ModelConfig:
+    """The model of the config file's ``model`` section (absent: the
+    paper-scale defaults), with ``seed`` in place of its own when given. A
+    ``model.seed`` that disagrees with a run seed that ``--seed`` did not set
+    is refused. The file's top level holds only ``model``, ``train`` and the
+    retired keys of older run manifests, at their one value. Every refusal
+    reads ``bad config: <reason>, in <path>``."""
     def build(cfg: dict) -> ModelConfig:
-        if args.seed is None and cfg.get("seed", seed) != seed:
-            raise UsageError(f"model.seed {cfg['seed']} disagrees with the run seed {seed} "
-                             f"(train.seed, default 0); set one seed or pass --seed, "
-                             f"in {args.config}")
-        model_cfg = ModelConfig.from_dict({**cfg, "seed": seed, "vocab_size": 1})
-        row_width(model_cfg)
+        if seed is not None and args.seed is None and cfg.get("seed", seed) != seed:
+            raise ConfigError(f"model.seed {cfg['seed']} disagrees with the run seed {seed} "
+                              f"(train.seed, default 0); set one seed or pass --seed")
+        model_cfg = ModelConfig.from_dict(cfg if seed is None else {**cfg, "seed": seed})
+        max_len = row_width(model_cfg)
+        config_keys(file_cfg, "config", ("model", "train"), {
+            "truncate": ("head", "every row keeps the head of its email"),
+            "max_len": (max_len, f"rows are {max_len} tokens wide: the model's "
+                                 f"max_positions, at most {DEFAULT_MAX_LEN}")})
         return model_cfg
 
     return _configured(build, file_cfg, "model", args.config)
-
-
-def _check_top_level(file_cfg: dict, model_cfg: ModelConfig) -> None:
-    """ConfigError unless the file's top level holds only ``model``, ``train``
-    and the retired keys of older run manifests, at their one value."""
-    max_len = row_width(model_cfg)
-    config_keys(file_cfg, "config", ("model", "train"), {
-        "truncate": ("head", "every row keeps the head of its email"),
-        "max_len": (max_len, f"rows are {max_len} tokens wide: the model's "
-                             f"max_positions, at most {DEFAULT_MAX_LEN}")})
 
 
 def _cmd_train(args) -> dict:
     file_cfg = _load_json(args.config)
     train_cfg = _configured(TrainConfig.from_dict, file_cfg, "train", args.config,
                             seed=args.seed)
-    model_cfg = _resolved_model_config(args, file_cfg, train_cfg.seed)
-    try:
-        _check_top_level(file_cfg, model_cfg)
-    except ConfigError as e:
-        raise _bad_config(args.config, e)
+    model_cfg = _model_config(args, file_cfg, train_cfg.seed)
     vocab = load_vocab(args.vocab)
-    if file_cfg.get("model", {}).get("vocab_size", len(vocab)) != len(vocab):
-        log.warning("config vocab_size %s overridden by vocabulary file (%d tokens)",
-                    file_cfg["model"]["vocab_size"], len(vocab))
+    if "vocab_size" in file_cfg.get("model", {}) and model_cfg.vocab_size != len(vocab):
+        raise _bad_config(args.config, f"model.vocab_size {model_cfg.vocab_size} disagrees "
+                                       f"with the {len(vocab)} tokens of {args.vocab}")
     model_cfg = replace(model_cfg, vocab_size=len(vocab))
     max_len = row_width(model_cfg)
 
@@ -328,12 +321,7 @@ def _cmd_surgery(args) -> dict:
 
 
 def _cmd_params(args) -> dict:
-    file_cfg = _load_json(args.config)
-    try:
-        cfg = ModelConfig.from_dict(file_cfg.get("model", {}))
-        _check_top_level(file_cfg, cfg)
-    except (TypeError, ValueError) as e:
-        raise UsageError(f"bad model config in {args.config}: {e}")
+    cfg = _model_config(args, _load_json(args.config))
     report = count_params(cfg)
     payload = {
         "config": cfg.to_dict(),
@@ -345,7 +333,7 @@ def _cmd_params(args) -> dict:
         },
     }
     _write_text(json_text(payload), args.out)
-    return dict(config=cfg.to_dict(), seed=None, inputs={"config": args.config},
+    return dict(config={"model": cfg.to_dict()}, seed=None, inputs={"config": args.config},
                 outputs={"report": args.out})
 
 
@@ -437,27 +425,21 @@ def _cmd_explain(args) -> dict:
 
 
 def _cmd_bench(args) -> dict:
-    """Time the full-depth donor against the compressed half-depth model."""
-    if args.donor_blocks % 2:
-        raise UsageError(f"--donor-blocks must be even, got {args.donor_blocks}")
-    common = dict(vocab_size=args.vocab_size, hidden=args.hidden,
-                  ffn_dim=args.ffn_dim, heads=args.heads)
-    try:
-        configs = [ModelConfig(block_plan=plan, **common) for plan in
-                   (("T",) * args.donor_blocks, ("T", "A") * (args.donor_blocks // 2))]
-    except ConfigError as e:
-        raise UsageError(f"bad model size: {e}") from None
-    donor, compressed = (init_random(c, seed=args.seed) for c in configs)
-    donor_t, compressed_t = (time_inference(m, args.batch, args.repetitions, args.seed)
-                             for m in (donor, compressed))
-    dims = {k: getattr(args, k) for k in ("hidden", "ffn_dim", "heads", "batch",
-                                          "vocab_size", "donor_blocks")}
-    dims["seq_len"] = row_width(donor.config)
-    payload = {"dims": dims, "donor": donor_t, "compressed": compressed_t,
+    """Time the full-depth donor, the config's model with every block a
+    transformer, against the config's compressed model."""
+    compressed = _model_config(args, _load_json(args.config), args.seed)
+    donor = replace(compressed, block_plan=(TRANSFORMER,) * len(compressed.block_plan))
+    donor_t, compressed_t = (time_inference(init_random(c), args.batch, args.repetitions,
+                                            compressed.seed) for c in (donor, compressed))
+    payload = {"model": compressed.to_dict(), "batch": args.batch,
+               "seq_len": row_width(compressed), "donor": donor_t, "compressed": compressed_t,
                "speedup_p50": donor_t["p50_ms"] / compressed_t["p50_ms"],
                "speedup_mean": donor_t["mean_ms"] / compressed_t["mean_ms"]}
     _write_text(json_text(payload), args.out)
-    return dict(config=dims, seed=args.seed, inputs={}, outputs={"report": args.out})
+    return dict(config={"model": compressed.to_dict(), "batch": args.batch,
+                        "repetitions": args.repetitions},
+                seed=compressed.seed, inputs={"config": args.config},
+                outputs={"report": args.out})
 
 
 # --------------------------------------------------------------- parsing
@@ -543,14 +525,11 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_explain)
 
     p = sub.add_parser("bench", help="donor vs compressed inference latency")
-    p.add_argument("--hidden", type=_number_arg(int, lo=1), default=768)
-    p.add_argument("--ffn-dim", type=_number_arg(int, lo=1), default=3072)
-    p.add_argument("--heads", type=_number_arg(int, lo=1), default=12)
+    p.add_argument("--config", help="JSON config whose model section is the compressed "
+                                     "model; absent, the paper-scale defaults")
     p.add_argument("--batch", type=_number_arg(int, lo=1), default=1)
-    p.add_argument("--vocab-size", type=_number_arg(int, lo=1), default=30522)
-    p.add_argument("--donor-blocks", type=_number_arg(int, lo=2), default=6)
     p.add_argument("--repetitions", type=_number_arg(int, lo=1), default=30)
-    p.add_argument("--seed", type=_number_arg(int, lo=0), default=0)
+    p.add_argument("--seed", type=_number_arg(int, lo=0), help="model seed, over model.seed")
     p.add_argument("--out", help="timing JSON (stdout if omitted)")
     p.set_defaults(func=_cmd_bench)
 

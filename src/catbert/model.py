@@ -37,7 +37,7 @@ class ConfigError(ValueError):
 
 @dataclass
 class ModelConfig:
-    vocab_size: int
+    vocab_size: int = 30522
     hidden: int = 768
     ffn_dim: int = 3072
     heads: int = 12

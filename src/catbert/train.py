@@ -12,6 +12,7 @@ from __future__ import annotations
 import logging
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 from datetime import datetime
 
@@ -34,8 +35,8 @@ class TrainingError(RuntimeError):
 
 
 def _finite(x) -> bool:
-    """A finite int or float, not a bool or a string."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and -math.inf < x < math.inf
+    """An int or float, not a bool or a string, that a float holds finitely."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
 @dataclass
@@ -63,6 +64,7 @@ class TrainConfig:
                              f"got {self.learning_rate!r}")
         if not (_finite(self.bec_weight) and self.bec_weight > 0):
             raise ValueError(f"bec_weight must be a finite number > 0, got {self.bec_weight!r}")
+        self.learning_rate, self.bec_weight = float(self.learning_rate), float(self.bec_weight)
         if self.freeze not in (None, PARTIAL_FINETUNE):
             raise ValueError(f"freeze must be {PARTIAL_FINETUNE!r} or absent, got {self.freeze!r}")
 

@@ -18,6 +18,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from catbert import cli
+from catbert.atomic import json_text
 from catbert.cli import build_parser, main
 from catbert.mail import save_dataset
 from catbert.metrics import summary
@@ -87,7 +89,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("sub, flag", [
         ("ingest", "--in"), ("train", "--config"), ("train", "--val"), ("params", "--out"),
         ("eval", "--out"), ("eval", "--roc"), ("predict", "--out"), ("attack", "--out"),
-        ("attack", "--synonyms"), ("explain", "--out"), ("bench", "--out")])
+        ("attack", "--synonyms"), ("explain", "--out"), ("bench", "--config"),
+        ("bench", "--out")])
     def test_an_empty_flag_value_is_a_usage_error(self, tmp_path, capsys, sub, flag):
         """An empty path names no file: it is refused, not read as an absent
         flag (stdout, no config, no validation), before any input is read."""
@@ -98,8 +101,7 @@ class TestExitCodes:
             "train": ["--train", missing, "--vocab", missing, "--out-dir", missing],
             "params": ["--config", missing],
             "attack": [*scoring, "--kind", "typo", "--rate", "0.5"],
-            "bench": ["--hidden", "8", "--ffn-dim", "8", "--heads", "1", "--vocab-size", "8",
-                      "--donor-blocks", "2", "--repetitions", "1"]}.get(sub, scoring)
+            "bench": ["--config", missing, "--repetitions", "1"]}.get(sub, scoring)
         assert main([sub, *required, flag, ""]) == 1  # the last value of a flag wins
         assert f"usage error: argument {flag}: wants a non-empty value" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
@@ -125,15 +127,14 @@ class TestExitCodes:
          "synonym attack needs a non-empty synonym table"),
         (["bench", "--batch", "0"], "argument --batch: wants one int in [1, inf], got '0'"),
         (["bench", "--repetitions", "0"], "argument --repetitions: wants one int in [1, inf]"),
-        (["bench", "--hidden", "0"], "argument --hidden: wants one int in [1, inf]"),
-        (["bench", "--ffn-dim", "-1"], "argument --ffn-dim: wants one int in [1, inf]"),
-        (["bench", "--heads", "0"], "argument --heads: wants one int in [1, inf]"),
-        (["bench", "--vocab-size", "0"], "argument --vocab-size: wants one int in [1, inf]"),
-        (["bench", "--hidden", "10", "--heads", "3"],
-         "bad model size: hidden=10 not divisible by heads=3"),
-        (["bench", "--donor-blocks", "0"], "argument --donor-blocks: wants one int in [2, inf]"),
-        (["bench", "--donor-blocks", "-2"],
-         "argument --donor-blocks: wants one int in [2, inf], got '-2'"),
+        (["bench", "--config", {"hidden": 0}], "bad config: hidden must be an int >= 1, got 0"),
+        (["bench", "--config", {"ffn_dim": -1}],
+         "bad config: ffn_dim must be an int >= 1, got -1"),
+        (["bench", "--config", {"heads": 0}], "bad config: heads must be an int >= 1, got 0"),
+        (["bench", "--config", {"vocab_size": 0}],
+         "bad config: vocab_size must be an int >= 1, got 0"),
+        (["bench", "--config", {"hidden": 10, "heads": 3}],
+         "bad config: hidden=10 not divisible by heads=3"),
         (["train", "--seed", "-1"], "argument --seed: wants one int in [0, inf], got '-1'"),
         (["surgery", "--seed", "-1"], "argument --seed: wants one int in [0, inf]"),
         (["attack", "--kind", "typo", "--rate", "0.5", "--seed", "-1"],
@@ -147,13 +148,19 @@ class TestExitCodes:
             "attack-threshold-above-one",
             "attack-synonym-without-table", "bench-batch-zero", "bench-repetitions-zero",
             "bench-hidden-zero", "bench-ffn-dim-negative", "bench-heads-zero",
-            "bench-vocab-size-zero", "bench-heads-not-dividing-hidden", "bench-no-blocks",
-            "bench-donor-blocks-negative",
+            "bench-vocab-size-zero", "bench-heads-not-dividing-hidden",
             "train-seed-negative", "surgery-seed-negative", "attack-seed-negative",
             "explain-seed-negative", "bench-seed-negative"])
     def test_bad_list_flag_fails_before_reading_data(self, tmp_path, capsys, argv, message):
         """A flag value outside the bound the library enforces is a usage
-        error before any input is read (every input here is missing)."""
+        error before any input is read (every input here is missing). A dict
+        in ``argv`` is the model section of a config file written in its
+        place."""
+        config = tmp_path / "config.json"
+        model = next((arg for arg in argv if isinstance(arg, dict)), None)
+        if model is not None:
+            config.write_text(json.dumps({"model": model}))
+        argv = [str(config) if arg is model else arg for arg in argv]
         missing = str(tmp_path / "missing")
         scoring = ["--in", missing, "--model", missing, "--vocab", missing]
         inputs = {"split": ["--in", missing, "--out-dir", str(tmp_path / "out")],
@@ -163,7 +170,7 @@ class TestExitCodes:
                   "bench": ["--out", str(tmp_path / "b.json")]}
         assert main(argv + inputs.get(argv[0], scoring)) == 1
         assert message in capsys.readouterr().err
-        assert os.listdir(tmp_path) == []
+        assert os.listdir(tmp_path) == ([] if model is None else [config.name])
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -422,6 +429,44 @@ class TestTrain:
         assert message in err and err.rstrip().endswith(f", in {bad}")
         assert not out.exists()
 
+    def test_model_vocab_size_disagreeing_with_the_vocabulary_fails_before_reading_data(
+            self, workdir, tmp_path, capsys):
+        cfg = json.loads(workdir["config"].read_text())
+        cfg["model"]["vocab_size"] = 99
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "r"
+        assert main(["train", "--train", str(tmp_path / "missing.jsonl"),
+                     "--vocab", str(workdir["vocab"]), "--config", str(path),
+                     "--out-dir", str(out)]) == 1
+        assert (f"usage error: bad config: model.vocab_size 99 disagrees with the 100 tokens "
+                f"of {workdir['vocab']}, in {path}") in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_manifest_config_block_replays_to_the_same_bytes(self, workdir, tmp_path):
+        """A float field given as a JSON int is recorded as a float, and the
+        recorded block, replayed with ``--seed``, writes the same block and
+        the same best/ checkpoint."""
+        cfg = json.loads(workdir["config"].read_text())
+        cfg["train"]["bec_weight"] = 50
+        first, replay = tmp_path / "first.json", tmp_path / "replay.json"
+        first.write_text(json.dumps(cfg))
+        blocks = []
+        for name, config in (("first", first), ("replay", replay)):
+            run = tmp_path / name
+            assert main(["train", "--train", str(workdir["corpus"]),
+                         "--vocab", str(workdir["vocab"]), "--config", str(config),
+                         "--out-dir", str(run), "--seed", "0"]) == 0
+            block = json.loads((run / "run_manifest.json").read_text())["config"]
+            replay.write_text(json.dumps(block))
+            blocks.append(json_text(block))
+        bec_weight = json.loads(blocks[0])["train"]["bec_weight"]
+        assert bec_weight == 50.0 and type(bec_weight) is float
+        assert blocks[0] == blocks[1]
+        for name in ("manifest.json", "tensors.bin"):
+            assert ((tmp_path / "first" / "best" / name).read_bytes()
+                    == (tmp_path / "replay" / "best" / name).read_bytes())
+
     def test_config_from_an_older_manifest_with_truncate_head_trains(self, workdir, tmp_path):
         """The ``config`` block of a run manifest written while rows could
         keep the tail, batches could be unbalanced and the row width was a
@@ -537,7 +582,7 @@ class TestParams:
 
     def test_incomplete_config_is_usage_error(self, tmp_path):
         cfg = tmp_path / "partial.json"
-        cfg.write_text(json.dumps({"hidden": 32}))  # no vocab_size
+        cfg.write_text(json.dumps({"hidden": 32}))  # a model field outside a model section
         assert main(["params", "--config", str(cfg)]) == 1
 
     @pytest.mark.parametrize("override, message", [
@@ -552,7 +597,9 @@ class TestParams:
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({**json.loads(workdir["config"].read_text()), **override}))
         assert main(["params", "--config", str(cfg)]) == 1
-        assert f"usage error: bad model config in {cfg}: {message}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"usage error: bad config: {message}" in err
+        assert err.rstrip().endswith(f", in {cfg}")
 
     def test_a_run_manifest_config_block_is_a_config(self, workdir, tmp_path, capsys):
         cfg = json.loads((workdir["run"] / "run_manifest.json").read_text())["config"]
@@ -561,14 +608,22 @@ class TestParams:
         assert main(["params", "--config", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["config"] == cfg["model"]
 
+    def test_its_manifest_config_block_replays_to_the_same_report(self, workdir, tmp_path):
+        report, block, again = (tmp_path / name for name in ("p.json", "block.json", "again.json"))
+        assert main(["params", "--config", str(workdir["config"]), "--out", str(report)]) == 0
+        manifest = json.loads((tmp_path / "p.json.manifest.json").read_text())
+        block.write_text(json.dumps(manifest["config"]))
+        assert main(["params", "--config", str(block), "--out", str(again)]) == 0
+        assert again.read_bytes() == report.read_bytes()
+
     @pytest.mark.parametrize("section", [5, [["vocab_size", 100]], "x", None])
     def test_a_model_section_that_is_no_object_is_a_usage_error(self, tmp_path, capsys,
                                                                 section):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({"model": section}))
         assert main(["params", "--config", str(cfg), "--out", str(tmp_path / "p.json")]) == 1
-        assert (f"usage error: bad model config in {cfg}: model must be a JSON object, "
-                f"got {type(section).__name__}") in capsys.readouterr().err
+        assert (f"usage error: bad config: model must be a JSON object, "
+                f"got {type(section).__name__}, in {cfg}") in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["config.json"]
 
 
@@ -869,8 +924,7 @@ FLAGS = {
                "--threshold", "--synonyms", "--out"],
     "explain": ["--model", "--in", "--vocab", "--no-context", "--index", "--n-samples", "--seed",
                 "--out"],
-    "bench": ["--hidden", "--ffn-dim", "--heads", "--batch", "--vocab-size", "--donor-blocks",
-              "--repetitions", "--seed", "--out"],
+    "bench": ["--config", "--batch", "--repetitions", "--seed", "--out"],
 }
 
 
@@ -880,7 +934,7 @@ def test_every_subcommand_takes_exactly_the_golden_flags():
                   if flag not in ("-h", "--help")]
            for name, parser in sub.choices.items()}
     assert got == FLAGS
-    assert sum(map(len, FLAGS.values())) == 61
+    assert sum(map(len, FLAGS.values())) == 57
 
 
 def test_readme_commands_parse_and_its_config_builds():
@@ -897,7 +951,7 @@ def test_readme_commands_parse_and_its_config_builds():
         parser.parse_args(argv)
     (config,) = re.findall(r"<<'EOF'\n(.*?)^EOF$", readme, flags=re.S | re.M)
     config = json.loads(config)
-    row_width(ModelConfig.from_dict({"vocab_size": 1, **config["model"]}))
+    row_width(ModelConfig.from_dict(config["model"]))
     TrainConfig.from_dict(config["train"])
 
 
@@ -939,19 +993,47 @@ class TestSurgeryBench:
         assert f"usage error: --keep: {message}" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_bench_reports_speedup(self, tmp_path):
+    def test_bench_reports_speedup(self, workdir, tmp_path):
         out = tmp_path / "bench.json"
-        rc = main(["bench", "--hidden", "16", "--ffn-dim", "32", "--heads", "2",
-                   "--vocab-size", "64", "--donor-blocks", "2",
-                   "--repetitions", "3", "--out", str(out)])
+        rc = main(["bench", "--config", str(workdir["config"]), "--repetitions", "3",
+                   "--seed", "2", "--out", str(out)])
         assert rc == 0
         payload = json.loads(out.read_text())
-        assert payload["dims"]["seq_len"] == 128
+        model = {**json.loads(workdir["config"].read_text())["model"], "seed": 2}
+        assert payload["model"] == ModelConfig.from_dict(model).to_dict()
+        assert (payload["batch"], payload["seq_len"]) == (1, 16)
         assert payload["speedup_p50"] > 0
         assert payload["donor"]["repetitions"] == 3
+        manifest = json.loads((tmp_path / "bench.json.manifest.json").read_text())
+        assert manifest["config"] == {"model": payload["model"], "batch": 1, "repetitions": 3}
+        assert manifest["seed"] == 2
 
-    def test_bench_odd_donor_blocks_rejected(self, capsys):
-        assert main(["bench", "--donor-blocks", "3"]) == 1
+    @pytest.mark.parametrize("model, donor_plan", [
+        (None, ("T",) * 6), ({"hidden": 16, "ffn_dim": 32, "heads": 2, "block_plan": ["T", "A"]},
+                             ("T", "T"))], ids=["paper-scale", "T-A"])
+    def test_bench_donor_is_the_model_with_every_block_a_transformer(self, tmp_path,
+                                                                     monkeypatch, model,
+                                                                     donor_plan):
+        """Without a config, bench times the paper's pair: 768/3072/12, vocab
+        30522, 512 positions, T x 6 against T,A x 3. Only the configs are
+        looked at; no model is built."""
+        timed = []
+        monkeypatch.setattr(cli, "init_random", lambda config: config)
+        monkeypatch.setattr(cli, "time_inference", lambda config, *args: timed.append(config)
+                            or {"p50_ms": 1.0, "mean_ms": 1.0})
+        argv = ["bench", "--out", str(tmp_path / "b.json")]
+        if model is not None:
+            (tmp_path / "c.json").write_text(json.dumps({"model": model}))
+            argv += ["--config", str(tmp_path / "c.json")]
+        assert main(argv) == 0
+        donor, compressed = timed
+        assert compressed == ModelConfig.from_dict(model or {})
+        assert donor == ModelConfig.from_dict({**compressed.to_dict(), "block_plan": donor_plan})
+        if model is None:
+            assert ((compressed.hidden, compressed.ffn_dim, compressed.heads,
+                     compressed.vocab_size, compressed.max_positions, compressed.block_plan)
+                    == (768, 3072, 12, 30522, 512, ("transformer", "adapter") * 3))
+            assert json.loads((tmp_path / "b.json").read_text())["seq_len"] == 128
 
 
 @pytest.fixture(scope="module")
@@ -970,8 +1052,7 @@ class TestManifests:
     leave in the fresh directory ``{out}``."""
 
     SCORING = ["--model", "{ckpt}", "--in", "{corpus}", "--vocab", "{vocab}"]
-    BENCH = ["bench", "--hidden", "16", "--ffn-dim", "32", "--heads", "2",
-             "--vocab-size", "64", "--donor-blocks", "2", "--repetitions", "2"]
+    BENCH = ["bench", "--config", "{config}", "--repetitions", "2"]
     CASES = {
         "ingest": (["ingest", "--in", "{corpus}", "--out", "{out}/clean.jsonl"],
                    "clean.jsonl.manifest.json"),

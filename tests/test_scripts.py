@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -25,13 +26,27 @@ def test_make_synthetic_writes_corpus_vocab_and_synonyms(tmp_path):
 
 
 def test_run_experiment_writes_its_report(tmp_path):
-    out = tmp_path / "report.json"
-    done = run("run_experiment.py", "--n", 300, "--epochs", 1, "--hidden", 16,
-               "--max-positions", 32, "--out", out)
+    out, config = tmp_path / "report.json", tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "model": {"hidden": 16, "ffn_dim": 32, "heads": 2, "max_positions": 32,
+                  "block_plan": ["T", "A"]},
+        "train": {"epochs": 1, "batch_size": 32, "learning_rate": 1e-3}}))
+    done = run("run_experiment.py", "--n", 300, "--config", config, "--out", out)
     assert done.returncode == 0, done.stderr
     report = json.loads(out.read_text())
     assert 0.0 <= report["test_auc"] <= 1.0
     assert set(report["attacks"]) == {"synonym", "typo"}
+    assert (report["config"]["model"]["hidden"], report["config"]["train"]["epochs"]) == (16, 1)
+
+
+def test_run_experiment_defaults_are_the_readme_demo_config():
+    spec = importlib.util.spec_from_file_location("run_experiment",
+                                                  SCRIPTS / "run_experiment.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    readme = (SCRIPTS.parent / "README.md").read_text(encoding="utf-8")
+    (demo,) = re.findall(r"<<'EOF'\n(.*?)^EOF$", readme, flags=re.S | re.M)
+    assert module.DEMO == json.loads(demo)
 
 
 def _bench_pairs():

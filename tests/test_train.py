@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catbert import tensor as T
+from catbert.atomic import json_object, json_text
 from catbert.mail import EmailRecord
 from catbert.metrics import MetricError
 from catbert.model import ModelConfig, forward_probs, freeze_preset, init_random, set_trainable
@@ -241,6 +242,8 @@ def test_train_config_validation():
     ("learning_rate", False, "learning_rate must be a finite number >= 0, got False"),
     ("bec_weight", 0.0, "bec_weight must be a finite number > 0, got 0.0"),
     ("bec_weight", math.inf, "bec_weight must be a finite number > 0, got inf"),
+    pytest.param("bec_weight", 10**400, "bec_weight must be a finite number > 0, got 1000",
+                 id="bec_weight-past-the-largest-float"),
 ])
 def test_train_config_checks_types_and_ranges(key, value, message):
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -249,7 +252,57 @@ def test_train_config_checks_types_and_ranges(key, value, message):
 
 def test_train_config_takes_zero_lr_and_int_numbers():
     cfg = TrainConfig(learning_rate=0, bec_weight=1, seed=0)
-    assert (cfg.learning_rate, cfg.bec_weight) == (0, 1)
+    assert (cfg.learning_rate, cfg.bec_weight) == (0.0, 1.0)
+    assert type(cfg.learning_rate) is type(cfg.bec_weight) is float
+
+
+def _number(lo, hi):
+    """A number in [lo, hi] as a JSON file may give it: an int or a float."""
+    return st.one_of(st.integers(math.ceil(lo), int(hi)), st.floats(lo, hi))
+
+
+CONFIGS = st.fixed_dictionaries({
+    "model": st.fixed_dictionaries({}, optional={
+        "vocab_size": st.integers(1, 10**6),
+        "hidden": st.integers(1, 8).map(lambda k: 12 * k),  # every heads value divides it
+        "ffn_dim": st.integers(1, 10**4),
+        "heads": st.sampled_from([1, 2, 3, 4, 6, 12]),
+        "max_positions": st.integers(3, 10**4),
+        "block_plan": st.lists(st.sampled_from(["T", "A", "t", "adapter", "transformer"]),
+                               min_size=1, max_size=6).filter(
+                                   lambda plan: any(b.lower()[0] == "t" for b in plan)),
+        "context_dim": st.sampled_from([0, 4]),
+        "seed": st.integers(0, 2**63)}),
+    "train": st.fixed_dictionaries({}, optional={
+        "epochs": st.integers(1, 100),
+        "batch_size": st.integers(1, 256).map(lambda n: 2 * n),
+        "learning_rate": _number(0, 1e30),
+        "seed": st.integers(0, 2**63),
+        "bec_weight": _number(1e-9, 1e30).filter(lambda w: w > 0),
+        "freeze": st.sampled_from([None, "partial-finetune"])}),
+})
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=CONFIGS)
+def test_an_accepted_config_replays_to_the_same_config_and_bytes(config):
+    """A config written as a run manifest writes it (``to_dict``, ``asdict``,
+    ``json_text``) and read back builds equal configs and the same bytes. A
+    float field holds a float whichever JSON number set it, so an int-valued
+    float and its int write one block."""
+    def written(cfg: dict) -> str:
+        return json_text({"model": ModelConfig.from_dict(cfg["model"]).to_dict(),
+                          "train": asdict(TrainConfig.from_dict(cfg["train"]))})
+
+    text = written(config)
+    back = json_object(text)
+    assert ModelConfig.from_dict(back["model"]) == ModelConfig.from_dict(config["model"])
+    assert TrainConfig.from_dict(back["train"]) == TrainConfig.from_dict(config["train"])
+    assert written(back) == text
+    assert all(type(back["train"][key]) is float for key in ("learning_rate", "bec_weight"))
+    floats = {k: float(v) for k, v in config["train"].items() if k in ("learning_rate",
+                                                                       "bec_weight")}
+    assert written({**config, "train": {**config["train"], **floats}}) == text
 
 
 def test_retired_balanced_loads_only_as_true():
