@@ -355,8 +355,7 @@ def _load_model_inputs(args):
 def _score_input(args):
     vocab, model, records, max_len = _load_model_inputs(args)
     ds = encode_records(records, vocab, max_len=max_len)
-    scores = score_dataset(model, ds, batch_size=args.batch_size,
-                           use_context=not args.no_context)
+    scores = score_dataset(model, ds, use_context=not args.no_context)
     return ds, scores, max_len
 
 
@@ -364,8 +363,6 @@ def _scoring_run(args, max_len: int, outputs: dict, seed=None, **config) -> dict
     """The manifest fields of a scoring subcommand: its own ``config`` plus
     every scoring flag it accepts, and the files it read."""
     config.update(max_len=max_len, use_context=not args.no_context)
-    if hasattr(args, "batch_size"):
-        config["batch_size"] = args.batch_size
     inputs = {"dataset": args.inp, "model": args.model, "vocab": args.vocab,
               "synonyms": getattr(args, "synonyms", None)}
     return dict(config=config, seed=seed, inputs=inputs, outputs=outputs)
@@ -491,7 +488,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("eval", help="AUC / TPR-at-FPR metrics on a dataset")
     _model_io_args(p)
-    p.add_argument("--batch-size", type=_number_arg(int, lo=1), default=64)
     p.add_argument("--out", help="metrics JSON (stdout if omitted)")
     p.add_argument("--roc", help="also write the full ROC curve as CSV")
     p.add_argument("--fprs", type=_list_arg(float, lo=0.0, hi=1.0),
@@ -501,7 +497,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("predict", help="score records, one JSON line each")
     _model_io_args(p)
-    p.add_argument("--batch-size", type=_number_arg(int, lo=1), default=64)
     p.add_argument("--out", help="predictions JSONL (stdout if omitted)")
     p.set_defaults(func=_cmd_predict)
 

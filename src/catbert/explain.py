@@ -3,9 +3,10 @@
 Neighborhood samples drop each content word independently with probability
 1/2 (LIME's text perturbation, arXiv 1602.04938) and the model scores every
 variant. A ridge regression over the word-presence vectors, each sample
-weighted by exp(-d²/sigma²) for d dropped words and sigma = 0.75·sqrt(words),
-yields per-word weights. Weights for repeated words are summed per word
-string.
+weighted by LIME's kernel exp(-D²/sigma²) with sigma = 0.75·sqrt(words),
+yields per-word weights. D² is the squared Euclidean distance of a sample's
+0/1 presence vector from the full text's, which is its number of dropped
+words. Weights for repeated words are summed per word string.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ class Attribution:
 
 
 def lime_explain(score_fn, text: str, n_samples: int = 1000, seed: int = 0) -> Attribution:
-    """Fit the local surrogate around ``text``.
+    """Fit the local surrogate around ``text``, weighting a sample with
+    d dropped words by exp(-d / sigma²).
 
     ``score_fn(texts) -> probs`` scores a batch of variants with words
     dropped; context features, if the caller has any, must be closed over
@@ -58,7 +60,7 @@ def lime_explain(score_fn, text: str, n_samples: int = 1000, seed: int = 0) -> A
         raise ValueError(f"score_fn returned shape {y.shape}, expected ({n_samples},)")
 
     hamming = n - Z.sum(axis=1)
-    kw = np.exp(-(hamming ** 2) / (sigma ** 2))
+    kw = np.exp(-hamming / sigma ** 2)  # hamming is D², the squared distance
 
     # weighted ridge with unpenalized intercept
     X = np.concatenate([np.ones((n_samples, 1)), Z], axis=1)

@@ -10,6 +10,8 @@ from .mail import CONTEXT_DIM, EmailRecord, build_content, context_vector, extra
 from .model import CatBertModel, forward_probs, row_width
 from .tokenizer import Vocabulary, encode
 
+SCORE_BATCH = 64  # rows per forward for every score the program reports
+
 
 @dataclass
 class EncodedDataset:
@@ -61,7 +63,7 @@ def encode_texts(texts: list[str], records: list[EmailRecord], vocab: Vocabulary
     return EncodedDataset(ids, mask, ctx, labels, weights, groups)
 
 
-def score_dataset(model: CatBertModel, ds: EncodedDataset, batch_size: int = 64,
+def score_dataset(model: CatBertModel, ds: EncodedDataset, batch_size: int = SCORE_BATCH,
                   use_context: bool = True) -> np.ndarray:
     """Probabilities for every row, in row order; ``use_context=False``
     zeroes the context features (the ablation switch)."""
@@ -76,7 +78,7 @@ def score_dataset(model: CatBertModel, ds: EncodedDataset, batch_size: int = 64,
 
 
 def score_records(model: CatBertModel, records: list[EmailRecord], vocab: Vocabulary,
-                  max_len: int | None = None, batch_size: int = 64,
+                  max_len: int | None = None, batch_size: int = SCORE_BATCH,
                   use_context: bool = True) -> np.ndarray:
     """Probabilities for ``records``, encoded into rows of ``max_len``
     tokens (by default the model's ``row_width``)."""

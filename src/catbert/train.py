@@ -159,9 +159,9 @@ def train(model: CatBertModel, train_set: EncodedDataset, config: TrainConfig,
           val_set: EncodedDataset | None = None,
           out_dir: str | None = None) -> TrainingHistory:
     """Adam on weighted BCE over balanced batches. Tracks per-epoch loss and
-    validation AUC and keeps the best-validation-AUC checkpoint in
-    ``out_dir/best``. Aborts on non-finite loss, and on a validation set
-    without both classes before the first step."""
+    validation AUC, scored as ``eval`` scores, and keeps the best one's
+    checkpoint in ``out_dir/best``. Aborts on non-finite loss, and on a
+    validation set without both classes before the first step."""
     if val_set is not None:
         _check_two_class(val_set.labels)
     set_trainable(model, freeze_preset(model.config) if config.freeze else [])
@@ -192,7 +192,7 @@ def train(model: CatBertModel, train_set: EncodedDataset, config: TrainConfig,
             losses.append(lv)
         row = {"epoch": epoch, "train_loss": float(np.mean(losses))}
         if val_set is not None:
-            val_probs = score_dataset(model, val_set, batch_size=config.batch_size)
+            val_probs = score_dataset(model, val_set)
             row["val_auc"] = roc_auc(val_probs, val_set.labels)
             if row["val_auc"] > best_auc:
                 best_auc = row["val_auc"]

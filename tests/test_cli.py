@@ -114,10 +114,6 @@ class TestExitCodes:
         (["eval", "--fprs", "0.01,2"], "argument --fprs: wants "),
         (["surgery", "--keep", "0,two"], "argument --keep: wants "),
         (["surgery", "--keep", "0,-1"], "argument --keep: wants "),
-        (["eval", "--batch-size", "-1"],
-         "argument --batch-size: wants one int in [1, inf], got '-1'"),
-        (["eval", "--batch-size", "0"], "argument --batch-size: wants one int in [1, inf]"),
-        (["predict", "--batch-size", "-1"], "argument --batch-size: wants one int in [1, inf]"),
         (["explain", "--n-samples", "10"], "argument --n-samples: wants one int in [50, inf]"),
         (["explain", "--index", "-1"], "argument --index: wants one int in [0, inf], got '-1'"),
         (["attack", "--kind", "typo", "--rate", "2"], "rate must be in [0,1], got 2.0"),
@@ -143,7 +139,6 @@ class TestExitCodes:
         (["bench", "--seed", "-1"], "argument --seed: wants one int in [0, inf], got '-1'"),
     ], ids=["fractions-not-numbers", "fractions-two-values", "fractions-out-of-range",
             "fprs-not-a-number", "fprs-above-one", "keep-not-an-integer", "keep-negative",
-            "eval-batch-size-negative", "eval-batch-size-zero", "predict-batch-size-negative",
             "explain-n-samples-below-50", "explain-index-negative", "attack-rate-above-one",
             "attack-threshold-above-one",
             "attack-synonym-without-table", "bench-batch-zero", "bench-repetitions-zero",
@@ -328,7 +323,8 @@ class TestTrain:
     def test_train_with_val_keeps_the_best_epoch(self, workdir, tmp_path):
         from catbert.checkpoint import load_checkpoint
         val = tmp_path / "val.jsonl"
-        save_dataset(make_corpus(n=60, malicious_frac=0.3, seed=1), val)
+        # 100 rows: the training batch (32) and the scoring batch (64) split them differently
+        save_dataset(make_corpus(n=100, malicious_frac=0.3, seed=1), val)
         cfg = json.loads(workdir["config"].read_text())
         cfg["train"]["epochs"] = 3
         config = tmp_path / "config.json"
@@ -342,11 +338,10 @@ class TestTrain:
         assert len(aucs) == 3
         assert history["best_val_auc"] == max(aucs) == aucs[history["best_epoch"]]
         assert load_checkpoint(run / "best").config.block_plan == ("transformer", "adapter")
-        # best/ is the best epoch's model: eval at the training batch size reproduces its AUC
+        # best/ is the best epoch's model, and train scores validation as eval does
         out = tmp_path / "m.json"
         assert main(["eval", "--model", str(run / "best"), "--in", str(val),
-                     "--vocab", str(workdir["vocab"]), "--batch-size", "32",
-                     "--out", str(out)]) == 0
+                     "--vocab", str(workdir["vocab"]), "--out", str(out)]) == 0
         assert json.loads(out.read_text())["auc"] == history["best_val_auc"]
         manifest = json.loads((run / "run_manifest.json").read_text())
         assert manifest["inputs"]["val"]["path"] == str(val)
@@ -883,8 +878,8 @@ class TestScoringFlags:
                        "explain": ["--n-samples", "50"]}.get(sub, [])
 
     @pytest.mark.parametrize("sub, flags", [
-        ("eval", ["--batch-size", "5"]),
-        ("predict", ["--batch-size", "5"]),
+        ("eval", []),
+        ("predict", []),
         ("attack", []),
         ("explain", []),
     ])
@@ -895,7 +890,7 @@ class TestScoringFlags:
         config = json.loads((tmp_path / "out.json.manifest.json").read_text())["config"]
         assert config["max_len"] == 16 and config["use_context"] is False
         assert "truncate" not in config
-        assert ("--batch-size" in flags) == (config.get("batch_size") == 5)
+        assert "batch_size" not in config
 
     @pytest.mark.parametrize("sub, flag", [
         ("explain", ["--truncate", "tail"]),
@@ -904,6 +899,8 @@ class TestScoringFlags:
         ("eval", ["--truncate", "head"]),
         ("predict", ["--truncate", "head"]),
         ("attack", ["--truncate", "head"]),
+        ("eval", ["--batch-size", "5"]),
+        ("predict", ["--batch-size", "5"]),
     ])
     def test_flags_the_subcommand_ignores_are_rejected(self, workdir, capsys, sub, flag):
         assert main(self._argv(workdir, sub) + flag) == 1
@@ -917,9 +914,9 @@ FLAGS = {
     "train": ["--train", "--val", "--out-dir", "--config", "--vocab", "--seed"],
     "surgery": ["--donor", "--out-dir", "--keep", "--context-dim", "--seed"],
     "params": ["--config", "--out"],
-    "eval": ["--model", "--in", "--vocab", "--no-context", "--batch-size", "--out", "--roc",
-             "--fprs", "--groups"],
-    "predict": ["--model", "--in", "--vocab", "--no-context", "--batch-size", "--out"],
+    "eval": ["--model", "--in", "--vocab", "--no-context", "--out", "--roc", "--fprs",
+             "--groups"],
+    "predict": ["--model", "--in", "--vocab", "--no-context", "--out"],
     "attack": ["--model", "--in", "--vocab", "--no-context", "--kind", "--rate", "--seed",
                "--threshold", "--synonyms", "--out"],
     "explain": ["--model", "--in", "--vocab", "--no-context", "--index", "--n-samples", "--seed",
@@ -934,7 +931,7 @@ def test_every_subcommand_takes_exactly_the_golden_flags():
                   if flag not in ("-h", "--help")]
            for name, parser in sub.choices.items()}
     assert got == FLAGS
-    assert sum(map(len, FLAGS.values())) == 57
+    assert sum(map(len, FLAGS.values())) == 55
 
 
 def test_readme_commands_parse_and_its_config_builds():

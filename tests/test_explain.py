@@ -70,6 +70,19 @@ def test_negative_words_surface_in_top_negative():
     assert attribution.top_negative[0][1] < 0
 
 
+@pytest.mark.parametrize("n_words", [10, 60, 150])
+def test_driver_word_keeps_its_weight_in_long_text(n_words):
+    """LIME's kernel exp(-D²/sigma²), with D² the number of dropped words,
+    keeps a driver word's whole weight in mail longer than ~50 words."""
+    def score_fn(texts):
+        return np.array([0.1 + 0.8 * ("w3" in t.split()) for t in texts])
+
+    text = " ".join(f"w{i}" for i in range(n_words))
+    attribution = lime_explain(score_fn, text, n_samples=1000, seed=0)
+    assert attribution.weights["w3"] == pytest.approx(0.8, abs=0.01)
+    assert attribution.r2 > 0.99
+
+
 def test_default_sigma_tracks_word_count():
     attribution = lime_explain(_count_scorer("pay"), "pay one two three",
                                n_samples=100, seed=0)
