@@ -212,8 +212,6 @@ def _model_io_args(parser: _Parser) -> None:
     parser.add_argument("--model", required=True, help="checkpoint directory")
     parser.add_argument("--in", dest="inp", required=True, help="JSONL dataset")
     parser.add_argument("--vocab", required=True, help="vocabulary file, one token per line")
-    parser.add_argument("--no-context", action="store_true",
-                        help="zero the header context features")
 
 
 # ------------------------------------------------------------ subcommands
@@ -230,7 +228,7 @@ def _cmd_ingest(args) -> dict:
 
 
 def _cmd_split(args) -> dict:
-    records = load_dataset(args.inp, strict=True)
+    records = load_dataset(args.inp)
     parts = split_by_time(records, fractions=args.fractions)
     os.makedirs(args.out_dir, exist_ok=True)
     outputs = {}
@@ -277,11 +275,11 @@ def _cmd_train(args) -> dict:
     model_cfg = replace(model_cfg, vocab_size=len(vocab))
     max_len = row_width(model_cfg)
 
-    train_records = load_dataset(args.train, strict=True)
+    train_records = load_dataset(args.train)
     train_set = encode_records(train_records, vocab, max_len=max_len)
     val_set = None
     if args.val:
-        val_records = load_dataset(args.val, strict=True)
+        val_records = load_dataset(args.val)
         val_set = encode_records(val_records, vocab, max_len=max_len)
 
     model = init_random(model_cfg)
@@ -349,20 +347,19 @@ def _load_model_inputs(args):
         max_len = row_width(model.config)
     except ConfigError as e:
         raise UsageError(f"checkpoint {args.model}: {e}") from None
-    return vocab, model, load_dataset(args.inp, strict=True), max_len
+    return vocab, model, load_dataset(args.inp), max_len
 
 
 def _score_input(args):
     vocab, model, records, max_len = _load_model_inputs(args)
     ds = encode_records(records, vocab, max_len=max_len)
-    scores = score_dataset(model, ds, use_context=not args.no_context)
-    return ds, scores, max_len
+    return ds, score_dataset(model, ds), max_len
 
 
 def _scoring_run(args, max_len: int, outputs: dict, seed=None, **config) -> dict:
-    """The manifest fields of a scoring subcommand: its own ``config`` plus
-    every scoring flag it accepts, and the files it read."""
-    config.update(max_len=max_len, use_context=not args.no_context)
+    """The manifest fields of a scoring subcommand: its own ``config`` and
+    the row width it scored at, and the files it read."""
+    config.update(max_len=max_len)
     inputs = {"dataset": args.inp, "model": args.model, "vocab": args.vocab,
               "synonyms": getattr(args, "synonyms", None)}
     return dict(config=config, seed=seed, inputs=inputs, outputs=outputs)
@@ -371,8 +368,7 @@ def _scoring_run(args, max_len: int, outputs: dict, seed=None, **config) -> dict
 def _cmd_eval(args) -> dict:
     fprs = args.fprs or list(DEFAULT_FPRS)
     ds, scores, max_len = _score_input(args)
-    payload = {"n": len(ds), **summary(scores, ds.labels, fprs),
-               "use_context": not args.no_context}
+    payload = {"n": len(ds), **summary(scores, ds.labels, fprs)}
     if args.groups:
         payload["groups"] = group_metrics(scores, ds.labels, ds.groups, fprs=fprs)
     _write_text(json_text(payload), args.out)
@@ -402,7 +398,7 @@ def _cmd_attack(args) -> dict:
     except ValueError as e:
         raise UsageError(str(e)) from None
     vocab, model, records, max_len = _load_model_inputs(args)
-    scorer = make_model_scorer(model, vocab, max_len=max_len, use_context=not args.no_context)
+    scorer = make_model_scorer(model, vocab, max_len=max_len)
     report = accuracy_under_attack(scorer, records, spec, threshold=args.threshold)
     _write_text(json_text(report), args.out)
     return _scoring_run(args, max_len, {"report": args.out}, seed=args.seed,
@@ -413,9 +409,11 @@ def _cmd_explain(args) -> dict:
     vocab, model, records, max_len = _load_model_inputs(args)
     if args.index >= len(records):
         raise UsageError(f"--index {args.index} out of range for {len(records)} records")
-    attribution = explain_record(model, vocab, records[args.index],
-                                 n_samples=args.n_samples, seed=args.seed,
-                                 max_len=max_len, use_context=not args.no_context)
+    try:  # the surrogate's own refusals, raised before any variant is scored
+        attribution = explain_record(model, vocab, records[args.index], n_samples=args.n_samples,
+                                     seed=args.seed, max_len=max_len)
+    except ValueError as e:
+        raise UsageError(str(e)) from None
     _write_text(json_text(asdict(attribution)), args.out)
     return _scoring_run(args, max_len, {"attribution": args.out}, seed=args.seed,
                         index=args.index, n_samples=args.n_samples)

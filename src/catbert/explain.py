@@ -42,7 +42,9 @@ def lime_explain(score_fn, text: str, n_samples: int = 1000, seed: int = 0) -> A
 
     ``score_fn(texts) -> probs`` scores a batch of variants with words
     dropped; context features, if the caller has any, must be closed over
-    (dropping words never touches them).
+    (dropping words never touches them). Before it scores a variant, it
+    refuses fewer than ``MIN_SAMPLES`` samples, and no more samples than the
+    fit has coefficients (a weight per word and the intercept).
     """
     if n_samples < MIN_SAMPLES:
         raise ValueError(f"need n_samples >= {MIN_SAMPLES}, got {n_samples}")
@@ -50,6 +52,9 @@ def lime_explain(score_fn, text: str, n_samples: int = 1000, seed: int = 0) -> A
     n = len(words)
     if n == 0:
         raise ValueError("cannot explain empty content")
+    if n_samples <= n + 1:
+        raise ValueError(f"n_samples {n_samples} cannot fit {n} word weights and an "
+                         f"intercept: need n_samples >= {n + 2}")
     sigma = 0.75 * math.sqrt(n)
     rng = np.random.default_rng(seed)
 
@@ -88,10 +93,10 @@ def lime_explain(score_fn, text: str, n_samples: int = 1000, seed: int = 0) -> A
 
 
 def explain_record(model, vocab, record, n_samples: int = 1000, seed: int = 0,
-                   max_len: int | None = None, use_context: bool = True) -> Attribution:
+                   max_len: int | None = None) -> Attribution:
     """Explain one email's score, on rows of ``max_len`` tokens (by default
     the model's ``row_width``). The record's context features are held
     fixed across the whole neighborhood."""
-    scorer = make_model_scorer(model, vocab, max_len=max_len, use_context=use_context)
+    scorer = make_model_scorer(model, vocab, max_len=max_len)
     return lime_explain(lambda texts: scorer(texts, [record] * len(texts)),
                         build_content(record), n_samples=n_samples, seed=seed)

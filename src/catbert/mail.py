@@ -258,11 +258,9 @@ def load_dataset_with_report(path, strict: bool = False):
     return records, errors
 
 
-def load_dataset(path, strict: bool = False) -> list[EmailRecord]:
-    records, errors = load_dataset_with_report(path, strict=strict)
-    for msg in errors:
-        log.warning("skipped %s", msg)
-    return records
+def load_dataset(path) -> list[EmailRecord]:
+    """Parse a JSONL file, raising ``DatasetError`` on the first bad line."""
+    return load_dataset_with_report(path, strict=True)[0]
 
 
 def record_to_json(record: EmailRecord) -> str:

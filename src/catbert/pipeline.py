@@ -63,33 +63,30 @@ def encode_texts(texts: list[str], records: list[EmailRecord], vocab: Vocabulary
     return EncodedDataset(ids, mask, ctx, labels, weights, groups)
 
 
-def score_dataset(model: CatBertModel, ds: EncodedDataset, batch_size: int = SCORE_BATCH,
-                  use_context: bool = True) -> np.ndarray:
-    """Probabilities for every row, in row order; ``use_context=False``
-    zeroes the context features (the ablation switch)."""
+def score_dataset(model: CatBertModel, ds: EncodedDataset,
+                  batch_size: int = SCORE_BATCH) -> np.ndarray:
+    """Probabilities for every row, in row order, each read with its row's
+    context features (a model of ``context_dim`` 0 reads none)."""
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     out = np.empty(len(ds), dtype=np.float32)
-    ctx = ds.ctx if use_context else np.zeros_like(ds.ctx)
     for lo in range(0, len(ds), batch_size):
         hi = min(lo + batch_size, len(ds))
-        out[lo:hi] = forward_probs(model, ds.ids[lo:hi], ds.mask[lo:hi], ctx[lo:hi]).data
+        out[lo:hi] = forward_probs(model, ds.ids[lo:hi], ds.mask[lo:hi], ds.ctx[lo:hi]).data
     return out
 
 
 def score_records(model: CatBertModel, records: list[EmailRecord], vocab: Vocabulary,
-                  max_len: int | None = None, batch_size: int = SCORE_BATCH,
-                  use_context: bool = True) -> np.ndarray:
+                  max_len: int | None = None, batch_size: int = SCORE_BATCH) -> np.ndarray:
     """Probabilities for ``records``, encoded into rows of ``max_len``
     tokens (by default the model's ``row_width``)."""
     if max_len is None:
         max_len = row_width(model.config)
     ds = encode_records(records, vocab, max_len=max_len)
-    return score_dataset(model, ds, batch_size=batch_size, use_context=use_context)
+    return score_dataset(model, ds, batch_size=batch_size)
 
 
-def make_model_scorer(model: CatBertModel, vocab: Vocabulary,
-                      max_len: int | None = None, use_context: bool = True):
+def make_model_scorer(model: CatBertModel, vocab: Vocabulary, max_len: int | None = None):
     """Scorer closure over (texts, records) for attack evaluation, on rows
     of ``max_len`` tokens (by default the model's ``row_width``)."""
     if max_len is None:
@@ -97,6 +94,6 @@ def make_model_scorer(model: CatBertModel, vocab: Vocabulary,
 
     def scorer(texts, records):
         ds = encode_texts(texts, records, vocab, max_len=max_len)
-        return score_dataset(model, ds, use_context=use_context)
+        return score_dataset(model, ds)
 
     return scorer

@@ -21,7 +21,7 @@ import pytest
 from catbert import cli
 from catbert.atomic import json_text
 from catbert.cli import build_parser, main
-from catbert.mail import save_dataset
+from catbert.mail import EmailRecord, save_dataset
 from catbert.metrics import summary
 from catbert.model import ModelConfig, count_params, row_width
 from catbert.synthetic import SYNONYM_TABLE, make_corpus, synthetic_vocab
@@ -694,7 +694,7 @@ class TestScoring:
         scores = np.array([r["prob"] for r in rows])
         labels = np.array([r["label"] for r in rows])
         groups = payload.pop("groups")
-        assert payload == {"n": 160, "use_context": True, **summary(scores, labels, (0.01, 0.5))}
+        assert payload == {"n": 160, **summary(scores, labels, (0.01, 0.5))}
         assert groups["all"] == summary(scores, labels, (0.01, 0.5))
         sel = labels == 0
         sel[[i for i, r in enumerate(records) if r.group == "bec"]] = True
@@ -806,6 +806,23 @@ class TestAttackExplain:
         assert rc == 1
         assert "out of range" in capsys.readouterr().err
 
+    def test_explain_refuses_what_the_surrogate_cannot_fit(self, workdir, tmp_path, capsys):
+        """60 words and an intercept need 62 samples: at 61 the fit is
+        underdetermined. An email with no words has nothing to fit. Both
+        runs stop before they score a variant."""
+        data, out = tmp_path / "long.jsonl", tmp_path / "expl.json"
+        save_dataset([EmailRecord(subject="invoice", body_text=" ".join(["pay"] * 59),
+                                  label=1), EmailRecord(label=1)], data)
+        argv = ["explain", "--model", str(workdir["ckpt"]), "--in", str(data),
+                "--vocab", str(workdir["vocab"]), "--out", str(out), "--n-samples"]
+        assert main([*argv, "61"]) == 1
+        assert ("usage error: n_samples 61 cannot fit 60 word weights and an intercept: "
+                "need n_samples >= 62") in capsys.readouterr().err
+        assert main([*argv, "62", "--index", "1"]) == 1
+        assert "usage error: cannot explain empty content" in capsys.readouterr().err
+        assert not out.exists()
+        assert main([*argv, "62"]) == 0
+
 
 @pytest.mark.parametrize("text, problem", [
     ("{model: 1}", "is not valid JSON: "),
@@ -885,12 +902,11 @@ class TestScoringFlags:
     ])
     def test_manifest_records_every_scoring_flag(self, workdir, tmp_path, sub, flags):
         out = tmp_path / "out.json"
-        argv = self._argv(workdir, sub) + ["--no-context", *flags, "--out", str(out)]
+        argv = self._argv(workdir, sub) + [*flags, "--out", str(out)]
         assert main(argv) == 0
         config = json.loads((tmp_path / "out.json.manifest.json").read_text())["config"]
-        assert config["max_len"] == 16 and config["use_context"] is False
-        assert "truncate" not in config
-        assert "batch_size" not in config
+        assert config["max_len"] == 16
+        assert not {"truncate", "batch_size", "use_context"} & set(config)
 
     @pytest.mark.parametrize("sub, flag", [
         ("explain", ["--truncate", "tail"]),
@@ -901,6 +917,10 @@ class TestScoringFlags:
         ("attack", ["--truncate", "head"]),
         ("eval", ["--batch-size", "5"]),
         ("predict", ["--batch-size", "5"]),
+        ("eval", ["--no-context"]),
+        ("predict", ["--no-context"]),
+        ("attack", ["--no-context"]),
+        ("explain", ["--no-context"]),
     ])
     def test_flags_the_subcommand_ignores_are_rejected(self, workdir, capsys, sub, flag):
         assert main(self._argv(workdir, sub) + flag) == 1
@@ -914,13 +934,11 @@ FLAGS = {
     "train": ["--train", "--val", "--out-dir", "--config", "--vocab", "--seed"],
     "surgery": ["--donor", "--out-dir", "--keep", "--context-dim", "--seed"],
     "params": ["--config", "--out"],
-    "eval": ["--model", "--in", "--vocab", "--no-context", "--out", "--roc", "--fprs",
-             "--groups"],
-    "predict": ["--model", "--in", "--vocab", "--no-context", "--out"],
-    "attack": ["--model", "--in", "--vocab", "--no-context", "--kind", "--rate", "--seed",
-               "--threshold", "--synonyms", "--out"],
-    "explain": ["--model", "--in", "--vocab", "--no-context", "--index", "--n-samples", "--seed",
-                "--out"],
+    "eval": ["--model", "--in", "--vocab", "--out", "--roc", "--fprs", "--groups"],
+    "predict": ["--model", "--in", "--vocab", "--out"],
+    "attack": ["--model", "--in", "--vocab", "--kind", "--rate", "--seed", "--threshold",
+               "--synonyms", "--out"],
+    "explain": ["--model", "--in", "--vocab", "--index", "--n-samples", "--seed", "--out"],
     "bench": ["--config", "--batch", "--repetitions", "--seed", "--out"],
 }
 
@@ -931,7 +949,7 @@ def test_every_subcommand_takes_exactly_the_golden_flags():
                   if flag not in ("-h", "--help")]
            for name, parser in sub.choices.items()}
     assert got == FLAGS
-    assert sum(map(len, FLAGS.values())) == 55
+    assert sum(map(len, FLAGS.values())) == 51
 
 
 def test_readme_commands_parse_and_its_config_builds():

@@ -105,6 +105,21 @@ def test_variants_only_drop_words():
         assert all(w in remaining for w in pre_tokenize(variant)), variant
 
 
+def test_an_underdetermined_surrogate_is_refused():
+    """1200 word weights and an intercept from 1000 samples have no unique
+    fit: the ridge solution spreads the driver word's 0.8 over the others."""
+    text = " ".join(f"w{i}" for i in range(1200))
+    scored = []
+    with pytest.raises(ValueError, match=r"n_samples 1000 cannot fit 1200 word weights and an "
+                                         r"intercept: need n_samples >= 1202"):
+        lime_explain(scored.extend, text, n_samples=1000, seed=0)
+    assert scored == []  # refused before a variant is scored
+    attribution = lime_explain(lambda texts: np.array([0.1 + 0.8 * ("w3" in t.split())
+                                                       for t in texts]),
+                               text, n_samples=1202, seed=0)
+    assert attribution.n_samples == 1202
+
+
 def test_input_validation():
     fn = _count_scorer("pay")
     with pytest.raises(ValueError, match="n_samples"):

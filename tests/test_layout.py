@@ -5,10 +5,12 @@ Every public top-level function and class in ``src/catbert`` has a caller
 in ``src/``, ``scripts/`` or ``perfbench/``. Code that only tests call,
 such as the finite-difference gradient check, lives in ``tests/oracles.py``.
 Every indented JSON file that ``src/`` or ``scripts/`` writes goes through
-``atomic.json_text``.
+``atomic.json_text``. Every ``--flag`` README names is one that a parser in
+``src/`` or ``scripts/`` declares, so a retired flag cannot linger in it.
 """
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -96,3 +98,34 @@ def test_json_is_indented_only_by_json_text():
              if path != PACKAGE / "atomic.py"
              for line in indented_json_calls(path.read_text(encoding="utf-8"))]
     assert found == []
+
+
+def declared_flags(source: str) -> set[str]:
+    """The ``--flag`` strings passed to ``add_argument`` calls."""
+    return {arg.value for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "add_argument"
+            for arg in node.args
+            if isinstance(arg, ast.Constant) and isinstance(arg.value, str)
+            and arg.value.startswith("--")}
+
+
+def test_flag_finder_sees_each_form():
+    source = ("p.add_argument('--in', dest='inp', required=True)\n"
+              "parser.add_argument('-s', '--seed', type=int)\n"
+              "ap.add_argument('count')\n"
+              "p.set_defaults(flag='--out')\n"
+              "add_argument('--bare')\n")
+    assert declared_flags(source) == {"--in", "--seed"}
+
+
+def test_every_flag_readme_names_is_declared():
+    """pip's ``--no-build-isolation`` is the one flag README may name that
+    no parser here declares; argparse gives every parser ``--help``."""
+    declared = {"--help"}
+    for folder in ("src", "scripts"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            declared |= declared_flags(path.read_text(encoding="utf-8"))
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme))
+    assert sorted(named - declared - {"--no-build-isolation"}) == []

@@ -183,7 +183,7 @@ class TestDatasetIO:
         p = tmp_path / "d.jsonl"
         p.write_text("not json\n")
         with pytest.raises(DatasetError, match="line 1"):
-            load_dataset(p, strict=True)
+            load_dataset(p)
 
     def test_empty_file(self, tmp_path):
         p = tmp_path / "d.jsonl"
@@ -213,7 +213,7 @@ class TestDatasetIO:
     def test_label_is_stored_as_an_int(self, tmp_path):
         src, out = tmp_path / "d.jsonl", tmp_path / "o.jsonl"
         src.write_text('{"label": true}\n{"label": 1.0}\n{"label": false}\n{"label": 0.0}\n')
-        recs = load_dataset(src, strict=True)
+        recs = load_dataset(src)
         assert [(type(r.label), r.label) for r in recs] == [(int, 1), (int, 1), (int, 0), (int, 0)]
         save_dataset(recs, out)
         labels = [json.loads(line)["label"] for line in out.read_text().splitlines()]
@@ -232,7 +232,7 @@ def test_readme_dataset_example_parses_with_its_headers(tmp_path):
     block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
     path = tmp_path / "example.jsonl"
     path.write_text(json.dumps(json.loads(block)) + "\n", encoding="utf-8")
-    (rec,) = load_dataset(path, strict=True)
+    (rec,) = load_dataset(path)
     assert (rec.from_addr, rec.to_addrs) == ("ceo@partner.io", ["ap@acme.com"])
     assert extract_context(rec) == ContextFeatures(internal=0, external=1,
                                                    n_recipients=1, n_cc=0)

@@ -132,14 +132,6 @@ class TestScoring:
         b = score_dataset(m, ds, batch_size=64)
         assert np.allclose(a, b, atol=1e-6)
 
-    def test_use_context_false_zeroes(self):
-        m = tiny_model()
-        ds = encode_records(records(), small_vocab(), max_len=12)
-        zeroed = score_dataset(m, ds, use_context=False)
-        ds2 = encode_records(records(), small_vocab(), max_len=12)
-        ds2.ctx[:] = 0
-        assert np.array_equal(zeroed, score_dataset(m, ds2))
-
     def test_score_records_wrapper(self):
         m = tiny_model()
         probs = score_records(m, records(), small_vocab(), max_len=12)
@@ -208,11 +200,8 @@ class TestTrimPadding:
         ds = encode_records(mixed_length_records(), small_vocab(), max_len=16)
         lengths = ds.mask.sum(axis=1)
         assert lengths.max() == 16 and np.median(lengths) < 8
-        zeros = np.zeros_like(ds.ctx)
-        for use_context, ctx in ((True, ds.ctx), (False, zeros)):
-            want = forward_probs(m, ds.ids, ds.mask, ctx).data
-            got = score_dataset(m, ds, batch_size=batch_size, use_context=use_context)
-            assert np.array_equal(got, want)
+        want = forward_probs(m, ds.ids, ds.mask, ds.ctx).data
+        assert np.array_equal(score_dataset(m, ds, batch_size=batch_size), want)
         assert ds.ids.shape == ds.mask.shape == (len(ds), 16)
 
     def test_train_step_loss_and_gradients_match_untrimmed(self):
@@ -386,7 +375,7 @@ class TestHostileRecords:
             assert set(skipped) <= set(numbered)
             assert main(["ingest", "--in", src, "--out", out, "--strict"]) == (2 if errors else 0)
             assert main(["ingest", "--in", src, "--out", out]) == 0
-            assert load_dataset(out, strict=True) == records
+            assert load_dataset(out) == records
             assert all(type(r.label) is int for r in records)
             if records:
                 ds = encode_records(records, small_vocab(), max_len=16)
@@ -404,8 +393,8 @@ class TestHostileRecords:
         dirty.write_text("".join(line + "\n" for line in mixed))
         records, errors = load_dataset_with_report(dirty)
         assert [e.split(":")[0] for e in errors] == [f"line {2 * i + 2}" for i in range(len(bad))]
-        assert records == load_dataset(clean, strict=True)
+        assert records == load_dataset(clean)
         m, vocab = tiny_model(), small_vocab()
-        scores = [score_dataset(m, encode_records(load_dataset(path), vocab, max_len=16))
-                  for path in (clean, dirty)]
+        scores = [score_dataset(m, encode_records(recs, vocab, max_len=16))
+                  for recs in (load_dataset(clean), records)]
         assert scores[0].tobytes() == scores[1].tobytes()

@@ -35,6 +35,8 @@ def test_run_experiment_writes_its_report(tmp_path):
     assert done.returncode == 0, done.stderr
     report = json.loads(out.read_text())
     assert 0.0 <= report["test_auc"] <= 1.0
+    assert 0.0 <= report["test_auc_context_free"] <= 1.0  # a twin trained at context_dim 0
+    assert "test_auc_no_context" not in report  # no score of zeroed features
     assert set(report["attacks"]) == {"synonym", "typo"}
     assert (report["config"]["model"]["hidden"], report["config"]["train"]["epochs"]) == (16, 1)
 

@@ -13,7 +13,7 @@ from catbert.atomic import json_object, json_text
 from catbert.mail import EmailRecord
 from catbert.metrics import MetricError
 from catbert.model import ModelConfig, forward_probs, freeze_preset, init_random, set_trainable
-from catbert.pipeline import EncodedDataset, encode_records, score_dataset
+from catbert.pipeline import SCORE_BATCH, EncodedDataset, encode_records, score_dataset
 from catbert.synthetic import make_corpus, synthetic_vocab
 from catbert.tensor import Parameter, Tape, backward
 from catbert.tokenizer import Vocabulary
@@ -500,6 +500,22 @@ def test_one_class_validation_set_fails_before_the_first_step(monkeypatch):
         train(model, _tiny_dataset(n_per_class=16), TrainConfig(epochs=1, batch_size=16),
               val_set=encode_records(benign, vocab, max_len=16))
     assert calls == []
+
+
+def test_validation_scores_in_the_batch_eval_scores_in(monkeypatch):
+    """Every validation pass scores at ``SCORE_BATCH`` rows, not the training
+    batch, so ``eval`` of ``best/`` reproduces ``best_val_auc``."""
+    batches = []
+
+    def spy(model, ds, batch_size=SCORE_BATCH):
+        batches.append(batch_size)
+        return score_dataset(model, ds, batch_size)
+
+    monkeypatch.setattr("catbert.train.score_dataset", spy)
+    ds = _tiny_dataset(n_per_class=16)
+    train(init_random(ModelConfig(**TINY), seed=3), ds,
+          TrainConfig(epochs=2, batch_size=16, learning_rate=1e-3, seed=3), val_set=ds)
+    assert batches == [SCORE_BATCH, SCORE_BATCH]
 
 
 def test_validation_auc_recorded_per_epoch():
