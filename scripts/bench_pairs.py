@@ -14,7 +14,9 @@ workload runs once per side with ``--trace 1`` on seed 0.
 
 The output holds, per workload and end-to-end metric, each side's runs with
 their quartiles (numpy linear percentiles), the change's median over the
-parent's, and the number of pairs the change was lower in; per workload,
+parent's, and the acceptance rule's verdict (``verdict``): the parent's
+IQR, the pairs the change won, whether that is a gain one may claim, and
+whether the change is worse than BENCHMARK.json's bound; per workload,
 whether every check passed and the failed and attempted operations; each
 side's per-layer metrics from its traced run; and the facts of the machine
 it ran on.
@@ -59,10 +61,31 @@ def quartiles(runs: list[float]) -> dict:
             "q3": round(float(q3), 4), "runs": [round(v, 4) for v in runs]}
 
 
-def summarize(results: list[tuple[str, int, str, str]]) -> dict:
+def verdict(parent: list[float], change: list[float], better: str, bound: float) -> dict:
+    """The acceptance rule on one metric's paired runs (``parent[i]`` and
+    ``change[i]`` share a seed): the parent's IQR; the pairs the change won
+    (a tie counts for neither side); whether a gain may be claimed (won at
+    least 9 of 10 pairs, and the median moved the better way by more than
+    the parent's IQR); and whether the change's median is worse than the
+    parent's by more than ``bound``, a fraction of the parent's median.
+    Fewer than ten pairs can claim no gain."""
+    sign = 1.0 if better == "higher" else -1.0
+    q1, parent_median, q3 = (float(q) for q in np.percentile(parent, [25, 50, 75]))
+    gain = sign * (float(np.median(change)) - parent_median)
+    won = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    return {"parent_iqr": round(q3 - q1, 4), "pairs_change_won": won,
+            "gain_claimable": len(parent) >= 10 and won * 10 >= 9 * len(parent)
+                              and gain > q3 - q1,
+            "worse_than_bound": -gain > bound * abs(parent_median)}
+
+
+def summarize(results: list[tuple[str, int, str, str]], end_to_end: list[dict]) -> dict:
     """The ``workloads`` block of a BENCH file from ``(workload, seed, side,
     line)`` rows, ``line`` being the last line a run of ``perfbench/run.py``
-    printed. Each workload needs one run per side on each of its seeds."""
+    printed, with each metric's ``verdict`` by its entry (``name``,
+    ``better``, ``bound``) in BENCHMARK.json's ``end_to_end``. Each workload
+    needs one run per side on each of its seeds."""
+    rules = {m["name"]: m for m in end_to_end}
     runs: dict = {}
     for workload, seed, side, line in results:
         runs.setdefault(workload, {}).setdefault(seed, {})[side] = json.loads(line)
@@ -82,8 +105,8 @@ def summarize(results: list[tuple[str, int, str, str]]) -> dict:
                 "unit": first["unit"], **summary,
                 "change_over_parent_median": round(
                     summary["change"]["median"] / summary["parent"]["median"], 3),
-                "pairs_change_lower": sum(c < p for p, c in zip(values["parent"],
-                                                                 values["change"])),
+                **verdict(values["parent"], values["change"], rules[name]["better"],
+                          rules[name]["bound"]),
             }
         out[workload] = {
             "seeds": seeds, "pairs": len(seeds),
@@ -236,13 +259,20 @@ def main() -> int:
                    f"seed; medians and quartiles (numpy linear percentiles) over the pairs; "
                    f"written by scripts/bench_pairs.py"),
         "machine": machine(),
-        "workloads": summarize(results),
+        "workloads": summarize(results, benchmark["end_to_end"]),
         "trace": {"seed": TRACE_SEED,
                   "command": RUN.format(seed=TRACE_SEED, seconds=seconds, trace=1),
                   "note": TRACE_NOTE, "workloads": summarize_trace(traced)},
     }
     with replacing(args.out) as f:
         f.write(json_text(bench))
+    for workload, summary in bench["workloads"].items():
+        for name, m in summary["metrics"].items():
+            print(f"{workload} {name}: median {m['parent']['median']} -> "
+                  f"{m['change']['median']} {m['unit']}, won {m['pairs_change_won']} of "
+                  f"{summary['pairs']} pairs, parent IQR {m['parent_iqr']}; gain claimable: "
+                  f"{m['gain_claimable']}, worse than bound: {m['worse_than_bound']}",
+                  file=sys.stderr)
     return 0
 
 

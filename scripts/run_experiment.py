@@ -21,13 +21,14 @@ from dataclasses import asdict, replace
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from catbert.atomic import json_text, read_json_object, replacing
+from catbert import cli
+from catbert.atomic import json_text, replacing
 from catbert.attacks import AttackSpec, accuracy_under_attack
 from catbert.baseline import make_lr_scorer, predict_tfidf_lr, train_tfidf_lr
 from catbert.explain import explain_record
 from catbert.mail import build_content
 from catbert.metrics import roc_auc, tpr_at_fpr
-from catbert.model import ModelConfig, config_keys, count_params, init_random, row_width
+from catbert.model import count_params, init_random, row_width
 from catbert.pipeline import encode_records, make_model_scorer, score_dataset
 from catbert.synthetic import SYNONYM_TABLE, make_corpus, synthetic_vocab
 from catbert.tokenizer import Vocabulary
@@ -43,7 +44,8 @@ def main() -> int:
     ap.add_argument("--n", type=int, default=2000)
     ap.add_argument("--seed", type=int, default=0,
                     help="seeds the corpus, the model and the schedule, over the config's")
-    ap.add_argument("--config", help="JSON config: {model: {...}, train: {...}}; the model's "
+    ap.add_argument("--config", help="JSON config: {model: {...}, train: {...}}, read and "
+                                     "refused as catbert train reads it; the model's "
                                      "vocab_size is the synthetic vocabulary's")
     ap.add_argument("--context-dependent", action="store_true")
     ap.add_argument("--out", help="write the report as JSON here too")
@@ -51,14 +53,15 @@ def main() -> int:
 
     vocab = Vocabulary(synthetic_vocab())
     try:
-        config = config_keys(read_json_object(args.config) if args.config else DEMO,
-                             "config", ("model", "train"))
-        cfg = ModelConfig.from_dict({**config.get("model", {}), "vocab_size": len(vocab),
-                                     "seed": args.seed})
-        tcfg = TrainConfig.from_dict({**config.get("train", {}), "seed": args.seed})
-        width = row_width(cfg)
-    except (OSError, ValueError) as e:
-        ap.error(f"bad config {args.config}: {e}")
+        config = cli._load_json(args.config) if args.config else DEMO
+        tcfg = cli._configured(TrainConfig.from_dict, config, "train", args.config,
+                               seed=args.seed)
+        cfg = cli._sized_to(cli._model_config(args, config, tcfg.seed), vocab,
+                            "the synthetic vocabulary", config, args.config)
+    except cli.UsageError as e:
+        print(f"usage error: {e}", file=sys.stderr)
+        return 1
+    width = row_width(cfg)
 
     records = make_corpus(n=args.n, malicious_frac=0.1, seed=args.seed,
                           context_dependent=args.context_dependent)

@@ -32,7 +32,8 @@ DEFAULT_HOMOGLYPHS = {
 class AttackSpec:
     """One attack. ``synonyms`` maps a word to a replacement or a list of
     them; it is stored with lowercased keys and list values, and two keys
-    that are the same word in lower case are an error."""
+    that are the same word in lower case are an error. A synonym attack
+    needs a non-empty table, and the other kinds take none."""
 
     kind: str
     rate: float
@@ -48,6 +49,9 @@ class AttackSpec:
             raise ValueError(f"seed must be an int >= 0, got {self.seed!r}")
         if self.kind == "synonym" and not self.synonyms:
             raise ValueError("synonym attack needs a non-empty synonym table")
+        if self.kind != "synonym" and self.synonyms:
+            raise ValueError(f"a {self.kind} attack reads no synonym table, got one of "
+                             f"{len(self.synonyms)} entries")
         object.__setattr__(self, "synonyms", synonym_table(self.synonyms))
 
 

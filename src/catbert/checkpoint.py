@@ -1,4 +1,5 @@
-"""Checkpoint directory format: ``manifest.json`` + ``tensors.bin``.
+"""Checkpoint directory format: ``manifest.json`` + ``tensors.bin`` +
+``vocab.txt``.
 
 The manifest carries the format version, the model config, the tensor
 directory (name, shape, dtype, byte offset, byte length) and per-tensor
@@ -6,7 +7,10 @@ provenance. The directory is a function of the config alone (``_layout``):
 every parameter in canonical order, raw little-endian float32, row-major,
 packed from byte 0. Save writes that directory and load requires the
 manifest's to equal it and the blob to end where it ends, so a save/load
-round trip is bit-identical.
+round trip is bit-identical. ``vocab.txt`` is the vocabulary whose line
+indices the token table's rows are: save and load here leave it alone, and
+the CLI writes it beside the other two (``train``, ``surgery``) and reads it
+to encode the text it scores.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from .tensor import Parameter
 FORMAT_VERSION = 1
 MANIFEST = "manifest.json"
 BLOB = "tensors.bin"
+VOCAB = "vocab.txt"
 _DTYPE = np.dtype("<f4")
 
 

@@ -35,14 +35,14 @@ import numpy as np
 from . import __version__
 from .atomic import json_text, read_json_object, replacing
 from .attacks import KINDS, AttackSpec, accuracy_under_attack, check_threshold, synonym_table
-from .checkpoint import BLOB, MANIFEST, load_checkpoint, read_manifest, save_checkpoint
+from .checkpoint import BLOB, MANIFEST, VOCAB, load_checkpoint, read_manifest, save_checkpoint
 from .explain import MIN_SAMPLES, explain_record
 from .mail import CONTEXT_DIM, load_dataset, load_dataset_with_report, save_dataset
 from .metrics import DEFAULT_FPRS, group_metrics, roc_curve, summary, time_inference
 from .model import (TRANSFORMER, ConfigError, ModelConfig, check_keep, config_keys,
                     count_params, init_random, millions, row_width, surgery_from_donor)
 from .pipeline import encode_records, make_model_scorer, score_dataset
-from .tokenizer import DEFAULT_MAX_LEN, load_vocab
+from .tokenizer import DEFAULT_MAX_LEN, Vocabulary, load_vocab, save_vocab
 from .train import TrainConfig, check_fractions, split_by_time, train
 
 log = logging.getLogger(__name__)
@@ -81,9 +81,9 @@ def _digest(path: str) -> dict:
 
 
 def _file_entry(path: str) -> dict:
-    if os.path.isdir(path):  # a checkpoint: the two files its format names
-        return {"path": path,
-                "files": {name: _digest(os.path.join(path, name)) for name in (MANIFEST, BLOB)}}
+    if os.path.isdir(path):  # a checkpoint: the three files its format names
+        return {"path": path, "files": {name: _digest(os.path.join(path, name))
+                                        for name in (MANIFEST, BLOB, VOCAB)}}
     return {"path": path, **_digest(path)}
 
 
@@ -209,9 +209,9 @@ def _fractions_arg(text: str) -> list[float]:
 
 
 def _model_io_args(parser: _Parser) -> None:
-    parser.add_argument("--model", required=True, help="checkpoint directory")
+    parser.add_argument("--model", required=True,
+                        help=f"checkpoint directory, its {VOCAB} included")
     parser.add_argument("--in", dest="inp", required=True, help="JSONL dataset")
-    parser.add_argument("--vocab", required=True, help="vocabulary file, one token per line")
 
 
 # ------------------------------------------------------------ subcommands
@@ -263,16 +263,38 @@ def _model_config(args, file_cfg: dict, seed: int | None = None) -> ModelConfig:
     return _configured(build, file_cfg, "model", args.config)
 
 
+def _sized_to(model_cfg: ModelConfig, vocab: Vocabulary, vocab_name: str, file_cfg: dict,
+              path: str | None) -> ModelConfig:
+    """``model_cfg`` with ``vocab``'s token count as its ``vocab_size``; a
+    ``model.vocab_size`` in the config file that disagrees is refused."""
+    if "vocab_size" in file_cfg.get("model", {}) and model_cfg.vocab_size != len(vocab):
+        raise _bad_config(path, f"model.vocab_size {model_cfg.vocab_size} disagrees "
+                                f"with the {len(vocab)} tokens of {vocab_name}")
+    return replace(model_cfg, vocab_size=len(vocab))
+
+
+def _checkpoint_vocab(ckpt_dir: str, config: ModelConfig) -> Vocabulary:
+    """The vocabulary a checkpoint carries: a usage error that names the
+    file when it is missing or its token count is not ``vocab_size``."""
+    path = os.path.join(ckpt_dir, VOCAB)
+    try:
+        vocab = load_vocab(path)
+    except FileNotFoundError:
+        raise UsageError(f"checkpoint {ckpt_dir} has no {VOCAB}: copy the vocabulary it "
+                         f"was trained with to {path}") from None
+    if len(vocab) != config.vocab_size:
+        raise UsageError(f"vocabulary {path} has {len(vocab)} tokens, but the "
+                         f"checkpoint's vocab_size is {config.vocab_size}")
+    return vocab
+
+
 def _cmd_train(args) -> dict:
     file_cfg = _load_json(args.config)
     train_cfg = _configured(TrainConfig.from_dict, file_cfg, "train", args.config,
                             seed=args.seed)
     model_cfg = _model_config(args, file_cfg, train_cfg.seed)
     vocab = load_vocab(args.vocab)
-    if "vocab_size" in file_cfg.get("model", {}) and model_cfg.vocab_size != len(vocab):
-        raise _bad_config(args.config, f"model.vocab_size {model_cfg.vocab_size} disagrees "
-                                       f"with the {len(vocab)} tokens of {args.vocab}")
-    model_cfg = replace(model_cfg, vocab_size=len(vocab))
+    model_cfg = _sized_to(model_cfg, vocab, args.vocab, file_cfg, args.config)
     max_len = row_width(model_cfg)
 
     train_records = load_dataset(args.train)
@@ -285,6 +307,8 @@ def _cmd_train(args) -> dict:
     model = init_random(model_cfg)
     os.makedirs(args.out_dir, exist_ok=True)
     history = train(model, train_set, train_cfg, val_set=val_set, out_dir=args.out_dir)
+    best = os.path.join(args.out_dir, "best")
+    save_vocab(vocab.tokens, os.path.join(best, VOCAB))
 
     history_path = os.path.join(args.out_dir, "history.json")
     _write_text(json_text(asdict(history)), history_path)
@@ -294,8 +318,7 @@ def _cmd_train(args) -> dict:
     resolved = {"model": model_cfg.to_dict(), "train": asdict(train_cfg)}
     return dict(config=resolved, seed=train_cfg.seed,
                 inputs={"train": args.train, "val": args.val, "vocab": args.vocab},
-                outputs={"checkpoint": os.path.join(args.out_dir, "best"),
-                         "history": history_path})
+                outputs={"checkpoint": best, "history": history_path})
 
 
 def _cmd_surgery(args) -> dict:
@@ -304,11 +327,13 @@ def _cmd_surgery(args) -> dict:
         check_keep(donor_config, args.keep)
     except ValueError as e:
         raise UsageError(f"--keep: {e}") from None
+    vocab = _checkpoint_vocab(args.donor, donor_config)
     donor = load_checkpoint(args.donor)
     model = surgery_from_donor(donor, keep=args.keep, context_dim=args.context_dim,
                                seed=args.seed)
     os.makedirs(args.out_dir, exist_ok=True)
     save_checkpoint(model, args.out_dir)
+    save_vocab(vocab.tokens, os.path.join(args.out_dir, VOCAB))
     copied = sum(1 for v in model.provenance.values() if v.startswith("copied"))
     print(f"kept blocks {args.keep or 'every other'}: {copied} tensors copied, "
           f"{len(model.provenance) - copied} fresh", file=sys.stderr)
@@ -336,17 +361,15 @@ def _cmd_params(args) -> dict:
 
 
 def _load_model_inputs(args):
-    """The vocab, checkpoint and records a scoring subcommand reads, and the
-    model's row width; the vocab is checked against the checkpoint before
-    the records are read."""
-    vocab, model = load_vocab(args.vocab), load_checkpoint(args.model)
-    if len(vocab) != model.config.vocab_size:
-        raise UsageError(f"vocabulary {args.vocab} has {len(vocab)} tokens, but the "
-                         f"checkpoint's vocab_size is {model.config.vocab_size}")
+    """The checkpoint's vocabulary, the checkpoint and the records a scoring
+    subcommand reads, and the model's row width; the row width and the
+    vocabulary are checked before the records are read."""
+    model = load_checkpoint(args.model)
     try:
         max_len = row_width(model.config)
     except ConfigError as e:
         raise UsageError(f"checkpoint {args.model}: {e}") from None
+    vocab = _checkpoint_vocab(args.model, model.config)
     return vocab, model, load_dataset(args.inp), max_len
 
 
@@ -358,9 +381,10 @@ def _score_input(args):
 
 def _scoring_run(args, max_len: int, outputs: dict, seed=None, **config) -> dict:
     """The manifest fields of a scoring subcommand: its own ``config`` and
-    the row width it scored at, and the files it read."""
+    the row width it scored at, and the files it read (the checkpoint's
+    vocabulary among the checkpoint's files)."""
     config.update(max_len=max_len)
-    inputs = {"dataset": args.inp, "model": args.model, "vocab": args.vocab,
+    inputs = {"dataset": args.inp, "model": args.model,
               "synonyms": getattr(args, "synonyms", None)}
     return dict(config=config, seed=seed, inputs=inputs, outputs=outputs)
 
@@ -398,7 +422,7 @@ def _cmd_attack(args) -> dict:
     except ValueError as e:
         raise UsageError(str(e)) from None
     vocab, model, records, max_len = _load_model_inputs(args)
-    scorer = make_model_scorer(model, vocab, max_len=max_len)
+    scorer = make_model_scorer(model, vocab)
     report = accuracy_under_attack(scorer, records, spec, threshold=args.threshold)
     _write_text(json_text(report), args.out)
     return _scoring_run(args, max_len, {"report": args.out}, seed=args.seed,
@@ -411,7 +435,7 @@ def _cmd_explain(args) -> dict:
         raise UsageError(f"--index {args.index} out of range for {len(records)} records")
     try:  # the surrogate's own refusals, raised before any variant is scored
         attribution = explain_record(model, vocab, records[args.index], n_samples=args.n_samples,
-                                     seed=args.seed, max_len=max_len)
+                                     seed=args.seed)
     except ValueError as e:
         raise UsageError(str(e)) from None
     _write_text(json_text(asdict(attribution)), args.out)
@@ -466,7 +490,8 @@ def build_parser() -> _Parser:
     p.add_argument("--out-dir", required=True)
     p.add_argument("--config", help="JSON config: {model: {...}, train: {...}}; "
                                      "absent, the paper-scale defaults")
-    p.add_argument("--vocab", required=True)
+    p.add_argument("--vocab", required=True,
+                   help=f"vocabulary file, one token per line; best/ carries it as {VOCAB}")
     p.add_argument("--seed", type=_number_arg(int, lo=0), help="run seed, over train.seed")
     p.set_defaults(func=_cmd_train)
 

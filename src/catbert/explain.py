@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mail import build_content
-from .pipeline import make_model_scorer
+from .pipeline import check_row_width, make_model_scorer
 from .tokenizer import pre_tokenize
 
 RIDGE_LAMBDA = 1e-3
@@ -94,9 +94,10 @@ def lime_explain(score_fn, text: str, n_samples: int = 1000, seed: int = 0) -> A
 
 def explain_record(model, vocab, record, n_samples: int = 1000, seed: int = 0,
                    max_len: int | None = None) -> Attribution:
-    """Explain one email's score, on rows of ``max_len`` tokens (by default
-    the model's ``row_width``). The record's context features are held
-    fixed across the whole neighborhood."""
-    scorer = make_model_scorer(model, vocab, max_len=max_len)
+    """Explain one email's score, on rows of the model's ``row_width``
+    tokens; a ``max_len`` must name that width. The record's context
+    features are held fixed across the whole neighborhood."""
+    check_row_width(model, max_len)
+    scorer = make_model_scorer(model, vocab)
     return lime_explain(lambda texts: scorer(texts, [record] * len(texts)),
                         build_content(record), n_samples=n_samples, seed=seed)

@@ -8,7 +8,6 @@ yields exactly two model inputs: a content string (subject + body) and a
 from __future__ import annotations
 
 import json
-import logging
 import math
 import sys
 from dataclasses import asdict, dataclass, field
@@ -18,9 +17,6 @@ from html.parser import HTMLParser
 import numpy as np
 
 from .atomic import json_object, replacing
-
-log = logging.getLogger(__name__)
-
 
 class DatasetError(ValueError):
     pass
@@ -56,23 +52,32 @@ def _domain(addr: str) -> str | None:
     return addr[at + 1:].rstrip(".").lower()
 
 
+def addresses_parse(record: EmailRecord) -> bool:
+    """Whether the sender and at least one To address are there, and each
+    has a domain; ``extract_context`` reads any other mail as external."""
+    return (_domain(record.from_addr) is not None and bool(record.to_addrs)
+            and all(_domain(a) is not None for a in record.to_addrs))
+
+
+def shown_addresses(record: EmailRecord) -> str:
+    """The record's From and To as a log line quotes them, each cut to
+    ``SHOWN_CHARS``."""
+    return f"from={_shown(record.from_addr)}, to={_shown(record.to_addrs)}"
+
+
 def extract_context(record: EmailRecord) -> ContextFeatures:
     """Header-derived features: internal/external flag plus recipient counts.
 
-    Internal means the sender domain matches every recipient domain. When
-    the sender or all recipients fail to parse, the mail is treated as
-    external and a warning is logged; this never hard-fails.
+    Internal means the sender domain matches every recipient domain. Mail
+    whose addresses do not parse (``addresses_parse``) is treated as
+    external; this never hard-fails and logs nothing.
     """
     n_to = len(record.to_addrs)
     n_cc = len(record.cc_addrs)
-    sender = _domain(record.from_addr)
-    rcpt_domains = [_domain(a) for a in record.to_addrs]
-    parseable = sender is not None and rcpt_domains and all(d is not None for d in rcpt_domains)
-    if not parseable:
-        log.warning("unparseable addresses (from=%s, to=%s); assuming external",
-                    _shown(record.from_addr), _shown(record.to_addrs))
+    if not addresses_parse(record):
         return ContextFeatures(internal=0, external=1, n_recipients=n_to, n_cc=n_cc)
-    internal = int(all(d == sender for d in rcpt_domains))
+    sender = _domain(record.from_addr)
+    internal = int(all(_domain(a) == sender for a in record.to_addrs))
     return ContextFeatures(internal=internal, external=1 - internal,
                            n_recipients=n_to, n_cc=n_cc)
 

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 
-from .mail import CONTEXT_DIM, EmailRecord, build_content, context_vector, extract_context
+from .mail import (CONTEXT_DIM, EmailRecord, addresses_parse, build_content, context_vector,
+                   extract_context, shown_addresses)
 from .model import CatBertModel, forward_probs, row_width
 from .tokenizer import Vocabulary, encode
+
+log = logging.getLogger(__name__)
 
 SCORE_BATCH = 64  # rows per forward for every score the program reports
 
@@ -38,8 +42,8 @@ def encode_texts(texts: list[str], records: list[EmailRecord], vocab: Vocabulary
     """Encode one content text per record next to that record's context
     features, label, weight and group. Attacks and explanations pass
     perturbed texts here, which must not touch the headers. Context is
-    extracted once per distinct record object, so a record repeated for
-    every variant logs a header warning once."""
+    extracted once per distinct record object, and one warning counts the
+    distinct records whose addresses do not parse (read as external)."""
     if len(texts) != len(records):
         raise ValueError(f"{len(texts)} texts for {len(records)} records")
     n = len(records)
@@ -50,16 +54,22 @@ def encode_texts(texts: list[str], records: list[EmailRecord], vocab: Vocabulary
     weights = np.ones(n, dtype=np.float32)
     groups = []
     contexts: dict[int, np.ndarray] = {}
+    unparsed: list[EmailRecord] = []
     for i, (text, rec) in enumerate(zip(texts, records)):
         seq = encode(text, "", vocab, max_len=max_len)
         ids[i] = seq.ids
         mask[i] = seq.attention_mask
         if id(rec) not in contexts:
             contexts[id(rec)] = context_vector(extract_context(rec))
+            if not addresses_parse(rec):
+                unparsed.append(rec)
         ctx[i] = contexts[id(rec)]
         labels[i] = rec.label
         weights[i] = rec.weight
         groups.append(rec.group)
+    if unparsed:
+        log.warning("%d of %d records have unparseable addresses and are read as external; "
+                    "the first: %s", len(unparsed), len(contexts), shown_addresses(unparsed[0]))
     return EncodedDataset(ids, mask, ctx, labels, weights, groups)
 
 
@@ -76,21 +86,28 @@ def score_dataset(model: CatBertModel, ds: EncodedDataset,
     return out
 
 
+def check_row_width(model: CatBertModel, max_len: int | None) -> None:
+    """ValueError unless ``max_len`` is None or the model's ``row_width``,
+    the one width the library encodes a model's text at."""
+    width = row_width(model.config)
+    if max_len is not None and max_len != width:
+        raise ValueError(f"max_len {max_len} is not the model's row width {width}, "
+                         f"the only width its text is encoded at")
+
+
 def score_records(model: CatBertModel, records: list[EmailRecord], vocab: Vocabulary,
                   max_len: int | None = None, batch_size: int = SCORE_BATCH) -> np.ndarray:
-    """Probabilities for ``records``, encoded into rows of ``max_len``
-    tokens (by default the model's ``row_width``)."""
-    if max_len is None:
-        max_len = row_width(model.config)
-    ds = encode_records(records, vocab, max_len=max_len)
+    """Probabilities for ``records``, encoded into rows of the model's
+    ``row_width`` tokens; a ``max_len`` must name that width."""
+    check_row_width(model, max_len)
+    ds = encode_records(records, vocab, max_len=row_width(model.config))
     return score_dataset(model, ds, batch_size=batch_size)
 
 
-def make_model_scorer(model: CatBertModel, vocab: Vocabulary, max_len: int | None = None):
+def make_model_scorer(model: CatBertModel, vocab: Vocabulary):
     """Scorer closure over (texts, records) for attack evaluation, on rows
-    of ``max_len`` tokens (by default the model's ``row_width``)."""
-    if max_len is None:
-        max_len = row_width(model.config)
+    of the model's ``row_width`` tokens."""
+    max_len = row_width(model.config)
 
     def scorer(texts, records):
         ds = encode_texts(texts, records, vocab, max_len=max_len)

@@ -311,7 +311,7 @@ def test_08_attack_robustness(base_runs):
     for run in base_runs:
         lr = train_tfidf_lr([build_content(r) for r in run.train_records],
                             [r.label for r in run.train_records])
-        scorers = {"model": make_model_scorer(run.model, run.vocab, max_len=32),
+        scorers = {"model": make_model_scorer(run.model, run.vocab),
                    "baseline": make_lr_scorer(lr)}
         for kind in drops:
             spec = AttackSpec(kind=kind, rate=0.5, seed=run.seed,
@@ -333,8 +333,7 @@ def test_09_explainer_sanity(base_runs):
     hits = 0
     for run in base_runs:
         target = next(r for r in run.test_records if r.label == 1)
-        attr = explain_record(run.model, run.vocab, target, n_samples=1000,
-                              seed=run.seed, max_len=32)
+        attr = explain_record(run.model, run.vocab, target, n_samples=1000, seed=run.seed)
         hits += PLANTED in [w for w, _ in attr.top_positive[:3]]
 
     words = ["alpha", "bravo", "carol", "delta", "echo", "fox", "golf", "hotel"]
@@ -392,16 +391,15 @@ def test_10_artifact_determinism(tmp_path):
                          "--seed", "5"]) == 0
         metrics = tmp_path / f"metrics_{tag}.json"
         assert cli_main(["eval", "--model", str(run / "best"), "--in", str(corpus),
-                         "--vocab", str(vocab),
                          "--out", str(metrics)]) == 0
         report = tmp_path / f"attack_{tag}.json"
         assert cli_main(["attack", "--model", str(run / "best"), "--in", str(corpus),
-                         "--vocab", str(vocab),
                          "--kind", "typo", "--rate", "0.5", "--seed", "7",
                          "--out", str(report)]) == 0
         outs[tag] = {
             "weights": (run / "best" / "tensors.bin").read_bytes(),
             "ckpt_manifest": (run / "best" / "manifest.json").read_bytes(),
+            "ckpt_vocab": (run / "best" / "vocab.txt").read_bytes(),
             "history": (run / "history.json").read_bytes(),
             "metrics": metrics.read_bytes(),
             "attack": report.read_bytes(),

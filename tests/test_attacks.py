@@ -29,6 +29,11 @@ def test_spec_validation():
     for seed in (-1, 1.0):
         with pytest.raises(ValueError, match=f"seed must be an int >= 0, got {seed}"):
             AttackSpec(kind="typo", rate=0.5, seed=seed)
+    for kind in ("typo", "homoglyph"):  # only a synonym attack reads a table
+        with pytest.raises(ValueError, match=f"a {kind} attack reads no synonym table, "
+                                             f"got one of 1 entries"):
+            AttackSpec(kind=kind, rate=0.5, synonyms={"money": "funds"})
+        assert AttackSpec(kind=kind, rate=0.5, synonyms={}).synonyms == {}
     assert set(KINDS) == {"synonym", "typo", "homoglyph"}
 
 

@@ -70,7 +70,7 @@ class TestExitCodes:
 
     def test_runtime_failure_exits_two(self, workdir, capsys):
         rc = main(["eval", "--model", str(workdir["root"] / "nope"),
-                   "--in", str(workdir["corpus"]), "--vocab", str(workdir["vocab"])])
+                   "--in", str(workdir["corpus"])])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
@@ -81,7 +81,7 @@ class TestExitCodes:
         missing = str(tmp_path / "missing")
         argv = [sub, "--in", f"{missing}.jsonl", flag, os.path.join(missing, "result")]
         if sub != "ingest":
-            argv += ["--model", missing, "--vocab", missing]
+            argv += ["--model", missing]
         assert main(argv) == 1
         assert f"output directory {missing} does not exist" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
@@ -95,7 +95,7 @@ class TestExitCodes:
         """An empty path names no file: it is refused, not read as an absent
         flag (stdout, no config, no validation), before any input is read."""
         missing = str(tmp_path / "missing")
-        scoring = ["--in", missing, "--model", missing, "--vocab", missing]
+        scoring = ["--in", missing, "--model", missing]
         required = {
             "ingest": ["--in", missing, "--out", missing],
             "train": ["--train", missing, "--vocab", missing, "--out-dir", missing],
@@ -157,7 +157,7 @@ class TestExitCodes:
             config.write_text(json.dumps({"model": model}))
         argv = [str(config) if arg is model else arg for arg in argv]
         missing = str(tmp_path / "missing")
-        scoring = ["--in", missing, "--model", missing, "--vocab", missing]
+        scoring = ["--in", missing, "--model", missing]
         inputs = {"split": ["--in", missing, "--out-dir", str(tmp_path / "out")],
                   "surgery": ["--donor", missing, "--out-dir", str(tmp_path / "out")],
                   "train": ["--train", missing, "--vocab", missing,
@@ -319,6 +319,11 @@ class TestTrain:
         assert manifest["config"]["model"]["hidden"] == 16
         assert manifest["seed"] == 0
         assert set(manifest["outputs"]) == {"checkpoint", "history"}
+        # best/ carries the vocabulary train read, listed with the checkpoint's other files
+        vocab = (run / "best" / "vocab.txt").read_bytes()
+        assert vocab == workdir["vocab"].read_bytes()
+        assert manifest["outputs"]["checkpoint"]["files"]["vocab.txt"] == {
+            "sha256": hashlib.sha256(vocab).hexdigest(), "bytes": len(vocab)}
 
     def test_train_with_val_keeps_the_best_epoch(self, workdir, tmp_path):
         from catbert.checkpoint import load_checkpoint
@@ -341,7 +346,7 @@ class TestTrain:
         # best/ is the best epoch's model, and train scores validation as eval does
         out = tmp_path / "m.json"
         assert main(["eval", "--model", str(run / "best"), "--in", str(val),
-                     "--vocab", str(workdir["vocab"]), "--out", str(out)]) == 0
+                     "--out", str(out)]) == 0
         assert json.loads(out.read_text())["auc"] == history["best_val_auc"]
         manifest = json.loads((run / "run_manifest.json").read_text())
         assert manifest["inputs"]["val"]["path"] == str(val)
@@ -626,7 +631,7 @@ class TestScoring:
     def test_eval_metrics_json(self, workdir, tmp_path, capsys):
         out = tmp_path / "metrics.json"
         rc = main(["eval", "--model", str(workdir["ckpt"]),
-                   "--in", str(workdir["corpus"]), "--vocab", str(workdir["vocab"]),
+                   "--in", str(workdir["corpus"]),
                    "--out", str(out)])
         assert rc == 0
         payload = json.loads(out.read_text())
@@ -637,7 +642,7 @@ class TestScoring:
         assert (tmp_path / "metrics.json.manifest.json").exists()
 
     def test_eval_manifest_skips_a_killed_writes_temporary_file(self, workdir, tmp_path):
-        """A checkpoint is listed as the two files the model is read from: a
+        """A checkpoint is listed as the three files the model is read from: a
         killed write's temporary file, a stray file and a nested directory in
         it are no part of it."""
         ckpt = tmp_path / "best"
@@ -648,10 +653,10 @@ class TestScoring:
         (ckpt / "sub" / "y").write_bytes(b"y")
         out = tmp_path / "metrics.json"
         assert main(["eval", "--model", str(ckpt), "--in", str(workdir["corpus"]),
-                     "--vocab", str(workdir["vocab"]), "--out", str(out)]) == 0
+                     "--out", str(out)]) == 0
         manifest = json.loads((tmp_path / "metrics.json.manifest.json").read_text())
         files = manifest["inputs"]["model"]["files"]
-        assert sorted(files) == ["manifest.json", "tensors.bin"]
+        assert sorted(files) == ["manifest.json", "tensors.bin", "vocab.txt"]
         for name, entry in files.items():
             data = (ckpt / name).read_bytes()
             assert entry == {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
@@ -669,7 +674,7 @@ class TestScoring:
         save_dataset(records, data)
         out = tmp_path / "m.json"
         assert main(["eval", "--model", str(workdir["ckpt"]), "--in", str(data),
-                     "--vocab", str(workdir["vocab"]), "--groups", "--out", str(out)]) == 0
+                     "--groups", "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
         groups = payload["groups"]
         assert set(groups) == {"all", "bec", "english"}
@@ -686,7 +691,7 @@ class TestScoring:
             r.group = ("bec", "english")[i % 2]
         data, out, pred = tmp_path / "tagged.jsonl", tmp_path / "m.json", tmp_path / "p.jsonl"
         save_dataset(records, data)
-        io = ["--model", str(workdir["ckpt"]), "--in", str(data), "--vocab", str(workdir["vocab"])]
+        io = ["--model", str(workdir["ckpt"]), "--in", str(data)]
         assert main(["eval", *io, "--groups", "--fprs", "0.01,0.5", "--out", str(out)]) == 0
         assert main(["predict", *io, "--out", str(pred)]) == 0
         payload = json.loads(out.read_text())
@@ -704,7 +709,7 @@ class TestScoring:
         out = tmp_path / "m.json"
         roc = tmp_path / "roc.csv"
         rc = main(["eval", "--model", str(workdir["ckpt"]),
-                   "--in", str(workdir["corpus"]), "--vocab", str(workdir["vocab"]),
+                   "--in", str(workdir["corpus"]),
                    "--out", str(out), "--roc", str(roc)])
         assert rc == 0
         lines = roc.read_text().splitlines()
@@ -713,7 +718,7 @@ class TestScoring:
 
     def test_predict_stdout_jsonl(self, workdir, capsys):
         rc = main(["predict", "--model", str(workdir["ckpt"]),
-                   "--in", str(workdir["corpus"]), "--vocab", str(workdir["vocab"])])
+                   "--in", str(workdir["corpus"])])
         assert rc == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 160
@@ -726,19 +731,41 @@ class TestScoring:
 @pytest.mark.parametrize("n_tokens", [40, 150])
 def test_vocabulary_other_than_the_checkpoints_is_usage_error(workdir, tmp_path, capsys,
                                                                n_tokens):
-    vocab = tmp_path / "vocab.txt"
+    """A checkpoint whose vocab.txt does not hold its vocab_size tokens is
+    refused, naming the file, before the (missing) records are read."""
+    ckpt = tmp_path / "best"
+    shutil.copytree(workdir["ckpt"], ckpt)
+    vocab = ckpt / "vocab.txt"
     save_vocab((synthetic_vocab() + [f"extra{i}" for i in range(50)])[:n_tokens], vocab)
-    assert main(["eval", "--model", str(workdir["ckpt"]), "--in", str(tmp_path / "missing.jsonl"),
-                 "--vocab", str(vocab)]) == 1
-    assert (f"vocabulary {vocab} has {n_tokens} tokens, but the checkpoint's vocab_size is 100"
-            in capsys.readouterr().err)
+    assert main(["eval", "--model", str(ckpt), "--in", str(tmp_path / "missing.jsonl")]) == 1
+    assert (f"usage error: vocabulary {vocab} has {n_tokens} tokens, but the checkpoint's "
+            f"vocab_size is 100") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sub", ["eval", "predict", "attack", "explain"])
+def test_a_checkpoint_without_its_vocabulary_is_usage_error(workdir, tmp_path, capsys, sub):
+    """A checkpoint carries the vocabulary its token ids index: without
+    vocab.txt each scoring subcommand refuses it, naming the file, before
+    the (missing) records are read and before any output is written."""
+    ckpt = tmp_path / "best"
+    shutil.copytree(workdir["ckpt"], ckpt)
+    (ckpt / "vocab.txt").unlink()
+    argv = [sub, "--model", str(ckpt), "--in", str(tmp_path / "missing.jsonl"),
+            "--out", str(tmp_path / "out.json")]
+    assert main(argv + {"attack": ["--kind", "typo", "--rate", "0.5"]}.get(sub, [])) == 1
+    assert (f"usage error: checkpoint {ckpt} has no vocab.txt: copy the vocabulary it was "
+            f"trained with to {ckpt / 'vocab.txt'}") in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["best"]
+    shutil.copy(workdir["vocab"], ckpt / "vocab.txt")  # then it scores like any checkpoint
+    argv[argv.index("--in") + 1] = str(workdir["corpus"])
+    assert main(argv + {"attack": ["--kind", "typo", "--rate", "0.5"]}.get(sub, [])) == 0
 
 
 class TestAttackExplain:
     def test_attack_rate_zero_has_no_effect(self, workdir, tmp_path):
         out = tmp_path / "attack.json"
         rc = main(["attack", "--model", str(workdir["ckpt"]),
-                   "--in", str(workdir["corpus"]), "--vocab", str(workdir["vocab"]),
+                   "--in", str(workdir["corpus"]),
                    "--kind", "typo", "--rate", "0",
                    "--out", str(out)])
         assert rc == 0
@@ -751,10 +778,24 @@ class TestAttackExplain:
         empty.write_text("{}")
         for table in ([], ["--synonyms", str(empty)]):
             rc = main(["attack", "--model", str(workdir["ckpt"]),
-                       "--in", str(workdir["corpus"]), "--vocab", str(workdir["vocab"]),
+                       "--in", str(workdir["corpus"]),
                        "--kind", "synonym", "--rate", "0.5", *table])
             assert rc == 1  # the attack spec's check, made before the model is loaded
             assert "synonym attack needs a non-empty synonym table" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["typo", "homoglyph"])
+    def test_a_synonym_table_for_another_kind_is_refused(self, workdir, tmp_path, capsys, kind):
+        """Only a synonym attack reads the table: given to another kind it
+        is refused before the checkpoint is read (it is missing here)."""
+        table = tmp_path / "syn.json"
+        table.write_text(json.dumps(SYNONYM_TABLE))
+        out = tmp_path / "attack.json"
+        assert main(["attack", "--model", str(tmp_path / "missing"),
+                     "--in", str(workdir["corpus"]), "--kind", kind, "--rate", "0.5",
+                     "--synonyms", str(table), "--out", str(out)]) == 1
+        assert (f"usage error: a {kind} attack reads no synonym table, got one of "
+                f"{len(SYNONYM_TABLE)} entries") in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["syn.json"]
 
     @pytest.mark.parametrize("table, message", [
         ({"money": []}, "synonyms['money'] must be a non-empty string or a non-empty list"),
@@ -769,7 +810,7 @@ class TestAttackExplain:
         if table is not None:
             path.write_text(json.dumps(table))
         assert main(["attack", "--model", str(tmp_path / "missing"),
-                     "--in", str(workdir["corpus"]), "--vocab", str(workdir["vocab"]),
+                     "--in", str(workdir["corpus"]),
                      "--kind", "synonym", "--rate", "0.5", "--synonyms", str(path)]) == 1
         err = capsys.readouterr().err
         assert message in err and str(path) in err
@@ -779,7 +820,7 @@ class TestAttackExplain:
         table.write_text(json.dumps(SYNONYM_TABLE))
         out = tmp_path / "attack.json"
         rc = main(["attack", "--model", str(workdir["ckpt"]),
-                   "--in", str(workdir["corpus"]), "--vocab", str(workdir["vocab"]),
+                   "--in", str(workdir["corpus"]),
                    "--kind", "synonym", "--rate", "1.0",
                    "--seed", "7", "--synonyms", str(table), "--out", str(out)])
         assert rc == 0
@@ -790,7 +831,7 @@ class TestAttackExplain:
     def test_explain_writes_attribution(self, workdir, tmp_path):
         out = tmp_path / "expl.json"
         rc = main(["explain", "--model", str(workdir["ckpt"]),
-                   "--in", str(workdir["corpus"]), "--vocab", str(workdir["vocab"]),
+                   "--in", str(workdir["corpus"]),
                    "--index", "0", "--n-samples", "60",
                    "--out", str(out)])
         assert rc == 0
@@ -801,7 +842,7 @@ class TestAttackExplain:
 
     def test_explain_index_out_of_range(self, workdir, capsys):
         rc = main(["explain", "--model", str(workdir["ckpt"]),
-                   "--in", str(workdir["corpus"]), "--vocab", str(workdir["vocab"]),
+                   "--in", str(workdir["corpus"]),
                    "--index", "9999"])
         assert rc == 1
         assert "out of range" in capsys.readouterr().err
@@ -814,7 +855,7 @@ class TestAttackExplain:
         save_dataset([EmailRecord(subject="invoice", body_text=" ".join(["pay"] * 59),
                                   label=1), EmailRecord(label=1)], data)
         argv = ["explain", "--model", str(workdir["ckpt"]), "--in", str(data),
-                "--vocab", str(workdir["vocab"]), "--out", str(out), "--n-samples"]
+                "--out", str(out), "--n-samples"]
         assert main([*argv, "61"]) == 1
         assert ("usage error: n_samples 61 cannot fit 60 word weights and an intercept: "
                 "need n_samples >= 62") in capsys.readouterr().err
@@ -841,10 +882,10 @@ def test_json_file_that_is_no_object_fails_before_reading_data(workdir, tmp_path
     path = tmp_path / "file.json"
     path.write_bytes(text.encode("utf-8", "surrogateescape"))  # "\udcff" is the byte 0xff
     missing = str(tmp_path / "missing")
-    argv = {"train": ["--train", missing, "--out-dir", str(tmp_path / "r")],
+    argv = {"train": ["--train", missing, "--vocab", missing, "--out-dir", str(tmp_path / "r")],
             "attack": ["--model", missing, "--in", missing, "--kind", "synonym",
                        "--rate", "0.5"]}[sub]
-    assert main([sub, *argv, "--vocab", missing, flag, str(path)]) == 1
+    assert main([sub, *argv, flag, str(path)]) == 1
     assert f"usage error: {what} {path} {problem}" in capsys.readouterr().err
     assert os.listdir(tmp_path) == ["file.json"]
 
@@ -854,8 +895,7 @@ def test_max_len_past_checkpoint_positions_is_usage_error(workdir, tmp_path, cap
     """Rows are as wide as the checkpoint allows, so the retired ``--max-len``
     is an unrecognized flag, rejected before any input is read."""
     argv = [sub, "--model", str(tmp_path / "missing"), "--in", str(tmp_path / "missing.jsonl"),
-            "--vocab", str(workdir["vocab"]), "--max-len", "17",
-            "--out", str(tmp_path / "result.json")]
+            "--max-len", "17", "--out", str(tmp_path / "result.json")]
     argv += {"attack": ["--kind", "typo", "--rate", "0.5"]}.get(sub, [])
     assert main(argv) == 1
     assert "unrecognized arguments: --max-len 17" in capsys.readouterr().err
@@ -873,7 +913,7 @@ def test_max_len_below_tokenizer_floor_is_usage_error(workdir, tmp_path, capsys)
     save_checkpoint(init_random(ModelConfig(vocab_size=100, hidden=16, ffn_dim=32, heads=2,
                                             max_positions=2, block_plan=("T",))), ckpt)
     assert main(["eval", "--model", str(ckpt), "--in", str(tmp_path / "missing.jsonl"),
-                 "--out", str(tmp_path / "metrics.json"), "--vocab", str(workdir["vocab"])]) == 1
+                 "--out", str(tmp_path / "metrics.json")]) == 1
     assert ("max_positions 2 allows rows of 2 tokens; max_len must be at least 3"
             in capsys.readouterr().err)
     assert os.listdir(tmp_path) == ["narrow"]
@@ -882,15 +922,14 @@ def test_max_len_below_tokenizer_floor_is_usage_error(workdir, tmp_path, capsys)
 def test_default_max_len_is_capped_at_checkpoint_positions(workdir, tmp_path):
     out = tmp_path / "metrics.json"
     assert main(["eval", "--model", str(workdir["ckpt"]), "--in", str(workdir["corpus"]),
-                 "--vocab", str(workdir["vocab"]), "--out", str(out)]) == 0
+                 "--out", str(out)]) == 0
     assert json.loads((tmp_path / "metrics.json.manifest.json").read_text())[
         "config"]["max_len"] == 16
 
 
 class TestScoringFlags:
     def _argv(self, workdir, sub):
-        argv = [sub, "--model", str(workdir["ckpt"]), "--in", str(workdir["corpus"]),
-                "--vocab", str(workdir["vocab"])]
+        argv = [sub, "--model", str(workdir["ckpt"]), "--in", str(workdir["corpus"])]
         return argv + {"attack": ["--kind", "typo", "--rate", "0.5"],
                        "explain": ["--n-samples", "50"]}.get(sub, [])
 
@@ -921,6 +960,10 @@ class TestScoringFlags:
         ("predict", ["--no-context"]),
         ("attack", ["--no-context"]),
         ("explain", ["--no-context"]),
+        ("eval", ["--vocab", "vocab.txt"]),
+        ("predict", ["--vocab", "vocab.txt"]),
+        ("attack", ["--vocab", "vocab.txt"]),
+        ("explain", ["--vocab", "vocab.txt"]),
     ])
     def test_flags_the_subcommand_ignores_are_rejected(self, workdir, capsys, sub, flag):
         assert main(self._argv(workdir, sub) + flag) == 1
@@ -934,11 +977,11 @@ FLAGS = {
     "train": ["--train", "--val", "--out-dir", "--config", "--vocab", "--seed"],
     "surgery": ["--donor", "--out-dir", "--keep", "--context-dim", "--seed"],
     "params": ["--config", "--out"],
-    "eval": ["--model", "--in", "--vocab", "--out", "--roc", "--fprs", "--groups"],
-    "predict": ["--model", "--in", "--vocab", "--out"],
-    "attack": ["--model", "--in", "--vocab", "--kind", "--rate", "--seed", "--threshold",
+    "eval": ["--model", "--in", "--out", "--roc", "--fprs", "--groups"],
+    "predict": ["--model", "--in", "--out"],
+    "attack": ["--model", "--in", "--kind", "--rate", "--seed", "--threshold",
                "--synonyms", "--out"],
-    "explain": ["--model", "--in", "--vocab", "--index", "--n-samples", "--seed", "--out"],
+    "explain": ["--model", "--in", "--index", "--n-samples", "--seed", "--out"],
     "bench": ["--config", "--batch", "--repetitions", "--seed", "--out"],
 }
 
@@ -949,7 +992,7 @@ def test_every_subcommand_takes_exactly_the_golden_flags():
                   if flag not in ("-h", "--help")]
            for name, parser in sub.choices.items()}
     assert got == FLAGS
-    assert sum(map(len, FLAGS.values())) == 51
+    assert sum(map(len, FLAGS.values())) == 47
 
 
 def test_readme_commands_parse_and_its_config_builds():
@@ -979,6 +1022,7 @@ class TestSurgeryBench:
                                 context_dim=0)
         donor_dir = tmp_path / "donor"
         save_checkpoint(init_random(donor_cfg, seed=3), donor_dir)
+        save_vocab(synthetic_vocab(), donor_dir / "vocab.txt")
         out = tmp_path / "compressed"
         rc = main(["surgery", "--donor", str(donor_dir), "--out-dir", str(out),
                    "--keep", "0,2"])
@@ -989,6 +1033,29 @@ class TestSurgeryBench:
         np.testing.assert_array_equal(
             model.params["blocks.2.attn.q.w"].data,
             donor.params["blocks.2.attn.q.w"].data)
+        assert (out / "vocab.txt").read_bytes() == (donor_dir / "vocab.txt").read_bytes()
+
+    @pytest.mark.parametrize("n_tokens", [None, 99])
+    def test_a_donor_without_its_vocabulary_fails_before_its_blob_is_read(
+            self, tmp_path, capsys, n_tokens):
+        """A donor whose vocab.txt is missing (None) or does not hold its
+        vocab_size tokens is a usage error naming the file."""
+        from catbert.checkpoint import BLOB, save_checkpoint
+        from catbert.model import init_random
+        donor_dir = tmp_path / "donor"
+        save_checkpoint(init_random(ModelConfig(vocab_size=100, hidden=16, ffn_dim=32, heads=2,
+                                                max_positions=16, block_plan=("T", "T"))),
+                        donor_dir)
+        (donor_dir / BLOB).unlink()  # reading the blob would fail with exit 2
+        vocab = donor_dir / "vocab.txt"
+        if n_tokens is not None:
+            save_vocab(synthetic_vocab()[:n_tokens], vocab)
+        out = tmp_path / "compressed"
+        assert main(["surgery", "--donor", str(donor_dir), "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert (f"checkpoint {donor_dir} has no vocab.txt" if n_tokens is None else
+                f"vocabulary {vocab} has 99 tokens, but the checkpoint's vocab_size is 100") in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("keep, message", [
         ("0,9", "keep index 9 out of range for 4-block donor"),
@@ -1059,6 +1126,7 @@ def donor(tmp_path_factory):
     save_checkpoint(init_random(ModelConfig(vocab_size=100, hidden=16, ffn_dim=32, heads=2,
                                             max_positions=16, block_plan=("T",) * 2,
                                             context_dim=0)), path)
+    save_vocab(synthetic_vocab(), path / "vocab.txt")
     return path
 
 
@@ -1066,7 +1134,7 @@ class TestManifests:
     """Every subcommand that writes files, with the manifest the run should
     leave in the fresh directory ``{out}``."""
 
-    SCORING = ["--model", "{ckpt}", "--in", "{corpus}", "--vocab", "{vocab}"]
+    SCORING = ["--model", "{ckpt}", "--in", "{corpus}"]
     BENCH = ["bench", "--config", "{config}", "--repetitions", "2"]
     CASES = {
         "ingest": (["ingest", "--in", "{corpus}", "--out", "{out}/clean.jsonl"],
@@ -1126,11 +1194,14 @@ class TestManifests:
         for _ in range(2):
             assert main(["surgery", "--donor", str(donor), "--out-dir", str(comp)]) == 0
         manifest = json.loads((comp / "run_manifest.json").read_text())
-        assert set(manifest["outputs"]["checkpoint"]["files"]) == {"manifest.json", "tensors.bin"}
+        files = {"manifest.json", "tensors.bin", "vocab.txt"}
+        assert set(manifest["inputs"]["donor"]["files"]) == files
+        assert set(manifest["outputs"]["checkpoint"]["files"]) == files
         assert main(["eval", "--model", str(comp), "--in", str(workdir["corpus"]),
-                     "--vocab", str(workdir["vocab"]), "--out", str(tmp_path / "m.json")]) == 0
+                     "--out", str(tmp_path / "m.json")]) == 0
         inputs = json.loads((tmp_path / "m.json.manifest.json").read_text())["inputs"]
-        assert set(inputs["model"]["files"]) == {"manifest.json", "tensors.bin"}
+        assert set(inputs) == {"dataset", "model"}
+        assert set(inputs["model"]["files"]) == files
 
     @pytest.mark.parametrize("failing", ["report", "manifest"])
     def test_failed_write_keeps_the_old_file(self, workdir, tmp_path, monkeypatch, capsys,

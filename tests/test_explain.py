@@ -185,7 +185,17 @@ def test_explain_logs_a_bad_header_once(caplog):
                                     max_positions=32, block_plan=("T", "A")), seed=0)
     record = EmailRecord(subject="invoice", body_text="please send wiretransfer today",
                          from_addr="not-an-address", to_addrs=["b@acme.com"], label=1)
-    with caplog.at_level(logging.WARNING, logger="catbert.mail"):
+    with caplog.at_level(logging.WARNING, logger="catbert.pipeline"):
         explain_record(model, vocab, record, n_samples=64, seed=0, max_len=32)
-    warnings = [r for r in caplog.records if "unparseable addresses" in r.getMessage()]
-    assert len(warnings) == 1
+    warnings = [r.getMessage() for r in caplog.records if "unparseable addresses" in r.getMessage()]
+    assert len(warnings) == 1 and warnings[0].startswith("1 of 1 records")
+
+
+@pytest.mark.parametrize("max_len", [8, 64])
+def test_explain_record_refuses_another_width(max_len):
+    vocab = Vocabulary(synthetic_vocab())
+    model = init_random(ModelConfig(vocab_size=100, hidden=16, ffn_dim=32, heads=2,
+                                    max_positions=32, block_plan=("T", "A")), seed=0)
+    record = EmailRecord(subject="invoice", body_text="please send wiretransfer today", label=1)
+    with pytest.raises(ValueError, match=f"max_len {max_len} is not the model's row width 32"):
+        explain_record(model, vocab, record, n_samples=64, seed=0, max_len=max_len)

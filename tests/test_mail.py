@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from catbert.mail import (
     ContextFeatures,
+    addresses_parse,
     DatasetError,
     EmailRecord,
     build_content,
@@ -20,6 +21,9 @@ from catbert.mail import (
     record_to_json,
     save_dataset,
 )
+from catbert.pipeline import encode_records
+from catbert.synthetic import synthetic_vocab
+from catbert.tokenizer import Vocabulary
 
 
 class TestExtractContext:
@@ -34,18 +38,22 @@ class TestExtractContext:
         assert extract_context(rec) == ContextFeatures(0, 1, 2, 2)
 
     def test_degenerate_input_defaults_external(self, caplog):
+        """Unparseable addresses read as external, and a record logs
+        nothing: encoding counts them (``test_pipeline``)."""
         rec = EmailRecord(from_addr="", to_addrs=[])
         with caplog.at_level("WARNING"):
             feats = extract_context(rec)
         assert feats == ContextFeatures(0, 1, 0, 0)
-        assert caplog.records
+        assert not addresses_parse(rec) and not caplog.records
 
     def test_unparseable_warning_stays_short_for_a_huge_header(self, caplog):
+        """Encoding logs the warning, one per call (``test_pipeline``), and
+        quotes a huge header short."""
         rec = EmailRecord(from_addr="x" * 1_000_000,
                           to_addrs=[f"user{i}" for i in range(1000)])
+        assert extract_context(rec) == ContextFeatures(0, 1, 1000, 0)
         with caplog.at_level("WARNING"):
-            feats = extract_context(rec)
-        assert feats == ContextFeatures(0, 1, 1000, 0)
+            encode_records([rec], Vocabulary(synthetic_vocab()), max_len=8)
         (line,) = [r.getMessage() for r in caplog.records]
         assert len(line) < 300 and "xxx..." in line and "'user0'" in line
 

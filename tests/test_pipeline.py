@@ -93,6 +93,24 @@ class TestEncodeTexts:
         assert np.array_equal(swapped.ctx, base.ctx)
         assert swapped.labels.tolist() == base.labels.tolist()
 
+    def test_one_warning_counts_the_unparseable_headers(self, caplog):
+        """One warning per call, counting the distinct records whose
+        addresses do not parse and quoting the first one short; their rows
+        read as external."""
+        bad = EmailRecord(subject="pay", from_addr="MAILER-DAEMON", to_addrs=["b@x.co"])
+        blank = EmailRecord(subject="now", from_addr="a@x.co")
+        recs = records() + [bad, blank, bad]
+        with caplog.at_level("WARNING"):
+            ds = encode_texts(["pay"] * 5, recs, small_vocab(), max_len=12)
+        (line,) = [r.getMessage() for r in caplog.records]
+        assert line == ("2 of 4 records have unparseable addresses and are read as external; "
+                        "the first: from=str 'MAILER-DAEMON', to=list ['b@x.co']")
+        assert ds.ctx[2:, :2].tolist() == [[0, 1]] * 3
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            encode_texts(["pay", "now"], records(), small_vocab(), max_len=12)
+        assert not caplog.records
+
     def test_records_are_their_built_content(self):
         v = small_vocab()
         recs = records() + [
@@ -134,7 +152,7 @@ class TestScoring:
 
     def test_score_records_wrapper(self):
         m = tiny_model()
-        probs = score_records(m, records(), small_vocab(), max_len=12)
+        probs = score_records(m, records(), small_vocab())
         assert probs.shape == (2,)
         assert np.all((probs > 0) & (probs < 1))
 
@@ -142,10 +160,17 @@ class TestScoring:
         # rows of 16 tokens on a 16-position model, whatever the email's length
         m = tiny_model()
         recs = records() + [EmailRecord(subject="pay", body_text="pay money now " * 8, label=1)]
-        want = score_records(m, recs, small_vocab(), max_len=16)
+        want = score_dataset(m, encode_records(recs, small_vocab(), max_len=16))
         assert score_records(m, recs, small_vocab()).tobytes() == want.tobytes()
+        assert score_records(m, recs, small_vocab(), max_len=16).tobytes() == want.tobytes()
         scorer = make_model_scorer(m, small_vocab())
         assert scorer([build_content(r) for r in recs], recs).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("max_len", [12, 17])
+    def test_score_records_refuses_another_width(self, max_len):
+        with pytest.raises(ValueError, match=f"max_len {max_len} is not the model's row "
+                                             f"width 16, the only width its text is encoded at"):
+            score_records(tiny_model(), records(), small_vocab(), max_len=max_len)
 
     def test_contextless_model(self):
         m = tiny_model(context_dim=0)

@@ -149,6 +149,7 @@ def inputs(tmp_path_factory):
                       max_positions=16, block_plan=("T", "A"))
     model = init_random(cfg, 1)
     save_checkpoint(model, root / "ckpt")
+    save_vocab(synthetic_vocab(), root / "ckpt" / "vocab.txt")
     return {"root": root, "model": model, "config": cfg}
 
 
@@ -195,7 +196,7 @@ def test_synonyms_file(inputs, mutation):
         path, out = folder / "synonyms.json", folder / "report.json"
         path.write_bytes(data)
         rc, err = run_cli(["attack", "--model", str(root / "ckpt"),
-                           "--in", str(root / "corpus.jsonl"), "--vocab", str(root / "vocab.txt"),
+                           "--in", str(root / "corpus.jsonl"),
                            "--kind", "synonym", "--rate", "1.0", "--synonyms", str(path),
                            "--out", str(out)])
         if rc:

@@ -41,6 +41,26 @@ def test_run_experiment_writes_its_report(tmp_path):
     assert (report["config"]["model"]["hidden"], report["config"]["train"]["epochs"]) == (16, 1)
 
 
+@pytest.mark.parametrize("config, message", [
+    ({"model": {"vocab_size": 99}}, "model.vocab_size 99 disagrees with the 100 tokens of the "
+                                    "synthetic vocabulary"),
+    ({"train": {"epochs": 0}}, "epochs must be >= 1, got 0"),
+    ({"max_len": 8}, "max_len=8 is retired; rows are 128 tokens wide"),
+    ({"trian": {}}, "unknown config fields: ['trian']"),
+], ids=["vocab-size", "epochs-zero", "max-len", "unknown-key"])
+def test_run_experiment_refuses_what_train_refuses(tmp_path, config, message):
+    """The script reads --config through catbert train's reader, so it
+    refuses the same files with the same message, before any corpus is
+    made."""
+    path, out = tmp_path / "config.json", tmp_path / "report.json"
+    path.write_text(json.dumps(config))
+    done = run("run_experiment.py", "--n", 300, "--config", path, "--out", out)
+    assert done.returncode == 1
+    assert done.stderr.startswith(f"usage error: bad config: {message}")
+    assert done.stderr.rstrip().endswith(f", in {path}")
+    assert "split:" not in done.stdout and not out.exists()
+
+
 def test_run_experiment_defaults_are_the_readme_demo_config():
     spec = importlib.util.spec_from_file_location("run_experiment",
                                                   SCRIPTS / "run_experiment.py")
@@ -64,6 +84,19 @@ def _result(setup_s: float, correct: bool = True, failed: int = 0) -> str:
         "peak_rss_mb": {"value": 100.0, "unit": "MB"}}})
 
 
+END_TO_END = [{"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25},
+              {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1}]
+
+
+def _pairs(bench, parent: list[float], change: list[float]) -> list[tuple]:
+    rows = []
+    for i, (p, c) in enumerate(zip(parent, change)):
+        seed = 3901 + i
+        lines = {"parent": _result(p), "change": _result(c)}
+        rows += [("w", seed, side, lines[side]) for side in bench.sides_in_order(seed)]
+    return rows
+
+
 def test_bench_pairs_sums_up_canned_runs():
     """Four pairs of one workload, read from the lines perfbench prints;
     nothing is run."""
@@ -74,7 +107,7 @@ def test_bench_pairs_sums_up_canned_runs():
         seed = 3300 + i
         lines = {"parent": _result(p), "change": _result(c, failed=int(i == 1))}
         rows += [("w", seed, side, lines[side]) for side in bench.sides_in_order(seed)]
-    out = bench.summarize(rows)["w"]
+    out = bench.summarize(rows, END_TO_END)["w"]
     assert out["seeds"] == [3300, 3301, 3302, 3303] and out["pairs"] == 4
     assert out["correct"] == {"parent": True, "change": True}
     assert out["failed_of_attempted"] == {"parent": [0, 40], "change": [1, 40]}
@@ -82,9 +115,42 @@ def test_bench_pairs_sums_up_canned_runs():
     assert setup["unit"] == "s"
     assert setup["parent"] == {"q1": 0.0115, "median": 0.013, "q3": 0.0155, "runs": parent}
     assert setup["change"] == {"q1": 0.0055, "median": 0.007, "q3": 0.009, "runs": change}
-    assert setup["pairs_change_lower"] == 3  # a tie is not lower
+    assert setup["pairs_change_won"] == 3  # a tie is won by neither side
     assert setup["change_over_parent_median"] == 0.538
-    assert out["metrics"]["peak_rss_mb"]["pairs_change_lower"] == 0
+    assert setup["parent_iqr"] == 0.004
+    assert not setup["gain_claimable"] and not setup["worse_than_bound"]  # 3 of 4 is too few
+    rss = out["metrics"]["peak_rss_mb"]
+    assert rss["pairs_change_won"] == 0 and rss["parent_iqr"] == 0.0
+    assert not rss["gain_claimable"] and not rss["worse_than_bound"]
+
+
+def test_bench_pairs_flags_a_refused_claim():
+    """Ten pairs shaped like a refused train-paper claim: the median falls
+    262 -> 217 ms, more than the parent's IQR, but the change won only 8 of
+    10 pairs. Moved so it wins 9, the same medians make a claimable gain."""
+    bench = _bench_pairs()
+    parent = [200.0, 310.0, 240.0, 262.0, 290.0, 255.0, 262.0, 275.0, 230.0, 300.0]
+    change = [205.0, 200.0, 215.0, 219.0, 215.0, 219.0, 220.0, 230.0, 235.0, 210.0]
+    setup = bench.summarize(_pairs(bench, parent, change), END_TO_END)["w"]["metrics"]["setup_s"]
+    assert (setup["parent"]["median"], setup["change"]["median"]) == (262.0, 217.0)
+    assert setup["parent_iqr"] == 42.5 and setup["pairs_change_won"] == 8
+    assert not setup["gain_claimable"] and not setup["worse_than_bound"]
+    change[8] = 225.0  # the ninth pair won, medians unchanged
+    setup = bench.summarize(_pairs(bench, parent, change), END_TO_END)["w"]["metrics"]["setup_s"]
+    assert setup["change"]["median"] == 217.0 and setup["pairs_change_won"] == 9
+    assert setup["gain_claimable"]
+
+
+def test_bench_pairs_flags_a_regression_past_the_bound():
+    """A median 10% worse is inside setup_s's 0.25 bound; 30% is past it.
+    All ten pairs equal: no side wins, and nothing is flagged."""
+    bench = _bench_pairs()
+    for factor, worse in ((1.1, False), (1.3, True), (1.0, False)):
+        parent = [10.0 + i for i in range(10)]
+        setup = bench.summarize(_pairs(bench, parent, [p * factor for p in parent]),
+                                END_TO_END)["w"]["metrics"]["setup_s"]
+        assert setup["worse_than_bound"] is worse
+        assert setup["pairs_change_won"] == 0 and not setup["gain_claimable"]
 
 
 def test_bench_pairs_runs_the_parent_first_on_odd_seeds():
@@ -96,7 +162,7 @@ def test_bench_pairs_runs_the_parent_first_on_odd_seeds():
 def test_bench_pairs_refuses_a_pair_with_one_side():
     bench = _bench_pairs()
     with pytest.raises(ValueError, match=r"\(3301, 'change'\)"):
-        bench.summarize([("w", 3301, "parent", _result(0.01))])
+        bench.summarize([("w", 3301, "parent", _result(0.01))], END_TO_END)
 
 
 def test_bench_pairs_sums_up_canned_traced_runs(tmp_path):
